@@ -9,9 +9,14 @@ bit.  These tests run one lossy/jittery pub-sub workload under each
 mode pair and compare full traces, not summaries.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.simnet.chaos import ChaosSchedule
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LinkProfile
 from repro.simnet.network import Network
@@ -24,6 +29,21 @@ FLAKY = LinkProfile(
 
 SEED = 1234
 
+#: sha256 of the canonical delivery trace of each scenario below.  Recorded
+#: once, while every fast path still had its slow twin to agree with; a
+#: digest changes only with a deliberate change to modeled behaviour.
+GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "golden" / "digests.json").read_text()
+)
+
+
+def trace_digest(trace):
+    """sha256 over the trace's canonical JSON: tuples become lists and
+    floats print as their shortest round-trip repr, so the digest is the
+    same on every CPython and under every ``PYTHONHASHSEED``."""
+    canonical = json.dumps(trace, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
 
 def run_workload(
     batched=True,
@@ -31,6 +51,7 @@ def run_workload(
     events=60,
     overload_enabled=True,
     tracer_rate=None,
+    route_cache_enabled=True,
 ):
     """One seeded pub-sub run; returns the full delivery trace.
 
@@ -46,6 +67,7 @@ def run_workload(
         net.create_host("broker-host", link=FLAKY),
         broker_id="b0",
         zero_copy=zero_copy,
+        route_cache_enabled=route_cache_enabled,
         overload_enabled=overload_enabled,
         tracer=Tracer(tracer_rate) if tracer_rate else None,
     )
@@ -230,6 +252,55 @@ def test_region_labels_alone_are_bit_identical():
     assert flat_mesh_trace(label_regions=True) == flat_mesh_trace()
 
 
+def chaos_ring_trace(drive_through_collection=False, **network_options):
+    """A seeded 5-ring autonomous run through a link flap, a broker
+    crash + restart and a 2|3 partition + heal, publishing throughout
+    (every fifth event ordered, so sequencer re-election is in the
+    trace).  Exercises link-state origination, stale/echo handling and
+    digest anti-entropy."""
+    sim = Simulator()
+    net = Network(sim, SeededStreams(SEED))
+    collection = BrokerNetwork.ring(
+        net, 5, link=FLAKY, autonomous=True,
+        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
+        **network_options,
+    )
+    run = collection.run if drive_through_collection else (
+        lambda until: sim.run(until=until)
+    )
+    chaos = ChaosSchedule(collection, seed=SEED)
+    chaos.link_flap(4.0, "broker-0", "broker-1", down_for=1.5)
+    chaos.crash_broker(6.0, "broker-3", restart_after=2.0)
+    chaos.partition(
+        9.0,
+        [["broker-0", "broker-1"], ["broker-2", "broker-3", "broker-4"]],
+        heal_after=1.5,
+    )
+    trace = []
+    client = BrokerClient(net.create_host("sub", link=FLAKY), client_id="sub")
+    client.connect(collection.broker("broker-0"))
+    client.subscribe(
+        "/room/#",
+        lambda event: trace.append((event.event_id, event.topic, sim.now)),
+    )
+    publisher = BrokerClient(net.create_host("pub", link=FLAKY), client_id="pub")
+    publisher.connect(collection.broker("broker-2"))
+    run(3.0)
+    for index in range(450):
+        sim.schedule_at(
+            3.0 + index * 0.02, publisher.publish, "/room/video", index, 300,
+            False, (index % 5 == 0),
+        )
+    run(13.0)
+    assert len(chaos.log) == 6, "a scheduled fault never fired"
+    assert trace
+    return normalize(trace, id_field=0)
+
+
+def test_chaos_ring_is_deterministic():
+    assert chaos_ring_trace() == chaos_ring_trace()
+
+
 def geo_mesh_trace():
     """A seeded geo run: two regions with WAN latency/loss between them,
     cost-carrying LSAs, and an ordered topic crossing the ocean."""
@@ -359,6 +430,43 @@ def test_telemetry_plane_is_deterministic():
     """Monitors, aggregators and the console replay bit-identically:
     same seed → same delivery trace AND same console-side state."""
     assert telemetry_clustered_trace() == telemetry_clustered_trace()
+
+
+GOLDEN_SCENARIOS = {
+    "single_broker": run_workload,
+    "chaos_ring5": chaos_ring_trace,
+    "clustered": clustered_trace,
+    "geo_mesh": geo_mesh_trace,
+    "telemetry_plane": telemetry_clustered_trace,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_SCENARIOS))
+def test_trace_matches_golden_digest(scenario):
+    """The one reference every fast path is held to: the delivery trace
+    of each canonical scenario hashes to the digest recorded under
+    ``tests/golden/`` — across runs, interpreters and hash seeds."""
+    assert trace_digest(GOLDEN_SCENARIOS[scenario]()) == GOLDEN[scenario]
+
+
+def test_every_twin_leg_hashes_to_the_golden_digest():
+    """Last run of the proof twins: each slow/fast leg the next commit
+    deletes produces exactly the recorded trace."""
+    single = GOLDEN["single_broker"]
+    for batched in (True, False):
+        for zero_copy in (True, False):
+            for cached in (True, False):
+                assert trace_digest(
+                    run_workload(
+                        batched=batched,
+                        zero_copy=zero_copy,
+                        route_cache_enabled=cached,
+                    )
+                ) == single
+    assert trace_digest(chaos_ring_trace(shards=1)) == GOLDEN["chaos_ring5"]
+    assert trace_digest(
+        chaos_ring_trace(drive_through_collection=True, shards=1)
+    ) == GOLDEN["chaos_ring5"]
 
 
 def test_shared_payload_mutation_is_detected():
