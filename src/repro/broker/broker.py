@@ -29,6 +29,7 @@ from typing import (
     Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
 )
 
+from repro.broker.epoch_table import ECHO, NEWER, STALE, EpochTable
 from repro.broker.event import NBEvent, freeze_payload
 from repro.broker.links import (
     Busy,
@@ -247,14 +248,11 @@ class Broker:
         tcp_port: int = TCP_PORT,
         ssl_port: int = SSL_PORT,
         peer_port: int = PEER_PORT,
-        route_cache_enabled: bool = True,
         reap_timeout_s: Optional[float] = None,
-        reap_check_interval_s: Optional[float] = None,
         link_state_enabled: bool = False,
         peer_heartbeat_interval_s: Optional[float] = None,
         peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
-        zero_copy: bool = True,
         cluster_id: Optional[str] = None,
         cluster_gateways: Tuple[str, ...] = (),
         overload_enabled: bool = True,
@@ -262,6 +260,10 @@ class Broker:
         retry_after_s: float = DEFAULT_RETRY_AFTER_S,
         region: Optional[str] = None,
     ):
+        if reap_timeout_s is not None and reap_timeout_s <= 0:
+            raise ValueError(
+                f"reap_timeout_s must be > 0, got {reap_timeout_s!r}"
+            )
         self.host = host
         self.sim = host.sim
         self.broker_id = broker_id if broker_id is not None else host.name
@@ -290,12 +292,6 @@ class Broker:
         # Routing fast path: memoized per-topic fan-out plus cached
         # (topic → sequencer) elections per broker-set epoch.
         self.route_cache = RouteCache()
-        self.route_cache_enabled = route_cache_enabled
-        #: Share one EventDelivery envelope (and precomputed wire size)
-        #: across the whole local fan-out instead of allocating one per
-        #: destination.  Off restores the per-destination copies; both
-        #: modes are bit-identical (see tests/broker/test_determinism.py).
-        self.zero_copy = zero_copy
         self._broker_set_epoch = 0
         self._sequencer_epoch = -1
         self._sequencers: Dict[str, str] = {}
@@ -304,13 +300,8 @@ class Broker:
         # ``reap_timeout_s`` is expired so its TopicTrie interest (and any
         # RouteCache entries depending on it) is released, not leaked.
         # Disabled by default — pure subscribers are silent unless their
-        # client runs keepalive probes.
+        # client runs keepalive probes.  Checked every half timeout.
         self.reap_timeout_s = reap_timeout_s
-        self._reap_check_interval_s = (
-            reap_check_interval_s
-            if reap_check_interval_s is not None
-            else (reap_timeout_s / 2 if reap_timeout_s else None)
-        )
         self._reap_timer = None
         self._closed = False
         if self.reap_timeout_s is not None:
@@ -326,8 +317,8 @@ class Broker:
         self._peer_last_heard: Dict[str, float] = {}
         self._peer_hb_timer = None
         self._hb_tick = 0
-        self._lsdb: Dict[str, Tuple[int, FrozenSet[str]]] = {}
-        self._lsa_epoch = 0
+        #: origin -> (epoch, neighbors, cost classes or None)
+        self._lsdb = EpochTable(self.broker_id)
         self._recompute_pending = False
         if self.peer_heartbeat_interval_s is not None:
             self._arm_peer_heartbeat()
@@ -349,16 +340,17 @@ class Broker:
         )
         self._intercluster_peers: Set[str] = set()
         self._intra_sorted: Tuple[str, ...] = ()
-        self._gw_lsdb: Dict[str, Tuple[int, FrozenSet[str], str]] = {}
-        self._gw_lsa_epoch = 0
+        #: origin gateway -> (epoch, gateway neighbors, cluster_id,
+        #: cost classes or None)
+        self._gw_lsdb = EpochTable(self.broker_id)
         #: origin gateway -> (epoch, patterns, cluster_id); foreign *and*
         #: own-cluster summaries are tracked (standbys keep shadow copies
-        #: for takeover), but only foreign ones are ever installed.
-        self._cluster_interest: Dict[str, Tuple[int, Tuple[str, ...], str]] = {}
+        #: for takeover), but only foreign ones are ever installed.  Our
+        #: own summary is ``_last_summary`` at this table's ``epoch``.
+        self._cluster_interest = EpochTable(self.broker_id)
         self._installed_foreign: Set[str] = set()
         self._proxied: Set[str] = set()
         self._last_summary: Optional[Tuple[str, ...]] = None
-        self._summary_epoch = 0
         self._summary_pending = False
         self._last_summary_flood_at = -SUMMARY_REFRESH_MIN_INTERVAL_S
         self._summary_collapsed = False
@@ -376,8 +368,6 @@ class Broker:
         # queues until the partition heals.
         self.region = region
         self._geo = region is not None
-        self._lsdb_costs: Dict[str, Dict[str, int]] = {}
-        self._gw_lsdb_costs: Dict[str, Dict[str, int]] = {}
         self._advertised_costs: Dict[str, int] = {}
         #: High-watermark of every broker ever seen reachable — the
         #: "stable set" a partition minority measures itself against.
@@ -1013,7 +1003,7 @@ class Broker:
 
     def _arm_reaper(self) -> None:
         self._reap_timer = self.sim.schedule(
-            self._reap_check_interval_s, self._reap_stale_clients
+            self.reap_timeout_s / 2, self._reap_stale_clients
         )
 
     def _reap_stale_clients(self) -> None:
@@ -1196,8 +1186,8 @@ class Broker:
             # cluster — see DESIGN.md.
             foreign = {
                 origin
-                for origin, entry in self._gw_lsdb.items()
-                if entry[2] != self.cluster_id
+                for origin, (_, _, cluster, _) in self._gw_lsdb.items()
+                if cluster != self.cluster_id
             }
             candidates = [b for b in candidates if b not in foreign]
         return min(
@@ -1408,10 +1398,9 @@ class Broker:
     def resolve_route(self, topic: str) -> RouteEntry:
         """Resolve the full fan-out for ``topic`` (cached when fresh)."""
         generation = self.routing_generation()
-        if self.route_cache_enabled:
-            entry = self.route_cache.lookup(topic, generation)
-            if entry is not None:
-                return entry
+        entry = self.route_cache.lookup(topic, generation)
+        if entry is not None:
+            return entry
         local = tuple(sorted(self._local_subs.match(topic)))
         remote = self._remote_interest.match(topic)
         remote.discard(self.broker_id)
@@ -1432,8 +1421,7 @@ class Broker:
             intra_targets=intra,
             inter_targets=inter,
         )
-        if self.route_cache_enabled:
-            self.route_cache.store(topic, entry)
+        self.route_cache.store(topic, entry)
         return entry
 
     def _compute_groups(self, targets: Set[str]) -> NextHopGroups:
@@ -1503,20 +1491,14 @@ class Broker:
         send_cost = entry.send_cost_s(self.profile, event.size)
         alloc = self.profile.alloc_bytes_per_send
         if len(entry.local_targets) > 1:
-            # The payload is about to be shared across receivers (it
-            # always was, through per-destination envelopes); freeze it so
-            # a mutating receiver fails loudly instead of corrupting its
-            # peers.  Mode-independent, so zero_copy on/off stays
-            # bit-identical.
+            # The payload is about to be shared across receivers: freeze
+            # it so a mutating receiver fails loudly instead of corrupting
+            # its peers.
             event.payload = freeze_payload(event.payload)
-        if self.zero_copy:
-            # One envelope + one wire-size computation for the whole
-            # fan-out; destinations are distinguished by their link.
-            shared = EventDelivery(event)
-            wire_size = self.profile.envelope_bytes + len(event.topic) + event.size
-        else:
-            shared = None
-            wire_size = 0
+        # One envelope + one wire-size computation for the whole fan-out;
+        # destinations are distinguished by their link.
+        shared = EventDelivery(event)
+        wire_size = self.profile.envelope_bytes + len(event.topic) + event.size
         delivered: List[str] = []
         for client_id in entry.local_targets:
             if client_id == exclude:
@@ -1530,10 +1512,8 @@ class Broker:
                 cpu.allocate(alloc)
             if event.reliable and record.outbox is not None:
                 execute(send_cost, record.outbox.send, event)
-            elif shared is not None:
-                execute(send_cost, record.link.send_sized, shared, wire_size)
             else:
-                execute(send_cost, record.link.send, EventDelivery(event))
+                execute(send_cost, record.link.send_sized, shared, wire_size)
         if not delivered:
             return
         if not internal_topic(event.topic):
@@ -1585,14 +1565,11 @@ class Broker:
 
     def _forward_to_targets(self, event: NBEvent, targets: Set[str]) -> None:
         key = frozenset(targets)
-        if self.route_cache_enabled:
-            groups = self.route_cache.lookup_groups(key, self._routes_gen)
-            if groups is None:
-                groups = self.route_cache.store_groups(
-                    key, self._routes_gen, self._compute_groups(key)
-                )
-        else:
-            groups = self._compute_groups(key)
+        groups = self.route_cache.lookup_groups(key, self._routes_gen)
+        if groups is None:
+            groups = self.route_cache.store_groups(
+                key, self._routes_gen, self._compute_groups(key)
+            )
         if self._geo and event.reliable:
             routed: Set[str] = set()
             for _hop, group in groups:
@@ -1976,21 +1953,15 @@ class Broker:
 
     def _originate_lsa(self) -> None:
         """Flood a fresh advert for our current adjacency."""
-        self._lsa_epoch += 1
         self.lsas_originated += 1
         neighbors = self._intra_neighbors()
         costs = self._link_cost_classes(neighbors) if self._geo else None
-        self._lsdb[self.broker_id] = (self._lsa_epoch, neighbors)
-        if costs:
-            self._advertised_costs = dict(costs)
-            self._lsdb_costs[self.broker_id] = dict(costs)
-        else:
-            self._advertised_costs = {}
-            self._lsdb_costs.pop(self.broker_id, None)
+        epoch = self._lsdb.originate(neighbors, costs or None)
+        self._advertised_costs = costs or {}
         self._flood_advert(
             LinkStateAdvert(
                 origin_broker=self.broker_id,
-                epoch=self._lsa_epoch,
+                epoch=epoch,
                 neighbors=neighbors,
                 costs=costs or None,
             ),
@@ -1999,10 +1970,8 @@ class Broker:
         self._schedule_recompute()
 
     def _make_digest(self) -> LinkStateDigest:
-        self._lsdb[self.broker_id] = (self._lsa_epoch, self._intra_neighbors())
         return LinkStateDigest(
-            origin_broker=self.broker_id,
-            epochs={origin: entry[0] for origin, entry in self._lsdb.items()},
+            origin_broker=self.broker_id, epochs=self._lsdb.epochs()
         )
 
     def _on_link_state_advert(
@@ -2013,27 +1982,16 @@ class Broker:
             return
         self.control_messages += 1
         self.lsas_received += 1
-        origin = lsa.origin_broker
-        if origin == self.broker_id:
-            # An echo of our own adjacency at an epoch we never issued in
-            # this incarnation means we restarted while the mesh still
-            # holds our past life's entry.  Jump past it and re-originate
-            # so everyone converges on the live adjacency.
-            if lsa.epoch >= self._lsa_epoch:
-                self._lsa_epoch = lsa.epoch
-                self._originate_lsa()
-            return
-        current = self._lsdb.get(origin)
-        if current is not None and lsa.epoch <= current[0]:
+        verdict = self._lsdb.offer(
+            lsa.origin_broker, lsa.epoch, lsa.neighbors, lsa.costs or None
+        )
+        if verdict is ECHO:
+            self._originate_lsa()
+        elif verdict is STALE:
             self.lsas_stale += 1
-            return  # stale or already known
-        self._lsdb[origin] = (lsa.epoch, lsa.neighbors)
-        if lsa.costs:
-            self._lsdb_costs[origin] = dict(lsa.costs)
-        else:
-            self._lsdb_costs.pop(origin, None)
-        self._flood_advert(lsa, skip_peer=from_peer)
-        self._schedule_recompute()
+        elif verdict is NEWER:
+            self._flood_advert(lsa, skip_peer=from_peer)
+            self._schedule_recompute()
 
     def _on_link_state_digest(
         self, digest: LinkStateDigest, from_peer: Optional[str]
@@ -2041,28 +1999,20 @@ class Broker:
         if from_peer is None or from_peer in self._intercluster_peers:
             return  # member LSDBs never reconcile across a cluster boundary
         self.control_messages += 1
-        self._make_digest()  # refresh our own entry before comparing
         cpu, cost = self.host.cpu, self.profile.control_cost_s
-        theirs = digest.epochs
-        for origin in sorted(self._lsdb):
-            epoch, neighbors = self._lsdb[origin]
-            if theirs.get(origin, -1) < epoch:
-                lsa = LinkStateAdvert(
-                    origin_broker=origin,
-                    epoch=epoch,
-                    neighbors=neighbors,
-                    costs=self._lsdb_costs.get(origin),
-                )
-                self._seen_adverts.add(lsa.advert_id)
-                cpu.execute(cost, self._send_peer, from_peer, lsa)
-        behind = any(
-            origin not in self._lsdb or self._lsdb[origin][0] < epoch
-            for origin, epoch in theirs.items()
-        )
-        if behind:
-            # Ask for the newer entries with our own digest.  Terminates:
-            # a reply is only sent when strictly behind, and epochs only
-            # ever advance.
+        for origin, epoch, neighbors, costs in self._lsdb.newer_than(
+            digest.epochs
+        ):
+            lsa = LinkStateAdvert(
+                origin_broker=origin,
+                epoch=epoch,
+                neighbors=neighbors,
+                costs=costs,
+            )
+            self._seen_adverts.add(lsa.advert_id)
+            cpu.execute(cost, self._send_peer, from_peer, lsa)
+        if self._lsdb.behind(digest.epochs):
+            # Ask for the newer entries with our own digest.
             cpu.execute(cost, self._send_peer, from_peer, self._make_digest())
 
     def _schedule_recompute(self) -> None:
@@ -2087,11 +2037,14 @@ class Broker:
         cost classes (geo mode), unit-weight otherwise; ties break
         lexicographically so every broker derives consistent paths.
         """
-        claimed: Dict[str, FrozenSet[str]] = {
-            origin: entry[1] for origin, entry in self._lsdb.items()
-        }
+        claimed: Dict[str, FrozenSet[str]] = {}
+        costs: Dict[str, Dict[str, int]] = {}
+        for origin, (_, neighbors, cost) in self._lsdb.items():
+            claimed[origin] = neighbors
+            if cost:
+                costs[origin] = cost
         claimed[self.broker_id] = self._intra_neighbors()
-        routes, dist = self._dijkstra(claimed, self._lsdb_costs)
+        routes, dist = self._dijkstra(claimed, costs)
         gw_dist: Dict[str, int] = {}
         if self._clustered and self.is_gateway:
             routes, gw_dist = self._merge_gateway_routes(routes)
@@ -2108,7 +2061,6 @@ class Broker:
                 o for o in self._lsdb if o != self.broker_id and o not in dist
             ]:
                 del self._lsdb[origin]
-                self._lsdb_costs.pop(origin, None)
             if self._clustered and self.is_gateway:
                 for origin in [
                     o
@@ -2116,7 +2068,6 @@ class Broker:
                     if o != self.broker_id and o not in gw_dist
                 ]:
                     del self._gw_lsdb[origin]
-                    self._gw_lsdb_costs.pop(origin, None)
                     self._cluster_interest.pop(origin, None)
         self._check_active_gateway()
         if self._clustered and self.is_gateway:
@@ -2189,14 +2140,16 @@ class Broker:
         fast path works unchanged.  Same-cluster destinations keep their
         intra routes — the overlay only contributes *foreign* gateways.
         """
-        claimed: Dict[str, FrozenSet[str]] = {
-            origin: entry[1] for origin, entry in self._gw_lsdb.items()
-        }
+        claimed: Dict[str, FrozenSet[str]] = {}
+        cluster_of: Dict[str, str] = {}
+        costs: Dict[str, Dict[str, int]] = {}
+        for origin, (_, neighbors, cluster, cost) in self._gw_lsdb.items():
+            claimed[origin] = neighbors
+            cluster_of[origin] = cluster
+            if cost:
+                costs[origin] = cost
         claimed[self.broker_id] = frozenset(self._gateway_overlay_peers())
-        cluster_of: Dict[str, str] = {
-            origin: entry[2] for origin, entry in self._gw_lsdb.items()
-        }
-        gw_routes, gw_dist = self._dijkstra(claimed, self._gw_lsdb_costs)
+        gw_routes, gw_dist = self._dijkstra(claimed, costs)
         merged = dict(routes)
         for gateway, first_hop in gw_routes.items():
             if cluster_of.get(gateway) == self.cluster_id:
@@ -2210,30 +2163,25 @@ class Broker:
         """Gateways in ``_cluster_interest`` belonging to other clusters."""
         return {
             origin
-            for origin, entry in self._cluster_interest.items()
-            if entry[2] != self.cluster_id
+            for origin, (_, _, cluster) in self._cluster_interest.items()
+            if cluster != self.cluster_id
         }
 
     def _originate_gw_lsa(self) -> None:
         """Flood a fresh gateway-tier advert for our overlay adjacency."""
         if not (self._clustered and self.is_gateway):
             return
-        self._gw_lsa_epoch += 1
         self.lsas_originated += 1
         neighbors = frozenset(self._gateway_overlay_peers())
         costs = self._link_cost_classes(neighbors) if self._geo else None
-        self._gw_lsdb[self.broker_id] = (
-            self._gw_lsa_epoch, neighbors, self.cluster_id,
+        epoch = self._gw_lsdb.originate(
+            neighbors, self.cluster_id, costs or None
         )
-        if costs:
-            self._gw_lsdb_costs[self.broker_id] = dict(costs)
-        else:
-            self._gw_lsdb_costs.pop(self.broker_id, None)
         self._flood_gateway(
             ClusterLsa(
                 origin_gateway=self.broker_id,
                 cluster_id=self.cluster_id,
-                epoch=self._gw_lsa_epoch,
+                epoch=epoch,
                 gw_neighbors=neighbors,
                 costs=costs or None,
             ),
@@ -2242,23 +2190,10 @@ class Broker:
         self._schedule_recompute()
 
     def _make_cluster_digest(self) -> ClusterDigest:
-        self._gw_lsdb[self.broker_id] = (
-            self._gw_lsa_epoch,
-            frozenset(self._gateway_overlay_peers()),
-            self.cluster_id,
-        )
-        interest_epochs = {
-            origin: entry[0]
-            for origin, entry in self._cluster_interest.items()
-        }
-        if self._summary_epoch:
-            interest_epochs[self.broker_id] = self._summary_epoch
         return ClusterDigest(
             origin_gateway=self.broker_id,
-            lsa_epochs={
-                origin: entry[0] for origin, entry in self._gw_lsdb.items()
-            },
-            interest_epochs=interest_epochs,
+            lsa_epochs=self._gw_lsdb.epochs(),
+            interest_epochs=self._cluster_interest.epochs(),
         )
 
     def _on_cluster_lsa(
@@ -2271,28 +2206,20 @@ class Broker:
             return  # members are never on the gateway overlay
         self.control_messages += 1
         self.lsas_received += 1
-        origin = lsa.origin_gateway
-        if origin == self.broker_id:
-            # Echo from a past incarnation (we restarted): jump past it
-            # and re-originate so the overlay converges on the live
-            # adjacency — same rule as the member tier.
-            if lsa.epoch >= self._gw_lsa_epoch:
-                self._gw_lsa_epoch = lsa.epoch
-                self._originate_gw_lsa()
-            return
-        current = self._gw_lsdb.get(origin)
-        if current is not None and lsa.epoch <= current[0]:
-            self.lsas_stale += 1
-            return
-        self._gw_lsdb[origin] = (
-            lsa.epoch, frozenset(lsa.gw_neighbors), lsa.cluster_id,
+        verdict = self._gw_lsdb.offer(
+            lsa.origin_gateway,
+            lsa.epoch,
+            frozenset(lsa.gw_neighbors),
+            lsa.cluster_id,
+            lsa.costs or None,
         )
-        if lsa.costs:
-            self._gw_lsdb_costs[origin] = dict(lsa.costs)
-        else:
-            self._gw_lsdb_costs.pop(origin, None)
-        self._flood_gateway(lsa, skip_peer=from_peer)
-        self._schedule_recompute()
+        if verdict is ECHO:
+            self._originate_gw_lsa()
+        elif verdict is STALE:
+            self.lsas_stale += 1
+        elif verdict is NEWER:
+            self._flood_gateway(lsa, skip_peer=from_peer)
+            self._schedule_recompute()
 
     def _on_cluster_interest(
         self, advert: ClusterInterestAdvert, from_peer: Optional[str]
@@ -2303,28 +2230,26 @@ class Broker:
         if not (self._clustered and self.is_gateway):
             return
         self.control_messages += 1
-        origin = advert.origin_gateway
-        if origin == self.broker_id:
-            # Past-incarnation echo: jump the epoch and force a resend so
-            # remote clusters converge on our live summary.
-            if advert.epoch >= self._summary_epoch:
-                self._summary_epoch = advert.epoch
-                self._last_summary = None
-                self._schedule_summary_refresh()
-            return
-        current = self._cluster_interest.get(origin)
-        if current is not None and advert.epoch <= current[0]:
-            self.lsas_stale += 1
-            return
-        self._cluster_interest[origin] = (
-            advert.epoch, tuple(advert.patterns), advert.cluster_id,
+        verdict = self._cluster_interest.offer(
+            advert.origin_gateway,
+            advert.epoch,
+            tuple(advert.patterns),
+            advert.cluster_id,
         )
-        self._flood_gateway(advert, skip_peer=from_peer)
-        if (
-            advert.cluster_id != self.cluster_id
-            and self._active_gateway == self.broker_id
-        ):
-            self._reconcile_foreign_install()
+        if verdict is ECHO:
+            # Force a resend so remote clusters converge on our live
+            # summary.
+            self._last_summary = None
+            self._schedule_summary_refresh()
+        elif verdict is STALE:
+            self.lsas_stale += 1
+        elif verdict is NEWER:
+            self._flood_gateway(advert, skip_peer=from_peer)
+            if (
+                advert.cluster_id != self.cluster_id
+                and self._active_gateway == self.broker_id
+            ):
+                self._reconcile_foreign_install()
 
     def _on_cluster_digest(
         self, digest: ClusterDigest, from_peer: Optional[str]
@@ -2336,62 +2261,43 @@ class Broker:
         if from_peer is None or not (self._clustered and self.is_gateway):
             return
         self.control_messages += 1
-        self._make_cluster_digest()  # refresh our own entries first
         cpu, cost = self.host.cpu, self.profile.control_cost_s
         their_lsas = digest.lsa_epochs
-        for origin in sorted(self._gw_lsdb):
-            epoch, neighbors, cluster = self._gw_lsdb[origin]
-            if their_lsas.get(origin, -1) < epoch:
-                lsa = ClusterLsa(
-                    origin_gateway=origin,
-                    cluster_id=cluster,
-                    epoch=epoch,
-                    gw_neighbors=neighbors,
-                    costs=self._gw_lsdb_costs.get(origin),
-                )
-                self._seen_adverts.add(lsa.advert_id)
-                cpu.execute(cost, self._send_peer, from_peer, lsa)
         their_interest = digest.interest_epochs
-        for origin in sorted(self._cluster_interest):
-            epoch, patterns, cluster = self._cluster_interest[origin]
-            if their_interest.get(origin, -1) < epoch:
-                advert = ClusterInterestAdvert(
-                    origin_gateway=origin,
-                    cluster_id=cluster,
-                    epoch=epoch,
-                    patterns=patterns,
-                )
-                self._seen_adverts.add(advert.advert_id)
-                cpu.execute(cost, self._send_peer, from_peer, advert)
-        if (
-            self._summary_epoch
-            and their_interest.get(self.broker_id, -1) < self._summary_epoch
-        ):
-            advert = ClusterInterestAdvert(
-                origin_gateway=self.broker_id,
-                cluster_id=self.cluster_id,
-                epoch=self._summary_epoch,
-                patterns=self._last_summary or (),
+        adverts: List[Any] = [
+            ClusterLsa(
+                origin_gateway=origin,
+                cluster_id=cluster,
+                epoch=epoch,
+                gw_neighbors=neighbors,
+                costs=costs,
             )
+            for origin, epoch, neighbors, cluster, costs
+            in self._gw_lsdb.newer_than(their_lsas)
+        ]
+        adverts += [
+            ClusterInterestAdvert(
+                origin_gateway=origin,
+                cluster_id=cluster,
+                epoch=epoch,
+                patterns=patterns,
+            )
+            for origin, epoch, patterns, cluster
+            in self._cluster_interest.newer_than(their_interest)
+        ]
+        own_epoch = self._cluster_interest.epoch
+        if own_epoch and their_interest.get(self.broker_id, -1) < own_epoch:
+            # Our own summary is not in the table; it goes out last.
+            adverts.append(self._summary_advert())
+        for advert in adverts:
             self._seen_adverts.add(advert.advert_id)
             cpu.execute(cost, self._send_peer, from_peer, advert)
-        behind = any(
-            origin not in self._gw_lsdb or self._gw_lsdb[origin][0] < epoch
-            for origin, epoch in their_lsas.items()
-        ) or any(
-            self._interest_epoch_of(origin) < epoch
-            for origin, epoch in their_interest.items()
-        )
-        if behind:
+        if self._gw_lsdb.behind(their_lsas) or self._cluster_interest.behind(
+            their_interest
+        ):
             cpu.execute(
                 cost, self._send_peer, from_peer, self._make_cluster_digest()
             )
-
-    def _interest_epoch_of(self, origin: str) -> int:
-        if origin == self.broker_id:
-            return self._summary_epoch
-        entry = self._cluster_interest.get(origin)
-        return entry[0] if entry is not None else -1
 
     def _check_active_gateway(self) -> None:
         """(Re)elect our cluster's active gateway: the lowest gateway id
@@ -2423,18 +2329,8 @@ class Broker:
             # remote clusters stop exporting toward us — otherwise both
             # gateways stay targeted and every event delivers twice.
             self._reconcile_foreign_install()
-            if self._summary_epoch:
-                self._summary_epoch += 1
-                self._last_summary = ()
-                self._flood_gateway(
-                    ClusterInterestAdvert(
-                        origin_gateway=self.broker_id,
-                        cluster_id=self.cluster_id,
-                        epoch=self._summary_epoch,
-                        patterns=(),
-                    ),
-                    skip_peer=None,
-                )
+            if self._cluster_interest.epoch:
+                self._originate_summary(())
 
     def _schedule_summary_refresh(self) -> None:
         """Debounced recompute of our aggregated interest summary (many
@@ -2481,18 +2377,22 @@ class Broker:
         if summary == self._last_summary:
             return
         self._summary_collapsed = len(summary) < len(patterns)
-        self._summary_epoch += 1
-        self._last_summary = summary
         self._last_summary_flood_at = self.sim.now
         self.adverts_aggregated += len(patterns)
-        self._flood_gateway(
-            ClusterInterestAdvert(
-                origin_gateway=self.broker_id,
-                cluster_id=self.cluster_id,
-                epoch=self._summary_epoch,
-                patterns=summary,
-            ),
-            skip_peer=None,
+        self._originate_summary(summary)
+
+    def _originate_summary(self, summary: Tuple[str, ...]) -> None:
+        """Flood ``summary`` as our cluster's interest under a new epoch."""
+        self._cluster_interest.bump()
+        self._last_summary = summary
+        self._flood_gateway(self._summary_advert(), skip_peer=None)
+
+    def _summary_advert(self) -> ClusterInterestAdvert:
+        return ClusterInterestAdvert(
+            origin_gateway=self.broker_id,
+            cluster_id=self.cluster_id,
+            epoch=self._cluster_interest.epoch,
+            patterns=self._last_summary or (),
         )
 
     def _reconcile_foreign_install(self) -> None:
@@ -2508,7 +2408,8 @@ class Broker:
             self._installed_foreign.discard(origin)
         for origin in sorted(wanted_origins):
             current = set(self._remote_interest.patterns_for(origin))
-            wanted = set(self._cluster_interest[origin][1])
+            _, patterns, _ = self._cluster_interest[origin]
+            wanted = set(patterns)
             for pattern in sorted(current - wanted):
                 self._remote_interest.remove(pattern, origin)
             for pattern in sorted(wanted - current):
@@ -2582,6 +2483,7 @@ class Broker:
             self._peer_hb_timer = None
         for record in list(self._clients.values()):
             if record.outbox is not None:
+                self._outbox_overflows_closed += record.outbox.overflows
                 record.outbox.close()
         self._clients.clear()
         self._udp.close()

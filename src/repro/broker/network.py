@@ -27,97 +27,20 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from repro.broker.broker import Broker
-from repro.broker.client import BrokerClient
 from repro.broker.overload import DEFAULT_RETRY_AFTER_S, ShedWatermarks
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.obs.trace import Tracer
-from repro.simnet.kernel import Simulator
 from repro.simnet.link import LAN_1G, LinkProfile
 from repro.simnet.network import Network
 from repro.simnet.node import Host
-from repro.simnet.shard import EpochCoordinator, thaw_payload
 
 #: Default peer-heartbeat interval when ``autonomous`` is on and no
 #: explicit interval was given.
 DEFAULT_PEER_HEARTBEAT_S = 1.0
 
-#: Client-id / host-name prefix of the per-shard bridge clients; events
-#: published by a client with this prefix are never re-exported (loop
-#: prevention for bridged topics).
-XSHARD_GATEWAY_PREFIX = "xshard-gw"
-
-#: Default epoch length for sharded stepping: cross-shard messages are
-#: delivered at the first epoch boundary after export, so this must stay
-#: at or below the modelled inter-region latency (10 ms ~ the smallest
-#: WAN paths in the deployment examples).
-DEFAULT_SHARD_EPOCH_S = 0.010
-
-
-class _BrokerShard:
-    """One region: an independent world stepped by the epoch coordinator.
-
-    Implements the :class:`repro.simnet.shard.ShardWorld` protocol over a
-    ``(Simulator, Network, BrokerNetwork)`` triple plus one bridge client
-    that captures bridged-topic publishes for export and republishes
-    peer-shard exports at epoch boundaries.
-    """
-
-    __slots__ = ("index", "sim", "net", "brokers", "gateway", "_exports", "_bridges")
-
-    def __init__(self, index: int, net: Network, brokers: "BrokerNetwork"):
-        self.index = index
-        self.sim = net.sim
-        self.net = net
-        self.brokers = brokers
-        self.gateway: Optional[BrokerClient] = None
-        self._exports: List[Tuple[Optional[int], Tuple[str, object, int]]] = []
-        self._bridges: List[str] = []
-
-    # -------------------------------------------------- bridge wiring
-
-    def ensure_gateway(self) -> BrokerClient:
-        if self.gateway is None:
-            # ``self.brokers`` is the parent (sharded) BrokerNetwork for
-            # shard 0 and a plain single-shard sibling otherwise; in both
-            # cases ``_brokers`` holds exactly this shard's own brokers.
-            local = self.brokers._brokers
-            if not local:
-                raise RuntimeError(
-                    f"shard {self.index} has no brokers; add brokers before "
-                    "bridging topics"
-                )
-            name = f"{XSHARD_GATEWAY_PREFIX}-{self.index}"
-            host = self.net.create_host(f"{name}-host")
-            self.gateway = BrokerClient(host, client_id=name)
-            self.gateway.connect(local[sorted(local)[0]])
-        return self.gateway
-
-    def bridge(self, pattern: str) -> None:
-        if pattern in self._bridges:
-            return
-        self._bridges.append(pattern)
-        self.ensure_gateway().subscribe(pattern, self._capture)
-
-    def _capture(self, event) -> None:
-        if event.source.startswith(XSHARD_GATEWAY_PREFIX):
-            return  # a peer shard's injection: do not echo it back out
-        self._exports.append(
-            (None, (event.topic, thaw_payload(event.payload), event.size))
-        )
-
-    # ------------------------------------------- ShardWorld protocol
-
-    def advance(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def drain_exports(self):
-        exports, self._exports = self._exports, []
-        return exports
-
-    def inject(self, messages, now: float) -> None:
-        gateway = self.ensure_gateway()
-        for topic, payload, size in messages:
-            gateway.publish(topic, payload, size)
+#: Gateway brokers provisioned per cluster (the first members listed):
+#: the lowest live gateway id is active, the rest are hot standbys.
+GATEWAYS_PER_CLUSTER = 2
 
 
 class BrokerNetwork:
@@ -131,17 +54,12 @@ class BrokerNetwork:
         peer_heartbeat_interval_s: Optional[float] = None,
         peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
-        shards: int = 1,
-        shard_epoch_s: float = DEFAULT_SHARD_EPOCH_S,
         clusters: Optional[Dict[str, Sequence[str]]] = None,
-        gateways_per_cluster: int = 2,
         overload_enabled: bool = True,
         shed_watermarks: Optional[ShedWatermarks] = None,
         retry_after_s: float = DEFAULT_RETRY_AFTER_S,
         regions: Optional[Dict[str, Sequence[str]]] = None,
     ):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         self.network = network
         self.profile = profile
         self.autonomous = autonomous
@@ -158,6 +76,12 @@ class BrokerNetwork:
         )
         self._region_of: Dict[str, str] = {}
         if self.regions is not None:
+            if not autonomous:
+                raise ValueError(
+                    "regions= requires autonomous=True (geo brokers keep "
+                    "unreachable brokers' interest for the WAN park, so only "
+                    "link-state eviction ever releases it)"
+                )
             for region_id, members in self.regions.items():
                 for name in members:
                     if name in self._region_of:
@@ -185,10 +109,6 @@ class BrokerNetwork:
                     "clusters= requires autonomous=True (gateway election "
                     "and scoped flooding are mesh-driven)"
                 )
-            if shards > 1:
-                raise ValueError("clusters= cannot combine with shards>1")
-            if gateways_per_cluster < 1:
-                raise ValueError("gateways_per_cluster must be >= 1")
             for cluster_id, members in self.clusters.items():
                 if not members:
                     raise ValueError(f"cluster {cluster_id!r} has no members")
@@ -199,7 +119,7 @@ class BrokerNetwork:
                         )
                     self._cluster_of[name] = cluster_id
                 self._gateways_of[cluster_id] = tuple(
-                    members[: min(gateways_per_cluster, len(members))]
+                    members[:GATEWAYS_PER_CLUSTER]
                 )
         #: Shared by every broker in the collection, so the sampling
         #: budget (1-in-N) is collection-wide and survives restarts.
@@ -219,44 +139,6 @@ class BrokerNetwork:
         self._brokers: Dict[str, Broker] = {}
         self._crashed: Dict[str, Tuple[Host, Set[str]]] = {}
         self._cut: Set[Tuple[str, str]] = set()
-        # ------------------------------------------- region sharding
-        # ``shards=1`` (the default) is exactly the legacy single-world
-        # path: no coordinator, no gateways, no behaviour change.  With
-        # ``shards=N`` this instance owns shard 0 (on the caller's
-        # ``network``) and builds N-1 sibling worlds, each with its own
-        # Simulator and a Network seeded from a deterministic fork of
-        # the caller's stream factory; drive them with :meth:`run`.
-        self.shards = shards
-        self.shard_epoch_s = shard_epoch_s
-        self._shard_of: Dict[str, int] = {}
-        self._next_shard = 0
-        self._shard_worlds: List[_BrokerShard] = []
-        self._coordinator: Optional[EpochCoordinator] = None
-        if shards > 1:
-            self._shard_worlds.append(_BrokerShard(0, network, self))
-            for index in range(1, shards):
-                streams = network.streams.fork(f"shard-{index}")
-                net = Network(
-                    Simulator(),
-                    streams=streams,
-                    base_latency_s=network.base_latency_s,
-                )
-                sibling = BrokerNetwork(
-                    net,
-                    profile=profile,
-                    autonomous=autonomous,
-                    peer_heartbeat_interval_s=peer_heartbeat_interval_s,
-                    peer_miss_limit=peer_miss_limit,
-                    tracer=tracer,
-                    overload_enabled=overload_enabled,
-                    shed_watermarks=shed_watermarks,
-                    retry_after_s=retry_after_s,
-                    regions=regions,
-                )
-                self._shard_worlds.append(_BrokerShard(index, net, sibling))
-            self._coordinator = EpochCoordinator(
-                self._shard_worlds, epoch_s=shard_epoch_s
-            )
 
     # ----------------------------------------------------------- topology
 
@@ -266,31 +148,8 @@ class BrokerNetwork:
         host: Optional[Host] = None,
         link: LinkProfile = LAN_1G,
         profile: Optional[BrokerProfile] = None,
-        shard: Optional[int] = None,
     ) -> Broker:
-        """Create a broker named ``name``; a host is created unless given.
-
-        With ``shards=N``, ``shard`` pins the broker to a region
-        (default: round-robin in add order).  Brokers in different
-        shards live in different simulations and can only exchange
-        events through :meth:`bridge_topic`.
-        """
-        if self.shards > 1:
-            if shard is None:
-                shard = self._next_shard
-                self._next_shard = (self._next_shard + 1) % self.shards
-            elif not 0 <= shard < self.shards:
-                raise ValueError(f"shard {shard} outside 0..{self.shards - 1}")
-            if name in self._shard_of:
-                raise ValueError(f"duplicate broker {name!r}")
-            self._shard_of[name] = shard
-            if shard != 0:
-                world = self._shard_worlds[shard]
-                return world.brokers.add_broker(
-                    name, host=host, link=link, profile=profile
-                )
-        elif shard is not None and shard != 0:
-            raise ValueError("shard placement requires BrokerNetwork(shards=N)")
+        """Create a broker named ``name``; a host is created unless given."""
         if name in self._brokers:
             raise ValueError(f"duplicate broker {name!r}")
         if self.clusters is not None and name not in self._cluster_of:
@@ -351,19 +210,6 @@ class BrokerNetwork:
 
     def connect(self, a: str, b: str) -> None:
         """Create a peer link between brokers ``a`` and ``b``."""
-        if self.shards > 1:
-            shard_a = self._shard_of.get(a)
-            shard_b = self._shard_of.get(b)
-            if shard_a != shard_b:
-                raise ValueError(
-                    f"brokers {a!r} (shard {shard_a}) and {b!r} (shard "
-                    f"{shard_b}) live in different shards; peer links cannot "
-                    "cross shard boundaries — use bridge_topic() for "
-                    "cross-region traffic"
-                )
-            if shard_a not in (None, 0):
-                self._shard_worlds[shard_a].brokers.connect(a, b)
-                return
         broker_a = self.broker(a)
         broker_b = self.broker(b)
         intercluster = self._is_intercluster(a, b)
@@ -556,16 +402,13 @@ class BrokerNetwork:
             if not (broker_a.has_peer(b) and broker_b.has_peer(a)):
                 self._repeer(a, b)
 
-    # --------------------------------------------------- sharded stepping
-
     def attach_telemetry(self, **options) -> "TelemetryPlane":
         """Build the telemetry plane for this fabric (DESIGN.md §11).
 
         Clustered fabrics get delta monitors on cluster-scoped topics,
         per-gateway :class:`~repro.obs.aggregate.ClusterHealthAggregator`
         roles and an O(clusters) fleet console; flat fabrics get classic
-        full-sample monitors and a wildcard monitoring console; sharded
-        fabrics get one flat sub-plane per region.  Call after the
+        full-sample monitors and a wildcard monitoring console.  Call after the
         topology is built, then ``start()`` the returned plane.  Options
         are forwarded to :class:`~repro.obs.aggregate.TelemetryPlane`.
         """
@@ -573,89 +416,26 @@ class BrokerNetwork:
 
         return TelemetryPlane(self, **options)
 
-    def bridge_topic(self, pattern: str) -> None:
-        """Export ``pattern`` across every shard boundary.
-
-        Each shard's bridge client subscribes to the pattern; events it
-        captures are republished into every *other* shard at the next
-        epoch boundary.  Requires ``shards > 1`` and at least one broker
-        per shard.
-        """
-        if self.shards == 1:
-            raise RuntimeError("bridge_topic requires BrokerNetwork(shards=N)")
-        for world in self._shard_worlds:
-            world.bridge(pattern)
-
-    def run(self, until: float) -> None:
-        """Advance the simulation(s) to virtual time ``until``.
-
-        Single-shard: simply runs the underlying simulator (identical to
-        calling ``network.sim.run(until=...)`` yourself).  Sharded: steps
-        every shard world in lockstep epochs of ``shard_epoch_s``,
-        exchanging bridged events at each boundary (see
-        :mod:`repro.simnet.shard` for the determinism contract).
-        """
-        if self._coordinator is None:
-            self.network.sim.run(until=until)
-        else:
-            self._coordinator.run(until)
-
-    def shard_of(self, name: str) -> int:
-        """The shard index a broker was placed in (0 when unsharded)."""
-        if self.shards == 1:
-            self.broker(name)  # raises KeyError for unknown names
-            return 0
-        try:
-            return self._shard_of[name]
-        except KeyError:
-            raise KeyError(f"unknown broker {name!r}") from None
-
-    def shard_world(self, index: int) -> "_BrokerShard":
-        """Access one shard's world (its sim/net/brokers) for inspection."""
-        if self.shards == 1:
-            raise RuntimeError("shard_world requires BrokerNetwork(shards=N)")
-        return self._shard_worlds[index]
-
-    @property
-    def messages_exchanged(self) -> int:
-        """Cross-shard events relayed at epoch boundaries so far."""
-        return (
-            self._coordinator.messages_exchanged
-            if self._coordinator is not None
-            else 0
-        )
-
     # ------------------------------------------------------------- access
 
     def broker(self, name: str) -> Broker:
         broker = self._brokers.get(name)
-        if broker is not None:
-            return broker
-        if self.shards > 1:
-            shard = self._shard_of.get(name)
-            if shard is not None and shard != 0:
-                return self._shard_worlds[shard].brokers.broker(name)
-        raise KeyError(f"unknown broker {name!r}")
+        if broker is None:
+            raise KeyError(f"unknown broker {name!r}")
+        return broker
 
     def brokers(self) -> List[Broker]:
         return [self.broker(name) for name in self.broker_ids()]
 
     def broker_ids(self) -> List[str]:
-        if self.shards > 1:
-            return sorted(self._shard_of)
         return sorted(self._brokers)
 
     def __len__(self) -> int:
-        if self.shards > 1:
-            return len(self._shard_of)
         return len(self._brokers)
 
     def close(self) -> None:
         for broker in self._brokers.values():
             broker.close()
-        for world in self._shard_worlds:
-            if world.index != 0:
-                world.brokers.close()
 
     # -------------------------------------------------------- topologies
 
@@ -752,7 +532,6 @@ class BrokerNetwork:
         name_prefix: str = "broker",
         profile: BrokerProfile = NARADA_PROFILE,
         link: LinkProfile = LAN_1G,
-        regions: Optional[Sequence[str]] = None,
         **options,
     ) -> "BrokerNetwork":
         """Clusters of fully-meshed brokers; cluster gateways form a ring —
@@ -762,18 +541,10 @@ class BrokerNetwork:
         the primary gateway ring, and clusters with more than one member
         also get a *redundant* second uplink from their second member, so
         crashing the primary gateway no longer isolates the cluster.
-
-        ``regions`` assigns cluster *c* to ``regions[c % len(regions)]``
-        (one region per cluster, cycled) — see :meth:`clustered`.
         """
-        sizes = list(cluster_sizes)
-        if regions:
-            options["regions"] = cls._regions_for_clusters(
-                sizes, list(regions), name_prefix
-            )
         broker_network = cls(network, profile, **options)
         cluster_members: List[List[str]] = []
-        for c, size in enumerate(sizes):
+        for c, size in enumerate(cluster_sizes):
             members = [f"{name_prefix}-c{c}-{i}" for i in range(size)]
             for name in members:
                 broker_network.add_broker(name, link=link)
@@ -809,7 +580,6 @@ class BrokerNetwork:
         name_prefix: str = "broker",
         profile: BrokerProfile = NARADA_PROFILE,
         link: LinkProfile = LAN_1G,
-        gateways_per_cluster: int = 2,
         regions: Optional[Sequence[str]] = None,
         **options,
     ) -> "BrokerNetwork":
@@ -842,7 +612,6 @@ class BrokerNetwork:
             network,
             profile,
             clusters=clusters,
-            gateways_per_cluster=gateways_per_cluster,
             **options,
         )
         for members in clusters.values():

@@ -459,10 +459,7 @@ class TelemetryPlane:
       :class:`ClusterHealthAggregator` per gateway broker, one
       :class:`FleetMonitor` console;
     * flat fabric → classic full-sample monitors and a wildcard
-      :class:`~repro.broker.monitor.MonitoringClient` console;
-    * sharded fabric → one flat sub-plane per shard world (regions are
-      separate simulations; their consoles are per-region by design,
-      reachable via :attr:`shard_planes`).
+      :class:`~repro.broker.monitor.MonitoringClient` console.
 
     Construct via :meth:`repro.broker.network.BrokerNetwork.attach_telemetry`
     after the topology is built, then :meth:`start`.
@@ -478,7 +475,6 @@ class TelemetryPlane:
         history_limit: int = DEFAULT_SUMMARY_HISTORY,
         console_broker: Optional[Broker] = None,
         console_name: str = "fleet-console",
-        _shard_scope: bool = False,
     ):
         self.fabric = fabric
         self.sample_interval_s = sample_interval_s
@@ -495,26 +491,8 @@ class TelemetryPlane:
         self.hierarchical = fabric.clusters is not None
         self.monitors: List[BrokerMonitor] = []
         self.aggregators: List[ClusterHealthAggregator] = []
-        self.shard_planes: List["TelemetryPlane"] = []
         self.fleet: Optional[FleetMonitor] = None
         self.console: Optional[MonitoringClient] = None
-
-        if fabric.shards > 1 and not _shard_scope:
-            for world in fabric._shard_worlds:
-                plane = TelemetryPlane(
-                    world.brokers,
-                    sample_interval_s=sample_interval_s,
-                    summary_interval_s=summary_interval_s,
-                    full_every=full_every,
-                    stale_timeout_s=stale_timeout_s,
-                    history_limit=history_limit,
-                    console_name=f"{console_name}-shard{world.index}",
-                    _shard_scope=True,
-                )
-                self.shard_planes.append(plane)
-                self.monitors.extend(plane.monitors)
-            self.console = self.shard_planes[0].console
-            return
 
         local_brokers = [
             fabric._brokers[name] for name in sorted(fabric._brokers)
@@ -580,16 +558,12 @@ class TelemetryPlane:
             monitor.start()
         for aggregator in self.aggregators:
             aggregator.start()
-        for plane in self.shard_planes:
-            plane.start()
 
     def stop(self) -> None:
         for monitor in self.monitors:
             monitor.stop()
         for aggregator in self.aggregators:
             aggregator.stop()
-        for plane in self.shard_planes:
-            plane.stop()
 
     # ---------------------------------------------------------- accounting
 

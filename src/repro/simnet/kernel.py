@@ -21,9 +21,9 @@ run executes ~1700 kernel events per media packet):
   compacted when ghosts exceed half the queue — unbounded ghost growth from
   heartbeat-heavy workloads was a real leak (see ``heap_compactions``).
 
-The pre-optimization single-step dispatch survives behind
-``Simulator(batched=False)`` so determinism tests can prove the batched
-drain produces bit-identical schedules.
+:meth:`Simulator.step` is the plain one-event-at-a-time dispatch; the
+kernel tests drain seeded schedules through it and through ``run()`` and
+require the same firing order.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class Simulator:
         sim = Simulator()
         sim.schedule(0.5, fire_probe)
         sim.run(until=10.0)
-
-    ``batched=False`` selects the legacy one-event-at-a-time dispatch loop
-    (no hoisted locals, no ghost compaction).  Both modes produce
-    bit-identical event schedules; the flag exists so tests can prove it.
     """
 
     __slots__ = (
@@ -116,19 +112,17 @@ class Simulator:
         "_next_seq",
         "_now",
         "_events_processed",
-        "_batched",
         "_ghosts",
         "timers_cancelled",
         "heap_compactions",
         "ghost_timers_collected",
     )
 
-    def __init__(self, batched: bool = True) -> None:
+    def __init__(self) -> None:
         self._queue: List[Timer] = []
         self._next_seq = 0
         self._now = 0.0
         self._events_processed = 0
-        self._batched = batched
         self._ghosts = 0  # cancelled timers still sitting in the heap
         self.timers_cancelled = 0
         self.heap_compactions = 0
@@ -143,11 +137,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of callbacks executed so far."""
         return self._events_processed
-
-    @property
-    def batched(self) -> bool:
-        """Whether the batched drain loop (vs legacy dispatch) is active."""
-        return self._batched
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -205,8 +194,6 @@ class Simulator:
         When ``until`` is given, virtual time is advanced to exactly
         ``until`` even if the queue drains earlier.
         """
-        if not self._batched:
-            return self._run_legacy(until, max_events)
         queue = self._queue
         heappop = heapq.heappop
         limit = -1 if max_events is None else max_events
@@ -241,38 +228,6 @@ class Simulator:
             self._now = until
         return executed
 
-    def _run_legacy(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> int:
-        """Pre-optimization dispatch loop: one heap access per statement,
-        no local hoisting, no compaction.  Kept verbatim in structure so
-        determinism tests can diff its schedule against the batched drain."""
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                return executed
-            timer = self._queue[0]
-            if timer[2] is None:
-                heapq.heappop(self._queue)
-                self._ghosts -= 1
-                continue
-            if until is not None and timer[0] > until:
-                break
-            heapq.heappop(self._queue)
-            fn, args = timer[2], timer[3]
-            timer[2] = None
-            timer[3] = None
-            self._now = timer[0]
-            self._events_processed += 1
-            if args is None:
-                fn()
-            else:
-                fn(*args)
-            executed += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return executed
-
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration`` seconds of virtual time."""
         return self.run(until=self._now + duration, max_events=max_events)
@@ -285,10 +240,7 @@ class Simulator:
         self.timers_cancelled += 1
         ghosts = self._ghosts + 1
         self._ghosts = ghosts
-        if (
-            self._batched
-            and ghosts * 2 > len(self._queue) >= _COMPACT_MIN_QUEUE
-        ):
+        if ghosts * 2 > len(self._queue) >= _COMPACT_MIN_QUEUE:
             self._compact()
 
     def _compact(self) -> None:

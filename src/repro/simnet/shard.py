@@ -17,8 +17,7 @@ Determinism: shards are drained and injected in shard-index order and
 every shard derives its RNG streams from a fork of the master seed, so
 a sharded run is bit-reproducible — but it is *not* event-for-event
 identical to the unsharded run of the same topology (the epoch
-quantization is the documented divergence; ``shards=1`` is exactly the
-legacy path).
+quantization is the documented divergence).
 
 Two drivers:
 

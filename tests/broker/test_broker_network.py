@@ -176,3 +176,25 @@ def test_disconnect_edge_recomputes_routes(net, sim):
     sim.run_for(1.0)
     assert len(got) == 1
     assert bnet.broker("b").events_forwarded >= 1
+
+
+def test_crash_keeps_outbox_overflows_monotone(net, sim):
+    """``outbox_overflows`` counts evictions from live *and* closed
+    outboxes; closing the broker itself must fold the live ones in
+    instead of dropping them back to zero."""
+    bnet = BrokerNetwork.single(net, "b0")
+    broker = bnet.broker("b0")
+    publisher = connected_client(net, sim, broker, "pub")
+    subscriber = connected_client(net, sim, broker, "sub")
+    subscriber.subscribe("/t", lambda e: None)
+    sim.run_for(1.0)
+    # A subscriber that stops acking, behind a 3-deep outbox: 8 reliable
+    # events evict the 5 oldest.
+    net.set_path_blocked("b0", "sub", True)
+    broker._clients["sub"].outbox.max_pending = 3
+    for index in range(8):
+        publisher.publish("/t", index, 100, reliable=True)
+    sim.run_for(0.2)
+    assert broker.statistics()["outbox_overflows"] == 5
+    bnet.crash_broker("b0")
+    assert broker.statistics()["outbox_overflows"] == 5

@@ -226,3 +226,14 @@ def test_subscribe_retries_survive_lossy_control_path(net, sim):
     assert subscriber.subscribe_acks >= 1
     assert subscriber._subscribe_timers == {}
     assert broker.has_local_subscription("/t", "sub")
+
+
+def test_non_positive_reap_timeout_is_rejected(net):
+    """``reap_timeout_s=0.0`` used to arm the reaper with a ``None``
+    delay and die inside the kernel; now the argument is named."""
+    from repro.broker import Broker
+
+    host = net.create_host("bh")
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="reap_timeout_s"):
+            Broker(host, broker_id="b0", reap_timeout_s=bad)

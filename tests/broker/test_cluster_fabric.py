@@ -129,7 +129,7 @@ class TestSummaryHysteresis:
         sim.run_for(5.0)
         gateway = bnet.broker("broker-c0-0")
         assert gateway._active_gateway == gateway.broker_id
-        epoch_before = gateway._summary_epoch
+        epoch_before = gateway._cluster_interest.epoch
         # Toggle a fifth pattern across the boundary repeatedly: the
         # first crossing may collapse the summary (one flood), but the
         # collapsed form must then be sticky.
@@ -140,7 +140,7 @@ class TestSummaryHysteresis:
             sim.run_for(1.0)
         assert gateway._summary_collapsed
         assert gateway._last_summary == ("/edge/a/#",)
-        assert gateway._summary_epoch - epoch_before <= 2
+        assert gateway._cluster_interest.epoch - epoch_before <= 2
 
 
 def converge(sim, seconds=20.0):
@@ -303,8 +303,8 @@ class TestFloodQuiescence:
             return {
                 broker.broker_id: (
                     broker.lsas_originated,
-                    broker._gw_lsa_epoch,
-                    broker._summary_epoch,
+                    broker._gw_lsdb.epoch,
+                    broker._cluster_interest.epoch,
                     broker.adverts_aggregated,
                     broker.lsas_deduped,
                 )

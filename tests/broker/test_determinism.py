@@ -1,12 +1,14 @@
-"""Bit-identical determinism across the raw-speed fast paths.
+"""Bit-identical determinism: same seed in, same delivery trace out.
 
-The perf pass added mode switches — the batched kernel dispatch loop
-(``Simulator(batched=...)``), zero-copy fan-out (``Broker(zero_copy=...)``)
-and region-sharded stepping (``BrokerNetwork(shards=N)``).  Every switch
-must be *purely* mechanical: same seed in, same delivery trace out —
-event ids, sequence numbers, and delivery times identical to the last
-bit.  These tests run one lossy/jittery pub-sub workload under each
-mode pair and compare full traces, not summaries.
+Every canonical scenario here — one lossy/jittery broker, a 5-ring
+chaos run, the cluster tier, geo mode, the telemetry plane — is pinned
+to a golden digest of its full delivery trace (event ids, sequence
+numbers and delivery times to the last bit, not summaries).  The
+digests were recorded while each fast path (batched kernel drain,
+zero-copy fan-out, route cache) still had a slow twin that produced
+the same trace; the twins are gone, the digests are the reference.
+Opt-in modes (``clusters=``, ``regions=``, overload control, tracing)
+are additionally checked to be inert when off.
 """
 
 import hashlib
@@ -45,29 +47,20 @@ def trace_digest(trace):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_workload(
-    batched=True,
-    zero_copy=True,
-    events=60,
-    overload_enabled=True,
-    tracer_rate=None,
-    route_cache_enabled=True,
-):
+def run_workload(events=60, overload_enabled=True, tracer_rate=None):
     """One seeded pub-sub run; returns the full delivery trace.
 
-    Three subscribers (fan-out > 1, so the zero-copy envelope path and
-    payload freezing both engage), one publisher, plain + ordered
+    Three subscribers (fan-out > 1, so the shared envelope and payload
+    freezing both engage), one publisher, plain + ordered
     events, lossy jittery links everywhere.
     """
     from repro.obs.trace import Tracer
 
-    sim = Simulator(batched=batched)
+    sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     broker = Broker(
         net.create_host("broker-host", link=FLAKY),
         broker_id="b0",
-        zero_copy=zero_copy,
-        route_cache_enabled=route_cache_enabled,
         overload_enabled=overload_enabled,
         tracer=Tracer(tracer_rate) if tracer_rate else None,
     )
@@ -116,78 +109,13 @@ def normalize(trace, id_field):
     ]
 
 
-def test_batched_kernel_matches_legacy_loop():
-    assert run_workload(batched=True) == run_workload(batched=False)
-
-
-def test_zero_copy_fanout_matches_per_destination_copies():
-    assert run_workload(zero_copy=True) == run_workload(zero_copy=False)
-
-
-def test_all_fast_paths_off_matches_all_on():
-    both_on = run_workload(batched=True, zero_copy=True)
-    both_off = run_workload(batched=False, zero_copy=False)
-    assert both_on == both_off
-
-
 def test_overload_controller_below_watermarks_is_bit_identical():
     """The overload controller is a pure observer under its watermarks:
     with pressure below the degraded marks the enabled run must match a
-    run without the controller to the last bit, in both kernel modes."""
-    for batched in (True, False):
-        enabled = run_workload(batched=batched, overload_enabled=True)
-        disabled = run_workload(batched=batched, overload_enabled=False)
-        assert enabled == disabled
-
-
-def sharded_trace(shards):
-    """Single-shard-capable workload run through the BrokerNetwork API."""
-    sim = Simulator()
-    net = Network(sim, SeededStreams(SEED))
-    collection = BrokerNetwork(net, shards=shards)
-    collection.add_broker("b0", link=FLAKY, shard=0 if shards > 1 else None)
-    broker = collection.broker("b0")
-    trace = []
-    client = BrokerClient(net.create_host("sub", link=FLAKY), client_id="sub")
-    client.connect(broker)
-    client.subscribe(
-        "/room/#",
-        lambda event: trace.append((event.event_id, event.topic, sim.now)),
+    run without the controller to the last bit."""
+    assert run_workload(overload_enabled=True) == run_workload(
+        overload_enabled=False
     )
-    publisher = BrokerClient(net.create_host("pub", link=FLAKY), client_id="pub")
-    publisher.connect(broker)
-    for index in range(40):
-        sim.schedule_at(
-            1.0 + index * 0.01, publisher.publish, "/room/video", index, 300
-        )
-    collection.run(3.0)
-    assert trace
-    return normalize(trace, id_field=0)
-
-
-def test_shards_1_is_bit_identical_to_legacy_event_loop():
-    """``shards=1`` must be *exactly* the legacy path, not merely close."""
-    legacy = []
-    sim = Simulator()
-    net = Network(sim, SeededStreams(SEED))
-    collection = BrokerNetwork(net)  # no shards argument at all
-    collection.add_broker("b0", link=FLAKY)
-    broker = collection.broker("b0")
-    client = BrokerClient(net.create_host("sub", link=FLAKY), client_id="sub")
-    client.connect(broker)
-    client.subscribe(
-        "/room/#",
-        lambda event: legacy.append((event.event_id, event.topic, sim.now)),
-    )
-    publisher = BrokerClient(net.create_host("pub", link=FLAKY), client_id="pub")
-    publisher.connect(broker)
-    for index in range(40):
-        sim.schedule_at(
-            1.0 + index * 0.01, publisher.publish, "/room/video", index, 300
-        )
-    sim.run(until=3.0)
-
-    assert sharded_trace(shards=1) == normalize(legacy, id_field=0)
 
 
 def flat_mesh_trace(label_regions=False, **network_options):
@@ -252,7 +180,7 @@ def test_region_labels_alone_are_bit_identical():
     assert flat_mesh_trace(label_regions=True) == flat_mesh_trace()
 
 
-def chaos_ring_trace(drive_through_collection=False, **network_options):
+def chaos_ring_trace():
     """A seeded 5-ring autonomous run through a link flap, a broker
     crash + restart and a 2|3 partition + heal, publishing throughout
     (every fifth event ordered, so sequencer re-election is in the
@@ -263,10 +191,6 @@ def chaos_ring_trace(drive_through_collection=False, **network_options):
     collection = BrokerNetwork.ring(
         net, 5, link=FLAKY, autonomous=True,
         peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
-        **network_options,
-    )
-    run = collection.run if drive_through_collection else (
-        lambda until: sim.run(until=until)
     )
     chaos = ChaosSchedule(collection, seed=SEED)
     chaos.link_flap(4.0, "broker-0", "broker-1", down_for=1.5)
@@ -285,13 +209,13 @@ def chaos_ring_trace(drive_through_collection=False, **network_options):
     )
     publisher = BrokerClient(net.create_host("pub", link=FLAKY), client_id="pub")
     publisher.connect(collection.broker("broker-2"))
-    run(3.0)
+    sim.run(until=3.0)
     for index in range(450):
         sim.schedule_at(
             3.0 + index * 0.02, publisher.publish, "/room/video", index, 300,
             False, (index % 5 == 0),
         )
-    run(13.0)
+    sim.run(until=13.0)
     assert len(chaos.log) == 6, "a scheduled fault never fired"
     assert trace
     return normalize(trace, id_field=0)
@@ -449,28 +373,8 @@ def test_trace_matches_golden_digest(scenario):
     assert trace_digest(GOLDEN_SCENARIOS[scenario]()) == GOLDEN[scenario]
 
 
-def test_every_twin_leg_hashes_to_the_golden_digest():
-    """Last run of the proof twins: each slow/fast leg the next commit
-    deletes produces exactly the recorded trace."""
-    single = GOLDEN["single_broker"]
-    for batched in (True, False):
-        for zero_copy in (True, False):
-            for cached in (True, False):
-                assert trace_digest(
-                    run_workload(
-                        batched=batched,
-                        zero_copy=zero_copy,
-                        route_cache_enabled=cached,
-                    )
-                ) == single
-    assert trace_digest(chaos_ring_trace(shards=1)) == GOLDEN["chaos_ring5"]
-    assert trace_digest(
-        chaos_ring_trace(drive_through_collection=True, shards=1)
-    ) == GOLDEN["chaos_ring5"]
-
-
 def test_shared_payload_mutation_is_detected():
-    """Zero-copy shares one payload across receivers; mutating it must
+    """Fan-out shares one payload across receivers; mutating it must
     fail loudly (freeze-at-fan-out), not silently corrupt peers."""
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))

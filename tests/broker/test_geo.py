@@ -10,6 +10,8 @@ forking sequence numbers, reliable cross-region traffic queues bounded,
 and a heal drains everything exactly once).
 """
 
+import pytest
+
 from repro.broker import BrokerClient, BrokerNetwork
 from repro.broker.broker import SEQUENCER_PIN_WINDOW
 
@@ -344,6 +346,19 @@ def test_broker_network_region_bookkeeping(sim, net):
     assert net.region_blocked("us", "eu")
     bnet.heal()
     assert not net.region_blocked("us", "eu")
+
+
+def test_regions_require_the_autonomous_plane(sim, net):
+    """Geo brokers keep interest from unreachable brokers (the WAN park
+    needs it), so on the central plane ``remove_broker`` could never
+    release a dead broker's interest — the combination is rejected, as
+    ``clusters=`` without ``autonomous=True`` already is."""
+    with pytest.raises(ValueError, match="regions= requires autonomous"):
+        BrokerNetwork(net, regions={"us": ["u0"], "eu": ["e0"]})
+    with pytest.raises(ValueError, match="regions= requires autonomous"):
+        BrokerNetwork.chain(
+            net, 3, regions={"us": ["broker-0", "broker-1"], "eu": ["broker-2"]}
+        )
 
 
 # ------------------------------------- busy hints vs cross-region failover

@@ -132,7 +132,7 @@ class TestLinkStateProtocol:
         bnet = ring(net, count=3)
         sim.run_for(2.0)
         b0 = bnet.broker("broker-0")
-        current_epoch, _ = b0._lsdb["broker-1"]
+        current_epoch = b0._lsdb["broker-1"][0]
         stale = LinkStateAdvert(
             origin_broker="broker-1", epoch=0, neighbors=frozenset()
         )
@@ -145,12 +145,12 @@ class TestLinkStateProtocol:
         bnet = ring(net, count=3)
         sim.run_for(2.0)
         b0 = bnet.broker("broker-0")
-        old = b0._lsa_epoch
+        old = b0._lsdb.epoch
         ghost = LinkStateAdvert(
             origin_broker="broker-0", epoch=old + 10, neighbors=frozenset()
         )
         b0._on_link_state_advert(ghost, from_peer="broker-1")
-        assert b0._lsa_epoch == old + 11
+        assert b0._lsdb.epoch == old + 11
 
     def test_digest_pushes_missing_lsas(self, sim, net):
         bnet = ring(net, count=3)
@@ -227,7 +227,7 @@ class TestTopologyOps:
         restarted = bnet.restart_broker("broker-2")
         sim.run_for(3.0)
         assert_full_mesh_routes(bnet)
-        assert restarted._lsa_epoch >= 1
+        assert restarted._lsdb.epoch >= 1
 
     def test_quick_restart_beats_ghost_lsa(self, sim, net):
         """Restart *before* eviction: survivors still hold the past

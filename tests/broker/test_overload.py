@@ -222,10 +222,10 @@ TINY = ShedWatermarks(
 SEED = 321
 
 
-def storm_run(batched):
+def storm_run():
     """One seeded publish storm over tiny watermarks; returns the
     delivered trace (normalized event ids) and the shed counters."""
-    sim = Simulator(batched=batched)
+    sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     broker = Broker(
         net.create_host("broker-host", link=SLOW),
@@ -278,7 +278,7 @@ def storm_run(batched):
 
 
 def test_storm_sheds_video_and_bulk_never_audio_or_control():
-    trace, shed = storm_run(batched=True)
+    trace, shed = storm_run()
     control, audio, video, bulk = shed
     assert control == 0
     assert audio == 0
@@ -291,11 +291,7 @@ def test_storm_sheds_video_and_bulk_never_audio_or_control():
 
 
 def test_shed_set_is_deterministic_per_seed():
-    assert storm_run(batched=True) == storm_run(batched=True)
-
-
-def test_shed_set_identical_across_kernel_modes():
-    assert storm_run(batched=True) == storm_run(batched=False)
+    assert storm_run() == storm_run()
 
 
 def forced(broker, pressure):

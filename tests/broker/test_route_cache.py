@@ -8,7 +8,7 @@ and the statistics counters the cache exposes.
 
 import pytest
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork, RouteCache, RouteEntry
+from repro.broker import BrokerClient, BrokerNetwork, RouteCache, RouteEntry
 from repro.broker.broker import SEEN_ADVERT_WINDOW, _DedupWindow
 from repro.broker.monitor import BrokerSample
 from repro.broker.profile import NARADA_PROFILE
@@ -164,19 +164,57 @@ class TestBrokerWiring:
         assert b0.route_cache.invalidations >= 1
         assert b0.events_forwarded == 2
 
-    def test_disabled_cache_same_results_no_counters(self, net, sim):
-        host = net.create_host("plain-broker-host")
-        broker = Broker(host, broker_id="plain", route_cache_enabled=False)
-        publisher = make_client(net, sim, broker, "pub")
-        subscriber = make_client(net, sim, broker, "sub")
-        got = []
-        subscriber.subscribe("/t", got.append)
-        sim.run_for(1.0)
-        for _ in range(3):
-            self.publish_and_run(sim, publisher)
-        assert len(got) == 3
-        assert broker.route_cache.hits == 0
-        assert broker.route_cache.misses == 0
+    def test_cached_entry_equals_fresh_recompute(self, net, sim):
+        """The cache-miss body of ``resolve_route`` is the reference
+        resolve: whatever the cache serves must equal what that body
+        computes once the cache is emptied — on a member, and on an
+        active gateway where the intra/inter tier split is populated."""
+        bnet = BrokerNetwork.clustered(
+            net, [3, 3], peer_heartbeat_interval_s=0.25, peer_miss_limit=2
+        )
+        sim.run_for(5.0)
+        gateway = bnet.broker("broker-c0-0")
+        member = bnet.broker("broker-c0-2")
+        subscriptions = (
+            ("broker-c0-0", "/conf/a/video"),
+            ("broker-c0-0", "/conf/b/#"),
+            ("broker-c0-1", "/conf/a/#"),
+            ("broker-c0-2", "/conf/a/video"),
+            ("broker-c1-1", "/conf/a/#"),
+            ("broker-c1-2", "/conf/b/audio"),
+        )
+        for index, (broker_name, pattern) in enumerate(subscriptions):
+            client = make_client(net, sim, bnet.broker(broker_name), f"s{index}")
+            client.subscribe(pattern, lambda e: None)
+        sim.run_for(5.0)
+        assert gateway.is_active_gateway
+
+        fields = (
+            "generation", "local_targets", "remote_targets",
+            "next_hop_groups", "intra_targets", "inter_targets",
+        )
+        topics = ("/conf/a/video", "/conf/a/audio", "/conf/b/audio", "/none")
+        for broker in (gateway, member):
+            for topic in topics:
+                broker.resolve_route(topic)
+                hits = broker.route_cache.hits
+                cached = broker.resolve_route(topic)
+                assert broker.route_cache.hits == hits + 1
+                broker.route_cache.clear()
+                fresh = broker.resolve_route(topic)
+                assert fresh is not cached
+                for field in fields:
+                    assert getattr(cached, field) == getattr(fresh, field), (
+                        broker.broker_id, topic, field,
+                    )
+        entry = gateway.resolve_route("/conf/a/video")
+        assert entry.local_targets == ("s0",)
+        assert entry.intra_targets == {"broker-c0-1", "broker-c0-2"}
+        assert entry.inter_targets == {"broker-c1-0"}
+        assert {hop for hop, _group in entry.next_hop_groups} == set(
+            entry.remote_targets
+        )
+        assert member.resolve_route("/conf/a/video").intra_targets is None
 
     def test_statistics_block_and_monitor_sample(self, net, sim, single_broker):
         publisher = make_client(net, sim, single_broker, "pub")

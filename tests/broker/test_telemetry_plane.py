@@ -267,33 +267,3 @@ class TestFlatTelemetry:
         assert console.stale_brokers(timeout_s=1.0) == ["broker-2"]
         assert console.stale_brokers(timeout_s=60.0) == []
         plane.stop()
-
-
-class TestShardedTelemetry:
-    def test_sharded_fabric_builds_per_shard_planes(self):
-        from repro.simnet.kernel import Simulator
-        from repro.simnet.network import Network
-        from repro.simnet.rng import SeededStreams
-
-        sim = Simulator()
-        net = Network(sim, SeededStreams(7))
-        bnet = BrokerNetwork(net, shards=2)
-        for index in range(4):
-            bnet.add_broker(f"b{index}")  # round-robin across regions
-        bnet.connect("b0", "b2")  # peer within each region so the
-        bnet.connect("b1", "b3")  # region console hears both brokers
-        bnet.run(5.0)  # run(until) is absolute virtual time
-        plane = bnet.attach_telemetry(sample_interval_s=0.5)
-        # Regions are separate simulations: one flat sub-plane each,
-        # with per-region consoles (shard 0's doubles as the default).
-        assert len(plane.shard_planes) == 2
-        assert len(plane.monitors) == 4
-        assert plane.console is plane.shard_planes[0].console
-        plane.start()
-        bnet.run(10.0)
-        seen = set()
-        for world_plane in plane.shard_planes:
-            seen.update(world_plane.console.brokers_seen())
-        assert seen == {"b0", "b1", "b2", "b3"}
-        plane.stop()
-        bnet.close()

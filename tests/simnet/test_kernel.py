@@ -123,3 +123,68 @@ def test_time_is_monotonic_across_many_events():
     sim.run()
     assert times == sorted(times)
     assert sim.events_processed == 200
+
+
+def drain_seeded_schedule(drain):
+    """A seeded schedule whose timers schedule more timers, cancel live
+    ones (often enough to force heap compaction) and re-enter ``run()``;
+    every random draw happens inside a callback, so any difference in
+    firing order changes everything after it.  Returns the ``(time,
+    seq)`` firing order and the kernel's counters."""
+    import random
+
+    sim = Simulator()
+    rng = random.Random(42)
+    fired = []
+    live = []
+    state = {"budget": 600, "nested": False}
+
+    def arm(delay):
+        box = []
+        box.append(sim.schedule(delay, fire, box))
+        live.append(box[0])
+
+    def fire(box):
+        fired.append((sim.now, box[0].seq))
+        for _ in range(rng.randrange(3)):
+            if state["budget"] > 0:
+                state["budget"] -= 1
+                arm(rng.choice((0.0, 0.25, rng.uniform(0.0, 2.0))))
+        for _ in range(rng.randrange(4)):
+            if live:
+                live.pop(rng.randrange(len(live))).cancel()
+        if not state["nested"] and rng.random() < 0.1:
+            state["nested"] = True
+            if rng.random() < 0.5:
+                sim.run(max_events=rng.randrange(1, 4))
+            else:
+                sim.run(until=sim.now + rng.uniform(0.0, 0.5))
+            state["nested"] = False
+
+    for _ in range(300):
+        arm(rng.uniform(0.0, 5.0))
+    drain(sim)
+    assert sim.pending() == 0
+    return fired, (
+        sim.events_processed,
+        sim.timers_cancelled,
+        sim.heap_compactions,
+        sim.now,
+    )
+
+
+def test_run_matches_one_event_at_a_time_stepping():
+    """``step()`` is the reference dispatch — pop one event, fire it —
+    and the hoisted-locals drain in ``run()`` must be indistinguishable
+    from calling it in a loop."""
+    def by_step(sim):
+        while sim.step():
+            pass
+
+    by_run = drain_seeded_schedule(lambda sim: sim.run())
+    stepped = drain_seeded_schedule(by_step)
+    fired, (events, cancelled, compactions, _now) = by_run
+    assert by_run == stepped
+    assert events == len(fired) > 300
+    assert cancelled > 100 and compactions > 0
+    assert fired == sorted(fired)
