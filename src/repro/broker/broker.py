@@ -68,11 +68,11 @@ from repro.broker.overload import (
     ShedWatermarks,
 )
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
-from repro.broker.reliable import ReliableOutbox
+from repro.broker.reliable import OutboxTally, ReliableOutbox
 from repro.broker.route_cache import NextHopGroups, RouteCache, RouteEntry
 from repro.broker.topic import (
+    PatternSummary,
     TopicTrie,
-    summarize_patterns,
     validate_pattern,
     validate_topic,
 )
@@ -116,7 +116,7 @@ SEQUENCER_CACHE_MAX = 4096
 #: Cap on the aggregated interest summary a cluster gateway exports.
 #: Above this many distinct patterns, prefixes are collapsed (widened)
 #: until the summary fits — see
-#: :func:`repro.broker.topic.summarize_patterns`.  Deliberately small:
+#: :class:`repro.broker.topic.PatternSummary`.  Deliberately small:
 #: a collapsed summary over-approximates, and a false positive only
 #: costs one wasted inter-cluster forward that the entry gateway drops,
 #: while a large budget delays collapse until per-cluster interest is
@@ -279,6 +279,9 @@ class Broker:
         self._peer_socket.on_receive(self._on_peer_message)
 
         self._clients: Dict[str, _ClientRecord] = {}
+        #: Pending and overflow-evicted reliable events across every
+        #: client outbox this broker ever opened, kept by the outboxes.
+        self._outboxes = OutboxTally()
         self._local_subs: TopicTrie[str] = TopicTrie()
         self._remote_interest: TopicTrie[str] = TopicTrie()
         self._peers: Dict[str, Address] = {}
@@ -350,6 +353,13 @@ class Broker:
         self._cluster_interest = EpochTable(self.broker_id)
         self._installed_foreign: Set[str] = set()
         self._proxied: Set[str] = set()
+        #: Gateways only (standbys too, so takeover needs no rebuild):
+        #: every local subscription and every member-advertised remote
+        #: interest entry, refcounted — what the cluster summary is read
+        #: from.  Foreign installs are other clusters' interest, never fed.
+        self._member_interest: Optional[PatternSummary] = (
+            PatternSummary() if self.is_gateway else None
+        )
         self._last_summary: Optional[Tuple[str, ...]] = None
         self._summary_pending = False
         self._last_summary_flood_at = -SUMMARY_REFRESH_MIN_INTERVAL_S
@@ -411,10 +421,6 @@ class Broker:
             if overload_enabled
             else None
         )
-        #: Overflow evictions of outboxes that have since been closed
-        #: (client dropped/reconnected) — keeps the ``outbox_overflows``
-        #: gauge monotonic across client churn.
-        self._outbox_overflows_closed = 0
 
         # Statistics: plain integer attributes mutated on the hot paths,
         # all registered (bound) in the metrics registry below so the
@@ -596,19 +602,11 @@ class Broker:
 
     def _outbox_depth(self) -> int:
         """Reliable events pending across every client outbox (gauge)."""
-        return sum(
-            record.outbox.pending_count
-            for record in self._clients.values()
-            if record.outbox is not None
-        )
+        return self._outboxes.pending
 
     def _outbox_overflows(self) -> int:
         """Bounded-outbox overflow evictions, live and closed (gauge)."""
-        return self._outbox_overflows_closed + sum(
-            record.outbox.overflows
-            for record in self._clients.values()
-            if record.outbox is not None
-        )
+        return self._outboxes.overflows
 
     def _overload_state(self) -> int:
         """Current overload state (gauge): 0 NORMAL, 1 DEGRADED, 2
@@ -741,8 +739,14 @@ class Broker:
         for origin in [
             o for o in set(self._remote_interest.values()) if o not in reachable
         ]:
-            for pattern in list(self._remote_interest.patterns_for(origin)):
+            member = (
+                self._member_interest is not None
+                and origin not in self._installed_foreign
+            )
+            for pattern in self._remote_interest.patterns_for(origin):
                 self._remote_interest.remove(pattern, origin)
+                if member:
+                    self._member_interest.remove(pattern)
 
     def sync_subscriptions_to_peers(self) -> None:
         """(Re)advertise all known interest — used when topology changes."""
@@ -883,10 +887,10 @@ class Broker:
                 on_abandon=lambda event, cid=client_id: self._on_outbox_abandon(
                     cid
                 ),
+                tally=self._outboxes,
             )
         previous = self._clients.get(client_id)
         if previous is not None and previous.outbox is not None:
-            self._outbox_overflows_closed += previous.outbox.overflows
             previous.outbox.close()
         self._clients[client_id] = _ClientRecord(
             client_id, link, outbox, last_seen=self.sim.now
@@ -953,7 +957,11 @@ class Broker:
                 return
         pattern = validate_pattern(message.pattern)
         had_interest = self._has_local_interest(pattern)
-        self._local_subs.add(pattern, message.client_id)
+        if (
+            self._local_subs.add(pattern, message.client_id)
+            and self._member_interest is not None
+        ):
+            self._member_interest.add(pattern)
         # A pattern already advertised as a gateway proxy needs no flood:
         # the mesh already routes it here (empty in flat mode).
         if not had_interest and pattern not in self._proxied:
@@ -970,7 +978,12 @@ class Broker:
 
     def _on_unsubscribe(self, message: Unsubscribe) -> None:
         self.control_messages += 1
-        self._local_subs.remove(message.pattern, message.client_id)
+        if not self._local_subs.remove(message.pattern, message.client_id):
+            # Never held (clients send Unsubscribe unconditionally):
+            # nothing changed, so nothing to withdraw or re-summarize.
+            return
+        if self._member_interest is not None:
+            self._member_interest.remove(message.pattern)
         if (
             not self._has_local_interest(message.pattern)
             and message.pattern not in self._proxied
@@ -1023,10 +1036,11 @@ class Broker:
         if record is None:
             return
         if record.outbox is not None:
-            self._outbox_overflows_closed += record.outbox.overflows
             record.outbox.close()
         for pattern in self._local_subs.patterns_for(client_id):
             self._local_subs.remove(pattern, client_id)
+            if self._member_interest is not None:
+                self._member_interest.remove(pattern)
             if (
                 not self._has_local_interest(pattern)
                 and pattern not in self._proxied
@@ -1791,6 +1805,13 @@ class Broker:
             # advert storm (each re-flood evicts more live ids, whose
             # echoes then also read as new).
             return
+        if self._member_interest is not None:
+            # SubAdverts never cross a cluster boundary, so the origin is
+            # one of our members — not a foreign install.
+            if advert.add:
+                self._member_interest.add(advert.pattern)
+            else:
+                self._member_interest.remove(advert.pattern)
         # Reflood to everyone except the peer it arrived from — sending
         # it back is pure waste (the sender already deduplicates it).
         self._flood_advert(advert, skip_peer=from_peer)
@@ -2360,12 +2381,7 @@ class Broker:
         interest summary.  Active gateway only."""
         if self._active_gateway != self.broker_id:
             return
-        patterns = set(self._local_subs.all_patterns())
-        foreign = self._foreign_origins()
-        for origin in set(self._remote_interest.values()):
-            if origin in foreign:
-                continue  # foreign installs are not member interest
-            patterns.update(self._remote_interest.patterns_for(origin))
+        patterns = self._member_interest
         budget = INTEREST_SUMMARY_BUDGET
         if self._summary_collapsed:
             # Hysteresis: a cluster hovering at the budget must not flap
@@ -2373,7 +2389,7 @@ class Broker:
             # churn transient — stay collapsed until interest genuinely
             # narrows.
             budget //= SUMMARY_COLLAPSE_RELEASE
-        summary = summarize_patterns(patterns, budget)
+        summary = patterns.summary(budget)
         if summary == self._last_summary:
             return
         self._summary_collapsed = len(summary) < len(patterns)
@@ -2483,7 +2499,6 @@ class Broker:
             self._peer_hb_timer = None
         for record in list(self._clients.values()):
             if record.outbox is not None:
-                self._outbox_overflows_closed += record.outbox.overflows
                 record.outbox.close()
         self._clients.clear()
         self._udp.close()

@@ -22,6 +22,20 @@ from repro.broker.event import NBEvent
 from repro.simnet.kernel import Simulator, Timer
 
 
+class OutboxTally:
+    """Running totals over a set of :class:`ReliableOutbox` es: events
+    currently pending, and overflow evictions ever (closed outboxes
+    included).  Each outbox adjusts the tally it was given wherever its
+    own pending store changes, so the owner reads the aggregate in O(1)
+    instead of visiting every outbox."""
+
+    __slots__ = ("pending", "overflows")
+
+    def __init__(self) -> None:
+        self.pending = 0
+        self.overflows = 0
+
+
 class ReliableOutbox:
     """Broker-side per-client store of unacknowledged reliable events.
 
@@ -39,6 +53,9 @@ class ReliableOutbox:
     and newer media supersedes it) and ``overflows`` counts the
     eviction.  Overflow abandons do **not** fire ``on_abandon``: the
     link is congested, not dead.
+
+    ``tally`` is the owner's :class:`OutboxTally` shared by its
+    outboxes (a private one when not given).
     """
 
     __slots__ = (
@@ -50,6 +67,7 @@ class ReliableOutbox:
         "max_pending",
         "on_abandon",
         "_pending",
+        "_tally",
         "retransmissions",
         "abandoned",
         "overflows",
@@ -64,6 +82,7 @@ class ReliableOutbox:
         max_retries: int = 8,
         max_pending: int = 2048,
         on_abandon: Optional[Callable[[NBEvent], None]] = None,
+        tally: Optional[OutboxTally] = None,
     ):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
@@ -75,6 +94,7 @@ class ReliableOutbox:
         self.max_pending = max_pending
         self.on_abandon = on_abandon
         self._pending: Dict[int, Tuple[NBEvent, Timer, int]] = {}
+        self._tally = tally if tally is not None else OutboxTally()
         self.retransmissions = 0
         self.abandoned = 0
         self.overflows = 0
@@ -90,21 +110,26 @@ class ReliableOutbox:
 
     def send(self, event: NBEvent) -> None:
         """Transmit and track until acknowledged."""
-        if len(self._pending) >= self.max_pending:
+        pending, tally = self._pending, self._tally
+        held = len(pending)
+        if held >= self.max_pending:
             # Dict preserves insertion order, so the first key is the
             # oldest still-unacknowledged event.
-            oldest_id = next(iter(self._pending))
-            _event, timer, _retries = self._pending.pop(oldest_id)
+            oldest_id = next(iter(pending))
+            _event, timer, _retries = pending.pop(oldest_id)
             timer.cancel()
             self.overflows += 1
+            tally.overflows += 1
         self._send(event)
         timer = self.sim.schedule(self._interval(0), self._resend, event.event_id)
-        self._pending[event.event_id] = (event, timer, 0)
+        pending[event.event_id] = (event, timer, 0)
+        tally.pending += len(pending) - held
 
     def ack(self, event_id: int) -> None:
         entry = self._pending.pop(event_id, None)
         if entry is not None:
             entry[1].cancel()
+            self._tally.pending -= 1
 
     def _resend(self, event_id: int) -> None:
         entry = self._pending.pop(event_id, None)
@@ -113,6 +138,7 @@ class ReliableOutbox:
         event, _timer, retries = entry
         if retries >= self.max_retries:
             self.abandoned += 1
+            self._tally.pending -= 1
             if self.on_abandon is not None:
                 self.on_abandon(event)
             return
@@ -126,7 +152,11 @@ class ReliableOutbox:
     def close(self) -> None:
         for _event, timer, _retries in self._pending.values():
             timer.cancel()
+        self._tally.pending -= len(self._pending)
         self._pending.clear()
+        # A send already queued on the broker's CPU when the client was
+        # dropped still runs; it must not count against the owner.
+        self._tally = OutboxTally()
 
 
 class ReliableInbox:

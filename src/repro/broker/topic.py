@@ -29,7 +29,7 @@ def split_topic(topic: str) -> List[str]:
     if not topic.startswith("/") or topic == "/":
         raise TopicError(f"topic must start with '/': {topic!r}")
     segments = topic[1:].split("/")
-    if any(segment == "" for segment in segments):
+    if "" in segments:
         raise TopicError(f"empty segment in topic {topic!r}")
     return segments
 
@@ -86,38 +86,112 @@ def match_topic(pattern: str, topic: str) -> bool:
     return match_compiled(compile_pattern(pattern), topic)
 
 
-def summarize_patterns(
-    patterns, budget: int = 64
-) -> Tuple[str, ...]:
-    """Prefix-collapse a pattern set to at most ``budget`` patterns.
+def _truncations(segments: List[str]) -> List[Tuple[int, str]]:
+    """``(depth, "/first/depth/segments/#")`` for every depth at which a
+    pattern of these segments would be truncated."""
+    return [
+        (depth, "/" + "/".join(segments[:depth]) + "/" + MULTI)
+        for depth in range(1, len(segments))
+    ]
+
+
+class PatternSummary:
+    """A refcounted pattern set whose prefix-collapsed summary is read,
+    not recomputed.
 
     The cluster tier exports one aggregated interest summary per cluster
     instead of per-topic adverts.  The summary must *over*-approximate
     (a false positive costs one wasted inter-cluster forward that the
     entry gateway drops; a false negative loses events), so collapsing
-    always widens: patterns deeper than the current depth cap are
-    truncated and terminated with ``#``, and the cap shrinks until the
-    set fits.  Deterministic — same input set, same summary — which the
-    epoch-diffed :class:`~repro.broker.links.ClusterInterestAdvert`
-    withdrawal logic relies on.
+    always widens: at depth ``d`` every pattern longer than ``d``
+    segments is truncated to its first ``d`` and terminated with ``#``,
+    and the summary is the deepest such collapse that fits the budget.
+    Deterministic — same set, same summary — which the epoch-diffed
+    :class:`~repro.broker.links.ClusterInterestAdvert` withdrawal logic
+    relies on.
+
+    A truncation at depth ``d`` has ``d + 1`` segments and a kept
+    pattern at most ``d``, so the two never coincide and the collapsed
+    size at ``d`` is ``#{patterns of <= d segments} + #{distinct depth-d
+    truncations}``.  Both terms are maintained per :meth:`add` /
+    :meth:`remove` in O(pattern depth); :meth:`summary` walks depths
+    downward over those counts and emits at most ``budget`` strings.
     """
-    summary = sorted(set(patterns))
-    if len(summary) <= budget:
-        return tuple(summary)
-    depth = max(len(split_topic(pattern)) for pattern in summary)
-    while len(summary) > budget and depth > 1:
-        depth -= 1
-        collapsed = set()
-        for pattern in summary:
-            segments = split_topic(pattern)
-            if len(segments) > depth:
-                collapsed.add("/" + "/".join(segments[:depth] + [MULTI]))
+
+    __slots__ = ("_refs", "_by_length", "_truncations")
+
+    def __init__(self) -> None:
+        # pattern -> number of holders (clients / advertising brokers).
+        self._refs: Dict[str, int] = {}
+        # segment count -> the distinct patterns of that length.
+        self._by_length: Dict[int, Set[str]] = {}
+        # depth -> {"/first/d/segments/#": distinct longer patterns under it}
+        self._truncations: Dict[int, Dict[str, int]] = {}
+
+    def __len__(self) -> int:
+        """Distinct patterns held."""
+        return len(self._refs)
+
+    def patterns(self) -> Set[str]:
+        return set(self._refs)
+
+    def add(self, pattern: str) -> None:
+        """Count one more holder of ``pattern``."""
+        refs = self._refs.get(pattern, 0)
+        self._refs[pattern] = refs + 1
+        if refs:
+            return
+        segments = split_topic(pattern)
+        self._by_length.setdefault(len(segments), set()).add(pattern)
+        for depth, truncation in _truncations(segments):
+            counts = self._truncations.setdefault(depth, {})
+            counts[truncation] = counts.get(truncation, 0) + 1
+
+    def remove(self, pattern: str) -> None:
+        """Count one holder of ``pattern`` fewer (``KeyError`` if none)."""
+        refs = self._refs[pattern] - 1
+        if refs:
+            self._refs[pattern] = refs
+            return
+        del self._refs[pattern]
+        segments = split_topic(pattern)
+        same_length = self._by_length[len(segments)]
+        same_length.remove(pattern)
+        if not same_length:
+            del self._by_length[len(segments)]
+        for depth, truncation in _truncations(segments):
+            counts = self._truncations[depth]
+            if counts[truncation] == 1:
+                del counts[truncation]
             else:
-                collapsed.add(pattern)
-        summary = sorted(collapsed)
-    if len(summary) > budget:
+                counts[truncation] -= 1
+
+    def summary(self, budget: int) -> Tuple[str, ...]:
+        """The held set collapsed to at most ``budget`` patterns, sorted."""
+        if len(self._refs) <= budget:
+            return tuple(sorted(self._refs))
+        kept = len(self._refs)
+        depth = max(self._by_length)
+        while depth > 1:
+            kept -= len(self._by_length.get(depth, ()))
+            depth -= 1
+            truncated = self._truncations[depth]
+            if kept + len(truncated) <= budget:
+                collapsed = list(truncated)
+                for length, patterns in self._by_length.items():
+                    if length <= depth:
+                        collapsed.extend(patterns)
+                return tuple(sorted(collapsed))
         return ("/" + MULTI,)  # degenerate: everything
-    return tuple(summary)
+
+
+def summarize_patterns(patterns, budget: int = 64) -> Tuple[str, ...]:
+    """Prefix-collapse a pattern set to at most ``budget`` patterns —
+    the from-scratch form of :class:`PatternSummary`."""
+    held = PatternSummary()
+    for pattern in patterns:
+        held.add(pattern)
+    return held.summary(budget)
 
 
 class _TrieNode(Generic[T]):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetwork
+from repro.broker import Broker, BrokerClient, BrokerNetwork
 from repro.broker.links import SubAdvert
 
-from tests.broker.conftest import make_client
+from tests.broker.conftest import assert_maintained_state, make_client
 
 
 def connected_client(net, sim, broker, name):
@@ -198,3 +198,79 @@ def test_crash_keeps_outbox_overflows_monotone(net, sim):
     assert broker.statistics()["outbox_overflows"] == 5
     bnet.crash_broker("b0")
     assert broker.statistics()["outbox_overflows"] == 5
+
+
+def test_outbox_depth_tally_survives_client_churn(net, sim):
+    """``_outbox_depth()`` is a tally the outboxes keep, not a scan: it
+    must equal the per-client sum after overflow eviction, a client
+    reconnecting over its old record, an outbox abandon and a crash."""
+    bnet = BrokerNetwork.single(net, "b0")
+    broker = bnet.broker("b0")
+    publisher = connected_client(net, sim, broker, "pub")
+    subscribers = [
+        connected_client(net, sim, broker, f"sub-{n}") for n in range(3)
+    ]
+    for subscriber in subscribers:
+        subscriber.subscribe("/t", lambda e: None)
+    sim.run_for(1.0)
+
+    def burst(count):
+        for index in range(count):
+            publisher.publish("/t", index, 100, reliable=True)
+        sim.run_for(0.2)
+
+    burst(5)
+    sim.run_for(1.0)
+    assert broker._outbox_depth() == 0  # everything acknowledged
+    for subscriber in subscribers:  # all three stop acking
+        net.set_path_blocked("b0", subscriber.client_id, True)
+    broker._clients["sub-0"].outbox.max_pending = 3
+    burst(8)
+    assert broker._outbox_depth() == 3 + 8 + 8
+    assert broker.statistics()["outbox_overflows"] == 5
+    assert_maintained_state([broker])
+
+    net.set_path_blocked("b0", "sub-1", False)
+    subscribers[1].reconnect(broker)  # replaces a record holding 8 pending
+    sim.run_for(1.0)
+    assert broker._outbox_depth() == 3 + 8
+    assert_maintained_state([broker])
+    burst(2)
+    assert broker._outbox_depth() == 3 + 10  # sub-1 acks again
+    assert broker.statistics()["outbox_overflows"] == 7  # sub-0 evicted two more
+    assert_maintained_state([broker])
+
+    sim.run_for(20.0)  # retries exhaust: sub-0 and sub-2 are dropped
+    assert broker.outbox_abandons == 2
+    assert broker.client_ids() == ["pub", "sub-1"]
+    assert broker._outbox_depth() == 0
+    assert_maintained_state([broker])
+
+    net.set_path_blocked("b0", "sub-1", True)
+    burst(4)
+    assert broker._outbox_depth() == 4
+    bnet.crash_broker("b0")
+    assert broker._outbox_depth() == 0
+    assert broker.statistics()["outbox_overflows"] == 7  # closed outboxes count
+    assert_maintained_state([broker])
+
+
+def test_outbox_depth_tally_survives_reaping(net, sim):
+    broker = Broker(
+        net.create_host("broker-host"), broker_id="b0", reap_timeout_s=1.0
+    )
+    publisher = connected_client(net, sim, broker, "pub")
+    publisher.start_keepalive(0.25)
+    victim = connected_client(net, sim, broker, "victim")
+    victim.subscribe("/t", lambda e: None)
+    sim.run_for(0.2)
+    net.set_path_blocked("broker-host", "victim", True)
+    for index in range(6):
+        publisher.publish("/t", index, 100, reliable=True)
+    sim.run_for(0.2)
+    assert broker._outbox_depth() == 6
+    sim.run_for(3.0)  # the silent victim is reaped with six pending
+    assert broker.clients_reaped == 1
+    assert broker.client_ids() == ["pub"]
+    assert broker._outbox_depth() == 0
+    assert_maintained_state([broker])

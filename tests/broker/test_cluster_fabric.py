@@ -15,7 +15,7 @@ from repro.broker import BrokerNetwork
 from repro.broker.broker import _DedupWindow
 from repro.broker.links import SubAdvert
 
-from .conftest import make_client
+from .conftest import assert_maintained_state, make_client
 
 FAST = dict(peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
 
@@ -141,6 +141,108 @@ class TestSummaryHysteresis:
         assert gateway._summary_collapsed
         assert gateway._last_summary == ("/edge/a/#",)
         assert gateway._cluster_interest.epoch - epoch_before <= 2
+
+
+class TestStrayUnsubscribe:
+    def test_unheld_unsubscribe_changes_nothing(self, sim, net):
+        """``BrokerClient.unsubscribe`` sends an Unsubscribe whether or
+        not the pattern was ever subscribed.  The broker must absorb a
+        no-op: it used to flood a ``SubAdvert(add=False)`` to every
+        cluster member and schedule a summary refresh."""
+        bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
+        sim.run_for(20.0)
+        edge = bnet.broker("broker-c0-2")
+        client = make_client(net, sim, edge, "stray")
+
+        def control_messages():
+            return {b.broker_id: b.control_messages for b in bnet.brokers()}
+
+        # Digest anti-entropy keeps the counters ticking at a fixed
+        # rate, so compare two windows of the same length.
+        start = control_messages()
+        sim.run_for(3.0)
+        quiet = control_messages()
+        client.unsubscribe("/never/held")
+        sim.run_for(3.0)
+        after = control_messages()
+        for broker_id in start:
+            heard = 1 if broker_id == edge.broker_id else 0  # the message itself
+            assert (
+                after[broker_id] - quiet[broker_id]
+                == quiet[broker_id] - start[broker_id] + heard
+            ), broker_id
+        assert not bnet.broker("broker-c0-0")._summary_pending
+        assert_maintained_state(bnet.brokers())
+
+
+class TestMaintainedInterest:
+    """The gateway's incrementally tracked member interest equals the
+    from-scratch ``_local_subs ∪ non-foreign _remote_interest`` through
+    faults, on active and standby gateways alike."""
+
+    def churn(self, net, sim, bnet, tag, count=40):
+        """Subscribe ``count`` patterns (enough to collapse) across a
+        member, the standby and whichever gateway is up; drop half."""
+        clients = []
+        for index, name in enumerate(("broker-c0-2", "broker-c0-1", "broker-c1-0")):
+            client = make_client(net, sim, bnet.broker(name), f"{tag}-{index}")
+            for n in range(count):
+                client.subscribe(f"/{tag}/room-{n % 7}/m{n}", lambda event: None)
+            client.subscribe("/shared/#", lambda event: None)
+            clients.append(client)
+        sim.run_for(3.0)
+        for client in clients:
+            for n in range(0, count, 2):
+                client.unsubscribe(f"/{tag}/room-{n % 7}/m{n}")
+            client.unsubscribe("/not/held")
+        sim.run_for(3.0)
+        return clients
+
+    def test_crash_takeover_heal_demotion(self, sim, net):
+        bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
+        sim.run_for(20.0)
+        lost = make_client(net, sim, bnet.broker("broker-c0-0"), "lost")
+        lost.subscribe("/lost/with/gateway", lambda event: None)
+        before = self.churn(net, sim, bnet, "before")
+        standby = bnet.broker("broker-c0-1")
+        assert standby._active_gateway == "broker-c0-0"
+        assert standby._member_interest.patterns() >= {"/lost/with/gateway"}
+        assert_maintained_state(bnet.brokers())
+
+        bnet.crash_broker("broker-c0-0")
+        sim.run_for(15.0)
+        assert standby._active_gateway == standby.broker_id
+        assert standby._summary_collapsed  # read off the shadow set, no rebuild
+        assert_maintained_state(bnet.brokers())
+        during = self.churn(net, sim, bnet, "during")
+        assert_maintained_state(bnet.brokers())
+
+        healed = bnet.restart_broker("broker-c0-0")
+        sim.run_for(15.0)
+        assert standby._active_gateway == "broker-c0-0"  # demoted
+        assert healed.is_active_gateway
+        assert_maintained_state(bnet.brokers())
+        for client in before + during:
+            client.disconnect()
+        sim.run_for(5.0)
+        assert_maintained_state(bnet.brokers())
+        assert healed._member_interest.patterns() == set()
+        assert healed._last_summary == ()
+
+    def test_geo_regional_cut_and_heal(self, sim, net):
+        """Geo mode retains unreachable brokers' interest (no purge):
+        the tracked set must retain exactly the same entries."""
+        bnet = BrokerNetwork.clustered(net, [3, 3], regions=["us", "eu"], **FAST)
+        net.set_region_latency("us", "eu", 0.045)
+        sim.run_for(20.0)
+        self.churn(net, sim, bnet, "before")
+        bnet.partition_regions("us", "eu")
+        sim.run_for(10.0)
+        self.churn(net, sim, bnet, "cut")
+        assert_maintained_state(bnet.brokers())
+        bnet.heal()
+        sim.run_for(15.0)
+        assert_maintained_state(bnet.brokers())
 
 
 def converge(sim, seconds=20.0):

@@ -24,6 +24,8 @@ from repro.simnet.link import LinkProfile
 from repro.simnet.network import Network
 from repro.simnet.rng import SeededStreams
 
+from .conftest import assert_maintained_state
+
 #: Enough jitter + loss that RNG draw order differences would show.
 FLAKY = LinkProfile(
     bandwidth_bps=10e6, latency_s=0.003, jitter_s=0.002, loss_rate=0.02
@@ -225,7 +227,7 @@ def test_chaos_ring_is_deterministic():
     assert chaos_ring_trace() == chaos_ring_trace()
 
 
-def geo_mesh_trace():
+def geo_mesh_trace(inspect=None):
     """A seeded geo run: two regions with WAN latency/loss between them,
     cost-carrying LSAs, and an ordered topic crossing the ocean."""
     sim = Simulator()
@@ -256,6 +258,8 @@ def geo_mesh_trace():
         )
     sim.run(until=6.0)
     assert trace
+    if inspect is not None:
+        inspect(collection)
     return normalize(trace, id_field=0)
 
 
@@ -265,7 +269,7 @@ def test_geo_mode_is_deterministic():
     assert geo_mesh_trace() == geo_mesh_trace()
 
 
-def clustered_trace():
+def clustered_trace(inspect=None):
     """One seeded cross-cluster workload through the full cluster tier."""
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
@@ -289,6 +293,8 @@ def clustered_trace():
         )
     sim.run(until=25.0)
     assert trace
+    if inspect is not None:
+        inspect(collection)
     return normalize(trace, id_field=0)
 
 
@@ -308,7 +314,7 @@ def test_tracer_auto_degrade_is_inert_below_watermarks():
     assert enabled == disabled
 
 
-def telemetry_clustered_trace():
+def telemetry_clustered_trace(inspect=None):
     """A clustered workload with the full telemetry plane attached;
     returns both the data-plane delivery trace and a telemetry-plane
     signature (what the console computed)."""
@@ -336,6 +342,8 @@ def telemetry_clustered_trace():
         )
     sim.run(until=25.0)
     assert trace
+    if inspect is not None:
+        inspect(collection)
     fleet = plane.fleet
     signature = (
         fleet.summaries_received,
@@ -371,6 +379,18 @@ def test_trace_matches_golden_digest(scenario):
     of each canonical scenario hashes to the digest recorded under
     ``tests/golden/`` — across runs, interpreters and hash seeds."""
     assert trace_digest(GOLDEN_SCENARIOS[scenario]()) == GOLDEN[scenario]
+
+
+@pytest.mark.parametrize(
+    "scenario", [clustered_trace, geo_mesh_trace, telemetry_clustered_trace]
+)
+def test_maintained_state_matches_from_scratch_after_scenario(scenario):
+    """At the end of the clustered and geo golden scenarios, what the
+    brokers keep incrementally (gateway member interest, outbox tally)
+    equals what a from-scratch scan derives — standbys included."""
+    scenario(
+        inspect=lambda collection: assert_maintained_state(collection.brokers())
+    )
 
 
 def test_shared_payload_mutation_is_detected():

@@ -335,6 +335,42 @@ def test_outbox_overflow_drops_oldest_without_abandon_callback():
     assert len(sent) == 5
 
 
+def test_outboxes_keep_a_shared_tally():
+    """Every path that changes an outbox's pending store adjusts the
+    owner's tally by the same amount; overflows outlive the outbox."""
+    from repro.broker.event import NBEvent
+    from repro.broker.reliable import OutboxTally, ReliableOutbox
+
+    sim = Simulator()
+    tally = OutboxTally()
+    options = dict(resend_interval_s=0.1, max_retries=2, tally=tally)
+    first = ReliableOutbox(sim, lambda event: None, max_pending=3, **options)
+    second = ReliableOutbox(sim, lambda event: None, **options)
+
+    def pending():
+        return first.pending_count + second.pending_count
+
+    events = [NBEvent("/t", n, 10, reliable=True) for n in range(6)]
+    for event in events[:5]:
+        first.send(event)  # two overflow evictions: depth stays 3
+    second.send(events[5])
+    second.send(events[5])  # same id again: still one entry
+    assert (tally.pending, tally.overflows) == (pending(), 2) == (4, 2)
+    first.ack(events[4].event_id)
+    first.ack(events[4].event_id)  # duplicate ack: no-op
+    first.ack(events[0].event_id)  # evicted long ago: no-op
+    assert tally.pending == pending() == 3
+    sim.run_for(0.15)  # one retransmission each: nothing leaves
+    assert first.retransmissions == 2 and tally.pending == pending() == 3
+    first.close()
+    assert tally.pending == pending() == 1
+    first.send(events[0])  # queued before the close, run after it
+    assert tally.pending == 1 and first.pending_count == 1
+    sim.run_for(5.0)  # retries exhausted everywhere
+    assert second.abandoned == 1
+    assert (tally.pending, tally.overflows) == (0, 2)
+
+
 def test_outbox_max_pending_validated():
     from repro.broker.reliable import ReliableOutbox
 

@@ -1,13 +1,18 @@
 """Tests for topic validation and wildcard matching."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.broker.topic import (
+    PatternSummary,
     TopicError,
     TopicTrie,
     compile_pattern,
     match_compiled,
     match_topic,
+    summarize_patterns,
     validate_pattern,
     validate_topic,
 )
@@ -245,3 +250,122 @@ class TestReverseIndex:
         trie.add("/c", "s")
         trie.remove_value("s")
         assert trie.generation == generation + 6
+
+
+class TestSummarizePatterns:
+    def test_under_budget_is_sorted_passthrough(self):
+        patterns = ["/b/y", "/a/x/1", "/a/*", "/c/#"]
+        assert summarize_patterns(patterns, 4) == (
+            "/a/*", "/a/x/1", "/b/y", "/c/#",
+        )
+        assert summarize_patterns(patterns + ["/b/y"], 4) == (
+            "/a/*", "/a/x/1", "/b/y", "/c/#",
+        )
+        assert summarize_patterns([], 4) == ()
+
+    def test_over_budget_collapses_to_deepest_fitting_depth(self):
+        patterns = [f"/s/{room}/{kind}" for room in "abc" for kind in ("au", "vi")]
+        # Depth 2 already fits three: nothing is widened further.
+        assert summarize_patterns(patterns, 3) == ("/s/a/#", "/s/b/#", "/s/c/#")
+        assert summarize_patterns(patterns, 5) == ("/s/a/#", "/s/b/#", "/s/c/#")
+        assert summarize_patterns(patterns, 2) == ("/s/#",)
+        assert summarize_patterns(patterns, 6) == tuple(sorted(patterns))
+
+    def test_shorter_patterns_survive_a_deeper_collapse(self):
+        patterns = ["/x", "/s/a/1", "/s/a/2", "/s/b/1"]
+        assert summarize_patterns(patterns, 3) == ("/s/a/#", "/s/b/#", "/x")
+        assert summarize_patterns(patterns, 2) == ("/s/#", "/x")
+
+    def test_star_is_an_ordinary_segment(self):
+        patterns = ["/s/*/au", "/s/*/vi", "/s/a/au"]
+        assert summarize_patterns(patterns, 2) == ("/s/*/#", "/s/a/#")
+
+    def test_pattern_already_ending_in_multi(self):
+        # "/s/a/#" is its own depth-2 truncation and merges with its
+        # siblings' instead of counting twice.
+        patterns = ["/s/a/#", "/s/a/1", "/s/a/2", "/s/b/1"]
+        assert summarize_patterns(patterns, 2) == ("/s/a/#", "/s/b/#")
+        # At depth 1 a two-segment "/t/#" is kept as it is.
+        assert summarize_patterns(patterns + ["/t/#"], 2) == ("/s/#", "/t/#")
+
+    def test_single_segment_patterns_cannot_collapse(self):
+        assert summarize_patterns(["/a", "/b", "/c"], 3) == ("/a", "/b", "/c")
+        assert summarize_patterns(["/a", "/b", "/c"], 2) == ("/#",)
+
+    def test_degenerate_everything(self):
+        patterns = [f"/{top}/x" for top in "abcde"]
+        assert summarize_patterns(patterns, 4) == ("/#",)
+
+    def test_hysteresis_budget(self):
+        """The gateway halves its budget once collapsed (``16 // 2``):
+        nine siblings over budget 8 stay collapsed, eight fit again."""
+        patterns = [f"/edge/a/t{n}" for n in range(9)]
+        assert summarize_patterns(patterns, 16) == tuple(sorted(patterns))
+        assert summarize_patterns(patterns, 16 // 2) == ("/edge/a/#",)
+        assert summarize_patterns(patterns[:8], 16 // 2) == tuple(patterns[:8])
+
+    def test_remove_of_unheld_pattern_raises(self):
+        held = PatternSummary()
+        held.add("/a/b")
+        held.remove("/a/b")
+        with pytest.raises(KeyError):
+            held.remove("/a/b")
+        assert len(held) == 0 and held.summary(1) == ()
+
+
+def brute_force_summary(patterns, budget):
+    """The collapse rule, spelled out: deepest depth whose widening fits."""
+    split = {pattern: pattern[1:].split("/") for pattern in patterns}
+    for depth in range(max(map(len, split.values()), default=1), 0, -1):
+        widened = {p if len(s) <= depth else "/" + "/".join(s[:depth] + ["#"])
+                   for p, s in split.items()}
+        if len(widened) <= budget:
+            return tuple(sorted(widened))
+    return ("/#",)
+
+
+SEGMENTS = st.sampled_from(["a", "b", "c", "*"])
+PATTERNS = st.builds(
+    lambda body, multi: "/" + "/".join(body + ["#"] * multi),
+    st.lists(SEGMENTS, min_size=1, max_size=4),
+    st.booleans(),
+) | st.just("/#")
+
+
+class PatternSummaryMachine(RuleBasedStateMachine):
+    """Random add/remove sequences: the incrementally kept summary equals
+    the brute-force collapse of the surviving set, for every budget."""
+
+    def __init__(self):
+        super().__init__()
+        self.summary = PatternSummary()
+        self.holders = {}
+
+    @rule(pattern=PATTERNS)
+    def add(self, pattern):
+        self.summary.add(pattern)
+        self.holders[pattern] = self.holders.get(pattern, 0) + 1
+
+    @precondition(lambda self: self.holders)
+    @rule(data=st.data())
+    def remove(self, data):
+        pattern = data.draw(st.sampled_from(sorted(self.holders)))
+        self.summary.remove(pattern)
+        self.holders[pattern] -= 1
+        if not self.holders[pattern]:
+            del self.holders[pattern]
+
+    @invariant()
+    def matches_brute_force(self):
+        assert self.summary.patterns() == set(self.holders)
+        assert len(self.summary) == len(self.holders)
+        for budget in range(1, 17):
+            expected = brute_force_summary(self.holders, budget)
+            assert self.summary.summary(budget) == expected
+            assert summarize_patterns(self.holders, budget) == expected
+
+
+PatternSummaryMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestPatternSummaryMachine = PatternSummaryMachine.TestCase
