@@ -17,7 +17,7 @@ clients, and the H.323/SIP gateways re-establish their bridges.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.event import NBEvent
@@ -58,6 +58,9 @@ EventHandler = Callable[[NBEvent], None]
 CONTROL_RETRY_S = 0.5
 MAX_CONTROL_RETRIES = 20
 
+#: Distinct topics a client's dispatch memo holds before it starts over.
+DISPATCH_MEMO_TOPICS = 256
+
 #: Default keepalive probe cadence once enabled.
 KEEPALIVE_INTERVAL_S = 1.0
 #: Consecutive unacknowledged probes before the link is declared dead.
@@ -97,6 +100,10 @@ class BrokerClient:
         ] = None
         self._transport: Optional[ClientTransport] = None
         self._handlers: List[Tuple[str, Tuple[str, ...], EventHandler]] = []
+        # topic -> handlers matching it; valid only while ``_handlers`` is
+        # the list object ``_memo_of`` at length ``_memo_len``.
+        self._memo: Dict[str, List[EventHandler]] = {}
+        self._memo_of, self._memo_len = self._handlers, 0
         self._pending: List[Tuple[Any, int]] = []
         self._on_connected: Optional[Callable[["BrokerClient"], None]] = None
         self._reliable_inbox = ReliableInbox()
@@ -562,12 +569,31 @@ class BrokerClient:
         if self._receive_latency is not None and not internal_topic(event.topic):
             self._receive_latency.observe(self.sim.now - event.published_at)
         handlers = self._handlers
-        if handlers:
-            # Split once per event, not once per handler pattern.
-            topic_segments = event.topic[1:].split("/")
+        count = len(handlers)
+        if handlers is not self._memo_of or count != self._memo_len:
+            # subscribe appended, or unsubscribe rebound, since it was built
+            self._memo, self._memo_of, self._memo_len = {}, handlers, count
+        topic = event.topic
+        matched = self._memo.get(topic)
+        if matched is None:
+            if len(self._memo) >= DISPATCH_MEMO_TOPICS:
+                self._memo.clear()
+            # Split once per topic, not once per handler pattern.
+            topic_segments = topic[1:].split("/")
+            matched = self._memo[topic] = []
             for _pattern, compiled, handler in handlers:
                 if match_segments(compiled, topic_segments):
-                    handler(event)
+                    matched.append(handler)
+        for handler in matched:
+            handler(event)
+        # A handler subscribed during this walk was appended to the list
+        # being walked and sees the current event; an unsubscribe rebound
+        # ``self._handlers`` and left this walk alone.
+        while count < len(handlers):
+            _pattern, compiled, handler = handlers[count]
+            count += 1
+            if match_segments(compiled, topic[1:].split("/")):
+                handler(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.connected else "down"

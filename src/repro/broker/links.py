@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, FrozenSet, Optional
 from repro.broker.event import NBEvent
 from repro.simnet.firewall import TunnelClient
 from repro.simnet.node import Host
-from repro.simnet.packet import Address
+from repro.simnet.packet import Address, Datagram
 from repro.simnet.tcp import TcpConnection, tcp_connect
 from repro.simnet.transport import UDP_HEADER_BYTES
 from repro.simnet.udp import UdpSocket
@@ -514,11 +514,22 @@ class UdpClientLink(ClientLink):
         socket = self._socket
         if socket.closed:
             return  # broker crashed between scheduling and sending
-        # Inlined socket.sendto: one fewer frame on the dominant fan-out
-        # path, same accounting.
+        # Inlined socket.sendto: one fewer frame, same accounting.
         socket.sent_packets += 1
         socket.host.send(
             socket.port, self.client_address, message, size + UDP_HEADER_BYTES
+        )
+
+    def send_sized(self, delivery: "EventDelivery", size: int) -> None:
+        # Fan-out path: _transmit folded in, one frame from CPU to Host.send.
+        self.events_sent += 1
+        self.bytes_sent += size
+        socket = self._socket
+        if socket.closed:
+            return
+        socket.sent_packets += 1
+        socket.host.send(
+            socket.port, self.client_address, delivery, size + UDP_HEADER_BYTES
         )
 
 
@@ -604,9 +615,10 @@ class UdpClientTransport(ClientTransport):
 
     def __init__(self, host: Host, broker_udp: Address):
         super().__init__()
-        self._socket = UdpSocket(host)
+        self._socket = socket = UdpSocket(host)
         self._broker = broker_udp
-        self._socket.on_receive(self._on_datagram)
+        # Take the port over from the socket: one frame from CPU to on_message.
+        host.rebind(socket.port, self._on_datagram)
 
     def start(self) -> None:
         if self.on_ready is not None:
@@ -620,9 +632,13 @@ class UdpClientTransport(ClientTransport):
             return
         self._socket.sendto(message, size, self._broker)
 
-    def _on_datagram(self, payload: Any, src: Address, datagram: Any) -> None:
+    def _on_datagram(self, datagram: Datagram) -> None:
+        socket = self._socket
+        if socket.closed:
+            return
+        socket.received_packets += 1
         if self.on_message is not None:
-            self.on_message(payload)
+            self.on_message(datagram.payload)
 
     def close(self) -> None:
         self._socket.close()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -45,6 +45,8 @@ class ChaosSchedule:
         self.sim = self.network.sim
         self.rng = random.Random(seed)
         self.log: List[ChaosEvent] = []
+        #: host -> (pristine link, loss rates of its active bursts)
+        self._loss_bursts: Dict[str, Tuple[Any, List[float]]] = {}
 
     def _fire(self, kind: str, detail: str, action, *args) -> None:
         action(*args)
@@ -219,14 +221,22 @@ class ChaosSchedule:
     def loss_burst(
         self, at: float, host_name: str, duration: float, loss_rate: float = 0.2
     ) -> None:
-        """Degrade one host's access link to ``loss_rate`` for ``duration``."""
+        """Degrade one host's access link to ``loss_rate`` for ``duration``.
+        Bursts on one host may overlap: the latest-begun active one sets
+        the rate and the end of the last restores the pristine profile."""
         def begin() -> None:
             host = self.network.host(host_name)
-            original = host.link
-            host.link = replace(original, loss_rate=loss_rate)
+            pristine, rates = self._loss_bursts.setdefault(host_name, (host.link, []))
+            rates.append(loss_rate)
+            host.link = replace(pristine, loss_rate=loss_rate)
 
             def end() -> None:
-                host.link = original
+                rates.remove(loss_rate)
+                if rates:
+                    host.link = replace(pristine, loss_rate=rates[-1])
+                else:
+                    del self._loss_bursts[host_name]
+                    host.link = pristine
             self.sim.schedule(
                 duration, self._fire, "loss-burst-end", host_name, end
             )

@@ -87,7 +87,7 @@ class Cpu:
             # the deque — the dominant case in steady-state fan-out.
             self._busy = True
             self.busy_time += cost_s
-            self.sim.schedule(cost_s, self._complete, fn, args)
+            self.sim.post(cost_s, self._complete, (fn, args))
 
     def execute_traced(
         self, cost_s: float, fn: Callable[..., Any], *args: Any, hop: Any
@@ -128,23 +128,14 @@ class Cpu:
             self.gc_pause_time += pause
             self.execute(pause, lambda: None)
 
-    def _service_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        cost_s, fn, args = self._queue.popleft()
-        self.busy_time += cost_s
-        self.sim.schedule(cost_s, self._complete, fn, args)
-
     def _complete(self, fn: Callable[..., Any], args: tuple) -> None:
         self.tasks_executed += 1
         fn(*args)
-        # Inlined _service_next: one fewer Python frame per completed task.
         queue = self._queue
         if queue:
             cost_s, next_fn, next_args = queue.popleft()
             self.busy_time += cost_s
-            self.sim.schedule(cost_s, self._complete, next_fn, next_args)
+            self.sim.post(cost_s, self._complete, (next_fn, next_args))
         else:
             self._busy = False
 

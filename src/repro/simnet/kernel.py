@@ -8,13 +8,17 @@ experiment fully deterministic for a given seed.
 Performance notes (the kernel is the hottest code in the repo — a Figure-3
 run executes ~1700 kernel events per media packet):
 
-* Heap entries are :class:`Timer` objects that subclass ``list`` with the
-  layout ``[time, seq, fn, args]``.  ``heapq`` orders them with the C-level
-  list comparison — ``time`` then the unique ``seq`` — so no Python
-  ``__lt__`` frame is ever entered on the hot path.
+* Heap entries are 4-slot lists ``[time, seq, fn, args]`` that ``heapq``
+  orders with the C-level list comparison — ``time`` then the unique
+  ``seq`` — so no Python ``__lt__`` frame is ever entered.  ``schedule()``
+  pushes a :class:`Timer` (a ``list`` subclass with ``cancel()``);
+  ``post()`` pushes a plain list for callers that discard the handle.
+  One heap, one order and one dispatch loop serve both.
 * ``schedule()`` is self-contained (no delegation) and stores ``args=None``
   for the dominant zero-arg case so the dispatch loop can call ``fn()``
   directly without ``*()`` unboxing.
+* ``now`` is a plain slot attribute: a property cost a Python frame per
+  read, several reads per packet.  Only the kernel writes it.
 * ``run()`` is a batched drain: ``heappop``/queue/locals are hoisted once
   per call instead of resolved per event.
 * Cancelled timers null their callback slot in place (O(1)) and the heap is
@@ -110,7 +114,7 @@ class Simulator:
     __slots__ = (
         "_queue",
         "_next_seq",
-        "_now",
+        "now",
         "_events_processed",
         "_ghosts",
         "timers_cancelled",
@@ -119,19 +123,14 @@ class Simulator:
     )
 
     def __init__(self) -> None:
-        self._queue: List[Timer] = []
+        self._queue: List[list] = []  # Timers and plain post() entries
         self._next_seq = 0
-        self._now = 0.0
+        self.now = 0.0  # current virtual time in seconds
         self._events_processed = 0
         self._ghosts = 0  # cancelled timers still sitting in the heap
         self.timers_cancelled = 0
         self.heap_compactions = 0
         self.ghost_timers_collected = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -144,16 +143,16 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay} s in the past")
         seq = self._next_seq
         self._next_seq = seq + 1
-        timer = Timer((self._now + delay, seq, fn, args if args else None))
+        timer = Timer((self.now + delay, seq, fn, args if args else None))
         timer.sim = self
         heapq.heappush(self._queue, timer)
         return timer
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time}; current time is {self._now}"
+                f"cannot schedule at t={time}; current time is {self.now}"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
@@ -161,6 +160,18 @@ class Simulator:
         timer.sim = self
         heapq.heappush(self._queue, timer)
         return timer
+
+    def post(
+        self, delay: float, fn: Callable[..., Any], args: Optional[tuple] = None
+    ) -> None:
+        """Handle-free :meth:`schedule`: run ``fn(*args)`` ``delay`` seconds
+        from now, with nothing to cancel.  For callers that would discard
+        the :class:`Timer`; ``args`` is a ready tuple (or None)."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} s in the past")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._queue, [self.now + delay, seq, fn, args])
 
     def pending(self) -> int:
         """Number of queued (possibly cancelled) timers."""
@@ -178,7 +189,7 @@ class Simulator:
             args = entry[3]
             entry[2] = None
             entry[3] = None
-            self._now = entry[0]
+            self.now = entry[0]
             self._events_processed += 1
             if args is None:
                 fn()
@@ -215,7 +226,7 @@ class Simulator:
             args = entry[3]
             entry[2] = None
             entry[3] = None
-            self._now = time
+            self.now = time
             ep += 1
             self._events_processed = ep
             if args is None:
@@ -224,13 +235,13 @@ class Simulator:
                 fn(*args)
             executed += 1
             ep = self._events_processed  # callbacks may step()/run() reentrantly
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
         return executed
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration`` seconds of virtual time."""
-        return self.run(until=self._now + duration, max_events=max_events)
+        return self.run(until=self.now + duration, max_events=max_events)
 
     # ----------------------------------------------------- ghost handling
 
@@ -255,4 +266,4 @@ class Simulator:
         self.heap_compactions += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.6f} pending={len(self._queue)}>"
+        return f"<Simulator t={self.now:.6f} pending={len(self._queue)}>"

@@ -9,7 +9,6 @@ plus sampled variation on each side.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 
@@ -36,16 +35,6 @@ class LinkProfile:
             raise ValueError("latency/jitter must be non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-
-    def sample_latency(self, rng: random.Random) -> float:
-        """One-way latency contribution of this link for one packet."""
-        if self.jitter_s:
-            return self.latency_s + rng.uniform(0.0, self.jitter_s)
-        return self.latency_s
-
-    def drops(self, rng: random.Random) -> bool:
-        """Sample whether this link drops the packet."""
-        return self.loss_rate > 0.0 and rng.random() < self.loss_rate
 
 
 #: Typical profiles used throughout the examples and benchmarks.

@@ -42,6 +42,8 @@ class Network:
         self._region_of: Dict[str, str] = {}
         self._region_latency: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._region_blocked: Set[FrozenSet[str]] = set()
+        #: (src host, dst host) -> resolved path record; see _resolve_path.
+        self._paths: Dict[Tuple[str, str], tuple] = {}
         self._groups: Dict[str, Set[Address]] = {}
         self._taps: List[Callable[[Datagram], None]] = []
         self.delivered_packets = 0
@@ -78,6 +80,11 @@ class Network:
         """Override fabric latency between hosts ``a`` and ``b`` (symmetric)."""
         self._path_latency[(a, b)] = latency_s
         self._path_latency[(b, a)] = latency_s
+        self.forget_paths()
+
+    def forget_paths(self) -> None:
+        """Drop every path record: an input of ``_resolve_path`` changed."""
+        self._paths.clear()
 
     def fabric_latency(self, src: str, dst: str) -> float:
         override = self._path_latency.get((src, dst))
@@ -105,6 +112,7 @@ class Network:
             self._blocked.add(key)
         else:
             self._blocked.discard(key)
+        self.forget_paths()
 
     def path_blocked(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self._blocked
@@ -120,6 +128,7 @@ class Network:
         one that never mentions regions at all.
         """
         self._region_of[host] = region
+        self.forget_paths()
 
     def region_of(self, host: str) -> Optional[str]:
         return self._region_of.get(host)
@@ -144,6 +153,7 @@ class Network:
         """
         self._region_latency[(a, b)] = (latency_s, loss_rate)
         self._region_latency[(b, a)] = (latency_s, loss_rate)
+        self.forget_paths()
 
     def region_latency(self, a: str, b: str) -> Optional[Tuple[float, float]]:
         return self._region_latency.get((a, b))
@@ -160,6 +170,7 @@ class Network:
             self._region_blocked.add(key)
         else:
             self._region_blocked.discard(key)
+        self.forget_paths()
 
     def region_blocked(self, a: str, b: str) -> bool:
         """Whether the pair of *regions* is currently blackholed."""
@@ -201,33 +212,86 @@ class Network:
         """Register a passive observer called for every routed datagram."""
         self._taps.append(tap)
 
-    def route(self, datagram: Datagram) -> None:
-        """Route a datagram whose serialization completes *now*."""
-        self.route_future(datagram, self.sim.now)
-
-    def route_future(self, datagram: Datagram, tx_done: float) -> None:
-        """Entry point from a sending NIC.
+    def route_future(
+        self, datagram: Datagram, tx_done: float, tap: bool = True
+    ) -> None:
+        """Entry point from a sending NIC, and the one unicast routine.
 
         ``tx_done`` is the (possibly future) virtual time at which the
         NIC's arithmetic serialization model says the last bit leaves the
         wire; propagation is added on top so the whole send pipeline costs
-        one kernel event.  Loss/jitter are sampled here — at enqueue — in
-        send order, which is deterministic for a given seed exactly like
-        the old sample-at-completion order was.
+        one kernel event.  Loss and jitter are sampled here — at enqueue,
+        in send order — and what depends only on the host pair comes from
+        its path record.
         """
-        if self._taps:
-            for tap in self._taps:
-                tap(datagram)
-        dst = datagram.dst
-        # Fast path: concrete destination host (group addresses are never
-        # registered as hosts, so a hit here skips the multicast parse).
-        dst_host = self._hosts.get(dst.host)
-        if dst_host is None:
-            if is_multicast(dst.host):
-                self._route_multicast(datagram, tx_done)
-                return
-            raise UnknownHostError(dst.host)
-        self._route_unicast_at(datagram, dst, dst_host, tx_done)
+        if tap and self._taps:
+            for observer in self._taps:
+                observer(datagram)
+        src_name = datagram.src.host
+        dst_name = datagram.dst.host
+        path = self._paths.get((src_name, dst_name))
+        if path is None:
+            # Group addresses are never registered as hosts, so only a
+            # miss on both tables pays the multicast parse.
+            if dst_name not in self._hosts:
+                if is_multicast(dst_name):
+                    self._route_multicast(datagram, tx_done)
+                    return
+                raise UnknownHostError(dst_name)
+            path = self._resolve_path(src_name, dst_name)
+        (blocked, region_loss, src_loss, dst_loss, latency, src_jitter,
+         dst_latency, dst_jitter, deliver) = path
+        if blocked:
+            self.lost_packets += 1
+            self.blackholed_packets += 1
+            return
+        rand = self._rng.random
+        if (
+            (region_loss > 0.0 and rand() < region_loss)
+            or (src_loss > 0.0 and rand() < src_loss)
+            or (dst_loss > 0.0 and rand() < dst_loss)
+        ):
+            self.lost_packets += 1
+            return
+        if src_jitter:
+            # Same draw as rng.uniform(0, jitter), minus the frame.
+            latency += src_jitter * rand()
+        latency += dst_latency
+        if dst_jitter:
+            latency += dst_jitter * rand()
+        self.delivered_packets += 1
+        sim = self.sim
+        sim.post(tx_done - sim.now + latency, deliver, (datagram,))
+
+    def _resolve_path(self, src_name: str, dst_name: str) -> tuple:
+        """Build and keep the pair's path record: what :meth:`route_future`
+        would otherwise re-derive per packet (DESIGN.md §7).  ``latency``
+        pre-sums only ``fabric + src link latency``: the jitter draws land
+        between the remaining terms, and float addition must keep the order
+        ``(((fabric + src) + src_jitter·r1) + dst) + dst_jitter·r2``.  An
+        unregistered source has no link terms and is not remembered."""
+        blocked = self.path_blocked(src_name, dst_name) or \
+            self.region_path_blocked(src_name, dst_name)
+        latency = self.fabric_latency(src_name, dst_name)
+        region_a = self._region_of.get(src_name)
+        region_b = self._region_of.get(dst_name)
+        wan = None if region_a == region_b else self.region_latency(region_a, region_b)
+        src_loss = src_jitter = 0.0
+        src_host = self._hosts.get(src_name)
+        if src_host is not None:
+            link = src_host.link
+            src_loss = link.loss_rate
+            latency += link.latency_s
+            src_jitter = link.jitter_s
+        dst_host = self._hosts[dst_name]
+        link = dst_host.link
+        path = (
+            blocked, 0.0 if wan is None else wan[1], src_loss, link.loss_rate,
+            latency, src_jitter, link.latency_s, link.jitter_s, dst_host.deliver,
+        )
+        if src_host is not None:  # an unregistered name may register later
+            self._paths[(src_name, dst_name)] = path
+        return path
 
     def _route_multicast(self, datagram: Datagram, tx_done: float) -> None:
         members = self._groups.get(datagram.dst.host)
@@ -239,67 +303,8 @@ class Network:
                 continue  # no loopback to the sending socket
             copy = datagram.clone()
             copy.dst = member
-            self._route_unicast_at(copy, member, self.host(member.host), tx_done)
-
-    def _route_unicast_at(
-        self, datagram: Datagram, dst: Address, dst_host: Host, tx_done: float
-    ) -> None:
-        src_name = datagram.src.host
-        if self._blocked and frozenset((src_name, dst.host)) in self._blocked:
-            self.lost_packets += 1
-            self.blackholed_packets += 1
-            return
-        # Region properties apply only to cross-region pairs, and only
-        # once some region has distinct latency/loss or a regional cut —
-        # a regionless (or merely labelled) run takes zero extra RNG
-        # draws here and stays bit-identical.
-        region_pair: Optional[Tuple[float, float]] = None
-        if self._region_latency or self._region_blocked:
-            region_a = self._region_of.get(src_name)
-            region_b = self._region_of.get(dst.host)
-            if region_a is not None and region_b is not None \
-                    and region_a != region_b:
-                if self._region_blocked and \
-                        frozenset((region_a, region_b)) in self._region_blocked:
-                    self.lost_packets += 1
-                    self.blackholed_packets += 1
-                    return
-                region_pair = self._region_latency.get((region_a, region_b))
-        rand = self._rng.random
-        if region_pair is not None and region_pair[1] > 0.0 \
-                and rand() < region_pair[1]:
-            self.lost_packets += 1
-            return
-        src_host = self._hosts.get(src_name)
-        if src_host is not None:
-            link = src_host.link
-            if link.loss_rate > 0.0 and rand() < link.loss_rate:
-                self.lost_packets += 1
-                return
-        dst_link = dst_host.link
-        if dst_link.loss_rate > 0.0 and rand() < dst_link.loss_rate:
-            self.lost_packets += 1
-            return
-        latency = self._path_latency.get((src_name, dst.host))
-        if latency is None:
-            latency = (
-                region_pair[0] if region_pair is not None
-                else self.base_latency_s
-            )
-        if src_host is not None:
-            link = src_host.link
-            latency += link.latency_s
-            jitter = link.jitter_s
-            if jitter:
-                # Same draw as rng.uniform(0, jitter), minus the frame.
-                latency += jitter * rand()
-        latency += dst_link.latency_s
-        jitter = dst_link.jitter_s
-        if jitter:
-            latency += jitter * rand()
-        self.delivered_packets += 1
-        sim = self.sim
-        sim.schedule(tx_done - sim.now + latency, dst_host.deliver, datagram)
+            # Taps saw the group datagram once; the clones are not re-shown.
+            self.route_future(copy, tx_done, tap=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Network hosts={len(self._hosts)} groups={len(self._groups)}>"

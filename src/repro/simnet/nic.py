@@ -10,16 +10,16 @@ timer per packet: the NIC keeps the virtual time at which its transmitter
 frees up (``_free_at``) plus a lazily-purged ledger of not-yet-started
 packets for tail-drop accounting.  Each accepted datagram's completion
 time is ``max(now, free_at) + size/rate`` — identical to simulating the
-queue event-by-event, but with zero kernel events of its own.  When the
-NIC is wired to a :class:`~repro.simnet.network.Network` the completion
-time is handed straight to ``route_future`` so the whole
-serialize-then-propagate pipeline costs a single kernel event per packet.
+queue event-by-event, but with zero kernel events of its own.  The
+completion time is handed straight to the ``route_future`` hook
+(``Network.route_future`` on a host) so the whole serialize-then-propagate
+pipeline costs a single kernel event per packet.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Tuple
 
 from repro.simnet.kernel import Simulator
 from repro.simnet.packet import Datagram
@@ -27,7 +27,7 @@ from repro.simnet.packet import Datagram
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.link import LinkProfile
 
-#: Signature of the fused delivery hook: ``(datagram, tx_done_time)``.
+#: Signature of the delivery hook: ``(datagram, tx_done_time)``.
 RouteFuture = Callable[[Datagram, float], None]
 
 
@@ -36,8 +36,6 @@ class Nic:
 
     __slots__ = (
         "sim",
-        "link",
-        "_deliver",
         "_route_future",
         "queue_limit_bytes",
         "_sec_per_byte",
@@ -53,13 +51,10 @@ class Nic:
         self,
         sim: Simulator,
         link: "LinkProfile",
-        deliver: Callable[[Datagram], None],
+        route_future: RouteFuture,
         queue_limit_bytes: int = 2 * 1024 * 1024,
-        route_future: Optional[RouteFuture] = None,
     ):
         self.sim = sim
-        self.link = link
-        self._deliver = deliver
         self._route_future = route_future
         self.queue_limit_bytes = queue_limit_bytes
         self._sec_per_byte = 8.0 / link.bandwidth_bps
@@ -114,16 +109,8 @@ class Nic:
         self._queued_bytes = queued
         self.sent_packets += 1
         self.sent_bytes += size
-        route_future = self._route_future
-        if route_future is not None:
-            route_future(datagram, done)
-        else:
-            self.sim.schedule(done - now, self._fire, datagram)
+        self._route_future(datagram, done)
         return True
-
-    def _fire(self, datagram: Datagram) -> None:
-        """Un-fused completion path (standalone NICs without a network)."""
-        self._deliver(datagram)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic sent={self.sent_packets} dropped={self.dropped_packets}>"

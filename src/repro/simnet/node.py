@@ -44,12 +44,10 @@ class Host:
         self.network = network
         self.sim = network.sim
         self.name = name
-        self.link = link
+        self._link = link
         self.recv_cpu_cost_s = recv_cpu_cost_s
         self.cpu = Cpu(network.sim, name=f"{name}.cpu", gc_profile=gc_profile)
-        self.nic = Nic(
-            network.sim, link, network.route, route_future=network.route_future
-        )
+        self.nic = Nic(network.sim, link, network.route_future)
         self.firewall = firewall
         self.multicast_enabled = multicast_enabled
         self._handlers: Dict[int, Tuple[Handler, Optional[float]]] = {}
@@ -59,6 +57,17 @@ class Host:
         self.received_bytes = 0
         self.discarded_packets = 0
         self.firewall_blocked_packets = 0
+
+    @property
+    def link(self) -> LinkProfile:
+        """Access-link profile; assigning one (chaos loss bursts) takes
+        effect from the next packet.  The NIC keeps its serialization rate."""
+        return self._link
+
+    @link.setter
+    def link(self, link: LinkProfile) -> None:
+        self._link = link
+        self.network.forget_paths()
 
     # ------------------------------------------------------------- ports
 
@@ -74,6 +83,10 @@ class Host:
             raise PortInUseError(f"{self.name}:{port} already bound")
         self._handlers[port] = (handler, recv_cpu_cost_s)
         return Address(self.name, port)
+
+    def rebind(self, port: int, handler: Handler) -> None:
+        """Swap a bound port's handler (and its duties), keeping the cost."""
+        self._handlers[port] = (handler, self._handlers[port][1])
 
     def unbind(self, port: int) -> None:
         self._handlers.pop(port, None)
@@ -99,16 +112,11 @@ class Host:
         src = self._src_addrs.get(src_port)
         if src is None:
             src = self._src_addrs[src_port] = Address(self.name, src_port)
-        datagram = Datagram(
-            src=src,
-            dst=dst,
-            payload=payload,
-            size=size,
-            sent_at=self.sim.now,
-        )
+        sim = self.sim
+        datagram = Datagram(src, dst, payload, size, sim.now)
         if dst.host == self.name:
             # Loopback: no NIC serialization, no firewall, no link loss.
-            self.sim.schedule(self.LOOPBACK_LATENCY_S, self.deliver, datagram)
+            sim.post(self.LOOPBACK_LATENCY_S, self.deliver, (datagram,))
             return True
         if self.firewall is not None:
             self.firewall.note_outbound(datagram)
@@ -118,11 +126,11 @@ class Host:
 
     def deliver(self, datagram: Datagram) -> None:
         """Called by the network fabric when a datagram arrives."""
-        is_loopback = datagram.src.host == self.name
+        firewall = self.firewall
         if (
-            self.firewall is not None
-            and not is_loopback
-            and not self.firewall.allows_inbound(datagram)
+            firewall is not None
+            and datagram.src.host != self.name  # loopback bypasses it
+            and not firewall.allows_inbound(datagram)
         ):
             self.firewall_blocked_packets += 1
             return

@@ -27,7 +27,7 @@ class UdpSocket:
         self.host = host
         self.port = host.allocate_port() if port is None else port
         self._callback: Optional[ReceiveCallback] = None
-        self._closed = False
+        self.closed = False  # plain attribute: links test it per send
         self._joined_groups: set = set()
         host.bind(self.port, self._on_datagram, recv_cpu_cost_s)
         self.sent_packets = 0
@@ -37,17 +37,13 @@ class UdpSocket:
     def local_address(self) -> Address:
         return Address(self.host.name, self.port)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def on_receive(self, callback: ReceiveCallback) -> None:
         """Register the receive callback ``(payload, src, datagram)``."""
         self._callback = callback
 
     def sendto(self, payload: Any, size: int, dst: Address) -> bool:
         """Send a datagram; ``size`` is the UDP payload size in bytes."""
-        if self._closed:
+        if self.closed:
             raise TransportError("socket is closed")
         self.sent_packets += 1
         return self.host.send(self.port, dst, payload, size + UDP_HEADER_BYTES)
@@ -62,15 +58,15 @@ class UdpSocket:
         self._joined_groups.discard(group)
 
     def close(self) -> None:
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
+        self.closed = True
         for group in list(self._joined_groups):
             self.leave_group(group)
         self.host.unbind(self.port)
 
     def _on_datagram(self, datagram: Datagram) -> None:
-        if self._closed or self._callback is None:
+        if self.closed or self._callback is None:
             return
         self.received_packets += 1
         self._callback(datagram.payload, datagram.src, datagram)

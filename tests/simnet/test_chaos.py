@@ -122,6 +122,47 @@ def test_loss_burst_degrades_then_restores_host_link():
     assert kinds == ["loss-burst", "loss-burst-end"]
 
 
+def test_overlapping_loss_bursts_restore_the_pristine_link():
+    """Each burst used to save ``host.link`` as "original", so a second
+    burst begun inside the first saved the degraded profile and restored
+    *that* last, leaving the host lossy forever."""
+    from repro.broker import BrokerNetwork
+
+    sim = Simulator()
+    net = Network(sim, SeededStreams(5))
+    bnet = BrokerNetwork.chain(net, 2)
+    host = bnet.brokers()[0].host
+    pristine = host.link
+    assert pristine.loss_rate == 0.0
+    chaos = ChaosSchedule(bnet, seed=0)
+    chaos.loss_burst(1.0, host.name, duration=5.0, loss_rate=0.2)
+    chaos.loss_burst(3.0, host.name, duration=5.0, loss_rate=0.5)
+    sim.run(until=2.0)
+    assert host.link.loss_rate == 0.2
+    sim.run(until=4.0)
+    assert host.link.loss_rate == 0.5
+    sim.run(until=7.0)  # the first ended; the second still holds
+    assert host.link.loss_rate == 0.5
+    sim.run(until=20.0)
+    assert host.link is pristine
+
+
+def test_nested_loss_burst_falls_back_to_the_enclosing_rate():
+    sim = Simulator()
+    net = Network(sim, SeededStreams(5))
+    host = net.create_host("h", link=LinkProfile(latency_s=0.001))
+    chaos = ChaosSchedule(StubBrokerNetwork(net), seed=0)
+    pristine = host.link
+    chaos.loss_burst(1.0, "h", duration=9.0, loss_rate=0.2)
+    chaos.loss_burst(3.0, "h", duration=2.0, loss_rate=0.5)
+    sim.run(until=4.0)
+    assert host.link.loss_rate == 0.5
+    sim.run(until=6.0)
+    assert host.link == LinkProfile(latency_s=0.001, loss_rate=0.2)
+    sim.run(until=11.0)
+    assert host.link is pristine
+
+
 def test_blackholed_path_drops_both_directions():
     sim = Simulator()
     net = Network(sim, SeededStreams(5))

@@ -126,26 +126,33 @@ def test_time_is_monotonic_across_many_events():
 
 
 def drain_seeded_schedule(drain):
-    """A seeded schedule whose timers schedule more timers, cancel live
-    ones (often enough to force heap compaction) and re-enter ``run()``;
-    every random draw happens inside a callback, so any difference in
-    firing order changes everything after it.  Returns the ``(time,
-    seq)`` firing order and the kernel's counters."""
+    """A seeded schedule whose events arm more events — half through
+    ``schedule`` (a cancellable ``Timer``), half through handle-free
+    ``post``, many at equal times — cancel live timers (often enough to
+    force heap compaction) and re-enter ``run()``; every random draw
+    happens inside a callback, so any difference in firing order changes
+    everything after it.  Arming order is ``seq`` order, so the returned
+    ``(time, arming index, kind)`` firing order is the ``(time, seq)``
+    order; the kernel's counters come with it."""
     import random
 
     sim = Simulator()
     rng = random.Random(42)
     fired = []
     live = []
-    state = {"budget": 600, "nested": False}
+    state = {"budget": 600, "armed": 0, "nested": False}
 
     def arm(delay):
-        box = []
-        box.append(sim.schedule(delay, fire, box))
-        live.append(box[0])
+        index = state["armed"]
+        state["armed"] += 1
+        if rng.random() < 0.5:
+            sim.post(delay, fire, (index, "post"))
+        else:
+            live.append(sim.schedule(delay, fire, index, "timer"))
+            assert live[-1].seq == index
 
-    def fire(box):
-        fired.append((sim.now, box[0].seq))
+    def fire(index, kind):
+        fired.append((sim.now, index, kind))
         for _ in range(rng.randrange(3)):
             if state["budget"] > 0:
                 state["budget"] -= 1
@@ -162,7 +169,7 @@ def drain_seeded_schedule(drain):
             state["nested"] = False
 
     for _ in range(300):
-        arm(rng.uniform(0.0, 5.0))
+        arm(rng.choice((1.0, 2.5, rng.uniform(0.0, 5.0))))
     drain(sim)
     assert sim.pending() == 0
     return fired, (
@@ -188,3 +195,45 @@ def test_run_matches_one_event_at_a_time_stepping():
     assert events == len(fired) > 300
     assert cancelled > 100 and compactions > 0
     assert fired == sorted(fired)
+    kinds = [kind for _time, _index, kind in fired]
+    # Most timers die cancelled; posted entries cannot.
+    assert kinds.count("post") > 200 and kinds.count("timer") > 40
+    times = [time for time, _index, _kind in fired]
+    assert len(set(times)) < len(times) - 50  # equal-time ties were drained
+
+
+def test_post_fires_with_args_in_order_with_schedule():
+    sim = Simulator()
+    fired = []
+    sim.post(1.0, fired.append, ("posted first",))
+    sim.schedule(1.0, fired.append, "scheduled second")
+    sim.post(1.0, lambda: fired.append("no args third"))
+    sim.schedule_at(0.5, fired.append, "earlier")
+    assert sim.run() == 4
+    assert fired == ["earlier", "posted first", "scheduled second", "no args third"]
+    assert sim.events_processed == 4  # both kinds count
+
+
+def test_post_rejects_negative_delay():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.post(-0.1, lambda: None)
+    assert sim.pending() == 0
+
+
+def test_compaction_keeps_every_live_posted_entry():
+    sim = Simulator()
+    fired = []
+    timers = [
+        sim.schedule(1.0 + index, fired.append, ("timer", index))
+        for index in range(150)
+    ]
+    for index in range(50):
+        sim.post(1.5 + index, fired.append, (("post", index),))
+    for timer in timers[:149]:
+        timer.cancel()  # ghosts pass half of the 200 queued on the way
+    assert sim.heap_compactions > 0
+    assert sim.pending() < 100
+    sim.run()
+    assert fired == [("post", index) for index in range(50)] + [("timer", 149)]
+    assert sim.events_processed == 51

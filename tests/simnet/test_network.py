@@ -119,3 +119,119 @@ def test_network_tap_sees_all_datagrams(net, sim):
     a.send(2, Address("b", 1), "y", 10)
     sim.run()
     assert len(seen) == 2
+
+
+# ---------------------------------------------------------- path records
+#
+# ``Network`` resolves each (src host, dst host) pair once and reuses the
+# record until a mutator of one of its inputs drops it.  Each case below
+# warms the record with a first send, mutates, sends again, and requires
+# the second send to come out bit-equal to the same send on a network
+# that had the mutation in place before anything was resolved.  (A path
+# from an unregistered source name is never kept, so registering the name
+# later is the one "mutator" with nothing to drop; its case pins that.)
+
+LOSSY = LinkProfile(latency_s=0.004, jitter_s=0.001, loss_rate=0.3)
+
+
+def _nothing(network):
+    pass
+
+
+def _label_regions(network):
+    network.set_region("a", "east")
+    network.set_region("b", "west")
+
+
+def _wan(network):
+    network.set_region_latency("east", "west", 0.080, loss_rate=0.4)
+
+
+def _set_link(name):
+    def mutate(network):
+        network.host(name).link = LOSSY
+    return mutate
+
+
+#: name -> (what is in place before the first send, the mutation under
+#: test, the sending host name); each isolates one mutator.
+MUTATORS = {
+    "set_path_latency": (
+        _nothing, lambda network: network.set_path_latency("a", "b", 0.25), "a"
+    ),
+    "set_path_blocked": (
+        _nothing, lambda network: network.set_path_blocked("b", "a"), "a"
+    ),
+    "set_region": (_wan, _label_regions, "a"),
+    "set_region_latency": (_label_regions, _wan, "a"),
+    "set_region_blocked": (
+        _label_regions,
+        lambda network: network.set_region_blocked("west", "east"),
+        "a",
+    ),
+    "src host.link": (_nothing, _set_link("a"), "a"),
+    "dst host.link": (_nothing, _set_link("b"), "a"),
+    "add_host of the source": (
+        _nothing, lambda network: network.create_host("ghost", link=LOSSY),
+        "ghost",
+    ),
+}
+
+
+def _second_send(prepare, mutate, src, warm, rng_state=None):
+    """Outcome of one ``src`` -> b send at t=1.0 with ``mutate`` applied:
+    on a network whose first send at t=0 resolved the pair without it
+    (``warm``), or on one that resolved nothing before the mutation and
+    whose "network" stream was moved to ``rng_state``."""
+    from repro.simnet.packet import Datagram
+
+    sim = Simulator()
+    net = Network(sim, SeededStreams(9))
+    net.create_host("a", link=LinkProfile(jitter_s=0.0005))
+    net.create_host("b", link=LinkProfile(jitter_s=0.0005))
+    prepare(net)
+    arrivals = []
+    net.host("b").bind(
+        1, lambda d: arrivals.append(sim.now), recv_cpu_cost_s=0.0
+    )
+    rng = net.streams.stream("network")
+
+    def send():
+        net.route_future(
+            Datagram(Address(src, 1), Address("b", 1), "x", 100), sim.now
+        )
+
+    if warm:
+        send()
+        sim.run(until=1.0)
+        assert len(arrivals) == 1
+        mutate(net)
+        rng_state = rng.getstate()
+    else:
+        mutate(net)
+        sim.run(until=1.0)
+        rng.setstate(rng_state)
+    del arrivals[:]
+    lost, blackholed = net.lost_packets, net.blackholed_packets
+    send()
+    sim.run()
+    outcome = (
+        tuple(arrivals),
+        net.lost_packets - lost,
+        net.blackholed_packets - blackholed,
+        rng.getstate(),
+    )
+    return outcome, rng_state
+
+
+@pytest.mark.parametrize("name", sorted(MUTATORS))
+def test_mutator_drops_the_warm_path_record(name):
+    prepare, mutate, src = MUTATORS[name]
+    warm, rng_state = _second_send(prepare, mutate, src, warm=True)
+    cold, _ = _second_send(
+        prepare, mutate, src, warm=False, rng_state=rng_state
+    )
+    assert warm == cold
+    # ... and the mutation is one a stale record would have missed.
+    stale, _ = _second_send(prepare, _nothing, src, warm=True)
+    assert warm != stale

@@ -9,9 +9,14 @@ from repro.simnet.packet import Address, Datagram
 
 
 def make_nic(sim, rate_bps=8000.0, queue_limit=10**9):
+    """A bare NIC whose hook records ``(datagram, tx_done)``: serialization
+    is arithmetic, so the completion time is the observable, not an event."""
     delivered = []
     link = LinkProfile(bandwidth_bps=rate_bps, latency_s=0.0)
-    nic = Nic(sim, link, delivered.append, queue_limit_bytes=queue_limit)
+    nic = Nic(
+        sim, link, lambda d, tx_done: delivered.append((d, tx_done)),
+        queue_limit_bytes=queue_limit,
+    )
     return nic, delivered
 
 
@@ -23,19 +28,16 @@ def test_serialization_time_matches_rate():
     sim = Simulator()
     nic, delivered = make_nic(sim, rate_bps=8000.0)  # 1000 bytes/s
     nic.enqueue(dgram(size=500))
-    sim.run()
-    assert sim.now == pytest.approx(0.5)
-    assert len(delivered) == 1
+    assert [tx_done for _d, tx_done in delivered] == [pytest.approx(0.5)]
+    assert sim.pending() == 0  # no kernel event of its own
 
 
 def test_back_to_back_packets_serialize_sequentially():
     sim = Simulator()
     nic, delivered = make_nic(sim, rate_bps=8000.0)
-    times = []
-    nic._deliver = lambda d: times.append(sim.now)
     for _ in range(3):
         nic.enqueue(dgram(size=1000))
-    sim.run()
+    times = [tx_done for _d, tx_done in delivered]
     assert times == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
 
 
@@ -53,7 +55,6 @@ def test_stats_accumulate():
     nic, delivered = make_nic(sim)
     nic.enqueue(dgram(size=100))
     nic.enqueue(dgram(size=200))
-    sim.run()
     assert nic.sent_packets == 2
     assert nic.sent_bytes == 300
     assert len(delivered) == 2
@@ -64,7 +65,7 @@ def test_queue_drains_and_accepts_more():
     nic, delivered = make_nic(sim, queue_limit=1000)
     nic.enqueue(dgram(size=1000))
     nic.enqueue(dgram(size=1000))
-    sim.run()
+    assert nic.enqueue(dgram(size=1000)) is False  # still queued behind
+    sim.run(until=2.0)  # both have left the wire
     assert nic.enqueue(dgram(size=1000)) is True
-    sim.run()
     assert len(delivered) == 3
