@@ -347,19 +347,34 @@ class XgspSessionServer:
                 )
             return
         self.signaling_latency.observe(self.sim.now - event.published_at)
-        response = self.handle_message(message, reply_to=reply_to)
+        self._handle_and_reply(message, reply_to, key)
+
+    def _handle_and_reply(
+        self, message: Any, reply_to: Optional[str], key: str
+    ) -> None:
+        """Apply one request from the broker path and answer it.  A
+        request that mutated state was rendered by ``_journal`` into
+        ``_applied[key]``; the reply is that text (the one a retry would
+        be answered with), not a second encoding of the same object."""
+        response = self._dispatch(message, key)
         if response is not None and reply_to:
-            self._publish_xml(reply_to, response)
+            self._publish_text(
+                reply_to, self._applied.get(key) or xml_codec.encode(response)
+            )
 
     def handle_message(self, message: Any, reply_to: Optional[str] = None):
         """Process one XGSP request; returns the response message.
 
         Public so the Web Server (or tests) can drive the server
-        in-process; the broker path funnels here too.  ``reply_to`` keys
-        the duplicate-suppression table (``None`` for in-process calls).
+        in-process; the broker path funnels into the same dispatch.
+        ``reply_to`` keys the duplicate-suppression table (``None`` for
+        in-process calls).
         """
+        return self._dispatch(message, self._request_key(reply_to, message))
+
+    def _dispatch(self, message: Any, key: str):
         self.requests_handled += 1
-        self._current_request_key = self._request_key(reply_to, message)
+        self._current_request_key = key
         try:
             if isinstance(message, CreateSession):
                 return self._handle_create(message)
@@ -898,9 +913,7 @@ class XgspSessionServer:
                     self._publish_text(reply_to, cached)
                 continue
             self.inflight_replayed += 1
-            response = self.handle_message(message, reply_to=reply_to)
-            if response is not None and reply_to:
-                self._publish_xml(reply_to, response)
+            self._handle_and_reply(message, reply_to, key)
 
     # ---------------------------------------------------------- snapshots
 
@@ -969,9 +982,10 @@ class XgspSessionServer:
     ) -> None:
         for observer in self._observers:
             observer(announcement)
-        self._publish_xml(ANNOUNCEMENTS_TOPIC, announcement)
+        text = xml_codec.encode(announcement)
+        self._publish_text(ANNOUNCEMENTS_TOPIC, text)
         if include_control:
-            self._publish_xml(session.control_topic, announcement)
+            self._publish_text(session.control_topic, text)
 
     def _publish_xml(self, topic: str, message: Any) -> None:
         self._publish_text(topic, xml_codec.encode(message))

@@ -10,15 +10,14 @@ charges.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Type
+from typing import Any, Dict, Tuple, Type
 
 from repro.core.xgsp import messages as m
 from repro.soap.xmlutil import (
     XmlCodecError,
-    element_to_string,
     from_xml_value,
     string_to_element,
-    to_xml_value,
+    to_xml_text,
 )
 
 ROOT_TAG = "xgsp"
@@ -50,15 +49,20 @@ MESSAGE_TYPES: Dict[str, Type] = {
 }
 
 
+#: Wire fields, in wire order, of every class a message may contain:
+#: what ``encode`` writes and what ``_build`` accepts back.
+_FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(field.name for field in dataclasses.fields(cls))
+    for cls in (*MESSAGE_TYPES.values(), m.MediaDescription)
+}
+
+
 def encode(message: Any) -> str:
     """Serialize an XGSP message to XML text."""
-    name = type(message).__name__
-    if name not in MESSAGE_TYPES:
-        raise XmlCodecError(f"{name} is not a registered XGSP message")
-    body = dataclasses.asdict(message)
-    element = to_xml_value(ROOT_TAG, body)
-    element.set("msg", name)
-    return element_to_string(element)
+    cls = type(message)
+    if MESSAGE_TYPES.get(cls.__name__) is not cls:
+        raise XmlCodecError(f"{cls.__name__} is not a registered XGSP message")
+    return to_xml_text(ROOT_TAG, message, f' msg="{cls.__name__}"', _FIELDS)
 
 
 def decode(text: str) -> Any:
@@ -78,17 +82,13 @@ def decode(text: str) -> Any:
 
 def _build(cls: Type, body: Dict[str, Any]) -> Any:
     """Rebuild a dataclass, recursing into MediaDescription lists."""
-    kwargs: Dict[str, Any] = {}
-    for field_info in dataclasses.fields(cls):
-        if field_info.name not in body:
-            continue
-        value = body[field_info.name]
-        if field_info.name == "media" and isinstance(value, list):
-            value = [
-                m.MediaDescription(**item) if isinstance(item, dict) else item
-                for item in value
-            ]
-        kwargs[field_info.name] = value
+    kwargs = {name: body[name] for name in _FIELDS[cls] if name in body}
+    media = kwargs.get("media")
+    if isinstance(media, list):
+        kwargs["media"] = [
+            m.MediaDescription(**item) if isinstance(item, dict) else item
+            for item in media
+        ]
     return cls(**kwargs)
 
 

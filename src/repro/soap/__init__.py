@@ -8,7 +8,7 @@ service container with operation dispatch, an asynchronous client with
 typed faults, and WSDL documents with operation/parameter validation.
 """
 
-from repro.soap.xmlutil import from_xml_value, to_xml_value, XmlCodecError
+from repro.soap.xmlutil import from_xml_value, to_xml_text, XmlCodecError
 from repro.soap.envelope import SoapEnvelope, SoapFault, parse_envelope
 from repro.soap.wsdl import Operation, WsdlDocument, WsdlError
 from repro.soap.service import SoapService
@@ -16,7 +16,7 @@ from repro.soap.client import SoapClient
 
 __all__ = [
     "from_xml_value",
-    "to_xml_value",
+    "to_xml_text",
     "XmlCodecError",
     "SoapEnvelope",
     "SoapFault",

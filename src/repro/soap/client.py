@@ -111,7 +111,7 @@ class SoapClient:
             self._links[address] = link
             link.start(self._on_message)
         self.requests_sent += 1
-        link.send(envelope.to_xml(), envelope.wire_size)
+        link.send(*envelope.to_wire())
         return message_id
 
     def _on_message(self, payload: Any, size: int, connection: TcpConnection) -> None:

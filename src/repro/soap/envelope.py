@@ -7,16 +7,17 @@ network and parsed on receipt, so the codec path is genuinely exercised
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.soap.xmlutil import (
     XmlCodecError,
-    element_to_string,
+    escape_attrib,
+    escape_text,
     from_xml_value,
     string_to_element,
-    to_xml_value,
+    to_xml_text,
+    xml_element,
 )
 
 ENVELOPE_TAG = "Envelope"
@@ -49,23 +50,32 @@ class SoapEnvelope:
     fault: Optional[SoapFault] = None
 
     def to_xml(self) -> str:
-        root = ET.Element(ENVELOPE_TAG)
-        root.set("kind", self.kind)
-        root.set("service", self.service)
-        root.set("operation", self.operation)
-        root.set("messageId", str(self.message_id))
-        if self.fault is not None:
-            fault = ET.SubElement(root, "Fault")
-            fault.set("code", self.fault.code)
-            fault.text = self.fault.reason
+        if self.fault is None:
+            content = to_xml_text("Body", dict(self.body))
         else:
-            root.append(to_xml_value("Body", dict(self.body)))
-        return element_to_string(root)
+            content = xml_element(
+                "Fault",
+                ' code="' + escape_attrib(self.fault.code) + '"',
+                escape_text(self.fault.reason),
+            )
+        attrs = "".join((
+            ' kind="', escape_attrib(self.kind),
+            '" service="', escape_attrib(self.service),
+            '" operation="', escape_attrib(self.operation),
+            '" messageId="', escape_attrib(str(self.message_id)), '"',
+        ))
+        return xml_element(ENVELOPE_TAG, attrs, content)
+
+    def to_wire(self) -> Tuple[str, int]:
+        """``(text, size)`` for a transport ``send``, from one rendering:
+        the envelope text and its bytes plus nominal HTTP POST framing."""
+        text = self.to_xml()
+        return text, len(text) + 160
 
     @property
     def wire_size(self) -> int:
         """Envelope bytes plus nominal HTTP POST framing."""
-        return len(self.to_xml()) + 160
+        return self.to_wire()[1]
 
 
 def parse_envelope(text: str) -> SoapEnvelope:

@@ -135,7 +135,7 @@ class SoapService:
             return
         reply = self._dispatch(envelope, connection)
         if reply is not None and connection.established:
-            connection.send(reply.to_xml(), reply.wire_size)
+            connection.send(*reply.to_wire())
 
     def _dispatch(
         self, envelope: SoapEnvelope, connection: TcpConnection
@@ -215,7 +215,7 @@ class SoapService:
                 body=body or {},
             )
         if connection.established:
-            connection.send(reply.to_xml(), reply.wire_size)
+            connection.send(*reply.to_wire())
 
     def close(self) -> None:
         self._listener.close()
