@@ -35,7 +35,6 @@ class Network:
         self.sim = sim
         self.streams = streams if streams is not None else SeededStreams(0)
         self.base_latency_s = base_latency_s
-        self._rng = self.streams.stream("network")
         self._hosts: Dict[str, Host] = {}
         self._path_latency: Dict[Tuple[str, str], float] = {}
         self._blocked: Set[FrozenSet[str]] = set()
@@ -221,8 +220,8 @@ class Network:
         NIC's arithmetic serialization model says the last bit leaves the
         wire; propagation is added on top so the whole send pipeline costs
         one kernel event.  Loss and jitter are sampled here — at enqueue,
-        in send order — and what depends only on the host pair comes from
-        its path record.
+        in the sending host's send order, from that host's own stream —
+        and what depends only on the host pair comes from its path record.
         """
         if tap and self._taps:
             for observer in self._taps:
@@ -240,12 +239,11 @@ class Network:
                 raise UnknownHostError(dst_name)
             path = self._resolve_path(src_name, dst_name)
         (blocked, region_loss, src_loss, dst_loss, latency, src_jitter,
-         dst_latency, dst_jitter, deliver) = path
+         dst_latency, dst_jitter, deliver, rand) = path
         if blocked:
             self.lost_packets += 1
             self.blackholed_packets += 1
             return
-        rand = self._rng.random
         if (
             (region_loss > 0.0 and rand() < region_loss)
             or (src_loss > 0.0 and rand() < src_loss)
@@ -268,8 +266,10 @@ class Network:
         would otherwise re-derive per packet (DESIGN.md §7).  ``latency``
         pre-sums only ``fabric + src link latency``: the jitter draws land
         between the remaining terms, and float addition must keep the order
-        ``(((fabric + src) + src_jitter·r1) + dst) + dst_jitter·r2``.  An
-        unregistered source has no link terms and is not remembered."""
+        ``(((fabric + src) + src_jitter·r1) + dst) + dst_jitter·r2``.  The
+        draws come from the source host's ``network:<name>`` stream, so
+        one host's traffic never shifts another's.  An unregistered source
+        has no link terms and is not remembered."""
         blocked = self.path_blocked(src_name, dst_name) or \
             self.region_path_blocked(src_name, dst_name)
         latency = self.fabric_latency(src_name, dst_name)
@@ -288,6 +288,7 @@ class Network:
         path = (
             blocked, 0.0 if wan is None else wan[1], src_loss, link.loss_rate,
             latency, src_jitter, link.latency_s, link.jitter_s, dst_host.deliver,
+            self.streams.stream(f"network:{src_name}").random,
         )
         if src_host is not None:  # an unregistered name may register later
             self._paths[(src_name, dst_name)] = path

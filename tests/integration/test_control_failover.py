@@ -56,6 +56,21 @@ def create_session(sim, client, title="conf"):
     return created[0].session_id
 
 
+def join_then_take_floor(sim, client, session_id):
+    """Join, wait for the answer, then request the floor.  One client's
+    XGSP requests are not ordered with respect to each other (DESIGN.md
+    §5d): sent back to back, jitter may deliver the floor request first
+    and it is refused for a non-member."""
+    joined = []
+    client.join(session_id, on_result=joined.append)
+    for _ in range(100):
+        if joined:
+            break
+        sim.run_for(0.01)
+    assert [type(r).__name__ for r in joined] == ["JoinAccepted"]
+    client.floor(session_id, "request")
+
+
 # ----------------------------------------------------------- replication
 
 
@@ -70,8 +85,7 @@ def test_standby_maintains_hot_copy(sim, net):
 
     alice = make_client(net, bnet, "alice", broker_index=2)
     session_id = create_session(sim, alice)
-    alice.join(session_id)
-    alice.floor(session_id, "request")
+    join_then_take_floor(sim, alice, session_id)
     sim.run_for(1.0)
 
     # The standby applied every journaled op without answering anything.
@@ -92,8 +106,7 @@ def test_leader_kill_mid_join_completes_and_floor_survives(sim, net):
 
     alice = make_client(net, bnet, "alice", broker_index=2)
     session_id = create_session(sim, alice)
-    alice.join(session_id)
-    alice.floor(session_id, "request")
+    join_then_take_floor(sim, alice, session_id)
     sim.run_for(1.0)
 
     # Bob's join is published but the leader dies before answering.
@@ -159,8 +172,7 @@ def test_late_standby_catches_up_via_snapshot(sim, net):
     # State accumulates before the standby even exists.
     alice = make_client(net, bnet, "alice", broker_index=2)
     session_id = create_session(sim, alice)
-    alice.join(session_id)
-    alice.floor(session_id, "request")
+    join_then_take_floor(sim, alice, session_id)
     sim.run_for(1.0)
 
     late = make_replica(net, bnet, 1, "xgsp-c", standby=True)

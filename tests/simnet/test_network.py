@@ -182,7 +182,7 @@ def _second_send(prepare, mutate, src, warm, rng_state=None):
     """Outcome of one ``src`` -> b send at t=1.0 with ``mutate`` applied:
     on a network whose first send at t=0 resolved the pair without it
     (``warm``), or on one that resolved nothing before the mutation and
-    whose "network" stream was moved to ``rng_state``."""
+    whose sender's ``network:<src>`` stream was moved to ``rng_state``."""
     from repro.simnet.packet import Datagram
 
     sim = Simulator()
@@ -194,7 +194,7 @@ def _second_send(prepare, mutate, src, warm, rng_state=None):
     net.host("b").bind(
         1, lambda d: arrivals.append(sim.now), recv_cpu_cost_s=0.0
     )
-    rng = net.streams.stream("network")
+    rng = net.streams.stream(f"network:{src}")
 
     def send():
         net.route_future(

@@ -115,8 +115,8 @@ def test_multicast_reaches_exactly_the_members(seed, members):
 # kept path records: every send re-derives blocked / region / latency /
 # loss / jitter from the tables.  A random sequence of mutators, with a
 # send over every host pair before the first and after each, must come
-# out float-for-float the same through the records, with the "network"
-# stream drawn from equally often.
+# out float-for-float the same through the records, with every sender's
+# ``network:<host>`` stream drawn from equally often.
 
 HOSTS = ("h0", "h1", "h2", "h3")  # h3 joins late, via the add_host step
 REGIONS = ("east", "west")
@@ -144,8 +144,8 @@ _steps = st.one_of(
 class ReferenceFabric:
     """The routing tables plus the from-scratch per-packet rule."""
 
-    def __init__(self, rng, base_latency_s):
-        self.rng = rng
+    def __init__(self, streams, base_latency_s):
+        self.streams = streams
         self.base_latency_s = base_latency_s
         self.links = {}
         self.path_latency = {}
@@ -166,7 +166,7 @@ class ReferenceFabric:
             if frozenset((region_a, region_b)) in self.region_blocked:
                 return "blackholed"
             region_pair = self.region_latency.get((region_a, region_b))
-        rand = self.rng.random
+        rand = self.streams.stream(f"network:{src}").random
         if region_pair is not None and region_pair[1] > 0.0 \
                 and rand() < region_pair[1]:
             return "lost"
@@ -204,9 +204,7 @@ def test_path_records_match_the_per_packet_rule(seed, links, steps):
 
     sim = Simulator()
     net = Network(sim, SeededStreams(seed))
-    ref = ReferenceFabric(
-        SeededStreams(seed).stream("network"), net.base_latency_s
-    )
+    ref = ReferenceFabric(SeededStreams(seed), net.base_latency_s)
     arrivals = []
 
     def add_host(name, link):
@@ -270,4 +268,6 @@ def test_path_records_match_the_per_packet_rule(seed, links, steps):
                 else ref.region_blocked
             (table.add if args[2] else table.discard)(frozenset(args[:2]))
         send_over_every_pair()
-    assert net.streams.stream("network").getstate() == ref.rng.getstate()
+    for name in HOSTS:
+        assert net.streams.stream(f"network:{name}").getstate() == \
+            ref.streams.stream(f"network:{name}").getstate()
