@@ -112,9 +112,9 @@ class XgspClient:
         self.retry_base_s = retry_base_s
         self.retry_cap_s = retry_cap_s
         self.retry_jitter = retry_jitter
-        # Deterministic per-participant jitter stream (crc32, not hash():
-        # str hashing is salted per process and would break replays).
-        self._retry_rng = random.Random(zlib.crc32(participant_id.encode()))
+        #: Per-participant jitter stream, built by the first retrying
+        #: request (see _retry_stream).
+        self._retry_rng: Optional[random.Random] = None
         self.broker_client = BrokerClient(
             host,
             client_id=f"xgsp/{participant_id}",
@@ -163,7 +163,7 @@ class XgspClient:
                     self.retry_base_s,
                     self.retry_cap_s,
                     jitter_frac=self.retry_jitter,
-                    rng=self._retry_rng,
+                    rng=self._retry_stream(),
                 )
             pending = _PendingRequest(
                 on_response, timer, text, backoff, self.max_retries
@@ -175,6 +175,16 @@ class XgspClient:
                 )
         self._publish_request(text)
         return message.request_id
+
+    def _retry_stream(self) -> random.Random:
+        """The deterministic per-participant jitter stream (crc32, not
+        hash(): str hashing is salted per process and would break
+        replays)."""
+        if self._retry_rng is None:
+            self._retry_rng = random.Random(
+                zlib.crc32(self.participant_id.encode())
+            )
+        return self._retry_rng
 
     def _publish_request(self, text: str) -> None:
         self.broker_client.publish(

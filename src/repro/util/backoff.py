@@ -44,10 +44,18 @@ class ExponentialBackoff:
         self.base_s = base_s
         self.cap_s = cap_s
         self.jitter_frac = jitter_frac
-        self.rng = rng if rng is not None else random.Random(0)
+        self._rng = rng
         self.first_immediate = first_immediate
         self.attempts = 0
         self.retry_after_s = 0.0
+
+    @property
+    def rng(self) -> random.Random:
+        """The jitter stream; the default ``Random(0)`` is built on first
+        use, since most policies never jitter (one per broker client)."""
+        if self._rng is None:
+            self._rng = random.Random(0)
+        return self._rng
 
     def note_retry_after(self, retry_after_s: float) -> None:
         """Record a server-supplied ``Busy(retry_after_s)`` hint.

@@ -308,3 +308,31 @@ def test_busy_without_retries_counts_and_times_out(net, sim, broker):
     assert results == []
     assert alice.busy_rejections == 1
     assert timeouts == [True]
+
+
+def _randoms_held(client):
+    """``random.Random`` objects reachable from a client's own state and
+    from its broker client's retry policy."""
+    import random
+
+    held = list(vars(client).values())
+    held += list(vars(client.broker_client).values())
+    held += list(vars(client.broker_client._failover_backoff).values())
+    return [value for value in held if isinstance(value, random.Random)]
+
+
+def test_connected_client_holds_no_random_until_a_jittered_retry(
+    net, sim, broker, server
+):
+    """Retry jitter streams are built on first use: a connected client
+    that never retries carries none (one per client is ~2.9 KB)."""
+    alice = XgspClient(
+        net.create_host("alice-host"), broker, "alice", max_retries=3
+    )
+    sim.run_for(1.0)
+    assert alice.broker_client.connected
+    assert _randoms_held(alice) == []
+    alice.create_session("s")
+    [stream] = _randoms_held(alice)
+    sim.run_for(2.0)
+    assert _randoms_held(alice) == [stream]

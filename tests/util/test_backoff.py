@@ -137,3 +137,14 @@ def test_clear_hint_with_first_immediate_restores_the_free_attempt():
     backoff.note_retry_after(5.0)
     backoff.clear_hint()
     assert backoff.next_delay() == 0.0
+
+
+def test_default_stream_is_built_on_first_jittered_draw():
+    backoff = ExponentialBackoff(1.0, 64.0, jitter_frac=0.2)
+    unjittered = ExponentialBackoff(1.0, 64.0)
+    assert backoff._rng is None and unjittered._rng is None
+    unjittered.next_delay()
+    assert unjittered._rng is None
+    first = backoff.next_delay()
+    assert first == 1.0 + 0.2 * (2.0 * random.Random(0).random() - 1.0)
+    assert isinstance(backoff._rng, random.Random)
