@@ -1501,6 +1501,8 @@ class Broker:
         cpu = self.host.cpu
         charge_gc = cpu.gc_profile is not None
         execute = cpu.execute
+        # A firewall would see a train's pinholes open early (DESIGN.md §7).
+        train = cpu.execute_train if self.host.firewall is None else None
         clients = self._clients
         send_cost = entry.send_cost_s(self.profile, event.size)
         alloc = self.profile.alloc_bytes_per_send
@@ -1513,21 +1515,34 @@ class Broker:
         # destinations are distinguished by their link.
         shared = EventDelivery(event)
         wire_size = self.profile.envelope_bytes + len(event.topic) + event.size
+        sized = (shared, wire_size)
         delivered: List[str] = []
+        sends = []  # datagram sends, queued to the CPU as one job (a train)
         for client_id in entry.local_targets:
             if client_id == exclude:
                 continue
             record = clients.get(client_id)
             if record is None:
                 continue
-            self.events_delivered += 1
             delivered.append(client_id)
+            link = record.link
+            if train is not None and link.datagram and not (
+                event.reliable and record.outbox is not None
+            ):
+                sends.append(link.send_sized)
+                continue
+            if sends:  # FIFO: the sends before this item go first
+                train(send_cost, sends, sized, alloc)
+                sends = []
             if charge_gc:
                 cpu.allocate(alloc)
             if event.reliable and record.outbox is not None:
                 execute(send_cost, record.outbox.send, event)
             else:
-                execute(send_cost, record.link.send_sized, shared, wire_size)
+                execute(send_cost, link.send_sized, shared, wire_size)
+        if sends:
+            train(send_cost, sends, sized, alloc)
+        self.events_delivered += len(delivered)
         if not delivered:
             return
         if not internal_topic(event.topic):

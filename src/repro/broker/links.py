@@ -460,6 +460,9 @@ class ClientLink:
     """Broker-side handle used to push messages to one connected client."""
 
     kind: LinkType = LinkType.UDP
+    #: ``send_sized`` only hands one datagram to the host (no CPU work, no
+    #: timer), so fan-out may queue it with ``Cpu.execute_train``.
+    datagram = False
 
     def __init__(self, client_id: str, envelope_bytes: int):
         self.client_id = client_id
@@ -496,6 +499,8 @@ class ClientLink:
 class UdpClientLink(ClientLink):
     """Datagram link: also used for clients reached through HTTP tunnels,
     whose datagrams arrive via the proxy relay's address."""
+
+    datagram = True
 
     def __init__(
         self,

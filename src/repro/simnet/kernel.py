@@ -24,6 +24,9 @@ run executes ~1700 kernel events per media packet):
 * Cancelled timers null their callback slot in place (O(1)) and the heap is
   compacted when ghosts exceed half the queue — unbounded ghost growth from
   heartbeat-heavy workloads was a real leak (see ``heap_compactions``).
+* Every :class:`Timer` is also kept in a second heap so :meth:`horizon`
+  can say when the next one is due; a CPU train runs its items ahead of
+  the clock only up to there (``simnet/cpu.py``, DESIGN.md §7).
 
 :meth:`Simulator.step` is the plain one-event-at-a-time dispatch; the
 kernel tests drain seeded schedules through it and through ``run()`` and
@@ -33,6 +36,7 @@ require the same firing order.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional
 
 #: Compaction only considers queues at least this large; tiny queues are
@@ -113,6 +117,8 @@ class Simulator:
 
     __slots__ = (
         "_queue",
+        "_timers",
+        "_until",
         "_next_seq",
         "now",
         "_events_processed",
@@ -124,6 +130,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue: List[list] = []  # Timers and plain post() entries
+        self._timers: List[Timer] = []  # every Timer again, for horizon()
+        self._until = math.inf  # the current run()'s end
         self._next_seq = 0
         self.now = 0.0  # current virtual time in seconds
         self._events_processed = 0
@@ -146,6 +154,7 @@ class Simulator:
         timer = Timer((self.now + delay, seq, fn, args if args else None))
         timer.sim = self
         heapq.heappush(self._queue, timer)
+        self._note_timer(timer)
         return timer
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -159,6 +168,7 @@ class Simulator:
         timer = Timer((time, seq, fn, args if args else None))
         timer.sim = self
         heapq.heappush(self._queue, timer)
+        self._note_timer(timer)
         return timer
 
     def post(
@@ -173,12 +183,33 @@ class Simulator:
         self._next_seq = seq + 1
         heapq.heappush(self._queue, [self.now + delay, seq, fn, args])
 
+    def _note_timer(self, timer: Timer) -> None:
+        timers = self._timers
+        heapq.heappush(timers, timer)
+        while timers[0][2] is None:  # fired or cancelled: drop from the top
+            heapq.heappop(timers)
+
+    def horizon(self) -> float:
+        """Virtual time before which only posted work can run: the earliest
+        armed :class:`Timer`, or the end of the current :meth:`run`.
+        Posted entries are deliveries and CPU completions, which act on
+        their own host only; timers are how anything else happens."""
+        timers = self._timers
+        while timers and timers[0][2] is None:
+            heapq.heappop(timers)
+        if timers and timers[0][0] < self._until:
+            return timers[0][0]
+        return self._until
+
     def pending(self) -> int:
         """Number of queued (possibly cancelled) timers."""
         return len(self._queue)
 
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False when idle."""
+        """Execute the next pending event.  Returns False when idle.
+
+        The event is also the horizon, so a CPU train advances one item
+        per step, exactly as with one event per item."""
         queue = self._queue
         while queue:
             entry = heapq.heappop(queue)
@@ -191,10 +222,12 @@ class Simulator:
             entry[3] = None
             self.now = entry[0]
             self._events_processed += 1
+            outer_until, self._until = self._until, entry[0]
             if args is None:
                 fn()
             else:
                 fn(*args)
+            self._until = outer_until
             return True
         return False
 
@@ -210,8 +243,11 @@ class Simulator:
         limit = -1 if max_events is None else max_events
         executed = 0
         ep = self._events_processed
+        outer_until = self._until
+        self._until = math.inf if until is None else until
         while queue:
             if executed == limit:
+                self._until = outer_until
                 return executed
             entry = queue[0]
             fn = entry[2]
@@ -235,6 +271,7 @@ class Simulator:
                 fn(*args)
             executed += 1
             ep = self._events_processed  # callbacks may step()/run() reentrantly
+        self._until = outer_until
         if until is not None and until > self.now:
             self.now = until
         return executed
@@ -262,6 +299,9 @@ class Simulator:
         self.ghost_timers_collected += len(queue) - len(live)
         heapq.heapify(live)
         queue[:] = live
+        timers = [timer for timer in self._timers if timer[2] is not None]
+        heapq.heapify(timers)
+        self._timers = timers
         self._ghosts = 0
         self.heap_compactions += 1
 
