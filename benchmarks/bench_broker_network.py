@@ -6,12 +6,7 @@ the per-broker send load, so the same 400 receivers see lower delay as
 brokers are added.
 """
 
-import random
-
-import pytest
-
 from repro.bench.metrics import mean
-from repro.bench.reporting import simple_table
 from repro.bench.workload import (
     CLIENT_RECV_COST_S,
     GIGABIT_LAN,
@@ -26,10 +21,12 @@ from repro.simnet.rng import SeededStreams
 
 TOPIC = "/abl/video"
 RECEIVERS = 400
+BROKER_COUNTS = (1, 2, 4, 8)
 PACKETS = 600
+QUICK_PACKETS = 200
 
 
-def run_point(broker_count: int, seed: int = 0) -> dict:
+def run_point(broker_count: int, packets: int, seed: int = 0) -> dict:
     sim = Simulator()
     net = Network(sim, SeededStreams(seed))
     if broker_count == 1:
@@ -68,7 +65,7 @@ def run_point(broker_count: int, seed: int = 0) -> dict:
         sim, lambda p: sender.publish(TOPIC, p, p.wire_size), seed=seed
     )
     source.start()
-    while source.packets_sent < PACKETS:
+    while source.packets_sent < packets:
         sim.run_for(1.0)
     source.stop()
     sim.run_for(5.0)
@@ -81,21 +78,32 @@ def run_point(broker_count: int, seed: int = 0) -> dict:
     }
 
 
-def test_broker_network_scaling(measure):
-    results = measure(lambda: [run_point(n) for n in (1, 2, 4, 8)])
-    rows = [
-        (r["brokers"], f"{r['avg_delay_ms']:.2f}", r["received"])
-        for r in results
-    ]
-    print(simple_table(
-        "Fan-out across a broker network (400 receivers, 600 kbps video)",
-        rows, ("brokers", "avg delay (ms)", "packets received"),
-    ))
-    # Everyone got the stream in every topology.
-    expected = results[0]["received"]
-    assert all(abs(r["received"] - expected) <= expected * 0.02 for r in results)
-    # Adding brokers reduces delay substantially (load division).
-    assert results[-1]["avg_delay_ms"] < 0.5 * results[0]["avg_delay_ms"]
-    # And the trend is monotone non-increasing within 10% noise.
-    for earlier, later in zip(results, results[1:]):
-        assert later["avg_delay_ms"] < earlier["avg_delay_ms"] * 1.10
+def scenario(quick):
+    packets = QUICK_PACKETS if quick else PACKETS
+    points = [run_point(count, packets) for count in BROKER_COUNTS]
+    delays = [point["avg_delay_ms"] for point in points]
+    expected = points[0]["received"]
+    return {
+        "params": {
+            "receivers": RECEIVERS,
+            "packets": packets,
+            "broker_counts": list(BROKER_COUNTS),
+        },
+        "results": {
+            **{f"avg_delay_ms_{p['brokers']}_brokers": p["avg_delay_ms"] for p in points},
+            "points": points,
+        },
+        "gates": {
+            # Everyone got the stream in every topology.
+            "every_topology_delivers": all(
+                abs(p["received"] - expected) <= expected * 0.02 for p in points
+            ),
+            # Adding brokers divides the fan-out load.
+            "eight_brokers_halve_delay": delays[-1] < 0.5 * delays[0],
+            # Monotone non-increasing within 10 % noise.
+            "delay_falls_with_brokers": all(
+                later < earlier * 1.10
+                for earlier, later in zip(delays, delays[1:])
+            ),
+        },
+    }

@@ -22,11 +22,9 @@ time; subscribers sit on brokers 1, 2, and 3.  Measured:
 * **zero leaked interest** after the partition+heal round trip and after
   final teardown.
 
-Results land in ``BENCH_chaos.json`` via
-:func:`repro.bench.reporting.json_artifact`.
+The soak is small, so ``quick`` runs it at full size.
 """
 
-from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
 from repro.broker.monitor import BrokerSample
 from repro.broker.network import BrokerNetwork
@@ -50,7 +48,7 @@ TRACE_SAMPLE_RATE = 0.1
 
 #: SLO gap budget for the watchdog — deliberately *tighter* than the
 #: acceptance budget below so the crash and partition outages actually
-#: raise alerts (an SLO that only fires when the test fails is useless).
+#: raise alerts (an SLO that only fires when the gate fails is useless).
 ALERT_GAP_BUDGET_S = 0.3
 ALERT_CHECK_INTERVAL_S = 0.25
 
@@ -80,7 +78,7 @@ def run_soak() -> dict:
         tracer=Tracer(TRACE_SAMPLE_RATE),
     )
     sim.run_for(2.0)  # initial LSA convergence
-    assert bnet.broker("broker-0")._routes["broker-3"] == "broker-4"
+    victim_on_path = bnet.broker("broker-0")._routes.get("broker-3") == "broker-4"
 
     publisher = BrokerClient(net.create_host("pub-host"), client_id="pub")
     publisher.connect(bnet.broker("broker-0"))
@@ -97,7 +95,7 @@ def run_soak() -> dict:
         )
         subscribers[client_id] = client
     sim.run_for(1.0)
-    assert all(c.connected for c in subscribers.values())
+    connected = all(c.connected for c in subscribers.values())
 
     # Ops plane on the publisher-side island: sampled traces and SLO
     # alerts keep flowing through broker-0 across the partition.
@@ -197,7 +195,8 @@ def run_soak() -> dict:
         for broker in bnet.brokers()
     }
     return {
-        "arrivals": arrivals,
+        "victim_on_path": victim_on_path,
+        "connected": connected,
         "crash_gaps": crash_gaps,
         "heal_resume": heal_resume,
         "convergence": convergence,
@@ -214,146 +213,109 @@ def run_soak() -> dict:
     }
 
 
-def test_chaos_soak_media_gap_convergence_zero_leak(measure):
-    result = measure(run_soak)
-    crash_gaps = result["crash_gaps"]
-    heal_resume = result["heal_resume"]
-
-    # The chaos timeline fired exactly as scripted.
-    assert [e.kind for e in result["chaos_log"]] == [
-        "crash", "restart", "partition", "heal",
-    ]
-
-    # Cross-mesh media rides out the un-announced crash within budget —
-    # no client ever failed over; the *mesh* rerouted around the corpse.
-    worst_crash_gap = max(crash_gaps.values())
-    assert worst_crash_gap <= MAX_ACCEPTABLE_GAP_S, (
-        f"crash media gap {worst_crash_gap:.2f}s exceeds "
-        f"{MAX_ACCEPTABLE_GAP_S}s budget: {crash_gaps}"
-    )
-    assert all(c.failovers == 0 for c in result["subscribers"].values())
-
-    # After the heal, far-island subscribers resume within budget.
-    worst_resume = max(heal_resume.values())
-    assert worst_resume <= MAX_ACCEPTABLE_GAP_S, (
-        f"post-heal resume {worst_resume:.2f}s exceeds budget: {heal_resume}"
-    )
-
-    # Routing converged: the last route change everywhere happened within
-    # a detection+flood bound of the final fault.
-    detection_bound_s = PEER_HEARTBEAT_S * (PEER_MISS_LIMIT + 2)
-    for broker_id, changed_at in result["convergence"].items():
-        assert changed_at <= HEAL_AT_S + detection_bound_s, (
-            f"{broker_id} still churning routes at t={changed_at:.2f}s"
-        )
-
-    # The faults were detected by the mesh itself.
-    evictions = sum(
-        stats["peers_evicted"] for stats in result["stats_mid"].values()
-    )
-    assert evictions >= 4  # 2 for the crash, 2 for the partition cuts
-    assert all(
-        stats["lsas_originated"] > 0 and stats["routing_epochs"] >= 3
-        for stats in result["stats_mid"].values()
-    )
-
-    # Zero leaked interest after partition+heal and full teardown.
-    assert all(leak == (0, 0) for leak in result["leaks"].values()), (
-        f"leaked subscription state: {result['leaks']}"
-    )
-
-    # Monitoring saw the routing epochs move alongside the media story.
+def scenario(quick):
+    soak = run_soak()
+    crash_gaps = soak["crash_gaps"]
+    heal_resume = soak["heal_resume"]
+    evictions = sum(stats["peers_evicted"] for stats in soak["stats_mid"].values())
     sampled_epochs = {
         broker_id: [s.routing_epochs for s in series]
-        for broker_id, series in result["samples"].items()
+        for broker_id, series in soak["samples"].items()
     }
-    assert all(series[-1] > series[0] for series in sampled_epochs.values())
-
-    # The observability spine saw the same story: sampled traces name
-    # broker-4 as the hop lost across the crash gap ...
-    assert result["traces_collected"] > 0
-    attribution = result["crash_attribution"]
-    assert attribution["explained"], attribution
-    assert "broker-4" in attribution["lost_hops"], attribution
-    assert any(
-        "broker-4" in change["lost_hops"]
-        for change in result["path_changes"]
-    ), result["path_changes"]
-
-    # ... and the SLO watchdog alerted during both outages — only then.
-    alerts = result["alerts"]
-    crash_alerts = [a for a in alerts if CRASH_AT_S <= a.at <= RESTART_AT_S]
+    attribution = soak["crash_attribution"]
+    alerts = soak["alerts"]
+    crash_alerts = [a.name for a in alerts if CRASH_AT_S <= a.at <= RESTART_AT_S]
     partition_alerts = [
-        a for a in alerts if PARTITION_AT_S <= a.at <= HEAL_AT_S
+        a.name for a in alerts if PARTITION_AT_S <= a.at <= HEAL_AT_S
     ]
-    assert any(a.name == "media-gap/sub-3" for a in crash_alerts)
-    assert any(a.name == "media-gap/sub-2" for a in partition_alerts)
-    assert any(a.name == "media-gap/sub-3" for a in partition_alerts)
-    assert len(crash_alerts) + len(partition_alerts) == len(alerts), (
-        f"alerts outside the fault windows: "
-        f"{[a.as_dict() for a in alerts]}"
-    )
-
-    mean_crash_gap = sum(crash_gaps.values()) / len(crash_gaps)
-    print(simple_table(
-        "Chaos soak — 5-broker autonomous ring, 50 pps, crash/restart + "
-        "partition/heal",
-        [
-            ("crash media gap (worst)", f"{max(crash_gaps.values()):.3f}",
-             f"budget {MAX_ACCEPTABLE_GAP_S}"),
-            ("crash media gap (mean)", f"{mean_crash_gap:.3f}", ""),
-            ("post-heal resume (worst)", f"{worst_resume:.3f}",
-             f"budget {MAX_ACCEPTABLE_GAP_S}"),
-            ("peer evictions", evictions, "crash + partition"),
-            ("SLO alerts raised", len(alerts),
-             f"gap budget {ALERT_GAP_BUDGET_S}s"),
-            ("traces collected", result["traces_collected"],
-             f"{TRACE_SAMPLE_RATE:.0%} sampling"),
-            ("crash gap attributed to",
-             ",".join(attribution["lost_hops"]), "from trace paths"),
-            ("leaked entries after teardown",
-             sum(sum(leak) for leak in result["leaks"].values()),
-             "expected 0"),
-        ],
-        ("metric", "value", "note"),
-    ))
-
-    json_artifact("chaos", {
-        "brokers": 5,
-        "topology": "ring",
-        "publish_rate_pps": 1.0 / PUBLISH_INTERVAL_S,
-        "peer_heartbeat_interval_s": PEER_HEARTBEAT_S,
-        "peer_miss_limit": PEER_MISS_LIMIT,
-        "timeline": {
-            "crash_at_s": CRASH_AT_S,
-            "restart_at_s": RESTART_AT_S,
-            "partition_at_s": PARTITION_AT_S,
-            "heal_at_s": HEAL_AT_S,
+    # Routing must settle within a detection+flood bound of the last fault.
+    detection_bound_s = PEER_HEARTBEAT_S * (PEER_MISS_LIMIT + 2)
+    return {
+        "params": {
+            "brokers": 5,
+            "topology": "ring",
+            "publish_rate_pps": 1.0 / PUBLISH_INTERVAL_S,
+            "peer_heartbeat_interval_s": PEER_HEARTBEAT_S,
+            "peer_miss_limit": PEER_MISS_LIMIT,
+            "timeline": {
+                "crash_at_s": CRASH_AT_S,
+                "restart_at_s": RESTART_AT_S,
+                "partition_at_s": PARTITION_AT_S,
+                "heal_at_s": HEAL_AT_S,
+            },
+            "media_gap_budget_s": MAX_ACCEPTABLE_GAP_S,
+            "trace_sample_rate": TRACE_SAMPLE_RATE,
+            "alert_gap_budget_s": ALERT_GAP_BUDGET_S,
         },
-        "chaos_log": [
-            {"at": e.at, "kind": e.kind, "detail": e.detail}
-            for e in result["chaos_log"]
-        ],
-        "crash_media_gap_worst_s": max(crash_gaps.values()),
-        "crash_media_gap_mean_s": mean_crash_gap,
-        "crash_media_gaps_s": crash_gaps,
-        "heal_resume_worst_s": worst_resume,
-        "heal_resume_s": heal_resume,
-        "media_gap_budget_s": MAX_ACCEPTABLE_GAP_S,
-        "last_route_change_at_s": result["convergence"],
-        "peers_evicted_total": evictions,
-        "client_failovers": 0,
-        "per_broker_stats": result["stats_mid"],
-        "routing_epoch_series": sampled_epochs,
-        "trace_sample_rate": TRACE_SAMPLE_RATE,
-        "traces_collected": result["traces_collected"],
-        "path_changes": result["path_changes"],
-        "crash_attribution": attribution,
-        "alert_gap_budget_s": ALERT_GAP_BUDGET_S,
-        "alerts": [a.as_dict() for a in alerts],
-        "probe_status": result["probe_status"],
-        "leaked_after_teardown": {
-            broker_id: {"local_subscriptions": leak[0], "remote_interest": leak[1]}
-            for broker_id, leak in result["leaks"].items()
+        "results": {
+            "crash_media_gap_worst_s": max(crash_gaps.values()),
+            "crash_media_gap_mean_s": sum(crash_gaps.values()) / len(crash_gaps),
+            "heal_resume_worst_s": max(heal_resume.values()),
+            "peers_evicted_total": evictions,
+            "traces_collected": soak["traces_collected"],
+            "client_failovers": sum(
+                c.failovers for c in soak["subscribers"].values()
+            ),
+            "chaos_log": [
+                {"at": e.at, "kind": e.kind, "detail": e.detail}
+                for e in soak["chaos_log"]
+            ],
+            "crash_media_gaps_s": crash_gaps,
+            "heal_resume_s": heal_resume,
+            "last_route_change_at_s": soak["convergence"],
+            "per_broker_stats": soak["stats_mid"],
+            "routing_epoch_series": sampled_epochs,
+            "path_changes": soak["path_changes"],
+            "crash_attribution": attribution,
+            "alerts": [a.as_dict() for a in alerts],
+            "probe_status": soak["probe_status"],
+            "leaked_after_teardown": {
+                broker_id: {
+                    "local_subscriptions": leak[0],
+                    "remote_interest": leak[1],
+                }
+                for broker_id, leak in soak["leaks"].items()
+            },
         },
-    })
+        "gates": {
+            "victim_on_shortest_path": soak["victim_on_path"],
+            "subscribers_connected": soak["connected"],
+            "timeline_fired_as_scripted": [e.kind for e in soak["chaos_log"]]
+            == ["crash", "restart", "partition", "heal"],
+            # The *mesh* rerouted around the corpse; no client failed over.
+            "crash_gap_within_budget":
+                max(crash_gaps.values()) <= MAX_ACCEPTABLE_GAP_S,
+            "no_client_failovers":
+                all(c.failovers == 0 for c in soak["subscribers"].values()),
+            "heal_resume_within_budget":
+                max(heal_resume.values()) <= MAX_ACCEPTABLE_GAP_S,
+            "routes_converged": all(
+                changed_at <= HEAL_AT_S + detection_bound_s
+                for changed_at in soak["convergence"].values()
+            ),
+            # 2 evictions for the crash, 2 for the partition cuts.
+            "mesh_detected_faults": evictions >= 4,
+            "every_broker_recomputed": all(
+                stats["lsas_originated"] > 0 and stats["routing_epochs"] >= 3
+                for stats in soak["stats_mid"].values()
+            ),
+            "zero_leaks_after_teardown":
+                all(leak == (0, 0) for leak in soak["leaks"].values()),
+            "monitor_saw_epochs_move": all(
+                series[-1] > series[0] for series in sampled_epochs.values()
+            ),
+            # Sampled traces name broker-4 as the hop lost across the gap.
+            "crash_gap_attributed_to_victim": soak["traces_collected"] > 0
+            and attribution["explained"]
+            and "broker-4" in attribution["lost_hops"]
+            and any(
+                "broker-4" in change["lost_hops"]
+                for change in soak["path_changes"]
+            ),
+            "alerts_in_both_outages": "media-gap/sub-3" in crash_alerts
+            and "media-gap/sub-2" in partition_alerts
+            and "media-gap/sub-3" in partition_alerts,
+            "alerts_only_in_fault_windows":
+                len(crash_alerts) + len(partition_alerts) == len(alerts),
+        },
+    }

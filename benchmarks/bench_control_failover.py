@@ -8,7 +8,7 @@ live (roster, floor holder, steady membership churn) when the leader is
 killed un-announced by :meth:`repro.simnet.chaos.ChaosSchedule.kill_service`
 with several joins still in flight.
 
-Measured / asserted:
+Gated:
 
 * **control outage**: the promoted standby's ``control_outage_s`` sample
   (time from the leader's last sign of life to promotion) stays within
@@ -23,10 +23,9 @@ Measured / asserted:
 * **exactly one leader** at the end — the second standby adopted the
   promoted replica instead of usurping it.
 
-Results land in ``BENCH_control_failover.json``.
+The soak is small, so ``quick`` runs it at full size.
 """
 
-from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.network import BrokerNetwork
 from repro.core.xgsp.client import XgspClient
 from repro.core.xgsp.messages import JoinAccepted
@@ -60,7 +59,7 @@ SIGNALING_RETRIES = 3
 MAX_CONTROL_OUTAGE_S = 1.5
 
 
-def run_soak() -> dict:
+def scenario(quick):
     sim = Simulator()
     net = Network(sim, SeededStreams(7))
     bnet = BrokerNetwork.ring(
@@ -81,8 +80,9 @@ def run_soak() -> dict:
             standby=(index != 0),
         )
     sim.run_for(2.0)  # heartbeat discovery + standby snapshots
-    assert replicas["xgsp-a"].is_leader
-    assert all(replicas[name].caught_up for name in ("xgsp-b", "xgsp-c"))
+    ready = replicas["xgsp-a"].is_leader and all(
+        replicas[name].caught_up for name in ("xgsp-b", "xgsp-c")
+    )
 
     # A conference with a floor holder, established before the kill.
     chair = XgspClient(
@@ -98,7 +98,6 @@ def run_soak() -> dict:
     chair.floor(session_id, "request",
                 on_result=lambda r: floor_results.append(r.action))
     sim.run_for(0.5)
-    assert floor_results == ["grant"]
 
     # Steady membership churn across the kill window.
     accepted = {}   # participant -> list of JoinAccepted arrival times
@@ -137,125 +136,73 @@ def run_soak() -> dict:
 
     survivors = {name: replicas[name] for name in ("xgsp-b", "xgsp-c")}
     leaders = [name for name, server in survivors.items() if server.is_leader]
-    new_leader = survivors[leaders[0]] if leaders else None
-    total_timeouts = sum(c.timeouts for c in joiners) + chair.timeouts
-    total_retries = sum(c.retries_sent for c in joiners) + chair.retries_sent
-
-    return {
-        "session_id": session_id,
-        "replicas": replicas,
-        "survivors": survivors,
-        "leaders": leaders,
-        "new_leader": new_leader,
-        "accepted": accepted,
-        "rejected": rejected,
-        "timeouts": total_timeouts,
-        "retries": total_retries,
-        "chaos_log": chaos.log,
-    }
-
-
-def test_leader_kill_no_lost_joins_state_survives(measure):
-    result = measure(run_soak)
-    accepted = result["accepted"]
-    leaders = result["leaders"]
-    new_leader = result["new_leader"]
-    survivors = result["survivors"]
-    session_id = result["session_id"]
-
-    # Exactly one survivor leads; the other adopted it.
-    assert len(leaders) == 1, f"split brain or dead control plane: {leaders}"
+    if len(leaders) != 1:
+        raise RuntimeError(f"split brain or dead control plane: {leaders}")
+    new_leader = survivors[leaders[0]]
     follower = next(s for name, s in survivors.items() if name != leaders[0])
-    assert follower.leader_id == new_leader.server_id
-
-    # Every join completed with exactly ONE JoinAccepted: none lost to
-    # the kill, none double-answered by replay + retry racing.
-    missing = sorted(who for who, times in accepted.items() if not times)
-    doubled = sorted(who for who, times in accepted.items() if len(times) > 1)
-    assert not missing, f"joins lost across the failover: {missing}"
-    assert not doubled, f"joins double-answered: {doubled}"
-    assert not result["rejected"]
-    assert result["timeouts"] == 0
-
-    # The new leader's roster is exactly the joined set (chair included)
-    # — replay/retry never double-applied a membership op.
     session = new_leader.session(session_id)
-    expected = {"chair"} | set(accepted)
-    assert set(session.roster.participants()) == expected
-
-    # Floor control survived the promotion.
-    assert session.floor_holder == "chair"
-
-    # Both survivors converged to the same journal state.
     follower_session = follower.session(session_id)
-    assert follower.journal_version == new_leader.journal_version
-    assert set(follower_session.roster.participants()) == expected
-    assert follower_session.floor_holder == "chair"
-
-    # Promotion happened once, within the control-outage budget.
-    assert new_leader.promotions == 1
+    # Every join plus the chair, each applied once.
+    expected_roster = {"chair"} | set(accepted)
     outage = new_leader.control_outage.max
-    assert new_leader.control_outage.count >= 1
-    assert outage <= MAX_CONTROL_OUTAGE_S, (
-        f"control outage {outage:.3f}s over budget {MAX_CONTROL_OUTAGE_S}s"
-    )
-
-    # The kill actually happened and was logged by the schedule.
-    assert [e.kind for e in result["chaos_log"]] == ["kill-service"]
-
-    joins_in_flight_window = sum(
-        1 for times in accepted.values()
-        for t in times if KILL_AT_S <= t <= KILL_AT_S + 2.0
-    )
-
-    print(simple_table(
-        "Control-plane failover — 3 XGSP replicas, leader killed "
-        f"mid-conference at t={KILL_AT_S:.0f}s",
-        [
-            ("control outage", f"{outage:.3f}",
-             f"budget {MAX_CONTROL_OUTAGE_S}"),
-            ("joins issued", len(accepted), f"every {JOIN_INTERVAL_S}s"),
-            ("joins lost", 0, "all completed"),
-            ("joins double-applied", 0, "dedup + replay"),
-            ("joins resolved in kill window", joins_in_flight_window,
-             "answered by the new leader"),
-            ("client retries sent", result["retries"], "same request id"),
-            ("duplicates suppressed", new_leader.duplicates_suppressed, ""),
-            ("in-flight requests replayed", new_leader.inflight_replayed,
-             "at promotion"),
-            ("journal version", new_leader.journal_version,
-             "both survivors agree"),
-        ],
-        ("metric", "value", "note"),
-    ))
-
-    json_artifact("control_failover", {
-        "brokers": 3,
-        "replicas": 3,
-        "replica_heartbeat_interval_s": REPLICA_HEARTBEAT_S,
-        "replica_miss_limit": REPLICA_MISS_LIMIT,
-        "kill_at_s": KILL_AT_S,
-        "join_interval_s": JOIN_INTERVAL_S,
-        "joins_issued": len(accepted),
-        "joins_lost": len([w for w, t in accepted.items() if not t]),
-        "joins_double_applied": len(
-            [w for w, t in accepted.items() if len(t) > 1]
-        ),
-        "joins_resolved_in_kill_window": joins_in_flight_window,
-        "signaling_retries": SIGNALING_RETRIES,
-        "client_retries_sent": result["retries"],
-        "client_timeouts": result["timeouts"],
-        "control_outage_s": outage,
-        "control_outage_budget_s": MAX_CONTROL_OUTAGE_S,
-        "promotions": new_leader.promotions,
-        "new_leader": new_leader.server_id,
-        "duplicates_suppressed": new_leader.duplicates_suppressed,
-        "inflight_replayed": new_leader.inflight_replayed,
-        "ops_journaled_by_new_leader": new_leader.ops_journaled,
-        "journal_version": new_leader.journal_version,
-        "floor_holder_after_failover": "chair",
-        "chaos_log": [
-            {"at": e.at, "kind": e.kind, "detail": e.detail}
-            for e in result["chaos_log"]
-        ],
-    })
+    return {
+        "params": {
+            "brokers": 3,
+            "replicas": 3,
+            "replica_heartbeat_interval_s": REPLICA_HEARTBEAT_S,
+            "replica_miss_limit": REPLICA_MISS_LIMIT,
+            "kill_at_s": KILL_AT_S,
+            "join_interval_s": JOIN_INTERVAL_S,
+            "signaling_retries": SIGNALING_RETRIES,
+            "control_outage_budget_s": MAX_CONTROL_OUTAGE_S,
+        },
+        "results": {
+            "control_outage_s": outage,
+            "joins_issued": len(accepted),
+            "joins_lost": sum(1 for times in accepted.values() if not times),
+            "joins_double_applied":
+                sum(1 for times in accepted.values() if len(times) > 1),
+            "joins_resolved_in_kill_window": sum(
+                1 for times in accepted.values()
+                for t in times if KILL_AT_S <= t <= KILL_AT_S + 2.0
+            ),
+            "client_retries_sent":
+                sum(c.retries_sent for c in joiners) + chair.retries_sent,
+            "client_timeouts":
+                sum(c.timeouts for c in joiners) + chair.timeouts,
+            "promotions": new_leader.promotions,
+            "new_leader": new_leader.server_id,
+            "duplicates_suppressed": new_leader.duplicates_suppressed,
+            "inflight_replayed": new_leader.inflight_replayed,
+            "ops_journaled_by_new_leader": new_leader.ops_journaled,
+            "journal_version": new_leader.journal_version,
+            "floor_holder_after_failover": session.floor_holder,
+            "chaos_log": [
+                {"at": e.at, "kind": e.kind, "detail": e.detail}
+                for e in chaos.log
+            ],
+        },
+        "gates": {
+            "leader_and_caught_up_standbys_before_kill": ready,
+            "floor_granted_before_kill": floor_results == ["grant"],
+            "kill_happened": [e.kind for e in chaos.log] == ["kill-service"],
+            "follower_adopted_new_leader":
+                follower.leader_id == new_leader.server_id,
+            "no_join_lost_or_double_answered": all(
+                len(times) == 1 for times in accepted.values()
+            ),
+            "no_rejections_or_timeouts": not rejected
+            and sum(c.timeouts for c in joiners) + chair.timeouts == 0,
+            "roster_exactly_the_joined_set":
+                set(session.roster.participants()) == expected_roster,
+            "floor_survived": session.floor_holder == "chair",
+            "survivors_agree":
+                follower.journal_version == new_leader.journal_version
+                and set(follower_session.roster.participants())
+                == expected_roster
+                and follower_session.floor_holder == "chair",
+            "one_promotion_within_budget": new_leader.promotions == 1
+            and new_leader.control_outage.count >= 1
+            and outage <= MAX_CONTROL_OUTAGE_S,
+        },
+    }

@@ -1,8 +1,8 @@
 """Experiment failover: broker loss mid-conference.
 
 The paper's "dynamic collection of brokers" is only dynamic if endpoints
-survive a broker leaving it.  This harness runs a two-broker conference —
-a publisher streaming 50 pps on the surviving broker, SUBSCRIBERS
+survive a broker leaving it.  This scenario runs a two-broker conference
+— a publisher streaming 50 pps on the surviving broker, SUBSCRIBERS
 keepalive-enabled subscribers on the broker that is about to die — kills
 the media broker mid-stream, and measures:
 
@@ -12,12 +12,9 @@ the media broker mid-stream, and measures:
   exactly once, no remote interest left behind by the dead broker, and a
   clean teardown back to zero subscriptions.
 
-Results land in ``BENCH_failover.json`` (via
-:func:`repro.bench.reporting.json_artifact`) so future PRs can track the
-recovery-latency trajectory.
+The conference is small, so ``quick`` runs it at full size.
 """
 
-from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
 from repro.simnet.kernel import Simulator
@@ -38,7 +35,7 @@ KEEPALIVE_MISS_LIMIT = 2
 MAX_ACCEPTABLE_GAP_S = KEEPALIVE_INTERVAL_S * (KEEPALIVE_MISS_LIMIT + 2) + 0.5
 
 
-def run_conference() -> dict:
+def scenario(quick):
     sim = Simulator()
     net = Network(sim, SeededStreams(42))
     bnet = BrokerNetwork.chain(net, 2)
@@ -67,7 +64,7 @@ def run_conference() -> dict:
         )
         subscribers.append(client)
     sim.run_for(2.0)
-    assert all(c.connected for c in subscribers)
+    connected = all(c.connected for c in subscribers)
 
     def publish_tick(i=[0]):
         publisher.publish(TOPIC, i[0], 200)
@@ -78,12 +75,10 @@ def run_conference() -> dict:
     sim.schedule(KILL_AT_S - 2.0, bnet.remove_broker, "broker-1")
     sim.run_for(RUN_FOR_S)
 
-    gaps = {
-        client_id: max(
-            (b - a for a, b in zip(log, log[1:])), default=float("inf")
-        )
-        for client_id, log in arrivals.items()
-    }
+    gaps = [
+        max((b - a for a, b in zip(log, log[1:])), default=float("inf"))
+        for log in arrivals.values()
+    ]
     stats_after = survivor.statistics()
 
     # Clean teardown: nothing left behind once everyone hangs up.
@@ -91,79 +86,46 @@ def run_conference() -> dict:
         client.disconnect()
     publisher.disconnect()
     sim.run_for(2.0)
-    stats_final = survivor.statistics()
+    leaked_local = survivor.statistics()["local_subscriptions"]
 
+    worst_gap = max(gaps)
     return {
-        "subscribers": subscribers,
-        "arrivals": arrivals,
-        "gaps": gaps,
-        "stats_after": stats_after,
-        "stats_final": stats_final,
-        "survivor": survivor,
-        "final_now": sim.now,
+        "params": {
+            "subscribers": SUBSCRIBERS,
+            "publish_rate_pps": 1.0 / PUBLISH_INTERVAL_S,
+            "keepalive_interval_s": KEEPALIVE_INTERVAL_S,
+            "keepalive_miss_limit": KEEPALIVE_MISS_LIMIT,
+            "media_gap_budget_s": MAX_ACCEPTABLE_GAP_S,
+        },
+        "results": {
+            "media_gap_worst_s": worst_gap,
+            "media_gap_mean_s": sum(gaps) / len(gaps),
+            "failovers": sum(c.failovers for c in subscribers),
+            "link_losses": sum(c.link_losses for c in subscribers),
+            "subscriptions_replayed":
+                sum(c.subscriptions_replayed for c in subscribers),
+            "heartbeats_sent": sum(c.heartbeats_sent for c in subscribers),
+            "heartbeats_acked": sum(c.heartbeats_acked for c in subscribers),
+            "leaked_local_subscriptions_after_teardown": leaked_local,
+            "leaked_remote_interest": stats_after["remote_interest"],
+            "survivor_stats_after_failover": stats_after,
+        },
+        "gates": {
+            "subscribers_connected_before_kill": connected,
+            "each_subscriber_failed_over_once": all(
+                (c.failovers, c.link_losses, c.subscriptions_replayed)
+                == (1, 1, 1)
+                for c in subscribers
+            ),
+            "every_subscriber_kept_receiving":
+                all(len(log) > 0 for log in arrivals.values()),
+            "media_gap_within_budget": worst_gap <= MAX_ACCEPTABLE_GAP_S,
+            # Exactly the replayed subscriptions, no interest left behind
+            # by the dead broker.
+            "survivor_holds_exactly_the_replays":
+                stats_after["local_subscriptions"] == SUBSCRIBERS
+                and stats_after["remote_interest"] == 0,
+            "zero_leaks_after_teardown":
+                leaked_local == 0 and survivor.client_count() == 0,
+        },
     }
-
-
-def test_failover_media_gap_and_zero_leak(measure):
-    result = measure(run_conference)
-    subscribers = result["subscribers"]
-    gaps = result["gaps"]
-    stats_after = result["stats_after"]
-
-    # Every subscriber failed over exactly once and kept receiving.
-    assert all(c.failovers == 1 for c in subscribers)
-    assert all(c.link_losses == 1 for c in subscribers)
-    assert all(c.subscriptions_replayed == 1 for c in subscribers)
-    assert all(len(log) > 0 for log in result["arrivals"].values())
-
-    worst_gap = max(gaps.values())
-    mean_gap = sum(gaps.values()) / len(gaps)
-    assert worst_gap <= MAX_ACCEPTABLE_GAP_S, (
-        f"media gap {worst_gap:.2f}s exceeds the detection+reconnect "
-        f"budget {MAX_ACCEPTABLE_GAP_S:.2f}s"
-    )
-
-    # Zero-leak recovery on the survivor: exactly the replayed
-    # subscriptions, no interest left behind by the dead broker.
-    assert stats_after["local_subscriptions"] == SUBSCRIBERS
-    assert stats_after["remote_interest"] == 0
-    assert result["stats_final"]["local_subscriptions"] == 0
-    assert result["survivor"].client_count() == 0
-
-    heartbeats = sum(c.heartbeats_sent for c in subscribers)
-    print(simple_table(
-        f"Broker failover — {SUBSCRIBERS} subscribers, 50 pps, broker "
-        f"killed at t={KILL_AT_S - 2.0:.0f}s (of {RUN_FOR_S:.0f}s)",
-        [
-            ("media gap (worst)", f"{worst_gap:.3f}",
-             f"budget {MAX_ACCEPTABLE_GAP_S:.2f}"),
-            ("media gap (mean)", f"{mean_gap:.3f}", ""),
-            ("failovers", sum(c.failovers for c in subscribers), "expected 20"),
-            ("leaked local subs", result["stats_final"]["local_subscriptions"],
-             "expected 0"),
-            ("leaked remote interest", stats_after["remote_interest"],
-             "expected 0"),
-            ("heartbeats sent", heartbeats, ""),
-        ],
-        ("metric", "value", "note"),
-    ))
-
-    json_artifact("failover", {
-        "subscribers": SUBSCRIBERS,
-        "publish_rate_pps": 1.0 / PUBLISH_INTERVAL_S,
-        "keepalive_interval_s": KEEPALIVE_INTERVAL_S,
-        "keepalive_miss_limit": KEEPALIVE_MISS_LIMIT,
-        "media_gap_worst_s": worst_gap,
-        "media_gap_mean_s": mean_gap,
-        "media_gap_budget_s": MAX_ACCEPTABLE_GAP_S,
-        "failovers": sum(c.failovers for c in subscribers),
-        "link_losses": sum(c.link_losses for c in subscribers),
-        "subscriptions_replayed":
-            sum(c.subscriptions_replayed for c in subscribers),
-        "heartbeats_sent": heartbeats,
-        "heartbeats_acked": sum(c.heartbeats_acked for c in subscribers),
-        "survivor_stats_after_failover": stats_after,
-        "leaked_local_subscriptions_after_teardown":
-            result["stats_final"]["local_subscriptions"],
-        "leaked_remote_interest": stats_after["remote_interest"],
-    })

@@ -20,16 +20,10 @@ Three legs, every one a hard gate:
   be bit-identical to one that never mentions regions — the whole geo
   plane is strictly opt-in.
 
-``BENCH_geo.json`` records the measured numbers.  Run the CI smoke
-slice with::
-
-    python benchmarks/bench_geo.py --quick --floor 40
+A floor on control ops published through the cut keeps the exactly-once
+gate non-vacuous.  ``quick`` runs a smaller fabric with shorter legs.
 """
 
-import argparse
-import sys
-
-from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
 from repro.obs.metrics import Histogram
@@ -71,6 +65,10 @@ DRAIN_S = 8.0
 QUICK_STEADY_S = 6.0
 QUICK_PARTITION_S = 5.0
 QUICK_DRAIN_S = 6.0
+
+#: Floor on reliable control ops published through cut + heal.
+CONTROL_OPS_FLOOR = 100
+QUICK_CONTROL_OPS_FLOOR = 40
 
 
 def build_mesh(net, per_region):
@@ -299,70 +297,8 @@ def regions_disabled_trace(explicit_none):
     return trace
 
 
-def evaluate(report, floor):
-    """Gate list: (name, passed, detail)."""
-    steady = report["steady"]
-    partition = report["partition"]
-    gates = []
-    worst_p99 = max(
-        ms for region, ms in steady["cross_region_p99_ms"].items()
-        if region != "us"
-    )
-    gates.append((
-        "cross-region p99",
-        worst_p99 <= steady["p99_budget_ms"],
-        f"{worst_p99:.1f}ms <= {steady['p99_budget_ms']:.0f}ms",
-    ))
-    worst_gap = max(partition["max_local_media_gap_s"].values())
-    gates.append((
-        "intra-region media gap",
-        worst_gap <= partition["gap_budget_s"],
-        f"{worst_gap:.2f}s <= {partition['gap_budget_s']}s",
-    ))
-    exactly_once = all(
-        row["exactly_once"] for row in partition["control"].values()
-    )
-    gates.append((
-        "control exactly-once",
-        exactly_once,
-        f"{partition['control_ops_published']} ops, "
-        f"lost={max(r['lost'] for r in partition['control'].values())}, "
-        f"dup={max(r['duplicated'] for r in partition['control'].values())}",
-    ))
-    if floor:
-        gates.append((
-            "control ops floor",
-            partition["control_ops_published"] >= floor,
-            f"{partition['control_ops_published']} >= {floor}",
-        ))
-    gates.append((
-        "regions=None bit-identical",
-        report["regions_disabled_bit_identical"],
-        "same seeded trace",
-    ))
-    return gates
-
-
-def print_gates(gates):
-    rows = [
-        (name, "pass" if ok else "FAIL", detail)
-        for name, ok, detail in gates
-    ]
-    print(simple_table("Geo federation gates", rows, ("gate", "slo", "detail")))
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke slice: small fabric, short legs, no artifact",
-    )
-    parser.add_argument(
-        "--floor", type=int, default=0,
-        help="fail unless at least this many control ops crossed the heal",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
+def scenario(quick):
+    if quick:
         town = TownHall(
             per_region=2, sub_split=QUICK_SUB_SPLIT,
             steady_s=QUICK_STEADY_S, partition_s=QUICK_PARTITION_S,
@@ -375,25 +311,34 @@ def main(argv=None):
         )
     report = town.run()
     town.close()
-    report["regions_disabled_bit_identical"] = (
-        regions_disabled_trace(True) == regions_disabled_trace(False)
+    floor = QUICK_CONTROL_OPS_FLOOR if quick else CONTROL_OPS_FLOOR
+    partition = report["partition"]
+    worst_p99_ms = max(
+        ms for region, ms in report["steady"]["cross_region_p99_ms"].items()
+        if region != "us"
     )
-    gates = evaluate(report, args.floor)
-    print_gates(gates)
-    report["gates"] = [
-        {"gate": name, "passed": ok, "detail": detail}
-        for name, ok, detail in gates
-    ]
-    if not args.quick:
-        path = json_artifact("geo", report)
-        print(f"wrote {path}")
-    failed = [name for name, ok, _ in gates if not ok]
-    if failed:
-        print(f"FAIL: {', '.join(failed)}")
-        return 1
-    print("OK: all geo gates passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    worst_gap_s = max(partition["max_local_media_gap_s"].values())
+    report.update(
+        worst_cross_region_p99_ms=worst_p99_ms,
+        worst_local_media_gap_s=worst_gap_s,
+    )
+    return {
+        "params": {
+            "regions": list(REGIONS),
+            "sub_split": QUICK_SUB_SPLIT if quick else SUB_SPLIT,
+            "p99_budget_ms": CROSS_P99_BUDGET_S * 1000,
+            "gap_budget_s": INTRA_GAP_BUDGET_S,
+            "control_ops_floor": floor,
+        },
+        "results": report,
+        "gates": {
+            "cross_region_p99": worst_p99_ms <= CROSS_P99_BUDGET_S * 1000,
+            "intra_region_media_gap": worst_gap_s <= INTRA_GAP_BUDGET_S,
+            "control_exactly_once": all(
+                row["exactly_once"] for row in partition["control"].values()
+            ),
+            "control_ops_floor": partition["control_ops_published"] >= floor,
+            "regions_none_bit_identical":
+                regions_disabled_trace(True) == regions_disabled_trace(False),
+        },
+    }

@@ -7,13 +7,11 @@ performance-functionality trade-offs for different scenarios."
 
 The trade-off quantified: for a small ad-hoc group, direct peering
 removes the broker hop (lower latency); the broker buys functionality —
-here, reaching a firewalled member the mesh cannot touch.
+here, reaching a firewalled member the mesh cannot touch.  The runs are
+small, so ``quick`` runs them at full size.
 """
 
-import pytest
-
 from repro.bench.metrics import mean
-from repro.bench.reporting import simple_table
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient
 from repro.broker.p2p import P2PGroup, RendezvousService
@@ -81,71 +79,66 @@ def run_p2p(seed=0) -> float:
     return mean(delays) * 1000.0
 
 
-def test_p2p_vs_client_server_latency(measure):
-    results = measure(lambda: {"brokered": run_brokered(), "p2p": run_p2p()})
-    print(simple_table(
-        f"Small-group audio ({GROUP_SIZE} members): operating modes",
-        [
-            ("client-server (JMS-like)", f"{results['brokered']:.3f}"),
-            ("peer-to-peer (JXTA-like)", f"{results['p2p']:.3f}"),
-        ],
-        ("mode", "avg delay (ms)"),
-    ))
-    # Direct peering must beat the extra broker hop.
-    assert results["p2p"] < results["brokered"]
+def reach_firewalled_member() -> dict:
+    """Functionality side of the trade-off: messages a firewalled member
+    receives over a pure mesh and over the hybrid (P2P + broker relay)."""
+    sim = Simulator()
+    net = Network(sim, SeededStreams(1))
+    rendezvous = RendezvousService(net.create_host("rdv-host"))
+    broker = Broker(net.create_host("broker-host"), broker_id="b0")
+    inside = net.create_host("inside")
+    Firewall().attach(inside)
+
+    # Pure-mesh attempt: carol advertises a direct address the others
+    # cannot actually deliver to (her firewall drops unsolicited UDP).
+    mesh_carol = P2PGroup(inside, "carol", "mesh", rendezvous.address)
+    mesh_carol.join()
+    mesh_alice = P2PGroup(net.create_host("alice-host"), "alice", "mesh",
+                          rendezvous.address)
+    mesh_alice.join()
+    mesh_got = []
+    mesh_carol.subscribe("/x", mesh_got.append)
+    sim.run_for(2.0)
+    mesh_alice.publish("/x", b"hello", 100)
+    sim.run_for(2.0)
+
+    # Hybrid: carol is relayed through the broker.
+    relay = BrokerClient(inside, client_id="carol-relay")
+    relay.connect(broker)
+    alice_relay = BrokerClient(net.create_host("alice2-host"),
+                               client_id="alice-relay")
+    alice_relay.connect(broker)
+    sim.run_for(2.0)
+    hybrid_carol = P2PGroup(inside, "carol2", "hybrid", rendezvous.address,
+                            broker_client=relay, direct=False)
+    hybrid_carol.join()
+    hybrid_alice = P2PGroup(net.create_host("alice3-host"), "alice2",
+                            "hybrid", rendezvous.address,
+                            broker_client=alice_relay)
+    hybrid_alice.join()
+    hybrid_got = []
+    hybrid_carol.subscribe("/x", hybrid_got.append)
+    sim.run_for(2.0)
+    hybrid_alice.publish("/x", b"hello", 100)
+    sim.run_for(3.0)
+    return {"mesh": len(mesh_got), "hybrid": len(hybrid_got)}
 
 
-def test_hybrid_reaches_firewalled_peer(measure):
-    """Functionality side of the trade-off: a pure mesh cannot reach a
-    firewalled member; the hybrid (P2P + broker relay) can."""
-
-    def run() -> dict:
-        sim = Simulator()
-        net = Network(sim, SeededStreams(1))
-        rendezvous = RendezvousService(net.create_host("rdv-host"))
-        broker = Broker(net.create_host("broker-host"), broker_id="b0")
-        inside = net.create_host("inside")
-        Firewall().attach(inside)
-
-        # Pure-mesh attempt: carol advertises a direct address the others
-        # cannot actually deliver to (her firewall drops unsolicited UDP).
-        mesh_carol = P2PGroup(inside, "carol", "mesh", rendezvous.address)
-        mesh_carol.join()
-        mesh_alice = P2PGroup(net.create_host("alice-host"), "alice", "mesh",
-                              rendezvous.address)
-        mesh_alice.join()
-        mesh_got = []
-        mesh_carol.subscribe("/x", mesh_got.append)
-        sim.run_for(2.0)
-        mesh_alice.publish("/x", b"hello", 100)
-        sim.run_for(2.0)
-
-        # Hybrid: carol is relayed through the broker.
-        relay = BrokerClient(inside, client_id="carol-relay")
-        relay.connect(broker)
-        alice_relay = BrokerClient(net.create_host("alice2-host"),
-                                   client_id="alice-relay")
-        alice_relay.connect(broker)
-        sim.run_for(2.0)
-        hybrid_carol = P2PGroup(inside, "carol2", "hybrid", rendezvous.address,
-                                broker_client=relay, direct=False)
-        hybrid_carol.join()
-        hybrid_alice = P2PGroup(net.create_host("alice3-host"), "alice2",
-                                "hybrid", rendezvous.address,
-                                broker_client=alice_relay)
-        hybrid_alice.join()
-        hybrid_got = []
-        hybrid_carol.subscribe("/x", hybrid_got.append)
-        sim.run_for(2.0)
-        hybrid_alice.publish("/x", b"hello", 100)
-        sim.run_for(3.0)
-        return {"mesh": len(mesh_got), "hybrid": len(hybrid_got)}
-
-    results = measure(run)
-    print(simple_table(
-        "Reaching a firewalled member",
-        [("pure mesh", results["mesh"]), ("hybrid (broker relay)", results["hybrid"])],
-        ("mode", "messages delivered"),
-    ))
-    assert results["mesh"] == 0
-    assert results["hybrid"] == 1
+def scenario(quick):
+    brokered = run_brokered()
+    p2p = run_p2p()
+    reached = reach_firewalled_member()
+    return {
+        "params": {"group_size": GROUP_SIZE, "duration_s": DURATION_S},
+        "results": {
+            "brokered_avg_delay_ms": brokered,
+            "p2p_avg_delay_ms": p2p,
+            "pure_mesh_delivered": reached["mesh"],
+            "hybrid_delivered": reached["hybrid"],
+        },
+        "gates": {
+            "direct_peering_beats_the_broker_hop": p2p < brokered,
+            "pure_mesh_cannot_reach_firewalled": reached["mesh"] == 0,
+            "hybrid_reaches_firewalled": reached["hybrid"] == 1,
+        },
+    }

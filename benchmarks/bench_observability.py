@@ -2,115 +2,82 @@
 
 Runs the paper's Figure-3 workload (600 kbps video sender, 400
 receivers, one broker) twice — untraced baseline vs 1% trace sampling
-with a live TraceCollector — and asserts the observability spine costs
-less than 5% on both average and p99 delivery delay.  The sampled-trace
+with a live TraceCollector — and gates the observability spine at less
+than 5% on both average and p99 delivery delay.  The sampled-trace
 dissemination consumes *modeled broker CPU* (route + per-receiver send
 costs on the shared host), so this is a real overhead measurement in
 virtual time, not a Python micro-benchmark.
-
-Writes ``BENCH_trace_overhead.json``.
 """
 
-import pytest
-
 from repro.bench.figure3 import Fig3Config, run_figure3
-from repro.bench.reporting import heading, json_artifact, simple_table
 
 PACKETS = 2000
+QUICK_PACKETS = 300
 SAMPLE_RATE = 0.01
 #: Relative budget on the traced run's delay degradation.
 MAX_OVERHEAD = 0.05
 
-_results = {}
+
+def _delivery(result):
+    return {
+        "avg_delay_ms": result.avg_delay_ms,
+        "p99_delay_ms": result.p99_delay_ms,
+        "avg_jitter_ms": result.avg_jitter_ms,
+        "packets": result.packets,
+        "lost": result.lost,
+    }
 
 
-def test_untraced_baseline(measure):
-    result = measure(run_figure3, "narada", Fig3Config(packets=PACKETS))
-    _results["baseline"] = result
-    assert result.lost == 0
-    assert result.broker_stats["traces_started"] == 0
-
-
-def test_traced_within_budget(measure):
+def scenario(quick):
+    packets = QUICK_PACKETS if quick else PACKETS
+    baseline = run_figure3("narada", Fig3Config(packets=packets))
     config = Fig3Config(
-        packets=PACKETS,
-        trace_sample_rate=SAMPLE_RATE,
-        collect_traces=True,
+        packets=packets, trace_sample_rate=SAMPLE_RATE, collect_traces=True
     )
-    result = measure(run_figure3, "narada", config)
-    _results["traced"] = result
-    baseline = _results["baseline"]
-
-    # Sampling really happened, traces completed and were collected.
-    expected = PACKETS * SAMPLE_RATE
-    assert result.broker_stats["traces_started"] >= 0.5 * expected
-    assert (
-        result.broker_stats["traces_completed"]
-        >= 0.9 * result.broker_stats["traces_started"]
-    )
-    summary = result.trace_summary
-    assert summary["count"] >= 0.5 * expected
-
-    # Attribution is self-consistent: shares partition end-to-end delay.
+    traced = run_figure3("narada", config)
+    stats, summary = traced.broker_stats, traced.trace_summary
+    expected = packets * SAMPLE_RATE
     share_sum = (
         summary["cpu_share"] + summary["queue_share"] + summary["link_share"]
     )
-    assert 0.99 < share_sum < 1.01
-
-    # The acceptance gate: within 5% of untraced on avg and p99 delay,
-    # and no packets lost to the extra trace traffic (same throughput).
     avg_overhead = (
-        (result.avg_delay_ms - baseline.avg_delay_ms) / baseline.avg_delay_ms
+        (traced.avg_delay_ms - baseline.avg_delay_ms) / baseline.avg_delay_ms
     )
     p99_overhead = (
-        (result.p99_delay_ms - baseline.p99_delay_ms) / baseline.p99_delay_ms
+        (traced.p99_delay_ms - baseline.p99_delay_ms) / baseline.p99_delay_ms
     )
-    assert result.lost == 0
-    assert result.packets >= baseline.packets
-    assert avg_overhead < MAX_OVERHEAD, f"avg delay overhead {avg_overhead:.1%}"
-    assert p99_overhead < MAX_OVERHEAD, f"p99 delay overhead {p99_overhead:.1%}"
-
-    print(heading("Trace overhead — Figure-3 workload, 1% sampling"))
-    print(simple_table(
-        "delivery delay (12 measured clients)",
-        [
-            ["untraced", f"{baseline.avg_delay_ms:.2f}",
-             f"{baseline.p99_delay_ms:.2f}", str(baseline.packets), "0"],
-            ["traced 1%", f"{result.avg_delay_ms:.2f}",
-             f"{result.p99_delay_ms:.2f}", str(result.packets),
-             str(result.broker_stats["traces_completed"])],
-            ["overhead", f"{avg_overhead:+.2%}", f"{p99_overhead:+.2%}",
-             "", ""],
-        ],
-        header=["run", "avg ms", "p99 ms", "packets", "traces"],
-    ))
-
-    json_artifact("trace_overhead", {
-        "workload": {
-            "packets": PACKETS,
+    return {
+        "params": {
+            "packets": packets,
             "receivers": config.receivers,
             "sample_rate": SAMPLE_RATE,
+            "overhead_budget": MAX_OVERHEAD,
         },
-        "baseline": {
-            "avg_delay_ms": baseline.avg_delay_ms,
-            "p99_delay_ms": baseline.p99_delay_ms,
-            "avg_jitter_ms": baseline.avg_jitter_ms,
-            "packets": baseline.packets,
-            "lost": baseline.lost,
+        "results": {
+            "avg_delay_overhead": avg_overhead,
+            "p99_delay_overhead": p99_overhead,
+            "baseline": _delivery(baseline),
+            "traced": {
+                **_delivery(traced),
+                "traces_started": stats["traces_started"],
+                "traces_completed": stats["traces_completed"],
+                "trace_summary": summary,
+            },
         },
-        "traced": {
-            "avg_delay_ms": result.avg_delay_ms,
-            "p99_delay_ms": result.p99_delay_ms,
-            "avg_jitter_ms": result.avg_jitter_ms,
-            "packets": result.packets,
-            "lost": result.lost,
-            "traces_started": result.broker_stats["traces_started"],
-            "traces_completed": result.broker_stats["traces_completed"],
-            "trace_summary": summary,
+        "gates": {
+            "baseline_untraced_and_lossless": baseline.lost == 0
+            and baseline.broker_stats["traces_started"] == 0,
+            "traces_sampled_and_collected":
+                stats["traces_started"] >= 0.5 * expected
+                and summary["count"] >= 0.5 * expected,
+            "traces_completed":
+                stats["traces_completed"] >= 0.9 * stats["traces_started"],
+            # Attribution is self-consistent: shares partition the delay.
+            "shares_partition_delay": 0.99 < share_sum < 1.01,
+            # No packets lost to the extra trace traffic.
+            "traced_run_lossless":
+                traced.lost == 0 and traced.packets >= baseline.packets,
+            "avg_delay_within_budget": avg_overhead < MAX_OVERHEAD,
+            "p99_delay_within_budget": p99_overhead < MAX_OVERHEAD,
         },
-        "overhead": {
-            "avg_delay": avg_overhead,
-            "p99_delay": p99_overhead,
-            "budget": MAX_OVERHEAD,
-        },
-    })
+    }

@@ -19,17 +19,13 @@ Gates (the headline is ``BENCH_overload.json``):
   budget through the burst;
 * every broker returns to NORMAL within 2 s of burst end;
 * below the watermarks the controller is bit-identically inert: an
-  enabled run's delivery trace equals a disabled run's.
+  enabled run's delivery trace equals a disabled run's;
+* a floor on shed events, so the engagement gate cannot pass on a
+  trickle.
 
-Run directly for the CI smoke slice:
-
-    python benchmarks/bench_overload.py --quick --floor 50
+``quick`` runs the flash crowd on a smaller fabric.
 """
 
-import argparse
-import sys
-
-from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
 from repro.broker.overload import NORMAL, ShedWatermarks
@@ -76,6 +72,10 @@ POLL_S = 0.1
 
 SLO_AUDIO_GAP_S = 1.5
 SLO_RECOVER_S = 2.0
+
+#: Floor on events shed fabric-wide, per size.
+SHED_FLOOR = 1000
+QUICK_SHED_FLOOR = 500
 
 
 def quantile(values, q):
@@ -244,95 +244,38 @@ def determinism_check():
                 publisher.publish, topic, index, 400,
             )
         sim.run(until=TOPOLOGY_CONVERGE_S + 5.0)
-        assert trace, "determinism leg delivered nothing"
         fabric.close()
-        base = min(entry[0] for entry in trace)
+        base = min((entry[0] for entry in trace), default=0)
         return [(eid - base, topic, at) for eid, topic, at in trace]
 
-    return trace_run(True) == trace_run(False)
+    enabled = trace_run(True)
+    return bool(enabled) and enabled == trace_run(False)
 
 
-def evaluate(result, inert):
-    gates = {
-        "controller_engaged": result["overload_entries"] > 0
-        and result["events_shed"] > 0,
-        "zero_control_shed": result["events_shed_control"] == 0,
-        "audio_gap_p99_within_budget":
-            result["audio_gap_p99_s"] <= SLO_AUDIO_GAP_S,
-        "recovered_within_budget": result["time_to_normal_s"] is not None
-        and result["time_to_normal_s"] <= SLO_RECOVER_S,
-        "inert_below_watermarks": inert,
-    }
-    return gates
-
-
-def print_result(result, gates):
-    rows = [
-        ("crowd clients", result["crowd_clients"],
-         f"connected {result['crowd_connected']}"),
-        ("admissions refused", result["admissions_refused"],
-         f"busy rejections {result['crowd_busy_rejections']}"),
-        ("events shed", result["events_shed"],
-         f"video {result['events_shed_video']} / "
-         f"bulk {result['events_shed_bulk']}"),
-        ("control shed", result["events_shed_control"], "must be 0"),
-        ("audio shed in-broker", result["events_shed_audio"], "must be 0"),
-        ("audio gap p99", f"{result['audio_gap_p99_s'] * 1000:.0f}ms",
-         f"budget {SLO_AUDIO_GAP_S * 1000:.0f}ms"),
-        ("time to NORMAL", f"{result['time_to_normal_s']}s",
-         f"budget {SLO_RECOVER_S}s"),
-    ]
-    print(simple_table(
-        f"Flash crowd on {result['brokers']} clustered brokers",
-        rows, ("metric", "value", "note"),
-    ))
-    for name, passed in gates.items():
-        print(f"  {'ok  ' if passed else 'FAIL'} {name}")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke slice: small fabric, no artifact",
-    )
-    parser.add_argument(
-        "--floor", type=int, default=0,
-        help="fail if total shed events fall below this floor",
-    )
-    args = parser.parse_args(argv)
-    cluster_sizes = QUICK_CLUSTERS if args.quick else FULL_CLUSTERS
-    print(
-        f"flash crowd ({CROWD_MULTIPLIER}x) on {sum(cluster_sizes)} brokers",
-        flush=True,
-    )
+def scenario(quick):
+    cluster_sizes = QUICK_CLUSTERS if quick else FULL_CLUSTERS
+    shed_floor = QUICK_SHED_FLOOR if quick else SHED_FLOOR
     result = run_flash_crowd(cluster_sizes)
-    inert = determinism_check()
-    gates = evaluate(result, inert)
-    print_result(result, gates)
-    failed = [name for name, passed in gates.items() if not passed]
-    if args.floor and result["events_shed"] < args.floor:
-        print(f"FAIL: {result['events_shed']} shed below floor {args.floor}")
-        return 1
-    if not args.quick:
-        report = {
+    return {
+        "params": {
             "clusters": len(cluster_sizes),
             "crowd_multiplier": CROWD_MULTIPLIER,
             "slo": {
                 "audio_gap_p99_s": SLO_AUDIO_GAP_S,
                 "recover_s": SLO_RECOVER_S,
             },
-            "result": result,
-            "gates": gates,
-        }
-        path = json_artifact("overload", report)
-        print(f"wrote {path}")
-    if failed:
-        print(f"FAIL: {', '.join(failed)}")
-        return 1
-    print("OK: all overload gates passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+            "shed_floor": shed_floor,
+        },
+        "results": result,
+        "gates": {
+            "controller_engaged": result["overload_entries"] > 0
+            and result["events_shed"] > 0,
+            "shed_floor": result["events_shed"] >= shed_floor,
+            "zero_control_shed": result["events_shed_control"] == 0,
+            "audio_gap_p99_within_budget":
+                result["audio_gap_p99_s"] <= SLO_AUDIO_GAP_S,
+            "recovered_within_budget": result["time_to_normal_s"] is not None
+            and result["time_to_normal_s"] <= SLO_RECOVER_S,
+            "inert_below_watermarks": determinism_check(),
+        },
+    }

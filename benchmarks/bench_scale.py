@@ -38,15 +38,9 @@ where flat has long since hit the CPU-headroom wall.  The headline —
 ``BENCH_scale.json`` — is sustained subscribers per mode and the
 clustered/flat ratio, which the cluster tier must hold at >= 5x.
 
-Run directly for the CI smoke slice:
-
-    python benchmarks/bench_scale.py --quick --floor 480
+``quick`` climbs only the clustered ladder, on a smaller fabric.
 """
 
-import argparse
-import sys
-
-from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
 from repro.obs.metrics import Histogram
@@ -93,6 +87,13 @@ CLUSTERED_LADDER = (100, 400, 800, 1600)
 #: tier must hold the SLO easily; a regression (summary re-flood storm,
 #: gateway routing breakage) drags the sustained rung under the floor.
 QUICK_LADDER = (480, 960)
+
+#: Floor on the clustered fabric's sustained subscribers: the first rung
+#: of each ladder that lies in the summary-collapse regime.
+SUSTAINED_FLOOR = 400
+QUICK_SUSTAINED_FLOOR = 480
+#: How many times flat's sustained subscribers clustered must hold.
+MIN_CLUSTERED_OVER_FLAT = 5
 
 
 class _CpuHeadroom:
@@ -284,14 +285,6 @@ def run_ladder(mode, cluster_sizes, ladder, stop_after_failures):
     for subscribers in ladder:
         rung = climber.measure_rung(subscribers)
         rungs.append(rung)
-        status = "ok" if rung["passed"] else "FAIL"
-        print(
-            f"  {mode:>9} {subscribers:>5} subs: {status}  "
-            f"p99={rung['probe_p99_s'] * 1000:.1f}ms  "
-            f"peak-cpu={rung['peak_cpu_fraction'] * 100:.1f}%  "
-            f"churn={rung['churn_ops_per_s']}/s",
-            flush=True,
-        )
         if rung["passed"]:
             sustained = subscribers
             consecutive_failures = 0
@@ -303,81 +296,38 @@ def run_ladder(mode, cluster_sizes, ladder, stop_after_failures):
     return {"rungs": rungs, "sustained_subscribers": sustained}
 
 
-def build_report(cluster_sizes):
-    brokers = sum(cluster_sizes)
-    print(f"scale ladder on {brokers} brokers ({len(cluster_sizes)} clusters)")
-    flat = run_ladder("flat", cluster_sizes, FLAT_LADDER, 1)
-    clustered = run_ladder("clustered", cluster_sizes, CLUSTERED_LADDER, 2)
-    flat_max = flat["sustained_subscribers"]
-    clustered_max = clustered["sustained_subscribers"]
-    ratio = round(clustered_max / flat_max, 2) if flat_max else float("inf")
+def scenario(quick):
+    cluster_sizes = QUICK_CLUSTERS if quick else FULL_CLUSTERS
+    floor = QUICK_SUSTAINED_FLOOR if quick else SUSTAINED_FLOOR
+    results = {}
+    if not quick:
+        results["flat"] = run_ladder("flat", cluster_sizes, FLAT_LADDER, 1)
+    results["clustered"] = run_ladder(
+        "clustered", cluster_sizes,
+        QUICK_LADDER if quick else CLUSTERED_LADDER, 1 if quick else 2,
+    )
+    clustered_max = results["clustered"]["sustained_subscribers"]
+    results["clustered_sustained"] = clustered_max
+    gates = {"clustered_sustains_floor": clustered_max >= floor}
+    if not quick:
+        flat_max = results["flat"]["sustained_subscribers"]
+        ratio = round(clustered_max / flat_max, 2) if flat_max else float("inf")
+        results["flat_sustained"] = flat_max
+        results["clustered_over_flat"] = ratio
+        gates["clustered_over_flat"] = ratio >= MIN_CLUSTERED_OVER_FLAT
     return {
-        "brokers": brokers,
-        "clusters": len(cluster_sizes),
-        "churn_period_s": CHURN_PERIOD_S,
-        "slo": {
-            "probe_p99_s": SLO_P99_S,
-            "probe_gap_s": SLO_GAP_S,
-            "cpu_fraction": SLO_CPU_FRACTION,
+        "params": {
+            "brokers": sum(cluster_sizes),
+            "clusters": len(cluster_sizes),
+            "churn_period_s": CHURN_PERIOD_S,
+            "slo": {
+                "probe_p99_s": SLO_P99_S,
+                "probe_gap_s": SLO_GAP_S,
+                "cpu_fraction": SLO_CPU_FRACTION,
+            },
+            "sustained_floor": floor,
+            "min_clustered_over_flat": MIN_CLUSTERED_OVER_FLAT,
         },
-        "flat": flat,
-        "clustered": clustered,
-        "clustered_over_flat": ratio,
+        "results": results,
+        "gates": gates,
     }
-
-
-def print_report(report):
-    rows = []
-    for mode in ("flat", "clustered"):
-        for rung in report[mode]["rungs"]:
-            rows.append((
-                mode, rung["subscribers"],
-                "pass" if rung["passed"] else "FAIL",
-                f"{rung['probe_p99_s'] * 1000:.1f}ms",
-                f"{rung['peak_cpu_fraction'] * 100:.1f}%",
-                rung["events_routed_per_s"],
-            ))
-    print(simple_table(
-        f"Scale ceiling at fixed SLO — {report['brokers']} brokers",
-        rows,
-        ("mode", "subscribers", "slo", "probe p99", "peak cpu", "routed/s"),
-    ))
-    print(
-        f"sustained: flat={report['flat']['sustained_subscribers']} "
-        f"clustered={report['clustered']['sustained_subscribers']} "
-        f"({report['clustered_over_flat']}x)"
-    )
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke slice: small fabric, clustered ladder only, no artifact",
-    )
-    parser.add_argument(
-        "--floor", type=int, default=0,
-        help="fail if sustained subscribers falls below this floor",
-    )
-    args = parser.parse_args(argv)
-    if args.quick:
-        print(f"quick slice on {sum(QUICK_CLUSTERS)} brokers (clustered only)")
-        clustered = run_ladder("clustered", QUICK_CLUSTERS, QUICK_LADDER, 1)
-        sustained = clustered["sustained_subscribers"]
-        if args.floor and sustained < args.floor:
-            print(f"FAIL: sustained {sustained} below floor {args.floor}")
-            return 1
-        print(f"OK: sustained {sustained} subscribers (floor {args.floor})")
-        return 0
-    report = build_report(FULL_CLUSTERS)
-    print_report(report)
-    path = json_artifact("scale", report)
-    print(f"wrote {path}")
-    if report["clustered_over_flat"] < 5:
-        print("FAIL: clustered must sustain >= 5x flat's subscribers")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

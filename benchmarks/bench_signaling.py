@@ -1,27 +1,27 @@
 """Experiment abl-gateway-overhead: what signaling translation costs.
 
 Section 3.2 describes the translation chains (H.225/H.245 → XGSP,
-SIP → XGSP).  This benchmark measures session-join latency for each
+SIP → XGSP).  This scenario measures session-join latency for each
 client kind: a native XGSP client (one broker round trip), a SIP endpoint
 (INVITE through proxy + gateway + XGSP + SDP answer), and an H.323
-endpoint (ARQ + Setup + XGSP + Connect + full H.245 negotiation).
+endpoint (ARQ + Setup + XGSP + Connect + full H.245 negotiation).  The
+joins are few, so ``quick`` runs them at full size.
 """
 
-import pytest
-
-from repro.bench.reporting import simple_table
 from repro.core.mmcs import GlobalMMCS, MMCSConfig
 from repro.core.xgsp.translation import conference_alias, conference_sip_uri
 from repro.sip.sdp import SessionDescription
 
+#: Interactive setup bound every join must meet.
+MAX_JOIN_MS = 1000.0
 
-def run_joins() -> dict:
+
+def scenario(quick):
     mmcs = GlobalMMCS(MMCSConfig(enable_streaming=False,
                                  enable_accessgrid=False))
     mmcs.start()
     session = mmcs.create_session("bench")
     sim = mmcs.sim
-    results = {}
 
     # Native XGSP client.
     native = mmcs.create_native_client("native")
@@ -30,7 +30,7 @@ def run_joins() -> dict:
     done = []
     native.join(session.session_id, on_result=lambda r: done.append(sim.now))
     mmcs.run_for(3.0)
-    results["native XGSP"] = (done[0] - start) * 1000.0
+    native_ms = (done[0] - start) * 1000.0
 
     # SIP endpoint through the gateway.
     ua = mmcs.create_sip_user("alice")
@@ -44,7 +44,7 @@ def run_joins() -> dict:
         offer, on_answer=lambda d, sdp: answered.append(sim.now),
     )
     mmcs.run_for(5.0)
-    results["SIP endpoint"] = (answered[0] - start) * 1000.0
+    sip_ms = (answered[0] - start) * 1000.0
 
     # H.323 terminal through gatekeeper + gateway + H.245.
     terminal = mmcs.create_h323_terminal("polycom")
@@ -54,20 +54,18 @@ def run_joins() -> dict:
     terminal.call(conference_alias(session.session_id),
                   on_connected=lambda c: connected.append(sim.now))
     mmcs.run_for(5.0)
-    results["H.323 terminal"] = (connected[0] - start) * 1000.0
-    return results
-
-
-def test_join_latency_by_community(measure):
-    results = measure(run_joins)
-    rows = [(kind, f"{ms:.2f}") for kind, ms in results.items()]
-    print(simple_table("Session-join latency by client kind",
-                       rows, ("client", "join latency (ms)")))
-    native = results["native XGSP"]
-    sip = results["SIP endpoint"]
-    h323 = results["H.323 terminal"]
-    # Translation costs more than native signaling; H.245's extra round
-    # trips (TCS, MSD, OLC per media) make H.323 the slowest join.
-    assert native < sip < h323
-    # But all are well within interactive setup times.
-    assert h323 < 1000.0
+    h323_ms = (connected[0] - start) * 1000.0
+    return {
+        "params": {"max_join_ms": MAX_JOIN_MS},
+        "results": {
+            "native_xgsp_join_ms": native_ms,
+            "sip_endpoint_join_ms": sip_ms,
+            "h323_terminal_join_ms": h323_ms,
+        },
+        "gates": {
+            "translation_costs_more_than_native": native_ms < sip_ms,
+            # H.245's extra round trips (TCS, MSD, OLC per media).
+            "h323_join_slowest": sip_ms < h323_ms,
+            "every_join_interactive": h323_ms < MAX_JOIN_MS,
+        },
+    }

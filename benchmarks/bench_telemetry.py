@@ -31,25 +31,20 @@ Gates (the headline is ``BENCH_telemetry.json``):
   the quick fabric only has 6 clusters of 4);
 * fleet p99 from the plane within one bucket width of a direct merge
   of every broker's histogram;
-* the first anomaly alert fires *before* the first overload state flip
-  (positive detection lead time on the ramp);
+* the first anomaly alert fires at least 1 s (0.5 s on the quick
+  fabric) *before* the first overload state flip (detection lead time
+  on the ramp);
 * telemetry-enabled runs are deterministic.
 
-Run directly for the CI smoke slice:
-
-    python benchmarks/bench_telemetry.py --quick --floor 100
+``quick`` runs the same legs on a smaller fabric.
 """
 
-import argparse
-import sys
-
-from repro.bench.reporting import json_artifact, simple_table
 from repro.broker.client import BrokerClient
 from repro.broker.monitor import BrokerMonitor, MonitoringClient
 from repro.broker.network import BrokerNetwork
 from repro.broker.overload import NORMAL, ShedWatermarks
 from repro.obs.anomaly import EwmaBandDetector, SlopeDetector
-from repro.obs.report import build_report, render_report
+from repro.obs.report import build_report
 from repro.obs.series import HistogramSketch, merge_sketches
 from repro.obs.slo import AlertLog, SloWatchdog
 from repro.simnet.kernel import Simulator
@@ -93,6 +88,9 @@ SAMPLE_INTERVAL_S = 3.0
 CPU_OVERHEAD_BUDGET = 0.01
 INGRESS_FACTOR_FULL = 5.0
 INGRESS_FACTOR_QUICK = 2.0
+#: Minimum anomaly-alert lead over the first overload flip.
+MIN_LEAD_S = 1.0
+QUICK_MIN_LEAD_S = 0.5
 
 
 def run_scenario(cluster_sizes, mode):
@@ -370,7 +368,6 @@ def determinism_check():
                 publisher.publish, "/conf/video", index, 400,
             )
         sim.run(until=TOPOLOGY_CONVERGE_S + 5.0)
-        assert trace, "determinism leg delivered nothing"
         fleet = plane.fleet
         signature = (
             fleet.summaries_received,
@@ -380,16 +377,23 @@ def determinism_check():
         )
         plane.stop()
         fabric.close()
-        base = min(entry[0] for entry in trace)
+        base = min((entry[0] for entry in trace), default=0)
         return (
             [(eid - base, topic, at) for eid, topic, at in trace],
             signature,
         )
 
-    return traced_run() == traced_run()
+    first = traced_run()
+    return bool(first[0]) and first == traced_run()
 
 
-def evaluate(baseline, hier, flat, deterministic, min_ingress_factor):
+def scenario(quick):
+    cluster_sizes = QUICK_CLUSTERS if quick else FULL_CLUSTERS
+    min_ingress = INGRESS_FACTOR_QUICK if quick else INGRESS_FACTOR_FULL
+    min_lead_s = QUICK_MIN_LEAD_S if quick else MIN_LEAD_S
+    baseline = run_scenario(cluster_sizes, "baseline")
+    hier = run_scenario(cluster_sizes, "hier")
+    flat = run_scenario(cluster_sizes, "flat")
     overhead_cpu_s = hier["broker_cpu_s"] - baseline["broker_cpu_s"]
     overhead = overhead_cpu_s / baseline["broker_cpu_s"]
     # Same cost expressed against fabric CPU *capacity* (broker-seconds
@@ -402,124 +406,42 @@ def evaluate(baseline, hier, flat, deterministic, min_ingress_factor):
         else 0.0
     )
     p99_error = abs(hier["plane_p99_s"] - hier["direct_p99_s"])
-    gates = {
-        "overhead_within_budget": overhead <= CPU_OVERHEAD_BUDGET,
-        "ingress_reduced": ingress_factor >= min_ingress_factor,
-        "fleet_p99_within_one_bucket":
-            p99_error <= hier["p99_bucket_width_s"],
-        "anomaly_leads_overload": hier["anomaly_lead_s"] is not None
-        and hier["anomaly_lead_s"] > 0.0,
-        "deterministic_with_telemetry": deterministic,
-    }
-    derived = {
-        "cpu_overhead_frac": round(overhead, 5),
-        "cpu_overhead_capacity_frac": round(overhead_capacity, 6),
-        "monitoring_cpu_s": round(overhead_cpu_s, 6),
-        "ingress_factor": round(ingress_factor, 2),
-        "p99_error_s": round(p99_error, 6),
-    }
-    return gates, derived
-
-
-def print_result(baseline, hier, flat, derived, gates):
-    rows = [
-        ("broker CPU (baseline)", f"{baseline['broker_cpu_s']:.3f}s", ""),
-        ("broker CPU (telemetry)", f"{hier['broker_cpu_s']:.3f}s",
-         f"overhead {derived['cpu_overhead_frac']:.2%} "
-         f"(budget {CPU_OVERHEAD_BUDGET:.0%})"),
-        ("monitoring CPU", f"{derived['monitoring_cpu_s'] * 1000:.1f}ms",
-         f"{derived['cpu_overhead_capacity_frac']:.4%} of fabric CPU "
-         "capacity"),
-        ("console ingress (flat)", flat["console_ingress"],
-         f"{flat['brokers_seen']} brokers seen"),
-        ("console ingress (hier)", hier["console_ingress"],
-         f"{derived['ingress_factor']:.1f}x fewer, "
-         f"{hier['clusters_seen']} clusters"),
-        ("fleet p99 (plane)", f"{hier['plane_p99_s'] * 1000:.2f}ms",
-         f"direct {hier['direct_p99_s'] * 1000:.2f}ms, "
-         f"err {derived['p99_error_s'] * 1000:.2f}ms"),
-        ("sketch samples", hier["plane_sample_count"],
-         f"direct {hier['direct_sample_count']}"),
-        ("first anomaly alert", hier["first_alert_at"],
-         str(hier["alerts"][:2])),
-        ("first overload flip", hier["first_overload_flip_at"],
-         f"lead {hier['anomaly_lead_s']}s"),
-    ]
-    print(simple_table(
-        f"Telemetry plane on {hier['brokers']} clustered brokers",
-        rows, ("metric", "value", "note"),
-    ))
-    for name, passed in gates.items():
-        print(f"  {'ok  ' if passed else 'FAIL'} {name}")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke slice: small fabric, no artifact",
-    )
-    parser.add_argument(
-        "--floor", type=int, default=0,
-        help="fail if anomaly detection lead time falls below this (ms)",
-    )
-    args = parser.parse_args(argv)
-    cluster_sizes = QUICK_CLUSTERS if args.quick else FULL_CLUSTERS
-    min_ingress = INGRESS_FACTOR_QUICK if args.quick else INGRESS_FACTOR_FULL
-    print(
-        f"telemetry plane over {sum(cluster_sizes)} brokers in "
-        f"{len(cluster_sizes)} clusters",
-        flush=True,
-    )
-    baseline = run_scenario(cluster_sizes, "baseline")
-    print(f"  baseline leg done (cpu {baseline['broker_cpu_s']:.3f}s)",
-          flush=True)
-    hier = run_scenario(cluster_sizes, "hier")
-    print(f"  hierarchical leg done (ingress {hier['console_ingress']})",
-          flush=True)
-    flat = run_scenario(cluster_sizes, "flat")
-    print(f"  flat leg done (ingress {flat['console_ingress']})", flush=True)
-    deterministic = determinism_check()
-    gates, derived = evaluate(baseline, hier, flat, deterministic, min_ingress)
-    print_result(baseline, hier, flat, derived, gates)
-    print()
-    print(render_report(hier["report"]))
-    failed = [name for name, passed in gates.items() if not passed]
-    lead_ms = (hier["anomaly_lead_s"] or 0.0) * 1000
-    if args.floor and lead_ms < args.floor:
-        print(f"FAIL: {lead_ms:.0f}ms lead below floor {args.floor}ms")
-        return 1
-    if not args.quick:
-        report = {
+    lead_s = hier["anomaly_lead_s"]
+    return {
+        "params": {
             "clusters": len(cluster_sizes),
             "brokers": sum(cluster_sizes),
             "sample_interval_s": SAMPLE_INTERVAL_S,
             "budgets": {
                 "cpu_overhead_frac": CPU_OVERHEAD_BUDGET,
                 "ingress_factor_min": min_ingress,
+                "anomaly_lead_min_s": min_lead_s,
             },
+        },
+        "results": {
+            "cpu_overhead_frac": round(overhead, 5),
+            "cpu_overhead_capacity_frac": round(overhead_capacity, 6),
+            "monitoring_cpu_s": round(overhead_cpu_s, 6),
+            "ingress_factor": round(ingress_factor, 2),
+            "p99_error_s": round(p99_error, 6),
+            "anomaly_lead_s": lead_s,
             "baseline": {"broker_cpu_s": baseline["broker_cpu_s"]},
             "flat": {
                 "console_ingress": flat["console_ingress"],
                 "brokers_seen": flat["brokers_seen"],
             },
             "hier": {
-                key: value
-                for key, value in hier.items()
-                if key != "report"
+                key: value for key, value in hier.items() if key != "report"
             },
             "fleet_report": hier["report"],
-            "derived": derived,
-            "gates": gates,
-        }
-        path = json_artifact("telemetry", report)
-        print(f"wrote {path}")
-    if failed:
-        print(f"FAIL: {', '.join(failed)}")
-        return 1
-    print("OK: all telemetry gates passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        },
+        "gates": {
+            "overhead_within_budget": overhead <= CPU_OVERHEAD_BUDGET,
+            "ingress_reduced": ingress_factor >= min_ingress,
+            "fleet_p99_within_one_bucket":
+                p99_error <= hier["p99_bucket_width_s"],
+            "anomaly_leads_overload":
+                lead_s is not None and lead_s >= min_lead_s,
+            "deterministic_with_telemetry": determinism_check(),
+        },
+    }

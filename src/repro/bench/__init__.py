@@ -1,8 +1,9 @@
 """Experiment harnesses: workloads, metrics, and the paper's figures.
 
 Each experiment in DESIGN.md's index has a ``run_*`` entry point here;
-the pytest-benchmark modules under ``benchmarks/`` are thin wrappers that
-call them and print paper-style tables.
+the ``benchmarks/`` scenarios (``python -m benchmarks``) call them and
+gate the results, and the ``fig3`` / ``capacity`` CLI subcommands print
+them as paper-style tables.
 """
 
 from repro.bench.figure3 import Fig3Config, Fig3Result, run_figure3

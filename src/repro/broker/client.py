@@ -191,6 +191,7 @@ class BrokerClient:
         self._transport = transport
         transport.on_message = self._on_message
         transport.on_ready = lambda: self._send_connect(link_type, 0)
+        transport.on_lost = self._on_transport_lost
         transport.start()
 
     def _send_connect(self, link_type: LinkType, attempt: int) -> None:
@@ -280,6 +281,13 @@ class BrokerClient:
         self.heartbeats_sent += 1
         self._send_now(Heartbeat(client_id=self.client_id))
         self._arm_keepalive()
+
+    def _on_transport_lost(self, transport: ClientTransport) -> None:
+        """A send found the broker end of a stream link closed.  Sends
+        queued on the CPU can still reach a transport already replaced,
+        so only the current one counts."""
+        if transport is self._transport:
+            self._on_link_lost()
 
     def _on_link_lost(self) -> None:
         """The broker stopped answering: tear down and begin failover."""

@@ -591,6 +591,8 @@ class ClientTransport:
     def __init__(self) -> None:
         self.on_message: Optional[Callable[[Any], None]] = None
         self.on_ready: Optional[Callable[[], None]] = None
+        #: Called with this transport when a send finds the link gone.
+        self.on_lost: Optional[Callable[["ClientTransport"], None]] = None
         self.killed = False
 
     def start(self) -> None:
@@ -671,9 +673,16 @@ class TcpClientTransport(ClientTransport):
     def send(self, message: Any, size: int) -> None:
         if self.killed:
             return
-        if self._connection is None:
+        connection = self._connection
+        if connection is None:
             raise RuntimeError("transport not started")
-        self._connection.send(message, size)
+        if connection.state in (TcpConnection.FINISHED, TcpConnection.FAILED):
+            # The broker end closed (crash, shutdown) or retransmission
+            # gave up: drop the write and report the link lost.
+            if self.on_lost is not None:
+                self.on_lost(self)
+            return
+        connection.send(message, size)
 
     def close(self) -> None:
         if self._connection is not None:
@@ -706,14 +715,11 @@ class SslClientTransport(TcpClientTransport):
         )
 
     def send(self, message: Any, size: int) -> None:
-        if self._connection is None:
-            raise RuntimeError("transport not started")
+        if self.killed:
+            return
         size += SSL_RECORD_OVERHEAD
         self._host.cpu.execute(
-            size * SSL_CRYPTO_COST_PER_BYTE,
-            self._connection.send,
-            message,
-            size,
+            size * SSL_CRYPTO_COST_PER_BYTE, super().send, message, size
         )
 
     def _decrypt(self, message: Any, size: int, conn: TcpConnection) -> None:

@@ -4,7 +4,7 @@ Builds a graph of brokers over simulated hosts and wires peer links — the
 "dynamic collection of brokers" of Section 2.3.  Two operating modes:
 
 * **Central** (default, ``autonomous=False``): this object computes every
-  broker's shortest-path next-hop table (via networkx) and pushes it with
+  broker's shortest-path next-hop table (breadth-first) and pushes it with
   ``set_routes`` whenever topology changes, and re-syncs subscription
   adverts itself.  Deterministic and instant — right for calibration
   benchmarks where failure handling is not under test.
@@ -23,8 +23,6 @@ super-cluster layout NaradaBrokering favours.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.broker.broker import Broker
 from repro.broker.overload import DEFAULT_RETRY_AFTER_S, ShedWatermarks
@@ -135,7 +133,11 @@ class BrokerNetwork:
         self.overload_enabled = overload_enabled
         self.shed_watermarks = shed_watermarks
         self.retry_after_s = retry_after_s
-        self.graph = nx.Graph()
+        #: Ground-truth topology: broker → its peers, both in insertion
+        #: order.  Edge order (:meth:`_edges`) and breadth-first discovery
+        #: follow it, which fixes the order routes are computed in and
+        #: links are re-peered in.
+        self.graph: Dict[str, Dict[str, None]] = {}
         self._brokers: Dict[str, Broker] = {}
         self._crashed: Dict[str, Tuple[Host, Set[str]]] = {}
         self._cut: Set[Tuple[str, str]] = set()
@@ -163,7 +165,7 @@ class BrokerNetwork:
             self.network.set_region(host.name, region)
         broker = self._make_broker(name, host, profile=profile)
         self._brokers[name] = broker
-        self.graph.add_node(name)
+        self.graph[name] = {}
         return broker
 
     def _make_broker(
@@ -223,7 +225,7 @@ class BrokerNetwork:
                     f"inter-cluster link {a!r}–{b!r} must join gateway "
                     "brokers of their clusters"
                 )
-        self.graph.add_edge(a, b)
+        self._add_edge(a, b)
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
         if self.autonomous:
@@ -234,8 +236,9 @@ class BrokerNetwork:
         broker_b.sync_subscriptions_to_peers()
 
     def disconnect(self, a: str, b: str) -> None:
-        if self.graph.has_edge(a, b):
-            self.graph.remove_edge(a, b)
+        if b in self.graph.get(a, ()):
+            del self.graph[a][b]
+            del self.graph[b][a]
         broker_a = self.broker(a)
         broker_b = self.broker(b)
         broker_a.remove_peer(b)
@@ -256,22 +259,57 @@ class BrokerNetwork:
         interest on every survivor (see :meth:`Broker.set_routes`) — and
         only then close it, so no survivor ever sends to a closed host."""
         broker = self.broker(name)
-        for peer in list(self.graph.neighbors(name)):
+        for peer in list(self.graph[name]):
             self.broker(peer).remove_peer(name)
-        self.graph.remove_node(name)
+        self._remove_node(name)
         del self._brokers[name]
         if not self.autonomous:
             self._recompute_routes()
         broker.close()
 
+    def _add_edge(self, a: str, b: str) -> None:
+        self.graph[a][b] = None
+        self.graph[b][a] = None
+
+    def _remove_node(self, name: str) -> None:
+        for peer in self.graph.pop(name):
+            del self.graph[peer][name]
+
+    def _edges(self) -> List[Tuple[str, str]]:
+        """Every link once, as ``(earlier broker, later broker)`` in
+        insertion order — :meth:`partition` and :meth:`heal` sort these,
+        so the orientation decides the order links are cut and re-peered."""
+        edges: List[Tuple[str, str]] = []
+        seen: Set[str] = set()
+        for name, peers in self.graph.items():
+            edges.extend((name, peer) for peer in peers if peer not in seen)
+            seen.add(name)
+        return edges
+
+    def _first_hops(self, source: str) -> Dict[str, str]:
+        """Next hop from ``source`` to every broker it can reach.
+
+        Breadth-first, level by level: each destination keeps the first
+        hop of the path that discovered it first, and the table is in
+        discovery order — the same table (order included) as the second
+        node of each path from networkx's ``single_source_shortest_path``.
+        """
+        graph = self.graph
+        hops: Dict[str, str] = {}
+        frontier = [source]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for peer in graph[node]:
+                    if peer != source and peer not in hops:
+                        hops[peer] = hops.get(node, peer)
+                        next_frontier.append(peer)
+            frontier = next_frontier
+        return hops
+
     def _recompute_routes(self) -> None:
-        paths = dict(nx.all_pairs_shortest_path(self.graph))
         for broker_id, broker in self._brokers.items():
-            routes: Dict[str, str] = {}
-            for destination, path in paths.get(broker_id, {}).items():
-                if destination != broker_id and len(path) >= 2:
-                    routes[destination] = path[1]
-            broker.set_routes(routes)
+            broker.set_routes(self._first_hops(broker_id))
 
     # ------------------------------------------------------ chaos driving
     #
@@ -283,8 +321,8 @@ class BrokerNetwork:
     def crash_broker(self, name: str) -> None:
         """Un-announced kill: sockets close, peers learn nothing."""
         broker = self._brokers.pop(name)
-        self._crashed[name] = (broker.host, set(self.graph.neighbors(name)))
-        self.graph.remove_node(name)
+        self._crashed[name] = (broker.host, set(self.graph[name]))
+        self._remove_node(name)
         broker.close()
 
     def restart_broker(self, name: str) -> Broker:
@@ -293,7 +331,7 @@ class BrokerNetwork:
         host, former_neighbors = self._crashed.pop(name)
         broker = self._make_broker(name, host)
         self._brokers[name] = broker
-        self.graph.add_node(name)
+        self.graph[name] = {}
         for peer in sorted(former_neighbors):
             if (
                 peer in self._brokers
@@ -305,7 +343,7 @@ class BrokerNetwork:
     def _repeer(self, a: str, b: str) -> None:
         broker_a = self.broker(a)
         broker_b = self.broker(b)
-        self.graph.add_edge(a, b)
+        self._add_edge(a, b)
         intercluster = self._is_intercluster(a, b)
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
@@ -337,7 +375,7 @@ class BrokerNetwork:
         for index, group in enumerate(groups):
             for name in group:
                 side_of[name] = index
-        for a, b in sorted(self.graph.edges):
+        for a, b in sorted(self._edges()):
             if side_of.get(a) != side_of.get(b):
                 self.cut_link(a, b)
 
@@ -386,7 +424,7 @@ class BrokerNetwork:
         # other during the outage — the administrative act of plugging
         # the cable back in; LSAs and digests reconverge from there.
         healed_pairs = {frozenset(pair) for pair in healed}
-        for a, b in sorted(self.graph.edges):
+        for a, b in sorted(self._edges()):
             region_a = self._region_of.get(a)
             region_b = self._region_of.get(b)
             if (

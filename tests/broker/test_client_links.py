@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.broker import BrokerClient, LinkType
+from repro.broker import BrokerClient, BrokerNetwork, LinkType
 from repro.simnet import Firewall, HttpTunnelProxy
 
 from tests.broker.conftest import make_client
@@ -85,6 +85,28 @@ def test_ssl_slower_than_tcp(net, sim, single_broker):
         assert len(delays) == 20
         results[name] = sum(delays) / len(delays)
     assert results["ssl"] > results["tcp"]
+
+
+@pytest.mark.parametrize(
+    "link_type", [LinkType.UDP, LinkType.TCP, LinkType.SSL]
+)
+def test_client_fails_over_when_its_broker_crashes(net, sim, link_type):
+    """A crashed broker closes its stream connections; the client's next
+    send (a keepalive) must fail over, not raise out of the run."""
+    bnet = BrokerNetwork.chain(net, 2)
+    first, second = bnet.broker("broker-0"), bnet.broker("broker-1")
+    client = BrokerClient(
+        net.create_host("c"), client_id="c", keepalive_interval_s=0.5
+    )
+    client.set_failover_brokers([first, second])
+    client.connect(first, link_type=link_type)
+    sim.run_for(1.0)
+    assert client.broker_id == "broker-0"
+    bnet.crash_broker("broker-0")
+    sim.run_for(10.0)
+    assert client.connected
+    assert client.broker_id == "broker-1"
+    assert (client.link_losses, client.failovers) == (1, 1)
 
 
 def test_reconnect_after_disconnect_not_allowed_on_same_object(net, sim, single_broker):

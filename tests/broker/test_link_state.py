@@ -44,7 +44,8 @@ class TestConvergence:
         # Recompute centrally over the same graph and compare.
         central_routes = {}
         import networkx as nx
-        paths = dict(nx.all_pairs_shortest_path(bnet.graph))
+        graph = nx.from_dict_of_lists(bnet.graph)
+        paths = dict(nx.all_pairs_shortest_path(graph))
         for broker_id in bnet.broker_ids():
             routes = {}
             for destination, path in paths[broker_id].items():
@@ -58,8 +59,8 @@ class TestConvergence:
             for destination, hop in routes.items():
                 central_hop = central_routes[broker_id][destination]
                 if hop != central_hop:
-                    d = nx.shortest_path_length(bnet.graph, broker_id, destination)
-                    via = 1 + nx.shortest_path_length(bnet.graph, hop, destination)
+                    d = nx.shortest_path_length(graph, broker_id, destination)
+                    via = 1 + nx.shortest_path_length(graph, hop, destination)
                     assert via == d, "distributed route is not shortest"
 
     def test_lsa_counters_on_statistics(self, sim, net):

@@ -15,6 +15,68 @@ from hypothesis import strategies as st
 from repro.broker import BrokerClient, BrokerNetwork
 from repro.simnet import Network, SeededStreams, Simulator
 
+#: Topology edits, connect weighted up so graphs get dense enough for
+#: equal-length paths (where first-hop choice and order matter).
+EDITS = ("connect",) * 4 + ("disconnect", "remove", "crash", "restart")
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.permutations(range(7)),
+    st.lists(
+        st.tuples(st.sampled_from(EDITS), st.integers(0, 6), st.integers(0, 6)),
+        max_size=40,
+    ),
+)
+def test_central_plane_matches_networkx(add_order, edits):
+    """networkx is the oracle for the central plane's bookkeeping: after
+    any sequence of topology edits the adjacency has the same node order,
+    edge order and edge orientation (which sets the order ``partition``
+    and ``heal`` cut and re-peer links in), and every broker's
+    breadth-first next-hop table equals networkx's shortest-path first
+    hops, in the same order."""
+    bnet = BrokerNetwork(Network(Simulator(), SeededStreams(1)))
+    oracle = nx.Graph()
+    for index in add_order:
+        bnet.add_broker(f"b{index}")
+        oracle.add_node(f"b{index}")
+    crashed = {}
+    for edit, i, j in edits:
+        a, b = f"b{i}", f"b{j}"
+        live = a in oracle
+        if edit == "connect" and live and b in oracle and a != b:
+            if not oracle.has_edge(a, b):
+                bnet.connect(a, b)
+                oracle.add_edge(a, b)
+        elif edit == "disconnect" and live and b in oracle and a != b:
+            bnet.disconnect(a, b)
+            if oracle.has_edge(a, b):
+                oracle.remove_edge(a, b)
+        elif edit == "remove" and live:
+            bnet.remove_broker(a)
+            oracle.remove_node(a)
+        elif edit == "crash" and live:
+            crashed[a] = set(oracle[a])
+            bnet.crash_broker(a)
+            oracle.remove_node(a)
+        elif edit == "restart" and a in crashed:
+            bnet.restart_broker(a)
+            oracle.add_node(a)
+            for peer in sorted(crashed.pop(a)):
+                if peer in oracle:
+                    oracle.add_edge(a, peer)
+    assert list(bnet.graph) == list(oracle)
+    assert bnet._edges() == list(oracle.edges)
+    for name in oracle:
+        paths = nx.single_source_shortest_path(oracle, name)
+        expected = [(dest, path[1]) for dest, path in paths.items() if dest != name]
+        assert list(bnet._first_hops(name).items()) == expected
+
+
 TOPICS = ["/a", "/a/b", "/a/c", "/b", "/b/x/y"]
 PATTERNS = ["/a", "/a/b", "/a/*", "/a/#", "/b/#", "/#", "/b"]
 
