@@ -26,7 +26,6 @@ The soak is small, so ``quick`` runs it at full size.
 """
 
 from repro.broker.client import BrokerClient
-from repro.broker.monitor import BrokerSample
 from repro.broker.network import BrokerNetwork
 from repro.obs.collector import TraceCollector
 from repro.obs.slo import AlertLog, SloWatchdog
@@ -121,13 +120,13 @@ def run_soak() -> dict:
         heal_after=HEAL_AT_S - PARTITION_AT_S,
     )
 
-    # Sample routing epochs alongside media via the monitor plane.
-    samples = {}
+    # Sample each live broker's routing epoch once a second alongside media.
+    epochs = {}
 
     def sample_tick():
         for broker in bnet.brokers():
-            samples.setdefault(broker.broker_id, []).append(
-                BrokerSample.capture(broker)
+            epochs.setdefault(broker.broker_id, []).append(
+                broker.routing_epochs
             )
         sim.schedule(1.0, sample_tick)
 
@@ -201,7 +200,7 @@ def run_soak() -> dict:
         "heal_resume": heal_resume,
         "convergence": convergence,
         "stats_mid": stats_mid,
-        "samples": samples,
+        "epochs": epochs,
         "leaks": leaks,
         "chaos_log": chaos.log,
         "subscribers": subscribers,
@@ -218,10 +217,7 @@ def scenario(quick):
     crash_gaps = soak["crash_gaps"]
     heal_resume = soak["heal_resume"]
     evictions = sum(stats["peers_evicted"] for stats in soak["stats_mid"].values())
-    sampled_epochs = {
-        broker_id: [s.routing_epochs for s in series]
-        for broker_id, series in soak["samples"].items()
-    }
+    sampled_epochs = soak["epochs"]
     attribution = soak["crash_attribution"]
     alerts = soak["alerts"]
     crash_alerts = [a.name for a in alerts if CRASH_AT_S <= a.at <= RESTART_AT_S]

@@ -19,8 +19,9 @@ Four measured legs on the same seeded conference workload:
 * **baseline** — no telemetry at all; the modeled-CPU yardstick;
 * **hierarchical** — delta monitors → gateway aggregators → fleet
   console, plus an anomaly watchdog on the hot broker;
-* **flat** — classic full samples straight to one wildcard console
-  (what PR 4 shipped), the ingress yardstick;
+* **flat** — the same per-broker monitors on flat topics, every sample
+  straight to one wildcard subscriber that counts arrivals, the ingress
+  yardstick;
 * **determinism** — two telemetry-enabled runs must produce the same
   data-plane trace and the same console state, bit for bit.
 
@@ -40,7 +41,7 @@ Gates (the headline is ``BENCH_telemetry.json``):
 """
 
 from repro.broker.client import BrokerClient
-from repro.broker.monitor import BrokerMonitor, MonitoringClient
+from repro.broker.monitor import MONITOR_TOPIC_PREFIX, BrokerMonitor
 from repro.broker.network import BrokerNetwork
 from repro.broker.overload import NORMAL, ShedWatermarks
 from repro.obs.anomaly import EwmaBandDetector, SlopeDetector
@@ -115,7 +116,7 @@ def run_scenario(cluster_sizes, mode):
 
     plane = None
     flat_monitors = []
-    flat_console = None
+    flat_arrivals = []
     watchdog = None
     alert_log = None
     if mode == "hier":
@@ -156,13 +157,19 @@ def run_scenario(cluster_sizes, mode):
             EwmaBandDetector(band_k=6.0, min_consecutive=2),
         )
     elif mode == "flat":
-        # PR-4 style: every broker full-samples to one wildcard console.
+        # No aggregation: every broker's samples reach one wildcard
+        # subscriber, which only counts them.
         flat_monitors = [
             BrokerMonitor(broker, interval_s=SAMPLE_INTERVAL_S)
             for broker in brokers
         ]
-        flat_console = MonitoringClient(
-            net.create_host("flat-console"), hot, client_id="flat-console"
+        flat_console = BrokerClient(
+            net.create_host("flat-console"), client_id="flat-console"
+        )
+        flat_console.connect(hot)
+        flat_console.subscribe(
+            f"{MONITOR_TOPIC_PREFIX}/#",
+            lambda event: flat_arrivals.append(event.payload.broker_id),
         )
 
         def start_flat_monitors():
@@ -333,8 +340,8 @@ def run_scenario(cluster_sizes, mode):
         plane.stop()
     elif mode == "flat":
         result.update(
-            console_ingress=flat_console.samples_received,
-            brokers_seen=len(flat_console.brokers_seen()),
+            console_ingress=len(flat_arrivals),
+            brokers_seen=len(set(flat_arrivals)),
         )
         for monitor in flat_monitors:
             monitor.stop()

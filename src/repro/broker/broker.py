@@ -244,10 +244,6 @@ class Broker:
         host: Host,
         broker_id: Optional[str] = None,
         profile: BrokerProfile = NARADA_PROFILE,
-        udp_port: int = UDP_PORT,
-        tcp_port: int = TCP_PORT,
-        ssl_port: int = SSL_PORT,
-        peer_port: int = PEER_PORT,
         reap_timeout_s: Optional[float] = None,
         link_state_enabled: bool = False,
         peer_heartbeat_interval_s: Optional[float] = None,
@@ -271,11 +267,11 @@ class Broker:
         if profile.gc is not None and host.cpu.gc_profile is None:
             host.cpu.gc_profile = profile.gc
 
-        self._udp = UdpSocket(host, udp_port)
+        self._udp = UdpSocket(host, UDP_PORT)
         self._udp.on_receive(self._on_udp_message)
-        self._tcp = TcpListener(host, tcp_port, on_connection=self._on_tcp_connection)
-        self._ssl = TcpListener(host, ssl_port, on_connection=self._on_ssl_connection)
-        self._peer_socket = UdpSocket(host, peer_port)
+        self._tcp = TcpListener(host, TCP_PORT, on_connection=self._on_tcp_connection)
+        self._ssl = TcpListener(host, SSL_PORT, on_connection=self._on_ssl_connection)
+        self._peer_socket = UdpSocket(host, PEER_PORT)
         self._peer_socket.on_receive(self._on_peer_message)
 
         self._clients: Dict[str, _ClientRecord] = {}

@@ -3,151 +3,42 @@
 NaradaBrokering ships a management/monitoring service; Global-MMCS
 operators need it to see broker load across the distributed collection.
 A :class:`BrokerMonitor` samples one broker's counters periodically and
-publishes on the management topic ``/narada/monitor/<broker-id>`` (or
-``/narada/monitor/<cluster>/<broker-id>`` in the clustered fabric, so
-samples stay inside their cluster); a :class:`MonitoringClient`
-subscribes (wildcard) and keeps bounded per-broker history — the data an
-admission or load-balancing policy would consume.
+publishes a :class:`DeltaSample` on the management topic
+``/narada/monitor/<broker-id>`` (or ``/narada/monitor/<cluster>/<broker-id>``
+in the clustered fabric, so samples stay inside their cluster).  A
+:class:`~repro.obs.aggregate.ClusterHealthAggregator` merges them and
+the :class:`~repro.obs.aggregate.FleetMonitor` console reads the merged
+summaries (DESIGN.md §11).
 
-Two sample encodings:
+The wire format carries only the counters whose value changed since the
+previous tick, plus the cumulative delivery-latency sketch when it
+moved.  Every ``full_every`` ticks the monitor publishes a *full*
+snapshot, which is also the resync mechanism — an aggregator that
+detects a sequence gap (gateway takeover, lossy link, restarted broker)
+simply waits for the next full sample instead of requesting a replay.
 
-* :class:`BrokerSample` — the classic full snapshot, one dataclass per
-  tick.  Fine for a flat console watching a handful of brokers.
-* :class:`DeltaSample` — the hierarchical plane's wire format (DESIGN.md
-  §11): only the counters whose value changed since the previous tick,
-  plus the cumulative delivery-latency sketch when it moved.  Every
-  ``full_every`` ticks the monitor publishes a *full* snapshot, which is
-  also the resync mechanism — an aggregator that detects a sequence gap
-  (gateway takeover, lossy link) simply waits for the next full sample
-  instead of requesting a replay.
-
-Anti-drift: :meth:`BrokerSample.capture` splats ``Broker.statistics()``
-(itself generated from the broker's metrics registry) into the dataclass
-constructor.  A counter registered on the broker but missing here raises
-``TypeError`` at the first capture instead of silently vanishing from
-the monitoring surface.  ``DeltaSample`` payloads are built from the
-same ``statistics()`` dict, so they inherit the same coverage.
+Anti-drift: samples are built from :func:`sample_numbers`, which splats
+``Broker.statistics()`` (itself generated from the broker's metrics
+registry), so every registered counter travels.  The consumers' reads by
+name are checked against the same dict by
+``tests/obs/test_metrics_lint.py``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient
-from repro.broker.event import NBEvent
 from repro.obs.series import HistogramSketch, delta_encode
 from repro.simnet.kernel import Timer
-from repro.simnet.node import Host
 
 MONITOR_TOPIC_PREFIX = "/narada/monitor"
-
-#: Wire size of one encoded full sample.
-SAMPLE_BYTES = 160
-
-#: Default per-broker history cap for :class:`MonitoringClient`.
-DEFAULT_HISTORY_LIMIT = 720
 
 #: A delta sample ships a full snapshot every this many ticks — the
 #: passive resync cadence for aggregators that joined (or lost samples)
 #: mid-stream.
 DEFAULT_FULL_EVERY = 8
-
-#: Default staleness horizon: three missed ticks at the default 5 s
-#: monitor interval means the broker is presumed down.
-DEFAULT_STALE_TIMEOUT_S = 15.0
-
-
-@dataclass
-class BrokerSample:
-    """One telemetry sample from one broker.
-
-    The counter fields mirror ``Broker.statistics()`` *exactly* — they
-    are filled by keyword splat in :meth:`capture`, so the two can never
-    drift apart without a loud ``TypeError``.
-    """
-
-    broker_id: str
-    at: float
-    clients: int
-    cpu_busy_s: float
-    gc_pauses: int
-    nic_sent_packets: int
-    nic_dropped_packets: int
-    last_route_change_at: float = -1.0
-    # Delivery-latency percentiles exported from the broker's histogram.
-    delivery_p50_s: float = 0.0
-    delivery_p99_s: float = 0.0
-    # --- Broker.statistics() counters/gauges (registry-generated) ---
-    events_routed: int = 0
-    events_delivered: int = 0
-    events_forwarded: int = 0
-    control_messages: int = 0
-    route_cache_hits: int = 0
-    route_cache_misses: int = 0
-    route_cache_invalidations: int = 0
-    route_cache_entries: int = 0
-    heartbeats_received: int = 0
-    clients_reaped: int = 0
-    outbox_abandons: int = 0
-    outbox_depth: int = 0
-    local_subscriptions: int = 0
-    remote_interest: int = 0
-    peer_heartbeats_received: int = 0
-    peers_evicted: int = 0
-    lsas_originated: int = 0
-    lsas_received: int = 0
-    lsas_deduped: int = 0
-    lsas_stale: int = 0
-    routing_epochs: int = 0
-    sequencer_changes: int = 0
-    traces_started: int = 0
-    traces_completed: int = 0
-    traces_suppressed: int = 0
-    adverts_aggregated: int = 0
-    cluster_lsas_scoped: int = 0
-    intercluster_hops: int = 0
-    gateway_takeovers: int = 0
-    dedup_evictions: int = 0
-    # Overload protection (see repro.broker.overload).
-    overload_state: int = 0
-    overload_entries: int = 0
-    admissions_refused: int = 0
-    events_shed: int = 0
-    events_shed_control: int = 0
-    events_shed_audio: int = 0
-    events_shed_video: int = 0
-    events_shed_bulk: int = 0
-    outbox_overflows: int = 0
-    # Geo federation (see DESIGN.md §12).
-    cost_reoriginations: int = 0
-    sequencer_pins_set: int = 0
-    ordered_parked: int = 0
-    ordered_park_drained: int = 0
-    ordered_park_drops: int = 0
-    wan_parked: int = 0
-    wan_park_drained: int = 0
-    wan_park_drops: int = 0
-    wan_replays: int = 0
-
-    @staticmethod
-    def capture(broker: Broker) -> "BrokerSample":
-        host = broker.host
-        return BrokerSample(
-            broker_id=broker.broker_id,
-            at=broker.sim.now,
-            clients=broker.client_count(),
-            cpu_busy_s=host.cpu.busy_time,
-            gc_pauses=host.cpu.gc_pauses,
-            nic_sent_packets=host.nic.sent_packets,
-            nic_dropped_packets=host.nic.dropped_packets,
-            last_route_change_at=broker.last_route_change_at,
-            delivery_p50_s=broker.delivery_latency.quantile(0.50),
-            delivery_p99_s=broker.delivery_latency.quantile(0.99),
-            **broker.statistics(),
-        )
 
 
 class DeltaSample:
@@ -223,9 +114,8 @@ def sample_numbers(broker: Broker) -> Dict[str, float]:
 class BrokerMonitor:
     """Publishes one broker's telemetry on its management topic.
 
-    With ``delta=True`` the monitor publishes :class:`DeltaSample`
-    (changed counters only, full snapshot every ``full_every`` ticks);
-    the default publishes classic full :class:`BrokerSample` objects.
+    Each tick publishes a :class:`DeltaSample` (changed counters only,
+    full snapshot every ``full_every`` ticks).
     ``topic`` overrides the publish topic — the hierarchical plane uses
     the cluster-scoped form so leaf samples never cross the gateway
     overlay.
@@ -238,7 +128,6 @@ class BrokerMonitor:
         monitor_id: Optional[str] = None,
         keepalive_interval_s: Optional[float] = None,
         failover_brokers: Optional[List[Broker]] = None,
-        delta: bool = False,
         full_every: int = DEFAULT_FULL_EVERY,
         topic: Optional[str] = None,
     ):
@@ -247,7 +136,6 @@ class BrokerMonitor:
         self.broker = broker
         self.sim = broker.sim
         self.interval_s = interval_s
-        self.delta = delta
         self.full_every = full_every
         self.topic = topic or monitor_topic(broker.broker_id)
         self.client = BrokerClient(
@@ -277,17 +165,20 @@ class BrokerMonitor:
             self._timer = None
 
     def _tick(self) -> None:
-        if self.delta:
-            self._publish_delta()
-        else:
-            sample = BrokerSample.capture(self.broker)
-            if self.client.connected:
-                self.client.publish(self.topic, sample, SAMPLE_BYTES)
-                self.samples_published += 1
-                self.sample_bytes_published += SAMPLE_BYTES
+        self._publish()
         self._timer = self.sim.schedule(self.interval_s, self._tick)
 
-    def _publish_delta(self) -> None:
+    def rebind(self, broker: Broker) -> None:
+        """Follow a restarted broker: sample the new object and publish
+        through it.  The next sample is full, so consumers re-base on the
+        new broker's counters."""
+        self.broker = broker
+        self._last_numbers = None
+        # Kill first: a sample still queued for the dead broker is dropped.
+        self.client.kill()
+        self.client.reconnect(broker)
+
+    def _publish(self) -> None:
         numbers = sample_numbers(self.broker)
         sketch = HistogramSketch.from_histogram(self.broker.delivery_latency)
         full = (
@@ -320,106 +211,3 @@ class BrokerMonitor:
         if full:
             self.full_samples_published += 1
         self.sample_bytes_published += sample.wire_size()
-
-
-class MonitoringClient:
-    """Collects samples from every monitored broker (wildcard subscribe).
-
-    History is bounded: each broker keeps the newest ``history_limit``
-    samples (older ones are counted in :attr:`dropped_samples`), so a
-    long soak cannot grow the console's memory without bound.  Duplicate
-    deliveries of the same sample (e.g. republished across a failover
-    replay) are dropped.
-
-    A crashed broker stops publishing but its history stays: use
-    :meth:`stale_brokers` (or the :attr:`stale_broker_count` gauge) to
-    surface brokers whose newest sample is older than the staleness
-    horizon — that silence *is* the crash signal.
-    """
-
-    def __init__(
-        self,
-        host: Host,
-        broker: Broker,
-        client_id: str = "monitoring-console",
-        history_limit: int = DEFAULT_HISTORY_LIMIT,
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
-        stale_timeout_s: float = DEFAULT_STALE_TIMEOUT_S,
-    ):
-        if history_limit < 2:
-            raise ValueError("history_limit must be at least 2")
-        if stale_timeout_s <= 0:
-            raise ValueError("stale_timeout_s must be positive")
-        self.history_limit = history_limit
-        self.stale_timeout_s = stale_timeout_s
-        self.sim = broker.sim
-        self.client = BrokerClient(
-            host, client_id=client_id,
-            keepalive_interval_s=keepalive_interval_s,
-        )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
-        self.client.connect(broker)
-        self.history: Dict[str, Deque[BrokerSample]] = {}
-        self.dropped_samples = 0
-        self.duplicate_samples = 0
-        self.samples_received = 0
-        self.client.subscribe(f"{MONITOR_TOPIC_PREFIX}/#", self._on_sample)
-
-    def _on_sample(self, event: NBEvent) -> None:
-        sample = event.payload
-        if not isinstance(sample, BrokerSample):
-            return
-        self.samples_received += 1
-        window = self.history.get(sample.broker_id)
-        if window is None:
-            window = self.history[sample.broker_id] = deque(
-                maxlen=self.history_limit
-            )
-        if window and window[-1].at >= sample.at:
-            self.duplicate_samples += 1
-            return
-        if len(window) == window.maxlen:
-            self.dropped_samples += 1  # the deque evicts the oldest
-        window.append(sample)
-
-    def brokers_seen(self) -> List[str]:
-        return sorted(self.history)
-
-    def latest(self, broker_id: str) -> Optional[BrokerSample]:
-        samples = self.history.get(broker_id)
-        return samples[-1] if samples else None
-
-    def stale_brokers(self, timeout_s: Optional[float] = None) -> List[str]:
-        """Brokers whose newest sample is older than ``timeout_s``.
-
-        A broker that was seen once and then went silent (crash,
-        partition) shows up here after one timeout; a broker that never
-        reported at all cannot (it has no history row) — pair this with
-        an expected-membership list for provisioning checks.
-        """
-        horizon = self.sim.now - (
-            timeout_s if timeout_s is not None else self.stale_timeout_s
-        )
-        return sorted(
-            broker_id
-            for broker_id, window in self.history.items()
-            if window and window[-1].at < horizon
-        )
-
-    @property
-    def stale_broker_count(self) -> int:
-        """Gauge: how many seen brokers are currently stale."""
-        return len(self.stale_brokers())
-
-    def delivery_rate(self, broker_id: str) -> float:
-        """Events delivered per second over the sampled window."""
-        samples = self.history.get(broker_id)
-        if not samples or len(samples) < 2:
-            return 0.0
-        first, last = samples[0], samples[-1]
-        window = last.at - first.at
-        if window <= 0:
-            return 0.0
-        return (last.events_delivered - first.events_delivered) / window

@@ -141,6 +141,8 @@ class BrokerNetwork:
         self._brokers: Dict[str, Broker] = {}
         self._crashed: Dict[str, Tuple[Host, Set[str]]] = {}
         self._cut: Set[Tuple[str, str]] = set()
+        #: The plane :meth:`attach_telemetry` built, told of restarts.
+        self._telemetry: Optional["TelemetryPlane"] = None
 
     # ----------------------------------------------------------- topology
 
@@ -338,6 +340,8 @@ class BrokerNetwork:
                 and self._edge_key(name, peer) not in self._cut
             ):
                 self._repeer(name, peer)
+        if self._telemetry is not None:
+            self._telemetry.rebind(broker)
         return broker
 
     def _repeer(self, a: str, b: str) -> None:
@@ -445,14 +449,16 @@ class BrokerNetwork:
 
         Clustered fabrics get delta monitors on cluster-scoped topics,
         per-gateway :class:`~repro.obs.aggregate.ClusterHealthAggregator`
-        roles and an O(clusters) fleet console; flat fabrics get classic
-        full-sample monitors and a wildcard monitoring console.  Call after the
-        topology is built, then ``start()`` the returned plane.  Options
-        are forwarded to :class:`~repro.obs.aggregate.TelemetryPlane`.
+        roles and an O(clusters) fleet console; a flat fabric is the
+        one-cluster case (one aggregator, the same console).  Call after
+        the topology is built, then ``start()`` the returned plane; a
+        later :meth:`restart_broker` rebinds the plane to the new broker.
+        Options are forwarded to :class:`~repro.obs.aggregate.TelemetryPlane`.
         """
         from repro.obs.aggregate import TelemetryPlane
 
-        return TelemetryPlane(self, **options)
+        self._telemetry = TelemetryPlane(self, **options)
+        return self._telemetry
 
     # ------------------------------------------------------------- access
 

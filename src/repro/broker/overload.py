@@ -36,7 +36,8 @@ from repro.broker.event import (
 )
 
 #: Overload states, ordered by severity.  Exposed as a gauge
-#: (``overload_state``) so ``BrokerSample`` histories show episodes.
+#: (``overload_state``) so telemetry samples and the fleet console's
+#: per-broker rows show episodes.
 NORMAL = 0
 DEGRADED = 1
 SHEDDING = 2

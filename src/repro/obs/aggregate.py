@@ -19,6 +19,10 @@ the cluster fabric (DESIGN.md §11):
   O(brokers), while still recovering true fleet-wide percentiles by
   merging the per-cluster histogram sketches once more.
 
+A flat fabric is the one-cluster case: samples on
+``/narada/monitor/<broker>``, one always-publishing aggregator, and the
+same console, which lists one cluster named :data:`FLAT_SCOPE`.
+
 Resync contract: delta samples carry a per-monitor sequence number and
 *absolute* counter values, and every ``full_every`` ticks the monitor
 publishes a full snapshot.  An aggregator that observes a sequence gap
@@ -38,8 +42,6 @@ from repro.broker.event import NBEvent
 from repro.broker.monitor import (
     BrokerMonitor,
     DeltaSample,
-    MonitoringClient,
-    MONITOR_TOPIC_PREFIX,
     monitor_topic,
 )
 from repro.obs.series import (
@@ -55,6 +57,10 @@ HEALTH_TOPIC_PREFIX = "/narada/health"
 
 #: Default per-cluster summary history at the fleet console.
 DEFAULT_SUMMARY_HISTORY = 360
+
+#: The ``cluster_id`` of a flat fabric's one scope: its summaries ride
+#: ``/narada/health/flat`` and the console lists one cluster, ``flat``.
+FLAT_SCOPE = "flat"
 
 
 def health_topic(cluster_id: str) -> str:
@@ -184,6 +190,10 @@ class ClusterHealthAggregator:
     lives on the gateway's own host and connects to it directly, so a
     crashed gateway silences its aggregator exactly when the election
     promotes the standby.
+
+    On a flat (cluster-less) broker the aggregator is the fabric's only
+    one: it ingests every ``/narada/monitor/<broker>`` sample and always
+    publishes — there is no election to win.
     """
 
     def __init__(
@@ -205,8 +215,9 @@ class ClusterHealthAggregator:
             keepalive_interval_s=keepalive_interval_s,
         )
         self.client.connect(broker)
+        flat = broker.cluster_id is None
         self.client.subscribe(
-            f"{MONITOR_TOPIC_PREFIX}/{cluster_id}/#", self._on_sample
+            monitor_topic("#", None if flat else cluster_id), self._on_sample
         )
         self._ledgers: Dict[str, _BrokerLedger] = {}
         self._timer: Optional[Timer] = None
@@ -262,8 +273,18 @@ class ClusterHealthAggregator:
             self._timer.cancel()
             self._timer = None
 
+    def rebind(self, broker: Broker) -> None:
+        """Follow a restarted broker: read its election state and ingest
+        through it (the reconnect replays the sample subscription)."""
+        self.broker = broker
+        self.client.kill()
+        self.client.reconnect(broker)
+
     def _tick(self) -> None:
-        if self.broker.is_active_gateway and self.client.connected:
+        broker = self.broker
+        if (
+            broker.is_active_gateway or broker.cluster_id is None
+        ) and self.client.connected:
             summary = self.build_summary()
             if summary is not None:
                 self.client.publish(
@@ -455,14 +476,16 @@ class FleetMonitor:
 class TelemetryPlane:
     """Builds and owns the telemetry machinery for one broker fabric.
 
-    * clustered fabric → delta monitors on cluster-scoped topics, one
-      :class:`ClusterHealthAggregator` per gateway broker, one
-      :class:`FleetMonitor` console;
-    * flat fabric → classic full-sample monitors and a wildcard
-      :class:`~repro.broker.monitor.MonitoringClient` console.
+    Delta monitors on every broker, :class:`ClusterHealthAggregator`
+    roles and one :class:`FleetMonitor` console.  A clustered fabric
+    scopes samples per cluster and runs an aggregator on each gateway
+    broker; a flat fabric is the one-cluster case — samples on
+    ``/narada/monitor/<broker>`` and a single aggregator, on the
+    console's anchor broker, publishing as :data:`FLAT_SCOPE`.
 
     Construct via :meth:`repro.broker.network.BrokerNetwork.attach_telemetry`
-    after the topology is built, then :meth:`start`.
+    after the topology is built, then :meth:`start`.  The fabric calls
+    :meth:`rebind` when it restarts a broker.
     """
 
     def __init__(
@@ -488,11 +511,8 @@ class TelemetryPlane:
             if stale_timeout_s is not None
             else 3.0 * sample_interval_s
         )
-        self.hierarchical = fabric.clusters is not None
         self.monitors: List[BrokerMonitor] = []
         self.aggregators: List[ClusterHealthAggregator] = []
-        self.fleet: Optional[FleetMonitor] = None
-        self.console: Optional[MonitoringClient] = None
 
         local_brokers = [
             fabric._brokers[name] for name in sorted(fabric._brokers)
@@ -505,53 +525,52 @@ class TelemetryPlane:
                 BrokerMonitor(
                     broker,
                     interval_s=sample_interval_s,
-                    delta=self.hierarchical,
                     full_every=full_every,
                     topic=monitor_topic(broker.broker_id, cluster_id),
                 )
             )
-        if self.hierarchical:
-            for cluster_id in sorted(fabric.clusters):
-                for gateway_name in fabric.cluster_gateways(cluster_id):
-                    self.aggregators.append(
-                        ClusterHealthAggregator(
-                            fabric.broker(gateway_name),
-                            cluster_id,
-                            interval_s=self.summary_interval_s,
-                            stale_timeout_s=self.stale_timeout_s,
-                        )
-                    )
-            anchor = console_broker or self.aggregators[0].broker
-            # The console must outlive its anchor: keepalive probes the
-            # connection, the other gateways serve as failover targets
-            # (the failover replays the /narada/health/# subscription).
-            fallbacks = []
-            seen_brokers = {anchor.broker_id}
-            for aggregator in self.aggregators:
-                gateway = aggregator.broker
-                if gateway.broker_id not in seen_brokers:
-                    seen_brokers.add(gateway.broker_id)
-                    fallbacks.append(gateway)
-            self.fleet = FleetMonitor(
-                fabric.network.create_host(console_name),
-                anchor,
-                client_id=console_name,
-                history_limit=history_limit,
-                stale_timeout_s=max(
-                    self.stale_timeout_s, 3.0 * self.summary_interval_s
-                ),
-                keepalive_interval_s=self.summary_interval_s,
-                failover_brokers=fallbacks,
-            )
+        if fabric.clusters is None:
+            scopes = {FLAT_SCOPE: [console_broker or local_brokers[0]]}
         else:
-            anchor = console_broker or local_brokers[0]
-            self.console = MonitoringClient(
-                fabric.network.create_host(console_name),
-                anchor,
-                client_id=console_name,
-                history_limit=history_limit,
-                stale_timeout_s=self.stale_timeout_s,
-            )
+            scopes = {
+                cluster_id: [
+                    fabric.broker(name)
+                    for name in fabric.cluster_gateways(cluster_id)
+                ]
+                for cluster_id in sorted(fabric.clusters)
+            }
+        for cluster_id, gateways in scopes.items():
+            for gateway in gateways:
+                self.aggregators.append(
+                    ClusterHealthAggregator(
+                        gateway,
+                        cluster_id,
+                        interval_s=self.summary_interval_s,
+                        stale_timeout_s=self.stale_timeout_s,
+                    )
+                )
+        anchor = console_broker or self.aggregators[0].broker
+        # The console must outlive its anchor: keepalive probes the
+        # connection, the other gateways serve as failover targets
+        # (the failover replays the /narada/health/# subscription).
+        fallbacks = []
+        seen_brokers = {anchor.broker_id}
+        for aggregator in self.aggregators:
+            gateway = aggregator.broker
+            if gateway.broker_id not in seen_brokers:
+                seen_brokers.add(gateway.broker_id)
+                fallbacks.append(gateway)
+        self.fleet = FleetMonitor(
+            fabric.network.create_host(console_name),
+            anchor,
+            client_id=console_name,
+            history_limit=history_limit,
+            stale_timeout_s=max(
+                self.stale_timeout_s, 3.0 * self.summary_interval_s
+            ),
+            keepalive_interval_s=self.summary_interval_s,
+            failover_brokers=fallbacks,
+        )
 
     def start(self) -> None:
         for monitor in self.monitors:
@@ -565,16 +584,21 @@ class TelemetryPlane:
         for aggregator in self.aggregators:
             aggregator.stop()
 
+    def rebind(self, broker: Broker) -> None:
+        """Move the roles riding a restarted broker onto its new object:
+        its monitor samples the live counters and its aggregator (if it
+        is a gateway) reads the live election, both through clients
+        reconnected to it."""
+        for role in (*self.monitors, *self.aggregators):
+            if role.broker.broker_id == broker.broker_id:
+                role.rebind(broker)
+
     # ---------------------------------------------------------- accounting
 
     def console_ingress(self) -> int:
         """Messages the top-level console has received — the O() figure
         the hierarchical plane exists to shrink."""
-        if self.fleet is not None:
-            return self.fleet.summaries_received
-        if self.console is not None:
-            return self.console.samples_received
-        return 0
+        return self.fleet.summaries_received
 
     def samples_published(self) -> int:
         return sum(monitor.samples_published for monitor in self.monitors)
@@ -585,8 +609,7 @@ class TelemetryPlane:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "hierarchical" if self.hierarchical else "flat"
         return (
-            f"<TelemetryPlane {mode} monitors={len(self.monitors)} "
+            f"<TelemetryPlane monitors={len(self.monitors)} "
             f"aggregators={len(self.aggregators)}>"
         )

@@ -3,11 +3,12 @@
 Every subsystem that used to keep ad-hoc integer counter attributes
 (brokers, gateways, the session server) now registers them in a
 :class:`MetricsRegistry`, which becomes the *single source of truth* for
-telemetry snapshots: ``Broker.statistics()`` and
-:class:`~repro.broker.monitor.BrokerSample` are both generated from the
-registry, so a counter added in one place can no longer silently drift
-out of the other (a lint test walks ``broker.py`` for mutated counters
-and fails on any that were never registered).
+telemetry snapshots: ``Broker.statistics()`` and the monitor plane's
+:class:`~repro.broker.monitor.DeltaSample` payloads are both generated
+from the registry, so a counter added in one place can no longer
+silently drift out of the other (a lint test walks ``broker.py`` for
+mutated counters and fails on any that were never registered, and
+checks that every counter the telemetry consumers read by name exists).
 
 Two registration styles:
 

@@ -5,19 +5,21 @@ cluster-scoped topics, gateway aggregators merge them into cluster
 summaries, the fleet console sees O(clusters) traffic and recovers
 fleet percentiles from merged sketches.  Failure paths: sequence-gap
 resync via full snapshots, gateway takeover promoting the standby's
-aggregator, and stale-broker detection when a broker crashes silently.
+aggregator, stale-broker detection when a broker crashes silently, and
+the plane following a broker that the fabric restarts.  A flat fabric is
+the one-cluster case of the same plane.
 """
 
 import pytest
 
-from repro.broker import Broker, BrokerNetwork
+from repro.broker import Broker, BrokerClient, BrokerNetwork
 from repro.broker.monitor import (
     BrokerMonitor,
     DeltaSample,
-    MonitoringClient,
     monitor_topic,
 )
 from repro.obs.aggregate import (
+    FLAT_SCOPE,
     ClusterHealthAggregator,
     ClusterHealthSummary,
     FleetMonitor,
@@ -44,8 +46,7 @@ def make_delta_sample(broker_id, at, seq, full, counters, sketch=None):
 class TestDeltaMonitor:
     def test_delta_monitor_publishes_full_then_deltas(self, net, sim):
         broker = Broker(net.create_host("b-host"), broker_id="b0")
-        monitor = BrokerMonitor(broker, interval_s=1.0, delta=True,
-                                full_every=4)
+        monitor = BrokerMonitor(broker, interval_s=1.0, full_every=4)
         received = []
         watcher = make_client(net, sim, broker, "watch")
         watcher.subscribe("/narada/monitor/#", received.append)
@@ -230,19 +231,76 @@ class TestClusteredTelemetry:
         plane.stop()
 
 
+class TestTelemetryFollowsRestart:
+    def build(self, net, sim):
+        bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
+        sim.run(until=10.0)
+        plane = bnet.attach_telemetry(sample_interval_s=0.5)
+        plane.start()
+        sim.run(until=15.0)
+        return bnet, plane
+
+    def test_restarted_leaf_reports_the_live_broker(self, net, sim):
+        bnet, plane = self.build(net, sim)
+        bnet.crash_broker("broker-c0-2")
+        sim.run(until=18.0)
+        broker = bnet.restart_broker("broker-c0-2")
+        received = []
+        subscriber = BrokerClient(net.create_host("sub"), client_id="sub")
+        subscriber.connect(broker)
+        subscriber.subscribe("/room/video", received.append)
+        publisher = BrokerClient(net.create_host("pub"), client_id="pub")
+        publisher.connect(bnet.broker("broker-c0-1"))
+        sim.run(until=20.0)
+        for n in range(50):
+            publisher.publish("/room/video", n, 400)
+        sim.run(until=40.0)
+        assert len(received) == 50
+        latest = plane.fleet.latest("c0")
+        row = plane.fleet.broker_rows()["broker-c0-2"]
+        assert row.synced and "broker-c0-2" not in latest.stale_brokers
+        # The row reads the restarted broker, not the closed object:
+        # the subscriber and the monitor's reconnected client.
+        assert row.clients == broker.client_count() == 2
+        assert row.events_delivered == 50
+        assert broker.statistics()["events_delivered"] == 50
+        plane.stop()
+
+    def test_restarted_gateway_resumes_cluster_summaries(self, net, sim):
+        bnet, plane = self.build(net, sim)
+        bnet.crash_broker("broker-c0-0")
+        sim.run(until=25.0)
+        gateway = bnet.restart_broker("broker-c0-0")
+        sim.run(until=40.0)
+        # Re-elected, so the standby goes quiet: only the restarted
+        # gateway's aggregator can keep cluster c0 on the console.
+        assert gateway.is_active_gateway
+        assert not bnet.broker("broker-c0-1").is_active_gateway
+        fleet = plane.fleet
+        latest = fleet.latest("c0")
+        assert latest.origin == "broker-c0-0"
+        assert latest.at >= 39.0
+        assert fleet.stale_clusters() == []
+        plane.stop()
+
+
 class TestFlatTelemetry:
-    def test_flat_fabric_uses_classic_console(self, net, sim):
+    def test_flat_fabric_is_one_cluster(self, net, sim):
         bnet = BrokerNetwork.chain(net, 3, **FAST)
         sim.run_for(5.0)
         plane = bnet.attach_telemetry(sample_interval_s=0.5)
-        assert not plane.hierarchical
-        assert plane.fleet is None and plane.console is not None
+        # One aggregator, on the console's anchor broker: nothing to elect.
+        assert [a.broker.broker_id for a in plane.aggregators] == ["broker-0"]
+        assert plane.monitors[2].topic == monitor_topic("broker-2")
         plane.start()
         sim.run_for(5.0)
-        assert plane.console.brokers_seen() == [
-            "broker-0", "broker-1", "broker-2"
-        ]
-        assert plane.console_ingress() == plane.console.samples_received
+        fleet = plane.fleet
+        assert fleet.clusters_seen() == [FLAT_SCOPE]
+        rows = fleet.broker_rows()
+        assert sorted(rows) == ["broker-0", "broker-1", "broker-2"]
+        assert all(row.synced for row in rows.values())
+        assert fleet.latest(FLAT_SCOPE).origin == "broker-0"
+        assert plane.console_ingress() == fleet.summaries_received > 0
         plane.stop()
 
     def test_stale_broker_detection_after_silent_crash(self, net, sim):
@@ -253,17 +311,18 @@ class TestFlatTelemetry:
         )
         plane.start()
         sim.run_for(5.0)
-        console = plane.console
-        assert console.stale_brokers() == []
-        assert console.stale_broker_count == 0
+        fleet = plane.fleet
+        assert fleet.latest(FLAT_SCOPE).stale_brokers == ()
+        assert fleet.stale_broker_count == 0
 
         # A broker dies without a word: its monitor goes silent, and
         # that silence IS the crash signal at the console.
         bnet.crash_broker("broker-2")
         sim.run_for(5.0)
-        assert console.stale_brokers() == ["broker-2"]
-        assert console.stale_broker_count == 1
-        # A tighter horizon flags it too; a huge one does not.
-        assert console.stale_brokers(timeout_s=1.0) == ["broker-2"]
-        assert console.stale_brokers(timeout_s=60.0) == []
+        assert fleet.latest(FLAT_SCOPE).stale_brokers == ("broker-2",)
+        assert fleet.stale_broker_count == 1
+        # The dead broker keeps its last row; the survivors stay fresh.
+        rows = fleet.broker_rows()
+        assert rows["broker-2"].at < rows["broker-1"].at - 2.0
+        assert fleet.stale_clusters() == []
         plane.stop()
