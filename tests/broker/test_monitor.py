@@ -101,31 +101,46 @@ def test_history_limit_validated(net, sim):
         FleetMonitor(net.create_host("console-host"), broker, history_limit=1)
 
 
-def test_fleet_history_is_capped_and_duplicates_dropped(net, sim):
-    broker = Broker(net.create_host("broker-host"), broker_id="b0")
-    fleet = FleetMonitor(
-        net.create_host("console-host"), broker, history_limit=3
+def summary(at):
+    """A minimal summary from cluster ``c0``, stamped ``at``."""
+    return ClusterHealthSummary(
+        "c0", "b0", at, int(at), (), {}, HistogramSketch(), (), ()
     )
+
+
+def fleet_console(net, **options):
+    """A console fed by hand; returns it and a ``deliver(payload)``."""
+    broker = Broker(net.create_host("broker-host"), broker_id="b0")
+    fleet = FleetMonitor(net.create_host("console-host"), broker, **options)
 
     def deliver(payload):
         fleet._on_summary(types.SimpleNamespace(payload=payload))
 
-    def summary(at):
-        return ClusterHealthSummary(
-            "c0", "b0", at, int(at), (), {}, HistogramSketch(), (), ()
-        )
+    return fleet, deliver
 
+
+def test_history_is_capped_and_drops_counted(net, sim):
+    fleet, deliver = fleet_console(net, history_limit=3)
     for at in (1.0, 2.0, 3.0, 4.0, 5.0):
         deliver(summary(at))
     window = fleet.history["c0"]
-    # The cap keeps the NEWEST summaries.
+    # The cap keeps the NEWEST summaries; the evicted ones are counted
+    # as received but no longer held.
     assert [s.at for s in window] == [3.0, 4.0, 5.0]
-    # A summary redelivered (e.g. across a console failover) is dropped.
-    deliver(summary(5.0))
-    assert fleet.duplicate_summaries == 1
+    assert fleet.summaries_received == 5
+    assert fleet.summaries_received - len(window) == 2
+    assert fleet.duplicate_summaries == 0
+
+
+def test_duplicate_samples_dropped(net, sim):
+    fleet, deliver = fleet_console(net)
+    for _ in range(3):  # e.g. redelivered across a console failover
+        deliver(summary(5.0))
+    assert len(fleet.history["c0"]) == 1
+    assert fleet.duplicate_summaries == 2
     deliver("not-a-summary")
-    assert len(window) == 3
-    assert fleet.summaries_received == 6
+    assert len(fleet.history["c0"]) == 1
+    assert fleet.summaries_received == 3
 
 
 def test_monitor_rides_broker_failover(net, sim):
