@@ -14,6 +14,10 @@ Responsibilities:
   for a topic when it hashes lowest among known brokers);
 * track reliable events per datagram client until acknowledged.
 
+Two planes are composed in only where they run: the link-state mesh
+(:mod:`repro.broker.mesh`) on an autonomous broker, and the cluster
+gateway overlay (:mod:`repro.broker.gateway`) on a gateway broker.
+
 Every hop charges the host CPU according to the broker's
 :class:`~repro.broker.profile.BrokerProfile` — routing cost per event,
 send cost and heap allocation per destination copy.  Those constants are
@@ -23,20 +27,16 @@ the knobs the Figure 3 calibration turns.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections import deque
-from typing import (
-    Any, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
-)
+from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.broker.epoch_table import ECHO, NEWER, STALE, EpochTable
 from repro.broker.event import NBEvent, freeze_payload
+from repro.broker.gateway import Gateway
 from repro.broker.links import (
     Busy,
     ClientLink,
     ClusterDigest,
     ClusterInterestAdvert,
-    ClusterLsa,
     Connect,
     ConnectAck,
     Disconnect,
@@ -46,7 +46,6 @@ from repro.broker.links import (
     HeartbeatAck,
     LinkStateAdvert,
     LinkStateDigest,
-    LinkType,
     PeerEvent,
     PeerHeartbeat,
     Publish,
@@ -61,6 +60,7 @@ from repro.broker.links import (
     Unsubscribe,
     message_size,
 )
+from repro.broker.mesh import Mesh
 from repro.broker.overload import (
     DEFAULT_RETRY_AFTER_S,
     NORMAL,
@@ -70,17 +70,8 @@ from repro.broker.overload import (
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.broker.reliable import OutboxTally, ReliableOutbox
 from repro.broker.route_cache import NextHopGroups, RouteCache, RouteEntry
-from repro.broker.topic import (
-    PatternSummary,
-    TopicTrie,
-    validate_pattern,
-    validate_topic,
-)
-from repro.obs.metrics import (
-    COST_BUCKETS_S,
-    LATENCY_BUCKETS_S,
-    MetricsRegistry,
-)
+from repro.broker.topic import TopicTrie, validate_pattern
+from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.obs.trace import (
     TRACE_TOPIC_PREFIX,
     CompletedTrace,
@@ -112,54 +103,6 @@ DEDUP_PER_BROKER = 128
 
 #: Bound on cached (topic → sequencer) elections.
 SEQUENCER_CACHE_MAX = 4096
-
-#: Cap on the aggregated interest summary a cluster gateway exports.
-#: Above this many distinct patterns, prefixes are collapsed (widened)
-#: until the summary fits — see
-#: :class:`repro.broker.topic.PatternSummary`.  Deliberately small:
-#: a collapsed summary over-approximates, and a false positive only
-#: costs one wasted inter-cluster forward that the entry gateway drops,
-#: while a large budget delays collapse until per-cluster interest is
-#: so wide that exact-list churn floods the overlay first.
-INTEREST_SUMMARY_BUDGET = 16
-
-#: Minimum spacing between two summary floods from one gateway.  Below
-#: the collapse budget every subscription change alters the exact
-#: summary, so a churn burst would otherwise export one overlay flood
-#: per op — this coalesces the burst into at most one flood per
-#: interval, trading up to that much added cross-cluster propagation
-#: delay for a bounded overlay rate.
-SUMMARY_REFRESH_MIN_INTERVAL_S = 0.25
-
-#: Hysteresis on summary collapse: once a gateway has exported a
-#: collapsed (widened) summary it keeps collapsing until the cluster's
-#: interest shrinks below ``INTEREST_SUMMARY_BUDGET // 2``.  A cluster
-#: sitting *at* the budget would otherwise flap between the exact
-#: pattern list and the wildcard form on every churn transient, and
-#: each flap makes every remote cluster install/withdraw the full diff
-#: as per-pattern proxy floods — an advert storm out of one
-#: subscription's worth of churn.
-SUMMARY_COLLAPSE_RELEASE = 2
-
-#: Every Nth peer-heartbeat tick also carries a link-state digest, so
-#: LSAs lost to the network (floods are unreliable datagrams) are
-#: repaired by anti-entropy within a few heartbeat intervals.
-ANTI_ENTROPY_TICKS = 4
-
-#: Cost-class quantization ladder for WAN-aware routing (geo mode):
-#: one-way latency upper bound (seconds) → integer cost class.  Costs
-#: derive from *configured* link/fabric latency, never from jittered
-#: samples, and the ladder is coarse on purpose: a route only
-#: re-originates when a link crosses a class boundary, so latency
-#: jitter can never flap the route tables.
-COST_CLASSES = (
-    (0.002, 1),    # same rack / metro LAN
-    (0.010, 2),    # campus
-    (0.030, 4),    # regional WAN
-    (0.060, 8),    # continental WAN
-    (0.120, 16),   # transoceanic
-)
-COST_CLASS_MAX = 32
 
 #: Locality pinning (geo mode): after this many sequenced events on a
 #: topic, the current sequencer checks where the publishes actually
@@ -245,7 +188,6 @@ class Broker:
         broker_id: Optional[str] = None,
         profile: BrokerProfile = NARADA_PROFILE,
         reap_timeout_s: Optional[float] = None,
-        link_state_enabled: bool = False,
         peer_heartbeat_interval_s: Optional[float] = None,
         peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
@@ -283,6 +225,9 @@ class Broker:
         self._peers: Dict[str, Address] = {}
         self._peer_by_address: Dict[Address, str] = {}
         self._sorted_peers: Tuple[str, ...] = ()
+        #: Gateway-to-gateway links between clusters (none when flat).
+        self._intercluster_peers: Set[str] = set()
+        self._intra_sorted: Tuple[str, ...] = ()
         self._routes: Dict[str, str] = {}
         self._routes_gen = 0
         self._seen_adverts = _DedupWindow(SEEN_ADVERT_WINDOW)
@@ -306,61 +251,32 @@ class Broker:
         if self.reap_timeout_s is not None:
             self._arm_reaper()
 
-        # Autonomous mesh mode: peer heartbeats detect dead neighbours
-        # without any central announcement, and flooded link-state adverts
-        # let every broker compute its own next-hop table — the
-        # BrokerNetwork stops pushing routes entirely.
-        self.link_state_enabled = link_state_enabled
-        self.peer_heartbeat_interval_s = peer_heartbeat_interval_s
-        self.peer_miss_limit = peer_miss_limit
-        self._peer_last_heard: Dict[str, float] = {}
-        self._peer_hb_timer = None
-        self._hb_tick = 0
-        #: origin -> (epoch, neighbors, cost classes or None)
-        self._lsdb = EpochTable(self.broker_id)
-        self._recompute_pending = False
-        if self.peer_heartbeat_interval_s is not None:
-            self._arm_peer_heartbeat()
+        # Autonomous mesh, built only where it runs: peer heartbeats
+        # detect dead neighbours without any central announcement, and
+        # flooded link-state adverts let every broker compute its own
+        # next-hop table.  Without a heartbeat interval this broker is on
+        # the central plane: BrokerNetwork pushes its routes.
+        self.mesh: Optional[Mesh] = (
+            Mesh(self, peer_heartbeat_interval_s, peer_miss_limit)
+            if peer_heartbeat_interval_s is not None
+            else None
+        )
 
         # Cluster tier (opt-in).  ``cluster_id is None`` is the flat
-        # mesh: every cluster branch below is skipped and behaviour is
-        # bit-identical to the pre-cluster broker (the determinism suite
-        # pins this).  When clustered, SubAdvert/LSA floods are scoped
-        # to intra-cluster links and gateways run a second, overlay-level
-        # control plane: ClusterLsa (gateway adjacency), ClusterInterest-
-        # Advert (prefix-collapsed interest summaries), ClusterDigest
-        # (anti-entropy for both).  Only the *active* gateway (lowest
-        # live gateway id) imports foreign interest and exports events.
+        # mesh.  When clustered, SubAdvert/LSA floods are scoped to
+        # intra-cluster links, and a broker listed among its cluster's
+        # gateways also builds the gateway overlay (DESIGN.md §8).
         self.cluster_id = cluster_id
-        self.cluster_gateways = tuple(sorted(cluster_gateways))
-        self._clustered = cluster_id is not None
-        self.is_gateway = (
-            self._clustered and self.broker_id in self.cluster_gateways
-        )
-        self._intercluster_peers: Set[str] = set()
-        self._intra_sorted: Tuple[str, ...] = ()
-        #: origin gateway -> (epoch, gateway neighbors, cluster_id,
-        #: cost classes or None)
-        self._gw_lsdb = EpochTable(self.broker_id)
-        #: origin gateway -> (epoch, patterns, cluster_id); foreign *and*
-        #: own-cluster summaries are tracked (standbys keep shadow copies
-        #: for takeover), but only foreign ones are ever installed.  Our
-        #: own summary is ``_last_summary`` at this table's ``epoch``.
-        self._cluster_interest = EpochTable(self.broker_id)
-        self._installed_foreign: Set[str] = set()
-        self._proxied: Set[str] = set()
-        #: Gateways only (standbys too, so takeover needs no rebuild):
-        #: every local subscription and every member-advertised remote
-        #: interest entry, refcounted — what the cluster summary is read
-        #: from.  Foreign installs are other clusters' interest, never fed.
-        self._member_interest: Optional[PatternSummary] = (
-            PatternSummary() if self.is_gateway else None
-        )
-        self._last_summary: Optional[Tuple[str, ...]] = None
-        self._summary_pending = False
-        self._last_summary_flood_at = -SUMMARY_REFRESH_MIN_INTERVAL_S
-        self._summary_collapsed = False
-        self._active_gateway: Optional[str] = None
+        self.gateway: Optional[Gateway] = None
+        if cluster_id is not None and self.broker_id in cluster_gateways:
+            if self.mesh is None:
+                raise ValueError(
+                    "a cluster gateway needs peer_heartbeat_interval_s "
+                    "(the gateway overlay is mesh-driven)"
+                )
+            self.gateway = Gateway(
+                self, cluster_id, tuple(sorted(cluster_gateways))
+            )
 
         # Geo federation (opt-in, PR 10).  ``region is None`` is the
         # pre-geo fabric: every branch below is skipped, LSAs carry no
@@ -374,7 +290,6 @@ class Broker:
         # queues until the partition heals.
         self.region = region
         self._geo = region is not None
-        self._advertised_costs: Dict[str, int] = {}
         #: High-watermark of every broker ever seen reachable — the
         #: "stable set" a partition minority measures itself against.
         self._stable_brokers: Set[str] = set()
@@ -538,9 +453,6 @@ class Broker:
         self.delivery_latency = self.metrics.histogram(
             "delivery_latency_s", LATENCY_BUCKETS_S
         )
-        self.routing_cost = self.metrics.histogram(
-            "routing_cost_s", COST_BUCKETS_S
-        )
 
     # --------------------------------------------------------------- info
 
@@ -564,6 +476,11 @@ class Broker:
         return len(self._clients)
 
     @property
+    def is_gateway(self) -> bool:
+        """True for a broker provisioned as one of its cluster's gateways."""
+        return self.gateway is not None
+
+    @property
     def is_active_gateway(self) -> bool:
         """True while this broker is its cluster's elected active gateway.
 
@@ -573,10 +490,9 @@ class Broker:
         gateways shadowing silently until a takeover (DESIGN.md §11).
         """
         return (
-            self._clustered
-            and self.is_gateway
+            self.gateway is not None
             and not self._closed
-            and self._active_gateway == self.broker_id
+            and self.gateway.active == self.broker_id
         )
 
     def client_ids(self) -> List[str]:
@@ -635,35 +551,9 @@ class Broker:
             self._intercluster_peers.add(peer_id)
         else:
             self._intercluster_peers.discard(peer_id)
-        self._peer_last_heard[peer_id] = self.sim.now
         self._peers_changed()
-        if not self.link_state_enabled:
-            return
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        if self._clustered and intercluster:
-            # Inter-cluster link-up: only the gateway tier changed.
-            self._originate_gw_lsa()
-            cpu.execute(
-                cost, self._send_peer, peer_id, self._make_cluster_digest()
-            )
-            return
-        # A link came up (first wiring, or a partition healed): flood
-        # our new adjacency, reconcile databases via digest exchange,
-        # and re-offer known interest over the new edge so the other
-        # side routes events toward us again.
-        self._originate_lsa()
-        cpu.execute(cost, self._send_peer, peer_id, self._make_digest())
-        self._sync_subscriptions_to_peer(peer_id)
-        if (
-            self._clustered
-            and self.is_gateway
-            and peer_id in self.cluster_gateways
-        ):
-            # A co-gateway link is also a gateway-overlay edge.
-            self._originate_gw_lsa()
-            cpu.execute(
-                cost, self._send_peer, peer_id, self._make_cluster_digest()
-            )
+        if self.mesh is not None:
+            self.mesh.link_up(peer_id, intercluster)
 
     def remove_peer(self, peer_id: str) -> None:
         address = self._peers.pop(peer_id, None)
@@ -671,34 +561,20 @@ class Broker:
             self._peer_by_address.pop(address, None)
         was_intercluster = peer_id in self._intercluster_peers
         self._intercluster_peers.discard(peer_id)
-        self._peer_last_heard.pop(peer_id, None)
         self._peers_changed()
-        if not self.link_state_enabled:
-            return
-        if was_intercluster:
-            self._originate_gw_lsa()
-            return
-        self._originate_lsa()
-        if (
-            self._clustered
-            and self.is_gateway
-            and peer_id in self.cluster_gateways
-        ):
-            self._originate_gw_lsa()
+        if self.mesh is not None:
+            self.mesh.link_down(peer_id, was_intercluster)
 
     def has_peer(self, peer_id: str) -> bool:
         return peer_id in self._peers
 
     def _peers_changed(self) -> None:
         self._sorted_peers = tuple(sorted(self._peers))
-        if self._clustered:
-            self._intra_sorted = tuple(
-                peer
-                for peer in self._sorted_peers
-                if peer not in self._intercluster_peers
-            )
-        else:
-            self._intra_sorted = self._sorted_peers
+        self._intra_sorted = tuple(
+            peer
+            for peer in self._sorted_peers
+            if peer not in self._intercluster_peers
+        )
         self._routes_gen += 1
 
     def set_routes(self, routes: Dict[str, str]) -> None:
@@ -732,28 +608,28 @@ class Broker:
             if self._parked_ordered or self._wan_parked:
                 self._schedule_park_drain()
             return
+        gateway = self.gateway
         for origin in [
             o for o in set(self._remote_interest.values()) if o not in reachable
         ]:
             member = (
-                self._member_interest is not None
-                and origin not in self._installed_foreign
+                gateway is not None and origin not in gateway.installed_foreign
             )
             for pattern in self._remote_interest.patterns_for(origin):
                 self._remote_interest.remove(pattern, origin)
                 if member:
-                    self._member_interest.remove(pattern)
+                    gateway.member_interest.remove(pattern)
 
     def sync_subscriptions_to_peers(self) -> None:
-        """(Re)advertise all known interest — used when topology changes."""
+        """(Re)advertise all known interest — used by the central plane
+        when topology changes (a clustered fabric, and so any foreign
+        install, is mesh-driven and never calls this)."""
         for pattern in self._local_subs.all_patterns():
             self._flood_advert(
                 SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
                 skip_peer=None,
             )
         for origin in set(self._remote_interest.values()):
-            if origin in self._installed_foreign:
-                continue  # foreign installs never leave this gateway
             for pattern in self._remote_interest.patterns_for(origin):
                 self._flood_advert(
                     SubAdvert(origin_broker=origin, pattern=pattern, add=True),
@@ -767,32 +643,37 @@ class Broker:
         ``skip_peer`` set to us, which is how subscription state crosses
         a healed partition without a full mesh-wide re-flood.
 
-        Clustered: foreign-gateway installs are *not* offered (members
+        At a gateway, foreign-gateway installs are *not* offered (members
         must route foreign-bound events through the gateway's proxy
         adverts, not toward gateway ids they have no routes for);
         instead the proxied pattern set is offered under our own origin.
         """
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
+        gateway = self.gateway
+        foreign = gateway.installed_foreign if gateway is not None else ()
         local_patterns = self._local_subs.all_patterns()
-        for pattern in local_patterns:
-            advert = SubAdvert(
-                origin_broker=self.broker_id, pattern=pattern, add=True
-            )
-            self._seen_adverts.add(advert.advert_id)
-            cpu.execute(cost, self._send_peer, peer_id, advert)
+        adverts = [
+            SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True)
+            for pattern in local_patterns
+        ]
         for origin in sorted(set(self._remote_interest.values())):
-            if origin in self._installed_foreign:
+            if origin in foreign:
                 continue
-            for pattern in self._remote_interest.patterns_for(origin):
-                advert = SubAdvert(
-                    origin_broker=origin, pattern=pattern, add=True
-                )
-                self._seen_adverts.add(advert.advert_id)
-                cpu.execute(cost, self._send_peer, peer_id, advert)
-        for pattern in sorted(self._proxied - set(local_patterns)):
-            advert = SubAdvert(
-                origin_broker=self.broker_id, pattern=pattern, add=True
-            )
+            adverts += [
+                SubAdvert(origin_broker=origin, pattern=pattern, add=True)
+                for pattern in self._remote_interest.patterns_for(origin)
+            ]
+        if gateway is not None:
+            adverts += [
+                SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True)
+                for pattern in sorted(gateway.proxied - set(local_patterns))
+            ]
+        self._offer(peer_id, adverts)
+
+    def _offer(self, peer_id: str, adverts: List[Any]) -> None:
+        """Send flood adverts to one peer, marking each seen so its echo
+        dies here."""
+        cpu, cost = self.host.cpu, self.profile.control_cost_s
+        for advert in adverts:
             self._seen_adverts.add(advert.advert_id)
             cpu.execute(cost, self._send_peer, peer_id, advert)
 
@@ -953,19 +834,21 @@ class Broker:
                 return
         pattern = validate_pattern(message.pattern)
         had_interest = self._has_local_interest(pattern)
-        if (
-            self._local_subs.add(pattern, message.client_id)
-            and self._member_interest is not None
-        ):
-            self._member_interest.add(pattern)
+        added = self._local_subs.add(pattern, message.client_id)
+        gateway = self.gateway
         # A pattern already advertised as a gateway proxy needs no flood:
-        # the mesh already routes it here (empty in flat mode).
-        if not had_interest and pattern not in self._proxied:
+        # the mesh already routes it here.
+        if not had_interest and (
+            gateway is None or pattern not in gateway.proxied
+        ):
             self._flood_advert(
                 SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
                 skip_peer=None,
             )
-        self._schedule_summary_refresh()
+        if gateway is not None:
+            if added:
+                gateway.member_interest.add(pattern)
+            gateway.schedule_summary_refresh()
         self.host.cpu.execute(
             self.profile.control_cost_s,
             record.link.send,
@@ -978,19 +861,26 @@ class Broker:
             # Never held (clients send Unsubscribe unconditionally):
             # nothing changed, so nothing to withdraw or re-summarize.
             return
-        if self._member_interest is not None:
-            self._member_interest.remove(message.pattern)
-        if (
-            not self._has_local_interest(message.pattern)
-            and message.pattern not in self._proxied
-        ):
-            self._flood_advert(
-                SubAdvert(
-                    origin_broker=self.broker_id, pattern=message.pattern, add=False
-                ),
-                skip_peer=None,
-            )
-        self._schedule_summary_refresh()
+        self._withdraw_local([message.pattern])
+
+    def _withdraw_local(self, patterns: List[str]) -> None:
+        """Local holders of ``patterns`` just went away: withdraw each one
+        no local client and no gateway proxy still advertises."""
+        gateway = self.gateway
+        for pattern in patterns:
+            if not self._has_local_interest(pattern) and (
+                gateway is None or pattern not in gateway.proxied
+            ):
+                self._flood_advert(
+                    SubAdvert(
+                        origin_broker=self.broker_id, pattern=pattern, add=False
+                    ),
+                    skip_peer=None,
+                )
+        if gateway is not None:
+            for pattern in patterns:
+                gateway.member_interest.remove(pattern)
+            gateway.schedule_summary_refresh()
 
     def _on_heartbeat(self, message: Heartbeat) -> None:
         self.heartbeats_received += 1
@@ -1033,21 +923,10 @@ class Broker:
             return
         if record.outbox is not None:
             record.outbox.close()
-        for pattern in self._local_subs.patterns_for(client_id):
+        patterns = self._local_subs.patterns_for(client_id)
+        for pattern in patterns:
             self._local_subs.remove(pattern, client_id)
-            if self._member_interest is not None:
-                self._member_interest.remove(pattern)
-            if (
-                not self._has_local_interest(pattern)
-                and pattern not in self._proxied
-            ):
-                self._flood_advert(
-                    SubAdvert(
-                        origin_broker=self.broker_id, pattern=pattern, add=False
-                    ),
-                    skip_peer=None,
-                )
-        self._schedule_summary_refresh()
+        self._withdraw_local(patterns)
         record.link.close()
 
     def _has_local_interest(self, pattern: str) -> bool:
@@ -1189,16 +1068,12 @@ class Broker:
         return sequencer
 
     def _hash_elect(self, topic: str, candidates: List[str]) -> str:
-        if self._clustered and self.is_gateway:
+        if self.gateway is not None:
             # Gateways also know foreign gateways; elections must stay
             # cluster-local so every member of the cluster (gateway or
             # not) derives the same sequencer.  Ordering domains are per
             # cluster — see DESIGN.md.
-            foreign = {
-                origin
-                for origin, (_, _, cluster, _) in self._gw_lsdb.items()
-                if cluster != self.cluster_id
-            }
+            foreign = self.gateway.foreign_gateways()
             candidates = [b for b in candidates if b not in foreign]
         return min(
             candidates,
@@ -1253,8 +1128,8 @@ class Broker:
         """How long a sent event stays replayable: the worst-case lag
         between a physical cut and heartbeat eviction of the dead peer,
         plus slack for the route recompute that follows."""
-        if self.peer_heartbeat_interval_s is not None:
-            return (self.peer_miss_limit + 2) * self.peer_heartbeat_interval_s
+        if self.mesh is not None:
+            return (self.mesh.miss_limit + 2) * self.mesh.interval_s
         return 2.0
 
     def _note_wan_sent(self, event: NBEvent, targets: FrozenSet[str]) -> None:
@@ -1414,14 +1289,13 @@ class Broker:
         local = tuple(sorted(self._local_subs.match(topic)))
         remote = self._remote_interest.match(topic)
         remote.discard(self.broker_id)
-        if self._clustered and self.is_gateway:
+        if self.gateway is not None:
             # Tier partition for gateway re-export: foreign-gateway
             # targets (installed aggregated interest) vs own-cluster
             # members.  Standbys install nothing, so inter is empty and
             # intra degenerates to the full remote set.
-            inter = frozenset(
-                origin for origin in remote if origin in self._installed_foreign
-            )
+            foreign = self.gateway.installed_foreign
+            inter = frozenset(origin for origin in remote if origin in foreign)
             intra: Optional[FrozenSet[str]] = frozenset(remote) - inter
         else:
             inter = intra = None
@@ -1462,12 +1336,6 @@ class Broker:
             return  # shed before fan-out: no delivery, no forwarding
         self.events_routed += 1
         entry = self.resolve_route(event.topic)
-        self.routing_cost.observe(
-            self.profile.route_cost_s
-            + entry.send_cost_s(self.profile, event.size)
-            * len(entry.local_targets)
-            + self.profile.forward_cost_s * len(entry.next_hop_groups)
-        )
         if self._geo and event.reliable and entry.remote_targets:
             routed: Set[str] = set()
             for _hop, group in entry.next_hop_groups:
@@ -1674,10 +1542,11 @@ class Broker:
 
     def _on_peer_message(self, payload: Any, src: Address, datagram: Datagram) -> None:
         from_peer = self._peer_by_address.get(src)
-        if from_peer is not None:
+        mesh = self.mesh
+        if mesh is not None and from_peer is not None:
             # Any traffic proves liveness — a busy peer that never gets a
             # heartbeat out between media bursts is still clearly alive.
-            self._peer_last_heard[from_peer] = self.sim.now
+            mesh.last_heard[from_peer] = self.sim.now
         if isinstance(payload, PeerEvent):
             self._on_peer_event(payload, from_peer=from_peer)
         elif isinstance(payload, SequenceRequest):
@@ -1688,16 +1557,18 @@ class Broker:
             self._on_sequencer_pin(payload, from_peer=from_peer)
         elif isinstance(payload, PeerHeartbeat):
             self.peer_heartbeats_received += 1
+        elif mesh is None:
+            return  # the central plane runs no link-state protocol
         elif isinstance(payload, LinkStateAdvert):
-            self._on_link_state_advert(payload, from_peer=from_peer)
+            mesh.on_advert(payload, from_peer)
         elif isinstance(payload, LinkStateDigest):
-            self._on_link_state_digest(payload, from_peer=from_peer)
-        elif isinstance(payload, ClusterLsa):
-            self._on_cluster_lsa(payload, from_peer=from_peer)
+            mesh.on_digest(payload, from_peer)
+        elif self.gateway is None:
+            return  # members are never on the gateway overlay
         elif isinstance(payload, ClusterInterestAdvert):
-            self._on_cluster_interest(payload, from_peer=from_peer)
+            self.gateway.on_interest(payload, from_peer)
         elif isinstance(payload, ClusterDigest):
-            self._on_cluster_digest(payload, from_peer=from_peer)
+            self.gateway.on_digest(payload, from_peer)
 
     def _on_peer_event(
         self, peer_event: PeerEvent, from_peer: Optional[str] = None
@@ -1709,19 +1580,19 @@ class Broker:
             return  # shed in transit: neither delivered nor re-forwarded
         hop = self._begin_hop(event)
         targets = set(peer_event.targets)
-        if self._clustered and from_peer in self._intercluster_peers:
+        if from_peer in self._intercluster_peers:
             self.intercluster_hops += 1
         reexported = False
         if self.broker_id in targets:
             targets.discard(self.broker_id)
-            if self._clustered and self.is_gateway:
+            if self.gateway is not None:
                 # Tier boundary: being a target at a gateway also means
                 # "re-export".  Arrivals over an inter-cluster link fan
                 # out to own-cluster members with matching interest;
                 # arrivals from inside the cluster are exported to
                 # remote-gateway targets — but only by the active
                 # gateway, so a standby never duplicates the export.
-                extra = self._reexport_targets(event, from_peer)
+                extra = self.gateway.reexport_targets(event, from_peer)
                 if extra:
                     targets |= extra
                     reexported = True
@@ -1816,685 +1687,37 @@ class Broker:
             # advert storm (each re-flood evicts more live ids, whose
             # echoes then also read as new).
             return
-        if self._member_interest is not None:
-            # SubAdverts never cross a cluster boundary, so the origin is
-            # one of our members — not a foreign install.
-            if advert.add:
-                self._member_interest.add(advert.pattern)
-            else:
-                self._member_interest.remove(advert.pattern)
         # Reflood to everyone except the peer it arrived from — sending
         # it back is pure waste (the sender already deduplicates it).
         self._flood_advert(advert, skip_peer=from_peer)
-        self._schedule_summary_refresh()
+        gateway = self.gateway
+        if gateway is not None:
+            # SubAdverts never cross a cluster boundary, so the origin is
+            # one of our members — not a foreign install.
+            if advert.add:
+                gateway.member_interest.add(advert.pattern)
+            else:
+                gateway.member_interest.remove(advert.pattern)
+            gateway.schedule_summary_refresh()
         if self._geo and advert.add and self._wan_parked:
             # Fresh interest after a heal may unlock parked deliveries.
             self._schedule_park_drain()
 
     def _flood_advert(self, advert: Any, skip_peer: Optional[str]) -> None:
-        """Flood a dedup-windowed advert (SubAdvert or LinkStateAdvert) to
+        """Flood a dedup-windowed advert (SubAdvert or SequencerPin) to
         every peer except the one it arrived from.
 
         Clustered: the flood is scoped to intra-cluster links — member
-        subscription state and member adjacency never cross a cluster
-        boundary; the gateway overlay carries aggregated summaries and
-        cluster-level LSAs instead.
+        subscription state never crosses a cluster boundary; the gateway
+        overlay carries aggregated summaries instead.
         """
         self._seen_adverts.add(advert.advert_id)
-        if self._clustered:
-            peers = self._intra_sorted
-            if self._intercluster_peers and isinstance(advert, LinkStateAdvert):
-                self.cluster_lsas_scoped += 1
-        else:
-            peers = self._sorted_peers
-        for peer_id in peers:
+        for peer_id in self._intra_sorted:
             if peer_id == skip_peer:
                 continue
             self.host.cpu.execute(
                 self.profile.control_cost_s, self._send_peer, peer_id, advert
             )
-
-    def _gateway_overlay_peers(self) -> List[str]:
-        """Direct peers on the gateway overlay: inter-cluster links plus
-        co-gateways of our own cluster we hold an intra link to."""
-        overlay = set(self._intercluster_peers)
-        for gateway in self.cluster_gateways:
-            if gateway != self.broker_id and gateway in self._peers:
-                overlay.add(gateway)
-        return sorted(overlay)
-
-    def _flood_gateway(self, advert: Any, skip_peer: Optional[str]) -> None:
-        """Flood a gateway-tier advert over the gateway overlay."""
-        self._seen_adverts.add(advert.advert_id)
-        for peer_id in self._gateway_overlay_peers():
-            if peer_id == skip_peer:
-                continue
-            self.host.cpu.execute(
-                self.profile.control_cost_s, self._send_peer, peer_id, advert
-            )
-
-    # --------------------------------- peer failure detection (heartbeats)
-
-    def _arm_peer_heartbeat(self) -> None:
-        self._peer_hb_timer = self.sim.schedule(
-            self.peer_heartbeat_interval_s, self._peer_heartbeat_tick
-        )
-
-    def _peer_heartbeat_tick(self) -> None:
-        self._peer_hb_timer = None
-        if self._closed:
-            return
-        self._hb_tick += 1
-        deadline = (
-            self.sim.now
-            - self.peer_heartbeat_interval_s * self.peer_miss_limit
-        )
-        for peer_id in [
-            peer
-            for peer in self._sorted_peers
-            if self._peer_last_heard.get(peer, 0.0) < deadline
-        ]:
-            self._evict_peer(peer_id)
-        beat = PeerHeartbeat(origin_broker=self.broker_id)
-        send_digest = (
-            self.link_state_enabled and self._hb_tick % ANTI_ENTROPY_TICKS == 0
-        )
-        if self._geo and send_digest:
-            # Re-originate only when an adjacency's *cost class* moved —
-            # classes derive from configured latencies, not samples, so
-            # this fires on real reconfiguration (a path override, a
-            # region change), never on jitter.  No flap storms.
-            current = self._link_cost_classes(self._intra_neighbors())
-            if current != self._advertised_costs:
-                self.cost_reoriginations += 1
-                self._originate_lsa()
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        for peer_id in self._sorted_peers:
-            cpu.execute(cost, self._send_peer, peer_id, beat)
-            if not send_digest:
-                continue
-            if self._clustered and peer_id in self._intercluster_peers:
-                # Inter-cluster links repair gateway-tier state only.
-                cpu.execute(
-                    cost, self._send_peer, peer_id, self._make_cluster_digest()
-                )
-                continue
-            cpu.execute(cost, self._send_peer, peer_id, self._make_digest())
-            if (
-                self._clustered
-                and self.is_gateway
-                and peer_id in self.cluster_gateways
-            ):
-                # Co-gateways also reconcile the gateway tier, so a
-                # standby's shadow state survives lost overlay floods.
-                cpu.execute(
-                    cost, self._send_peer, peer_id, self._make_cluster_digest()
-                )
-        self._arm_peer_heartbeat()
-
-    def _evict_peer(self, peer_id: str) -> None:
-        """Declare a silent peer dead — no central announcement involved.
-
-        ``remove_peer`` re-originates our LSA; once the flood converges
-        and the dead broker is globally unreachable, the local recompute
-        path (:meth:`set_routes`) purges its remote interest everywhere.
-        """
-        self.peers_evicted += 1
-        self.remove_peer(peer_id)
-
-    # ------------------------------------------- link-state routing (LSAs)
-
-    def _intra_neighbors(self) -> FrozenSet[str]:
-        """Adjacency advertised in member LSAs: all peers in flat mode,
-        intra-cluster peers only when clustered (inter links belong to
-        the gateway tier and must not leak into member LSAs)."""
-        if self._clustered:
-            return frozenset(
-                peer
-                for peer in self._peers
-                if peer not in self._intercluster_peers
-            )
-        return frozenset(self._peers)
-
-    @staticmethod
-    def _cost_class(latency_s: float) -> int:
-        """Quantize a configured one-way latency into a routing cost class.
-
-        Classes come from *configured* link/fabric latencies only — never
-        from per-packet samples — so jitter cannot move an adjacency
-        between classes and cost changes are as rare as topology changes.
-        """
-        for ceiling, cls in COST_CLASSES:
-            if latency_s < ceiling:
-                return cls
-        return COST_CLASS_MAX
-
-    def _link_cost_classes(self, peers: Iterable[str]) -> Dict[str, int]:
-        """Cost class per adjacency, from the simnet's configured path
-        latency plus our own access-link latency."""
-        network = self.host.network
-        own = self.host.link.latency_s
-        costs: Dict[str, int] = {}
-        for peer_id in peers:
-            address = self._peers.get(peer_id)
-            if address is None:
-                continue
-            latency = network.fabric_latency(self.host.name, address.host)
-            costs[peer_id] = self._cost_class(latency + own)
-        return costs
-
-    def _originate_lsa(self) -> None:
-        """Flood a fresh advert for our current adjacency."""
-        self.lsas_originated += 1
-        neighbors = self._intra_neighbors()
-        costs = self._link_cost_classes(neighbors) if self._geo else None
-        epoch = self._lsdb.originate(neighbors, costs or None)
-        self._advertised_costs = costs or {}
-        self._flood_advert(
-            LinkStateAdvert(
-                origin_broker=self.broker_id,
-                epoch=epoch,
-                neighbors=neighbors,
-                costs=costs or None,
-            ),
-            skip_peer=None,
-        )
-        self._schedule_recompute()
-
-    def _make_digest(self) -> LinkStateDigest:
-        return LinkStateDigest(
-            origin_broker=self.broker_id, epochs=self._lsdb.epochs()
-        )
-
-    def _on_link_state_advert(
-        self, lsa: LinkStateAdvert, from_peer: Optional[str]
-    ) -> None:
-        if not self._seen_adverts.add(lsa.advert_id):
-            self.lsas_deduped += 1
-            return
-        self.control_messages += 1
-        self.lsas_received += 1
-        verdict = self._lsdb.offer(
-            lsa.origin_broker, lsa.epoch, lsa.neighbors, lsa.costs or None
-        )
-        if verdict is ECHO:
-            self._originate_lsa()
-        elif verdict is STALE:
-            self.lsas_stale += 1
-        elif verdict is NEWER:
-            self._flood_advert(lsa, skip_peer=from_peer)
-            self._schedule_recompute()
-
-    def _on_link_state_digest(
-        self, digest: LinkStateDigest, from_peer: Optional[str]
-    ) -> None:
-        if from_peer is None or from_peer in self._intercluster_peers:
-            return  # member LSDBs never reconcile across a cluster boundary
-        self.control_messages += 1
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        for origin, epoch, neighbors, costs in self._lsdb.newer_than(
-            digest.epochs
-        ):
-            lsa = LinkStateAdvert(
-                origin_broker=origin,
-                epoch=epoch,
-                neighbors=neighbors,
-                costs=costs,
-            )
-            self._seen_adverts.add(lsa.advert_id)
-            cpu.execute(cost, self._send_peer, from_peer, lsa)
-        if self._lsdb.behind(digest.epochs):
-            # Ask for the newer entries with our own digest.
-            cpu.execute(cost, self._send_peer, from_peer, self._make_digest())
-
-    def _schedule_recompute(self) -> None:
-        """Debounced local route recompute (many LSAs, one Dijkstra)."""
-        if not self.link_state_enabled or self._recompute_pending:
-            return
-        self._recompute_pending = True
-        self.sim.schedule(0.0, self._run_recompute)
-
-    def _run_recompute(self) -> None:
-        self._recompute_pending = False
-        if self._closed:
-            return
-        self._recompute_routes()
-
-    def _recompute_routes(self) -> None:
-        """Compute our next-hop table from the link-state database.
-
-        An edge counts only when *both* endpoints advertise it (a broker
-        that evicted us no longer routes through us, so we must not route
-        through it either).  Cost-weighted when any origin advertises
-        cost classes (geo mode), unit-weight otherwise; ties break
-        lexicographically so every broker derives consistent paths.
-        """
-        claimed: Dict[str, FrozenSet[str]] = {}
-        costs: Dict[str, Dict[str, int]] = {}
-        for origin, (_, neighbors, cost) in self._lsdb.items():
-            claimed[origin] = neighbors
-            if cost:
-                costs[origin] = cost
-        claimed[self.broker_id] = self._intra_neighbors()
-        routes, dist = self._dijkstra(claimed, costs)
-        gw_dist: Dict[str, int] = {}
-        if self._clustered and self.is_gateway:
-            routes, gw_dist = self._merge_gateway_routes(routes)
-        self.set_routes(routes)
-        # Forget unreachable origins: their interest was just purged by
-        # set_routes, and dropping the stale LSDB entry means a restarted
-        # broker re-enters at epoch 1 without fighting its past life.
-        # Geo mode retains them instead — a WAN partition makes half the
-        # fabric "unreachable" for seconds, and the retained entries keep
-        # the foreign-gateway filter and stable-set election truthful
-        # while it lasts (the LSA echo rule still resolves restarts).
-        if not self._geo:
-            for origin in [
-                o for o in self._lsdb if o != self.broker_id and o not in dist
-            ]:
-                del self._lsdb[origin]
-            if self._clustered and self.is_gateway:
-                for origin in [
-                    o
-                    for o in self._gw_lsdb
-                    if o != self.broker_id and o not in gw_dist
-                ]:
-                    del self._gw_lsdb[origin]
-                    self._cluster_interest.pop(origin, None)
-        self._check_active_gateway()
-        if self._clustered and self.is_gateway:
-            # A foreign gateway may have vanished (its entries were just
-            # purged) without our own active/standby role changing:
-            # reconcile installs and proxies against the surviving set.
-            self._reconcile_foreign_install()
-        self._schedule_summary_refresh()
-
-    def _dijkstra(
-        self,
-        claimed: Dict[str, FrozenSet[str]],
-        costs: Optional[Dict[str, Dict[str, int]]] = None,
-    ) -> Tuple[Dict[str, str], Dict[str, int]]:
-        """Cost-weighted shortest paths over a two-sided-claim adjacency;
-        returns (destination → first hop, destination → distance).
-
-        An edge's weight is the larger of the two endpoints' advertised
-        cost classes, defaulting to 1 when neither side advertises any —
-        so a costless database degenerates to exactly the pre-geo
-        unit-weight hop count, heap order included.  Ties break on
-        (distance, node) lexicographically so every broker derives
-        consistent paths regardless of cost spread.
-        """
-        adjacency: Dict[str, Set[str]] = {
-            origin: {
-                neighbor
-                for neighbor in neighbors
-                if origin in claimed.get(neighbor, ())
-            }
-            for origin, neighbors in claimed.items()
-        }
-        if costs:
-            def weight(a: str, b: str) -> int:
-                side_a = costs.get(a)
-                side_b = costs.get(b)
-                cost_a = side_a.get(b, 1) if side_a else 1
-                cost_b = side_b.get(a, 1) if side_b else 1
-                return cost_a if cost_a >= cost_b else cost_b
-        else:
-            def weight(a: str, b: str) -> int:
-                return 1
-        me = self.broker_id
-        routes: Dict[str, str] = {}
-        dist: Dict[str, int] = {me: 0}
-        heap: List[Tuple[int, str, str]] = []
-        for neighbor in sorted(adjacency.get(me, ())):
-            heapq.heappush(heap, (weight(me, neighbor), neighbor, neighbor))
-        while heap:
-            d, node, first_hop = heapq.heappop(heap)
-            if node in dist:
-                continue
-            dist[node] = d
-            routes[node] = first_hop
-            for neighbor in sorted(adjacency.get(node, ())):
-                if neighbor not in dist:
-                    heapq.heappush(
-                        heap, (d + weight(node, neighbor), neighbor, first_hop)
-                    )
-        return routes, dist
-
-    def _merge_gateway_routes(
-        self, routes: Dict[str, str]
-    ) -> Tuple[Dict[str, str], Dict[str, int]]:
-        """Overlay the gateway-tier shortest paths onto the intra table.
-
-        The gateway overlay's first hops are always direct peers (inter
-        links or co-gateways), so the merged table stays a plain
-        destination → next-peer map and the whole existing forwarding
-        fast path works unchanged.  Same-cluster destinations keep their
-        intra routes — the overlay only contributes *foreign* gateways.
-        """
-        claimed: Dict[str, FrozenSet[str]] = {}
-        cluster_of: Dict[str, str] = {}
-        costs: Dict[str, Dict[str, int]] = {}
-        for origin, (_, neighbors, cluster, cost) in self._gw_lsdb.items():
-            claimed[origin] = neighbors
-            cluster_of[origin] = cluster
-            if cost:
-                costs[origin] = cost
-        claimed[self.broker_id] = frozenset(self._gateway_overlay_peers())
-        gw_routes, gw_dist = self._dijkstra(claimed, costs)
-        merged = dict(routes)
-        for gateway, first_hop in gw_routes.items():
-            if cluster_of.get(gateway) == self.cluster_id:
-                continue  # same-cluster: intra routing wins
-            merged.setdefault(gateway, first_hop)
-        return merged, gw_dist
-
-    # ---------------------------------------- cluster tier (gateway plane)
-
-    def _foreign_origins(self) -> Set[str]:
-        """Gateways in ``_cluster_interest`` belonging to other clusters."""
-        return {
-            origin
-            for origin, (_, _, cluster) in self._cluster_interest.items()
-            if cluster != self.cluster_id
-        }
-
-    def _originate_gw_lsa(self) -> None:
-        """Flood a fresh gateway-tier advert for our overlay adjacency."""
-        if not (self._clustered and self.is_gateway):
-            return
-        self.lsas_originated += 1
-        neighbors = frozenset(self._gateway_overlay_peers())
-        costs = self._link_cost_classes(neighbors) if self._geo else None
-        epoch = self._gw_lsdb.originate(
-            neighbors, self.cluster_id, costs or None
-        )
-        self._flood_gateway(
-            ClusterLsa(
-                origin_gateway=self.broker_id,
-                cluster_id=self.cluster_id,
-                epoch=epoch,
-                gw_neighbors=neighbors,
-                costs=costs or None,
-            ),
-            skip_peer=None,
-        )
-        self._schedule_recompute()
-
-    def _make_cluster_digest(self) -> ClusterDigest:
-        return ClusterDigest(
-            origin_gateway=self.broker_id,
-            lsa_epochs=self._gw_lsdb.epochs(),
-            interest_epochs=self._cluster_interest.epochs(),
-        )
-
-    def _on_cluster_lsa(
-        self, lsa: ClusterLsa, from_peer: Optional[str]
-    ) -> None:
-        if not self._seen_adverts.add(lsa.advert_id):
-            self.lsas_deduped += 1
-            return
-        if not (self._clustered and self.is_gateway):
-            return  # members are never on the gateway overlay
-        self.control_messages += 1
-        self.lsas_received += 1
-        verdict = self._gw_lsdb.offer(
-            lsa.origin_gateway,
-            lsa.epoch,
-            frozenset(lsa.gw_neighbors),
-            lsa.cluster_id,
-            lsa.costs or None,
-        )
-        if verdict is ECHO:
-            self._originate_gw_lsa()
-        elif verdict is STALE:
-            self.lsas_stale += 1
-        elif verdict is NEWER:
-            self._flood_gateway(lsa, skip_peer=from_peer)
-            self._schedule_recompute()
-
-    def _on_cluster_interest(
-        self, advert: ClusterInterestAdvert, from_peer: Optional[str]
-    ) -> None:
-        if not self._seen_adverts.add(advert.advert_id):
-            self.lsas_deduped += 1
-            return
-        if not (self._clustered and self.is_gateway):
-            return
-        self.control_messages += 1
-        verdict = self._cluster_interest.offer(
-            advert.origin_gateway,
-            advert.epoch,
-            tuple(advert.patterns),
-            advert.cluster_id,
-        )
-        if verdict is ECHO:
-            # Force a resend so remote clusters converge on our live
-            # summary.
-            self._last_summary = None
-            self._schedule_summary_refresh()
-        elif verdict is STALE:
-            self.lsas_stale += 1
-        elif verdict is NEWER:
-            self._flood_gateway(advert, skip_peer=from_peer)
-            if (
-                advert.cluster_id != self.cluster_id
-                and self._active_gateway == self.broker_id
-            ):
-                self._reconcile_foreign_install()
-
-    def _on_cluster_digest(
-        self, digest: ClusterDigest, from_peer: Optional[str]
-    ) -> None:
-        """Gateway-tier anti-entropy: push strictly-newer entries to the
-        peer, and ask back (with our digest) when strictly behind.
-        Terminates for the same reason the member tier does — replies
-        are only sent when strictly behind and epochs only advance."""
-        if from_peer is None or not (self._clustered and self.is_gateway):
-            return
-        self.control_messages += 1
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        their_lsas = digest.lsa_epochs
-        their_interest = digest.interest_epochs
-        adverts: List[Any] = [
-            ClusterLsa(
-                origin_gateway=origin,
-                cluster_id=cluster,
-                epoch=epoch,
-                gw_neighbors=neighbors,
-                costs=costs,
-            )
-            for origin, epoch, neighbors, cluster, costs
-            in self._gw_lsdb.newer_than(their_lsas)
-        ]
-        adverts += [
-            ClusterInterestAdvert(
-                origin_gateway=origin,
-                cluster_id=cluster,
-                epoch=epoch,
-                patterns=patterns,
-            )
-            for origin, epoch, patterns, cluster
-            in self._cluster_interest.newer_than(their_interest)
-        ]
-        own_epoch = self._cluster_interest.epoch
-        if own_epoch and their_interest.get(self.broker_id, -1) < own_epoch:
-            # Our own summary is not in the table; it goes out last.
-            adverts.append(self._summary_advert())
-        for advert in adverts:
-            self._seen_adverts.add(advert.advert_id)
-            cpu.execute(cost, self._send_peer, from_peer, advert)
-        if self._gw_lsdb.behind(their_lsas) or self._cluster_interest.behind(
-            their_interest
-        ):
-            cpu.execute(
-                cost, self._send_peer, from_peer, self._make_cluster_digest()
-            )
-
-    def _check_active_gateway(self) -> None:
-        """(Re)elect our cluster's active gateway: the lowest gateway id
-        that is us or intra-reachable.  Only the active gateway imports
-        foreign interest, proxies it to members, exports events, and
-        publishes the cluster's summary; standbys are pure transit with
-        shadow state, ready for takeover."""
-        if not (self._clustered and self.is_gateway):
-            return
-        live = [
-            gateway
-            for gateway in self.cluster_gateways
-            if gateway == self.broker_id or gateway in self._routes
-        ]
-        active = min(live) if live else self.broker_id
-        previous = self._active_gateway
-        if active == previous:
-            return
-        self._active_gateway = active
-        if active == self.broker_id:
-            if previous is not None:
-                self.gateway_takeovers += 1
-            self._reconcile_foreign_install()
-            self._last_summary = None  # force a (re)send of our summary
-            self._schedule_summary_refresh()
-        elif previous == self.broker_id:
-            # Demoted (a lower gateway healed): uninstall foreign
-            # interest, withdraw proxies, and retract our summary so
-            # remote clusters stop exporting toward us — otherwise both
-            # gateways stay targeted and every event delivers twice.
-            self._reconcile_foreign_install()
-            if self._cluster_interest.epoch:
-                self._originate_summary(())
-
-    def _schedule_summary_refresh(self) -> None:
-        """Debounced recompute of our aggregated interest summary (many
-        subscription changes, one summary flood), rate-limited to one
-        flood per ``SUMMARY_REFRESH_MIN_INTERVAL_S`` so churn below the
-        collapse budget cannot export one overlay flood per op.  No-op
-        for members and for the flat mesh."""
-        if not (self._clustered and self.is_gateway) or self._summary_pending:
-            return
-        self._summary_pending = True
-        delay = max(
-            0.0,
-            self._last_summary_flood_at
-            + SUMMARY_REFRESH_MIN_INTERVAL_S
-            - self.sim.now,
-        )
-        self.sim.schedule(delay, self._run_summary_refresh)
-
-    def _run_summary_refresh(self) -> None:
-        self._summary_pending = False
-        if self._closed:
-            return
-        self._refresh_interest_summary()
-
-    def _refresh_interest_summary(self) -> None:
-        """Recompute and (when changed) flood this cluster's aggregated
-        interest summary.  Active gateway only."""
-        if self._active_gateway != self.broker_id:
-            return
-        patterns = self._member_interest
-        budget = INTEREST_SUMMARY_BUDGET
-        if self._summary_collapsed:
-            # Hysteresis: a cluster hovering at the budget must not flap
-            # between the exact list and the wildcard form on every
-            # churn transient — stay collapsed until interest genuinely
-            # narrows.
-            budget //= SUMMARY_COLLAPSE_RELEASE
-        summary = patterns.summary(budget)
-        if summary == self._last_summary:
-            return
-        self._summary_collapsed = len(summary) < len(patterns)
-        self._last_summary_flood_at = self.sim.now
-        self.adverts_aggregated += len(patterns)
-        self._originate_summary(summary)
-
-    def _originate_summary(self, summary: Tuple[str, ...]) -> None:
-        """Flood ``summary`` as our cluster's interest under a new epoch."""
-        self._cluster_interest.bump()
-        self._last_summary = summary
-        self._flood_gateway(self._summary_advert(), skip_peer=None)
-
-    def _summary_advert(self) -> ClusterInterestAdvert:
-        return ClusterInterestAdvert(
-            origin_gateway=self.broker_id,
-            cluster_id=self.cluster_id,
-            epoch=self._cluster_interest.epoch,
-            patterns=self._last_summary or (),
-        )
-
-    def _reconcile_foreign_install(self) -> None:
-        """Make ``_remote_interest``'s foreign-origin entries match what
-        this gateway should install — every foreign summary when active,
-        none when standby — then re-derive the proxied pattern set and
-        flood the proxy-advert deltas into the cluster."""
-        active = self._active_gateway == self.broker_id
-        wanted_origins = self._foreign_origins() if active else set()
-        for origin in sorted(self._installed_foreign - wanted_origins):
-            for pattern in list(self._remote_interest.patterns_for(origin)):
-                self._remote_interest.remove(pattern, origin)
-            self._installed_foreign.discard(origin)
-        for origin in sorted(wanted_origins):
-            current = set(self._remote_interest.patterns_for(origin))
-            _, patterns, _ = self._cluster_interest[origin]
-            wanted = set(patterns)
-            for pattern in sorted(current - wanted):
-                self._remote_interest.remove(pattern, origin)
-            for pattern in sorted(wanted - current):
-                self._remote_interest.add(pattern, origin)
-            self._installed_foreign.add(origin)
-        self._sync_proxies()
-
-    def _sync_proxies(self) -> None:
-        """Advertise installed foreign interest into the cluster under
-        our own origin, so members route matching events toward us.
-
-        The flood rules keep our *effective* advertised interest — local
-        subscriptions ∪ proxied patterns — consistent on both edges: a
-        proxy add only floods when the pattern was not already
-        advertised locally, and a proxy removal only withdraws when no
-        local client still holds the pattern (the subscribe/unsubscribe
-        paths apply the mirror-image checks against ``_proxied``).
-        """
-        wanted: Set[str] = set()
-        for origin in self._installed_foreign:
-            wanted.update(self._remote_interest.patterns_for(origin))
-        for pattern in sorted(self._proxied - wanted):
-            self._proxied.discard(pattern)
-            if not self._has_local_interest(pattern):
-                self._flood_advert(
-                    SubAdvert(
-                        origin_broker=self.broker_id, pattern=pattern, add=False
-                    ),
-                    skip_peer=None,
-                )
-        for pattern in sorted(wanted - self._proxied):
-            fresh = not self._has_local_interest(pattern)
-            self._proxied.add(pattern)
-            if fresh:
-                self._flood_advert(
-                    SubAdvert(
-                        origin_broker=self.broker_id, pattern=pattern, add=True
-                    ),
-                    skip_peer=None,
-                )
-
-    def _reexport_targets(self, event: NBEvent, from_peer: Optional[str]) -> FrozenSet[str]:
-        """Extra targets a gateway adds when it is itself targeted.
-
-        Inter-cluster arrival → fan out to own-cluster members with
-        matching interest; intra arrival at the *active* gateway →
-        export to remote gateways whose aggregated interest matches.
-        Standbys receiving intra traffic add nothing, so exports are
-        never duplicated.
-        """
-        entry = self.resolve_route(event.topic)
-        if from_peer is not None and from_peer in self._intercluster_peers:
-            extra = entry.intra_targets
-        elif self._active_gateway == self.broker_id:
-            extra = entry.inter_targets
-        else:
-            extra = None
-        return extra if extra is not None else frozenset()
 
     # ------------------------------------------------------------- admin
 
@@ -2505,9 +1728,8 @@ class Broker:
         if self._reap_timer is not None:
             self._reap_timer.cancel()
             self._reap_timer = None
-        if self._peer_hb_timer is not None:
-            self._peer_hb_timer.cancel()
-            self._peer_hb_timer = None
+        if self.mesh is not None:
+            self.mesh.close()
         for record in list(self._clients.values()):
             if record.outbox is not None:
                 record.outbox.close()

@@ -4,8 +4,9 @@ Member link state, gateway link state and cluster interest summaries
 all travel the same way: each origin floods its value under an epoch
 only it advances, receivers keep the newest epoch per origin, and
 digests (origin → epoch held) repair lost floods.  This is that rule,
-once; :class:`~repro.broker.broker.Broker` owns the wire messages, the
-flood scope and what a change triggers.
+once; :class:`~repro.broker.mesh.LinkStateTier` and
+:class:`~repro.broker.gateway.Gateway` own the wire messages, the flood
+scope and what a change triggers.
 """
 
 from __future__ import annotations

@@ -256,44 +256,11 @@ class ClusterInterestAdvert(WireMessage):
         self.patterns = patterns
 
 
-class ClusterLsa(WireMessage):
-    """Gateway-tier link-state advert: one gateway's overlay adjacency.
-
-    The cluster tier's answer to :class:`LinkStateAdvert` — member LSAs
-    never leave their cluster, so gateways flood *these* over the
-    gateway overlay (inter-cluster links plus co-gateway links) to learn
-    cluster-level reachability and compute routes to remote gateways.
-
-    Like :class:`LinkStateAdvert`, a ``costs`` mapping (gateway → cost
-    class) is optional; ``None`` keeps the pre-WAN wire size and reads
-    as uniform cost 1.
-    """
-
-    __slots__ = ("advert_id", "origin_gateway", "cluster_id", "epoch",
-                 "gw_neighbors", "costs")
-
-    def __init__(
-        self,
-        advert_id: Optional[int] = None,
-        origin_gateway: str = "",
-        cluster_id: str = "",
-        epoch: int = 0,
-        gw_neighbors: FrozenSet[str] = frozenset(),
-        costs: Optional[Dict[str, int]] = None,
-    ):
-        self.advert_id = advert_id if advert_id is not None else next(_advert_ids)
-        self.origin_gateway = origin_gateway
-        self.cluster_id = cluster_id
-        self.epoch = epoch
-        self.gw_neighbors = gw_neighbors
-        self.costs = costs
-
-
 class ClusterDigest(WireMessage):
     """Anti-entropy summary of a gateway's cluster-tier databases.
 
-    Carries the epoch of every known :class:`ClusterLsa` and
-    :class:`ClusterInterestAdvert`; the receiver pushes back anything it
+    Carries the epoch of every known gateway-tier
+    :class:`LinkStateAdvert` and :class:`ClusterInterestAdvert`; the receiver pushes back anything it
     holds at a strictly newer epoch (and answers with its own digest
     when strictly behind — the same terminating reconciliation rule as
     :class:`LinkStateDigest`, one tier up).
@@ -341,9 +308,15 @@ class LinkStateAdvert(WireMessage):
     neighbor → integer cost class.  ``None`` — the default, and the only
     value a geo-unaware broker ever sends — is wire-size-identical to
     the pre-cost advert; receivers treat a missing entry as cost 1.
+
+    ``cluster_id`` names the tier: ``None`` for a member LSA (flooded
+    inside one cluster, or across a flat mesh), the origin's cluster for
+    a gateway LSA (flooded over the gateway overlay — inter-cluster links
+    plus co-gateway links — so gateways learn cluster-level reachability).
     """
 
-    __slots__ = ("advert_id", "origin_broker", "epoch", "neighbors", "costs")
+    __slots__ = ("advert_id", "origin_broker", "epoch", "neighbors", "costs",
+                 "cluster_id")
 
     def __init__(
         self,
@@ -352,12 +325,14 @@ class LinkStateAdvert(WireMessage):
         epoch: int = 0,
         neighbors: FrozenSet[str] = frozenset(),
         costs: Optional[Dict[str, int]] = None,
+        cluster_id: Optional[str] = None,
     ):
         self.advert_id = advert_id if advert_id is not None else next(_advert_ids)
         self.origin_broker = origin_broker
         self.epoch = epoch
         self.neighbors = neighbors
         self.costs = costs
+        self.cluster_id = cluster_id
 
 
 class SequencerPin(WireMessage):
@@ -439,11 +414,6 @@ def message_size(message: Any, envelope_bytes: int) -> int:
         return CONTROL_BYTES + sum(
             len(pattern) for pattern in message.patterns
         )
-    if isinstance(message, ClusterLsa):
-        size = CONTROL_BYTES + 8 * len(message.gw_neighbors)
-        if message.costs:
-            size += 2 * len(message.costs)
-        return size
     if isinstance(message, ClusterDigest):
         return CONTROL_BYTES + 12 * (
             len(message.lsa_epochs) + len(message.interest_epochs)

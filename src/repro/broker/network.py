@@ -122,11 +122,15 @@ class BrokerNetwork:
         #: Shared by every broker in the collection, so the sampling
         #: budget (1-in-N) is collection-wide and survives restarts.
         self.tracer = tracer
-        self.peer_heartbeat_interval_s = (
-            peer_heartbeat_interval_s
-            if peer_heartbeat_interval_s is not None
-            else (DEFAULT_PEER_HEARTBEAT_S if autonomous else None)
-        )
+        if peer_heartbeat_interval_s is None and autonomous:
+            peer_heartbeat_interval_s = DEFAULT_PEER_HEARTBEAT_S
+        elif peer_heartbeat_interval_s is not None and not autonomous:
+            raise ValueError(
+                "peer_heartbeat_interval_s requires autonomous=True (peer "
+                "heartbeats are the link-state mesh's failure detector)"
+            )
+        #: Set exactly when the brokers run the link-state mesh.
+        self.peer_heartbeat_interval_s = peer_heartbeat_interval_s
         self.peer_miss_limit = peer_miss_limit
         # Overload-protection knobs, threaded to every broker (including
         # restarts, so a broker comes back with the same watermarks).
@@ -180,7 +184,6 @@ class BrokerNetwork:
             host,
             broker_id=name,
             profile=profile if profile is not None else self.profile,
-            link_state_enabled=self.autonomous,
             peer_heartbeat_interval_s=self.peer_heartbeat_interval_s,
             peer_miss_limit=self.peer_miss_limit,
             tracer=self.tracer,

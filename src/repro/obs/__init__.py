@@ -10,7 +10,6 @@ becoming an import cycle.
 
 from repro.obs.anomaly import Anomaly, EwmaBandDetector, SlopeDetector
 from repro.obs.metrics import (
-    COST_BUCKETS_S,
     LATENCY_BUCKETS_S,
     SIGNALING_BUCKETS_S,
     Counter,
@@ -52,7 +51,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "COST_BUCKETS_S",
     "LATENCY_BUCKETS_S",
     "SIGNALING_BUCKETS_S",
     "Counter",

@@ -41,11 +41,6 @@ SIGNALING_BUCKETS_S: Tuple[float, ...] = (
     0.005, 0.010, 0.020, 0.050, 0.100, 0.200, 0.500, 1.0, 2.0, 5.0, 10.0,
 )
 
-#: Per-event routing cost bucket bounds (seconds of modeled CPU).
-COST_BUCKETS_S: Tuple[float, ...] = (
-    1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 2e-2,
-)
-
 
 def bucket_quantile(
     bounds: Sequence[float],

@@ -27,22 +27,24 @@ def assert_maintained_state(brokers):
     """Every aggregate a broker maintains incrementally equals its
     from-scratch definition: the gateway's tracked member interest is
     ``_local_subs ∪ non-foreign _remote_interest`` (holder counts
-    included), and the outbox tally is the per-client sum."""
+    included), and the outbox tally is the per-client sum.  Only a
+    gateway builds the overlay that tracks member interest."""
     for broker in brokers:
         assert broker._outbox_depth() == sum(
             record.outbox.pending_count
             for record in broker._clients.values()
             if record.outbox is not None
         ), broker.broker_id
+        gateway = broker.gateway
         if not broker.is_gateway:
-            assert broker._member_interest is None, broker.broker_id
+            assert gateway is None, broker.broker_id
             continue
         holders = {
             pattern: broker._local_subs.refcount(pattern)
             for pattern in broker._local_subs.all_patterns()
         }
-        foreign = broker._foreign_origins()
+        foreign = gateway.foreign_origins()
         for origin in set(broker._remote_interest.values()) - foreign:
             for pattern in broker._remote_interest.patterns_for(origin):
                 holders[pattern] = holders.get(pattern, 0) + 1
-        assert broker._member_interest._refs == holders, broker.broker_id
+        assert gateway.member_interest._refs == holders, broker.broker_id

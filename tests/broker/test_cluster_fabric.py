@@ -59,7 +59,7 @@ class TestFloodEchoSuppression:
         not change.  Re-flooding a no-op is what turns cap pressure
         into a self-sustaining storm: each re-flood evicts more live
         ids, whose echoes then also read as new."""
-        bnet = BrokerNetwork.chain(net, 3, **FAST)
+        bnet = BrokerNetwork.chain(net, 3)
         sim.run_for(5.0)
         client = make_client(net, sim, bnet.broker("broker-0"), "echo-sub")
         client.subscribe("/gmc/echo/room", lambda event: None)
@@ -89,7 +89,7 @@ class TestFloodEchoSuppression:
     def test_own_origin_echo_is_absorbed(self, sim, net):
         """A broker's own advert echoing back must not be re-flooded:
         its original flood already covered every reachable peer."""
-        bnet = BrokerNetwork.chain(net, 3, **FAST)
+        bnet = BrokerNetwork.chain(net, 3)
         sim.run_for(5.0)
         client = make_client(net, sim, bnet.broker("broker-1"), "self-sub")
         client.subscribe("/gmc/echo/self", lambda event: None)
@@ -118,18 +118,18 @@ class TestSummaryHysteresis:
         remote cluster install/withdraw the full diff as per-pattern
         proxy floods.  Once collapsed, the summary stays collapsed until
         interest genuinely narrows."""
-        import repro.broker.broker as broker_mod
+        import repro.broker.gateway as gateway_mod
 
-        monkeypatch.setattr(broker_mod, "INTEREST_SUMMARY_BUDGET", 4)
+        monkeypatch.setattr(gateway_mod, "INTEREST_SUMMARY_BUDGET", 4)
         bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
         sim.run_for(20.0)
         client = make_client(net, sim, bnet.broker("broker-c0-2"), "edge")
         for n in range(4):
             client.subscribe(f"/edge/a/t{n}", lambda event: None)
         sim.run_for(5.0)
-        gateway = bnet.broker("broker-c0-0")
-        assert gateway._active_gateway == gateway.broker_id
-        epoch_before = gateway._cluster_interest.epoch
+        gateway = bnet.broker("broker-c0-0").gateway
+        assert gateway.active == gateway.broker.broker_id
+        epoch_before = gateway.interest.epoch
         # Toggle a fifth pattern across the boundary repeatedly: the
         # first crossing may collapse the summary (one flood), but the
         # collapsed form must then be sticky.
@@ -138,9 +138,9 @@ class TestSummaryHysteresis:
             sim.run_for(1.0)
             client.unsubscribe("/edge/a/extra")
             sim.run_for(1.0)
-        assert gateway._summary_collapsed
-        assert gateway._last_summary == ("/edge/a/#",)
-        assert gateway._cluster_interest.epoch - epoch_before <= 2
+        assert gateway.summary_collapsed
+        assert gateway.last_summary == ("/edge/a/#",)
+        assert gateway.interest.epoch - epoch_before <= 2
 
 
 class TestStrayUnsubscribe:
@@ -171,7 +171,7 @@ class TestStrayUnsubscribe:
                 after[broker_id] - quiet[broker_id]
                 == quiet[broker_id] - start[broker_id] + heard
             ), broker_id
-        assert not bnet.broker("broker-c0-0")._summary_pending
+        assert not bnet.broker("broker-c0-0").gateway.summary_pending
         assert_maintained_state(bnet.brokers())
 
 
@@ -205,29 +205,29 @@ class TestMaintainedInterest:
         lost.subscribe("/lost/with/gateway", lambda event: None)
         before = self.churn(net, sim, bnet, "before")
         standby = bnet.broker("broker-c0-1")
-        assert standby._active_gateway == "broker-c0-0"
-        assert standby._member_interest.patterns() >= {"/lost/with/gateway"}
+        assert standby.gateway.active == "broker-c0-0"
+        assert standby.gateway.member_interest.patterns() >= {"/lost/with/gateway"}
         assert_maintained_state(bnet.brokers())
 
         bnet.crash_broker("broker-c0-0")
         sim.run_for(15.0)
-        assert standby._active_gateway == standby.broker_id
-        assert standby._summary_collapsed  # read off the shadow set, no rebuild
+        assert standby.gateway.active == standby.broker_id
+        assert standby.gateway.summary_collapsed  # read off the shadow set, no rebuild
         assert_maintained_state(bnet.brokers())
         during = self.churn(net, sim, bnet, "during")
         assert_maintained_state(bnet.brokers())
 
         healed = bnet.restart_broker("broker-c0-0")
         sim.run_for(15.0)
-        assert standby._active_gateway == "broker-c0-0"  # demoted
+        assert standby.gateway.active == "broker-c0-0"  # demoted
         assert healed.is_active_gateway
         assert_maintained_state(bnet.brokers())
         for client in before + during:
             client.disconnect()
         sim.run_for(5.0)
         assert_maintained_state(bnet.brokers())
-        assert healed._member_interest.patterns() == set()
-        assert healed._last_summary == ()
+        assert healed.gateway.member_interest.patterns() == set()
+        assert healed.gateway.last_summary == ()
 
     def test_geo_regional_cut_and_heal(self, sim, net):
         """Geo mode retains unreachable brokers' interest (no purge):
@@ -274,7 +274,7 @@ class TestClusteredFabric:
         own = cluster_members(bnet, "c0")
         member = bnet.broker("broker-c0-3")  # not a gateway
         assert not member.is_gateway
-        assert set(member._lsdb) <= own
+        assert set(member.mesh.member.table) <= own
         assert set(member._routes) <= own - {member.broker_id}
         # Gateways do know foreign *gateways* (the overlay tier) but
         # never foreign members.
@@ -351,12 +351,12 @@ class TestGatewayFailover:
         assert [event.payload for event in received] == ["before"]
 
         standby = bnet.broker("broker-c0-1")
-        active = standby._active_gateway
+        active = standby.gateway.active
         assert active == "broker-c0-0"  # deterministic min-id election
         bnet.crash_broker(active)
         sim.run_for(15.0)  # chaos budget: evict + takeover + re-advertise
 
-        assert standby._active_gateway == standby.broker_id
+        assert standby.gateway.active == standby.broker_id
         assert standby.gateway_takeovers >= 1
         publisher.publish("/gmc/chat/room", "after", 100)
         sim.run_for(5.0)
@@ -401,12 +401,16 @@ class TestFloodQuiescence:
             subscribers.append(client)
         sim.run_for(40.0)  # convergence
 
+        def epochs(gateway):
+            if gateway is None:
+                return (0, 0)  # a member originates on neither overlay table
+            return (gateway.overlay.table.epoch, gateway.interest.epoch)
+
         def control_snapshot():
             return {
                 broker.broker_id: (
                     broker.lsas_originated,
-                    broker._gw_lsdb.epoch,
-                    broker._cluster_interest.epoch,
+                    *epochs(broker.gateway),
                     broker.adverts_aggregated,
                     broker.lsas_deduped,
                 )

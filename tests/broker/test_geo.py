@@ -71,8 +71,8 @@ def test_expensive_edge_loses_to_cheap_multihop_path(sim, net):
     assert b0._routes["b3"] == "b1", "route should avoid the 100 ms edge"
     assert bnet.broker("b3")._routes["b0"] == "b2"
     # The advertised class comes from *configured* latency only.
-    assert b0._advertised_costs["b3"] == 16
-    assert b0._advertised_costs["b1"] == 1
+    assert b0.mesh.member.advertised_costs["b3"] == 16
+    assert b0.mesh.member.advertised_costs["b1"] == 1
 
 
 def test_geo_disabled_takes_the_direct_edge(sim, net):
@@ -90,7 +90,7 @@ def test_geo_disabled_takes_the_direct_edge(sim, net):
     sim.run_for(3.0)
     b0 = bnet.broker("b0")
     assert b0._routes["b3"] == "b3"
-    assert b0._advertised_costs == {}
+    assert b0.mesh.member.advertised_costs == {}
 
 
 def test_cost_class_change_reoriginates_but_jitter_never_does(sim, net):
@@ -110,7 +110,33 @@ def test_cost_class_change_reoriginates_but_jitter_never_does(sim, net):
     net.set_path_latency("b0", "b1", 0.050)
     sim.run_for(3.0)
     assert b0.cost_reoriginations > before
-    assert b0._advertised_costs["b1"] == 8
+    assert b0.mesh.member.advertised_costs["b1"] == 8
+
+
+def test_gateway_tier_reoriginates_when_cost_classes_change(sim, net):
+    """Region latencies configured after a clustered geo fabric came up
+    move only overlay adjacencies.  The anti-entropy check must refresh
+    the gateway LSA too, or the overlay keeps pricing a 100 ms ocean
+    crossing at class 1 and routes straight across it."""
+    bnet = BrokerNetwork.clustered(
+        net, [2, 2, 2], regions=["us", "eu", "ap"],
+        peer_heartbeat_interval_s=HB, peer_miss_limit=MISS,
+    )
+    sim.run_for(10.0)
+    net.set_region_latency("us", "eu", 0.100)
+    net.set_region_latency("us", "ap", 0.005)
+    net.set_region_latency("eu", "ap", 0.005)
+    sim.run_for(20.0)
+    gateway = bnet.broker("broker-c0-0")
+    assert gateway.cost_reoriginations > 0
+    # us → ap → eu costs 2 + 2, the direct crossing 16.
+    assert gateway._routes["broker-c1-0"] == "broker-c2-0"
+    _, neighbors, costs, _ = gateway.gateway.overlay.table["broker-c0-0"]
+    assert costs == gateway.mesh.cost_classes(neighbors) == {
+        "broker-c0-1": 1,
+        "broker-c1-0": 16, "broker-c1-1": 16,
+        "broker-c2-0": 2, "broker-c2-1": 2,
+    }
 
 
 # ------------------------------------------------- locality-aware pinning

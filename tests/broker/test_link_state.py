@@ -107,9 +107,9 @@ class TestFailureDetection:
         bnet = ring(net, count=3)
         sim.run_for(1.0)
         b0 = bnet.broker("broker-0")
-        before = dict(b0._peer_last_heard)
+        before = dict(b0.mesh.last_heard)
         sim.run_for(1.0)
-        after = dict(b0._peer_last_heard)
+        after = dict(b0.mesh.last_heard)
         for peer in before:
             assert after[peer] > before[peer]
 
@@ -125,7 +125,7 @@ class TestFailureDetection:
         sim.run_for(2.0)
         for broker in bnet.brokers():
             assert broker.peer_heartbeats_received == 0
-            assert broker._peer_hb_timer is None
+            assert broker.mesh is None
 
 
 class TestLinkStateProtocol:
@@ -133,12 +133,12 @@ class TestLinkStateProtocol:
         bnet = ring(net, count=3)
         sim.run_for(2.0)
         b0 = bnet.broker("broker-0")
-        current_epoch = b0._lsdb["broker-1"][0]
+        current_epoch = b0.mesh.member.table["broker-1"][0]
         stale = LinkStateAdvert(
             origin_broker="broker-1", epoch=0, neighbors=frozenset()
         )
-        b0._on_link_state_advert(stale, from_peer="broker-1")
-        assert b0._lsdb["broker-1"][0] == current_epoch
+        b0.mesh.on_advert(stale, from_peer="broker-1")
+        assert b0.mesh.member.table["broker-1"][0] == current_epoch
 
     def test_own_echo_triggers_epoch_jump(self, sim, net):
         """A broker that hears its own adjacency at a future epoch (a
@@ -146,12 +146,12 @@ class TestLinkStateProtocol:
         bnet = ring(net, count=3)
         sim.run_for(2.0)
         b0 = bnet.broker("broker-0")
-        old = b0._lsdb.epoch
+        old = b0.mesh.member.table.epoch
         ghost = LinkStateAdvert(
             origin_broker="broker-0", epoch=old + 10, neighbors=frozenset()
         )
-        b0._on_link_state_advert(ghost, from_peer="broker-1")
-        assert b0._lsdb.epoch == old + 11
+        b0.mesh.on_advert(ghost, from_peer="broker-1")
+        assert b0.mesh.member.table.epoch == old + 11
 
     def test_digest_pushes_missing_lsas(self, sim, net):
         bnet = ring(net, count=3)
@@ -159,7 +159,7 @@ class TestLinkStateProtocol:
         b0 = bnet.broker("broker-0")
         # A peer claiming an empty database gets everything we hold.
         sent_before = b0.host.nic.sent_packets
-        b0._on_link_state_digest(
+        b0.mesh.on_digest(
             LinkStateDigest(origin_broker="broker-1", epochs={}),
             from_peer="broker-1",
         )
@@ -172,7 +172,7 @@ class TestLinkStateProtocol:
         bnet.crash_broker("broker-2")
         sim.run_for(3.0)
         for survivor in bnet.brokers():
-            assert "broker-2" not in survivor._lsdb
+            assert "broker-2" not in survivor.mesh.member.table
 
     def test_wire_sizes_scale_with_content(self):
         lsa_small = LinkStateAdvert(origin_broker="a", epoch=1, neighbors=frozenset())
@@ -228,7 +228,7 @@ class TestTopologyOps:
         restarted = bnet.restart_broker("broker-2")
         sim.run_for(3.0)
         assert_full_mesh_routes(bnet)
-        assert restarted._lsdb.epoch >= 1
+        assert restarted.mesh.member.table.epoch >= 1
 
     def test_quick_restart_beats_ghost_lsa(self, sim, net):
         """Restart *before* eviction: survivors still hold the past

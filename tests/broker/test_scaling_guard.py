@@ -49,24 +49,25 @@ def gateway_churn_calls(held):
         net, [2, 2], peer_heartbeat_interval_s=0.25, peer_miss_limit=2
     )
     sim.run_for(10.0)
-    gateway = bnet.broker("broker-c0-0")
-    client = make_client(net, sim, gateway, "holder")
+    broker = bnet.broker("broker-c0-0")
+    gateway = broker.gateway
+    client = make_client(net, sim, broker, "holder")
     for n in range(held):
         client.subscribe(f"/load/room-{n % 8}/member-{n}", lambda event: None)
     sim.run_for(5.0)
-    assert gateway.is_active_gateway and gateway._summary_collapsed
-    assert len(gateway._local_subs) == held
-    summary = gateway._last_summary
+    assert broker.is_active_gateway and gateway.summary_collapsed
+    assert len(broker._local_subs) == held
+    summary = gateway.last_summary
     assert len(summary) == 8
 
     def churn():
-        gateway._on_subscribe(Subscribe("holder", "/load/room-0/extra"))
-        gateway._refresh_interest_summary()
-        gateway._on_unsubscribe(Unsubscribe("holder", "/load/room-0/extra"))
-        gateway._refresh_interest_summary()
+        broker._on_subscribe(Subscribe("holder", "/load/room-0/extra"))
+        gateway.refresh_summary()
+        broker._on_unsubscribe(Unsubscribe("holder", "/load/room-0/extra"))
+        gateway.refresh_summary()
 
     calls = count_calls(churn)
-    assert gateway._last_summary == summary
+    assert gateway.last_summary == summary
     return calls
 
 

@@ -286,7 +286,7 @@ class TestTelemetryFollowsRestart:
 
 class TestFlatTelemetry:
     def test_flat_fabric_is_one_cluster(self, net, sim):
-        bnet = BrokerNetwork.chain(net, 3, **FAST)
+        bnet = BrokerNetwork.chain(net, 3)
         sim.run_for(5.0)
         plane = bnet.attach_telemetry(sample_interval_s=0.5)
         # One aggregator, on the console's anchor broker: nothing to elect.
@@ -304,7 +304,7 @@ class TestFlatTelemetry:
         plane.stop()
 
     def test_stale_broker_detection_after_silent_crash(self, net, sim):
-        bnet = BrokerNetwork.chain(net, 3, **FAST)
+        bnet = BrokerNetwork.chain(net, 3)
         sim.run_for(5.0)
         plane = bnet.attach_telemetry(
             sample_interval_s=0.5, stale_timeout_s=2.0

@@ -1,11 +1,13 @@
 """Anti-drift lint for the counter registry, in both directions.
 
-Producer side: walks ``broker.py``'s AST for ``self.<name> += ...``
-statements inside ``class Broker`` and fails if any mutated public
-attribute is missing from the broker's metrics registry.
-``Broker.statistics()`` and the monitor's samples are generated from the
-registry, so an unregistered counter would silently vanish from the
-whole monitoring surface.
+Producer side: walks every ``repro/broker/*.py`` module's AST for
+statements that bump a broker counter — ``self.<name> += ...`` inside
+``class Broker``, ``<...>.broker.<name> += ...`` or ``broker.<name> +=
+...`` in any other class (the mesh, its link-state tiers, the gateway)
+— and fails if any such public attribute is missing from the broker's
+metrics registry.  ``Broker.statistics()`` and the monitor's samples are
+generated from the registry, so an unregistered counter would silently
+vanish from the whole monitoring surface.
 
 Consumer side: the telemetry plane and the fleet report read counters
 out of sample dicts by name with a silent default (``.get("name", 0)``);
@@ -15,48 +17,57 @@ counter would read 0 on the console.
 
 import ast
 import inspect
+import pathlib
 
-import repro.broker.broker as broker_module
+import repro.broker as broker_package
 import repro.obs.aggregate as aggregate_module
 import repro.obs.report as report_module
 from repro.broker.broker import Broker
 from repro.broker.monitor import sample_numbers
 
 
+def bumps_broker_counter(node, in_broker_class):
+    """The counter name an ``AugAssign`` bumps on a broker, or None."""
+    target = node.target
+    if not isinstance(target, ast.Attribute) or target.attr.startswith("_"):
+        return None  # private bookkeeping
+    owner = target.value
+    if isinstance(owner, ast.Name):
+        bumped = owner.id == ("self" if in_broker_class else "broker")
+    else:
+        bumped = isinstance(owner, ast.Attribute) and owner.attr == "broker"
+    return target.attr if bumped else None
+
+
 def mutated_counter_names():
-    tree = ast.parse(inspect.getsource(broker_module))
-    broker_class = next(
-        node for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == "Broker"
-    )
     names = set()
-    for node in ast.walk(broker_class):
-        if not isinstance(node, ast.AugAssign):
-            continue
-        target = node.target
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and not target.attr.startswith("_")  # private bookkeeping
-        ):
-            names.add(target.attr)
+    for path in sorted(pathlib.Path(broker_package.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.AugAssign):
+                    name = bumps_broker_counter(node, cls.name == "Broker")
+                    if name is not None:
+                        names.add(name)
     return names
 
 
 def test_every_mutated_broker_counter_is_registered(net):
     names = mutated_counter_names()
-    # The walk found the real counters (guards against a silent no-op
-    # lint if the AST shape ever changes).
-    assert {"events_routed", "events_delivered", "lsas_deduped"} <= names
+    # The walk found the real counters — broker, mesh and gateway ones
+    # (guards against a silent no-op lint if the AST shape ever changes).
+    assert {
+        "events_routed", "events_delivered", "lsas_deduped",
+        "peers_evicted", "gateway_takeovers",
+    } <= names
 
     broker = Broker(net.create_host("lint-host"), broker_id="lint")
     missing = sorted(
         name for name in names if not broker.metrics.has(name)
     )
     assert not missing, (
-        f"counters mutated in broker.py but never registered in the "
-        f"metrics registry (add them to Broker.__init__): {missing}"
+        f"broker counters mutated in repro/broker/ but never registered in "
+        f"the metrics registry (add them to Broker.__init__): {missing}"
     )
 
 
