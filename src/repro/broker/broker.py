@@ -10,13 +10,14 @@ Responsibilities:
   so events are only forwarded toward brokers with matching interest;
 * forward events across the broker graph along shortest-path next hops,
   carrying an explicit target set so no broker receives a duplicate;
-* sequence ordered topics (this broker is the deterministic "sequencer"
-  for a topic when it hashes lowest among known brokers);
 * track reliable events per datagram client until acknowledged.
 
-Two planes are composed in only where they run: the link-state mesh
-(:mod:`repro.broker.mesh`) on an autonomous broker, and the cluster
-gateway overlay (:mod:`repro.broker.gateway`) on a gateway broker.
+Every broker sequences ordered topics through its ordering plane
+(:mod:`repro.broker.ordering`).  Three more planes are composed in only
+where they run: the link-state mesh (:mod:`repro.broker.mesh`) on an
+autonomous broker, the cluster gateway overlay
+(:mod:`repro.broker.gateway`) on a gateway broker, and geo partition
+survival (:mod:`repro.broker.geo`) on a broker with a region.
 
 Every hop charges the host CPU according to the broker's
 :class:`~repro.broker.profile.BrokerProfile` — routing cost per event,
@@ -26,12 +27,11 @@ the knobs the Figure 3 calibration turns.
 
 from __future__ import annotations
 
-import hashlib
-from collections import deque
-from typing import Any, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.broker.event import NBEvent, freeze_payload
 from repro.broker.gateway import Gateway
+from repro.broker.geo import Geo
 from repro.broker.links import (
     Busy,
     ClientLink,
@@ -61,6 +61,7 @@ from repro.broker.links import (
     message_size,
 )
 from repro.broker.mesh import Mesh
+from repro.broker.ordering import Ordering
 from repro.broker.overload import (
     DEFAULT_RETRY_AFTER_S,
     NORMAL,
@@ -101,23 +102,42 @@ SEEN_ADVERT_WINDOW = 8192
 #: Per-reachable-broker contribution to the dedup window cap.
 DEDUP_PER_BROKER = 128
 
-#: Bound on cached (topic → sequencer) elections.
-SEQUENCER_CACHE_MAX = 4096
-
-#: Locality pinning (geo mode): after this many sequenced events on a
-#: topic, the current sequencer checks where the publishes actually
-#: originate, and re-pins the topic to a broker contributing more than
-#: SEQUENCER_PIN_MAJORITY of them.  The counting window resets after
-#: every decision, so a transient publisher burst cannot bounce the pin
-#: — it must dominate a full fresh window (hysteresis).
-SEQUENCER_PIN_WINDOW = 64
-SEQUENCER_PIN_MAJORITY = 0.6
-
-#: Bound on each partition-park queue (ordered events awaiting an
-#: unreachable sequencer; reliable events awaiting unreachable
-#: interested brokers).  Oldest entries drop first under cap pressure,
-#: mirroring the PR-8 bounded-outbox rule.
-PARK_QUEUE_MAX = 2048
+#: Every counter a broker and its planes bump (``broker.<name> += 1``),
+#: in registration order — the order of ``statistics()`` and of every
+#: monitor sample.
+COUNTERS = (
+    "events_routed",
+    "events_delivered",
+    "events_forwarded",
+    "control_messages",
+    "heartbeats_received",
+    "clients_reaped",
+    "outbox_abandons",
+    "peer_heartbeats_received",
+    "peers_evicted",
+    "lsas_originated",
+    "lsas_received",
+    "lsas_deduped",
+    "lsas_stale",
+    "routing_epochs",
+    "sequencer_changes",
+    "traces_started",
+    "traces_completed",
+    "traces_suppressed",
+    "adverts_aggregated",
+    "cluster_lsas_scoped",
+    "intercluster_hops",
+    "gateway_takeovers",
+    "sequencer_pins_set",
+    "ordered_parked",
+    "ordered_park_drained",
+    "ordered_park_drops",
+    "wan_parked",
+    "wan_park_drained",
+    "wan_park_drops",
+    "wan_replays",
+    "cost_reoriginations",
+)
 
 
 class _DedupWindow:
@@ -231,14 +251,9 @@ class Broker:
         self._routes: Dict[str, str] = {}
         self._routes_gen = 0
         self._seen_adverts = _DedupWindow(SEEN_ADVERT_WINDOW)
-        self._sequences: Dict[str, int] = {}
-
-        # Routing fast path: memoized per-topic fan-out plus cached
-        # (topic → sequencer) elections per broker-set epoch.
+        # Routing fast path: memoized per-topic fan-out.
         self.route_cache = RouteCache()
-        self._broker_set_epoch = 0
-        self._sequencer_epoch = -1
-        self._sequencers: Dict[str, str] = {}
+        self.ordering = Ordering(self)
 
         # Stale-client reaping: a client whose link has gone dark past
         # ``reap_timeout_s`` is expired so its TopicTrie interest (and any
@@ -278,38 +293,19 @@ class Broker:
                 self, cluster_id, tuple(sorted(cluster_gateways))
             )
 
-        # Geo federation (opt-in, PR 10).  ``region is None`` is the
-        # pre-geo fabric: every branch below is skipped, LSAs carry no
-        # costs, Dijkstra weights stay uniform, and no park queue ever
-        # holds an event — the determinism suite pins bit-identity.
-        # With a region set: link-state adverts carry per-adjacency
-        # cost classes (quantized from configured latency), ordered
-        # topics pin their sequencer near the publisher majority, a
-        # minority-side partition parks ordered topics instead of
-        # forking sequence numbers, and reliable cross-region traffic
-        # queues until the partition heals.
+        # Geo partition survival, built only with a region (DESIGN.md
+        # §12): link-state adverts carry cost classes, sequencers pin
+        # near their publishers, and a partition parks ordered topics
+        # and cross-region reliable traffic until it heals.
         self.region = region
-        self._geo = region is not None
-        #: High-watermark of every broker ever seen reachable — the
-        #: "stable set" a partition minority measures itself against.
-        self._stable_brokers: Set[str] = set()
-        self._stable_sequencers: Dict[str, str] = {}
-        self._stable_seq_gen = -1  # validated against len(_stable_brokers)
-        #: topic -> (pin epoch, pinned broker)
-        self._sequencer_pins: Dict[str, Tuple[int, str]] = {}
-        #: topic -> origin broker -> sequenced count (current window)
-        self._pin_counts: Dict[str, Dict[str, int]] = {}
-        self._parked_ordered: Deque[Tuple[NBEvent, Optional[str]]] = deque()
-        self._wan_parked: Deque[Tuple[NBEvent, FrozenSet[str]]] = deque()
-        #: Reliable events recently *sent* toward remote targets, kept
-        #: for one peer-eviction window: a regional cut blackholes the
-        #: wire silently, so anything forwarded between the physical cut
-        #: and the heartbeat eviction would otherwise be lost.  When a
-        #: route disappears, the overlapping tail of this buffer is
-        #: re-parked (receiver-side event-id dedup absorbs the replays
-        #: for events that did arrive).
-        self._wan_recent: Deque[Tuple[NBEvent, FrozenSet[str], float]] = deque()
-        self._park_drain_pending = False
+        self.geo: Optional[Geo] = None
+        if region is not None:
+            if self.mesh is None:
+                raise ValueError(
+                    "a geo broker needs peer_heartbeat_interval_s "
+                    "(partition survival is mesh-driven)"
+                )
+            self.geo = Geo(self)
 
         # Overload protection (opt-out).  The controller is a pure
         # observer below its watermarks: pressure is read inline at the
@@ -333,83 +329,19 @@ class Broker:
             else None
         )
 
-        # Statistics: plain integer attributes mutated on the hot paths,
-        # all registered (bound) in the metrics registry below so the
-        # registry is the single source of truth for snapshots.
-        self.events_routed = 0
-        self.events_delivered = 0
-        self.events_forwarded = 0
-        self.control_messages = 0
-        self.heartbeats_received = 0
-        self.clients_reaped = 0
-        self.outbox_abandons = 0
-        self.peer_heartbeats_received = 0
-        self.peers_evicted = 0
-        self.lsas_originated = 0
-        self.lsas_received = 0
-        self.lsas_deduped = 0
-        self.lsas_stale = 0
-        self.routing_epochs = 0
-        self.sequencer_changes = 0
-        self.traces_started = 0
-        self.traces_completed = 0
-        self.traces_suppressed = 0
-        self.adverts_aggregated = 0
-        self.cluster_lsas_scoped = 0
-        self.intercluster_hops = 0
-        self.gateway_takeovers = 0
-        self.sequencer_pins_set = 0
-        self.ordered_parked = 0
-        self.ordered_park_drained = 0
-        self.ordered_park_drops = 0
-        self.wan_parked = 0
-        self.wan_park_drained = 0
-        self.wan_park_drops = 0
-        self.wan_replays = 0
-        self.cost_reoriginations = 0
-        self.last_route_change_at = -1.0
-        self._last_sequencers: Dict[str, str] = {}
-
         # Observability: sampled end-to-end tracing (shared tracer =
-        # collection-wide sampling budget) and the metrics registry.
+        # collection-wide sampling budget) and the metrics registry, the
+        # single source of truth for snapshots.  Every counter is a plain
+        # integer attribute mutated on the hot paths, bound in the
+        # registry.
         self.tracer = tracer
         self.metrics = MetricsRegistry()
-        for counter_name in (
-            "events_routed",
-            "events_delivered",
-            "events_forwarded",
-            "control_messages",
-            "heartbeats_received",
-            "clients_reaped",
-            "outbox_abandons",
-            "peer_heartbeats_received",
-            "peers_evicted",
-            "lsas_originated",
-            "lsas_received",
-            "lsas_deduped",
-            "lsas_stale",
-            "routing_epochs",
-            "sequencer_changes",
-            "traces_started",
-            "traces_completed",
-            "traces_suppressed",
-            "adverts_aggregated",
-            "cluster_lsas_scoped",
-            "intercluster_hops",
-            "gateway_takeovers",
-            "sequencer_pins_set",
-            "ordered_parked",
-            "ordered_park_drained",
-            "ordered_park_drops",
-            "wan_parked",
-            "wan_park_drained",
-            "wan_park_drops",
-            "wan_replays",
-            "cost_reoriginations",
-        ):
+        for counter_name in COUNTERS:
+            setattr(self, counter_name, 0)
             self.metrics.expose(
                 counter_name, lambda name=counter_name: getattr(self, name)
             )
+        self.last_route_change_at = -1.0
         self.metrics.expose("route_cache_hits", lambda: self.route_cache.hits)
         self.metrics.expose(
             "route_cache_misses", lambda: self.route_cache.misses
@@ -590,7 +522,6 @@ class Broker:
             self.last_route_change_at = self.sim.now
         self._routes = dict(routes)
         self._routes_gen += 1
-        self._broker_set_epoch += 1
         # The dedup window must outlive a flood's echo lifetime, which
         # grows with the reachable set: resize relative to mesh size.
         self._seen_adverts.cap = max(
@@ -598,15 +529,8 @@ class Broker:
         )
         reachable = set(self._routes)
         reachable.add(self.broker_id)
-        if self._geo:
-            # Geo mode retains interest advertised by currently-
-            # unreachable brokers: a cut-off region is expected back, and
-            # the WAN park queue needs to know exactly which interested
-            # brokers are owed a reliable event when the partition heals.
-            self._stable_brokers |= reachable
-            self._replay_wan_recent(reachable)
-            if self._parked_ordered or self._wan_parked:
-                self._schedule_park_drain()
+        if self.geo is not None:
+            self.geo.routes_changed(reachable)  # retains remote interest
             return
         gateway = self.gateway
         for origin in [
@@ -624,12 +548,12 @@ class Broker:
         """(Re)advertise all known interest — used by the central plane
         when topology changes (a clustered fabric, and so any foreign
         install, is mesh-driven and never calls this)."""
-        for pattern in self._local_subs.all_patterns():
+        for pattern in sorted(self._local_subs.all_patterns()):
             self._flood_advert(
                 SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
                 skip_peer=None,
             )
-        for origin in set(self._remote_interest.values()):
+        for origin in sorted(set(self._remote_interest.values())):
             for pattern in self._remote_interest.patterns_for(origin):
                 self._flood_advert(
                     SubAdvert(origin_broker=origin, pattern=pattern, add=True),
@@ -651,9 +575,11 @@ class Broker:
         gateway = self.gateway
         foreign = gateway.installed_foreign if gateway is not None else ()
         local_patterns = self._local_subs.all_patterns()
+        # Sorted, not hash order: loss draws follow the send order, so
+        # PYTHONHASHSEED would otherwise pick which advert the wire drops.
         adverts = [
             SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True)
-            for pattern in local_patterns
+            for pattern in sorted(local_patterns)
         ]
         for origin in sorted(set(self._remote_interest.values())):
             if origin in foreign:
@@ -732,32 +658,30 @@ class Broker:
     ) -> None:
         self.control_messages += 1
         client_id = message.client_id
+        link = self._client_link(message, src, connection, ssl)
         if self.overload is not None and client_id not in self._clients:
             # Admission control: a SHEDDING broker refuses *new* clients
             # (an established client reconnecting keeps its session) with
             # a retry-after hint instead of taking on more fan-out work.
             admitted, retry_after = self.overload.admit(self.sim.now)
             if not admitted:
-                self._refuse_admission(
-                    message, src, connection, ssl, retry_after
-                )
+                # Busy goes out over the link, but no client record is
+                # created — the whole point is not to.
+                if link is not None:
+                    self.host.cpu.execute(
+                        self.profile.control_cost_s,
+                        link.send,
+                        Busy(
+                            client_id=client_id,
+                            operation="connect",
+                            retry_after_s=retry_after,
+                        ),
+                    )
                 return
-        envelope = self.profile.envelope_bytes
-        if connection is not None:
-            if ssl:
-                link: ClientLink = SslClientLink(
-                    client_id, envelope, connection, self.host
-                )
-            else:
-                link = TcpClientLink(client_id, envelope, connection)
-            outbox = None  # TCP/SSL links are already reliable
-        else:
-            reply_to = message.reply_to if message.reply_to is not None else src
-            if reply_to is None:
-                return
-            link = UdpClientLink(
-                client_id, envelope, self._udp, reply_to, kind=message.link_type
-            )
+        if link is None:
+            return
+        outbox = None  # TCP/SSL links are already reliable
+        if connection is None:
             outbox = ReliableOutbox(
                 self.sim,
                 lambda event, l=link: l.send(EventDelivery(event)),
@@ -778,40 +702,28 @@ class Broker:
             ConnectAck(client_id=client_id, broker_id=self.broker_id),
         )
 
-    def _refuse_admission(
+    def _client_link(
         self,
         message: Connect,
         src: Optional[Address],
         connection: Optional[TcpConnection],
         ssl: bool,
-        retry_after_s: float,
-    ) -> None:
-        """Answer a refused connect with ``Busy`` over a throwaway link
-        (no client record is created — the whole point is not to)."""
-        client_id = message.client_id
+    ) -> Optional[ClientLink]:
+        """The link a connect arrived on (None: a datagram connect with
+        no address to reply to)."""
         envelope = self.profile.envelope_bytes
         if connection is not None:
             if ssl:
-                link: ClientLink = SslClientLink(
-                    client_id, envelope, connection, self.host
+                return SslClientLink(
+                    message.client_id, envelope, connection, self.host
                 )
-            else:
-                link = TcpClientLink(client_id, envelope, connection)
-        else:
-            reply_to = message.reply_to if message.reply_to is not None else src
-            if reply_to is None:
-                return
-            link = UdpClientLink(
-                client_id, envelope, self._udp, reply_to, kind=message.link_type
-            )
-        self.host.cpu.execute(
-            self.profile.control_cost_s,
-            link.send,
-            Busy(
-                client_id=client_id,
-                operation="connect",
-                retry_after_s=retry_after_s,
-            ),
+            return TcpClientLink(message.client_id, envelope, connection)
+        reply_to = message.reply_to if message.reply_to is not None else src
+        if reply_to is None:
+            return None
+        return UdpClientLink(
+            message.client_id, envelope, self._udp, reply_to,
+            kind=message.link_type,
         )
 
     def _on_subscribe(self, message: Subscribe) -> None:
@@ -833,7 +745,7 @@ class Broker:
                 )
                 return
         pattern = validate_pattern(message.pattern)
-        had_interest = self._has_local_interest(pattern)
+        had_interest = self._local_subs.has_pattern(pattern)
         added = self._local_subs.add(pattern, message.client_id)
         gateway = self.gateway
         # A pattern already advertised as a gateway proxy needs no flood:
@@ -868,7 +780,7 @@ class Broker:
         no local client and no gateway proxy still advertises."""
         gateway = self.gateway
         for pattern in patterns:
-            if not self._has_local_interest(pattern) and (
+            if not self._local_subs.has_pattern(pattern) and (
                 gateway is None or pattern not in gateway.proxied
             ):
                 self._flood_advert(
@@ -929,9 +841,6 @@ class Broker:
         self._withdraw_local(patterns)
         record.link.close()
 
-    def _has_local_interest(self, pattern: str) -> bool:
-        return self._local_subs.has_pattern(pattern)
-
     # ----------------------------------------------------------- publish
 
     def _on_publish(self, message: Publish) -> None:
@@ -948,9 +857,7 @@ class Broker:
                 self.traces_started += 1
         hop = self._begin_hop(event)
         if event.ordered:
-            self._sequence_then_disseminate(
-                event, exclude=message.client_id, hop=hop
-            )
+            self.ordering.sequence(event, message.client_id, hop)
         elif hop is not None:
             self.host.cpu.execute_traced(
                 self.profile.route_cost_s,
@@ -972,301 +879,6 @@ class Broker:
         if event.trace is None:
             return None
         return event.trace.begin_hop(self.broker_id, "broker", self.sim.now)
-
-    def _sequence_then_disseminate(
-        self,
-        event: NBEvent,
-        exclude: Optional[str],
-        hop: Optional[HopRecord] = None,
-    ) -> None:
-        sequencer = self.sequencer_for(event.topic)
-        if self._geo:
-            if sequencer != self.broker_id and sequencer not in self._routes:
-                # A pinned sequencer we cannot currently reach: never
-                # fall back to a local election while the pin holds —
-                # that is exactly the sequence-number fork to avoid.
-                self._park_ordered(event, exclude)
-                return
-            if (
-                self._in_minority()
-                and self._stable_sequencer_for(event.topic) != sequencer
-            ):
-                # Minority side of a partition: the stable set elects a
-                # broker beyond the cut, who is still sequencing for the
-                # majority.  Park instead of forking.
-                self._park_ordered(event, exclude)
-                return
-        if sequencer == self.broker_id:
-            if self._geo:
-                self._note_sequenced(event.topic, self.broker_id)
-            event.sequence = self._sequences.get(event.topic, 0)
-            event.sequenced_by = self.broker_id
-            self._sequences[event.topic] = event.sequence + 1
-            if hop is not None:
-                self.host.cpu.execute_traced(
-                    self.profile.route_cost_s,
-                    self._disseminate, event, exclude, hop=hop,
-                )
-            else:
-                self.host.cpu.execute(
-                    self.profile.route_cost_s, self._disseminate, event, exclude
-                )
-        else:
-            request = SequenceRequest(event=event, origin_broker=self.broker_id)
-            if hop is not None:
-                hop.link = f"seq:{sequencer}"
-                self.host.cpu.execute_traced(
-                    self.profile.forward_cost_s,
-                    self._send_toward_stamped,
-                    sequencer, request, hop,
-                    hop=hop,
-                )
-            else:
-                self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer_toward,
-                    sequencer,
-                    request,
-                )
-
-    def sequencer_for(self, topic: str) -> str:
-        """Deterministic sequencer election for an ordered topic.
-
-        The election only depends on the topic and the known-broker set
-        (plus any locality pin in geo mode), so it is cached per
-        (topic, routing generation).  Validating against ``_routes_gen``
-        rather than the coarser broker-set epoch closes the heal window:
-        the generation bumps the instant a peer link comes back
-        (``add_peer`` → ``_peers_changed``), before the debounced route
-        recompute runs, so a cached pre-partition election can never be
-        served after the topology visibly changed.
-        """
-        if self._sequencer_epoch != self._routes_gen:
-            self._sequencers.clear()
-            self._sequencer_epoch = self._routes_gen
-        sequencer = self._sequencers.get(topic)
-        if sequencer is None:
-            if self._geo:
-                pin = self._sequencer_pins.get(topic)
-                if pin is not None and (
-                    pin[1] == self.broker_id or pin[1] in self._routes
-                ):
-                    sequencer = pin[1]
-            if sequencer is None:
-                sequencer = self._hash_elect(topic, self.known_brokers())
-            self._sequencers[topic] = sequencer
-            if len(self._sequencers) > SEQUENCER_CACHE_MAX:
-                del self._sequencers[next(iter(self._sequencers))]
-            # Track re-elections across epochs: a change means in-flight
-            # ordered streams restarted their sequence expectations.
-            previous = self._last_sequencers.get(topic)
-            if previous is not None and previous != sequencer:
-                self.sequencer_changes += 1
-            self._last_sequencers[topic] = sequencer
-            if len(self._last_sequencers) > SEQUENCER_CACHE_MAX:
-                del self._last_sequencers[next(iter(self._last_sequencers))]
-        return sequencer
-
-    def _hash_elect(self, topic: str, candidates: List[str]) -> str:
-        if self.gateway is not None:
-            # Gateways also know foreign gateways; elections must stay
-            # cluster-local so every member of the cluster (gateway or
-            # not) derives the same sequencer.  Ordering domains are per
-            # cluster — see DESIGN.md.
-            foreign = self.gateway.foreign_gateways()
-            candidates = [b for b in candidates if b not in foreign]
-        return min(
-            candidates,
-            key=lambda broker: hashlib.sha256(
-                f"{topic}|{broker}".encode()
-            ).hexdigest(),
-        )
-
-    # ------------------------------------- geo partition survival (PR 10)
-
-    def _in_minority(self) -> bool:
-        """True when we can reach at most half of the stable broker set:
-        the conservative side of a partition, which must park ordered
-        topics rather than fork their sequence numbers."""
-        return (len(self._routes) + 1) * 2 <= len(self._stable_brokers)
-
-    def _stable_sequencer_for(self, topic: str) -> str:
-        """The sequencer the *full* (high-watermark) broker set elects —
-        what the unreachable majority is presumed to still be using."""
-        pin = self._sequencer_pins.get(topic)
-        if pin is not None:
-            return pin[1]
-        if self._stable_seq_gen != len(self._stable_brokers):
-            self._stable_sequencers.clear()
-            self._stable_seq_gen = len(self._stable_brokers)
-        sequencer = self._stable_sequencers.get(topic)
-        if sequencer is None:
-            candidates = sorted(self._stable_brokers | {self.broker_id})
-            sequencer = self._hash_elect(topic, candidates)
-            self._stable_sequencers[topic] = sequencer
-            if len(self._stable_sequencers) > SEQUENCER_CACHE_MAX:
-                del self._stable_sequencers[
-                    next(iter(self._stable_sequencers))
-                ]
-        return sequencer
-
-    def _park_ordered(self, event: NBEvent, exclude: Optional[str]) -> None:
-        self.ordered_parked += 1
-        self._parked_ordered.append((event, exclude))
-        if len(self._parked_ordered) > PARK_QUEUE_MAX:
-            self._parked_ordered.popleft()
-            self.ordered_park_drops += 1
-
-    def _park_wan(self, event: NBEvent, missing: FrozenSet[str]) -> None:
-        self.wan_parked += 1
-        self._wan_parked.append((event, missing))
-        if len(self._wan_parked) > PARK_QUEUE_MAX:
-            self._wan_parked.popleft()
-            self.wan_park_drops += 1
-
-    def _wan_recent_window(self) -> float:
-        """How long a sent event stays replayable: the worst-case lag
-        between a physical cut and heartbeat eviction of the dead peer,
-        plus slack for the route recompute that follows."""
-        if self.mesh is not None:
-            return (self.mesh.miss_limit + 2) * self.mesh.interval_s
-        return 2.0
-
-    def _note_wan_sent(self, event: NBEvent, targets: FrozenSet[str]) -> None:
-        horizon = self.sim.now - self._wan_recent_window()
-        while self._wan_recent and self._wan_recent[0][2] < horizon:
-            self._wan_recent.popleft()
-        self._wan_recent.append((event, targets, self.sim.now))
-        if len(self._wan_recent) > PARK_QUEUE_MAX:
-            self._wan_recent.popleft()
-
-    def _replay_wan_recent(self, reachable: Set[str]) -> None:
-        """Re-park recently forwarded reliable events whose targets just
-        fell out of the route table — they were sent into the window
-        between the physical cut and heartbeat eviction, so the wire
-        silently ate them.  Receiver-side event-id dedup absorbs the
-        replays for copies that did arrive before the cut."""
-        if not self._wan_recent:
-            return
-        horizon = self.sim.now - self._wan_recent_window()
-        kept: Deque[Tuple[NBEvent, FrozenSet[str], float]] = deque()
-        for event, targets, at in self._wan_recent:
-            if at < horizon:
-                continue
-            lost = targets - reachable
-            if lost:
-                self.wan_replays += 1
-                self._park_wan(event, frozenset(lost))
-            remaining = targets & reachable
-            if remaining:
-                kept.append((event, remaining, at))
-        self._wan_recent = kept
-
-    def _schedule_park_drain(self) -> None:
-        if self._park_drain_pending:
-            return
-        self._park_drain_pending = True
-        self.sim.schedule(0.0, self._run_park_drain)
-
-    def _run_park_drain(self) -> None:
-        self._park_drain_pending = False
-        if self._closed:
-            return
-        self._drain_parked_ordered()
-        self._drain_wan_parked()
-
-    def _drain_parked_ordered(self) -> None:
-        """Re-run parked ordered publishes through sequencing.  Events
-        whose sequencer is still beyond the cut simply re-park — the
-        drain is only triggered by topology changes, so this cannot
-        spin."""
-        if not self._parked_ordered:
-            return
-        pending = list(self._parked_ordered)
-        self._parked_ordered.clear()
-        for event, exclude in pending:
-            self.ordered_park_drained += 1
-            self._sequence_then_disseminate(event, exclude)
-
-    def _drain_wan_parked(self) -> None:
-        """Forward parked reliable events to interested brokers that
-        became reachable again; remainders re-park for a later heal."""
-        if not self._wan_parked:
-            return
-        reachable = set(self._routes)
-        pending = list(self._wan_parked)
-        self._wan_parked.clear()
-        for event, missing in pending:
-            targets = missing & reachable
-            if targets:
-                self.wan_park_drained += 1
-                self._forward_to_targets(event, set(targets))
-                missing = missing - targets
-            if missing:
-                self._wan_parked.append((event, frozenset(missing)))
-
-    def _note_sequenced(self, topic: str, origin: str) -> None:
-        """Count where sequenced publishes originate (we are the topic's
-        sequencer); after a full window, re-pin the topic to a broker
-        contributing a sustained majority of them."""
-        counts = self._pin_counts.setdefault(topic, {})
-        counts[origin] = counts.get(origin, 0) + 1
-        total = sum(counts.values())
-        if total < SEQUENCER_PIN_WINDOW:
-            return
-        self._pin_counts[topic] = {}
-        leader = next(
-            (
-                broker
-                for broker, count in sorted(counts.items())
-                if count > total * SEQUENCER_PIN_MAJORITY
-            ),
-            None,
-        )
-        if (
-            leader is None
-            or leader == self.broker_id
-            or leader not in self._routes
-        ):
-            return
-        current = self._sequencer_pins.get(topic)
-        pin = SequencerPin(
-            topic=topic,
-            broker=leader,
-            epoch=(current[0] if current is not None else 0) + 1,
-            next_sequence=self._sequences.get(topic, 0),
-            origin_broker=self.broker_id,
-        )
-        self._apply_pin(pin)
-        self._flood_advert(pin, skip_peer=None)
-
-    def _apply_pin(self, pin: SequencerPin) -> None:
-        self._sequencer_pins[pin.topic] = (pin.epoch, pin.broker)
-        self.sequencer_pins_set += 1
-        self._sequencers.pop(pin.topic, None)
-        self._stable_sequencers.pop(pin.topic, None)
-        if pin.broker == self.broker_id:
-            # Sequence-counter handoff: numbering continues where the
-            # previous sequencer left off instead of restarting at 0.
-            if pin.next_sequence > self._sequences.get(pin.topic, 0):
-                self._sequences[pin.topic] = pin.next_sequence
-
-    def _on_sequencer_pin(
-        self, pin: SequencerPin, from_peer: Optional[str]
-    ) -> None:
-        if not self._seen_adverts.add(pin.advert_id):
-            return
-        self.control_messages += 1
-        if not self._geo:
-            return  # geo-unaware brokers never honor pins
-        current = self._sequencer_pins.get(pin.topic)
-        if current is not None:
-            if pin.epoch < current[0]:
-                return
-            if pin.epoch == current[0] and pin.broker >= current[1]:
-                return  # tie: lexicographically smaller broker wins
-        self._apply_pin(pin)
-        self._flood_advert(pin, skip_peer=from_peer)
 
     # ------------------------------------------------- routing fast path
 
@@ -1336,18 +948,10 @@ class Broker:
             return  # shed before fan-out: no delivery, no forwarding
         self.events_routed += 1
         entry = self.resolve_route(event.topic)
-        if self._geo and event.reliable and entry.remote_targets:
-            routed: Set[str] = set()
-            for _hop, group in entry.next_hop_groups:
-                routed |= group
-            missing = entry.remote_targets - routed
-            if not internal_topic(event.topic):
-                if missing:
-                    # Interested brokers beyond a partition cut: queue
-                    # the reliable event until the route comes back.
-                    self._park_wan(event, frozenset(missing))
-                if routed:
-                    self._note_wan_sent(event, frozenset(routed))
+        if self.geo is not None and event.reliable:
+            self.geo.track_reliable(
+                event, entry.remote_targets, entry.next_hop_groups
+            )
         self._deliver_local(event, exclude, entry)
         if entry.next_hop_groups:
             self._forward_groups(event, entry.next_hop_groups)
@@ -1463,16 +1067,8 @@ class Broker:
             groups = self.route_cache.store_groups(
                 key, self._routes_gen, self._compute_groups(key)
             )
-        if self._geo and event.reliable:
-            routed: Set[str] = set()
-            for _hop, group in groups:
-                routed |= group
-            missing = key - routed
-            if not internal_topic(event.topic):
-                if missing:
-                    self._park_wan(event, missing)
-                if routed:
-                    self._note_wan_sent(event, frozenset(routed))
+        if self.geo is not None and event.reliable:
+            self.geo.track_reliable(event, key, groups)
         self._forward_groups(event, groups)
 
     def _forward_groups(self, event: NBEvent, groups: NextHopGroups) -> None:
@@ -1497,8 +1093,8 @@ class Broker:
                 hop.link = next_hop
                 self.host.cpu.execute_traced(
                     self.profile.forward_cost_s,
-                    self._send_peer_stamped, next_hop, peer_event, hop,
-                    hop=hop,
+                    self._send_stamped, hop, self._send_peer, next_hop,
+                    peer_event, hop=hop,
                 )
             else:
                 self.host.cpu.execute(
@@ -1526,19 +1122,15 @@ class Broker:
             return
         self._send_peer(next_hop, message)
 
-    def _send_peer_stamped(
-        self, peer_id: str, message: Any, hop: HopRecord
+    def _send_stamped(
+        self, hop: HopRecord, send: Callable[[str, Any], None], to: str,
+        message: Any,
     ) -> None:
-        """Traced variant of :meth:`_send_peer`: stamp the hop departure
-        at the moment the copy actually leaves this broker."""
+        """Traced variant of ``send`` (:meth:`_send_peer` or
+        :meth:`_send_peer_toward`): stamp the hop departure at the moment
+        the copy actually leaves this broker."""
         hop.departed_at = self.sim.now
-        self._send_peer(peer_id, message)
-
-    def _send_toward_stamped(
-        self, destination: str, message: Any, hop: HopRecord
-    ) -> None:
-        hop.departed_at = self.sim.now
-        self._send_peer_toward(destination, message)
+        send(to, message)
 
     def _on_peer_message(self, payload: Any, src: Address, datagram: Datagram) -> None:
         from_peer = self._peer_by_address.get(src)
@@ -1550,11 +1142,17 @@ class Broker:
         if isinstance(payload, PeerEvent):
             self._on_peer_event(payload, from_peer=from_peer)
         elif isinstance(payload, SequenceRequest):
-            self._on_sequence_request(payload)
+            event = payload.event
+            self.ordering.sequence(event, None, self._begin_hop(event), payload)
         elif isinstance(payload, SubAdvert):
             self._on_sub_advert(payload, from_peer=from_peer)
         elif isinstance(payload, SequencerPin):
-            self._on_sequencer_pin(payload, from_peer=from_peer)
+            # Deduplicated and counted everywhere, honoured only in geo
+            # mode (a regionless broker never re-floods a pin either).
+            if self._seen_adverts.add(payload.advert_id):
+                self.control_messages += 1
+                if self.geo is not None:
+                    self.geo.on_pin(payload, from_peer)
         elif isinstance(payload, PeerHeartbeat):
             self.peer_heartbeats_received += 1
         elif mesh is None:
@@ -1621,47 +1219,6 @@ class Broker:
             else:
                 self._forward_to_targets(event, targets)
 
-    def _on_sequence_request(self, request: SequenceRequest) -> None:
-        event = request.event
-        hop = self._begin_hop(event)
-        sequencer = self.sequencer_for(event.topic)
-        if sequencer != self.broker_id:
-            if self._geo and sequencer not in self._routes:
-                # Mid-flight topology change cut the sequencer off:
-                # park here rather than silently dropping the forward.
-                self._park_ordered(event, None)
-                return
-            # Not ours (topology may have changed); forward along.
-            if hop is not None:
-                hop.link = f"seq:{sequencer}"
-                self.host.cpu.execute_traced(
-                    self.profile.forward_cost_s,
-                    self._send_toward_stamped, sequencer, request, hop,
-                    hop=hop,
-                )
-            else:
-                self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer_toward,
-                    sequencer,
-                    request,
-                )
-            return
-        if self._geo:
-            self._note_sequenced(event.topic, request.origin_broker)
-        event.sequence = self._sequences.get(event.topic, 0)
-        event.sequenced_by = self.broker_id
-        self._sequences[event.topic] = event.sequence + 1
-        if hop is not None:
-            self.host.cpu.execute_traced(
-                self.profile.route_cost_s, self._disseminate, event, None,
-                hop=hop,
-            )
-        else:
-            self.host.cpu.execute(
-                self.profile.route_cost_s, self._disseminate, event, None
-            )
-
     def _on_sub_advert(
         self, advert: SubAdvert, from_peer: Optional[str] = None
     ) -> None:
@@ -1699,9 +1256,8 @@ class Broker:
             else:
                 gateway.member_interest.remove(advert.pattern)
             gateway.schedule_summary_refresh()
-        if self._geo and advert.add and self._wan_parked:
-            # Fresh interest after a heal may unlock parked deliveries.
-            self._schedule_park_drain()
+        if self.geo is not None and advert.add:
+            self.geo.interest_added()
 
     def _flood_advert(self, advert: Any, skip_peer: Optional[str]) -> None:
         """Flood a dedup-windowed advert (SubAdvert or SequencerPin) to

@@ -123,7 +123,7 @@ class Gateway:
         """After a recompute: forget unreachable overlay origins (not in
         geo mode — see :meth:`repro.broker.mesh.Mesh._recompute`),
         re-elect, and reconcile installs, proxies and our summary."""
-        if not self.broker._geo:
+        if self.broker.geo is None:
             for origin in self.overlay.forget_unreachable(gw_dist):
                 self.interest.pop(origin, None)
         self._check_active()
@@ -348,7 +348,7 @@ class Gateway:
             wanted.update(broker._remote_interest.patterns_for(origin))
         for pattern in sorted(self.proxied - wanted):
             self.proxied.discard(pattern)
-            if not broker._has_local_interest(pattern):
+            if not broker._local_subs.has_pattern(pattern):
                 broker._flood_advert(
                     SubAdvert(
                         origin_broker=broker.broker_id, pattern=pattern, add=False
@@ -356,7 +356,7 @@ class Gateway:
                     skip_peer=None,
                 )
         for pattern in sorted(wanted - self.proxied):
-            fresh = not broker._has_local_interest(pattern)
+            fresh = not broker._local_subs.has_pattern(pattern)
             self.proxied.add(pattern)
             if fresh:
                 broker._flood_advert(

@@ -142,7 +142,9 @@ class LinkStateTier:
         broker = self.broker
         broker.lsas_originated += 1
         neighbors = frozenset(self.scope())
-        costs = self.mesh.cost_classes(neighbors) if broker._geo else None
+        costs = None
+        if broker.geo is not None:
+            costs = self.mesh.cost_classes(neighbors)
         epoch = self.table.originate(neighbors, costs or None, self.cluster_id)
         self.advertised_costs = costs or {}
         self.flood(
@@ -278,7 +280,7 @@ class Mesh:
         beat = PeerHeartbeat(origin_broker=broker.broker_id)
         send_digest = self._ticks % ANTI_ENTROPY_TICKS == 0
         gateway = broker.gateway
-        if broker._geo and send_digest:
+        if broker.geo is not None and send_digest:
             self.member.recost()
             if gateway is not None:
                 gateway.overlay.recost()
@@ -402,7 +404,7 @@ class Mesh:
         # fabric "unreachable" for seconds, and the retained entries keep
         # the foreign-gateway filter and stable-set election truthful
         # while it lasts (the LSA echo rule still resolves restarts).
-        if not broker._geo:
+        if broker.geo is None:
             self.member.forget_unreachable(dist)
         if gateway is not None:
             gateway.routes_changed(gw_dist)

@@ -13,6 +13,9 @@ are additionally checked to be inert when off.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -441,3 +444,35 @@ def test_list_and_set_payloads_freeze_too():
 
     payloads = {type(event.payload) for event in received}
     assert payloads == {tuple, frozenset}
+
+
+#: Runs the ``chaos`` scenario's soak and prints every broker's
+#: statistics: a lossy ring that crashes, partitions and heals, so any
+#: hash-ordered send on the subscription path moves a loss draw.
+HASH_SEED_PROBE = """
+import json
+from benchmarks.bench_chaos import run_soak
+print(json.dumps(run_soak()["stats_mid"], sort_keys=True))
+"""
+
+
+def statistics_under_hash_seed(hash_seed):
+    root = Path(__file__).resolve().parents[2]
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=str(hash_seed),
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", HASH_SEED_PROBE],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_broker_statistics_do_not_depend_on_the_hash_seed():
+    """Same seed, different ``PYTHONHASHSEED``: every broker's
+    statistics must match.  Regression: the per-peer subscription sync
+    offered local patterns in set (hash) order, so the hash seed decided
+    which advert a lossy link dropped."""
+    assert statistics_under_hash_seed(0) == statistics_under_hash_seed(2)

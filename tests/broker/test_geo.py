@@ -12,8 +12,8 @@ and a heal drains everything exactly once).
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetwork
-from repro.broker.broker import SEQUENCER_PIN_WINDOW
+from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker.geo import SEQUENCER_PIN_WINDOW
 
 HB = 0.25
 MISS = 2
@@ -47,7 +47,7 @@ def topic_with_sequencer(broker, wanted, prefix="/geo/t"):
     ``wanted`` — the hash is stable, so scanning indices is fine."""
     for index in range(256):
         topic = f"{prefix}{index}"
-        if broker.sequencer_for(topic) == wanted:
+        if broker.ordering.sequencer_for(topic) == wanted:
             return topic
     raise AssertionError(f"no topic elects {wanted}")
 
@@ -173,7 +173,7 @@ def test_sequencer_pin_migrates_to_publisher_majority(sim, net):
 
     assert old_sequencer.sequencer_pins_set >= 1
     for name in ("g0", "g1", "g2"):
-        assert bnet.broker(name).sequencer_for(topic) == "g0"
+        assert bnet.broker(name).ordering.sequencer_for(topic) == "g0"
     # Exactly once, in publish order, across the pin handoff.
     assert received == list(range(total))
 
@@ -213,7 +213,7 @@ def test_minority_parks_ordered_topic_and_heal_drains_exactly_once(sim, net):
 
     bnet.partition_regions("us")
     sim.run_for(2.0)  # heartbeat eviction: the us side sees 2 of 5
-    assert u0._in_minority()
+    assert u0.geo.in_minority()
 
     for index in range(20):
         publisher.publish(topic, index, 200, ordered=True)
@@ -287,7 +287,7 @@ def test_majority_side_keeps_sequencing_during_partition(sim, net):
 
     bnet.partition_regions("us")
     sim.run_for(2.0)
-    assert not e0._in_minority()
+    assert not e0.geo.in_minority()
 
     for index in range(10):
         publisher.publish(topic, index, 200, ordered=True)
@@ -319,16 +319,16 @@ def test_sequencer_cache_invalidated_the_instant_a_peer_returns(sim, net):
 
     bnet.cut_link("b0", "b1")
     sim.run_for(2.0)  # eviction: b1 is gone, the election falls back
-    assert b0.sequencer_for(topic) == "b0"
+    assert b0.ordering.sequencer_for(topic) == "b0"
 
     bnet.restore_link("b0", "b1")
     # No simulated time passes: the re-peer alone (add_peer →
     # _peers_changed, before the debounced route recompute) must already
     # mark the cached fallback election stale.
     assert b0.has_peer("b1")
-    assert b0._sequencer_epoch != b0._routes_gen
+    assert b0.ordering.elections_gen != b0._routes_gen
     sim.run_for(2.0)  # route recompute + LSA exchange complete the heal
-    assert b0.sequencer_for(topic) == "b1"
+    assert b0.ordering.sequencer_for(topic) == "b1"
 
 
 # ------------------------------------------------------- regional pinning
@@ -378,13 +378,17 @@ def test_regions_require_the_autonomous_plane(sim, net):
     """Geo brokers keep interest from unreachable brokers (the WAN park
     needs it), so on the central plane ``remove_broker`` could never
     release a dead broker's interest — the combination is rejected, as
-    ``clusters=`` without ``autonomous=True`` already is."""
+    ``clusters=`` without ``autonomous=True`` already is.  A broker built
+    directly with a region but no heartbeat interval is rejected too, as
+    a gateway without a mesh is."""
     with pytest.raises(ValueError, match="regions= requires autonomous"):
         BrokerNetwork(net, regions={"us": ["u0"], "eu": ["e0"]})
     with pytest.raises(ValueError, match="regions= requires autonomous"):
         BrokerNetwork.chain(
             net, 3, regions={"us": ["broker-0", "broker-1"], "eu": ["broker-2"]}
         )
+    with pytest.raises(ValueError, match="peer_heartbeat_interval_s"):
+        Broker(net.create_host("lone-geo"), broker_id="g0", region="us")
 
 
 # ------------------------------------- busy hints vs cross-region failover

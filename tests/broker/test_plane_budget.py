@@ -6,8 +6,10 @@ exactly, so this cannot flake.  Twenty warm publishes travel publisher →
 broker-0 → broker-1 → broker-2 → subscriber over a 3-broker chain, and
 every frame entered in ``repro/broker/`` is counted by file and
 function.  A central-plane broker builds neither the link-state mesh
-(``mesh.py``) nor the gateway overlay (``gateway.py``), so neither may
-see a single frame; a flat autonomous broker builds the mesh only.
+(``mesh.py``), the gateway overlay (``gateway.py``) nor the geo plane
+(``geo.py``), so none may see a single frame, and an unordered publish
+never enters the ordering plane (``ordering.py``); a flat autonomous
+broker builds the mesh only.
 """
 
 import collections
@@ -20,8 +22,9 @@ from repro.simnet import Network, SeededStreams, Simulator
 
 PUBLISHES = 20
 #: Frames in ``repro/broker/`` per routed event on the central chain:
-#: 2,080 / 20 when the mesh and the gateway were still part of Broker.
-FRAMES_PER_EVENT = 104.0
+#: 2,080 / 20 when the mesh and the gateway were still part of Broker,
+#: 2,060 / 20 since.
+FRAMES_PER_EVENT = 103.0
 
 BROKER_DIR = os.path.dirname(os.path.abspath(broker_module.__file__))
 
@@ -93,6 +96,9 @@ def test_central_chain_enters_no_mesh_or_gateway_frame():
     assert all(b.mesh is None and b.gateway is None for b in bnet.brokers())
     assert in_file(frames, "mesh.py") == {}, breakdown(frames)
     assert in_file(frames, "gateway.py") == {}, breakdown(frames)
+    assert all(b.geo is None for b in bnet.brokers())
+    assert in_file(frames, "geo.py") == {}, breakdown(frames)
+    assert in_file(frames, "ordering.py") == {}, breakdown(frames)
 
 
 def test_central_chain_stays_within_the_broker_frame_budget():
@@ -107,3 +113,5 @@ def test_flat_autonomous_chain_enters_no_gateway_frame():
     )
     assert all(b.gateway is None for b in bnet.brokers())
     assert in_file(frames, "gateway.py") == {}, breakdown(frames)
+    assert all(b.geo is None for b in bnet.brokers())
+    assert in_file(frames, "geo.py") == {}, breakdown(frames)

@@ -89,7 +89,9 @@ def test_ordered_across_brokers_single_sequencer(net, sim):
 def test_sequencer_election_is_deterministic(net, sim):
     bnet = BrokerNetwork.chain(net, 3)
     brokers = bnet.brokers()
-    choices = {broker.sequencer_for("/some/topic") for broker in brokers}
+    choices = {
+        broker.ordering.sequencer_for("/some/topic") for broker in brokers
+    }
     assert len(choices) == 1
 
 

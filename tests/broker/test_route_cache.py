@@ -233,20 +233,21 @@ class TestSequencerCache:
     def test_election_cached_until_topology_change(self, net, sim):
         bnet = BrokerNetwork.chain(net, 3)
         b0 = bnet.broker("broker-0")
-        first = b0.sequencer_for("/ordered/t")
-        assert b0.sequencer_for("/ordered/t") == first
-        assert "/ordered/t" in b0._sequencers
+        first = b0.ordering.sequencer_for("/ordered/t")
+        assert b0.ordering.sequencer_for("/ordered/t") == first
+        assert "/ordered/t" in b0.ordering.elections
         b0.set_routes(dict(b0._routes))
         # Generation bumped: the cache is rebuilt lazily, same result.
-        assert "/ordered/t" not in b0._sequencers or (
-            b0._sequencer_epoch != b0._routes_gen
+        assert "/ordered/t" not in b0.ordering.elections or (
+            b0.ordering.elections_gen != b0._routes_gen
         )
-        assert b0.sequencer_for("/ordered/t") == first
+        assert b0.ordering.sequencer_for("/ordered/t") == first
 
     def test_all_brokers_agree(self, net, sim):
         bnet = BrokerNetwork.star(net, leaves=3)
         elections = {
-            b.broker_id: b.sequencer_for("/ordered/t") for b in bnet.brokers()
+            b.broker_id: b.ordering.sequencer_for("/ordered/t")
+            for b in bnet.brokers()
         }
         assert len(set(elections.values())) == 1
 

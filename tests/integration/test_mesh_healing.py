@@ -164,11 +164,15 @@ def test_heal_re_elects_sequencer_for_ordered_topics():
     sim.run_for(1.0)
     assert got == ["pre-0", "pre-1", "pre-2"]
 
-    full_mesh_sequencer = bnet.broker("broker-0").sequencer_for("/conf/ord")
+    full_mesh_sequencer = bnet.broker("broker-0").ordering.sequencer_for(
+        "/conf/ord"
+    )
 
     bnet.partition([["broker-0", "broker-1", "broker-4"], ["broker-2", "broker-3"]])
     sim.run_for(2.5)
-    island_sequencer = bnet.broker("broker-2").sequencer_for("/conf/ord")
+    island_sequencer = bnet.broker("broker-2").ordering.sequencer_for(
+        "/conf/ord"
+    )
     assert island_sequencer in {"broker-2", "broker-3"}
 
     got.clear()
@@ -184,7 +188,8 @@ def test_heal_re_elects_sequencer_for_ordered_topics():
     # Everyone agrees on one sequencer again and ordering still works,
     # including from the far side of the former cut.
     sequencers = {
-        broker.sequencer_for("/conf/ord") for broker in bnet.brokers()
+        broker.ordering.sequencer_for("/conf/ord")
+        for broker in bnet.brokers()
     }
     assert len(sequencers) == 1
     got.clear()

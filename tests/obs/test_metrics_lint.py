@@ -3,9 +3,9 @@
 Producer side: walks every ``repro/broker/*.py`` module's AST for
 statements that bump a broker counter — ``self.<name> += ...`` inside
 ``class Broker``, ``<...>.broker.<name> += ...`` or ``broker.<name> +=
-...`` in any other class (the mesh, its link-state tiers, the gateway)
-— and fails if any such public attribute is missing from the broker's
-metrics registry.  ``Broker.statistics()`` and the monitor's samples are
+...`` in any other class (the mesh, its link-state tiers, the gateway,
+the ordering and geo planes) — and fails if any such public attribute
+is missing from the broker's metrics registry.  ``Broker.statistics()`` and the monitor's samples are
 generated from the registry, so an unregistered counter would silently
 vanish from the whole monitoring surface.
 
@@ -54,11 +54,13 @@ def mutated_counter_names():
 
 def test_every_mutated_broker_counter_is_registered(net):
     names = mutated_counter_names()
-    # The walk found the real counters — broker, mesh and gateway ones
-    # (guards against a silent no-op lint if the AST shape ever changes).
+    # The walk found the real counters — broker, mesh, gateway and geo
+    # ones (guards against a silent no-op lint if the AST shape ever
+    # changes).
     assert {
         "events_routed", "events_delivered", "lsas_deduped",
         "peers_evicted", "gateway_takeovers",
+        "wan_parked", "sequencer_pins_set",
     } <= names
 
     broker = Broker(net.create_host("lint-host"), broker_id="lint")
@@ -67,7 +69,7 @@ def test_every_mutated_broker_counter_is_registered(net):
     )
     assert not missing, (
         f"broker counters mutated in repro/broker/ but never registered in "
-        f"the metrics registry (add them to Broker.__init__): {missing}"
+        f"the metrics registry (add them to broker.COUNTERS): {missing}"
     )
 
 
