@@ -49,7 +49,7 @@ class MMCSConfig:
     """Deployment knobs for one Global-MMCS instance."""
 
     seed: int = 0
-    broker_topology: str = "single"  # single | chain-N | star-N | hier
+    broker_topology: str = "single"  # single | chain | star, sized by broker_count
     broker_count: int = 1
     broker_profile: BrokerProfile = NARADA_PROFILE
     sip_domain: str = "mmcs.org"

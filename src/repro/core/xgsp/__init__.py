@@ -12,6 +12,8 @@ Modules:
 * :mod:`session` / :mod:`roster` — session state and membership.
 * :mod:`session_server` — the XGSP Session Server (signaling over broker
   topics, topic provisioning, community notification).
+* :mod:`replication` — the replica plane a session server builds only when
+  replicated (heartbeats, election, journal, snapshots, promotion).
 * :mod:`client` — the signaling client used by gateways and native clients.
 * :mod:`web_server` — the SOAP facade (XGSP Web Server).
 * :mod:`directory` — naming & directory server (users, terminals,

@@ -17,25 +17,28 @@ Requests arrive as ``{"xml": <encoded message>, "reply_to": <topic>}``
 events; the reply_to wrapper is transport addressing (the XGSP equivalent
 of a UDP source address), not protocol content.
 
-Survivability (DESIGN.md §5d): run N replicas with
-``replica_heartbeat_interval_s`` set — one leader (the first non-standby,
-or the deterministic minimum server id after a death) answers requests
-and journals every state mutation as a versioned :class:`SessionOp`;
-standbys apply the journal to keep hot copies, catch up via snapshot
-when they join late, and promote on leader-heartbeat loss, re-announcing
-active sessions and replaying buffered in-flight requests.  Duplicate
-suppression on ``(reply_to, request_id)`` makes retried requests safe:
-a retried ``JoinSession`` is answered from the recorded response, never
-double-applied.  The election mirrors the broker's sequencer election —
-a deterministic minimum over the live replica set, cached per
-replica-set epoch (the control-plane analogue of the broker-set epoch).
+Every session mutation has one apply path: a request handler validates
+the request and names its effect (create ships the session snapshot,
+join the constructed member), :meth:`_journal` makes that a versioned
+:class:`SessionOp`, and :meth:`_apply` is the only code that changes
+session state — on the leader that journals the op and on every standby
+that receives it.  Duplicate
+suppression on ``(reply_to, request_id)`` makes retried requests safe: a
+retried ``JoinSession`` is answered from the recorded response, never
+double-applied.
+
+Survivability (DESIGN.md §5d): with ``replica_heartbeat_interval_s`` set
+the server builds a :class:`~repro.core.xgsp.replication.Replication`
+plane — heartbeats, election, journal receive, snapshot catch-up and
+promotion.  Without it the server is standalone, always leading, and
+holds no replication state.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional
 
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient
@@ -53,27 +56,33 @@ from repro.core.xgsp.messages import (
     LeaveSession,
     ListSessions,
     MuteMember,
-    ReplicaHeartbeat,
     SessionAnnouncement,
     SessionBusy,
     SessionCreated,
     SessionList,
     SessionOp,
     SessionTerminated,
-    SnapshotRequest,
-    SnapshotResponse,
     TerminateSession,
-    XgspError,
+    new_request_id,
+)
+from repro.core.xgsp.replication import (
+    CLOSED,
+    JOURNAL_TOPIC,
+    LEADING,
+    Replication,
 )
 from repro.core.xgsp.roster import Member
-from repro.core.xgsp.session import Session, SessionState, allocate_session_id
+from repro.core.xgsp.session import (
+    Session,
+    SessionState,
+    allocate_session_id,
+    control_topic,
+)
 from repro.obs.metrics import SIGNALING_BUCKETS_S, MetricsRegistry
 from repro.simnet.node import Host
 
 SERVER_TOPIC = "/xgsp/signaling/server"
 ANNOUNCEMENTS_TOPIC = "/xgsp/announcements"
-JOURNAL_TOPIC = "/xgsp/journal"
-REPLICA_TOPIC = "/xgsp/control/replicas"
 
 _log = logging.getLogger(__name__)
 
@@ -83,33 +92,42 @@ def client_topic(participant: str) -> str:
     return f"/xgsp/signaling/client/{participant.replace('/', '-')}"
 
 
-def replica_topic(server_id: str) -> str:
-    """Per-replica control topic (snapshot responses land here)."""
-    return f"/xgsp/control/replica/{server_id.replace('/', '-')}"
-
-
 #: Wire overhead of the signaling event wrapper.
 WRAPPER_BYTES = 32
 
 #: Bound on the replicated duplicate-suppression table.
 APPLIED_CACHE_MAX = 4096
 
-#: Bound on a standby's buffered in-flight requests.
-INFLIGHT_BUFFER_MAX = 512
-
-#: Default window (s) within which a promoted standby replays buffered
-#: requests the dead leader never journaled an answer for.
-INFLIGHT_REPLAY_WINDOW_S = 10.0
+#: Every counter a server keeps, in registration order (the replication
+#: plane bumps its own on the server).
+COUNTERS = (
+    "requests_handled",
+    "duplicates_suppressed",
+    "ops_journaled",
+    "ops_applied",
+    "promotions",
+    "demotions",
+    "inflight_replayed",
+    "snapshots_served",
+    "snapshots_installed",
+    "replica_heartbeats_received",
+    "swallowed_errors",
+    "joins_shed",
+    "promotions_refused",
+)
 
 
 class XgspSessionServer:
     """Session management + signaling endpoint on the broker network.
 
-    Standalone by default (one server, always leader — the seed
-    behaviour).  With ``replica_heartbeat_interval_s`` set the server
-    joins the replica group: ``standby=False`` starts leading,
-    ``standby=True`` starts following (journal apply + snapshot
-    catch-up) and promotes on leader death.
+    Standalone by default (one server, always leader).  With
+    ``replica_heartbeat_interval_s`` set the server joins the replica
+    group: ``standby=False`` starts leading, ``standby=True`` starts
+    following (journal apply + snapshot catch-up) and promotes on leader
+    death; ``quorum_size`` refuses promotion below that many live
+    replicas.  ``standby`` and ``quorum_size`` without replication raise
+    ``ValueError``: nothing would ever promote the standby, and the
+    quorum would guard no election.
     """
 
     def __init__(
@@ -118,136 +136,85 @@ class XgspSessionServer:
         broker: Broker,
         server_id: str = "xgsp-session-server",
         link_type: LinkType = LinkType.TCP,
-        metrics: Optional[MetricsRegistry] = None,
         replica_heartbeat_interval_s: Optional[float] = None,
         replica_miss_limit: int = 3,
         standby: bool = False,
-        inflight_replay_window_s: float = INFLIGHT_REPLAY_WINDOW_S,
         max_inflight_requests: Optional[int] = None,
         retry_after_s: float = 1.0,
         quorum_size: Optional[int] = None,
-        region: Optional[str] = None,
     ):
-        self.host = host
-        self.sim = host.sim
-        self.server_id = server_id
-        self._sessions: Dict[str, Session] = {}
-        self._observers: List[Callable[[SessionAnnouncement], None]] = []
-        self.client = BrokerClient(host, client_id=server_id)
-        self.client.connect(broker, link_type=link_type)
-        self.client.subscribe(SERVER_TOPIC, self._on_request_event)
-        self.requests_handled = 0
-        self.swallowed_errors = 0
-        # --- admission control (overload protection, DESIGN.md §9) -----
-        # Bound on modeled in-flight work: when the host CPU's run queue
-        # is deeper than this, new joins are answered with SessionBusy
-        # (retry-after pacing) instead of queuing without limit.
         if max_inflight_requests is not None and max_inflight_requests < 1:
             raise ValueError("max_inflight_requests must be >= 1")
         if retry_after_s <= 0:
             raise ValueError("retry_after_s must be > 0")
-        self.max_inflight_requests = max_inflight_requests
-        self.retry_after_s = retry_after_s
-        self.joins_shed = 0
-        # --- geo placement (PR 10, inert when unset) -------------------
-        # ``region`` pins a replica to its regional broker cluster for
-        # observability; ``quorum_size`` is the split-brain guard: a
-        # standby that can see fewer than this many live replicas
-        # (itself included) refuses promotion — the minority side of a
-        # regional partition keeps following instead of forking the
-        # control plane, and the majority side's election proceeds.
         if quorum_size is not None and quorum_size < 1:
             raise ValueError("quorum_size must be >= 1")
-        self.quorum_size = quorum_size
-        self.region = region
-        self.promotions_refused = 0
-        # --- replication state (inert when standalone) -----------------
-        self.replica_heartbeat_interval_s = replica_heartbeat_interval_s
-        self.replica_miss_limit = replica_miss_limit
-        self.inflight_replay_window_s = inflight_replay_window_s
-        self._replicated = replica_heartbeat_interval_s is not None
-        self.is_leader = not standby
-        self._leader_id: Optional[str] = None if standby else server_id
+        if replica_heartbeat_interval_s is None and (
+            standby or quorum_size is not None
+        ):
+            raise ValueError(
+                "standby and quorum_size need replica_heartbeat_interval_s"
+            )
+        self.host = host
+        self.sim = host.sim
+        self.server_id = server_id
+        # Admission control (overload protection, DESIGN.md §9): when the
+        # host CPU's run queue is deeper than this, new joins are
+        # answered with SessionBusy (retry-after pacing) instead of
+        # queuing without limit.
+        self.max_inflight_requests = max_inflight_requests
+        self.retry_after_s = retry_after_s
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        self._sessions: Dict[str, Session] = {}
         self._journal_version = 0
         self._applied: "OrderedDict[str, str]" = OrderedDict()
         self._current_request_key: Optional[str] = None
-        self._replica_last_seen: Dict[str, float] = {}
-        self._replica_set_epoch = 0
-        self._election_epoch = -1
-        self._elected: Optional[str] = None
-        self._leader_last_seen = self.sim.now
-        self._started_at = self.sim.now
-        self._caught_up = not standby
-        self._pending_ops: List[SessionOp] = []
-        self._inflight: Deque[Tuple[float, Optional[str], str]] = deque()
-        self._hb_timer = None
-        self._crashed = False
-        self.duplicates_suppressed = 0
-        self.ops_journaled = 0
-        self.ops_applied = 0
-        self.promotions = 0
-        self.demotions = 0
-        self.inflight_replayed = 0
-        self.snapshots_served = 0
-        self.snapshots_installed = 0
-        self.replica_heartbeats_received = 0
-        if self._replicated:
-            self.client.subscribe(JOURNAL_TOPIC, self._on_journal_event)
-            self.client.subscribe(REPLICA_TOPIC, self._on_replica_event)
-            self.client.subscribe(
-                replica_topic(server_id), self._on_replica_event
-            )
-            if standby:
-                self._publish_xml(
-                    REPLICA_TOPIC, SnapshotRequest(server_id=server_id)
-                )
-            self._hb_timer = self.sim.schedule(
-                replica_heartbeat_interval_s, self._replica_tick
+        self.client = BrokerClient(host, client_id=server_id)
+        self.client.connect(broker, link_type=link_type)
+        self.client.subscribe(SERVER_TOPIC, self._on_request_event)
+        self.replication: Optional[Replication] = None
+        if replica_heartbeat_interval_s is not None:
+            self.replication = Replication(
+                self, replica_heartbeat_interval_s, replica_miss_limit,
+                standby, quorum_size,
             )
         # Observability: request transit time over the broker plane
         # (publish at the requester -> handling here), one leg of every
         # gateway's join latency; control_outage_s records, at each
         # promotion, how long the control plane had no live leader.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.signaling_latency = self.metrics.histogram(
             "signaling_latency_s", SIGNALING_BUCKETS_S
         )
         self.control_outage = self.metrics.histogram(
             "control_outage_s", SIGNALING_BUCKETS_S
         )
-        self.metrics.expose("requests_handled", lambda: self.requests_handled)
-        self.metrics.expose("sessions", lambda: len(self._sessions))
-        self.metrics.expose(
-            "active_sessions", lambda: len(self.active_sessions())
-        )
-        self.metrics.expose("is_leader", lambda: int(self.is_leader))
-        self.metrics.expose("journal_version", lambda: self._journal_version)
-        self.metrics.expose(
-            "replicas_live", lambda: 1 + len(self._replica_last_seen)
-        )
-        for counter_name in (
-            "duplicates_suppressed",
-            "ops_journaled",
-            "ops_applied",
-            "promotions",
-            "demotions",
-            "inflight_replayed",
-            "snapshots_served",
-            "snapshots_installed",
-            "replica_heartbeats_received",
-            "swallowed_errors",
-            "joins_shed",
-            "promotions_refused",
-        ):
+        gauges = {
+            "sessions": lambda: len(self._sessions),
+            "active_sessions": lambda: len(self.active_sessions()),
+            "is_leader": lambda: int(self.is_leader),
+            "journal_version": lambda: self._journal_version,
+            "replicas_live": lambda: 1 + (
+                len(self.replication.last_seen) if self.replication else 0
+            ),
+        }
+        # requests_handled registers ahead of the gauges, the rest after.
+        for name in (COUNTERS[0], *gauges, *COUNTERS[1:]):
             self.metrics.expose(
-                counter_name, lambda name=counter_name: getattr(self, name)
+                name, gauges.get(name) or (lambda name=name: getattr(self, name))
             )
 
     # ----------------------------------------------------------- queries
 
     @property
+    def is_leader(self) -> bool:
+        return self.replication is None or self.replication.role == LEADING
+
+    @property
     def leader_id(self) -> Optional[str]:
-        return self._leader_id
+        replication = self.replication
+        return self.server_id if replication is None else replication.leader
 
     @property
     def journal_version(self) -> int:
@@ -255,7 +222,7 @@ class XgspSessionServer:
 
     @property
     def caught_up(self) -> bool:
-        return self._caught_up
+        return self.replication is None or self.replication.caught_up
 
     def session(self, session_id: str) -> Optional[Session]:
         return self._sessions.get(session_id)
@@ -270,60 +237,62 @@ class XgspSessionServer:
             if session.state == SessionState.ACTIVE
         ]
 
-    def add_observer(self, observer: Callable[[SessionAnnouncement], None]) -> None:
-        """In-process observer of every announcement (used by the MMCS
-        assembly for logging/metrics)."""
-        self._observers.append(observer)
-
     # ----------------------------------------------------------- lifecycle
 
     def close(self) -> None:
         """Graceful shutdown: stop ticking, say goodbye to the broker."""
-        self._crashed = True
-        if self._hb_timer is not None:
-            self._hb_timer.cancel()
-            self._hb_timer = None
+        if self.replication is not None:
+            self.replication.become(CLOSED)
         self.client.disconnect()
 
     def crash(self) -> None:
         """Silent process death (chaos injection): no Disconnect, no
         goodbye heartbeat — standbys must detect the silence."""
-        self._crashed = True
-        self.is_leader = False
-        if self._hb_timer is not None:
-            self._hb_timer.cancel()
-            self._hb_timer = None
+        if self.replication is not None:
+            self.replication.become(CLOSED)
         self.client.kill()
 
     # --------------------------------------------------- request handling
 
-    def _on_request_event(self, event: NBEvent) -> None:
-        payload = event.payload
+    def _decode(self, payload: Any, what: str) -> Any:
+        """The XGSP message an inbound event payload carries, or None
+        (not a signaling payload, or undecodable: counted and logged)."""
         if not isinstance(payload, dict) or "xml" not in payload:
-            return
+            return None
         try:
-            message = xml_codec.decode(payload["xml"])
+            return xml_codec.decode(payload["xml"])
         except Exception as exc:
             self.swallowed_errors += 1
             _log.debug(
-                "%s dropped undecodable request (%s)",
-                self.server_id, type(exc).__name__,
+                "%s dropped undecodable %s (%s)",
+                self.server_id, what, type(exc).__name__,
             )
+            return None
+
+    def _answer_duplicate(self, key: str, reply_to: Optional[str]) -> bool:
+        """Answer a retry of an already-applied mutation from the dedup
+        table instead of re-applying it; False when ``key`` is new."""
+        cached = self._applied.get(key)
+        if cached is None:
+            return False
+        self.duplicates_suppressed += 1
+        if reply_to and cached:
+            self._publish_text(reply_to, cached)
+        return True
+
+    def _on_request_event(self, event: NBEvent) -> None:
+        payload = event.payload
+        message = self._decode(payload, "request")
+        if message is None:
             return
         reply_to = payload.get("reply_to")
         key = self._request_key(reply_to, message)
-        cached = self._applied.get(key)
-        if cached is not None:
-            # Retry of an already-applied mutation: answer, don't re-apply.
-            self.duplicates_suppressed += 1
-            if reply_to and cached:
-                self._publish_text(reply_to, cached)
+        if self._answer_duplicate(key, reply_to):
             return
-        if not self.is_leader:
+        replication = self.replication
+        if replication is not None and replication.role != LEADING:
             # Standby: buffer for replay-on-promotion; the leader answers.
-            self._inflight.append((self.sim.now, reply_to, payload["xml"]))
-            while len(self._inflight) > INFLIGHT_BUFFER_MAX:
-                self._inflight.popleft()
+            replication.buffer(payload)
             return
         if (
             self.max_inflight_requests is not None
@@ -411,9 +380,16 @@ class XgspSessionServer:
             mode=message.mode,
             community=message.community,
         )
-        self._sessions[session.session_id] = session
-        self._announce(
-            session,
+        return self._journal(
+            "create",
+            session.to_snapshot(),
+            SessionCreated(
+                request_id=message.request_id,
+                session_id=session.session_id,
+                title=session.title,
+                media=session.media_list(),
+                control_topic=session.control_topic,
+            ),
             SessionAnnouncement(
                 session_id=session.session_id,
                 event="created",
@@ -422,41 +398,28 @@ class XgspSessionServer:
             ),
             include_control=False,  # nobody subscribed yet
         )
-        response = SessionCreated(
-            request_id=message.request_id,
-            session_id=session.session_id,
-            title=session.title,
-            media=session.media_list(),
-            control_topic=session.control_topic,
-        )
-        self._journal("create", session.session_id, session.to_snapshot(),
-                      response)
-        return response
 
     def _handle_terminate(self, message: TerminateSession) -> SessionTerminated:
-        session = self._sessions.get(message.session_id)
-        if session is None:
+        if message.session_id not in self._sessions:
             return SessionTerminated(
                 request_id=message.request_id,
                 session_id=message.session_id,
                 reason="unknown-session",
             )
-        session.terminate()
-        self._announce(
-            session,
+        return self._journal(
+            "terminate",
+            {},
+            SessionTerminated(
+                request_id=message.request_id,
+                session_id=message.session_id,
+                reason="ok",
+            ),
             SessionAnnouncement(
-                session_id=session.session_id,
+                session_id=message.session_id,
                 event="terminated",
                 participant=message.requester,
             ),
         )
-        response = SessionTerminated(
-            request_id=message.request_id,
-            session_id=session.session_id,
-            reason="ok",
-        )
-        self._journal("terminate", session.session_id, {}, response)
-        return response
 
     # -------------------------------------------------------- membership
 
@@ -469,16 +432,23 @@ class XgspSessionServer:
                 participant=message.participant,
                 reason="no-such-active-session",
             )
-        member = Member(
-            participant=message.participant,
-            community=message.community,
-            terminal=message.terminal,
-            joined_at=self.sim.now,
-            media_kinds=list(message.media_kinds),
-        )
-        session.join(member)
-        self._announce(
-            session,
+        return self._journal(
+            "join",
+            {
+                "participant": message.participant,
+                "community": message.community,
+                "terminal": message.terminal,
+                "joined_at": self.sim.now,
+                "media_kinds": list(message.media_kinds),
+                "muted": False,
+            },
+            JoinAccepted(
+                request_id=message.request_id,
+                session_id=session.session_id,
+                participant=message.participant,
+                media=session.media_for(message.media_kinds),
+                control_topic=session.control_topic,
+            ),
             SessionAnnouncement(
                 session_id=session.session_id,
                 event="joined",
@@ -486,56 +456,29 @@ class XgspSessionServer:
                 detail=message.community,
             ),
         )
-        response = JoinAccepted(
-            request_id=message.request_id,
-            session_id=session.session_id,
-            participant=message.participant,
-            media=session.media_for(message.media_kinds),
-            control_topic=session.control_topic,
-        )
-        self._journal(
-            "join",
-            session.session_id,
-            {
-                "participant": member.participant,
-                "community": member.community,
-                "terminal": member.terminal,
-                "joined_at": member.joined_at,
-                "media_kinds": list(member.media_kinds),
-                "muted": member.muted,
-            },
-            response,
-        )
-        return response
 
     def _handle_leave(self, message: LeaveSession) -> Optional[SessionAnnouncement]:
         session = self._sessions.get(message.session_id)
         if session is None:
             return None
-        member = session.leave(message.participant)
-        if member is not None:
-            self._announce(
-                session,
-                SessionAnnouncement(
-                    session_id=session.session_id,
-                    event="left",
-                    participant=message.participant,
-                ),
-            )
         response = SessionAnnouncement(
             request_id=message.request_id,
             session_id=message.session_id,
             event="left",
             participant=message.participant,
         )
-        if member is not None:
-            self._journal(
-                "leave",
-                session.session_id,
-                {"participant": message.participant},
-                response,
-            )
-        return response
+        if message.participant not in session.roster:
+            return response
+        return self._journal(
+            "leave",
+            {"participant": message.participant},
+            response,
+            SessionAnnouncement(
+                session_id=session.session_id,
+                event="left",
+                participant=message.participant,
+            ),
+        )
 
     def _handle_invite(self, message: InviteUser) -> SessionAnnouncement:
         session = self._sessions.get(message.session_id)
@@ -560,47 +503,38 @@ class XgspSessionServer:
 
     def _handle_floor(self, message: FloorControl) -> FloorControl:
         session = self._sessions.get(message.session_id)
+        participant = message.participant
+        requested = message.action == FloorAction.REQUEST
         if session is None:
-            return FloorControl(
-                request_id=message.request_id,
-                session_id=message.session_id,
-                participant=message.participant,
-                action=FloorAction.DENY,
-            )
-        try:
-            if message.action == FloorAction.REQUEST:
-                granted = session.request_floor(message.participant)
-            elif message.action == FloorAction.RELEASE:
-                granted = session.release_floor(message.participant)
-            else:
-                granted = False
-        except XgspError:
             granted = False
-        action = FloorAction.GRANT if granted else FloorAction.DENY
-        if granted:
-            self._announce(
-                session,
-                SessionAnnouncement(
-                    session_id=session.session_id,
-                    event="floor",
-                    participant=message.participant,
-                    detail=message.action,
-                ),
+        elif requested:
+            granted = participant in session.roster and (
+                session.floor_holder in (None, participant)
+            )
+        else:
+            granted = (
+                message.action == FloorAction.RELEASE
+                and session.floor_holder == participant
             )
         response = FloorControl(
             request_id=message.request_id,
             session_id=message.session_id,
-            participant=message.participant,
-            action=action,
+            participant=participant,
+            action=FloorAction.GRANT if granted else FloorAction.DENY,
         )
-        if granted:
-            self._journal(
-                "floor",
-                session.session_id,
-                {"floor_holder": session.floor_holder},
-                response,
-            )
-        return response
+        if not granted:
+            return response
+        return self._journal(
+            "floor",
+            {"floor_holder": participant if requested else None},
+            response,
+            SessionAnnouncement(
+                session_id=session.session_id,
+                event="floor",
+                participant=participant,
+                detail=message.action,
+            ),
+        )
 
     def _handle_mute(self, message: MuteMember) -> SessionAnnouncement:
         session = self._sessions.get(message.session_id)
@@ -609,20 +543,8 @@ class XgspSessionServer:
             detail = "unknown-session"
         elif message.requester not in (session.creator, message.target):
             detail = "not-authorized"
-        else:
-            try:
-                session.set_muted(message.target, message.muted)
-            except XgspError:
-                detail = "unknown-member"
-        if session is not None and detail == "ok":
-            self._announce(
-                session,
-                SessionAnnouncement(
-                    session_id=session.session_id,
-                    event="mute" if message.muted else "unmute",
-                    participant=message.target,
-                ),
-            )
+        elif message.target not in session.roster:
+            detail = "unknown-member"
         response = SessionAnnouncement(
             request_id=message.request_id,
             session_id=message.session_id,
@@ -630,14 +552,18 @@ class XgspSessionServer:
             participant=message.target,
             detail=detail,
         )
-        if session is not None and detail == "ok":
-            self._journal(
-                "mute",
-                session.session_id,
-                {"target": message.target, "muted": message.muted},
-                response,
-            )
-        return response
+        if detail != "ok":
+            return response
+        return self._journal(
+            "mute",
+            {"target": message.target, "muted": message.muted},
+            response,
+            SessionAnnouncement(
+                session_id=session.session_id,
+                event="mute" if message.muted else "unmute",
+                participant=message.target,
+            ),
+        )
 
     def _handle_list(self, message: ListSessions) -> SessionList:
         sessions = [
@@ -647,345 +573,78 @@ class XgspSessionServer:
         ]
         return SessionList(request_id=message.request_id, sessions=sessions)
 
-    # --------------------------------------------------------- journaling
+    # ------------------------------------------------- the one apply path
 
     def _journal(
-        self, kind: str, session_id: str, data: Dict, response: Any
-    ) -> None:
-        """Record one applied mutation: bump the version, remember the
-        answer for duplicate suppression, and (when replicated) publish
-        the op so standbys stay hot."""
-        self._journal_version += 1
-        self.ops_journaled += 1
-        response_xml = xml_codec.encode(response) if response is not None else ""
-        key = self._current_request_key or ""
-        if key:
-            self._record_applied(key, response_xml)
-        if not self._replicated:
-            return
+        self,
+        kind: str,
+        data: Dict,
+        response: Any,
+        announcement: SessionAnnouncement,
+        include_control: bool = True,
+    ) -> Any:
+        """Leader side of one mutation: apply it as an op (its encoded
+        answer becomes the dedup entry and the reply), announce it, and
+        publish the op to the standbys when replicated."""
+        replicated = self.replication is not None
         op = SessionOp(
-            version=self._journal_version,
+            version=self._journal_version + 1,
             kind=kind,
-            session_id=session_id,
+            session_id=announcement.session_id,
             data=data,
-            request_key=key,
-            response_xml=response_xml,
+            request_key=self._current_request_key or "",
+            response_xml=xml_codec.encode(response),
             leader=self.server_id,
+            # Only a journaled op goes on the wire, so only it draws a
+            # request id: every draw shifts the later ids, which are
+            # wire bytes too.
+            request_id=new_request_id() if replicated else 0,
         )
-        self._publish_xml(JOURNAL_TOPIC, op)
+        self._apply(op)
+        self.ops_journaled += 1
+        self._announce(announcement, include_control)
+        if replicated:
+            self._publish_xml(JOURNAL_TOPIC, op)
+        return response
 
-    def _record_applied(self, key: str, response_xml: str) -> None:
-        self._applied[key] = response_xml
-        self._applied.move_to_end(key)
-        while len(self._applied) > APPLIED_CACHE_MAX:
-            self._applied.popitem(last=False)
-
-    def _on_journal_event(self, event: NBEvent) -> None:
-        payload = event.payload
-        if not isinstance(payload, dict) or "xml" not in payload:
-            return
-        try:
-            op = xml_codec.decode(payload["xml"])
-        except Exception as exc:
-            self.swallowed_errors += 1
-            _log.debug(
-                "%s dropped undecodable journal op (%s)",
-                self.server_id, type(exc).__name__,
-            )
-            return
-        if not isinstance(op, SessionOp) or op.leader == self.server_id:
-            return
-        # Journal traffic is authoritative leader traffic.
-        self._replica_seen(op.leader)
-        self._leader_last_seen = self.sim.now
-        if self.is_leader:
-            # Split-brain heal: the deterministic tie-break is the
-            # minimum id; the larger claimant steps down.
-            if op.leader < self.server_id:
-                self._demote(op.leader)
-            else:
-                return
-        self._leader_id = op.leader
-        if not self._caught_up:
-            self._pending_ops.append(op)
-            return
-        if op.version > self._journal_version + 1:
-            # Missed an op (lossy interval, late subscription): fall back
-            # to a full snapshot rather than apply with a hole.
-            self._caught_up = False
-            self._pending_ops.append(op)
-            self._publish_xml(
-                REPLICA_TOPIC, SnapshotRequest(server_id=self.server_id)
-            )
-            return
-        self._apply_op(op)
-
-    def _apply_op(self, op: SessionOp) -> None:
-        if op.version <= self._journal_version:
-            return  # duplicate / already snapshot-covered
+    def _apply(self, op: SessionOp) -> None:
+        """The only code that changes session state, on the leader and on
+        every standby: patch the session, advance the journal version,
+        and remember the answer for duplicate suppression."""
         session = self._sessions.get(op.session_id)
-        if op.kind == "create":
-            self._sessions[op.session_id] = Session.from_snapshot(op.data)
+        kind, data = op.kind, op.data
+        if kind == "create":
+            self._sessions[op.session_id] = Session.from_snapshot(data)
         elif session is None:
             pass  # mutation for a session we never learned; version advances
-        elif op.kind == "join":
-            session.roster.add(Member(**op.data))
-        elif op.kind == "leave":
-            session.leave(op.data["participant"])
-        elif op.kind == "terminate":
+        elif kind == "join":
+            session.roster.add(Member(**data))
+        elif kind == "leave":
+            session.leave(data["participant"])
+        elif kind == "terminate":
             session.terminate()
-        elif op.kind == "floor":
-            session.floor_holder = op.data["floor_holder"]
-        elif op.kind == "mute":
-            member = session.roster.get(op.data["target"])
+        elif kind == "floor":
+            session.floor_holder = data["floor_holder"]
+        elif kind == "mute":
+            member = session.roster.get(data["target"])
             if member is not None:
-                member.muted = op.data["muted"]
+                member.muted = data["muted"]
         self._journal_version = op.version
-        self.ops_applied += 1
         if op.request_key:
-            self._record_applied(op.request_key, op.response_xml)
-
-    # ----------------------------------------------------- replica plane
-
-    def _on_replica_event(self, event: NBEvent) -> None:
-        payload = event.payload
-        if not isinstance(payload, dict) or "xml" not in payload:
-            return
-        try:
-            message = xml_codec.decode(payload["xml"])
-        except Exception as exc:
-            self.swallowed_errors += 1
-            _log.debug(
-                "%s dropped undecodable replica message (%s)",
-                self.server_id, type(exc).__name__,
-            )
-            return
-        if isinstance(message, ReplicaHeartbeat):
-            self._on_replica_heartbeat(message)
-        elif isinstance(message, SnapshotRequest):
-            self._on_snapshot_request(message)
-        elif isinstance(message, SnapshotResponse):
-            self._on_snapshot_response(message)
-
-    def _replica_seen(self, server_id: str) -> None:
-        if server_id == self.server_id:
-            return
-        if server_id not in self._replica_last_seen:
-            self._replica_set_epoch += 1
-        self._replica_last_seen[server_id] = self.sim.now
-
-    def _on_replica_heartbeat(self, beat: ReplicaHeartbeat) -> None:
-        if beat.server_id == self.server_id:
-            return  # own echo off the broker fan-out
-        self.replica_heartbeats_received += 1
-        self._replica_seen(beat.server_id)
-        if beat.leader == beat.server_id:
-            # The sender claims leadership.
-            if self.is_leader:
-                if beat.server_id < self.server_id:
-                    self._demote(beat.server_id)
-                # else: we outrank them; they step down on our next beat.
-            else:
-                self._leader_id = beat.server_id
-                self._leader_last_seen = self.sim.now
-        elif beat.server_id == self._leader_id:
-            self._leader_last_seen = self.sim.now
-
-    def _demote(self, new_leader: str) -> None:
-        self.is_leader = False
-        self._leader_id = new_leader
-        self._leader_last_seen = self.sim.now
-        self.demotions += 1
-        _log.debug("%s demoted in favour of %s", self.server_id, new_leader)
-
-    def _replica_tick(self) -> None:
-        self._hb_timer = None
-        if self._crashed:
-            return
-        interval = self.replica_heartbeat_interval_s or 1.0
-        self._publish_xml(
-            REPLICA_TOPIC,
-            ReplicaHeartbeat(
-                server_id=self.server_id,
-                leader=self._leader_id or "",
-                version=self._journal_version,
-                epoch=self._replica_set_epoch,
-            ),
-        )
-        # Evict replicas silent for miss_limit intervals (same rule as
-        # the broker mesh's peer heartbeats).
-        deadline = self.sim.now - interval * self.replica_miss_limit
-        for server_id, last_seen in list(self._replica_last_seen.items()):
-            if last_seen < deadline:
-                del self._replica_last_seen[server_id]
-                self._replica_set_epoch += 1
-                if server_id == self._leader_id:
-                    self._leader_id = None
-        if self._leader_id is None and not self.is_leader:
-            # Give a fresh standby one detection window to discover an
-            # incumbent before electing over the live set.
-            grace = interval * (self.replica_miss_limit + 1)
-            if self._replica_last_seen or self.sim.now - self._started_at > grace:
-                elected = self._elect()
-                if elected == self.server_id:
-                    if (
-                        self.quorum_size is None
-                        or 1 + len(self._replica_last_seen) >= self.quorum_size
-                    ):
-                        self._promote()
-                    else:
-                        # Minority side of a partition: refuse the crown
-                        # rather than fork the control plane.  Re-checked
-                        # every tick, so promotion follows the heal (or a
-                        # quorum of replicas rejoining) automatically.
-                        self.promotions_refused += 1
-                        _log.debug(
-                            "%s refuses promotion: %d live replicas < "
-                            "quorum %d",
-                            self.server_id,
-                            1 + len(self._replica_last_seen),
-                            self.quorum_size,
-                        )
-                else:
-                    self._leader_id = elected
-                    self._leader_last_seen = self.sim.now
-        if not self._caught_up and self._leader_id not in (None, self.server_id):
-            # Late joiner still waiting for state: nudge the leader again
-            # (the first request may have raced its subscription).
-            self._publish_xml(
-                REPLICA_TOPIC, SnapshotRequest(server_id=self.server_id)
-            )
-        self._hb_timer = self.sim.schedule(interval, self._replica_tick)
-
-    def _elect(self) -> str:
-        """Deterministic leader election: the minimum live server id,
-        cached per replica-set epoch (the sequencer-election pattern)."""
-        if self._election_epoch != self._replica_set_epoch:
-            self._elected = min([self.server_id, *self._replica_last_seen])
-            self._election_epoch = self._replica_set_epoch
-        return self._elected or self.server_id
-
-    def _promote(self) -> None:
-        """A standby takes over: record the outage, re-announce every
-        active session, and replay buffered in-flight requests."""
-        outage = self.sim.now - self._leader_last_seen
-        self.control_outage.observe(outage)
-        self.is_leader = True
-        self._leader_id = self.server_id
-        self.promotions += 1
-        self._caught_up = True  # leading now; nobody left to catch up from
-        self._pending_ops.clear()
-        _log.debug(
-            "%s promoted to leader after %.3fs outage (journal v%d)",
-            self.server_id, outage, self._journal_version,
-        )
-        for session in self.active_sessions():
-            self._announce(
-                session,
-                SessionAnnouncement(
-                    session_id=session.session_id,
-                    event="leader-changed",
-                    participant=self.server_id,
-                    detail=f"journal-v{self._journal_version}",
-                ),
-            )
-        now = self.sim.now
-        inflight, self._inflight = list(self._inflight), deque()
-        for at, reply_to, xml in inflight:
-            if now - at > self.inflight_replay_window_s:
-                continue
-            try:
-                message = xml_codec.decode(xml)
-            except Exception as exc:
-                self.swallowed_errors += 1
-                _log.debug(
-                    "%s dropped undecodable in-flight request during "
-                    "promotion replay: %s: %s",
-                    self.server_id, type(exc).__name__, exc,
-                )
-                continue
-            key = self._request_key(reply_to, message)
-            cached = self._applied.get(key)
-            if cached is not None:
-                # The dead leader applied and journaled it; just answer.
-                self.duplicates_suppressed += 1
-                if reply_to and cached:
-                    self._publish_text(reply_to, cached)
-                continue
-            self.inflight_replayed += 1
-            self._handle_and_reply(message, reply_to, key)
-
-    # ---------------------------------------------------------- snapshots
-
-    def _on_snapshot_request(self, request: SnapshotRequest) -> None:
-        if request.server_id == self.server_id or not self.is_leader:
-            return
-        self._replica_seen(request.server_id)
-        self.snapshots_served += 1
-        self._publish_xml(
-            replica_topic(request.server_id),
-            SnapshotResponse(
-                version=self._journal_version,
-                leader=self.server_id,
-                sessions=[
-                    session.to_snapshot() for session in self.sessions()
-                ],
-                applied=[
-                    {"key": key, "response_xml": response_xml}
-                    for key, response_xml in self._applied.items()
-                ],
-            ),
-        )
-
-    def _on_snapshot_response(self, response: SnapshotResponse) -> None:
-        if self._caught_up or self.is_leader:
-            return
-        self._replica_seen(response.leader)
-        self._sessions = {
-            data["session_id"]: Session.from_snapshot(data)
-            for data in response.sessions
-        }
-        self._applied = OrderedDict(
-            (entry["key"], entry["response_xml"])
-            for entry in response.applied
-        )
-        self._journal_version = response.version
-        self._leader_id = response.leader
-        self._leader_last_seen = self.sim.now
-        self._caught_up = True
-        self.snapshots_installed += 1
-        pending, self._pending_ops = sorted(
-            self._pending_ops, key=lambda op: op.version
-        ), []
-        for op in pending:
-            if op.version > self._journal_version + 1:
-                # Hole inside the buffered tail: ask again — the next
-                # snapshot's version will cover the missing op.
-                self._caught_up = False
-                self._pending_ops = [
-                    later for later in pending
-                    if later.version > self._journal_version
-                ]
-                self._publish_xml(
-                    REPLICA_TOPIC, SnapshotRequest(server_id=self.server_id)
-                )
-                return
-            self._apply_op(op)
+            self._applied[op.request_key] = op.response_xml
+            self._applied.move_to_end(op.request_key)
+            while len(self._applied) > APPLIED_CACHE_MAX:
+                self._applied.popitem(last=False)
 
     # ------------------------------------------------------ announcements
 
     def _announce(
-        self,
-        session: Session,
-        announcement: SessionAnnouncement,
-        include_control: bool = True,
+        self, announcement: SessionAnnouncement, include_control: bool = True
     ) -> None:
-        for observer in self._observers:
-            observer(announcement)
         text = xml_codec.encode(announcement)
         self._publish_text(ANNOUNCEMENTS_TOPIC, text)
         if include_control:
-            self._publish_text(session.control_topic, text)
+            self._publish_text(control_topic(announcement.session_id), text)
 
     def _publish_xml(self, topic: str, message: Any) -> None:
         self._publish_text(topic, xml_codec.encode(message))

@@ -67,8 +67,9 @@ def test_multi_broker_topologies():
 
 
 def test_unknown_topology_rejected():
-    with pytest.raises(ValueError):
-        GlobalMMCS(MMCSConfig(broker_topology="torus", broker_count=4))
+    for topology in ("torus", "hier"):
+        with pytest.raises(ValueError):
+            GlobalMMCS(MMCSConfig(broker_topology=topology, broker_count=4))
 
 
 def test_create_session_timeout_reports_error():

@@ -10,7 +10,16 @@ import pytest
 
 from repro.broker.network import BrokerNetwork
 from repro.core.xgsp.client import XgspClient
-from repro.core.xgsp.messages import JoinAccepted, JoinSession
+from repro.core.xgsp.messages import (
+    CreateSession,
+    FloorControl,
+    JoinAccepted,
+    JoinRejected,
+    JoinSession,
+    LeaveSession,
+    MuteMember,
+    TerminateSession,
+)
 from repro.core.xgsp.session_server import XgspSessionServer
 from repro.simnet.chaos import ChaosSchedule
 
@@ -71,6 +80,27 @@ def join_then_take_floor(sim, client, session_id):
     client.floor(session_id, "request")
 
 
+def settle(sim, client, message):
+    """Send one request and run until it is answered."""
+    answers = []
+    client.request(message, on_response=answers.append)
+    for _ in range(100):
+        if answers:
+            break
+        sim.run_for(0.01)
+    assert len(answers) == 1, message
+    return answers[0]
+
+
+def replica_state(server):
+    """Everything a replica must hold identically to its leader."""
+    return (
+        [session.to_snapshot() for session in server.sessions()],
+        server.journal_version,
+        list(server._applied.items()),
+    )
+
+
 # ----------------------------------------------------------- replication
 
 
@@ -96,6 +126,68 @@ def test_standby_maintains_hot_copy(sim, net):
     assert standby.journal_version == leader.journal_version
     assert standby.ops_applied == leader.ops_journaled
     assert standby.requests_handled == 0
+
+
+def test_every_op_kind_leaves_replicas_equal_to_the_leader(sim, net):
+    """A standby that followed the journal from the start, and a late
+    replica that caught up by snapshot plus the journal tail, end equal
+    to the leader in every session field, journal version and dedup
+    entry — after every op kind, a rejoin with other media, a rejected
+    join and a retried duplicate."""
+    bnet = build_ring(net)
+    leader = make_replica(net, bnet, 0, "xgsp-a", standby=False)
+    standby = make_replica(net, bnet, 1, "xgsp-b", standby=True)
+    sim.run_for(1.5)
+    alice = make_client(net, bnet, "alice", broker_index=2)
+    sim.run_for(0.5)
+
+    created = settle(sim, alice, CreateSession(title="equal", creator="alice"))
+    sid = created.session_id
+    settle(sim, alice, JoinSession(session_id=sid, participant="alice"))
+    settle(sim, alice, JoinSession(
+        session_id=sid, participant="bob", community="sip",
+        terminal="sip:bob", media_kinds=["audio"]))
+    rejoin = JoinSession(session_id=sid, participant="alice",
+                         media_kinds=["video"])
+    settle(sim, alice, rejoin)
+
+    late = make_replica(net, bnet, 2, "xgsp-c", standby=True)
+    settle(sim, alice, LeaveSession(session_id=sid, participant="bob"))
+    settle(sim, alice, FloorControl(session_id=sid, participant="alice",
+                                    action="request"))
+    settle(sim, alice, FloorControl(session_id=sid, participant="alice",
+                                    action="release"))
+    settle(sim, alice, FloorControl(session_id=sid, participant="alice",
+                                    action="request"))
+    settle(sim, alice, MuteMember(session_id=sid, requester="alice",
+                                  target="alice", muted=True))
+    settle(sim, alice, MuteMember(session_id=sid, requester="alice",
+                                  target="alice", muted=False))
+    settle(sim, alice, MuteMember(session_id=sid, requester="alice",
+                                  target="alice", muted=True))
+    rejected = settle(sim, alice, JoinSession(session_id="no-such-session",
+                                              participant="carol"))
+    assert isinstance(rejected, JoinRejected)
+    retried = settle(sim, alice, rejoin)
+    assert isinstance(retried, JoinAccepted)
+    assert leader.duplicates_suppressed == 1
+    second = settle(sim, alice, CreateSession(title="ended", creator="alice"))
+    settle(sim, alice, TerminateSession(session_id=second.session_id,
+                                        requester="alice"))
+    sim.run_for(2.0)
+
+    assert late.snapshots_installed >= 1
+    sessions, version, applied = replica_state(leader)
+    [member] = sessions[0]["members"]
+    assert member["media_kinds"] == ["video"] and member["muted"]
+    assert sessions[0]["floor_holder"] == "alice"
+    assert sessions[1]["state"] == "terminated"
+    assert len(applied) == version == leader.ops_journaled == 13
+    for replica in (standby, late):
+        assert replica.caught_up and not replica.is_leader
+        assert replica_state(replica) == (sessions, version, applied)
+    assert standby.ops_applied == leader.ops_journaled
+    assert leader.ops_applied == 0
 
 
 def test_leader_kill_mid_join_completes_and_floor_survives(sim, net):
@@ -320,6 +412,12 @@ def test_standalone_server_is_unchanged(sim, net):
     assert server.ops_journaled > 0  # dedup table still records locally
     assert server.promotions == 0
     assert server.replica_heartbeats_received == 0
+    # A standalone server builds no replication plane and listens to
+    # the request topic only.
+    assert server.replication is None
+    assert [pattern for pattern, _, _ in server.client._handlers] == [
+        "/xgsp/signaling/server"
+    ]
 
 
 # -------------------------------------------------- geo minority quorum
@@ -350,3 +448,21 @@ def test_minority_standby_refuses_promotion_without_quorum(sim, net):
     sim.run_for(4.0)
     assert standby.is_leader
     assert standby.promotions == 1
+
+
+# ------------------------------------------------------ configuration
+
+
+@pytest.mark.parametrize(
+    "options", [{"standby": True}, {"quorum_size": 2}],
+    ids=["standby", "quorum_size"],
+)
+def test_replication_options_need_a_heartbeat(sim, net, options):
+    """A standby with no heartbeat would never subscribe to the journal
+    or promote, and a quorum with no election guards nothing: both are
+    refused at construction."""
+    bnet = build_ring(net)
+    with pytest.raises(ValueError):
+        XgspSessionServer(
+            net.create_host("solo-host"), bnet.broker("broker-0"), **options
+        )

@@ -7,7 +7,10 @@ statements that bump a broker counter — ``self.<name> += ...`` inside
 the ordering and geo planes) — and fails if any such public attribute
 is missing from the broker's metrics registry.  ``Broker.statistics()`` and the monitor's samples are
 generated from the registry, so an unregistered counter would silently
-vanish from the whole monitoring surface.
+vanish from the whole monitoring surface.  The XGSP session server gets
+the same walk over ``session_server.py`` and ``replication.py``:
+``self.<name> +=`` inside ``class XgspSessionServer``, ``server.<name>
++=`` or ``<...>.server.<name> +=`` in the replication plane.
 
 Consumer side: the telemetry plane and the fleet report read counters
 out of sample dicts by name with a silent default (``.get("name", 0)``);
@@ -20,33 +23,44 @@ import inspect
 import pathlib
 
 import repro.broker as broker_package
+import repro.core.xgsp.replication as replication_module
+import repro.core.xgsp.session_server as session_server_module
 import repro.obs.aggregate as aggregate_module
 import repro.obs.report as report_module
 from repro.broker.broker import Broker
 from repro.broker.monitor import sample_numbers
+from repro.core.xgsp.session_server import XgspSessionServer
+
+BROKER_MODULES = sorted(pathlib.Path(broker_package.__file__).parent.glob("*.py"))
+SERVER_MODULES = [
+    pathlib.Path(session_server_module.__file__),
+    pathlib.Path(replication_module.__file__),
+]
 
 
-def bumps_broker_counter(node, in_broker_class):
-    """The counter name an ``AugAssign`` bumps on a broker, or None."""
+def bumped_counter(node, in_owner_class, owner):
+    """The counter name an ``AugAssign`` bumps on ``owner``, or None."""
     target = node.target
     if not isinstance(target, ast.Attribute) or target.attr.startswith("_"):
         return None  # private bookkeeping
-    owner = target.value
-    if isinstance(owner, ast.Name):
-        bumped = owner.id == ("self" if in_broker_class else "broker")
+    value = target.value
+    if isinstance(value, ast.Name):
+        bumped = value.id == ("self" if in_owner_class else owner)
     else:
-        bumped = isinstance(owner, ast.Attribute) and owner.attr == "broker"
+        bumped = isinstance(value, ast.Attribute) and value.attr == owner
     return target.attr if bumped else None
 
 
-def mutated_counter_names():
+def mutated_counter_names(
+    paths=BROKER_MODULES, owner_class="Broker", owner="broker"
+):
     names = set()
-    for path in sorted(pathlib.Path(broker_package.__file__).parent.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text())
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             for node in ast.walk(cls):
                 if isinstance(node, ast.AugAssign):
-                    name = bumps_broker_counter(node, cls.name == "Broker")
+                    name = bumped_counter(node, cls.name == owner_class, owner)
                     if name is not None:
                         names.add(name)
     return names
@@ -70,6 +84,27 @@ def test_every_mutated_broker_counter_is_registered(net):
     assert not missing, (
         f"broker counters mutated in repro/broker/ but never registered in "
         f"the metrics registry (add them to broker.COUNTERS): {missing}"
+    )
+
+
+def test_every_mutated_session_server_counter_is_registered(net):
+    names = mutated_counter_names(
+        SERVER_MODULES, "XgspSessionServer", "server"
+    )
+    # The walk found counters on both sides of the plane boundary.
+    assert {
+        "promotions", "ops_applied", "joins_shed", "snapshots_installed",
+    } <= names
+
+    broker = Broker(net.create_host("lint-xgsp-broker"), broker_id="lint")
+    server = XgspSessionServer(net.create_host("lint-xgsp-host"), broker)
+    missing = sorted(
+        name for name in names if not server.metrics.has(name)
+    )
+    assert not missing, (
+        f"session-server counters mutated in session_server.py or "
+        f"replication.py but never registered in the metrics registry "
+        f"(add them to session_server.COUNTERS): {missing}"
     )
 
 
