@@ -58,7 +58,6 @@ from repro.broker.links import (
     TcpClientLink,
     UdpClientLink,
     Unsubscribe,
-    message_size,
 )
 from repro.broker.mesh import Mesh
 from repro.broker.ordering import Ordering
@@ -313,11 +312,14 @@ class Broker:
         # free signal reads (no timers, no RNG), so an enabled-but-idle
         # controller leaves the simulation bit-identical to a run with
         # ``overload_enabled=False`` — the determinism suite pins this.
+        # The signals are bound methods (the CPU's and NIC's property
+        # getters, and the outbox gauge): no lambda frame per read.
+        cpu, nic = self.host.cpu, self.host.nic
         self.overload: Optional[OverloadController] = (
             OverloadController(
                 (
-                    lambda: self.host.cpu.queue_depth,
-                    lambda: self.host.nic.queued_bytes,
+                    type(cpu).queue_depth.fget.__get__(cpu),
+                    type(nic).queued_bytes.fget.__get__(nic),
                     self._outbox_depth,
                 ),
                 shed_watermarks
@@ -1110,7 +1112,7 @@ class Broker:
         address = self._peers.get(peer_id)
         if address is None:
             return
-        size = message_size(message, self.profile.envelope_bytes)
+        size = message.wire_size(self.profile.envelope_bytes)
         self._peer_socket.sendto(message, size, address)
 
     def _send_peer_toward(self, destination: str, message: Any) -> None:

@@ -40,7 +40,6 @@ from repro.broker.links import (
     TunnelClientTransport,
     UdpClientTransport,
     Unsubscribe,
-    message_size,
 )
 from repro.broker.reliable import OrderedInbox, ReliableInbox
 from repro.broker.topic import compile_pattern, match_segments, validate_topic
@@ -477,7 +476,7 @@ class BrokerClient:
     def _send_now(self, message: Any) -> None:
         if self._transport is None:
             raise RuntimeError(f"client {self.client_id} is not connected")
-        size = message_size(message, self.envelope_bytes)
+        size = message.wire_size(self.envelope_bytes)
         self.host.cpu.execute(
             self.publish_cpu_cost_s, self._transport.send, message, size
         )

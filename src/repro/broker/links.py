@@ -60,9 +60,15 @@ _advert_ids = itertools.count(1)
 class WireMessage:
     """Base for broker wire messages: ``__slots__`` (no per-instance dict
     — these are allocated on every hot-path send) with dataclass-style
-    equality and repr kept for tests and debugging."""
+    equality and repr kept for tests and debugging.  :meth:`wire_size`
+    is the one size rule of each class."""
 
     __slots__ = ()
+
+    def wire_size(self, envelope_bytes: int) -> int:
+        """Bytes on the wire: a fixed control header unless the class
+        carries an event or a variable-length table."""
+        return CONTROL_BYTES
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -173,12 +179,18 @@ class Publish(WireMessage):
         self.client_id = client_id
         self.event = event
 
+    def wire_size(self, envelope_bytes: int) -> int:
+        event = self.event
+        return envelope_bytes + len(event.topic) + event.size
+
 
 class EventDelivery(WireMessage):
     __slots__ = ("event",)
 
     def __init__(self, event: NBEvent):
         self.event = event
+
+    wire_size = Publish.wire_size
 
 
 class EventAck(WireMessage):
@@ -198,6 +210,10 @@ class PeerEvent(WireMessage):
         self.event = event
         self.targets = targets
 
+    def wire_size(self, envelope_bytes: int) -> int:
+        event = self.event
+        return envelope_bytes + len(event.topic) + event.size + 8 * len(self.targets)
+
 
 class SequenceRequest(WireMessage):
     """Forward an ordered publish to the topic's sequencing broker."""
@@ -207,6 +223,10 @@ class SequenceRequest(WireMessage):
     def __init__(self, event: NBEvent, origin_broker: str):
         self.event = event
         self.origin_broker = origin_broker
+
+    def wire_size(self, envelope_bytes: int) -> int:
+        event = self.event
+        return envelope_bytes + len(event.topic) + event.size + 16
 
 
 class SubAdvert(WireMessage):
@@ -255,6 +275,9 @@ class ClusterInterestAdvert(WireMessage):
         self.epoch = epoch
         self.patterns = patterns
 
+    def wire_size(self, envelope_bytes: int) -> int:
+        return CONTROL_BYTES + sum(len(pattern) for pattern in self.patterns)
+
 
 class ClusterDigest(WireMessage):
     """Anti-entropy summary of a gateway's cluster-tier databases.
@@ -278,6 +301,11 @@ class ClusterDigest(WireMessage):
         self.lsa_epochs = lsa_epochs if lsa_epochs is not None else {}
         self.interest_epochs = (
             interest_epochs if interest_epochs is not None else {}
+        )
+
+    def wire_size(self, envelope_bytes: int) -> int:
+        return CONTROL_BYTES + 12 * (
+            len(self.lsa_epochs) + len(self.interest_epochs)
         )
 
 
@@ -334,6 +362,10 @@ class LinkStateAdvert(WireMessage):
         self.costs = costs
         self.cluster_id = cluster_id
 
+    def wire_size(self, envelope_bytes: int) -> int:
+        costs = 2 * len(self.costs) if self.costs else 0
+        return CONTROL_BYTES + 8 * len(self.neighbors) + costs
+
 
 class SequencerPin(WireMessage):
     """Flooded locality pin: ``topic``'s ordered stream now sequences at
@@ -367,6 +399,9 @@ class SequencerPin(WireMessage):
         self.next_sequence = next_sequence
         self.origin_broker = origin_broker
 
+    def wire_size(self, envelope_bytes: int) -> int:
+        return CONTROL_BYTES + len(self.topic) + len(self.broker) + 16
+
 
 class LinkStateDigest(WireMessage):
     """Anti-entropy summary of a broker's link-state database.
@@ -385,40 +420,8 @@ class LinkStateDigest(WireMessage):
         self.origin_broker = origin_broker
         self.epochs = epochs if epochs is not None else {}
 
-
-def message_size(message: Any, envelope_bytes: int) -> int:
-    """Wire size of a broker message."""
-    if isinstance(message, (Publish, EventDelivery)):
-        event = message.event
-        return envelope_bytes + len(event.topic) + event.size
-    if isinstance(message, PeerEvent):
-        event = message.event
-        return (
-            envelope_bytes
-            + len(event.topic)
-            + event.size
-            + 8 * len(message.targets)
-        )
-    if isinstance(message, SequenceRequest):
-        return envelope_bytes + len(message.event.topic) + message.event.size + 16
-    if isinstance(message, LinkStateAdvert):
-        size = CONTROL_BYTES + 8 * len(message.neighbors)
-        if message.costs:
-            size += 2 * len(message.costs)
-        return size
-    if isinstance(message, LinkStateDigest):
-        return CONTROL_BYTES + 12 * len(message.epochs)
-    if isinstance(message, SequencerPin):
-        return CONTROL_BYTES + len(message.topic) + len(message.broker) + 16
-    if isinstance(message, ClusterInterestAdvert):
-        return CONTROL_BYTES + sum(
-            len(pattern) for pattern in message.patterns
-        )
-    if isinstance(message, ClusterDigest):
-        return CONTROL_BYTES + 12 * (
-            len(message.lsa_epochs) + len(message.interest_epochs)
-        )
-    return CONTROL_BYTES
+    def wire_size(self, envelope_bytes: int) -> int:
+        return CONTROL_BYTES + 12 * len(self.epochs)
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +444,7 @@ class ClientLink:
         self.bytes_sent = 0
 
     def send(self, message: Any) -> None:
-        size = message_size(message, self.envelope_bytes)
+        size = message.wire_size(self.envelope_bytes)
         if isinstance(message, EventDelivery):
             self.events_sent += 1
         self.bytes_sent += size
@@ -452,7 +455,7 @@ class ClientLink:
 
         The broker precomputes the wire size once and shares a single
         :class:`EventDelivery` across every destination, so this skips the
-        per-destination ``message_size`` isinstance chain.  Only event
+        per-destination ``wire_size`` call.  Only event
         deliveries come through here.
         """
         self.events_sent += 1

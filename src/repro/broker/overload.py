@@ -22,10 +22,16 @@ watermarks.  It owns no timers, draws no randomness, and evaluates
 pressure lazily at existing decision points through side-effect-free
 signal reads — with the controller enabled but pressure under the
 degraded marks, the simulation is bit-identical to a run without it.
+
+Cost: in NORMAL, :meth:`OverloadController.should_shed` — asked on
+every data-plane publish and forward — is one comparison per signal
+against its degraded mark, copied from the frozen
+:class:`ShedWatermarks`; only pressure runs the full hysteresis.
 """
 
 from __future__ import annotations
 
+from operator import ge, lt
 from typing import Callable, Tuple
 
 from repro.broker.event import (
@@ -57,6 +63,7 @@ class ShedWatermarks:
     only once every signal falls below ``clear_frac`` of the marks that
     entered it, so pressure oscillating around a mark cannot flap the
     state machine (and with it the shed decision) on every event.
+    Frozen: a controller copies the marks when it is built.
 
     Defaults are sized *above* the repo's canonical headline workloads —
     a Figure-3 broker fanning one video packet out to 400 receivers
@@ -68,15 +75,9 @@ class ShedWatermarks:
     ``benchmarks/bench_overload.py`` does.
     """
 
-    __slots__ = (
-        "cpu_degraded",
-        "cpu_shedding",
-        "nic_degraded_bytes",
-        "nic_shedding_bytes",
-        "outbox_degraded",
-        "outbox_shedding",
-        "clear_frac",
-    )
+    __slots__ = ("cpu_degraded", "cpu_shedding", "nic_degraded_bytes",
+                 "nic_shedding_bytes", "outbox_degraded", "outbox_shedding",
+                 "clear_frac")
 
     def __init__(
         self,
@@ -99,41 +100,31 @@ class ShedWatermarks:
                 raise ValueError(
                     f"{name} watermarks must satisfy 0 < degraded <= shedding"
                 )
-        self.cpu_degraded = cpu_degraded
-        self.cpu_shedding = cpu_shedding
-        self.nic_degraded_bytes = nic_degraded_bytes
-        self.nic_shedding_bytes = nic_shedding_bytes
-        self.outbox_degraded = outbox_degraded
-        self.outbox_shedding = outbox_shedding
-        self.clear_frac = clear_frac
+        for name, value in zip(self.__slots__, (
+            cpu_degraded, cpu_shedding, nic_degraded_bytes, nic_shedding_bytes,
+            outbox_degraded, outbox_shedding, clear_frac,
+        )):
+            object.__setattr__(self, name, value)
 
-    def degraded_marks(self) -> Tuple[int, int, int]:
-        return (self.cpu_degraded, self.nic_degraded_bytes, self.outbox_degraded)
-
-    def shedding_marks(self) -> Tuple[int, int, int]:
-        return (self.cpu_shedding, self.nic_shedding_bytes, self.outbox_shedding)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ShedWatermarks is frozen: cannot set {name}")
 
 
 class OverloadController:
     """The NORMAL → DEGRADED → SHEDDING state machine of one broker.
 
     Signals are caller-supplied zero-argument callables so the
-    controller stays testable (and so the broker can hand it the
-    side-effect-free ``Cpu.queue_depth`` / ``Nic.queued_bytes`` /
-    aggregate-outbox reads).  All decisions are pull-based: callers
-    invoke :meth:`should_shed` / :meth:`admit` at their existing
+    controller stays testable (the broker hands it bound methods: the
+    side-effect-free ``Cpu.queue_depth`` / ``Nic.queued_bytes`` getters
+    and its aggregate-outbox read).  All decisions are pull-based:
+    callers invoke :meth:`should_shed` / :meth:`admit` at their existing
     decision points and the state refreshes inline — no timers, no RNG.
     """
 
     __slots__ = (
-        "signals",
-        "watermarks",
-        "retry_after_s",
-        "state",
-        "state_since",
-        "overload_entries",
-        "events_shed_by_class",
-        "admissions_refused",
+        "_cpu", "_nic", "_outbox", "_cpu_mark", "_nic_mark", "_outbox_mark",
+        "_enter", "_clear", "retry_after_s", "state", "state_since",
+        "overload_entries", "events_shed_by_class", "admissions_refused",
     )
 
     def __init__(
@@ -146,8 +137,18 @@ class OverloadController:
             raise ValueError("signals must be (cpu_depth, nic_bytes, outbox_depth)")
         if retry_after_s <= 0:
             raise ValueError("retry_after_s must be positive")
-        self.signals = signals
-        self.watermarks = watermarks
+        self._cpu, self._nic, self._outbox = signals
+        w = watermarks
+        degraded = (w.cpu_degraded, w.nic_degraded_bytes, w.outbox_degraded)
+        shedding = (w.cpu_shedding, w.nic_shedding_bytes, w.outbox_shedding)
+        self._cpu_mark, self._nic_mark, self._outbox_mark = degraded
+        # Indexed by state: the marks that enter it, and the levels every
+        # signal must fall below to leave it.
+        self._enter = (None, degraded, shedding)
+        self._clear = (None,) + tuple(
+            tuple(mark * w.clear_frac for mark in marks)
+            for marks in (degraded, shedding)
+        )
         self.retry_after_s = retry_after_s
         self.state = NORMAL
         self.state_since = 0.0
@@ -164,31 +165,21 @@ class OverloadController:
         down one state at a time and only once *every* signal has fallen
         below ``clear_frac`` of the marks that entered the state.
         """
-        readings = tuple(signal() for signal in self.signals)
-        level = NORMAL
-        if any(r >= m for r, m in zip(readings, self.watermarks.shedding_marks())):
+        state = self.state
+        readings = (self._cpu(), self._nic(), self._outbox())
+        if any(map(ge, readings, self._enter[SHEDDING])):
             level = SHEDDING
-        elif any(r >= m for r, m in zip(readings, self.watermarks.degraded_marks())):
+        elif any(map(ge, readings, self._enter[DEGRADED])):
             level = DEGRADED
-        if level > self.state:
-            if self.state == NORMAL:
+        else:
+            level = NORMAL
+        if level > state:
+            if state == NORMAL:
                 self.overload_entries += 1
             self.state = level
             self.state_since = now
-            return self.state
-        clear = self.watermarks.clear_frac
-        if self.state == SHEDDING:
-            if all(
-                r < m * clear
-                for r, m in zip(readings, self.watermarks.shedding_marks())
-            ):
-                self.state = DEGRADED
-                self.state_since = now
-        elif self.state == DEGRADED and all(
-            r < m * clear
-            for r, m in zip(readings, self.watermarks.degraded_marks())
-        ):
-            self.state = NORMAL
+        elif state != NORMAL and all(map(lt, readings, self._clear[state])):
+            self.state = state - 1
             self.state_since = now
         return self.state
 
@@ -201,6 +192,13 @@ class OverloadController:
         AUDIO always pass (AUDIO degrades only at the playout edge).
         """
         if priority <= PRIORITY_AUDIO:
+            return False
+        if (  # NORMAL, every signal below its degraded mark: nothing to do
+            self.state == NORMAL
+            and self._cpu() < self._cpu_mark
+            and self._nic() < self._nic_mark
+            and self._outbox() < self._outbox_mark
+        ):
             return False
         state = self.refresh(now)
         if state == NORMAL:

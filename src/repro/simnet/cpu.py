@@ -12,17 +12,24 @@ When cumulative allocation crosses the young-generation budget the CPU takes
 a stop-the-world pause whose duration scales with the live heap — this is
 what produces the spiky jitter traces of the JMF baseline.
 
+Completions in place: where a completion would be posted as the last
+thing an event does — :meth:`Cpu.execute_last` on an idle CPU, the job
+queued behind one that completes, a train's boundaries — one that
+:meth:`Simulator.next_or_post` proves is the kernel's next event runs
+there instead, at the same ``now + cost`` time; a chain of them is the
+loop in :meth:`Cpu._complete`.
+
 Trains: :meth:`Cpu.execute_train` queues a run of equal-cost items as one
 job.  When the job reaches the server, its items run in one kernel event,
 item *k* with ``sim.now`` set to ``t_k = t_{k-1} + cost``, the time its own
 completion event would have had, while ``t_k`` lies before
 :meth:`Simulator.horizon` (the next timer or the end of the run) and for
 at most a quarter of the collector's young-generation threshold in items;
-past either bound the train resumes as an event at ``t_k``.  The last item
-completes as an ordinary event, so what queued behind the train is served
-from ``t_N`` on.  Counters, the busy clock and :attr:`Cpu.queue_depth` read
-exactly as with one event per item; DESIGN.md §7 states what a train item
-may do.
+past either bound the train resumes at ``t_k``, as an event or in place.
+The last item completes on its own, so what queued behind the train is
+served from ``t_N`` on.  Counters, the busy clock and
+:attr:`Cpu.queue_depth` read exactly as with one event per item;
+DESIGN.md §7 states what a train item may do.
 """
 
 from __future__ import annotations
@@ -67,8 +74,8 @@ class Cpu:
     the current time (still deterministic ordering).
 
     Queue entries are ``(cost, fn, args)``, or ``(cost, None, train)``
-    for a train: a list ``[cost, args, fn, fn, ...]`` of items that share
-    their cost and arguments.
+    for a train: a list ``[cost, args, fn_N, ..., fn_1]`` of items that
+    share their cost and arguments, popped from the end as they run.
     """
 
     def __init__(
@@ -109,6 +116,22 @@ class Cpu:
             self.busy_time += cost_s
             self.sim.post(cost_s, self._complete, (fn, args))
 
+    def execute_last(self, cost_s: float, fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`execute` as the last thing a kernel event does.  On an
+        idle CPU whose completion is provably the kernel's next event
+        (:meth:`Simulator.next_or_post`), the item completes here, in
+        place: at the same ``now + cost`` time and in the same order."""
+        if cost_s < 0:
+            raise ValueError(f"negative CPU cost {cost_s}")
+        if self._busy:
+            self._queue.append((cost_s, fn, args))
+            return
+        self._busy = True
+        self.busy_time += cost_s
+        sim = self.sim
+        if sim.next_or_post(sim.now + cost_s, self._complete, (fn, args)):
+            self._complete(fn, args)
+
     def execute_train(
         self,
         cost_s: float,
@@ -135,17 +158,14 @@ class Cpu:
             fn = fns[0]
         else:
             fn = None
-            args = [cost_s, args, *fns]  # the train, in place of its args
+            args = [cost_s, args, *reversed(fns)]  # the train, for its args
             self._backlog += len(fns) - 1
         if self._busy:
             self._queue.append((cost_s, fn, args))
         else:
             self._busy = True
             self.busy_time += cost_s
-            if fn is None:
-                self.sim.post(cost_s, self._run_train, (args, 2))
-            else:
-                self.sim.post(cost_s, self._complete, (fn, args))
+            self.sim.post(cost_s, self._complete, (fn, args))
 
     def _split_at_pause(
         self,
@@ -204,30 +224,37 @@ class Cpu:
             self.gc_pause_time += pause
             self.execute(pause, lambda: None)
 
-    def _complete(self, fn: Callable[..., Any], args: tuple) -> None:
-        self.tasks_executed += 1
-        fn(*args)
-        queue = self._queue
-        if queue:
-            cost_s, next_fn, next_args = queue.popleft()
-            self.busy_time += cost_s
-            if next_fn is None:  # a train
-                self.sim.post(cost_s, self._run_train, (next_args, 2))
+    def _complete(self, fn: Optional[Callable[..., Any]], args: Any) -> None:
+        """Job ``fn(*args)`` completes now (``fn`` None: the next item of
+        the train ``args`` does).  Run it, then serve the job queued
+        behind it.  Each next completion that :meth:`Simulator.next_or_post`
+        proves is the kernel's next event runs here, in place; the first
+        that is not is posted."""
+        sim = self.sim
+        while True:
+            if fn is None:
+                due = self._run_train(args)
+                if len(args) == 3:  # the last item completes as a job
+                    fn, args = args[2], args[1]
             else:
-                self.sim.post(cost_s, self._complete, (next_fn, next_args))
-        else:
-            self._busy = False
+                self.tasks_executed += 1
+                fn(*args)
+                queue = self._queue
+                if not queue:
+                    self._busy = False
+                    return
+                cost_s, fn, args = queue.popleft()
+                self.busy_time += cost_s
+                due = sim.now + cost_s
+            if not sim.next_or_post(due, self._complete, (fn, args)):
+                return
 
-    def _run_train(self, train: list, i: int) -> None:
-        """Item ``train[i]`` of ``[cost, args, fn, fn, ...]`` completes
-        now; run the items after it that complete before the horizon, each
-        at its own completion time, and post the first one that does not."""
-        last = len(train) - 1
-        args = train[1]
-        if i == last:
-            self._complete(train[i], args)
-            return
-        cost_s = train[0]
+    def _run_train(self, train: list) -> float:
+        """The next item of ``train`` — ``[cost, args, fn_N, ..., fn_k]``,
+        popped from the end — completes now.  Run it and the items after
+        it that complete before the horizon, each at its own completion
+        time, short of the last item; return when the next one completes."""
+        cost_s, args = train[0], train[1]
         sim = self.sim
         start = now = sim.now
         horizon = sim.horizon()
@@ -235,31 +262,25 @@ class Cpu:
         # entry and the entry's args): a batch that outgrows the young
         # generation has them promoted wholesale, which costs the collector
         # more than the batch saves the kernel.
-        stop = min(last, i + max(1, gc.get_threshold()[0] // 4))
-        begun = i
+        batch = max(1, gc.get_threshold()[0] // 4)
+        ran = 0
         busy_time = self.busy_time
         while True:
-            fn = train[i]
-            # Drop the train's reference as the item runs: what it sends
-            # then does not pile up on top of the train for the GC.
-            train[i] = None
-            fn(*args)
-            i += 1
+            # Popping the item as it runs drops the train's reference: what
+            # it sends then does not pile up on top of the train for the GC.
+            train.pop()(*args)
+            ran += 1
             busy_time += cost_s
             due = now + cost_s
-            if i == stop or due >= horizon:
+            if ran == batch or len(train) == 3 or due >= horizon:
                 break
             sim.now = now = due
         # Items never read this CPU, so its tallies can be written once.
         self.busy_time = busy_time
-        self.tasks_executed += i - begun
-        self._backlog -= i - begun
-        # sim.now is the previous item's time, so the entry lands at ``due``.
-        if i == last:
-            sim.post(cost_s, self._complete, (train[i], args))
-        else:
-            sim.post(cost_s, self._run_train, (train, i))
+        self.tasks_executed += ran
+        self._backlog -= ran
         sim.now = start
+        return due
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cpu {self.name} depth={self.queue_depth} busy={self._busy}>"

@@ -6,7 +6,7 @@ protocol timers, media sources) schedule work through it, which makes every
 experiment fully deterministic for a given seed.
 
 Performance notes (the kernel is the hottest code in the repo — a Figure-3
-run executes ~1700 kernel events per media packet):
+run, 400 receivers, executes ~830 kernel events per media packet):
 
 * Heap entries are 4-slot lists ``[time, seq, fn, args]`` that ``heapq``
   orders with the C-level list comparison — ``time`` then the unique
@@ -28,9 +28,14 @@ run executes ~1700 kernel events per media packet):
   can say when the next one is due; a CPU train runs its items ahead of
   the clock only up to there (``simnet/cpu.py``, DESIGN.md §7).
 
-:meth:`Simulator.step` is the plain one-event-at-a-time dispatch; the
-kernel tests drain seeded schedules through it and through ``run()`` and
-require the same firing order.
+* :meth:`Simulator.next_or_post` lets a CPU completion that is provably
+  the next event ``run()`` would dispatch run in place, uncounted.
+
+:meth:`Simulator.step` is the plain one-event-at-a-time dispatch, and it
+never looks ahead: no train batch, no completion in place.  The kernel
+tests drain seeded schedules through it and through ``run()`` and require
+the same firing order; ``tests/simnet/test_cpu.py`` does the same with
+CPU work.
 """
 
 from __future__ import annotations
@@ -131,7 +136,9 @@ class Simulator:
     def __init__(self) -> None:
         self._queue: List[list] = []  # Timers and plain post() entries
         self._timers: List[Timer] = []  # every Timer again, for horizon()
-        self._until = math.inf  # the current run()'s end
+        # How far the current dispatch may look ahead: the current run()'s
+        # end; -inf outside run(), in step() and in run(max_events=).
+        self._until = -math.inf
         self._next_seq = 0
         self.now = 0.0  # current virtual time in seconds
         self._events_processed = 0
@@ -183,6 +190,28 @@ class Simulator:
         self._next_seq = seq + 1
         heapq.heappush(self._queue, [self.now + delay, seq, fn, args])
 
+    def next_or_post(
+        self, due: float, fn: Callable[..., Any], args: Optional[tuple]
+    ) -> bool:
+        """Post ``fn(*args)`` for virtual time ``due`` (not before ``now``)
+        — unless that entry would provably be the next event :meth:`run`
+        dispatches: a run without ``max_events`` is active, ``due`` lies
+        within it and strictly before the heap head (a cancelled ghost at
+        the head counts as one).  Then nothing is posted, ``now`` becomes
+        ``due`` and True is returned: a caller whose posting is the last
+        thing its event does runs ``fn(*args)`` itself, in place.  The
+        entry would have run at the same time with nothing between, so
+        only :attr:`events_processed` can tell (DESIGN.md §7)."""
+        if due <= self._until:
+            queue = self._queue
+            if not queue or due < queue[0][0]:
+                self.now = due
+                return True
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        heapq.heappush(self._queue, [due, seq, fn, args])
+        return False
+
     def _note_timer(self, timer: Timer) -> None:
         timers = self._timers
         heapq.heappush(timers, timer)
@@ -191,7 +220,8 @@ class Simulator:
 
     def horizon(self) -> float:
         """Virtual time before which only posted work can run: the earliest
-        armed :class:`Timer`, or the end of the current :meth:`run`.
+        armed :class:`Timer`, or the end of the current :meth:`run` (-inf
+        outside one, in :meth:`step` and under ``max_events``).
         Posted entries are deliveries and CPU completions, which act on
         their own host only; timers are how anything else happens."""
         timers = self._timers
@@ -208,8 +238,9 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when idle.
 
-        The event is also the horizon, so a CPU train advances one item
-        per step, exactly as with one event per item."""
+        Nothing looks ahead of the event (the horizon is -inf): a CPU
+        train advances one item per step and :meth:`next_or_post` always
+        posts, exactly as with one event per CPU item."""
         queue = self._queue
         while queue:
             entry = heapq.heappop(queue)
@@ -222,7 +253,7 @@ class Simulator:
             entry[3] = None
             self.now = entry[0]
             self._events_processed += 1
-            outer_until, self._until = self._until, entry[0]
+            outer_until, self._until = self._until, -math.inf
             if args is None:
                 fn()
             else:
@@ -244,7 +275,10 @@ class Simulator:
         executed = 0
         ep = self._events_processed
         outer_until = self._until
-        self._until = math.inf if until is None else until
+        if max_events is not None:
+            self._until = -math.inf  # counted dispatch: one event at a time
+        else:
+            self._until = math.inf if until is None else until
         while queue:
             if executed == limit:
                 self._until = outer_until

@@ -142,7 +142,9 @@ class Host:
         cost = self.recv_cpu_cost_s if cost_override is None else cost_override
         self.received_packets += 1
         self.received_bytes += datagram.size
-        self.cpu.execute(cost, handler, datagram)
+        # Last statement: the kernel posted this arrival, and an idle CPU
+        # may finish the receive in place (Cpu.execute_last).
+        self.cpu.execute_last(cost, handler, datagram)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Host {self.name} ports={sorted(self._handlers)}>"

@@ -7,10 +7,14 @@ TCP and SSL links, reliable outboxes, receivers on the broker's own host,
 lossy and jittered links, GC pauses that trip mid-fan-out, the broker's
 UDP socket closed mid-fan-out and timers that read the broker's queues mid-train;
 both paths must show the same arrivals, counters, probe readings and
-per-host random streams.  Only the kernel event count may differ.
+per-host random streams.  Only the kernel event count may differ, and
+the train's may not be the larger: both paths run a CPU completion that
+is provably the kernel's next event in place, the train at its
+boundaries too.
 """
 
 import dataclasses
+import sys
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +22,7 @@ from repro.broker import Broker, BrokerClient
 from repro.broker.links import LinkType
 from repro.broker.profile import NARADA_PROFILE
 from repro.simnet import Network, SeededStreams, Simulator
-from repro.simnet.cpu import GcProfile
+from repro.simnet.cpu import Cpu, GcProfile
 from repro.simnet.link import LinkProfile
 
 TOPIC = "/room/video"
@@ -155,6 +159,31 @@ def test_a_train_is_its_per_send_tasks(scenario):
     assert train == reference
 
 
+def fan_out_events(scenario, reference):
+    """``run()``'s results, and the kernel events that completed the
+    broker host's CPU work once the fan-out began (0.1 ms after the
+    publish): the ``fn`` of each posted completion the kernel dispatched
+    (None for a train).  A completion run in place is no event."""
+    dispatched = []
+
+    def profiler(frame, event, arg):
+        if (
+            event == "call"
+            and frame.f_code is Cpu._complete.__code__
+            and frame.f_back.f_code is Simulator.run.__code__
+        ):
+            cpu = frame.f_locals["self"]
+            if cpu.name == "b.cpu" and cpu.sim.now > PUBLISH_AT + 0.0001:
+                dispatched.append(frame.f_locals["fn"])
+
+    sys.setprofile(profiler)
+    try:
+        result = run(scenario, reference)
+    finally:
+        sys.setprofile(None)
+    return result, dispatched
+
+
 def test_a_fan_out_is_one_job_until_a_timer_interrupts_it():
     scenario = {
         "seed": 5,
@@ -166,11 +195,16 @@ def test_a_fan_out_is_one_job_until_a_timer_interrupts_it():
         "probes": [0.0008],
         "close_after": None,
     }
-    train = run(scenario, reference=False)
-    reference = run(scenario, reference=True)
-    # Forty sends: one event to start the train, one at the probe, one for
-    # the last item, against forty completions one by one.
-    assert reference["events"] - train["events"] == 40 - 3
+    train, train_events = fan_out_events(scenario, reference=False)
+    reference, reference_events = fan_out_events(scenario, reference=True)
+    # Forty sends.  The train starts in place behind the publish's routing
+    # task; then one event resumes it after the probe and one completes
+    # its last item, which waits behind arrivals already due.  The per-send
+    # reference runs most of its forty completions in place too, but
+    # every one that an arrival precedes is an event of its own.
+    assert [fn is None for fn in train_events] == [True, False]
+    assert len(reference_events) > len(train_events)
+    assert train["events"] < reference["events"]
     assert train["probes"] == reference["probes"]
     assert 0 < train["probes"][0][1] < 40  # mid-train, items still queued
     assert train["probes"][0][2] > 0  # and datagrams waiting in the NIC

@@ -8,7 +8,7 @@ next-hop tables locally, and reconciling databases via digests.
 import pytest
 
 from repro.broker import BrokerNetwork
-from repro.broker.links import LinkStateAdvert, LinkStateDigest, PeerHeartbeat, message_size
+from repro.broker.links import LinkStateAdvert, LinkStateDigest, PeerHeartbeat
 
 FAST = dict(autonomous=True, peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
 
@@ -179,12 +179,12 @@ class TestLinkStateProtocol:
         lsa_big = LinkStateAdvert(
             origin_broker="a", epoch=1, neighbors=frozenset({"b", "c", "d"})
         )
-        assert message_size(lsa_big, 48) > message_size(lsa_small, 48)
+        assert lsa_big.wire_size(48) > lsa_small.wire_size(48)
         digest_small = LinkStateDigest(origin_broker="a", epochs={})
         digest_big = LinkStateDigest(origin_broker="a", epochs={"b": 1, "c": 2})
-        assert message_size(digest_big, 48) > message_size(digest_small, 48)
+        assert digest_big.wire_size(48) > digest_small.wire_size(48)
         beat = PeerHeartbeat(origin_broker="a")
-        assert message_size(beat, 48) > 0
+        assert beat.wire_size(48) > 0
 
 
 class TestTopologyOps:

@@ -2,18 +2,33 @@
 
 import pytest
 
+from repro.broker import links
 from repro.broker.event import NBEvent
 from repro.broker.links import (
     CONTROL_BYTES,
+    Busy,
+    ClusterDigest,
+    ClusterInterestAdvert,
     Connect,
+    ConnectAck,
+    Disconnect,
+    EventAck,
     EventDelivery,
+    Heartbeat,
+    HeartbeatAck,
+    LinkStateAdvert,
+    LinkStateDigest,
     LinkType,
     PeerEvent,
+    PeerHeartbeat,
     Publish,
     SequenceRequest,
+    SequencerPin,
     SubAdvert,
     Subscribe,
-    message_size,
+    SubscribeAck,
+    Unsubscribe,
+    WireMessage,
 )
 
 
@@ -23,32 +38,71 @@ def event(topic="/t", size=100):
 
 class TestMessageSize:
     def test_control_messages_fixed(self):
-        assert message_size(Connect("c", LinkType.UDP), 66) == CONTROL_BYTES
-        assert message_size(Subscribe("c", "/a/b"), 66) == CONTROL_BYTES
+        assert Connect("c", LinkType.UDP).wire_size(66) == CONTROL_BYTES
+        assert Subscribe("c", "/a/b").wire_size(66) == CONTROL_BYTES
 
     def test_event_messages_scale_with_payload(self):
-        small = message_size(EventDelivery(event(size=100)), 66)
-        large = message_size(EventDelivery(event(size=1000)), 66)
+        small = EventDelivery(event(size=100)).wire_size(66)
+        large = EventDelivery(event(size=1000)).wire_size(66)
         assert large - small == 900
         assert small == 66 + len("/t") + 100
 
     def test_publish_same_as_delivery(self):
         e = event()
-        assert message_size(Publish("c", e), 66) == message_size(
-            EventDelivery(e), 66
-        )
+        assert Publish("c", e).wire_size(66) == EventDelivery(e).wire_size(66)
 
     def test_peer_event_charges_target_list(self):
         e = event()
-        one = message_size(PeerEvent(e, frozenset({"a"})), 66)
-        three = message_size(PeerEvent(e, frozenset({"a", "b", "c"})), 66)
+        one = PeerEvent(e, frozenset({"a"})).wire_size(66)
+        three = PeerEvent(e, frozenset({"a", "b", "c"})).wire_size(66)
         assert three - one == 16
 
     def test_sequence_request(self):
         e = event()
-        assert message_size(SequenceRequest(e, "b0"), 66) > message_size(
-            EventDelivery(e), 66
-        )
+        assert SequenceRequest(e, "b0").wire_size(66) > EventDelivery(
+            e
+        ).wire_size(66)
+
+    def test_every_class_keeps_its_size(self):
+        """Each class's wire size with a 66-byte envelope, as the
+        per-message ``isinstance`` ladder it replaced computed them."""
+        e = NBEvent(topic="/room/video", payload=b"x", size=1000)
+        sized = [
+            (Connect("c1", LinkType.UDP), 64),
+            (ConnectAck("c1", "b0"), 64),
+            (Disconnect("c1"), 64),
+            (Subscribe("c1", "/room/#"), 64),
+            (SubscribeAck("c1", "/room/#"), 64),
+            (Unsubscribe("c1", "/room/#"), 64),
+            (Busy("c1", "connect", 1.0), 64),
+            (Heartbeat("c1"), 64),
+            (HeartbeatAck("c1", "b0"), 64),
+            (Publish("c1", e), 1077),
+            (EventDelivery(e), 1077),
+            (EventAck("c1", 7), 64),
+            (PeerEvent(e, frozenset({"b1", "b2", "b3"})), 1101),
+            (SequenceRequest(e, "b0"), 1093),
+            (SubAdvert(1, "b0", "/room/#", True), 64),
+            (ClusterInterestAdvert(1, "g0", "c0", 3, ("/room/#", "/a/b")), 75),
+            (ClusterDigest("g0", {"g1": 1, "g2": 2}, {"g1": 4}), 100),
+            (PeerHeartbeat("b0"), 64),
+            (LinkStateAdvert(1, "b0", 2, frozenset({"b1", "b2"})), 80),
+            (
+                LinkStateAdvert(
+                    1, "b0", 2, frozenset({"b1", "b2"}), {"b1": 1, "b2": 3}
+                ),
+                84,
+            ),
+            (SequencerPin(1, "/room/video", "b2", 4, 10, "b0"), 93),
+            (LinkStateDigest("b0", {"b0": 1, "b1": 2, "b2": 3}), 100),
+        ]
+        for message, size in sized:
+            assert message.wire_size(66) == size, message
+        every_class = {
+            cls for cls in vars(links).values()
+            if isinstance(cls, type) and issubclass(cls, WireMessage)
+        } - {WireMessage}
+        assert {type(message) for message, _ in sized} == every_class
 
 
 def test_advert_ids_unique():

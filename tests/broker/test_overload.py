@@ -12,6 +12,7 @@ Three layers of coverage:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.broker import Broker, BrokerClient
 from repro.broker.event import (
@@ -171,6 +172,150 @@ def test_controller_requires_three_signals():
             (lambda: 0, lambda: 0, lambda: 0), ShedWatermarks(),
             retry_after_s=0.0,
         )
+
+
+def test_watermarks_are_frozen():
+    """A controller copies its marks when it is built, so a mark changed
+    afterwards would silently disagree with the one it enforces."""
+    marks = ShedWatermarks(cpu_degraded=3, cpu_shedding=5)
+    for name in ShedWatermarks.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(marks, name, 1)
+    assert (marks.cpu_degraded, marks.cpu_shedding, marks.clear_frac) == (3, 5, 0.5)
+
+
+@pytest.mark.parametrize("signal", ["cpu", "nic", "outbox"])
+def test_a_signal_at_its_degraded_mark_leaves_normal(signal):
+    """The NORMAL check compares strictly below each mark: a reading
+    exactly at one runs the full refresh, which escalates."""
+    ctrl = controller({signal: {"cpu": 10, "nic": 1000, "outbox": 10}[signal]})
+    assert not ctrl.should_shed(PRIORITY_VIDEO, 1.0)
+    assert (ctrl.state, ctrl.state_since, ctrl.overload_entries) == (
+        DEGRADED, 1.0, 1,
+    )
+    assert ctrl.should_shed(PRIORITY_BULK, 2.0)
+
+
+class ReferenceController:
+    """The controller's decisions as they were before NORMAL got its
+    one-comparison-per-signal path: every call reads all three signals
+    into a tuple and walks the marks with ``any``/``all`` generators."""
+
+    def __init__(self, signals, watermarks, retry_after_s):
+        self.signals = signals
+        self.watermarks = watermarks
+        self.retry_after_s = retry_after_s
+        self.state = NORMAL
+        self.state_since = 0.0
+        self.overload_entries = 0
+        self.events_shed_by_class = [0, 0, 0, 0]
+        self.admissions_refused = 0
+
+    def degraded_marks(self):
+        w = self.watermarks
+        return (w.cpu_degraded, w.nic_degraded_bytes, w.outbox_degraded)
+
+    def shedding_marks(self):
+        w = self.watermarks
+        return (w.cpu_shedding, w.nic_shedding_bytes, w.outbox_shedding)
+
+    def refresh(self, now):
+        readings = tuple(signal() for signal in self.signals)
+        level = NORMAL
+        if any(r >= m for r, m in zip(readings, self.shedding_marks())):
+            level = SHEDDING
+        elif any(r >= m for r, m in zip(readings, self.degraded_marks())):
+            level = DEGRADED
+        if level > self.state:
+            if self.state == NORMAL:
+                self.overload_entries += 1
+            self.state = level
+            self.state_since = now
+            return self.state
+        clear = self.watermarks.clear_frac
+        if self.state == SHEDDING:
+            if all(r < m * clear for r, m in zip(readings, self.shedding_marks())):
+                self.state = DEGRADED
+                self.state_since = now
+        elif self.state == DEGRADED and all(
+            r < m * clear for r, m in zip(readings, self.degraded_marks())
+        ):
+            self.state = NORMAL
+            self.state_since = now
+        return self.state
+
+    def should_shed(self, priority, now):
+        if priority <= PRIORITY_AUDIO:
+            return False
+        state = self.refresh(now)
+        if state == NORMAL:
+            return False
+        if priority >= PRIORITY_BULK or state == SHEDDING:
+            self.events_shed_by_class[priority] += 1
+            return True
+        return False
+
+    def admit(self, now):
+        if self.refresh(now) == SHEDDING:
+            self.admissions_refused += 1
+            return False, self.retry_after_s
+        return True, 0.0
+
+
+#: Readings on both sides of every mark of ``controller()``'s watermarks
+#: (degraded 10 / 1000 / 10, shedding 20 / 2000 / 20, cleared below half
+#: of each with the default ``clear_frac``); the NIC's are scaled by 100.
+_levels = st.sampled_from((0, 4, 5, 9, 10, 11, 19, 20, 40))
+_trace = st.lists(
+    st.tuples(
+        _levels, _levels, _levels,
+        st.sampled_from(("refresh", "admit", "shed", "shed", "shed")),
+        st.sampled_from((
+            PRIORITY_CONTROL, PRIORITY_AUDIO,
+            PRIORITY_VIDEO, PRIORITY_VIDEO, PRIORITY_BULK, PRIORITY_BULK,
+        )),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_trace, st.sampled_from((0.5, 1.0)))
+def test_fast_path_decides_as_the_reference_does(trace, clear_frac):
+    pressure = {}
+    fast = controller(pressure, clear_frac=clear_frac)
+    reference = ReferenceController(
+        (
+            lambda: pressure.get("cpu", 0),
+            lambda: pressure.get("nic", 0),
+            lambda: pressure.get("outbox", 0),
+        ),
+        ShedWatermarks(
+            cpu_degraded=10, cpu_shedding=20,
+            nic_degraded_bytes=1000, nic_shedding_bytes=2000,
+            outbox_degraded=10, outbox_shedding=20, clear_frac=clear_frac,
+        ),
+        retry_after_s=2.0,
+    )
+    for step, (cpu, nic, outbox, operation, priority) in enumerate(trace):
+        pressure.update(cpu=cpu, nic=nic * 100, outbox=outbox)
+        now = step * 0.25
+        if operation == "refresh":
+            answers = fast.refresh(now), reference.refresh(now)
+        elif operation == "admit":
+            answers = fast.admit(now), reference.admit(now)
+        else:
+            answers = (
+                fast.should_shed(priority, now),
+                reference.should_shed(priority, now),
+            )
+        assert answers[0] == answers[1], (step, operation)
+        for name in (
+            "state", "state_since", "overload_entries",
+            "events_shed_by_class", "admissions_refused",
+        ):
+            assert getattr(fast, name) == getattr(reference, name), (step, name)
 
 
 # -------------------------------------------------------- classification

@@ -1,7 +1,13 @@
-"""Unit tests for the CPU model and GC pauses."""
+"""Unit tests for the CPU model and GC pauses, and the completions that
+run in place of their kernel event."""
+
+import functools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.simnet import Address, LinkProfile, Network, SeededStreams
 from repro.simnet.cpu import Cpu, GcProfile
 from repro.simnet.kernel import Simulator
 
@@ -106,3 +112,162 @@ def test_allocation_counter_resets_after_gc():
     assert cpu.gc_pauses == 1
     cpu.allocate(50)
     assert cpu.gc_pauses == 2  # 50 + 50 crosses the budget again
+
+
+# ------------------------------------------------- completions in place
+
+_traffic = st.fixed_dictionaries({
+    "seed": st.integers(min_value=0, max_value=2**32),
+    "hosts": st.lists(
+        st.tuples(
+            st.sampled_from((0.0, 0.0005)),  # jitter
+            st.sampled_from((0.0, 0.0, 0.2)),  # loss
+            st.sampled_from((0.0, 5e-6, 2e-4)),  # receive cost
+            st.sampled_from((None, 3000)),  # young generation, bytes
+        ),
+        min_size=2,
+        max_size=5,
+    ),
+    "boundaries": st.lists(
+        st.floats(min_value=0.0, max_value=0.02), max_size=4
+    ).map(sorted),
+})
+
+
+def drain_by_run(sim, until=None):
+    sim.run(until=until)
+
+
+def drain_by_step(sim, until=None):
+    """One event at a time, never ahead: ``step()``, or a one-event
+    ``run(until=)`` to stop at a boundary."""
+    if until is None:
+        while sim.step():
+            pass
+    else:
+        while sim.run(until=until, max_events=1):
+            pass
+
+
+def drain_by_max_events(sim, until=None):
+    while True:
+        before = sim.events_processed
+        executed = sim.run(until=until, max_events=7)
+        assert sim.events_processed - before == executed <= 7
+        if executed < 7:
+            return
+
+
+def traffic(scenario, drain):
+    """Hosts on jittered, lossy links trade datagrams.  Every arrival and
+    every CPU item draws what happens next from one seeded stream: another
+    datagram, CPU work (some of it free), an allocation that may trip a GC
+    pause, a fan-out train, a timer, or a cancel.  Any change in firing
+    order changes everything after it.  Returns the log of what ran when,
+    each host's CPU tallies and stream, and the kernel's event count."""
+    sim = Simulator()
+    net = Network(sim, SeededStreams(scenario["seed"]))
+    rng = random.Random(scenario["seed"])
+    hosts = [
+        net.create_host(
+            f"h{n}",
+            link=LinkProfile(latency_s=0.0002, jitter_s=jitter, loss_rate=loss),
+            recv_cpu_cost_s=cost,
+            gc_profile=None if young is None else GcProfile(young_gen_bytes=young),
+        )
+        for n, (jitter, loss, cost, young) in enumerate(scenario["hosts"])
+    ]
+    log = []
+    timers = []
+    budget = [300]
+
+    def react(host, tag):
+        log.append((sim.now, host.name, tag))
+        for _ in range(rng.randrange(3)):
+            if budget[0] == 0:
+                return
+            budget[0] -= 1
+            action = rng.randrange(6)
+            if action == 0:
+                dst = rng.choice(hosts).name
+                host.send(1, Address(dst, 1), budget[0], rng.choice((100, 1400)))
+            elif action == 1:
+                cost = rng.choice((0.0, 1e-5, 3e-4))
+                host.cpu.execute(cost, react, host, budget[0])
+            elif action == 2:
+                host.cpu.allocate(1000)
+            elif action == 3:
+                sends = [
+                    functools.partial(host.send, 1, Address(dst.name, 1))
+                    for dst in rng.sample(hosts, rng.randrange(1, len(hosts) + 1))
+                ]
+                host.cpu.execute_train(2e-5, sends, (budget[0], 200), 500)
+            elif action == 4:
+                delay = rng.choice((0.0, rng.uniform(0.0, 0.002)))
+                timers.append(sim.schedule(delay, react, host, budget[0]))
+            elif timers:
+                timers.pop(rng.randrange(len(timers))).cancel()
+
+    for host in hosts:
+        host.bind(1, lambda datagram, host=host: react(host, datagram.payload))
+    for n in range(6):
+        sim.schedule(rng.uniform(0.0, 0.01), react, rng.choice(hosts), -n)
+    for until in scenario["boundaries"]:
+        drain(sim, until)
+        log.append(("boundary", sim.now))
+    drain(sim)
+    assert budget[0] < 300
+    return {
+        "log": log,
+        "now": sim.now,
+        "hosts": [
+            (
+                host.name, host.cpu.tasks_executed, host.cpu.busy_time,
+                host.cpu.gc_pauses, host.cpu.gc_pause_time,
+                host.received_packets,
+                net.streams.stream(f"network:{host.name}").getstate(),
+            )
+            for host in hosts
+        ],
+        "events": sim.events_processed,
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(_traffic)
+def test_completions_in_place_change_nothing_but_the_event_count(scenario):
+    """``step()`` never runs a completion in place (nor a train ahead of
+    the clock); ``run()`` does whenever the completion is provably next.
+    Both must show the same log, clocks, tallies and streams."""
+    by_run = traffic(scenario, drain_by_run)
+    by_step = traffic(scenario, drain_by_step)
+    assert by_run.pop("events") <= by_step.pop("events")
+    assert by_run == by_step
+
+
+@settings(deadline=None, max_examples=20)
+@given(_traffic)
+def test_run_with_max_events_dispatches_exactly_that_many(scenario):
+    by_max_events = traffic(scenario, drain_by_max_events)
+    by_step = traffic(scenario, drain_by_step)
+    assert by_max_events == by_step  # event counts included: no look-ahead
+
+
+def test_an_idle_receiver_finishes_in_place():
+    """A lone datagram: its arrival is an event, the receive completes in
+    it.  A run bounded before the completion is due posts it instead."""
+    def lone(until):
+        sim = Simulator()
+        net = Network(sim, SeededStreams(1))
+        a, b = net.create_host("a"), net.create_host("b", recv_cpu_cost_s=1e-3)
+        got = []
+        b.bind(1, lambda datagram: got.append(sim.now))
+        sim.schedule(0.0, a.send, 1, Address("b", 1), "x", 100)
+        sim.run(until=until)
+        return got, sim.events_processed
+
+    got, events = lone(until=None)
+    assert events == 2  # the send and the arrival, not the receive
+    arrived = got[0] - 1e-3
+    got_bounded, events_bounded = lone(until=arrived + 5e-4)
+    assert got_bounded == [] and events_bounded == 2  # posted, not run
