@@ -212,7 +212,9 @@ class PeerEvent(WireMessage):
 
     def wire_size(self, envelope_bytes: int) -> int:
         event = self.event
-        return envelope_bytes + len(event.topic) + event.size + 8 * len(self.targets)
+        return (
+            envelope_bytes + len(event.topic) + event.size + 8 * len(self.targets)
+        )
 
 
 class SequenceRequest(WireMessage):
