@@ -71,7 +71,8 @@ class Cpu:
     ``execute(cost, fn, *args)`` queues a work item; ``fn`` runs when the
     item *finishes* service, i.e. the callback observes queueing + service
     delay.  Zero-cost items on an idle CPU run via the simulator queue at
-    the current time (still deterministic ordering).
+    the current time (still deterministic ordering), or in place through
+    :meth:`execute_last` when nothing else is due by then.
 
     Queue entries are ``(cost, fn, args)``, or ``(cost, None, train)``
     for a train: a list ``[cost, args, fn_N, ..., fn_1]`` of items that
