@@ -27,7 +27,9 @@ the knobs the Figure 3 calibration turns.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.broker.event import NBEvent, freeze_payload
 from repro.broker.gateway import Gateway
@@ -236,6 +238,8 @@ class Broker:
         self._peer_socket.on_receive(self._on_peer_message)
 
         self._clients: Dict[str, _ClientRecord] = {}
+        #: Bumped by every change to ``_clients``; validates fan-out plans.
+        self._clients_generation = 0
         #: Pending and overflow-evicted reliable events across every
         #: client outbox this broker ever opened, kept by the outboxes.
         self._outboxes = OutboxTally()
@@ -698,6 +702,7 @@ class Broker:
         self._clients[client_id] = _ClientRecord(
             client_id, link, outbox, last_seen=self.sim.now
         )
+        self._clients_generation += 1
         self.host.cpu.execute(
             self.profile.control_cost_s,
             link.send,
@@ -835,6 +840,7 @@ class Broker:
         record = self._clients.pop(client_id, None)
         if record is None:
             return
+        self._clients_generation += 1
         if record.outbox is not None:
             record.outbox.close()
         patterns = self._local_subs.patterns_for(client_id)
@@ -968,12 +974,6 @@ class Broker:
             entry = self.resolve_route(event.topic)
         if not entry.local_targets:
             return
-        cpu = self.host.cpu
-        charge_gc = cpu.gc_profile is not None
-        execute = cpu.execute
-        # A firewall would see a train's pinholes open early (DESIGN.md §7).
-        train = cpu.execute_train if self.host.firewall is None else None
-        clients = self._clients
         send_cost = entry.send_cost_s(self.profile, event.size)
         alloc = self.profile.alloc_bytes_per_send
         if len(entry.local_targets) > 1:
@@ -983,13 +983,67 @@ class Broker:
             event.payload = freeze_payload(event.payload)
         # One envelope + one wire-size computation for the whole fan-out;
         # destinations are distinguished by their link.
-        shared = EventDelivery(event)
-        wire_size = self.profile.envelope_bytes + len(event.topic) + event.size
-        sized = (shared, wire_size)
+        sized = (
+            EventDelivery(event),
+            self.profile.envelope_bytes + len(event.topic) + event.size,
+        )
+        sends = entry.local_plan
+        if (
+            sends is not None
+            and entry.plan_generation == self._clients_generation
+            and not event.reliable
+            and event.trace is None
+            and self.host.firewall is None
+            and (exclude is None or exclude not in entry.local_targets)
+        ):
+            # The walk below, as it came out the last time: every live
+            # target took a plain datagram send, so one train carries all
+            # (and counts as the delivered list: untraced, only its length
+            # is read).
+            delivered = sends
+            if sends:
+                self.host.cpu.execute_train(send_cost, sends, sized, alloc)
+        else:
+            delivered = self._walk_local(
+                event, exclude, entry, sized, send_cost, alloc
+            )
+        self.events_delivered += len(delivered)
+        if not delivered:
+            return
+        if not internal_topic(event.topic):
+            # Management-plane deliveries (monitor samples, traces,
+            # alerts) must not pollute the media-delay histogram.
+            self.delivery_latency.observe(self.sim.now - event.published_at)
+        if event.trace is not None:
+            self._complete_trace(event, delivered)
+
+    def _walk_local(
+        self,
+        event: NBEvent,
+        exclude: Optional[str],
+        entry: RouteEntry,
+        sized: Tuple[EventDelivery, int],
+        send_cost: float,
+        alloc: int,
+    ) -> Sequence[str]:
+        """Queue the sends of ``event`` (the shared delivery and its wire
+        size: ``sized``) to each live local target but ``exclude``, in
+        ``entry.local_targets`` order; returns the client ids sent to.
+        When every one was a plain datagram send, the walk is kept on
+        ``entry`` as its plan (``_deliver_local``)."""
+        cpu = self.host.cpu
+        charge_gc = cpu.gc_profile is not None
+        execute = cpu.execute
+        # A firewall would see a train's pinholes open early (DESIGN.md §7).
+        train = cpu.execute_train if self.host.firewall is None else None
+        clients = self._clients
+        # Whether this walk is one the plan may stand in for.
+        plain = train is not None and not event.reliable
         delivered: List[str] = []
         sends = []  # datagram sends, queued to the CPU as one job (a train)
         for client_id in entry.local_targets:
             if client_id == exclude:
+                plain = False
                 continue
             record = clients.get(client_id)
             if record is None:
@@ -1001,6 +1055,7 @@ class Broker:
             ):
                 sends.append(link.send_sized)
                 continue
+            plain = False
             if sends:  # FIFO: the sends before this item go first
                 train(send_cost, sends, sized, alloc)
                 sends = []
@@ -1009,20 +1064,15 @@ class Broker:
             if event.reliable and record.outbox is not None:
                 execute(send_cost, record.outbox.send, event)
             else:
-                execute(send_cost, link.send_sized, shared, wire_size)
+                execute(send_cost, link.send_sized, *sized)
         if sends:
             train(send_cost, sends, sized, alloc)
-        self.events_delivered += len(delivered)
-        if not delivered:
-            return
-        if not internal_topic(event.topic):
-            # Management-plane deliveries (monitor samples, traces,
-            # alerts) must not pollute the media-delay histogram.
-            self.delivery_latency.observe(self.sim.now - event.published_at)
-        if event.trace is not None:
-            self._complete_trace(event, delivered)
+        if plain and event.trace is None:
+            entry.local_plan = sends
+            entry.plan_generation = self._clients_generation
+        return delivered
 
-    def _complete_trace(self, event: NBEvent, delivered: List[str]) -> None:
+    def _complete_trace(self, event: NBEvent, delivered: Sequence[str]) -> None:
         """Close the in-progress hop and publish the finished trace.
 
         One :class:`CompletedTrace` per *delivering broker* (carrying the
@@ -1292,6 +1342,7 @@ class Broker:
             if record.outbox is not None:
                 record.outbox.close()
         self._clients.clear()
+        self._clients_generation += 1
         self._udp.close()
         self._tcp.close()
         self._ssl.close()

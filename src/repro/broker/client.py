@@ -68,6 +68,20 @@ KEEPALIVE_MISS_LIMIT = 3
 FAILOVER_MAX_BACKOFF_S = 8.0
 
 
+class _DispatchMemo(dict):
+    """topic -> the handlers matching it, for one state of the handler
+    list: ``handlers`` at length ``count``.  Subscribe and unsubscribe
+    start a new memo, so a dispatch that finds its memo replaced knows a
+    handler changed the list under it."""
+
+    __slots__ = ("handlers", "count")
+
+    def __init__(self, handlers: List[Tuple[str, Tuple[str, ...], EventHandler]]):
+        super().__init__()
+        self.handlers = handlers
+        self.count = len(handlers)
+
+
 class BrokerClient:
     """One collaboration endpoint attached to the broker network."""
 
@@ -99,10 +113,7 @@ class BrokerClient:
         ] = None
         self._transport: Optional[ClientTransport] = None
         self._handlers: List[Tuple[str, Tuple[str, ...], EventHandler]] = []
-        # topic -> handlers matching it; valid only while ``_handlers`` is
-        # the list object ``_memo_of`` at length ``_memo_len``.
-        self._memo: Dict[str, List[EventHandler]] = {}
-        self._memo_of, self._memo_len = self._handlers, 0
+        self._memo = _DispatchMemo(self._handlers)
         self._pending: List[Tuple[Any, int]] = []
         self._on_connected: Optional[Callable[["BrokerClient"], None]] = None
         self._reliable_inbox = ReliableInbox()
@@ -189,6 +200,7 @@ class BrokerClient:
             raise ValueError(f"unsupported link type {link_type}")
         self._transport = transport
         transport.on_message = self._on_message
+        transport.on_event = self._dispatch  # what _on_event does for it
         transport.on_ready = lambda: self._send_connect(link_type, 0)
         transport.on_lost = self._on_transport_lost
         transport.start()
@@ -391,6 +403,7 @@ class BrokerClient:
         """
         compiled = compile_pattern(pattern)
         self._handlers.append((pattern, compiled, handler))
+        self._memo = _DispatchMemo(self._handlers)
         already_pending = pattern in self._subscribe_timers
         self._send(Subscribe(client_id=self.client_id, pattern=pattern))
         if not already_pending:
@@ -435,6 +448,7 @@ class BrokerClient:
                     continue
                 remaining.append(entry)
             self._handlers = remaining
+        self._memo = _DispatchMemo(self._handlers)
         if any(p == pattern for (p, _c, _h) in self._handlers):
             return  # other handlers still rely on the subscription
         timer = self._subscribe_timers.pop(pattern, None)
@@ -575,32 +589,31 @@ class BrokerClient:
         self.events_received += 1
         if self._receive_latency is not None and not internal_topic(event.topic):
             self._receive_latency.observe(self.sim.now - event.published_at)
-        handlers = self._handlers
-        count = len(handlers)
-        if handlers is not self._memo_of or count != self._memo_len:
-            # subscribe appended, or unsubscribe rebound, since it was built
-            self._memo, self._memo_of, self._memo_len = {}, handlers, count
+        memo = self._memo
         topic = event.topic
-        matched = self._memo.get(topic)
+        matched = memo.get(topic)
         if matched is None:
-            if len(self._memo) >= DISPATCH_MEMO_TOPICS:
-                self._memo.clear()
+            if len(memo) >= DISPATCH_MEMO_TOPICS:
+                memo.clear()
             # Split once per topic, not once per handler pattern.
             topic_segments = topic[1:].split("/")
-            matched = self._memo[topic] = []
-            for _pattern, compiled, handler in handlers:
+            matched = memo[topic] = []
+            for _pattern, compiled, handler in memo.handlers:
                 if match_segments(compiled, topic_segments):
                     matched.append(handler)
         for handler in matched:
             handler(event)
-        # A handler subscribed during this walk was appended to the list
-        # being walked and sees the current event; an unsubscribe rebound
-        # ``self._handlers`` and left this walk alone.
-        while count < len(handlers):
-            _pattern, compiled, handler = handlers[count]
-            count += 1
-            if match_segments(compiled, topic[1:].split("/")):
-                handler(event)
+        if self._memo is not memo:
+            # A handler subscribed or unsubscribed during this walk.  One
+            # subscribed was appended to the list being walked and sees the
+            # current event; an unsubscribe rebound ``self._handlers`` and
+            # left this walk alone.
+            handlers, count = memo.handlers, memo.count
+            while count < len(handlers):
+                _pattern, compiled, handler = handlers[count]
+                count += 1
+                if match_segments(compiled, topic[1:].split("/")):
+                    handler(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.connected else "down"

@@ -489,6 +489,8 @@ class UdpClientLink(ClientLink):
         self.kind = kind
         self._socket = socket
         self.client_address = client_address
+        # One bound method, shared by every fan-out plan that sends here.
+        self.send_sized = self.send_sized
 
     def _transmit(self, message: Any, size: int) -> None:
         socket = self._socket
@@ -565,6 +567,10 @@ class ClientTransport:
 
     def __init__(self) -> None:
         self.on_message: Optional[Callable[[Any], None]] = None
+        #: Takes a plain event (neither reliable nor sequenced) straight
+        #: from an :class:`EventDelivery`; a transport may route one there
+        #: instead of through ``on_message``.
+        self.on_event: Optional[Callable[[NBEvent], None]] = None
         self.on_ready: Optional[Callable[[], None]] = None
         #: Called with this transport when a send finds the link gone.
         self.on_lost: Optional[Callable[["ClientTransport"], None]] = None
@@ -619,8 +625,14 @@ class UdpClientTransport(ClientTransport):
         if socket.closed:
             return
         socket.received_packets += 1
+        message = datagram.payload
+        if message.__class__ is EventDelivery and self.on_event is not None:
+            event = message.event
+            if not event.reliable and event.sequence is None:
+                self.on_event(event)
+                return
         if self.on_message is not None:
-            self.on_message(datagram.payload)
+            self.on_message(message)
 
     def close(self) -> None:
         self._socket.close()

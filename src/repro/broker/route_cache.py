@@ -15,7 +15,10 @@ topic as a :class:`RouteEntry`:
   broker's deterministic behaviour);
 * the remote broker target set with interest in the topic;
 * the next-hop groups ``(peer, frozenset(targets))`` in flood order;
-* a per-payload-size memo of the profile send cost.
+* a per-payload-size memo of the profile send cost;
+* the local fan-out's plan: the datagram sends the broker's walk over
+  the local subscribers queued last time, kept while the client table's
+  generation holds, so a plain publish skips the walk.
 
 Invalidation is **generation-based and lazy**: every entry records the
 ``(local_subs, remote_interest, routes)`` generation triple it was
@@ -33,7 +36,7 @@ numbers the slow path charges, so Figure 3 calibration is untouched.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.broker.profile import BrokerProfile
@@ -68,6 +71,8 @@ class RouteEntry:
         "next_hop_groups",
         "intra_targets",
         "inter_targets",
+        "plan_generation",
+        "local_plan",
         "_send_costs",
     )
 
@@ -86,6 +91,11 @@ class RouteEntry:
         self.next_hop_groups = next_hop_groups
         self.intra_targets = intra_targets
         self.inter_targets = inter_targets
+        #: The sends of the local fan-out when every live target took a
+        #: plain datagram send (``Broker._walk_local``), valid while the
+        #: broker's client table is at ``plan_generation``; or None.
+        self.local_plan: Optional[List] = None
+        self.plan_generation = -1
         self._send_costs: Dict[int, float] = {}
 
     def send_cost_s(self, profile: "BrokerProfile", payload_bytes: int) -> float:

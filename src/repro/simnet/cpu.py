@@ -12,12 +12,12 @@ When cumulative allocation crosses the young-generation budget the CPU takes
 a stop-the-world pause whose duration scales with the live heap — this is
 what produces the spiky jitter traces of the JMF baseline.
 
-Completions in place: where a completion would be posted as the last
-thing an event does — :meth:`Cpu.execute_last` on an idle CPU, the job
-queued behind one that completes, a train's boundaries — one that
-:meth:`Simulator.next_or_post` proves is the kernel's next event runs
-there instead, at the same ``now + cost`` time; a chain of them is the
-loop in :meth:`Cpu._complete`.
+Completions in place: a completion that is provably the kernel's next
+event runs where it would have been posted, at the same ``now + cost``
+time: it is due by ``Simulator._until`` (the end of a ``run()`` without
+``max_events``, else -inf) and strictly before the heap head (a ghost
+counts).  ``Host.deliver`` applies the rule to a receive on an idle CPU,
+:meth:`Cpu._complete` to the job behind one and to a train's boundaries.
 
 Trains: :meth:`Cpu.execute_train` queues a run of equal-cost items as one
 job.  When the job reaches the server, its items run in one kernel event,
@@ -37,6 +37,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.simnet.kernel import Simulator
@@ -71,8 +72,9 @@ class Cpu:
     ``execute(cost, fn, *args)`` queues a work item; ``fn`` runs when the
     item *finishes* service, i.e. the callback observes queueing + service
     delay.  Zero-cost items on an idle CPU run via the simulator queue at
-    the current time (still deterministic ordering), or in place through
-    :meth:`execute_last` when nothing else is due by then.
+    the current time (still deterministic ordering); a receive on an idle
+    CPU (``Host.deliver``) completes in place when nothing else is due by
+    then.
 
     Queue entries are ``(cost, fn, args)``, or ``(cost, None, train)``
     for a train: a list ``[cost, args, fn_N, ..., fn_1]`` of items that
@@ -116,22 +118,6 @@ class Cpu:
             self._busy = True
             self.busy_time += cost_s
             self.sim.post(cost_s, self._complete, (fn, args))
-
-    def execute_last(self, cost_s: float, fn: Callable[..., Any], *args: Any) -> None:
-        """:meth:`execute` as the last thing a kernel event does.  On an
-        idle CPU whose completion is provably the kernel's next event
-        (:meth:`Simulator.next_or_post`), the item completes here, in
-        place: at the same ``now + cost`` time and in the same order."""
-        if cost_s < 0:
-            raise ValueError(f"negative CPU cost {cost_s}")
-        if self._busy:
-            self._queue.append((cost_s, fn, args))
-            return
-        self._busy = True
-        self.busy_time += cost_s
-        sim = self.sim
-        if sim.next_or_post(sim.now + cost_s, self._complete, (fn, args)):
-            self._complete(fn, args)
 
     def execute_train(
         self,
@@ -227,19 +213,20 @@ class Cpu:
 
     def _complete(self, fn: Optional[Callable[..., Any]], args: Any) -> None:
         """Job ``fn(*args)`` completes now (``fn`` None: the next item of
-        the train ``args`` does).  Run it, then serve the job queued
-        behind it.  Each next completion that :meth:`Simulator.next_or_post`
-        proves is the kernel's next event runs here, in place; the first
-        that is not is posted."""
+        the train ``args`` does; ``args`` None too: the job ran already).
+        Run it, then serve the job queued behind it.  Each next completion
+        that is provably the kernel's next event (the module docstring's
+        rule) runs here, in place; the first that is not is posted."""
         sim = self.sim
         while True:
-            if fn is None:
+            if fn is None and args is not None:
                 due = self._run_train(args)
                 if len(args) == 3:  # the last item completes as a job
                     fn, args = args[2], args[1]
             else:
-                self.tasks_executed += 1
-                fn(*args)
+                if fn is not None:
+                    self.tasks_executed += 1
+                    fn(*args)
                 queue = self._queue
                 if not queue:
                     self._busy = False
@@ -247,8 +234,14 @@ class Cpu:
                 cost_s, fn, args = queue.popleft()
                 self.busy_time += cost_s
                 due = sim.now + cost_s
-            if not sim.next_or_post(due, self._complete, (fn, args)):
-                return
+            heap = sim._queue
+            if due <= sim._until and (not heap or due < heap[0][0]):
+                sim.now = due
+                continue
+            seq = sim._next_seq
+            sim._next_seq = seq + 1
+            heappush(heap, [due, seq, self._complete, (fn, args)])
+            return
 
     def _run_train(self, train: list) -> float:
         """The next item of ``train`` — ``[cost, args, fn_N, ..., fn_k]``,
@@ -264,18 +257,19 @@ class Cpu:
         # generation has them promoted wholesale, which costs the collector
         # more than the batch saves the kernel.
         batch = max(1, gc.get_threshold()[0] // 4)
-        ran = 0
+        limit = left = min(batch, len(train) - 3)  # short of the last item
         busy_time = self.busy_time
         while True:
             # Popping the item as it runs drops the train's reference: what
             # it sends then does not pile up on top of the train for the GC.
             train.pop()(*args)
-            ran += 1
+            left -= 1
             busy_time += cost_s
             due = now + cost_s
-            if ran == batch or len(train) == 3 or due >= horizon:
+            if not left or due >= horizon:
                 break
             sim.now = now = due
+        ran = limit - left
         # Items never read this CPU, so its tallies can be written once.
         self.busy_time = busy_time
         self.tasks_executed += ran

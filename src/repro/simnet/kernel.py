@@ -14,22 +14,24 @@ run, 400 receivers, executes ~830 kernel events per media packet):
   pushes a :class:`Timer` (a ``list`` subclass with ``cancel()``);
   ``post()`` pushes a plain list for callers that discard the handle.
   One heap, one order and one dispatch loop serve both.
+* ``Host.send``, ``Host.deliver`` and ``Cpu._complete`` push plain
+  entries themselves, taking the next ``seq`` as ``post()`` does.
 * ``schedule()`` is self-contained (no delegation) and stores ``args=None``
   for the dominant zero-arg case so the dispatch loop can call ``fn()``
   directly without ``*()`` unboxing.
 * ``now`` is a plain slot attribute: a property cost a Python frame per
-  read, several reads per packet.  Only the kernel writes it.
-* ``run()`` is a batched drain: ``heappop``/queue/locals are hoisted once
-  per call instead of resolved per event.
+  read, several reads per packet.  Only the kernel and the in-place
+  completions (below) write it.
+* ``run()`` pops first; an entry past ``until`` goes back with its own
+  ``seq``.  ``max_events`` dispatches through :meth:`Simulator.step`.
 * Cancelled timers null their callback slot in place (O(1)) and the heap is
   compacted when ghosts exceed half the queue — unbounded ghost growth from
   heartbeat-heavy workloads was a real leak (see ``heap_compactions``).
 * Every :class:`Timer` is also kept in a second heap so :meth:`horizon`
   can say when the next one is due; a CPU train runs its items ahead of
   the clock only up to there (``simnet/cpu.py``, DESIGN.md §7).
-
-* :meth:`Simulator.next_or_post` lets a CPU completion that is provably
-  the next event ``run()`` would dispatch run in place, uncounted.
+* A CPU completion that is provably the next event runs in place,
+  uncounted (``simnet/cpu.py``); ``_until`` is what it needs to know.
 
 :meth:`Simulator.step` is the plain one-event-at-a-time dispatch, and it
 never looks ahead: no train batch, no completion in place.  The kernel
@@ -63,8 +65,8 @@ class Timer(list):
 
     A fired or cancelled timer has ``self[2] is None``; the distinction
     does not matter to callers (``cancel()`` is idempotent and a no-op
-    after firing) and nulling the slots releases callback/arg references
-    promptly.
+    after firing).  Cancelling also drops the arguments; firing leaves
+    them to the handle.
     """
 
     __slots__ = ("sim",)
@@ -73,7 +75,7 @@ class Timer(list):
     # through the inherited C-level list constructor and assigns ``sim``
     # afterwards, avoiding a Python frame per scheduled event.
 
-    # Read-only views kept for API compatibility; none are on a hot path.
+    # Read-only views for tests; neither is on a hot path.
     @property
     def time(self) -> float:
         return self[0]
@@ -81,18 +83,6 @@ class Timer(list):
     @property
     def seq(self) -> int:
         return self[1]
-
-    @property
-    def fn(self) -> Optional[Callable[..., Any]]:
-        return self[2]
-
-    @property
-    def args(self) -> tuple:
-        return self[3] if self[3] is not None else ()
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from firing (O(1); the ghost heap entry is
@@ -149,7 +139,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of callbacks executed so far."""
+        """Total number of callbacks executed so far (a :meth:`run` in
+        progress adds its own when it returns)."""
         return self._events_processed
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
@@ -190,28 +181,6 @@ class Simulator:
         self._next_seq = seq + 1
         heapq.heappush(self._queue, [self.now + delay, seq, fn, args])
 
-    def next_or_post(
-        self, due: float, fn: Callable[..., Any], args: Optional[tuple]
-    ) -> bool:
-        """Post ``fn(*args)`` for virtual time ``due`` (not before ``now``)
-        — unless that entry would provably be the next event :meth:`run`
-        dispatches: a run without ``max_events`` is active, ``due`` lies
-        within it and strictly before the heap head (a cancelled ghost at
-        the head counts as one).  Then nothing is posted, ``now`` becomes
-        ``due`` and True is returned: a caller whose posting is the last
-        thing its event does runs ``fn(*args)`` itself, in place.  The
-        entry would have run at the same time with nothing between, so
-        only :attr:`events_processed` can tell (DESIGN.md §7)."""
-        if due <= self._until:
-            queue = self._queue
-            if not queue or due < queue[0][0]:
-                self.now = due
-                return True
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        heapq.heappush(self._queue, [due, seq, fn, args])
-        return False
-
     def _note_timer(self, timer: Timer) -> None:
         timers = self._timers
         heapq.heappush(timers, timer)
@@ -235,23 +204,23 @@ class Simulator:
         """Number of queued (possibly cancelled) timers."""
         return len(self._queue)
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False when idle.
-
-        Nothing looks ahead of the event (the horizon is -inf): a CPU
-        train advances one item per step and :meth:`next_or_post` always
-        posts, exactly as with one event per CPU item."""
+    def step(self, until: float = math.inf) -> bool:
+        """Execute the next pending event if it is due by ``until``;
+        False when there is none.  Nothing looks ahead of the event (the
+        horizon is -inf): a CPU train advances one item per step and no
+        completion runs in place, exactly as with one event per item."""
         queue = self._queue
         while queue:
             entry = heapq.heappop(queue)
-            fn = entry[2]
+            time, _seq, fn, args = entry
             if fn is None:
                 self._ghosts -= 1
                 continue
-            args = entry[3]
-            entry[2] = None
-            entry[3] = None
-            self.now = entry[0]
+            if time > until:
+                heapq.heappush(queue, entry)  # its own seq: order unchanged
+                return False
+            entry[2] = None  # a fired Timer reads as fired
+            self.now = time
             self._events_processed += 1
             outer_until, self._until = self._until, -math.inf
             if args is None:
@@ -264,48 +233,47 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have executed.  Returns the number executed.
+        ``max_events`` have executed (through :meth:`step`, nothing
+        ahead of the clock).  Returns the number executed.
 
         When ``until`` is given, virtual time is advanced to exactly
-        ``until`` even if the queue drains earlier.
+        ``until`` even if the queue drains earlier (unless ``max_events``
+        stopped the run with events still queued).
         """
-        queue = self._queue
-        heappop = heapq.heappop
-        limit = -1 if max_events is None else max_events
+        end = math.inf if until is None else until
         executed = 0
-        ep = self._events_processed
-        outer_until = self._until
         if max_events is not None:
-            self._until = -math.inf  # counted dispatch: one event at a time
-        else:
-            self._until = math.inf if until is None else until
-        while queue:
-            if executed == limit:
-                self._until = outer_until
-                return executed
-            entry = queue[0]
-            fn = entry[2]
-            if fn is None:
-                heappop(queue)
-                self._ghosts -= 1
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                break
-            heappop(queue)
-            args = entry[3]
-            entry[2] = None
-            entry[3] = None
-            self.now = time
-            ep += 1
-            self._events_processed = ep
-            if args is None:
-                fn()
+            for _ in range(max_events):
+                if not self.step(end):
+                    break
+                executed += 1
             else:
-                fn(*args)
-            executed += 1
-            ep = self._events_processed  # callbacks may step()/run() reentrantly
-        self._until = outer_until
+                if self._queue:
+                    return executed
+        else:
+            queue = self._queue
+            heappop = heapq.heappop
+            outer_until, self._until = self._until, end
+            try:
+                while queue:
+                    entry = heappop(queue)
+                    time, _seq, fn, args = entry
+                    if fn is None:
+                        self._ghosts -= 1
+                        continue
+                    if time > end:
+                        heapq.heappush(queue, entry)  # its own seq: same order
+                        break
+                    entry[2] = None  # a fired Timer reads as fired
+                    self.now = time
+                    executed += 1
+                    if args is None:
+                        fn()
+                    else:
+                        fn(*args)
+            finally:
+                self._events_processed += executed
+                self._until = outer_until
         if until is not None and until > self.now:
             self.now = until
         return executed

@@ -5,6 +5,8 @@ both the sending and receiving side) and the fabric adds a base latency,
 optionally overridden per host pair — that is how the US↔China wide-area
 paths in the deployment examples are expressed.  Multicast groups deliver
 to every joined (host, port) member, honoring per-member path properties.
+The per-packet routine is ``Host.send``; this class holds the tables it
+reads and builds the per-host path records it keeps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LinkProfile, LAN_100M
 from repro.simnet.multicast import is_multicast
-from repro.simnet.node import Host
+from repro.simnet.node import MULTICAST, Host
 from repro.simnet.packet import Address, Datagram
 from repro.simnet.rng import SeededStreams
 
@@ -41,8 +43,6 @@ class Network:
         self._region_of: Dict[str, str] = {}
         self._region_latency: Dict[Tuple[str, str], Tuple[float, float]] = {}
         self._region_blocked: Set[FrozenSet[str]] = set()
-        #: (src host, dst host) -> resolved path record; see _resolve_path.
-        self._paths: Dict[Tuple[str, str], tuple] = {}
         self._groups: Dict[str, Set[Address]] = {}
         self._taps: List[Callable[[Datagram], None]] = []
         self.delivered_packets = 0
@@ -82,8 +82,9 @@ class Network:
         self.forget_paths()
 
     def forget_paths(self) -> None:
-        """Drop every path record: an input of ``_resolve_path`` changed."""
-        self._paths.clear()
+        """Drop every path record: an input of :meth:`resolve_path` changed."""
+        for host in self._hosts.values():
+            host._paths.clear()
 
     def fabric_latency(self, src: str, dst: str) -> float:
         override = self._path_latency.get((src, dst))
@@ -210,102 +211,66 @@ class Network:
     def add_tap(self, tap: Callable[[Datagram], None]) -> None:
         """Register a passive observer called for every routed datagram."""
         self._taps.append(tap)
+        self.forget_paths()  # records say whether there are taps to call
 
-    def route_future(
-        self, datagram: Datagram, tx_done: float, tap: bool = True
-    ) -> None:
-        """Entry point from a sending NIC, and the one unicast routine.
-
-        ``tx_done`` is the (possibly future) virtual time at which the
-        NIC's arithmetic serialization model says the last bit leaves the
-        wire; propagation is added on top so the whole send pipeline costs
-        one kernel event.  Loss and jitter are sampled here — at enqueue,
-        in the sending host's send order, from that host's own stream —
-        and what depends only on the host pair comes from its path record.
-        """
-        if tap and self._taps:
-            for observer in self._taps:
-                observer(datagram)
-        src_name = datagram.src.host
-        dst_name = datagram.dst.host
-        path = self._paths.get((src_name, dst_name))
-        if path is None:
-            # Group addresses are never registered as hosts, so only a
-            # miss on both tables pays the multicast parse.
-            if dst_name not in self._hosts:
-                if is_multicast(dst_name):
-                    self._route_multicast(datagram, tx_done)
-                    return
-                raise UnknownHostError(dst_name)
-            path = self._resolve_path(src_name, dst_name)
-        (blocked, region_loss, src_loss, dst_loss, latency, src_jitter,
-         dst_latency, dst_jitter, deliver, rand) = path
-        if blocked:
-            self.lost_packets += 1
-            self.blackholed_packets += 1
-            return
-        if (
-            (region_loss > 0.0 and rand() < region_loss)
-            or (src_loss > 0.0 and rand() < src_loss)
-            or (dst_loss > 0.0 and rand() < dst_loss)
-        ):
-            self.lost_packets += 1
-            return
-        if src_jitter:
-            # Same draw as rng.uniform(0, jitter), minus the frame.
-            latency += src_jitter * rand()
-        latency += dst_latency
-        if dst_jitter:
-            latency += dst_jitter * rand()
-        self.delivered_packets += 1
-        sim = self.sim
-        sim.post(tx_done - sim.now + latency, deliver, (datagram,))
-
-    def _resolve_path(self, src_name: str, dst_name: str) -> tuple:
-        """Build and keep the pair's path record: what :meth:`route_future`
-        would otherwise re-derive per packet (DESIGN.md §7).  ``latency``
-        pre-sums only ``fabric + src link latency``: the jitter draws land
-        between the remaining terms, and float addition must keep the order
+    def resolve_path(self, host: Host, dst_name: str) -> tuple:
+        """Build and keep ``host``'s path record to ``dst_name``: what
+        :meth:`Host.send` would otherwise re-derive per packet (DESIGN.md
+        §7).  ``(hazard, latency, src_jitter, dst_latency, dst_jitter,
+        deliver, rand)``: ``hazard`` is ``MULTICAST`` for a group, else
+        None unless taps, a blackhole or a lossy leg make it ``(taps,
+        blocked, region_loss, src_loss, dst_loss)``.  ``latency`` pre-sums
+        only ``fabric + src``: float addition must keep the order
         ``(((fabric + src) + src_jitter·r1) + dst) + dst_jitter·r2``.  The
-        draws come from the source host's ``network:<name>`` stream, so
-        one host's traffic never shifts another's.  An unregistered source
-        has no link terms and is not remembered."""
-        blocked = self.path_blocked(src_name, dst_name) or \
-            self.region_path_blocked(src_name, dst_name)
-        latency = self.fabric_latency(src_name, dst_name)
-        region_a = self._region_of.get(src_name)
-        region_b = self._region_of.get(dst_name)
-        wan = None if region_a == region_b else self.region_latency(region_a, region_b)
-        src_loss = src_jitter = 0.0
-        src_host = self._hosts.get(src_name)
-        if src_host is not None:
-            link = src_host.link
-            src_loss = link.loss_rate
-            latency += link.latency_s
-            src_jitter = link.jitter_s
-        dst_host = self._hosts[dst_name]
-        link = dst_host.link
-        path = (
-            blocked, 0.0 if wan is None else wan[1], src_loss, link.loss_rate,
-            latency, src_jitter, link.latency_s, link.jitter_s, dst_host.deliver,
-            self.streams.stream(f"network:{src_name}").random,
-        )
-        if src_host is not None:  # an unregistered name may register later
-            self._paths[(src_name, dst_name)] = path
+        draws come from the sender's ``network:<name>`` stream, so one
+        host's traffic never shifts another's."""
+        src_name = host.name
+        dst_host = self._hosts.get(dst_name)
+        if dst_host is None:
+            if not is_multicast(dst_name):  # groups are never hosts
+                raise UnknownHostError(dst_name)
+            path = (MULTICAST, 0.0, 0.0, 0.0, 0.0, None, None)
+        else:
+            blocked = self.path_blocked(src_name, dst_name) or \
+                self.region_path_blocked(src_name, dst_name)
+            region_a = self._region_of.get(src_name)
+            region_b = self._region_of.get(dst_name)
+            wan = None if region_a == region_b \
+                else self.region_latency(region_a, region_b)
+            region_loss = 0.0 if wan is None else wan[1]
+            src_link = host.link
+            dst_link = dst_host.link
+            hazard = None
+            if (
+                self._taps or blocked or region_loss > 0.0
+                or src_link.loss_rate > 0.0 or dst_link.loss_rate > 0.0
+            ):
+                hazard = (
+                    self._taps, blocked, region_loss,
+                    src_link.loss_rate, dst_link.loss_rate,
+                )
+            path = (
+                hazard,
+                self.fabric_latency(src_name, dst_name) + src_link.latency_s,
+                src_link.jitter_s, dst_link.latency_s, dst_link.jitter_s,
+                dst_host.deliver,
+                self.streams.stream(f"network:{src_name}").random,
+            )
+        if self._hosts.get(src_name) is host:  # forget_paths reaches it
+            host._paths[dst_name] = path
         return path
 
-    def _route_multicast(self, datagram: Datagram, tx_done: float) -> None:
-        members = self._groups.get(datagram.dst.host)
-        if not members:
-            return
+    def route_future(self, host: Host, datagram: Datagram, tx_done: float) -> None:
+        """Expand ``host``'s multicast ``datagram``, serialized by
+        ``tx_done``: taps see it once, and each member but the sending
+        socket gets a copy through :meth:`Host.send`."""
+        for observer in self._taps:
+            observer(datagram)
         src = datagram.src
-        for member in sorted(members):
-            if member.host == src.host and member.port == src.port:
+        for member in sorted(self._groups.get(datagram.dst.host, ())):
+            if member == src:
                 continue  # no loopback to the sending socket
-            copy = datagram.clone()
-            copy.dst = member
-            # Taps saw the group datagram once; the clones are not re-shown.
-            self.route_future(copy, tx_done, tap=False)
+            host.send(src.port, member, datagram.payload, datagram.size, tx_done)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Network hosts={len(self._hosts)} groups={len(self._groups)}>"

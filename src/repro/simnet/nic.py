@@ -10,33 +10,29 @@ timer per packet: the NIC keeps the virtual time at which its transmitter
 frees up (``_free_at``) plus a lazily-purged ledger of not-yet-started
 packets for tail-drop accounting.  Each accepted datagram's completion
 time is ``max(now, free_at) + size/rate`` — identical to simulating the
-queue event-by-event, but with zero kernel events of its own.  The
-completion time is handed straight to the ``route_future`` hook
-(``Network.route_future`` on a host) so the whole serialize-then-propagate
-pipeline costs a single kernel event per packet.
+queue event-by-event, but with zero kernel events of its own.
+``Host.send`` does the arithmetic in the frame that also routes the
+datagram (one frame and one kernel event per packet); this class keeps
+the state, the counters and the getters the overload controller reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Tuple
+from typing import TYPE_CHECKING, Deque, Tuple
 
 from repro.simnet.kernel import Simulator
-from repro.simnet.packet import Datagram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.link import LinkProfile
 
-#: Signature of the delivery hook: ``(datagram, tx_done_time)``.
-RouteFuture = Callable[[Datagram, float], None]
-
 
 class Nic:
-    """Transmit-side interface queue for one host."""
+    """Transmit-side interface queue for one host (``Host.send`` moves
+    ``_free_at``, ``_pending`` and ``_queued_bytes``)."""
 
     __slots__ = (
         "sim",
-        "_route_future",
         "queue_limit_bytes",
         "_sec_per_byte",
         "_free_at",
@@ -51,11 +47,9 @@ class Nic:
         self,
         sim: Simulator,
         link: "LinkProfile",
-        route_future: RouteFuture,
         queue_limit_bytes: int = 2 * 1024 * 1024,
     ):
         self.sim = sim
-        self._route_future = route_future
         self.queue_limit_bytes = queue_limit_bytes
         self._sec_per_byte = 8.0 / link.bandwidth_bps
         self._free_at = 0.0
@@ -86,31 +80,6 @@ class Nic:
     @property
     def queued_bytes(self) -> int:
         return self._purge(self.sim.now)
-
-    def enqueue(self, datagram: Datagram) -> bool:
-        """Queue a datagram for transmission; False if tail-dropped."""
-        now = self.sim.now
-        size = datagram.size
-        pending = self._pending
-        queued = self._queued_bytes
-        while pending and pending[0][0] <= now:
-            queued -= pending.popleft()[1]
-        if queued + size > self.queue_limit_bytes:
-            self._queued_bytes = queued
-            self.dropped_packets += 1
-            return False
-        free_at = self._free_at
-        start = free_at if free_at > now else now
-        done = start + size * self._sec_per_byte
-        self._free_at = done
-        if start > now:
-            pending.append((start, size))
-            queued += size
-        self._queued_bytes = queued
-        self.sent_packets += 1
-        self.sent_bytes += size
-        self._route_future(datagram, done)
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic sent={self.sent_packets} dropped={self.dropped_packets}>"

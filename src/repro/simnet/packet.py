@@ -8,10 +8,7 @@ the payload object — is what NICs and links account against bandwidth.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, NamedTuple
-
-_datagram_ids = itertools.count(1)
 
 
 class Address(NamedTuple):
@@ -32,31 +29,17 @@ class Datagram:
         dst: destination endpoint (unicast host or multicast group).
         payload: arbitrary payload object (protocol message, bytes, ...).
         size: wire size in bytes, charged against NIC/link bandwidth.
-        sent_at: virtual time the datagram entered the sender's NIC queue.
     """
 
-    __slots__ = ("id", "src", "dst", "payload", "size", "sent_at")
+    __slots__ = ("src", "dst", "payload", "size")
 
-    def __init__(
-        self,
-        src: Address,
-        dst: Address,
-        payload: Any,
-        size: int,
-        sent_at: float = 0.0,
-    ):
+    def __init__(self, src: Address, dst: Address, payload: Any, size: int):
         if size <= 0:
             raise ValueError(f"datagram size must be positive, got {size}")
-        self.id = next(_datagram_ids)
         self.src = src
         self.dst = dst
         self.payload = payload
         self.size = size
-        self.sent_at = sent_at
-
-    def clone(self) -> "Datagram":
-        """Copy the datagram (fresh id), sharing the payload object."""
-        return Datagram(self.src, self.dst, self.payload, self.size, self.sent_at)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Datagram #{self.id} {self.src}->{self.dst} {self.size}B>"
+        return f"<Datagram {self.src}->{self.dst} {self.size}B>"

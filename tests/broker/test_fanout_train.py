@@ -208,3 +208,160 @@ def test_a_fan_out_is_one_job_until_a_timer_interrupts_it():
     assert train["probes"] == reference["probes"]
     assert 0 < train["probes"][0][1] < 40  # mid-train, items still queued
     assert train["probes"][0][2] > 0  # and datagrams waiting in the NIC
+
+
+# ------------------------------------------------------ the fan-out plan
+#
+# A route entry keeps the datagram sends of its local fan-out (its plan)
+# while the broker's client table does not change, and a plain publish
+# hands them to one train without walking the targets.  The reference
+# walks every time: it moves the client-table generation on before each
+# fan-out, so no plan is ever current.  Between publishes clients connect
+# (one over TCP), disconnect, die and are reaped, and reconnect; one of
+# the two publishers also subscribes, so its own fan-outs exclude it.
+
+_churn = st.lists(
+    st.tuples(
+        st.sampled_from(("pub", "pubsub")),
+        st.sampled_from((False, False, False, True)),  # reliable
+        st.sampled_from((
+            None, None, ("connect", LinkType.UDP), ("connect", LinkType.TCP),
+            ("disconnect",), ("kill",), ("reconnect",),
+        )),
+        st.integers(min_value=0, max_value=15),  # whom the churn picks
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def plan_run(seed, receivers, churn, walk, loss_rate=0.0):
+    sim = Simulator()
+    net = Network(sim, SeededStreams(seed))
+    link = LinkProfile(latency_s=0.0002, jitter_s=0.0005, loss_rate=loss_rate)
+    broker = Broker(net.create_host("b", link=link), reap_timeout_s=0.6)
+    shared = net.create_host("shared", link=link)
+    arrivals, trains, walks = [], [], []
+    execute_train = broker.host.cpu.execute_train
+
+    def logged_train(cost_s, fns, args, alloc_bytes=0):
+        trains.append((sim.now, [fn.__self__.client_id for fn in fns]))
+        execute_train(cost_s, fns, args, alloc_bytes)
+
+    broker.host.cpu.execute_train = logged_train
+    walk_local = broker._walk_local
+
+    def logged_walk(*args):
+        walks.append(sim.now)
+        return walk_local(*args)
+
+    broker._walk_local = logged_walk
+    if walk:
+        deliver_local = broker._deliver_local
+
+        def walked(event, exclude, entry=None):
+            broker._clients_generation += 1  # no plan is ever current
+            deliver_local(event, exclude, entry)
+
+        broker._deliver_local = walked
+    clients = []
+
+    def add_client(kind, where):
+        n = len(clients)
+        host = net.create_host(f"r{n}", link=link) if where == "own" else shared
+        client = BrokerClient(host, client_id=f"c{n}", keepalive_interval_s=0.2)
+        client.connect(broker, link_type=kind)
+        client.subscribe(TOPIC, lambda event, n=n: arrivals.append(
+            (sim.now, n, event.payload)
+        ))
+        clients.append(client)
+
+    for kind, where in receivers:
+        add_client(kind, "own" if where == "own" else "shared")
+    publishers = {}
+    for name in ("pub", "pubsub"):
+        publishers[name] = BrokerClient(
+            broker.host, client_id=name, keepalive_interval_s=0.2
+        )
+        publishers[name].connect(broker)
+    publishers["pubsub"].subscribe(TOPIC, lambda event: arrivals.append(
+        (sim.now, "pubsub", event.payload)
+    ))
+    sim.run(until=PUBLISH_AT)
+
+    def churn_step(action, pick):
+        if action[0] == "connect":
+            add_client(action[1], "own")
+            return
+        client = clients[pick % len(clients)]
+        if not client.connected:  # dropped, or its connect still in flight
+            if action[0] == "reconnect" and client._transport is None:
+                client.connect(broker)  # a dropped client comes back
+                client.subscribe(TOPIC, lambda event: None)
+        elif action[0] == "disconnect":
+            client.disconnect()
+        elif action[0] == "kill":
+            client.kill()  # the broker reaps it
+        else:
+            # A new transport under the same id: the broker replaces the
+            # client's record and keeps its subscriptions, so only the
+            # client table says the plan's link is gone.
+            client.reconnect(broker)
+
+    at = PUBLISH_AT
+    for n, (publisher, reliable, action, pick) in enumerate(churn):
+        sim.schedule_at(at, publishers[publisher].publish, TOPIC, n, 200, reliable)
+        if action is not None:
+            sim.schedule_at(at + 0.1, churn_step, action, pick)
+        at += 0.4 if action is None else 1.2
+    sim.run(until=at + 1.0)
+    return {
+        "arrivals": arrivals,
+        "trains": trains,
+        "broker": (broker.events_delivered, broker.statistics()),
+        "hosts": [
+            (host.name, host.received_packets, host.discarded_packets,
+             host.nic.sent_packets)
+            for host in net.hosts()
+        ],
+    }, walks
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**32), _receivers, _churn,
+    st.sampled_from((0.0, 0.0, 0.1)),
+)
+def test_a_plan_is_the_walk_it_stands_for(seed, receivers, churn, loss_rate):
+    planned, plan_walks = plan_run(seed, receivers, churn, False, loss_rate)
+    walked, walks = plan_run(seed, receivers, churn, True, loss_rate)
+    assert planned == walked
+    assert len(plan_walks) <= len(walks)
+
+
+def test_the_plan_stands_until_the_client_table_changes():
+    receivers = [(LinkType.UDP, "own")] * 6
+    steady = [("pub", False, None, 0)] * 4
+    result, walks = plan_run(1, receivers, steady, walk=False)
+    assert len(result["trains"]) == 4
+    assert len(walks) == 1  # the first fan-out walks; the rest use its plan
+    for action in (
+        ("connect", LinkType.UDP), ("disconnect",), ("kill",), ("reconnect",)
+    ):
+        churn = steady[:2] + [("pub", False, action, 3)] + steady[:2]
+        result, walks = plan_run(1, receivers, churn, walk=False)
+        # The change comes after the third publish, and the fourth walks
+        # again.  A killed client changes the table when it is reaped.
+        assert len(walks) == 2, action
+        assert result["broker"][1]["clients_reaped"] == (action[0] == "kill")
+    # A reliable event goes through the outboxes: it walks, and leaves
+    # the plan to the plain events around it.
+    reliable = [("pub", False, None, 0), ("pub", True, None, 0)] * 2
+    result, walks = plan_run(1, receivers, reliable, walk=False)
+    assert len(walks) == 3
+    # A publisher that subscribes is excluded from its own fan-out, so it
+    # walks every time, and leaves the other publisher's plan alone.
+    mixed = [("pub", False, None, 0), ("pubsub", False, None, 0)] * 2
+    result, walks = plan_run(1, receivers, mixed, walk=False)
+    assert len(walks) == 3
+    assert [len(fns) for _at, fns in result["trains"]] == [7, 6, 7, 6]

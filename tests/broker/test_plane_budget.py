@@ -23,10 +23,12 @@ from repro.simnet import Network, SeededStreams, Simulator
 PUBLISHES = 20
 #: Frames in ``repro/broker/`` per routed event on the central chain:
 #: 2,080 / 20 when the mesh and the gateway were still part of Broker,
-#: 2,060 / 20 after, and 1,040 / 20 since a NORMAL overload check is one
+#: 2,060 / 20 after, 1,040 / 20 once a NORMAL overload check was one
 #: comparison per signal (``should_shed`` and the outbox read per hop,
-#: where ``refresh``, its generators and the signal lambdas took 17).
-FRAMES_PER_EVENT = 52.0
+#: where ``refresh``, its generators and the signal lambdas took 17), and
+#: 1,000 / 20 since a plain event goes from the client transport straight
+#: to ``BrokerClient._dispatch``.
+FRAMES_PER_EVENT = 50.0
 
 BROKER_DIR = os.path.dirname(os.path.abspath(broker_module.__file__))
 

@@ -271,3 +271,25 @@ def test_an_idle_receiver_finishes_in_place():
     arrived = got[0] - 1e-3
     got_bounded, events_bounded = lone(until=arrived + 5e-4)
     assert got_bounded == [] and events_bounded == 2  # posted, not run
+
+
+def test_a_receive_due_with_the_heap_head_waits_its_turn():
+    """A free receive on an idle CPU is due at its arrival time; a timer
+    already queued for that same instant runs first, as it would if the
+    completion had been posted (it has the higher ``seq``)."""
+    def order(drain):
+        sim = Simulator()
+        net = Network(sim, SeededStreams(1))
+        host = net.create_host("h")
+        log = []
+        host.bind(1, lambda datagram: log.append("receive"), recv_cpu_cost_s=0.0)
+
+        def send_and_arm():
+            host.send(2, Address("h", 1), "x", 100)  # loopback
+            sim.schedule(host.LOOPBACK_LATENCY_S, log.append, "timer")
+
+        sim.schedule(0.5, send_and_arm)
+        drain(sim)
+        return log
+
+    assert order(drain_by_run) == order(drain_by_step) == ["timer", "receive"]

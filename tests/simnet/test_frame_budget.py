@@ -7,8 +7,9 @@ publish travels client (host A) -> broker (host B) -> UDP subscriber
 (host C) over warm paths; every frame entered in ``repro/simnet/`` and in
 the broker's per-packet modules during that trip is counted.  The trip
 used to cost 56 — ten of them ``Simulator.now`` property reads, and a
-full path resolution per wire packet.  A frame creeping back shows up
-here by name.
+full path resolution per wire packet — and 40 while NIC, route, post,
+receive and client dispatch were frames of their own.  A frame creeping
+back shows up here by name.
 
 A fan-out's sends run as one CPU job (DESIGN.md §7), and a receiver
 whose CPU is idle finishes the receive inside the arrival's event, so a
@@ -30,11 +31,16 @@ from repro.simnet import (
     Address, ChaosSchedule, LinkProfile, Network, SeededStreams, Simulator,
 )
 
-FRAME_BUDGET = 40
+FRAME_BUDGET = 22
 #: Kernel events per delivery on a 400-way fan-out: 3.0 before trains,
 #: 2.05 before an idle receiver finished its receive in place (4,140
 #: events for 4,000 deliveries since).
 EVENT_BUDGET = 1.035
+#: Frames per delivery on that fan-out, counted like FRAME_BUDGET: 14.19
+#: while the send and receive ends were a frame per stage (56,762 for
+#: 4,000 deliveries), 24,894 since — Host.send, Datagram.__init__,
+#: Host.deliver, send_sized, _on_datagram and _dispatch per delivery.
+FRAMES_PER_DELIVERY = 6.23
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(network_module.__file__)))
 HOT_DIRECTORY = os.path.join(_SRC, "simnet") + os.sep
@@ -139,11 +145,15 @@ def test_a_400_way_fan_out_costs_one_kernel_event_per_delivery():
     before = sim.events_processed
     for n in range(10):
         sim.schedule(0.05 * n, publisher.publish, "/room/video", n, 1000)
-    sim.run_for(0.6)
+    frames = hot_frames(lambda: sim.run_for(0.6))
 
     assert len(got) == 4000
     events = sim.events_processed - before
     assert events / len(got) <= EVENT_BUDGET, events
+    breakdown = "\n".join(
+        f"{calls:6d}  {name}" for name, calls in sorted(frames.items())
+    )
+    assert sum(frames.values()) / len(got) <= FRAMES_PER_DELIVERY, breakdown
 
 
 def _traffic(extra_sender=False, burst=False):

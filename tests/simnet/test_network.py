@@ -123,13 +123,11 @@ def test_network_tap_sees_all_datagrams(net, sim):
 
 # ---------------------------------------------------------- path records
 #
-# ``Network`` resolves each (src host, dst host) pair once and reuses the
-# record until a mutator of one of its inputs drops it.  Each case below
-# warms the record with a first send, mutates, sends again, and requires
-# the second send to come out bit-equal to the same send on a network
-# that had the mutation in place before anything was resolved.  (A path
-# from an unregistered source name is never kept, so registering the name
-# later is the one "mutator" with nothing to drop; its case pins that.)
+# Each host keeps one path record per destination and reuses it until a
+# mutator of one of its inputs drops it.  Each case below warms the record
+# with a first send, mutates, sends again, and requires the second send to
+# come out bit-equal to the same send on a network that had the mutation
+# in place before anything was resolved.
 
 LOSSY = LinkProfile(latency_s=0.004, jitter_s=0.001, loss_rate=0.3)
 
@@ -171,10 +169,6 @@ MUTATORS = {
     ),
     "src host.link": (_nothing, _set_link("a"), "a"),
     "dst host.link": (_nothing, _set_link("b"), "a"),
-    "add_host of the source": (
-        _nothing, lambda network: network.create_host("ghost", link=LOSSY),
-        "ghost",
-    ),
 }
 
 
@@ -183,8 +177,6 @@ def _second_send(prepare, mutate, src, warm, rng_state=None):
     on a network whose first send at t=0 resolved the pair without it
     (``warm``), or on one that resolved nothing before the mutation and
     whose sender's ``network:<src>`` stream was moved to ``rng_state``."""
-    from repro.simnet.packet import Datagram
-
     sim = Simulator()
     net = Network(sim, SeededStreams(9))
     net.create_host("a", link=LinkProfile(jitter_s=0.0005))
@@ -197,9 +189,7 @@ def _second_send(prepare, mutate, src, warm, rng_state=None):
     rng = net.streams.stream(f"network:{src}")
 
     def send():
-        net.route_future(
-            Datagram(Address(src, 1), Address("b", 1), "x", 100), sim.now
-        )
+        net.host(src).send(1, Address("b", 1), "x", 100)
 
     if warm:
         send()
@@ -235,3 +225,15 @@ def test_mutator_drops_the_warm_path_record(name):
     # ... and the mutation is one a stale record would have missed.
     stale, _ = _second_send(prepare, _nothing, src, warm=True)
     assert warm != stale
+
+
+def test_a_tap_added_mid_run_sees_warm_paths(net, sim):
+    a = net.create_host("a")
+    net.create_host("b").bind(1, lambda d: None)
+    a.send(2, Address("b", 1), "warm", 10)  # a's record to b: no taps
+    sim.run()
+    seen = []
+    net.add_tap(lambda d: seen.append(d.payload))
+    a.send(2, Address("b", 1), "tapped", 10)
+    sim.run()
+    assert seen == ["tapped"]
