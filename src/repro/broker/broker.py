@@ -987,22 +987,19 @@ class Broker:
             EventDelivery(event),
             self.profile.envelope_bytes + len(event.topic) + event.size,
         )
-        sends = entry.local_plan
         if (
-            sends is not None
-            and entry.plan_generation == self._clients_generation
+            entry.plan_generation == self._clients_generation
             and not event.reliable
             and event.trace is None
             and self.host.firewall is None
             and (exclude is None or exclude not in entry.local_targets)
         ):
-            # The walk below, as it came out the last time: every live
-            # target took a plain datagram send, so one train carries all
-            # (and counts as the delivered list: untraced, only its length
-            # is read).
-            delivered = sends
-            if sends:
-                self.host.cpu.execute_train(send_cost, sends, sized, alloc)
+            # The walk below, as it came out the last time: one send per
+            # live target, all in one train.  Untraced, the delivered list
+            # is only counted, so the sends stand in for it.
+            delivered = entry.local_plan
+            if delivered:
+                self.host.cpu.execute_train(send_cost, delivered, sized, alloc)
         else:
             delivered = self._walk_local(
                 event, exclude, entry, sized, send_cost, alloc
@@ -1038,7 +1035,7 @@ class Broker:
         train = cpu.execute_train if self.host.firewall is None else None
         clients = self._clients
         # Whether this walk is one the plan may stand in for.
-        plain = train is not None and not event.reliable
+        plain = train is not None and not event.reliable and event.trace is None
         delivered: List[str] = []
         sends = []  # datagram sends, queued to the CPU as one job (a train)
         for client_id in entry.local_targets:
@@ -1067,7 +1064,7 @@ class Broker:
                 execute(send_cost, link.send_sized, *sized)
         if sends:
             train(send_cost, sends, sized, alloc)
-        if plain and event.trace is None:
+        if plain:
             entry.local_plan = sends
             entry.plan_generation = self._clients_generation
         return delivered

@@ -93,7 +93,7 @@ class RouteEntry:
         self.inter_targets = inter_targets
         #: The sends of the local fan-out when every live target took a
         #: plain datagram send (``Broker._walk_local``), valid while the
-        #: broker's client table is at ``plan_generation``; or None.
+        #: broker's client table is at ``plan_generation``.
         self.local_plan: Optional[List] = None
         self.plan_generation = -1
         self._send_costs: Dict[int, float] = {}
