@@ -17,7 +17,7 @@ clients, and the H.323/SIP gateways re-establish their bridges.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.event import NBEvent

@@ -89,3 +89,37 @@ def test_closing_socket_leaves_groups(net, sim):
     sock.join_group(group)
     sock.close()
     assert net.group_members(group) == set()
+
+
+def test_a_group_send_serializes_once_and_routes_each_copy_like_unicast():
+    """Each member's copy leaves the NIC with the group datagram and is
+    then routed as a unicast datagram sent at that moment would be; a
+    member on the sending host is no loopback (it crosses the fabric).
+    Taps see the group datagram once."""
+    from repro.simnet import LinkProfile, Network, SeededStreams, Simulator
+
+    tapped = []
+
+    def arrivals(dst):
+        sim = Simulator()
+        net = Network(sim, SeededStreams(5))
+        link = LinkProfile(bandwidth_bps=1e6, jitter_s=0.0)
+        sender = net.create_host("s", link=link)
+        net.add_tap(lambda d: tapped.append(d.dst))
+        got = []
+        for name in ("s", "m"):
+            host = sender if name == "s" else net.create_host(name, link=link)
+            host.bind(7, lambda d: got.append((d.dst, sim.now)))
+            net.join_group("233.2.0.9", Address(name, 7))
+        sender.send(1, Address(dst, 7), "x", 1000)
+        sim.run()
+        return got, sender.nic.sent_packets
+
+    group, sent = arrivals("233.2.0.9")
+    assert tapped == [Address("233.2.0.9", 7)]
+    [(_, unicast_at)], _ = arrivals("m")
+    assert sent == 1  # one pass through the NIC for the whole group
+    # The links are alike, so both copies land when the unicast did.
+    assert sorted(group) == [
+        (Address("m", 7), unicast_at), (Address("s", 7), unicast_at)
+    ]

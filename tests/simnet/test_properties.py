@@ -296,8 +296,12 @@ _send_hosts = ("s0", "s1", "s2", "s3")
 _send_actions = st.one_of(
     st.tuples(
         st.just("send"), st.sampled_from(_send_hosts),
-        st.sampled_from(_send_hosts + (GROUP,)), st.integers(1, 2),
+        st.sampled_from(_send_hosts), st.integers(1, 2),
         st.sampled_from((60, 700, 1400)),
+    ),
+    st.tuples(
+        st.just("send"), st.sampled_from(_send_hosts), st.just(GROUP),
+        st.integers(1, 2), st.sampled_from((60, 700, 1400)),
     ),
     st.tuples(
         st.just("burst"), st.sampled_from(_send_hosts),
@@ -317,6 +321,7 @@ _send_scenario = st.fixed_dictionaries({
     "firewalled": st.sampled_from((None,) + _send_hosts),
     "members": st.lists(
         st.tuples(st.sampled_from(_send_hosts), st.integers(1, 2)),
+        min_size=1,
         max_size=4,
     ),
     "actions": st.lists(
