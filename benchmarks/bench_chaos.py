@@ -27,6 +27,7 @@ The soak is small, so ``quick`` runs it at full size.
 
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
+from repro.broker.spec import FAST_MESH
 from repro.obs.collector import TraceCollector
 from repro.obs.slo import AlertLog, SloWatchdog
 from repro.obs.trace import Tracer
@@ -38,8 +39,6 @@ from repro.simnet.rng import SeededStreams
 TOPIC = "/bench/chaos/session-0/video"
 PUBLISH_INTERVAL_S = 0.02  # 50 pps
 RUN_FOR_S = 30.0
-PEER_HEARTBEAT_S = 0.25
-PEER_MISS_LIMIT = 2
 
 #: 1-in-10 publishes traced: enough path samples around each fault to
 #: attribute the reroute, at negligible modeled cost.
@@ -71,10 +70,7 @@ def run_soak() -> dict:
     sim = Simulator()
     net = Network(sim, SeededStreams(42))
     bnet = BrokerNetwork.ring(
-        net, 5, autonomous=True,
-        peer_heartbeat_interval_s=PEER_HEARTBEAT_S,
-        peer_miss_limit=PEER_MISS_LIMIT,
-        tracer=Tracer(TRACE_SAMPLE_RATE),
+        net, 5, mesh=FAST_MESH, tracer=Tracer(TRACE_SAMPLE_RATE)
     )
     sim.run_for(2.0)  # initial LSA convergence
     victim_on_path = bnet.broker("broker-0")._routes.get("broker-3") == "broker-4"
@@ -225,14 +221,14 @@ def scenario(quick):
         a.name for a in alerts if PARTITION_AT_S <= a.at <= HEAL_AT_S
     ]
     # Routing must settle within a detection+flood bound of the last fault.
-    detection_bound_s = PEER_HEARTBEAT_S * (PEER_MISS_LIMIT + 2)
+    detection_bound_s = FAST_MESH.heartbeat_s * (FAST_MESH.miss_limit + 2)
     return {
         "params": {
             "brokers": 5,
             "topology": "ring",
             "publish_rate_pps": 1.0 / PUBLISH_INTERVAL_S,
-            "peer_heartbeat_interval_s": PEER_HEARTBEAT_S,
-            "peer_miss_limit": PEER_MISS_LIMIT,
+            "peer_heartbeat_interval_s": FAST_MESH.heartbeat_s,
+            "peer_miss_limit": FAST_MESH.miss_limit,
             "timeline": {
                 "crash_at_s": CRASH_AT_S,
                 "restart_at_s": RESTART_AT_S,

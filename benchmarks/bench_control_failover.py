@@ -27,6 +27,7 @@ The soak is small, so ``quick`` runs it at full size.
 """
 
 from repro.broker.network import BrokerNetwork
+from repro.broker.spec import FAST_MESH
 from repro.core.xgsp.client import XgspClient
 from repro.core.xgsp.messages import JoinAccepted
 from repro.core.xgsp.session_server import XgspSessionServer
@@ -36,8 +37,6 @@ from repro.simnet.network import Network
 from repro.simnet.rng import SeededStreams
 
 RUN_FOR_S = 20.0
-PEER_HEARTBEAT_S = 0.25
-PEER_MISS_LIMIT = 2
 
 #: Replica-plane failure detector — same cadence as the broker mesh's,
 #: so detection costs miss_limit beats (0.5 s) + one election tick.
@@ -62,11 +61,7 @@ MAX_CONTROL_OUTAGE_S = 1.5
 def scenario(quick):
     sim = Simulator()
     net = Network(sim, SeededStreams(7))
-    bnet = BrokerNetwork.ring(
-        net, 3, autonomous=True,
-        peer_heartbeat_interval_s=PEER_HEARTBEAT_S,
-        peer_miss_limit=PEER_MISS_LIMIT,
-    )
+    bnet = BrokerNetwork.ring(net, 3, mesh=FAST_MESH)
     sim.run_for(2.0)  # LSA convergence
 
     replicas = {}

@@ -26,6 +26,7 @@ gate non-vacuous.  ``quick`` runs a smaller fabric with shorter legs.
 
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
+from repro.broker.spec import FAST_MESH, FabricSpec
 from repro.obs.metrics import Histogram
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network
@@ -76,13 +77,7 @@ def build_mesh(net, per_region):
     regions = {
         r: [f"{r}{i}" for i in range(per_region)] for r in REGIONS
     }
-    bnet = BrokerNetwork(
-        net,
-        autonomous=True,
-        peer_heartbeat_interval_s=0.25,
-        peer_miss_limit=2,
-        regions=regions,
-    )
+    bnet = BrokerNetwork(net, FabricSpec(mesh=FAST_MESH, regions=regions))
     for members in regions.values():
         for name in members:
             bnet.add_broker(name)
@@ -276,10 +271,7 @@ def regions_disabled_trace(explicit_none):
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     options = {"regions": None} if explicit_none else {}
-    bnet = BrokerNetwork.ring(
-        net, 4, autonomous=True,
-        peer_heartbeat_interval_s=0.25, peer_miss_limit=2, **options,
-    )
+    bnet = BrokerNetwork.ring(net, 4, mesh=FAST_MESH, **options)
     trace = []
     sub = BrokerClient(net.create_host("sub"), client_id="sub")
     sub.connect(bnet.broker("broker-0"))

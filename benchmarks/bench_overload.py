@@ -90,7 +90,7 @@ def run_flash_crowd(cluster_sizes):
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     fabric = BrokerNetwork.clustered(
-        net, cluster_sizes, link=BROKER_LINK, shed_watermarks=WATERMARKS
+        net, cluster_sizes, link=BROKER_LINK, overload=WATERMARKS
     )
     brokers = fabric.brokers()
     names = sorted(b.broker_id for b in brokers)
@@ -220,11 +220,11 @@ def run_flash_crowd(cluster_sizes):
 
 def determinism_check():
     """Below the watermarks the controller must be bit-identically inert."""
-    def trace_run(overload_enabled):
+    def trace_run(overload):
         sim = Simulator()
         net = Network(sim, SeededStreams(SEED))
         fabric = BrokerNetwork.clustered(
-            net, [3, 3], link=BROKER_LINK, overload_enabled=overload_enabled
+            net, [3, 3], link=BROKER_LINK, overload=overload
         )
         names = sorted(b.broker_id for b in fabric.brokers())
         trace = []
@@ -248,8 +248,8 @@ def determinism_check():
         base = min((entry[0] for entry in trace), default=0)
         return [(eid - base, topic, at) for eid, topic, at in trace]
 
-    enabled = trace_run(True)
-    return bool(enabled) and enabled == trace_run(False)
+    enabled = trace_run(ShedWatermarks())
+    return bool(enabled) and enabled == trace_run(None)
 
 
 def scenario(quick):

@@ -43,6 +43,7 @@ clustered/flat ratio, which the cluster tier must hold at >= 5x.
 
 from repro.broker.client import BrokerClient
 from repro.broker.network import BrokerNetwork
+from repro.broker.spec import MeshTiming
 from repro.obs.metrics import Histogram
 from repro.obs.slo import SloWatchdog
 from repro.simnet.kernel import Simulator
@@ -154,7 +155,7 @@ class _Roamer:
 def build_fabric(mode, cluster_sizes, net):
     if mode == "clustered":
         return BrokerNetwork.clustered(net, cluster_sizes)
-    return BrokerNetwork.hierarchical(net, cluster_sizes, autonomous=True)
+    return BrokerNetwork.hierarchical(net, cluster_sizes, mesh=MeshTiming())
 
 
 class ModeLadder:

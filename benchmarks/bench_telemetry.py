@@ -104,10 +104,10 @@ def run_scenario(cluster_sizes, mode):
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     fabric = BrokerNetwork.clustered(
-        net, cluster_sizes, link=BROKER_LINK, shed_watermarks=WATERMARKS
+        net, cluster_sizes, link=BROKER_LINK, overload=WATERMARKS
     )
     brokers = fabric.brokers()
-    clusters = {cid: fabric.clusters[cid] for cid in sorted(fabric.clusters)}
+    clusters = dict(sorted(fabric.spec.clusters.items()))
     ramp_cluster = next(iter(clusters))
     # The "hot" broker is the ramp conference's stage: it fans the
     # escalating video stream out to every other member of its cluster,

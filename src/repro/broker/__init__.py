@@ -11,6 +11,7 @@ from repro.broker.event import NBEvent
 from repro.broker.topic import TopicError, match_topic, validate_pattern, validate_topic
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE, UNOPTIMIZED_PROFILE
 from repro.broker.route_cache import RouteCache, RouteEntry
+from repro.broker.spec import FAST_MESH, FabricSpec, MeshTiming
 from repro.broker.broker import Broker
 from repro.broker.network import BrokerNetwork
 from repro.broker.client import BrokerClient, LinkType
@@ -28,6 +29,9 @@ __all__ = [
     "UNOPTIMIZED_PROFILE",
     "RouteCache",
     "RouteEntry",
+    "FabricSpec",
+    "MeshTiming",
+    "FAST_MESH",
     "Broker",
     "BrokerNetwork",
     "BrokerClient",

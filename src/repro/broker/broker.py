@@ -14,10 +14,11 @@ Responsibilities:
 
 Every broker sequences ordered topics through its ordering plane
 (:mod:`repro.broker.ordering`).  Three more planes are composed in only
-where they run: the link-state mesh (:mod:`repro.broker.mesh`) on an
-autonomous broker, the cluster gateway overlay
-(:mod:`repro.broker.gateway`) on a gateway broker, and geo partition
-survival (:mod:`repro.broker.geo`) on a broker with a region.
+where they run: the link-state mesh (:mod:`repro.broker.mesh`) when the
+broker's :class:`~repro.broker.spec.FabricSpec` has mesh timing, the
+cluster gateway overlay (:mod:`repro.broker.gateway`) on a gateway
+broker, and geo partition survival (:mod:`repro.broker.geo`) on a
+broker with a region.
 
 Every hop charges the host CPU according to the broker's
 :class:`~repro.broker.profile.BrokerProfile` — routing cost per event,
@@ -63,15 +64,11 @@ from repro.broker.links import (
 )
 from repro.broker.mesh import Mesh
 from repro.broker.ordering import Ordering
-from repro.broker.overload import (
-    DEFAULT_RETRY_AFTER_S,
-    NORMAL,
-    OverloadController,
-    ShedWatermarks,
-)
+from repro.broker.overload import NORMAL, OverloadController
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.broker.reliable import OutboxTally, ReliableOutbox
 from repro.broker.route_cache import NextHopGroups, RouteCache, RouteEntry
+from repro.broker.spec import FabricSpec
 from repro.broker.topic import TopicTrie, validate_pattern
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.obs.trace import (
@@ -209,15 +206,8 @@ class Broker:
         broker_id: Optional[str] = None,
         profile: BrokerProfile = NARADA_PROFILE,
         reap_timeout_s: Optional[float] = None,
-        peer_heartbeat_interval_s: Optional[float] = None,
-        peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
-        cluster_id: Optional[str] = None,
-        cluster_gateways: Tuple[str, ...] = (),
-        overload_enabled: bool = True,
-        shed_watermarks: Optional[ShedWatermarks] = None,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
-        region: Optional[str] = None,
+        spec: FabricSpec = FabricSpec(),
     ):
         if reap_timeout_s is not None and reap_timeout_s <= 0:
             raise ValueError(
@@ -272,50 +262,38 @@ class Broker:
         # Autonomous mesh, built only where it runs: peer heartbeats
         # detect dead neighbours without any central announcement, and
         # flooded link-state adverts let every broker compute its own
-        # next-hop table.  Without a heartbeat interval this broker is on
-        # the central plane: BrokerNetwork pushes its routes.
+        # next-hop table.  Without mesh timing this broker is on the
+        # central plane: BrokerNetwork pushes its routes.
         self.mesh: Optional[Mesh] = (
-            Mesh(self, peer_heartbeat_interval_s, peer_miss_limit)
-            if peer_heartbeat_interval_s is not None
-            else None
+            Mesh(self, spec.mesh) if spec.mesh is not None else None
         )
 
         # Cluster tier (opt-in).  ``cluster_id is None`` is the flat
         # mesh.  When clustered, SubAdvert/LSA floods are scoped to
         # intra-cluster links, and a broker listed among its cluster's
         # gateways also builds the gateway overlay (DESIGN.md §8).
-        self.cluster_id = cluster_id
+        self.cluster_id = spec.cluster_of(self.broker_id)
         self.gateway: Optional[Gateway] = None
-        if cluster_id is not None and self.broker_id in cluster_gateways:
-            if self.mesh is None:
-                raise ValueError(
-                    "a cluster gateway needs peer_heartbeat_interval_s "
-                    "(the gateway overlay is mesh-driven)"
+        if self.cluster_id is not None:
+            gateways = spec.gateways(self.cluster_id)
+            if self.broker_id in gateways:
+                self.gateway = Gateway(
+                    self, self.cluster_id, tuple(sorted(gateways))
                 )
-            self.gateway = Gateway(
-                self, cluster_id, tuple(sorted(cluster_gateways))
-            )
 
         # Geo partition survival, built only with a region (DESIGN.md
         # §12): link-state adverts carry cost classes, sequencers pin
         # near their publishers, and a partition parks ordered topics
         # and cross-region reliable traffic until it heals.
-        self.region = region
-        self.geo: Optional[Geo] = None
-        if region is not None:
-            if self.mesh is None:
-                raise ValueError(
-                    "a geo broker needs peer_heartbeat_interval_s "
-                    "(partition survival is mesh-driven)"
-                )
-            self.geo = Geo(self)
+        self.region = spec.region_of(self.broker_id)
+        self.geo: Optional[Geo] = Geo(self) if self.region is not None else None
 
         # Overload protection (opt-out).  The controller is a pure
         # observer below its watermarks: pressure is read inline at the
         # dissemination/admission decision points through side-effect-
         # free signal reads (no timers, no RNG), so an enabled-but-idle
         # controller leaves the simulation bit-identical to a run with
-        # ``overload_enabled=False`` — the determinism suite pins this.
+        # ``overload=None`` — the determinism suite pins this.
         # The signals are bound methods (the CPU's and NIC's property
         # getters, and the outbox gauge): no lambda frame per read.
         cpu, nic = self.host.cpu, self.host.nic
@@ -326,12 +304,9 @@ class Broker:
                     type(nic).queued_bytes.fget.__get__(nic),
                     self._outbox_depth,
                 ),
-                shed_watermarks
-                if shed_watermarks is not None
-                else ShedWatermarks(),
-                retry_after_s=retry_after_s,
+                spec.overload,
             )
-            if overload_enabled
+            if spec.overload is not None
             else None
         )
 

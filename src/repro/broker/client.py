@@ -546,8 +546,10 @@ class BrokerClient:
                 self._arm_subscribe_retry(pattern, 0, delay_s=delay)
 
     def _on_connect_ack(self, message: ConnectAck) -> None:
-        if self.connected:
-            return  # duplicate ack from a connect retry
+        if self.connected or self._transport is None:
+            # A duplicate ack from a connect retry, or a late one that
+            # reached the closing socket of a client that disconnected.
+            return
         self.connected = True
         self.broker_id = message.broker_id
         if self._connect_timer is not None:

@@ -1,7 +1,7 @@
 """Geo partition survival: the plane a broker builds only with a region.
 
-A broker built with ``region=`` (it must also run the link-state mesh)
-owns one :class:`Geo`: the stable broker set and its election, locality
+A broker its :class:`~repro.broker.spec.FabricSpec` places in a region
+(such a spec also runs the link-state mesh) owns one :class:`Geo`: the stable broker set and its election, locality
 pins, both park queues and their drain, and the WAN recent-send replay
 window (DESIGN.md §12).  A regionless broker holds no geo state at all.
 """

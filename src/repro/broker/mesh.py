@@ -1,6 +1,7 @@
 """The autonomous mesh: peer heartbeats, link-state flooding, Dijkstra.
 
-A broker built with a peer-heartbeat interval owns one :class:`Mesh`.
+A broker whose :class:`~repro.broker.spec.FabricSpec` has mesh timing
+owns one :class:`Mesh`.
 Heartbeats detect dead neighbours without any central announcement, and
 flooded link-state adverts let every broker compute its own next-hop
 table.  A central-plane broker (routes pushed by
@@ -21,6 +22,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 
 from repro.broker.epoch_table import ECHO, NEWER, STALE, EpochTable
 from repro.broker.links import LinkStateAdvert, LinkStateDigest, PeerHeartbeat
+from repro.broker.spec import MeshTiming
 
 #: Every Nth peer-heartbeat tick also carries a link-state digest, so
 #: LSAs lost to the network (floods are unreliable datagrams) are
@@ -241,10 +243,10 @@ class LinkStateTier:
 class Mesh:
     """Peer failure detection and link-state routing for one broker."""
 
-    def __init__(self, broker, interval_s: float, miss_limit: int):
+    def __init__(self, broker, timing: MeshTiming):
         self.broker = broker
-        self.interval_s = interval_s
-        self.miss_limit = miss_limit
+        self.interval_s = timing.heartbeat_s
+        self.miss_limit = timing.miss_limit
         #: peer → when any traffic from it last arrived (the broker's
         #: peer receive path writes this directly).
         self.last_heard: Dict[str, float] = {}

@@ -1,23 +1,27 @@
 """Broker network assembly: the "distributed sets of NaradaBrokering nodes".
 
 Builds a graph of brokers over simulated hosts and wires peer links — the
-"dynamic collection of brokers" of Section 2.3.  Two operating modes:
+"dynamic collection of brokers" of Section 2.3.  The fabric's settings
+are one :class:`~repro.broker.spec.FabricSpec`, and its ``mesh`` picks
+one of two operating modes:
 
-* **Central** (default, ``autonomous=False``): this object computes every
+* **Central** (default, ``mesh=None``): this object computes every
   broker's shortest-path next-hop table (breadth-first) and pushes it with
   ``set_routes`` whenever topology changes, and re-syncs subscription
   adverts itself.  Deterministic and instant — right for calibration
   benchmarks where failure handling is not under test.
-* **Autonomous** (``autonomous=True``): brokers run peer heartbeats and
-  flooded link-state adverts, detect dead peers themselves, and compute
-  their own routes; this object shrinks to a topology builder plus a
-  chaos driver (``crash_broker`` / ``restart_broker`` / ``cut_link`` /
-  ``restore_link`` / ``partition`` / ``heal``) that injects faults
-  *without telling anyone* — detection and repair are the mesh's job.
+* **Autonomous** (``mesh=MeshTiming(...)``): brokers run peer heartbeats
+  and flooded link-state adverts, detect dead peers themselves, and
+  compute their own routes; this object shrinks to a topology builder
+  plus a chaos driver (``crash_broker`` / ``restart_broker`` /
+  ``cut_link`` / ``restore_link`` / ``partition`` / ``heal``) that
+  injects faults *without telling anyone* — detection and repair are the
+  mesh's job.
 
 Topology builders cover the shapes used by the benchmarks: a single
 broker, a chain, a star, a ring, and the hierarchical cluster /
-super-cluster layout NaradaBrokering favours.
+super-cluster layout NaradaBrokering favours.  Their keyword options are
+:class:`~repro.broker.spec.FabricSpec` fields plus ``tracer``.
 """
 
 from __future__ import annotations
@@ -25,20 +29,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.broker import Broker
-from repro.broker.overload import DEFAULT_RETRY_AFTER_S, ShedWatermarks
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
+from repro.broker.spec import FabricSpec, MeshTiming
 from repro.obs.trace import Tracer
 from repro.simnet.link import LAN_1G, LinkProfile
 from repro.simnet.network import Network
 from repro.simnet.node import Host
-
-#: Default peer-heartbeat interval when ``autonomous`` is on and no
-#: explicit interval was given.
-DEFAULT_PEER_HEARTBEAT_S = 1.0
-
-#: Gateway brokers provisioned per cluster (the first members listed):
-#: the lowest live gateway id is active, the rest are hot standbys.
-GATEWAYS_PER_CLUSTER = 2
 
 
 class BrokerNetwork:
@@ -47,96 +43,17 @@ class BrokerNetwork:
     def __init__(
         self,
         network: Network,
+        spec: FabricSpec = FabricSpec(),
         profile: BrokerProfile = NARADA_PROFILE,
-        autonomous: bool = False,
-        peer_heartbeat_interval_s: Optional[float] = None,
-        peer_miss_limit: int = 3,
         tracer: Optional[Tracer] = None,
-        clusters: Optional[Dict[str, Sequence[str]]] = None,
-        overload_enabled: bool = True,
-        shed_watermarks: Optional[ShedWatermarks] = None,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
-        regions: Optional[Dict[str, Sequence[str]]] = None,
     ):
         self.network = network
+        self.spec = spec
         self.profile = profile
-        self.autonomous = autonomous
-        # --------------------------------------------------- geo regions
-        # ``regions`` maps region name → broker names and switches every
-        # listed broker into geo mode: cost-weighted routing, locality
-        # pinning, and minority parking (see DESIGN.md §12).  ``regions=
-        # None`` (default) leaves every broker geo-unaware — bit-identical
-        # to the pre-geo fabric.
-        self.regions = (
-            {rid: tuple(members) for rid, members in regions.items()}
-            if regions
-            else None
-        )
-        self._region_of: Dict[str, str] = {}
-        if self.regions is not None:
-            if not autonomous:
-                raise ValueError(
-                    "regions= requires autonomous=True (geo brokers keep "
-                    "unreachable brokers' interest for the WAN park, so only "
-                    "link-state eviction ever releases it)"
-                )
-            for region_id, members in self.regions.items():
-                for name in members:
-                    if name in self._region_of:
-                        raise ValueError(
-                            f"broker {name!r} assigned to two regions"
-                        )
-                    self._region_of[name] = region_id
-        self._region_cut: Set[frozenset] = set()
-        # ------------------------------------------------ cluster tier
-        # ``clusters`` maps cluster id → ordered member broker names and
-        # switches the fabric into the hierarchical mode: SubAdvert/LSA
-        # floods stay inside each cluster and gateways run the overlay
-        # control plane (see Broker).  ``clusters=None`` (default) is the
-        # flat mesh, bit-identical to the pre-cluster behaviour.
-        self.clusters = (
-            {cid: tuple(members) for cid, members in clusters.items()}
-            if clusters
-            else None
-        )
-        self._cluster_of: Dict[str, str] = {}
-        self._gateways_of: Dict[str, Tuple[str, ...]] = {}
-        if self.clusters is not None:
-            if not autonomous:
-                raise ValueError(
-                    "clusters= requires autonomous=True (gateway election "
-                    "and scoped flooding are mesh-driven)"
-                )
-            for cluster_id, members in self.clusters.items():
-                if not members:
-                    raise ValueError(f"cluster {cluster_id!r} has no members")
-                for name in members:
-                    if name in self._cluster_of:
-                        raise ValueError(
-                            f"broker {name!r} assigned to two clusters"
-                        )
-                    self._cluster_of[name] = cluster_id
-                self._gateways_of[cluster_id] = tuple(
-                    members[:GATEWAYS_PER_CLUSTER]
-                )
         #: Shared by every broker in the collection, so the sampling
         #: budget (1-in-N) is collection-wide and survives restarts.
         self.tracer = tracer
-        if peer_heartbeat_interval_s is None and autonomous:
-            peer_heartbeat_interval_s = DEFAULT_PEER_HEARTBEAT_S
-        elif peer_heartbeat_interval_s is not None and not autonomous:
-            raise ValueError(
-                "peer_heartbeat_interval_s requires autonomous=True (peer "
-                "heartbeats are the link-state mesh's failure detector)"
-            )
-        #: Set exactly when the brokers run the link-state mesh.
-        self.peer_heartbeat_interval_s = peer_heartbeat_interval_s
-        self.peer_miss_limit = peer_miss_limit
-        # Overload-protection knobs, threaded to every broker (including
-        # restarts, so a broker comes back with the same watermarks).
-        self.overload_enabled = overload_enabled
-        self.shed_watermarks = shed_watermarks
-        self.retry_after_s = retry_after_s
+        self._region_cut: Set[frozenset] = set()
         #: Ground-truth topology: broker → its peers, both in insertion
         #: order.  Edge order (:meth:`_edges`) and breadth-first discovery
         #: follow it, which fixes the order routes are computed in and
@@ -160,16 +77,13 @@ class BrokerNetwork:
         """Create a broker named ``name``; a host is created unless given."""
         if name in self._brokers:
             raise ValueError(f"duplicate broker {name!r}")
-        if self.clusters is not None and name not in self._cluster_of:
-            raise ValueError(
-                f"broker {name!r} is not a member of any provisioned cluster"
-            )
+        self.spec.cluster_of(name)  # a clustered fabric admits only members
         if host is None:
             host = self.network.create_host(name, link=link)
-        region = self._region_of.get(name)
+        region = self.spec.region_of(name)
         if region is not None:
             self.network.set_region(host.name, region)
-        broker = self._make_broker(name, host, profile=profile)
+        broker = self._make_broker(name, host, profile)
         self._brokers[name] = broker
         self.graph[name] = {}
         return broker
@@ -177,63 +91,26 @@ class BrokerNetwork:
     def _make_broker(
         self, name: str, host: Host, profile: Optional[BrokerProfile] = None
     ) -> Broker:
-        """Construct a broker with this collection's settings — including
-        its cluster placement, so restarts come back with the same role."""
-        cluster_id = self._cluster_of.get(name)
+        """A broker with this collection's settings; it reads its cluster
+        role and region from the spec, so a restart comes back the same."""
         return Broker(
-            host,
-            broker_id=name,
-            profile=profile if profile is not None else self.profile,
-            peer_heartbeat_interval_s=self.peer_heartbeat_interval_s,
-            peer_miss_limit=self.peer_miss_limit,
-            tracer=self.tracer,
-            cluster_id=cluster_id,
-            cluster_gateways=(
-                self._gateways_of[cluster_id] if cluster_id is not None else ()
-            ),
-            overload_enabled=self.overload_enabled,
-            shed_watermarks=self.shed_watermarks,
-            retry_after_s=self.retry_after_s,
-            region=self._region_of.get(name),
+            host, broker_id=name, profile=profile or self.profile,
+            tracer=self.tracer, spec=self.spec,
         )
-
-    def _is_intercluster(self, a: str, b: str) -> bool:
-        return (
-            self.clusters is not None
-            and self._cluster_of.get(a) != self._cluster_of.get(b)
-        )
-
-    def cluster_gateways(self, cluster_id: str) -> Tuple[str, ...]:
-        """The provisioned gateway brokers of one cluster."""
-        return self._gateways_of[cluster_id]
 
     def cluster_of(self, name: str) -> Optional[str]:
         """The cluster a broker belongs to (None in flat mode)."""
-        return self._cluster_of.get(name)
-
-    def region_of(self, name: str) -> Optional[str]:
-        """The region a broker belongs to (None in regionless mode)."""
-        return self._region_of.get(name)
+        return self.spec.cluster_of(name)
 
     def connect(self, a: str, b: str) -> None:
         """Create a peer link between brokers ``a`` and ``b``."""
         broker_a = self.broker(a)
         broker_b = self.broker(b)
-        intercluster = self._is_intercluster(a, b)
-        if intercluster:
-            cluster_a, cluster_b = self._cluster_of[a], self._cluster_of[b]
-            if (
-                a not in self._gateways_of[cluster_a]
-                or b not in self._gateways_of[cluster_b]
-            ):
-                raise ValueError(
-                    f"inter-cluster link {a!r}–{b!r} must join gateway "
-                    "brokers of their clusters"
-                )
+        intercluster = self.spec.intercluster(a, b)
         self._add_edge(a, b)
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
-        if self.autonomous:
+        if self.spec.mesh is not None:
             return  # LSA flood + digest exchange take it from here
         self._recompute_routes()
         # Re-advertise interest so the new edge learns existing state.
@@ -248,7 +125,7 @@ class BrokerNetwork:
         broker_b = self.broker(b)
         broker_a.remove_peer(b)
         broker_b.remove_peer(a)
-        if self.autonomous:
+        if self.spec.mesh is not None:
             return
         self._recompute_routes()
         # Remote interest learned through the removed edge may now need a
@@ -268,7 +145,7 @@ class BrokerNetwork:
             self.broker(peer).remove_peer(name)
         self._remove_node(name)
         del self._brokers[name]
-        if not self.autonomous:
+        if self.spec.mesh is None:
             self._recompute_routes()
         broker.close()
 
@@ -351,7 +228,7 @@ class BrokerNetwork:
         broker_a = self.broker(a)
         broker_b = self.broker(b)
         self._add_edge(a, b)
-        intercluster = self._is_intercluster(a, b)
+        intercluster = self.spec.intercluster(a, b)
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
 
@@ -395,16 +272,17 @@ class BrokerNetwork:
         are untouched — regional service keeps running.  Restored by
         :meth:`heal` as one fault.
         """
-        if self.regions is None:
-            raise RuntimeError("partition_regions requires regions=")
+        fabric_regions = self.spec.regions
+        if fabric_regions is None:
+            raise RuntimeError("partition_regions requires regions")
         named = list(dict.fromkeys(regions))
         for region in named:
-            if region not in self.regions:
+            if region not in fabric_regions:
                 raise KeyError(f"unknown region {region!r}")
         if len(named) == 1:
             pairs = [
                 (named[0], other)
-                for other in sorted(self.regions)
+                for other in sorted(fabric_regions)
                 if other != named[0]
             ]
         else:
@@ -432,8 +310,8 @@ class BrokerNetwork:
         # the cable back in; LSAs and digests reconverge from there.
         healed_pairs = {frozenset(pair) for pair in healed}
         for a, b in sorted(self._edges()):
-            region_a = self._region_of.get(a)
-            region_b = self._region_of.get(b)
+            region_a = self.spec.region_of(a)
+            region_b = self.spec.region_of(b)
             if (
                 region_a is None
                 or region_b is None
@@ -486,19 +364,14 @@ class BrokerNetwork:
 
     # -------------------------------------------------------- topologies
 
-    @staticmethod
-    def _regions_for_clusters(
-        sizes: Sequence[int], regions: Sequence[str], name_prefix: str
-    ) -> Dict[str, List[str]]:
-        """Region → broker names for the cluster builders: cluster *c*
-        lands in ``regions[c % len(regions)]``."""
-        mapping: Dict[str, List[str]] = {}
-        for c, size in enumerate(sizes):
-            region = regions[c % len(regions)]
-            mapping.setdefault(region, []).extend(
-                f"{name_prefix}-c{c}-{i}" for i in range(size)
-            )
-        return mapping
+    @classmethod
+    def _with(
+        cls, network: Network, profile: BrokerProfile,
+        tracer: Optional[Tracer] = None, **spec_fields,
+    ) -> "BrokerNetwork":
+        """An empty collection from a builder's keyword options: ``tracer``
+        and :class:`~repro.broker.spec.FabricSpec` fields."""
+        return cls(network, FabricSpec(**spec_fields), profile, tracer)
 
     @classmethod
     def single(
@@ -506,7 +379,7 @@ class BrokerNetwork:
         link: LinkProfile = LAN_1G,
     ) -> "BrokerNetwork":
         """One broker — the paper's Figure 3 configuration."""
-        broker_network = cls(network, profile)
+        broker_network = cls(network, profile=profile)
         broker_network.add_broker(name, link=link)
         return broker_network
 
@@ -520,7 +393,7 @@ class BrokerNetwork:
         link: LinkProfile = LAN_1G,
         **options,
     ) -> "BrokerNetwork":
-        broker_network = cls(network, profile, **options)
+        broker_network = cls._with(network, profile, **options)
         names = [f"{name_prefix}-{i}" for i in range(count)]
         for name in names:
             broker_network.add_broker(name, link=link)
@@ -543,7 +416,7 @@ class BrokerNetwork:
         leaves the mesh connected — the chaos-soak workhorse."""
         if count < 3:
             raise ValueError("a ring needs at least 3 brokers")
-        broker_network = cls(network, profile, **options)
+        broker_network = cls._with(network, profile, **options)
         names = [f"{name_prefix}-{i}" for i in range(count)]
         for name in names:
             broker_network.add_broker(name, link=link)
@@ -562,7 +435,7 @@ class BrokerNetwork:
         link: LinkProfile = LAN_1G,
         **options,
     ) -> "BrokerNetwork":
-        broker_network = cls(network, profile, **options)
+        broker_network = cls._with(network, profile, **options)
         hub = f"{name_prefix}-hub"
         broker_network.add_broker(hub, link=link)
         for i in range(leaves):
@@ -589,7 +462,7 @@ class BrokerNetwork:
         also get a *redundant* second uplink from their second member, so
         crashing the primary gateway no longer isolates the cluster.
         """
-        broker_network = cls(network, profile, **options)
+        broker_network = cls._with(network, profile, **options)
         cluster_members: List[List[str]] = []
         for c, size in enumerate(cluster_sizes):
             members = [f"{name_prefix}-c{c}-{i}" for i in range(size)]
@@ -637,42 +510,37 @@ class BrokerNetwork:
         membership, so SubAdvert/LSA floods are scoped per cluster and
         gateways exchange aggregated interest summaries instead.  Every
         gateway of adjacent clusters is cross-linked, so losing any one
-        gateway leaves the inter-cluster fabric connected.  Implies
-        ``autonomous=True``.
+        gateway leaves the inter-cluster fabric connected.  Runs the
+        link-state mesh at default timing unless ``mesh=`` says otherwise.
 
         ``regions`` assigns cluster *c* to ``regions[c % len(regions)]``
         (one region per cluster, cycled) and switches those brokers into
         geo mode; give inter-region paths WAN properties with
         ``network.set_region_latency`` afterwards.
         """
-        sizes = list(cluster_sizes)
         clusters = {
             f"c{c}": [f"{name_prefix}-c{c}-{i}" for i in range(size)]
-            for c, size in enumerate(sizes)
+            for c, size in enumerate(cluster_sizes)
         }
         if regions:
-            options["regions"] = cls._regions_for_clusters(
-                sizes, list(regions), name_prefix
-            )
-        options.setdefault("autonomous", True)
-        broker_network = cls(
-            network,
-            profile,
-            clusters=clusters,
-            **options,
-        )
+            options["regions"] = {}
+            for c, members in enumerate(clusters.values()):
+                region = regions[c % len(regions)]
+                options["regions"].setdefault(region, []).extend(members)
+        options.setdefault("mesh", MeshTiming())
+        broker_network = cls._with(network, profile, clusters=clusters, **options)
         for members in clusters.values():
             for name in members:
                 broker_network.add_broker(name, link=link)
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
                     broker_network.connect(a, b)
-        cluster_ids = [cid for cid, members in clusters.items() if members]
+        cluster_ids = list(clusters)
         pairs: List[Tuple[str, str]] = list(zip(cluster_ids, cluster_ids[1:]))
         if len(cluster_ids) > 2:
             pairs.append((cluster_ids[-1], cluster_ids[0]))
         for left, right in pairs:
-            for gateway_a in broker_network.cluster_gateways(left):
-                for gateway_b in broker_network.cluster_gateways(right):
+            for gateway_a in broker_network.spec.gateways(left):
+                for gateway_b in broker_network.spec.gateways(right):
                     broker_network.connect(gateway_a, gateway_b)
         return broker_network

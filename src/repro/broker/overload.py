@@ -57,7 +57,8 @@ DEFAULT_RETRY_AFTER_S = 1.0
 
 
 class ShedWatermarks:
-    """Hysteresis watermarks over the three modeled pressure signals.
+    """Hysteresis watermarks over the three modeled pressure signals,
+    and the ``Busy`` hint a refused client is given.
 
     Each signal has an *enter* mark per elevated state; a state is left
     only once every signal falls below ``clear_frac`` of the marks that
@@ -77,7 +78,7 @@ class ShedWatermarks:
 
     __slots__ = ("cpu_degraded", "cpu_shedding", "nic_degraded_bytes",
                  "nic_shedding_bytes", "outbox_degraded", "outbox_shedding",
-                 "clear_frac")
+                 "clear_frac", "retry_after_s")
 
     def __init__(
         self,
@@ -88,6 +89,7 @@ class ShedWatermarks:
         outbox_degraded: int = 1024,
         outbox_shedding: int = 4096,
         clear_frac: float = 0.5,
+        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
     ):
         if not 0.0 < clear_frac <= 1.0:
             raise ValueError("clear_frac must be in (0, 1]")
@@ -100,14 +102,25 @@ class ShedWatermarks:
                 raise ValueError(
                     f"{name} watermarks must satisfy 0 < degraded <= shedding"
                 )
+        if retry_after_s <= 0:
+            raise ValueError("retry_after_s must be positive")
         for name, value in zip(self.__slots__, (
             cpu_degraded, cpu_shedding, nic_degraded_bytes, nic_shedding_bytes,
-            outbox_degraded, outbox_shedding, clear_frac,
+            outbox_degraded, outbox_shedding, clear_frac, retry_after_s,
         )):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"ShedWatermarks is frozen: cannot set {name}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ShedWatermarks) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class OverloadController:
@@ -131,12 +144,9 @@ class OverloadController:
         self,
         signals: Tuple[Callable[[], int], ...],
         watermarks: ShedWatermarks,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
     ):
         if len(signals) != 3:
             raise ValueError("signals must be (cpu_depth, nic_bytes, outbox_depth)")
-        if retry_after_s <= 0:
-            raise ValueError("retry_after_s must be positive")
         self._cpu, self._nic, self._outbox = signals
         w = watermarks
         degraded = (w.cpu_degraded, w.nic_degraded_bytes, w.outbox_degraded)
@@ -149,7 +159,7 @@ class OverloadController:
             tuple(mark * w.clear_frac for mark in marks)
             for marks in (degraded, shedding)
         )
-        self.retry_after_s = retry_after_s
+        self.retry_after_s = w.retry_after_s
         self.state = NORMAL
         self.state_since = 0.0
         self.overload_entries = 0

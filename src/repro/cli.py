@@ -97,7 +97,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_trace_demo(args: argparse.Namespace) -> int:
     """Observability walk-through: trace a stream, crash a broker,
     explain the gap from the collected traces."""
-    from repro.broker import BrokerClient, BrokerNetwork
+    from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork
     from repro.obs.collector import TraceCollector
     from repro.obs.slo import AlertLog, SloWatchdog
     from repro.obs.trace import Tracer
@@ -107,9 +107,7 @@ def _cmd_trace_demo(args: argparse.Namespace) -> int:
     sim = Simulator()
     net = Network(sim, SeededStreams(args.seed))
     bnet = BrokerNetwork.ring(
-        net, 5, autonomous=True,
-        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
-        tracer=Tracer(args.sample_rate),
+        net, 5, mesh=FAST_MESH, tracer=Tracer(args.sample_rate)
     )
     sim.run_for(2.0)
     publisher = BrokerClient(net.create_host("pub-host"), client_id="pub")

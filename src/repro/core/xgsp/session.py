@@ -91,43 +91,17 @@ class Session:
         """The subset of this session's media a participant asked for."""
         return [self.media[kind] for kind in sorted(kinds) if kind in self.media]
 
-    # --------------------------------------------------------- membership
-
-    def join(self, member: Member) -> bool:
-        if self.state != SessionState.ACTIVE:
-            raise XgspError(f"session {self.session_id} is {self.state}")
-        return self.roster.add(member)
+    # ---------------------------------------------------------- lifecycle
+    #
+    # The session server's one apply path (``XgspSessionServer._apply``)
+    # makes every change: joins, floor and mute on the roster and
+    # ``floor_holder`` directly, leaves and termination through these.
 
     def leave(self, participant: str) -> Optional[Member]:
         member = self.roster.remove(participant)
         if self.floor_holder == participant:
             self.floor_holder = None
         return member
-
-    # ------------------------------------------------------------- floor
-
-    def request_floor(self, participant: str) -> bool:
-        """Grant the floor if free; False when someone else holds it."""
-        if participant not in self.roster:
-            raise XgspError(f"{participant} is not in {self.session_id}")
-        if self.floor_holder is None or self.floor_holder == participant:
-            self.floor_holder = participant
-            return True
-        return False
-
-    def release_floor(self, participant: str) -> bool:
-        if self.floor_holder == participant:
-            self.floor_holder = None
-            return True
-        return False
-
-    def set_muted(self, target: str, muted: bool) -> None:
-        member = self.roster.get(target)
-        if member is None:
-            raise XgspError(f"{target} is not in {self.session_id}")
-        member.muted = muted
-
-    # ---------------------------------------------------------- lifecycle
 
     def terminate(self) -> None:
         self.state = SessionState.TERMINATED

@@ -529,15 +529,15 @@ class TelemetryPlane:
                     topic=monitor_topic(broker.broker_id, cluster_id),
                 )
             )
-        if fabric.clusters is None:
+        spec = fabric.spec
+        if spec.clusters is None:
             scopes = {FLAT_SCOPE: [console_broker or local_brokers[0]]}
         else:
             scopes = {
                 cluster_id: [
-                    fabric.broker(name)
-                    for name in fabric.cluster_gateways(cluster_id)
+                    fabric.broker(name) for name in spec.gateways(cluster_id)
                 ]
-                for cluster_id in sorted(fabric.clusters)
+                for cluster_id in sorted(spec.clusters)
             }
         for cluster_id, gateways in scopes.items():
             for gateway in gateways:

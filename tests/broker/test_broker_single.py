@@ -111,6 +111,21 @@ def test_publish_before_connected_is_queued(net, sim, single_broker):
     assert [e.payload for e in got] == ["queued"]
 
 
+def test_a_connect_ack_after_disconnect_does_not_revive_the_client(
+    net, sim, single_broker
+):
+    """The broker's ConnectAck can land after ``disconnect()``, while the
+    old socket still receives for a moment before it closes.  It must not
+    mark the client connected: there is no transport left to flush the
+    queued publish through."""
+    client = BrokerClient(net.create_host("hasty"), client_id="hasty")
+    client.connect(single_broker)
+    client.publish("/t", "queued", 10)  # waits for the ConnectAck
+    client.disconnect()
+    sim.run_for(1.0)
+    assert not client.connected and client.broker_id is None
+
+
 def test_duplicate_connect_replaces_link(net, sim, single_broker):
     client_a = make_client(net, sim, single_broker, "same-id")
     host = net.create_host("other-host")

@@ -11,14 +11,11 @@ depends on.
 
 import pytest
 
-from repro.broker import BrokerNetwork
+from repro.broker import FAST_MESH, BrokerNetwork
 from repro.broker.broker import _DedupWindow
 from repro.broker.links import SubAdvert
 
 from .conftest import assert_maintained_state, make_client
-
-FAST = dict(peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
-
 
 class TestDedupWindowLru:
     def test_reseen_id_survives_cap_pressure(self):
@@ -121,7 +118,7 @@ class TestSummaryHysteresis:
         import repro.broker.gateway as gateway_mod
 
         monkeypatch.setattr(gateway_mod, "INTEREST_SUMMARY_BUDGET", 4)
-        bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
+        bnet = BrokerNetwork.clustered(net, [3, 3], mesh=FAST_MESH)
         sim.run_for(20.0)
         client = make_client(net, sim, bnet.broker("broker-c0-2"), "edge")
         for n in range(4):
@@ -149,7 +146,7 @@ class TestStrayUnsubscribe:
         not the pattern was ever subscribed.  The broker must absorb a
         no-op: it used to flood a ``SubAdvert(add=False)`` to every
         cluster member and schedule a summary refresh."""
-        bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
+        bnet = BrokerNetwork.clustered(net, [3, 3], mesh=FAST_MESH)
         sim.run_for(20.0)
         edge = bnet.broker("broker-c0-2")
         client = make_client(net, sim, edge, "stray")
@@ -199,7 +196,7 @@ class TestMaintainedInterest:
         return clients
 
     def test_crash_takeover_heal_demotion(self, sim, net):
-        bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
+        bnet = BrokerNetwork.clustered(net, [3, 3], mesh=FAST_MESH)
         sim.run_for(20.0)
         lost = make_client(net, sim, bnet.broker("broker-c0-0"), "lost")
         lost.subscribe("/lost/with/gateway", lambda event: None)
@@ -232,7 +229,7 @@ class TestMaintainedInterest:
     def test_geo_regional_cut_and_heal(self, sim, net):
         """Geo mode retains unreachable brokers' interest (no purge):
         the tracked set must retain exactly the same entries."""
-        bnet = BrokerNetwork.clustered(net, [3, 3], regions=["us", "eu"], **FAST)
+        bnet = BrokerNetwork.clustered(net, [3, 3], regions=["us", "eu"], mesh=FAST_MESH)
         net.set_region_latency("us", "eu", 0.045)
         sim.run_for(20.0)
         self.churn(net, sim, bnet, "before")
@@ -250,12 +247,12 @@ def converge(sim, seconds=20.0):
 
 
 def cluster_members(bnet, cluster_id):
-    return set(bnet.clusters[cluster_id])
+    return set(bnet.spec.clusters[cluster_id])
 
 
 class TestClusteredFabric:
     def test_cross_cluster_delivery_exactly_once(self, sim, net):
-        bnet = BrokerNetwork.clustered(net, [4, 4, 4], **FAST)
+        bnet = BrokerNetwork.clustered(net, [4, 4, 4], mesh=FAST_MESH)
         converge(sim)
         received = []
         subscriber = make_client(net, sim, bnet.broker("broker-c0-3"), "sub")
@@ -269,7 +266,7 @@ class TestClusteredFabric:
         assert len({event.event_id for event in received}) == 5
 
     def test_member_state_is_cluster_scoped(self, sim, net):
-        bnet = BrokerNetwork.clustered(net, [4, 4, 4], **FAST)
+        bnet = BrokerNetwork.clustered(net, [4, 4, 4], mesh=FAST_MESH)
         converge(sim)
         own = cluster_members(bnet, "c0")
         member = bnet.broker("broker-c0-3")  # not a gateway
@@ -284,13 +281,13 @@ class TestClusteredFabric:
         assert foreign_routes  # overlay reachability exists
         all_gateways = {
             name
-            for cid in bnet.clusters
-            for name in bnet.cluster_gateways(cid)
+            for cid in bnet.spec.clusters
+            for name in bnet.spec.gateways(cid)
         }
         assert foreign_routes <= all_gateways - own
 
     def test_cluster_counters_move(self, sim, net):
-        bnet = BrokerNetwork.clustered(net, [4, 4, 4], **FAST)
+        bnet = BrokerNetwork.clustered(net, [4, 4, 4], mesh=FAST_MESH)
         converge(sim)
         received = []
         subscriber = make_client(net, sim, bnet.broker("broker-c0-3"), "sub")
@@ -303,8 +300,8 @@ class TestClusteredFabric:
         assert len(received) == 3
         gateways = [
             bnet.broker(name)
-            for cid in bnet.clusters
-            for name in bnet.cluster_gateways(cid)
+            for cid in bnet.spec.clusters
+            for name in bnet.spec.gateways(cid)
         ]
         # Member LSAs were flooded scoped (counted at the gateways that
         # hold inter-cluster links), summaries were aggregated at the
@@ -323,7 +320,7 @@ class TestClusteredFabric:
             assert key in stats
 
     def test_flat_brokers_never_touch_cluster_plane(self, sim, net):
-        bnet = BrokerNetwork.ring(net, 4, autonomous=True, **FAST)
+        bnet = BrokerNetwork.ring(net, 4, mesh=FAST_MESH)
         converge(sim, 5.0)
         for broker in bnet.brokers():
             assert broker.cluster_id is None
@@ -339,7 +336,7 @@ class TestGatewayFailover:
         """Kill c0's active gateway: the standby must take over (counted
         in ``gateway_takeovers``) and cross-cluster delivery must resume
         within the chaos budget."""
-        bnet = BrokerNetwork.clustered(net, [4, 4], **FAST)
+        bnet = BrokerNetwork.clustered(net, [4, 4], mesh=FAST_MESH)
         converge(sim)
         received = []
         subscriber = make_client(net, sim, bnet.broker("broker-c0-3"), "sub")
@@ -366,7 +363,7 @@ class TestGatewayFailover:
         """Flat-topology satellite: ``hierarchical()`` wires a second
         uplink per multi-member cluster, so killing the primary gateway
         no longer isolates the cluster."""
-        bnet = BrokerNetwork.hierarchical(net, [3, 3, 3], autonomous=True, **FAST)
+        bnet = BrokerNetwork.hierarchical(net, [3, 3, 3], mesh=FAST_MESH)
         converge(sim, 10.0)
         received = []
         subscriber = make_client(net, sim, bnet.broker("broker-c0-2"), "sub")
@@ -391,7 +388,7 @@ class TestFloodQuiescence:
         control plane goes quiet — no new LSA/summary originations, no
         flood dedup churn, and zero dedup-window evictions over a long
         observation window."""
-        bnet = BrokerNetwork.clustered(net, [7] * 16, autonomous=True)
+        bnet = BrokerNetwork.clustered(net, [7] * 16)
         subscribers = []
         for c in range(0, 16, 4):
             client = make_client(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker import FAST_MESH, Broker, BrokerClient, BrokerNetwork, FabricSpec
 from repro.simnet.chaos import ChaosSchedule
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LinkProfile
@@ -52,7 +52,7 @@ def trace_digest(trace):
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_workload(events=60, overload_enabled=True, tracer_rate=None):
+def run_workload(events=60, spec=FabricSpec(), tracer_rate=None):
     """One seeded pub-sub run; returns the full delivery trace.
 
     Three subscribers (fan-out > 1, so the shared envelope and payload
@@ -66,8 +66,8 @@ def run_workload(events=60, overload_enabled=True, tracer_rate=None):
     broker = Broker(
         net.create_host("broker-host", link=FLAKY),
         broker_id="b0",
-        overload_enabled=overload_enabled,
         tracer=Tracer(tracer_rate) if tracer_rate else None,
+        spec=spec,
     )
     trace = []
 
@@ -118,9 +118,7 @@ def test_overload_controller_below_watermarks_is_bit_identical():
     """The overload controller is a pure observer under its watermarks:
     with pressure below the degraded marks the enabled run must match a
     run without the controller to the last bit."""
-    assert run_workload(overload_enabled=True) == run_workload(
-        overload_enabled=False
-    )
+    assert run_workload() == run_workload(spec=FabricSpec(overload=None))
 
 
 def flat_mesh_trace(label_regions=False, **network_options):
@@ -134,9 +132,7 @@ def flat_mesh_trace(label_regions=False, **network_options):
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     collection = BrokerNetwork.ring(
-        net, 4, link=FLAKY, autonomous=True,
-        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
-        **network_options,
+        net, 4, link=FLAKY, mesh=FAST_MESH, **network_options
     )
     if label_regions:
         for index in range(4):
@@ -194,8 +190,7 @@ def chaos_ring_trace():
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     collection = BrokerNetwork.ring(
-        net, 5, link=FLAKY, autonomous=True,
-        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
+        net, 5, link=FLAKY, mesh=FAST_MESH
     )
     chaos = ChaosSchedule(collection, seed=SEED)
     chaos.link_flap(4.0, "broker-0", "broker-1", down_for=1.5)
@@ -236,8 +231,7 @@ def geo_mesh_trace(inspect=None):
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     collection = BrokerNetwork.ring(
-        net, 4, link=FLAKY, autonomous=True,
-        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
+        net, 4, link=FLAKY, mesh=FAST_MESH,
         regions={
             "us": ["broker-0", "broker-1"],
             "eu": ["broker-2", "broker-3"],
@@ -277,8 +271,7 @@ def clustered_trace(inspect=None):
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     collection = BrokerNetwork.clustered(
-        net, [3, 3, 3], link=FLAKY,
-        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
+        net, [3, 3, 3], link=FLAKY, mesh=FAST_MESH
     )
     trace = []
     client = BrokerClient(net.create_host("sub", link=FLAKY), client_id="sub")
@@ -312,8 +305,8 @@ def test_tracer_auto_degrade_is_inert_below_watermarks():
     refreshing it: in a run where the controller never trips, the
     traced workload must match a controller-less run to the last bit
     (the gate may not perturb sampling decisions or delivery order)."""
-    enabled = run_workload(overload_enabled=True, tracer_rate=0.25)
-    disabled = run_workload(overload_enabled=False, tracer_rate=0.25)
+    enabled = run_workload(tracer_rate=0.25)
+    disabled = run_workload(spec=FabricSpec(overload=None), tracer_rate=0.25)
     assert enabled == disabled
 
 
@@ -324,8 +317,7 @@ def telemetry_clustered_trace(inspect=None):
     sim = Simulator()
     net = Network(sim, SeededStreams(SEED))
     collection = BrokerNetwork.clustered(
-        net, [3, 3], link=FLAKY,
-        peer_heartbeat_interval_s=0.25, peer_miss_limit=2,
+        net, [3, 3], link=FLAKY, mesh=FAST_MESH
     )
     plane = collection.attach_telemetry(sample_interval_s=0.5)
     plane.start()

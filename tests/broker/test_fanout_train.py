@@ -217,8 +217,9 @@ def test_a_fan_out_is_one_job_until_a_timer_interrupts_it():
 # hands them to one train without walking the targets.  The reference
 # walks every time: it moves the client-table generation on before each
 # fan-out, so no plan is ever current.  Between publishes clients connect
-# (one over TCP), disconnect, die and are reaped, and reconnect; one of
-# the two publishers also subscribes, so its own fan-outs exclude it.
+# (one over TCP), disconnect (one before its connect is answered), die
+# and are reaped, and reconnect; one of the two publishers also
+# subscribes, so its own fan-outs exclude it.
 
 _churn = st.lists(
     st.tuples(
@@ -226,7 +227,8 @@ _churn = st.lists(
         st.sampled_from((False, False, False, True)),  # reliable
         st.sampled_from((
             None, None, ("connect", LinkType.UDP), ("connect", LinkType.TCP),
-            ("disconnect",), ("kill",), ("reconnect",),
+            ("connect-and-leave", LinkType.UDP), ("disconnect",), ("kill",),
+            ("reconnect",),
         )),
         st.integers(min_value=0, max_value=15),  # whom the churn picks
     ),
@@ -290,16 +292,18 @@ def plan_run(seed, receivers, churn, walk, loss_rate=0.0):
     sim.run(until=PUBLISH_AT)
 
     def churn_step(action, pick):
-        if action[0] == "connect":
+        if action[0].startswith("connect"):
             add_client(action[1], "own")
+            if action[0] == "connect-and-leave":
+                clients[-1].disconnect()  # before its ConnectAck arrives
             return
         client = clients[pick % len(clients)]
-        if not client.connected:  # dropped, or its connect still in flight
+        if action[0] == "disconnect":
+            client.disconnect()  # connected, or its connect still in flight
+        elif not client.connected:  # dropped, or its connect still in flight
             if action[0] == "reconnect" and client._transport is None:
                 client.connect(broker)  # a dropped client comes back
                 client.subscribe(TOPIC, lambda event: None)
-        elif action[0] == "disconnect":
-            client.disconnect()
         elif action[0] == "kill":
             client.kill()  # the broker reaps it
         else:

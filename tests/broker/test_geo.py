@@ -12,22 +12,12 @@ and a heal drains everything exactly once).
 
 import pytest
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork, FabricSpec
 from repro.broker.geo import SEQUENCER_PIN_WINDOW
-
-HB = 0.25
-MISS = 2
-
 
 def geo_mesh(net, regions, edges):
     """A flat autonomous mesh with every broker assigned to a region."""
-    bnet = BrokerNetwork(
-        net,
-        autonomous=True,
-        peer_heartbeat_interval_s=HB,
-        peer_miss_limit=MISS,
-        regions=regions,
-    )
+    bnet = BrokerNetwork(net, FabricSpec(mesh=FAST_MESH, regions=regions))
     for members in regions.values():
         for name in members:
             bnet.add_broker(name)
@@ -79,10 +69,7 @@ def test_geo_disabled_takes_the_direct_edge(sim, net):
     """Same square without regions: unit-weight Dijkstra goes direct —
     the cost plane is strictly opt-in."""
     net.set_path_latency("b0", "b3", 0.100)
-    bnet = BrokerNetwork(
-        net, autonomous=True,
-        peer_heartbeat_interval_s=HB, peer_miss_limit=MISS,
-    )
+    bnet = BrokerNetwork(net, FabricSpec(mesh=FAST_MESH))
     for name in ("b0", "b1", "b2", "b3"):
         bnet.add_broker(name)
     for a, b in (("b0", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", "b0")):
@@ -119,8 +106,7 @@ def test_gateway_tier_reoriginates_when_cost_classes_change(sim, net):
     the gateway LSA too, or the overlay keeps pricing a 100 ms ocean
     crossing at class 1 and routes straight across it."""
     bnet = BrokerNetwork.clustered(
-        net, [2, 2, 2], regions=["us", "eu", "ap"],
-        peer_heartbeat_interval_s=HB, peer_miss_limit=MISS,
+        net, [2, 2, 2], regions=["us", "eu", "ap"], mesh=FAST_MESH
     )
     sim.run_for(10.0)
     net.set_region_latency("us", "eu", 0.100)
@@ -306,10 +292,7 @@ def test_sequencer_cache_invalidated_the_instant_a_peer_returns(sim, net):
     could be served for a beat after the link was already re-peered.
     ``_routes_gen`` bumps synchronously in ``add_peer``, closing that
     window."""
-    bnet = BrokerNetwork(
-        net, autonomous=True,
-        peer_heartbeat_interval_s=HB, peer_miss_limit=MISS,
-    )
+    bnet = BrokerNetwork(net, FabricSpec(mesh=FAST_MESH))
     for name in ("b0", "b1"):
         bnet.add_broker(name)
     bnet.connect("b0", "b1")
@@ -364,31 +347,14 @@ def test_broker_network_region_bookkeeping(sim, net):
         {"us": ["u0"], "eu": ["e0"]},
         [("u0", "e0")],
     )
-    assert bnet.region_of("u0") == "us"
+    assert bnet.spec.region_of("u0") == "us"
     assert net.region_of("u0") == "us"
-    assert bnet.region_of("missing") is None
+    assert bnet.spec.region_of("missing") is None
     sim.run_for(1.0)
     bnet.partition_regions("us", "eu")
     assert net.region_blocked("us", "eu")
     bnet.heal()
     assert not net.region_blocked("us", "eu")
-
-
-def test_regions_require_the_autonomous_plane(sim, net):
-    """Geo brokers keep interest from unreachable brokers (the WAN park
-    needs it), so on the central plane ``remove_broker`` could never
-    release a dead broker's interest — the combination is rejected, as
-    ``clusters=`` without ``autonomous=True`` already is.  A broker built
-    directly with a region but no heartbeat interval is rejected too, as
-    a gateway without a mesh is."""
-    with pytest.raises(ValueError, match="regions= requires autonomous"):
-        BrokerNetwork(net, regions={"us": ["u0"], "eu": ["e0"]})
-    with pytest.raises(ValueError, match="regions= requires autonomous"):
-        BrokerNetwork.chain(
-            net, 3, regions={"us": ["broker-0", "broker-1"], "eu": ["broker-2"]}
-        )
-    with pytest.raises(ValueError, match="peer_heartbeat_interval_s"):
-        Broker(net.create_host("lone-geo"), broker_id="g0", region="us")
 
 
 # ------------------------------------- busy hints vs cross-region failover

@@ -7,16 +7,11 @@ next-hop tables locally, and reconciling databases via digests.
 
 import pytest
 
-from repro.broker import BrokerNetwork
+from repro.broker import FAST_MESH, BrokerNetwork, FabricSpec
 from repro.broker.links import LinkStateAdvert, LinkStateDigest, PeerHeartbeat
 
-FAST = dict(autonomous=True, peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
-
-
-def ring(net, count=5, **overrides):
-    options = dict(FAST)
-    options.update(overrides)
-    return BrokerNetwork.ring(net, count, **options)
+def ring(net, count=5):
+    return BrokerNetwork.ring(net, count, mesh=FAST_MESH)
 
 
 def routes_of(bnet):
@@ -189,7 +184,7 @@ class TestLinkStateProtocol:
 
 class TestTopologyOps:
     def test_connect_in_autonomous_mode_needs_no_central_push(self, sim, net):
-        bnet = BrokerNetwork(net, **FAST)
+        bnet = BrokerNetwork(net, FabricSpec(mesh=FAST_MESH))
         for name in ("a", "b", "c"):
             bnet.add_broker(name)
         bnet.connect("a", "b")

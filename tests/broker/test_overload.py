@@ -14,7 +14,7 @@ Three layers of coverage:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.broker import Broker, BrokerClient
+from repro.broker import Broker, BrokerClient, FabricSpec
 from repro.broker.event import (
     NBEvent,
     PRIORITY_AUDIO,
@@ -40,7 +40,7 @@ def controller(pressure, **watermark_kwargs):
     marks = ShedWatermarks(
         cpu_degraded=10, cpu_shedding=20,
         nic_degraded_bytes=1000, nic_shedding_bytes=2000,
-        outbox_degraded=10, outbox_shedding=20,
+        outbox_degraded=10, outbox_shedding=20, retry_after_s=2.0,
         **watermark_kwargs,
     )
     return OverloadController(
@@ -50,7 +50,6 @@ def controller(pressure, **watermark_kwargs):
             lambda: pressure.get("outbox", 0),
         ),
         marks,
-        retry_after_s=2.0,
     )
 
 
@@ -157,6 +156,7 @@ def test_admit_refuses_only_while_shedding():
         {"cpu_degraded": 10, "cpu_shedding": 5},
         {"nic_degraded_bytes": -1},
         {"outbox_degraded": 100, "outbox_shedding": 50},
+        {"retry_after_s": 0.0},
     ],
 )
 def test_invalid_watermarks_rejected(kwargs):
@@ -167,11 +167,6 @@ def test_invalid_watermarks_rejected(kwargs):
 def test_controller_requires_three_signals():
     with pytest.raises(ValueError):
         OverloadController((lambda: 0,), ShedWatermarks())
-    with pytest.raises(ValueError):
-        OverloadController(
-            (lambda: 0, lambda: 0, lambda: 0), ShedWatermarks(),
-            retry_after_s=0.0,
-        )
 
 
 def test_watermarks_are_frozen():
@@ -201,10 +196,10 @@ class ReferenceController:
     one-comparison-per-signal path: every call reads all three signals
     into a tuple and walks the marks with ``any``/``all`` generators."""
 
-    def __init__(self, signals, watermarks, retry_after_s):
+    def __init__(self, signals, watermarks):
         self.signals = signals
         self.watermarks = watermarks
-        self.retry_after_s = retry_after_s
+        self.retry_after_s = watermarks.retry_after_s
         self.state = NORMAL
         self.state_since = 0.0
         self.overload_entries = 0
@@ -295,8 +290,8 @@ def test_fast_path_decides_as_the_reference_does(trace, clear_frac):
             cpu_degraded=10, cpu_shedding=20,
             nic_degraded_bytes=1000, nic_shedding_bytes=2000,
             outbox_degraded=10, outbox_shedding=20, clear_frac=clear_frac,
+            retry_after_s=2.0,
         ),
-        retry_after_s=2.0,
     )
     for step, (cpu, nic, outbox, operation, priority) in enumerate(trace):
         pressure.update(cpu=cpu, nic=nic * 100, outbox=outbox)
@@ -375,7 +370,7 @@ def storm_run():
     broker = Broker(
         net.create_host("broker-host", link=SLOW),
         broker_id="b0",
-        shed_watermarks=TINY,
+        spec=FabricSpec(overload=TINY),
     )
     delivered = []
 
@@ -447,8 +442,7 @@ def forced(broker, pressure):
             lambda: pressure.get("nic", 0),
             lambda: pressure.get("outbox", 0),
         ),
-        ShedWatermarks(cpu_degraded=1, cpu_shedding=2),
-        retry_after_s=2.0,
+        ShedWatermarks(cpu_degraded=1, cpu_shedding=2, retry_after_s=2.0),
     )
     return broker.overload
 
@@ -534,8 +528,9 @@ def test_below_watermarks_counters_all_zero(sim, net):
 
 
 def test_overload_disabled_broker_has_no_controller(sim, net):
-    broker = Broker(net.create_host("bh"), broker_id="b0",
-                    overload_enabled=False)
+    broker = Broker(
+        net.create_host("bh"), broker_id="b0", spec=FabricSpec(overload=None)
+    )
     assert broker.overload is None
     stats = broker.statistics()
     assert stats["overload_state"] == NORMAL

@@ -17,7 +17,7 @@ import os
 import sys
 
 import repro.broker.broker as broker_module
-from repro.broker import BrokerClient, BrokerNetwork
+from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork
 from repro.simnet import Network, SeededStreams, Simulator
 
 PUBLISHES = 20
@@ -112,9 +112,7 @@ def test_central_chain_stays_within_the_broker_frame_budget():
 
 
 def test_flat_autonomous_chain_enters_no_gateway_frame():
-    bnet, frames = warm_publishes(
-        autonomous=True, peer_heartbeat_interval_s=0.25, peer_miss_limit=2
-    )
+    bnet, frames = warm_publishes(mesh=FAST_MESH)
     assert all(b.gateway is None for b in bnet.brokers())
     assert in_file(frames, "gateway.py") == {}, breakdown(frames)
     assert all(b.geo is None for b in bnet.brokers())

@@ -8,7 +8,9 @@ and the statistics counters the cache exposes.
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetwork, RouteCache, RouteEntry
+from repro.broker import (
+    FAST_MESH, BrokerClient, BrokerNetwork, RouteCache, RouteEntry,
+)
 from repro.broker.broker import SEEN_ADVERT_WINDOW, _DedupWindow
 from repro.broker.profile import NARADA_PROFILE
 
@@ -168,9 +170,7 @@ class TestBrokerWiring:
         resolve: whatever the cache serves must equal what that body
         computes once the cache is emptied — on a member, and on an
         active gateway where the intra/inter tier split is populated."""
-        bnet = BrokerNetwork.clustered(
-            net, [3, 3], peer_heartbeat_interval_s=0.25, peer_miss_limit=2
-        )
+        bnet = BrokerNetwork.clustered(net, [3, 3], mesh=FAST_MESH)
         sim.run_for(5.0)
         gateway = bnet.broker("broker-c0-0")
         member = bnet.broker("broker-c0-2")

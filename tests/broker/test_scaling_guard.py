@@ -10,7 +10,7 @@ outbox per evaluation.
 
 import sys
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker import FAST_MESH, Broker, BrokerClient, BrokerNetwork
 from repro.broker.links import Subscribe, Unsubscribe
 from repro.simnet import Network, SeededStreams, Simulator
 
@@ -45,9 +45,7 @@ def gateway_churn_calls(held):
     each one triggers) at an active gateway holding ``held`` patterns
     under eight rooms — collapsed, so the summary does not change."""
     sim, net = fresh_network()
-    bnet = BrokerNetwork.clustered(
-        net, [2, 2], peer_heartbeat_interval_s=0.25, peer_miss_limit=2
-    )
+    bnet = BrokerNetwork.clustered(net, [2, 2], mesh=FAST_MESH)
     sim.run_for(10.0)
     broker = bnet.broker("broker-c0-0")
     gateway = broker.gateway

@@ -12,7 +12,7 @@ the one-cluster case of the same plane.
 
 import pytest
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker import FAST_MESH, Broker, BrokerClient, BrokerNetwork
 from repro.broker.monitor import (
     BrokerMonitor,
     DeltaSample,
@@ -28,8 +28,6 @@ from repro.obs.aggregate import (
 from repro.obs.report import build_report, render_report
 
 from .conftest import make_client
-
-FAST = dict(peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
 
 
 def converge(sim, seconds=20.0):
@@ -144,7 +142,7 @@ class TestAggregatorResync:
 
 class TestClusteredTelemetry:
     def build(self, net, sim, sizes=(3, 3), interval=0.5):
-        bnet = BrokerNetwork.clustered(net, list(sizes), **FAST)
+        bnet = BrokerNetwork.clustered(net, list(sizes), mesh=FAST_MESH)
         converge(sim)
         plane = bnet.attach_telemetry(sample_interval_s=interval)
         plane.start()
@@ -226,14 +224,14 @@ class TestClusteredTelemetry:
         # survivors resynced with the standby via full snapshots.
         assert active[0].broker.broker_id in latest.stale_brokers
         assert fleet.stale_broker_count >= 1
-        survivors = set(bnet.clusters["c0"]) - {active[0].broker.broker_id}
+        survivors = set(bnet.spec.clusters["c0"]) - {active[0].broker.broker_id}
         assert survivors - set(latest.unsynced_brokers) == survivors
         plane.stop()
 
 
 class TestTelemetryFollowsRestart:
     def build(self, net, sim):
-        bnet = BrokerNetwork.clustered(net, [3, 3], **FAST)
+        bnet = BrokerNetwork.clustered(net, [3, 3], mesh=FAST_MESH)
         sim.run(until=10.0)
         plane = bnet.attach_telemetry(sample_interval_s=0.5)
         plane.start()

@@ -137,21 +137,39 @@ def test_floor_control_flow(net, sim, broker, server):
     bob.join(sid)
     sim.run_for(2.0)
 
+    stranger = make_xgsp_client(net, sim, broker, "stranger")
+
     results = []
-    alice.floor(sid, FloorAction.REQUEST, on_result=lambda r: results.append(("alice", r.action)))
-    sim.run_for(2.0)
-    bob.floor(sid, FloorAction.REQUEST, on_result=lambda r: results.append(("bob", r.action)))
-    sim.run_for(2.0)
-    alice.floor(sid, FloorAction.RELEASE, on_result=lambda r: results.append(("alice-rel", r.action)))
-    sim.run_for(2.0)
-    bob.floor(sid, FloorAction.REQUEST, on_result=lambda r: results.append(("bob2", r.action)))
-    sim.run_for(2.0)
+    for label, client, action in (
+        ("stranger", stranger, FloorAction.REQUEST),  # not a member
+        ("alice", alice, FloorAction.REQUEST),
+        ("bob", bob, FloorAction.REQUEST),
+        ("bob-rel", bob, FloorAction.RELEASE),  # not his to release
+        ("alice-again", alice, FloorAction.REQUEST),  # keeps it
+        ("alice-rel", alice, FloorAction.RELEASE),
+        ("bob2", bob, FloorAction.REQUEST),
+    ):
+        client.floor(
+            sid, action, on_result=lambda r, label=label: results.append(
+                (label, r.action)
+            ),
+        )
+        sim.run_for(2.0)
     assert results == [
+        ("stranger", FloorAction.DENY),
         ("alice", FloorAction.GRANT),
         ("bob", FloorAction.DENY),
+        ("bob-rel", FloorAction.DENY),
+        ("alice-again", FloorAction.GRANT),
         ("alice-rel", FloorAction.GRANT),
         ("bob2", FloorAction.GRANT),
     ]
+    # Leaving releases the floor.
+    session = server.session(sid)
+    assert session.floor_holder == "bob"
+    bob.leave(sid)
+    sim.run_for(2.0)
+    assert session.floor_holder is None
 
 
 def test_mute_authorization(net, sim, broker, server):
@@ -175,7 +193,10 @@ def test_mute_authorization(net, sim, broker, server):
     # Bob unmutes himself: allowed.
     bob.mute(sid, "bob", muted=False, on_result=lambda r: results.append(r.detail))
     sim.run_for(2.0)
-    assert results == ["ok", "not-authorized", "ok"]
+    # The creator mutes someone not in the session: refused.
+    alice.mute(sid, "ghost", on_result=lambda r: results.append(r.detail))
+    sim.run_for(2.0)
+    assert results == ["ok", "not-authorized", "ok", "unknown-member"]
     session = server.session(sid)
     assert session.roster.get("bob").muted is False
 

@@ -9,6 +9,7 @@ leader applies ops.
 import pytest
 
 from repro.broker.network import BrokerNetwork
+from repro.broker.spec import MeshTiming
 from repro.core.xgsp.client import XgspClient
 from repro.core.xgsp.messages import (
     CreateSession,
@@ -31,7 +32,7 @@ DETECT_S = HB * (MISS + 1)
 
 
 def build_ring(net, n=3):
-    bnet = BrokerNetwork.ring(net, n, autonomous=True)
+    bnet = BrokerNetwork.ring(net, n, mesh=MeshTiming())
     net.sim.run_for(2.0)  # LSA convergence
     return bnet
 

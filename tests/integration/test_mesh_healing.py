@@ -11,17 +11,13 @@ liveness (0.25 s beats, 2 misses → dead in ~0.5–0.75 s).
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetwork, LinkType
+from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork, LinkType
 from repro.simnet import Firewall, HttpTunnelProxy, Network, SeededStreams, Simulator
-
-#: Fast mesh liveness for the scenarios (detection well under 1 s).
-MESH = dict(autonomous=True, peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
-
 
 def ring(seed=7, count=5):
     sim = Simulator()
     net = Network(sim, SeededStreams(seed))
-    bnet = BrokerNetwork.ring(net, count, **MESH)
+    bnet = BrokerNetwork.ring(net, count, mesh=FAST_MESH)
     sim.run_for(2.0)  # LSA flood converges initial routes
     return sim, net, bnet
 

@@ -9,7 +9,7 @@ during (not after) the outage.
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetwork
+from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork
 from repro.core.mmcs import GlobalMMCS, MMCSConfig
 from repro.core.xgsp.translation import conference_sip_uri
 from repro.obs.collector import TraceCollector
@@ -20,15 +20,11 @@ from repro.sip.sdp import SessionDescription
 
 TOPIC = "/conf/session-0/video"
 
-#: Fast autonomous-mesh liveness (detection in ~0.5-0.75 s).
-MESH = dict(autonomous=True, peer_heartbeat_interval_s=0.25, peer_miss_limit=2)
-
-
 def make_mesh(shape, count, seed, sample_rate):
     sim = Simulator()
     net = Network(sim, SeededStreams(seed))
     builder = getattr(BrokerNetwork, shape)
-    bnet = builder(net, count, tracer=Tracer(sample_rate), **MESH)
+    bnet = builder(net, count, tracer=Tracer(sample_rate), mesh=FAST_MESH)
     sim.run_for(2.0)  # initial LSA convergence
     return sim, net, bnet
 

@@ -165,8 +165,7 @@ def test_tracing_suppressed_while_overloaded(net, sim):
     )
 
     broker = Broker(
-        net.create_host("b-host"), broker_id="b0", tracer=Tracer(1.0),
-        overload_enabled=True,
+        net.create_host("b-host"), broker_id="b0", tracer=Tracer(1.0)
     )
     # Drive the controller with a synthetic pressure signal so the test
     # chooses when the broker is overloaded.
