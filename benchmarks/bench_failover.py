@@ -15,7 +15,7 @@ the media broker mid-stream, and measures:
 The conference is small, so ``quick`` runs it at full size.
 """
 
-from repro.broker.client import BrokerClient
+from repro.broker.client import BrokerClient, Failover
 from repro.broker.network import BrokerNetwork
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network
@@ -52,10 +52,12 @@ def scenario(quick):
         client = BrokerClient(
             net.create_host(f"{client_id}-host"),
             client_id=client_id,
-            keepalive_interval_s=KEEPALIVE_INTERVAL_S,
-            keepalive_miss_limit=KEEPALIVE_MISS_LIMIT,
+            failover=Failover(
+                [survivor],
+                keepalive_s=KEEPALIVE_INTERVAL_S,
+                miss_limit=KEEPALIVE_MISS_LIMIT,
+            ),
         )
-        client.set_failover_brokers([survivor])
         client.connect(doomed)
         arrivals[client_id] = []
         client.subscribe(

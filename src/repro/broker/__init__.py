@@ -14,7 +14,7 @@ from repro.broker.route_cache import RouteCache, RouteEntry
 from repro.broker.spec import FAST_MESH, FabricSpec, MeshTiming
 from repro.broker.broker import Broker
 from repro.broker.network import BrokerNetwork
-from repro.broker.client import BrokerClient, LinkType
+from repro.broker.client import BrokerClient, Failover, LinkType
 from repro.broker.p2p import P2PGroup, RendezvousService
 from repro.broker.rtp_proxy import RtpProxy
 
@@ -35,6 +35,7 @@ __all__ = [
     "Broker",
     "BrokerNetwork",
     "BrokerClient",
+    "Failover",
     "LinkType",
     "P2PGroup",
     "RendezvousService",

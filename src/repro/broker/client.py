@@ -6,17 +6,20 @@ wildcard patterns, publish events.  Operations issued before the connect
 handshake completes are queued and flushed on ``ConnectAck``.
 
 Failover (the paper's "dynamic broker collections" surviving broker
-churn): with keepalive enabled the client probes broker liveness over the
-control plane; when the link goes dark it tears the transport down,
-resets inbox state coherently, and — if failover candidates are
-registered — reconnects with exponential backoff, re-issuing ``Connect``
-and replaying every registered subscription on the new broker.  The
-``on_disconnected``/``on_failover`` callbacks let RTP proxies, XGSP
-clients, and the H.323/SIP gateways re-establish their bridges.
+churn) is one frozen :class:`Failover` value given at construction: the
+client probes broker liveness over the control plane; when the link goes
+dark it tears the transport down, resets inbox state coherently, and —
+if the value names candidate brokers — reconnects with exponential
+backoff, re-issuing ``Connect`` and replaying every registered
+subscription on the new broker.  The RTP proxies, XGSP clients, H.323/SIP
+gateways and telemetry roles take the same value and pass it through;
+the ``on_disconnected``/``on_failover`` callbacks let them re-establish
+their bridges.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.broker.broker import Broker
@@ -68,6 +71,26 @@ KEEPALIVE_MISS_LIMIT = 3
 FAILOVER_MAX_BACKOFF_S = 8.0
 
 
+@dataclass(frozen=True)
+class Failover:
+    """How a client survives losing its broker: probe the link every
+    ``keepalive_s`` seconds, declare it dead after ``miss_limit``
+    unanswered probes, then reconnect to ``brokers`` in turn (none: the
+    loss is detected and the client stays down)."""
+
+    brokers: Tuple[Broker, ...] = ()
+    keepalive_s: float = KEEPALIVE_INTERVAL_S
+    miss_limit: int = KEEPALIVE_MISS_LIMIT
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "brokers", tuple(self.brokers))
+        if self.keepalive_s <= 0 or self.miss_limit < 1:
+            raise ValueError(
+                "failover needs keepalive_s > 0 and miss_limit >= 1, got "
+                f"{self.keepalive_s!r} and {self.miss_limit!r}"
+            )
+
+
 class _DispatchMemo(dict):
     """topic -> the handlers matching it, for one state of the handler
     list: ``handlers`` at length ``count``.  Subscribe and unsubscribe
@@ -91,8 +114,7 @@ class BrokerClient:
         client_id: str,
         publish_cpu_cost_s: float = 8e-6,
         envelope_bytes: int = 66,
-        keepalive_interval_s: Optional[float] = None,
-        keepalive_miss_limit: int = KEEPALIVE_MISS_LIMIT,
+        failover: Optional[Failover] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.host = host
@@ -102,8 +124,8 @@ class BrokerClient:
         self.envelope_bytes = envelope_bytes
         self.connected = False
         self.broker_id: Optional[str] = None
-        self.keepalive_interval_s = keepalive_interval_s
-        self.keepalive_miss_limit = keepalive_miss_limit
+        #: Keepalive and reconnect candidates; ``None`` does neither.
+        self.failover = failover
         #: Fired (with the client) when the link to the broker is lost.
         self.on_disconnected: Optional[Callable[["BrokerClient"], None]] = None
         #: Fired (client, new_broker) after a reconnect fully completes —
@@ -122,7 +144,6 @@ class BrokerClient:
         self._subscribe_timers = {}  # pattern -> (timer, retries)
         self._keepalive_timer = None
         self._missed_heartbeats = 0
-        self._failover_brokers: List[Broker] = []
         self._failover_backoff = ExponentialBackoff(
             CONTROL_RETRY_S, FAILOVER_MAX_BACKOFF_S, first_immediate=True
         )
@@ -212,8 +233,7 @@ class BrokerClient:
             if self._reconnecting:
                 # This failover candidate never answered: tear the
                 # half-open transport down and try the next one.
-                transport, self._transport = self._transport, None
-                transport.close()
+                self._drop_transport().close()
                 self._schedule_failover_attempt()
             return
         self._send_now(
@@ -236,9 +256,20 @@ class BrokerClient:
             self._send_now(Disconnect(client_id=self.client_id))
         self.connected = False
         self.broker_id = None
-        transport, self._transport = self._transport, None
         # Give the Disconnect message a moment on the wire before closing.
-        self.sim.schedule(0.05, transport.close)
+        self.sim.schedule(0.05, self._drop_transport().close)
+
+    def _drop_transport(self) -> ClientTransport:
+        """Let go of the current transport.  What still reaches it is
+        handled as before, except a ConnectAck: that answers a replaced
+        link and must not mark the client connected."""
+        transport, self._transport = self._transport, None
+        transport.on_message = self._on_replaced_message
+        return transport
+
+    def _on_replaced_message(self, message: Any) -> None:
+        if message.__class__ is not ConnectAck:
+            self._on_message(message)
 
     def _cancel_control_timers(self) -> None:
         if self._connect_timer is not None:
@@ -261,31 +292,16 @@ class BrokerClient:
 
     # --------------------------------------------------------- liveness
 
-    def set_failover_brokers(self, brokers: List[Broker]) -> None:
-        """Candidate brokers to reconnect to (in order) on link loss."""
-        self._failover_brokers = list(brokers)
-
-    def start_keepalive(
-        self,
-        interval_s: float = KEEPALIVE_INTERVAL_S,
-        miss_limit: int = KEEPALIVE_MISS_LIMIT,
-    ) -> None:
-        """Enable liveness probing of the current broker link."""
-        self.keepalive_interval_s = interval_s
-        self.keepalive_miss_limit = miss_limit
-        if self.connected and self._keepalive_timer is None:
-            self._arm_keepalive()
-
     def _arm_keepalive(self) -> None:
         self._keepalive_timer = self.sim.schedule(
-            self.keepalive_interval_s, self._keepalive_tick
+            self.failover.keepalive_s, self._keepalive_tick
         )
 
     def _keepalive_tick(self) -> None:
         self._keepalive_timer = None
         if not self.connected or self._transport is None:
             return
-        if self._missed_heartbeats >= self.keepalive_miss_limit:
+        if self._missed_heartbeats >= self.failover.miss_limit:
             self._on_link_lost()
             return
         self._missed_heartbeats += 1
@@ -308,8 +324,7 @@ class BrokerClient:
         self._cancel_control_timers()
         self.connected = False
         self.broker_id = None
-        transport, self._transport = self._transport, None
-        transport.close()
+        self._drop_transport().close()
         # Sequence expectations belong to the dead broker's sequencers.
         self._ordered_inbox.reset()
         if self.on_disconnected is not None:
@@ -318,14 +333,14 @@ class BrokerClient:
         self._schedule_failover_attempt()
 
     def _schedule_failover_attempt(self) -> None:
-        if not self._failover_brokers:
+        brokers = self.failover.brokers if self.failover is not None else ()
+        if not brokers:
             return
         # The broker whose link just died is the worst candidate: try the
         # others first (unless it is the only one we know).
         candidates = [
-            broker for broker in self._failover_brokers
-            if broker is not self._broker
-        ] or self._failover_brokers
+            broker for broker in brokers if broker is not self._broker
+        ] or brokers
         attempt = self._failover_backoff.attempts
         broker = candidates[attempt % len(candidates)]
         if (
@@ -347,8 +362,7 @@ class BrokerClient:
         self._failover_timer = None
         self._reconnecting = True
         if self._transport is not None:  # stale half-open attempt
-            transport, self._transport = self._transport, None
-            transport.close()
+            self._drop_transport().close()
         self.connect(broker, self._link_type, self._proxy_address)
 
     def kill(self) -> None:
@@ -361,8 +375,7 @@ class BrokerClient:
         self.broker_id = None
         self._pending.clear()
         if self._transport is not None:
-            transport, self._transport = self._transport, None
-            transport.kill()
+            self._drop_transport().kill()
 
     def reconnect(self, broker: Broker) -> None:
         """Manually fail over to ``broker``: tear down the current
@@ -373,8 +386,7 @@ class BrokerClient:
         self.connected = False
         self.broker_id = None
         if self._transport is not None:
-            transport, self._transport = self._transport, None
-            transport.close()
+            self._drop_transport().close()
         self._ordered_inbox.reset()
         self._reconnecting = True
         self.connect(broker, self._link_type, self._proxy_address)
@@ -520,13 +532,12 @@ class BrokerClient:
             if self._connect_timer is not None:
                 self._connect_timer.cancel()
                 self._connect_timer = None
-            if self._reconnecting and self._failover_brokers:
+            if self._reconnecting and self.failover and self.failover.brokers:
                 # Mid-failover: this candidate is overloaded — tear the
                 # half-open transport down and let the shared backoff
                 # (floored by the hint) pick the next candidate.
                 if self._transport is not None:
-                    transport, self._transport = self._transport, None
-                    transport.close()
+                    self._drop_transport().close()
                 self._failover_backoff.note_retry_after(message.retry_after_s)
                 self._busy_hint_source = self._broker
                 self._schedule_failover_attempt()
@@ -546,10 +557,8 @@ class BrokerClient:
                 self._arm_subscribe_retry(pattern, 0, delay_s=delay)
 
     def _on_connect_ack(self, message: ConnectAck) -> None:
-        if self.connected or self._transport is None:
-            # A duplicate ack from a connect retry, or a late one that
-            # reached the closing socket of a client that disconnected.
-            return
+        if self.connected:
+            return  # a duplicate ack from a connect retry
         self.connected = True
         self.broker_id = message.broker_id
         if self._connect_timer is not None:
@@ -565,7 +574,7 @@ class BrokerClient:
         pending, self._pending = self._pending, []
         for queued, _ in pending:
             self._send_now(queued)
-        if self.keepalive_interval_s is not None and self._keepalive_timer is None:
+        if self.failover is not None and self._keepalive_timer is None:
             self._arm_keepalive()
         if self._on_connected is not None:
             callback, self._on_connected = self._on_connected, None

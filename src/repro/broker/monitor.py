@@ -26,10 +26,10 @@ name are checked against the same dict by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.broker.broker import Broker
-from repro.broker.client import BrokerClient
+from repro.broker.client import BrokerClient, Failover
 from repro.obs.series import HistogramSketch, delta_encode
 from repro.simnet.kernel import Timer
 
@@ -126,8 +126,7 @@ class BrokerMonitor:
         broker: Broker,
         interval_s: float = 5.0,
         monitor_id: Optional[str] = None,
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
+        failover: Optional[Failover] = None,
         full_every: int = DEFAULT_FULL_EVERY,
         topic: Optional[str] = None,
     ):
@@ -141,10 +140,8 @@ class BrokerMonitor:
         self.client = BrokerClient(
             broker.host,
             client_id=monitor_id or f"monitor/{broker.broker_id}",
-            keepalive_interval_s=keepalive_interval_s,
+            failover=failover,
         )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
         self.client.connect(broker)
         self._timer: Optional[Timer] = None
         self._seq = 0

@@ -11,18 +11,19 @@ to a topic and emits raw RTP datagrams to a native endpoint (outbound
 bridge).  The H.323 and SIP gateways use these bridges to redirect their
 endpoints' RTP channels into the broker network.
 
-With ``keepalive_interval_s``/``failover_brokers`` set, the proxy's
-broker client detects broker loss and fails over; the subscription replay
+Given a :class:`~repro.broker.client.Failover`, the proxy's broker
+client detects broker loss and fails over; the subscription replay
 re-establishes every outbound bridge on the new broker automatically, and
 inbound packets published during the outage are flushed on reconnect.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.broker.broker import Broker
-from repro.broker.client import BrokerClient
+from repro.broker.client import BrokerClient, Failover
 from repro.broker.event import NBEvent, PRIORITY_VIDEO
 from repro.broker.links import LinkType
 from repro.obs.trace import Tracer
@@ -41,8 +42,7 @@ class RtpProxy:
         broker: Broker,
         proxy_id: str,
         link_type: LinkType = LinkType.UDP,
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
+        failover: Optional[Failover] = None,
         tracer: Optional[Tracer] = None,
         playout_budget_s: Optional[float] = None,
         video_playout_budget_s: Optional[float] = None,
@@ -73,19 +73,13 @@ class RtpProxy:
         #: Samples at the media ingress edge: a traced packet carries its
         #: proxy hop before the first broker hop.
         self.tracer = tracer
+        if failover is not None and region is not None:
+            failover = replace(failover, brokers=sorted(
+                failover.brokers, key=lambda broker: broker.region != region
+            ))
         self.client = BrokerClient(
-            host,
-            client_id=f"rtp-proxy/{proxy_id}",
-            keepalive_interval_s=keepalive_interval_s,
+            host, client_id=f"rtp-proxy/{proxy_id}", failover=failover
         )
-        if failover_brokers:
-            if region is not None:
-                failover_brokers = [
-                    b for b in failover_brokers if b.region == region
-                ] + [
-                    b for b in failover_brokers if b.region != region
-                ]
-            self.client.set_failover_brokers(failover_brokers)
         self.client.connect(broker, link_type=link_type)
         self._inbound: Dict[int, Tuple[UdpSocket, str]] = {}
         # (topic, destination) -> (socket, subscription handler) — the

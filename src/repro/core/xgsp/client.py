@@ -22,7 +22,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.broker.broker import Broker
-from repro.broker.client import BrokerClient
+from repro.broker.client import BrokerClient, Failover
 from repro.broker.event import NBEvent
 from repro.broker.links import LinkType
 from repro.core.xgsp import xml_codec
@@ -55,10 +55,13 @@ AnnouncementCallback = Callable[[SessionAnnouncement], None]
 #: How long a signaling request may stay unanswered.
 REQUEST_TIMEOUT_S = 10.0
 
-#: Default retry backoff (seconds): base, cap, jitter fraction.
+#: Retry backoff (seconds): base, cap, jitter fraction.
 RETRY_BASE_S = 0.5
 RETRY_CAP_S = 4.0
 RETRY_JITTER = 0.1
+
+#: ``max_retries`` of the gateways' and the web server's signaling.
+SIGNALING_RETRIES = 2
 
 _log = logging.getLogger(__name__)
 
@@ -97,31 +100,22 @@ class XgspClient:
         participant_id: str,
         link_type: LinkType = LinkType.UDP,
         proxy: Optional[Address] = None,
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
+        failover: Optional[Failover] = None,
         max_retries: int = 0,
-        retry_base_s: float = RETRY_BASE_S,
-        retry_cap_s: float = RETRY_CAP_S,
-        retry_jitter: float = RETRY_JITTER,
     ):
         self.host = host
         self.sim = host.sim
         self.participant_id = participant_id
         self.reply_topic = client_topic(participant_id)
         self.max_retries = max_retries
-        self.retry_base_s = retry_base_s
-        self.retry_cap_s = retry_cap_s
-        self.retry_jitter = retry_jitter
         #: Per-participant jitter stream, built by the first retrying
         #: request (see _retry_stream).
         self._retry_rng: Optional[random.Random] = None
         self.broker_client = BrokerClient(
             host,
             client_id=f"xgsp/{participant_id}",
-            keepalive_interval_s=keepalive_interval_s,
+            failover=failover,
         )
-        if failover_brokers:
-            self.broker_client.set_failover_brokers(failover_brokers)
         self.broker_client.connect(broker, link_type=link_type, proxy=proxy)
         self.broker_client.subscribe(self.reply_topic, self._on_reply_event)
         self._pending: Dict[int, _PendingRequest] = {}
@@ -160,9 +154,9 @@ class XgspClient:
             backoff = None
             if self.max_retries:
                 backoff = ExponentialBackoff(
-                    self.retry_base_s,
-                    self.retry_cap_s,
-                    jitter_frac=self.retry_jitter,
+                    RETRY_BASE_S,
+                    RETRY_CAP_S,
+                    jitter_frac=RETRY_JITTER,
                     rng=self._retry_stream(),
                 )
             pending = _PendingRequest(

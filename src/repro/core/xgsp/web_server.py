@@ -10,12 +10,12 @@ arrives (see :class:`repro.soap.service.PendingResult`).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.broker.broker import Broker
 from repro.broker.links import LinkType
 from repro.core.xgsp.calendar import CalendarError, MeetingCalendar
-from repro.core.xgsp.client import XgspClient
+from repro.core.xgsp.client import SIGNALING_RETRIES, XgspClient
 from repro.core.xgsp.directory import XgspDirectory
 from repro.core.xgsp.messages import (
     CreateSession,
@@ -47,7 +47,6 @@ class XgspWebServer:
         directory: Optional[XgspDirectory] = None,
         soap_port: int = 8080,
         participant_id: str = "xgsp-web-server",
-        signaling_retries: int = 2,
     ):
         self.host = host
         self.sim = host.sim
@@ -57,7 +56,7 @@ class XgspWebServer:
         # the SOAP operation (DESIGN.md §5d).
         self.signaling = XgspClient(
             host, broker, participant_id, link_type=LinkType.TCP,
-            max_retries=signaling_retries,
+            max_retries=SIGNALING_RETRIES,
         )
         self.calendar = MeetingCalendar(self.signaling)
         self.soap = SoapService(host, soap_port)

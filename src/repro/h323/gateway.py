@@ -16,13 +16,14 @@ endpoint).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.broker.broker import Broker
+from repro.broker.client import Failover
 from repro.broker.rtp_proxy import RtpProxy
 from repro.obs.metrics import SIGNALING_BUCKETS_S, MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.core.xgsp.client import XgspClient
+from repro.core.xgsp.client import SIGNALING_RETRIES, XgspClient
 from repro.core.xgsp.messages import JoinAccepted, LeaveSession
 from repro.core.xgsp.translation import (
     CONFERENCE_PREFIX,
@@ -45,9 +46,7 @@ class H323XgspGateway(H323Terminal):
         broker: Broker,
         gateway_id: str = "h323-gateway",
         h225_port: int = 1740,
-        failover_brokers: Optional[List[Broker]] = None,
-        keepalive_interval_s: float = 1.0,
-        signaling_retries: int = 2,
+        failover: Optional[Failover] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
@@ -63,17 +62,14 @@ class H323XgspGateway(H323Terminal):
         )
         self.broker = broker
         self.gateway_id = gateway_id
-        self._failover_brokers = list(failover_brokers or [])
-        self._keepalive_interval_s = keepalive_interval_s
+        #: Signaling and every per-call RTP proxy leg ride out broker
+        #: loss with this one setting.
+        self.failover = failover
         # Same idempotent-retry posture as the SIP gateway: a retried
         # join keeps its request id across a session-server failover.
         self.xgsp = XgspClient(
             host, broker, gateway_id,
-            keepalive_interval_s=(
-                keepalive_interval_s if self._failover_brokers else None
-            ),
-            failover_brokers=self._failover_brokers or None,
-            max_retries=signaling_retries,
+            failover=failover, max_retries=SIGNALING_RETRIES,
         )
         self.xgsp.broker_client.on_failover = self._on_broker_failover
         # call_id -> (JoinAccepted, RtpProxy)
@@ -126,12 +122,7 @@ class H323XgspGateway(H323Terminal):
                 self.joins_accepted += 1
                 proxy = RtpProxy(
                     self.broker.host, self.broker, proxy_id=f"h323-{call_id}",
-                    keepalive_interval_s=(
-                        self._keepalive_interval_s
-                        if self._failover_brokers else None
-                    ),
-                    failover_brokers=self._failover_brokers or None,
-                    tracer=self.tracer,
+                    failover=self.failover, tracer=self.tracer,
                 )
                 self._joins[call_id] = (response, proxy)
                 call.on_connected = self._on_call_connected

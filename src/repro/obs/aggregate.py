@@ -37,7 +37,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.broker.broker import Broker
-from repro.broker.client import BrokerClient
+from repro.broker.client import BrokerClient, Failover
 from repro.broker.event import NBEvent
 from repro.broker.monitor import (
     BrokerMonitor,
@@ -202,7 +202,6 @@ class ClusterHealthAggregator:
         cluster_id: str,
         interval_s: float = 1.0,
         stale_timeout_s: float = 15.0,
-        keepalive_interval_s: Optional[float] = None,
     ):
         self.broker = broker
         self.cluster_id = cluster_id
@@ -210,9 +209,7 @@ class ClusterHealthAggregator:
         self.interval_s = interval_s
         self.stale_timeout_s = stale_timeout_s
         self.client = BrokerClient(
-            broker.host,
-            client_id=f"health-aggregator/{broker.broker_id}",
-            keepalive_interval_s=keepalive_interval_s,
+            broker.host, client_id=f"health-aggregator/{broker.broker_id}"
         )
         self.client.connect(broker)
         flat = broker.cluster_id is None
@@ -358,20 +355,14 @@ class FleetMonitor:
         client_id: str = "fleet-console",
         history_limit: int = DEFAULT_SUMMARY_HISTORY,
         stale_timeout_s: float = 15.0,
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
+        failover: Optional[Failover] = None,
     ):
         if history_limit < 2:
             raise ValueError("history_limit must be at least 2")
         self.history_limit = history_limit
         self.stale_timeout_s = stale_timeout_s
         self.sim = broker.sim
-        self.client = BrokerClient(
-            host, client_id=client_id,
-            keepalive_interval_s=keepalive_interval_s,
-        )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
+        self.client = BrokerClient(host, client_id=client_id, failover=failover)
         self.client.connect(broker)
         self.history: Dict[str, Deque[ClusterHealthSummary]] = {}
         self.store = SeriesStore()
@@ -568,8 +559,7 @@ class TelemetryPlane:
             stale_timeout_s=max(
                 self.stale_timeout_s, 3.0 * self.summary_interval_s
             ),
-            keepalive_interval_s=self.summary_interval_s,
-            failover_brokers=fallbacks,
+            failover=Failover(fallbacks, keepalive_s=self.summary_interval_s),
         )
 
     def start(self) -> None:

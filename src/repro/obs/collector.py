@@ -31,15 +31,8 @@ class TraceCollector:
         host: Host,
         broker: Broker,
         client_id: str = "trace-collector",
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
     ):
-        self.client = BrokerClient(
-            host, client_id=client_id,
-            keepalive_interval_s=keepalive_interval_s,
-        )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
+        self.client = BrokerClient(host, client_id=client_id)
         self.client.connect(broker)
         self.client.subscribe(f"{TRACE_TOPIC_PREFIX}/#", self._on_trace)
         self.traces: List[CompletedTrace] = []

@@ -82,17 +82,10 @@ class SloWatchdog:
         broker: Broker,
         check_interval_s: float = 0.5,
         client_id: str = "slo-watchdog",
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
     ):
         self.sim = host.sim
         self.check_interval_s = check_interval_s
-        self.client = BrokerClient(
-            host, client_id=client_id,
-            keepalive_interval_s=keepalive_interval_s,
-        )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
+        self.client = BrokerClient(host, client_id=client_id)
         self.client.connect(broker)
         self._probes: List[_Probe] = []
         self.alerts_raised = 0
@@ -264,15 +257,8 @@ class AlertLog:
         host: Host,
         broker: Broker,
         client_id: str = "alert-log",
-        keepalive_interval_s: Optional[float] = None,
-        failover_brokers: Optional[List[Broker]] = None,
     ):
-        self.client = BrokerClient(
-            host, client_id=client_id,
-            keepalive_interval_s=keepalive_interval_s,
-        )
-        if failover_brokers:
-            self.client.set_failover_brokers(failover_brokers)
+        self.client = BrokerClient(host, client_id=client_id)
         self.client.connect(broker)
         self.client.subscribe(f"{ALERT_TOPIC_PREFIX}/#", self._on_alert)
         self.alerts: List[SloAlert] = []

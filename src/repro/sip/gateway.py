@@ -21,13 +21,14 @@ BYE leaves the XGSP session and tears the proxy leg down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.broker.broker import Broker
+from repro.broker.client import Failover
 from repro.broker.rtp_proxy import RtpProxy
 from repro.obs.metrics import SIGNALING_BUCKETS_S, MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.core.xgsp.client import XgspClient
+from repro.core.xgsp.client import SIGNALING_RETRIES, XgspClient
 from repro.core.xgsp.messages import (
     JoinAccepted,
     JoinRejected,
@@ -61,27 +62,22 @@ class SipXgspGateway:
 
     def __init__(self, proxy: SipProxy, broker: Broker,
                  gateway_id: str = "sip-gateway",
-                 failover_brokers: Optional[List[Broker]] = None,
-                 keepalive_interval_s: float = 1.0,
-                 signaling_retries: int = 2,
+                 failover: Optional[Failover] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None):
         self.proxy = proxy
         self.broker = broker
         self.sim = proxy.sim
         self.gateway_id = gateway_id
-        self._failover_brokers = list(failover_brokers or [])
-        self._keepalive_interval_s = keepalive_interval_s
+        #: Signaling and every per-call RTP proxy leg ride out broker
+        #: loss with this one setting.
+        self.failover = failover
         # Retried joins keep their request id, so a session-server
         # failover mid-INVITE resolves via duplicate suppression rather
         # than a SIP-level timeout (DESIGN.md §5d).
         self.xgsp = XgspClient(
             proxy.host, broker, gateway_id,
-            keepalive_interval_s=(
-                keepalive_interval_s if self._failover_brokers else None
-            ),
-            failover_brokers=self._failover_brokers or None,
-            max_retries=signaling_retries,
+            failover=failover, max_retries=SIGNALING_RETRIES,
         )
         self.xgsp.broker_client.on_failover = self._on_broker_failover
         self._legs: Dict[str, _GatewayLeg] = {}  # SIP Call-Id -> leg
@@ -184,10 +180,7 @@ class SipXgspGateway:
         proxy = RtpProxy(
             self.broker.host, self.broker,
             proxy_id=f"sip-{call_id}",
-            keepalive_interval_s=(
-                self._keepalive_interval_s if self._failover_brokers else None
-            ),
-            failover_brokers=self._failover_brokers or None,
+            failover=self.failover,
             tracer=self.tracer,
         )
         leg = _GatewayLeg(

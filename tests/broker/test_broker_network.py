@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker import Broker, BrokerClient, BrokerNetwork, Failover
 from repro.broker.links import SubAdvert
 
 from tests.broker.conftest import assert_maintained_state, make_client
@@ -259,8 +259,9 @@ def test_outbox_depth_tally_survives_reaping(net, sim):
     broker = Broker(
         net.create_host("broker-host"), broker_id="b0", reap_timeout_s=1.0
     )
-    publisher = connected_client(net, sim, broker, "pub")
-    publisher.start_keepalive(0.25)
+    publisher = make_client(
+        net, sim, broker, "pub", failover=Failover(keepalive_s=0.25)
+    )
     victim = connected_client(net, sim, broker, "victim")
     victim.subscribe("/t", lambda e: None)
     sim.run_for(0.2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.broker import Broker, BrokerClient, LinkType
+from repro.simnet.link import LinkProfile
 
 from tests.broker.conftest import make_client
 
@@ -124,6 +125,26 @@ def test_a_connect_ack_after_disconnect_does_not_revive_the_client(
     client.disconnect()
     sim.run_for(1.0)
     assert not client.connected and client.broker_id is None
+
+
+def test_a_late_connect_ack_does_not_take_over_the_next_connect(
+    net, sim, single_broker
+):
+    """``connect(A); disconnect(); connect(B)`` with B far away: A's
+    ConnectAck reaches the given-up socket first.  The client must wait
+    for B's ack instead of calling itself connected to A."""
+    far = Broker(
+        net.create_host("far-host", link=LinkProfile(latency_s=0.1)),
+        broker_id="far",
+    )
+    client = BrokerClient(net.create_host("hasty"), client_id="hasty")
+    client.connect(single_broker)
+    client.disconnect()
+    client.connect(far)
+    sim.run_for(0.04)
+    assert not client.connected and client.broker_id is None
+    sim.run_for(2.0)
+    assert client.connected and client.broker_id == "far"
 
 
 def test_duplicate_connect_replaces_link(net, sim, single_broker):

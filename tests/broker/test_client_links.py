@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetwork, LinkType
+from repro.broker import BrokerClient, BrokerNetwork, Failover, LinkType
 from repro.simnet import Firewall, HttpTunnelProxy
 
 from tests.broker.conftest import make_client
@@ -96,9 +96,9 @@ def test_client_fails_over_when_its_broker_crashes(net, sim, link_type):
     bnet = BrokerNetwork.chain(net, 2)
     first, second = bnet.broker("broker-0"), bnet.broker("broker-1")
     client = BrokerClient(
-        net.create_host("c"), client_id="c", keepalive_interval_s=0.5
+        net.create_host("c"), client_id="c",
+        failover=Failover([first, second], keepalive_s=0.5),
     )
-    client.set_failover_brokers([first, second])
     client.connect(first, link_type=link_type)
     sim.run_for(1.0)
     assert client.broker_id == "broker-0"
@@ -107,6 +107,14 @@ def test_client_fails_over_when_its_broker_crashes(net, sim, link_type):
     assert client.connected
     assert client.broker_id == "broker-1"
     assert (client.link_losses, client.failovers) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "timing", [dict(keepalive_s=0.0), dict(keepalive_s=-1.0), dict(miss_limit=0)]
+)
+def test_failover_rejects_a_timing_that_never_detects_loss(timing):
+    with pytest.raises(ValueError, match="keepalive_s > 0 and miss_limit >= 1"):
+        Failover(**timing)
 
 
 def test_reconnect_after_disconnect_not_allowed_on_same_object(net, sim, single_broker):

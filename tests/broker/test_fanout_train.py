@@ -18,7 +18,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.broker import Broker, BrokerClient
+from repro.broker import Broker, BrokerClient, Failover
 from repro.broker.links import LinkType
 from repro.broker.profile import NARADA_PROFILE
 from repro.simnet import Network, SeededStreams, Simulator
@@ -271,7 +271,9 @@ def plan_run(seed, receivers, churn, walk, loss_rate=0.0):
     def add_client(kind, where):
         n = len(clients)
         host = net.create_host(f"r{n}", link=link) if where == "own" else shared
-        client = BrokerClient(host, client_id=f"c{n}", keepalive_interval_s=0.2)
+        client = BrokerClient(
+            host, client_id=f"c{n}", failover=Failover(keepalive_s=0.2)
+        )
         client.connect(broker, link_type=kind)
         client.subscribe(TOPIC, lambda event, n=n: arrivals.append(
             (sim.now, n, event.payload)
@@ -283,7 +285,7 @@ def plan_run(seed, receivers, churn, walk, loss_rate=0.0):
     publishers = {}
     for name in ("pub", "pubsub"):
         publishers[name] = BrokerClient(
-            broker.host, client_id=name, keepalive_interval_s=0.2
+            broker.host, client_id=name, failover=Failover(keepalive_s=0.2)
         )
         publishers[name].connect(broker)
     publishers["pubsub"].subscribe(TOPIC, lambda event: arrivals.append(

@@ -12,7 +12,7 @@ and a heal drains everything exactly once).
 
 import pytest
 
-from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork, FabricSpec
+from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork, FabricSpec, Failover
 from repro.broker.geo import SEQUENCER_PIN_WINDOW
 
 def geo_mesh(net, regions, edges):
@@ -26,8 +26,8 @@ def geo_mesh(net, regions, edges):
     return bnet
 
 
-def make_client(net, broker, name):
-    client = BrokerClient(net.create_host(name), client_id=name)
+def make_client(net, broker, name, failover=None):
+    client = BrokerClient(net.create_host(name), client_id=name, failover=failover)
     client.connect(broker)
     return client
 
@@ -330,13 +330,13 @@ def test_rtp_proxy_region_pin_prefers_local_failover_candidates(sim, net):
         net.create_host("proxy-host"),
         bnet.broker("u0"),
         "proxy-1",
-        keepalive_interval_s=0.5,
-        failover_brokers=[
-            bnet.broker("e0"), bnet.broker("u1"), bnet.broker("u0"),
-        ],
+        failover=Failover(
+            [bnet.broker("e0"), bnet.broker("u1"), bnet.broker("u0")],
+            keepalive_s=0.5,
+        ),
         region="us",
     )
-    assert [b.broker_id for b in proxy.client._failover_brokers] == [
+    assert [b.broker_id for b in proxy.client.failover.brokers] == [
         "u1", "u0", "e0",
     ]
 
@@ -366,9 +366,11 @@ def test_busy_hint_does_not_floor_failover_to_another_region(sim, net):
     hint must be discarded, not floor that attempt's delay."""
     bnet = geo_mesh(net, {"us": ["u0"], "eu": ["e0"]}, [("u0", "e0")])
     sim.run_for(2.0)
-    client = make_client(net, bnet.broker("u0"), "roamer")
+    client = make_client(
+        net, bnet.broker("u0"), "roamer",
+        failover=Failover([bnet.broker("u0"), bnet.broker("e0")]),
+    )
     sim.run_for(1.0)
-    client.set_failover_brokers([bnet.broker("u0"), bnet.broker("e0")])
 
     # White-box: mid-reconnect, u0 just answered Busy(retry_after=5).
     client._reconnecting = True
@@ -383,9 +385,10 @@ def test_busy_hint_does_not_floor_failover_to_another_region(sim, net):
 def test_busy_hint_still_floors_retry_toward_the_same_broker(sim, net):
     bnet = geo_mesh(net, {"us": ["u0"]}, [])
     sim.run_for(1.0)
-    client = make_client(net, bnet.broker("u0"), "loyal")
+    client = make_client(
+        net, bnet.broker("u0"), "loyal", failover=Failover([bnet.broker("u0")])
+    )
     sim.run_for(1.0)
-    client.set_failover_brokers([bnet.broker("u0")])
 
     client._reconnecting = True
     client._failover_backoff.note_retry_after(5.0)

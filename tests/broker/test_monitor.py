@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork
+from repro.broker import Broker, BrokerClient, BrokerNetwork, Failover
 from repro.broker.monitor import (
     MONITOR_TOPIC_PREFIX,
     BrokerMonitor,
@@ -148,8 +148,7 @@ def test_monitor_rides_broker_failover(net, sim):
     primary = bnet.broker("broker-0")
     backup = bnet.broker("broker-1")
     monitor = BrokerMonitor(
-        primary, interval_s=0.5,
-        keepalive_interval_s=0.25, failover_brokers=[backup],
+        primary, interval_s=0.5, failover=Failover([backup], keepalive_s=0.25)
     )
     samples = watch(net, backup)
     sim.run_for(1.0)
@@ -174,9 +173,9 @@ def test_monitor_observes_client_reaping(net, sim):
         net.create_host("broker-host"), broker_id="b0", reap_timeout_s=1.0
     )
     monitor = BrokerMonitor(
-        broker, interval_s=0.5, keepalive_interval_s=0.25
+        broker, interval_s=0.5, failover=Failover(keepalive_s=0.25)
     )
-    samples = watch(net, broker, keepalive_interval_s=0.25)
+    samples = watch(net, broker, failover=Failover(keepalive_s=0.25))
     # A client that subscribes, then goes silent forever (no keepalive).
     victim = make_client(net, sim, broker, "victim")
     victim.subscribe("/t", lambda e: None)

@@ -8,7 +8,7 @@ subscription replay, and zero leaked state on the survivors.
 
 import pytest
 
-from repro.broker import Broker, BrokerClient, BrokerNetwork, RtpProxy
+from repro.broker import Broker, BrokerClient, BrokerNetwork, Failover, RtpProxy
 from repro.core.xgsp import XgspClient, XgspSessionServer
 from repro.simnet import Address, LinkProfile, Network, SeededStreams, Simulator, UdpSocket
 from repro.sip.gateway import SipXgspGateway
@@ -22,8 +22,9 @@ from repro.h323.gateway import H323XgspGateway
 from repro.h323.terminal import H323Terminal
 from repro.rtp.packet import PayloadType, RtpPacket
 
-#: Fast liveness settings for the scenarios (detection in under 1 s).
-KEEPALIVE = dict(keepalive_interval_s=0.25, keepalive_miss_limit=2)
+def fast_failover(*brokers):
+    """Fast liveness settings for the scenarios (detection in under 1 s)."""
+    return Failover(brokers, keepalive_s=0.25, miss_limit=2)
 
 
 def two_brokers(seed=7):
@@ -38,9 +39,8 @@ def test_subscriber_fails_over_and_replays_subscriptions():
     publisher = BrokerClient(net.create_host("pub-host"), client_id="pub")
     publisher.connect(b0)
     subscriber = BrokerClient(
-        net.create_host("sub-host"), client_id="sub", **KEEPALIVE
+        net.create_host("sub-host"), client_id="sub", failover=fast_failover(b0)
     )
-    subscriber.set_failover_brokers([b0])
     subscriber.connect(b1)
     got = []
     subscriber.subscribe("/conf/audio", lambda e: got.append(e.payload))
@@ -84,9 +84,8 @@ def test_publishes_during_outage_flush_after_failover():
     subscriber = BrokerClient(net.create_host("sub-host"), client_id="sub")
     subscriber.connect(b0)
     publisher = BrokerClient(
-        net.create_host("pub-host"), client_id="pub", **KEEPALIVE
+        net.create_host("pub-host"), client_id="pub", failover=fast_failover(b0)
     )
-    publisher.set_failover_brokers([b0])
     publisher.connect(b1)
     got = []
     subscriber.subscribe("/t", lambda e: got.append(e.payload))
@@ -106,7 +105,7 @@ def test_rtp_proxy_bridges_survive_broker_loss():
     sim, net, bnet, b0, b1 = two_brokers(seed=9)
     proxy = RtpProxy(
         net.create_host("gw-host"), b1, proxy_id="gw",
-        keepalive_interval_s=0.25, failover_brokers=[b0],
+        failover=Failover([b0], keepalive_s=0.25),
     )
     sink = UdpSocket(net.create_host("sink"), 7000)
     received = []
@@ -146,7 +145,7 @@ def test_xgsp_signaling_survives_media_broker_loss():
     server = XgspSessionServer(net.create_host("xgsp-host"), b0)
     client = XgspClient(
         net.create_host("client-host"), b1, "roamer",
-        keepalive_interval_s=0.25, failover_brokers=[b0],
+        failover=Failover([b0], keepalive_s=0.25),
     )
     sim.run_for(2.0)
     created = []
@@ -183,7 +182,7 @@ def test_sip_gateway_fails_over_with_its_rtp_legs():
     sip_proxy = SipProxy(sip_host, "mmcs.org", location=location)
     registrar = SipRegistrar(sip_host, port=5070, location=location)
     gateway = SipXgspGateway(
-        sip_proxy, b1, failover_brokers=[b0], keepalive_interval_s=0.25
+        sip_proxy, b1, failover=Failover([b0], keepalive_s=0.25)
     )
     sim.run_for(2.0)
 
@@ -247,7 +246,7 @@ def test_h323_gateway_fails_over_with_its_rtp_legs():
     gatekeeper = Gatekeeper(gk_host, gatekeeper_id="zone")
     gateway = H323XgspGateway(
         gk_host, gatekeeper, b1,
-        failover_brokers=[b0], keepalive_interval_s=0.25,
+        failover=Failover([b0], keepalive_s=0.25),
     )
     sim.run_for(2.0)
 
@@ -307,7 +306,7 @@ def test_broker_reaps_silent_clients_releasing_interest():
     quiet.connect(broker)
     alive = BrokerClient(
         net.create_host("alive-host"), client_id="alive",
-        keepalive_interval_s=0.5,
+        failover=Failover(keepalive_s=0.5),
     )
     alive.connect(broker)
     quiet.subscribe("/t", lambda e: None)
@@ -341,9 +340,8 @@ def test_failover_chain_soak():
     for index in range(10):
         client = BrokerClient(
             net.create_host(f"sub-{index}-host"),
-            client_id=f"sub-{index}", **KEEPALIVE,
+            client_id=f"sub-{index}", failover=fast_failover(b1, b0),
         )
-        client.set_failover_brokers([b1, b0])
         client.connect(b2)
         client.subscribe("/soak", lambda e: None)
         clients.append(client)
