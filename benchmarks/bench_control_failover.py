@@ -30,6 +30,11 @@ from repro.broker.network import BrokerNetwork
 from repro.broker.spec import FAST_MESH
 from repro.core.xgsp.client import XgspClient
 from repro.core.xgsp.messages import JoinAccepted
+from repro.core.xgsp.replication import (
+    REPLICA_HEARTBEAT_S,
+    REPLICA_MISS_LIMIT,
+    Replica,
+)
 from repro.core.xgsp.session_server import XgspSessionServer
 from repro.simnet.chaos import ChaosSchedule
 from repro.simnet.kernel import Simulator
@@ -37,11 +42,6 @@ from repro.simnet.network import Network
 from repro.simnet.rng import SeededStreams
 
 RUN_FOR_S = 20.0
-
-#: Replica-plane failure detector — same cadence as the broker mesh's,
-#: so detection costs miss_limit beats (0.5 s) + one election tick.
-REPLICA_HEARTBEAT_S = 0.25
-REPLICA_MISS_LIMIT = 2
 
 KILL_AT_S = 8.0
 
@@ -70,9 +70,7 @@ def scenario(quick):
             net.create_host(f"{name}-host"),
             bnet.broker(f"broker-{index}"),
             server_id=name,
-            replica_heartbeat_interval_s=REPLICA_HEARTBEAT_S,
-            replica_miss_limit=REPLICA_MISS_LIMIT,
-            standby=(index != 0),
+            replica=Replica(standby=(index != 0)),
         )
     sim.run_for(2.0)  # heartbeat discovery + standby snapshots
     ready = replicas["xgsp-a"].is_leader and all(

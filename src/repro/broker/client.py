@@ -46,8 +46,6 @@ from repro.broker.links import (
 )
 from repro.broker.reliable import OrderedInbox, ReliableInbox
 from repro.broker.topic import compile_pattern, match_segments, validate_topic
-from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
-from repro.obs.trace import internal_topic
 from repro.simnet.node import Host
 from repro.simnet.packet import Address
 from repro.util.backoff import ExponentialBackoff
@@ -62,6 +60,9 @@ MAX_CONTROL_RETRIES = 20
 
 #: Distinct topics a client's dispatch memo holds before it starts over.
 DISPATCH_MEMO_TOPICS = 256
+
+#: Wire overhead a client adds to each message it sends.
+ENVELOPE_BYTES = 66
 
 #: Default keepalive probe cadence once enabled.
 KEEPALIVE_INTERVAL_S = 1.0
@@ -113,15 +114,12 @@ class BrokerClient:
         host: Host,
         client_id: str,
         publish_cpu_cost_s: float = 8e-6,
-        envelope_bytes: int = 66,
         failover: Optional[Failover] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.host = host
         self.sim = host.sim
         self.client_id = client_id
         self.publish_cpu_cost_s = publish_cpu_cost_s
-        self.envelope_bytes = envelope_bytes
         self.connected = False
         self.broker_id: Optional[str] = None
         #: Keepalive and reconnect candidates; ``None`` does neither.
@@ -162,28 +160,6 @@ class BrokerClient:
         self.failovers = 0
         self.subscriptions_replayed = 0
         self.busy_rejections = 0
-        # Optional per-client metrics registry (one registry per client —
-        # names are not namespaced).  ``receive_latency_s`` observes the
-        # end-to-end publish→dispatch delay of every non-management event.
-        self.metrics = metrics
-        self._receive_latency = (
-            metrics.histogram("receive_latency_s", LATENCY_BUCKETS_S)
-            if metrics is not None
-            else None
-        )
-        if metrics is not None:
-            for counter_name in (
-                "events_published",
-                "events_received",
-                "link_losses",
-                "failovers",
-                "subscriptions_replayed",
-                "busy_rejections",
-            ):
-                metrics.expose(
-                    counter_name,
-                    lambda name=counter_name: getattr(self, name),
-                )
 
     # ----------------------------------------------------------- connect
 
@@ -502,7 +478,7 @@ class BrokerClient:
     def _send_now(self, message: Any) -> None:
         if self._transport is None:
             raise RuntimeError(f"client {self.client_id} is not connected")
-        size = message.wire_size(self.envelope_bytes)
+        size = message.wire_size(ENVELOPE_BYTES)
         self.host.cpu.execute(
             self.publish_cpu_cost_s, self._transport.send, message, size
         )
@@ -598,8 +574,6 @@ class BrokerClient:
 
     def _dispatch(self, event: NBEvent) -> None:
         self.events_received += 1
-        if self._receive_latency is not None and not internal_topic(event.topic):
-            self._receive_latency.observe(self.sim.now - event.published_at)
         memo = self._memo
         topic = event.topic
         matched = memo.get(topic)

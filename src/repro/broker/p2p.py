@@ -29,6 +29,8 @@ RENDEZVOUS_PORT = 4000
 
 #: Wire overhead of a P2P data frame (headers comparable to broker envelope).
 P2P_FRAME_BYTES = 48
+#: CPU cost of sending one direct frame to a peer.
+SEND_CPU_COST_S = 8e-6
 
 
 @dataclass
@@ -128,7 +130,6 @@ class P2PGroup:
         rendezvous: Address,
         broker_client: Optional[BrokerClient] = None,
         direct: bool = True,
-        send_cpu_cost_s: float = 8e-6,
     ):
         self.host = host
         self.sim = host.sim
@@ -137,7 +138,6 @@ class P2PGroup:
         self.rendezvous = rendezvous
         self.broker_client = broker_client
         self.direct = direct
-        self.send_cpu_cost_s = send_cpu_cost_s
         self.socket = UdpSocket(host)
         self.socket.on_receive(self._on_datagram)
         self._peers: Dict[str, PeerInfo] = {}
@@ -202,7 +202,7 @@ class P2PGroup:
             info = self._peers[peer_id]
             if info.direct and info.address is not None:
                 self.host.cpu.execute(
-                    self.send_cpu_cost_s,
+                    SEND_CPU_COST_S,
                     self.socket.sendto,
                     frame,
                     size + P2P_FRAME_BYTES,

@@ -21,6 +21,11 @@ from typing import Callable, Deque, Dict, Optional, Set, Tuple
 from repro.broker.event import NBEvent
 from repro.simnet.kernel import Simulator, Timer
 
+#: Ceiling of an outbox's exponential resend interval.
+MAX_RESEND_INTERVAL_S = 2.0
+#: Event ids an inbox remembers for duplicate suppression.
+INBOX_MEMORY = 4096
+
 
 class OutboxTally:
     """Running totals over a set of :class:`ReliableOutbox` es: events
@@ -62,7 +67,6 @@ class ReliableOutbox:
         "sim",
         "_send",
         "resend_interval_s",
-        "max_interval_s",
         "max_retries",
         "max_pending",
         "on_abandon",
@@ -78,7 +82,6 @@ class ReliableOutbox:
         sim: Simulator,
         send: Callable[[NBEvent], None],
         resend_interval_s: float = 0.25,
-        max_interval_s: float = 2.0,
         max_retries: int = 8,
         max_pending: int = 2048,
         on_abandon: Optional[Callable[[NBEvent], None]] = None,
@@ -89,7 +92,6 @@ class ReliableOutbox:
         self.sim = sim
         self._send = send
         self.resend_interval_s = resend_interval_s
-        self.max_interval_s = max_interval_s
         self.max_retries = max_retries
         self.max_pending = max_pending
         self.on_abandon = on_abandon
@@ -106,7 +108,7 @@ class ReliableOutbox:
     def _interval(self, retries: int) -> float:
         """Exponential backoff: the retry horizon outlives multi-second
         network blackouts without hammering a dead path."""
-        return min(self.resend_interval_s * (2 ** retries), self.max_interval_s)
+        return min(self.resend_interval_s * (2 ** retries), MAX_RESEND_INTERVAL_S)
 
     def send(self, event: NBEvent) -> None:
         """Transmit and track until acknowledged."""
@@ -162,12 +164,11 @@ class ReliableOutbox:
 class ReliableInbox:
     """Client-side dedup of redelivered reliable events."""
 
-    __slots__ = ("_seen", "_order", "max_remembered", "duplicates")
+    __slots__ = ("_seen", "_order", "duplicates")
 
-    def __init__(self, max_remembered: int = 4096):
+    def __init__(self):
         self._seen: Set[int] = set()
         self._order: Deque[int] = deque()
-        self.max_remembered = max_remembered
         self.duplicates = 0
 
     def accept(self, event: NBEvent) -> bool:
@@ -177,7 +178,7 @@ class ReliableInbox:
             return False
         self._seen.add(event.event_id)
         self._order.append(event.event_id)
-        if len(self._order) > self.max_remembered:
+        if len(self._order) > INBOX_MEMORY:
             oldest = self._order.popleft()
             self._seen.discard(oldest)
         return True

@@ -25,8 +25,6 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient, Failover
 from repro.broker.event import NBEvent, PRIORITY_VIDEO
-from repro.broker.links import LinkType
-from repro.obs.trace import Tracer
 from repro.simnet.node import Host
 from repro.simnet.packet import Address
 from repro.simnet.transport import UDP_HEADER_BYTES
@@ -41,9 +39,7 @@ class RtpProxy:
         host: Host,
         broker: Broker,
         proxy_id: str,
-        link_type: LinkType = LinkType.UDP,
         failover: Optional[Failover] = None,
-        tracer: Optional[Tracer] = None,
         playout_budget_s: Optional[float] = None,
         video_playout_budget_s: Optional[float] = None,
         region: Optional[str] = None,
@@ -70,9 +66,6 @@ class RtpProxy:
         )
         self.late_drops_audio = 0
         self.late_drops_video = 0
-        #: Samples at the media ingress edge: a traced packet carries its
-        #: proxy hop before the first broker hop.
-        self.tracer = tracer
         if failover is not None and region is not None:
             failover = replace(failover, brokers=sorted(
                 failover.brokers, key=lambda broker: broker.region != region
@@ -80,7 +73,7 @@ class RtpProxy:
         self.client = BrokerClient(
             host, client_id=f"rtp-proxy/{proxy_id}", failover=failover
         )
-        self.client.connect(broker, link_type=link_type)
+        self.client.connect(broker)
         self._inbound: Dict[int, Tuple[UdpSocket, str]] = {}
         # (topic, destination) -> (socket, subscription handler) — the
         # handler reference is what per-handler unsubscribe needs so two
@@ -110,21 +103,9 @@ class RtpProxy:
 
         def on_packet(payload, src, datagram, topic=topic):
             self.packets_in += 1
-            event = self.client.publish(
+            self.client.publish(
                 topic, payload, max(1, datagram.size - UDP_HEADER_BYTES)
             )
-            if self.tracer is not None:
-                context = self.tracer.sample(event, self.client.sim.now)
-                if context is not None:
-                    # The proxy is the media-ingress hop: the publish CPU
-                    # cost is charged to it, the wire to the first broker
-                    # shows up as that broker hop's link share.
-                    hop = context.begin_hop(
-                        self.proxy_id, "proxy", self.client.sim.now
-                    )
-                    hop.cpu_s = self.client.publish_cpu_cost_s
-                    hop.departed_at = self.client.sim.now
-                    hop.link = self.client.broker_id or "broker"
 
         socket.on_receive(on_packet)
         self._inbound[socket.port] = (socket, topic)

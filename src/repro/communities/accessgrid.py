@@ -31,6 +31,8 @@ from repro.soap.wsdl import Operation, WsdlDocument
 
 #: RTP port used inside every venue group.
 VENUE_RTP_PORT = 57000
+#: Multicast prefix the venue server allocates groups under.
+VENUE_GROUP_PREFIX = "233.2"
 
 
 @dataclass
@@ -47,8 +49,8 @@ class Venue:
 class VenueServer:
     """Allocates venues and their multicast groups."""
 
-    def __init__(self, base_group: str = "233.2"):
-        self._allocator = MulticastGroupAddress(base_group)
+    def __init__(self):
+        self._allocator = MulticastGroupAddress(VENUE_GROUP_PREFIX)
         self._venues: Dict[str, Venue] = {}
 
     def create_venue(self, name: str, media_kinds: Optional[List[str]] = None) -> Venue:

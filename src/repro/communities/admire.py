@@ -16,7 +16,7 @@ rendezvous addresses over SOAP, and wires the two agents together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.broker.broker import Broker
 from repro.broker.rtp_proxy import RtpProxy
@@ -56,7 +56,7 @@ class AdmireClient:
         self.on_media: Optional[Callable[[str, RtpPacket], None]] = None
         self._sockets: Dict[str, UdpSocket] = {}
         self.packets_received = 0
-        for kind in system.media_kinds:
+        for kind in system.MEDIA_KINDS:
             socket = UdpSocket(host)
             socket.on_receive(
                 lambda payload, src, dgram, kind=kind: self._receive(kind, payload)
@@ -80,22 +80,19 @@ class AdmireClient:
 class AdmireSystem:
     """The Admire community server: SOAP face + internal distribution."""
 
-    def __init__(
-        self,
-        host: Host,
-        soap_port: int = 8090,
-        media_kinds: Optional[List[str]] = None,
-    ):
+    #: The media an Admire system carries.
+    MEDIA_KINDS = ("audio", "video")
+
+    def __init__(self, host: Host, soap_port: int = 8090):
         self.host = host
         self.sim = host.sim
-        self.media_kinds = list(media_kinds or ["audio", "video"])
         self.soap = SoapService(host, soap_port)
         self.soap.register(admire_wsdl())
         self.soap.bind(ADMIRE_SERVICE, "openRendezvous", self._op_open_rendezvous)
         self.soap.bind(ADMIRE_SERVICE, "closeRendezvous", self._op_close_rendezvous)
         self.soap.bind(ADMIRE_SERVICE, "listMembers", self._op_list_members)
         self.soap.bind(ADMIRE_SERVICE, "describe", lambda: {
-            "system": "Admire", "media": list(self.media_kinds),
+            "system": "Admire", "media": list(self.MEDIA_KINDS),
         })
         self._clients: Dict[str, AdmireClient] = {}
         # Internal hub sockets used to push media to member sockets.
@@ -150,7 +147,7 @@ class AdmireSystem:
         agents: Dict[str, tuple] = {}
         ours: Dict[str, str] = {}
         for kind, remote_spec in sorted(dict(remote_agents).items()):
-            if kind not in self.media_kinds:
+            if kind not in self.MEDIA_KINDS:
                 continue
             remote_host, _, remote_port = str(remote_spec).partition(":")
             remote = Address(remote_host, int(remote_port))

@@ -16,7 +16,6 @@ is the seed's single-shot behaviour.
 
 from __future__ import annotations
 
-import logging
 import random
 import zlib
 from typing import Any, Callable, Dict, List, Optional
@@ -43,10 +42,10 @@ from repro.core.xgsp.session_server import (
     SERVER_TOPIC,
     WRAPPER_BYTES,
     client_topic,
+    decode_signaling,
 )
 from repro.simnet.kernel import Timer
 from repro.simnet.node import Host
-from repro.simnet.packet import Address
 from repro.util.backoff import ExponentialBackoff
 
 ResponseCallback = Callable[[Any], None]
@@ -62,8 +61,6 @@ RETRY_JITTER = 0.1
 
 #: ``max_retries`` of the gateways' and the web server's signaling.
 SIGNALING_RETRIES = 2
-
-_log = logging.getLogger(__name__)
 
 
 class _PendingRequest:
@@ -99,7 +96,6 @@ class XgspClient:
         broker: Broker,
         participant_id: str,
         link_type: LinkType = LinkType.UDP,
-        proxy: Optional[Address] = None,
         failover: Optional[Failover] = None,
         max_retries: int = 0,
     ):
@@ -116,7 +112,7 @@ class XgspClient:
             client_id=f"xgsp/{participant_id}",
             failover=failover,
         )
-        self.broker_client.connect(broker, link_type=link_type, proxy=proxy)
+        self.broker_client.connect(broker, link_type=link_type)
         self.broker_client.subscribe(self.reply_topic, self._on_reply_event)
         self._pending: Dict[int, _PendingRequest] = {}
         self._announcement_handlers: List[AnnouncementCallback] = []
@@ -124,6 +120,7 @@ class XgspClient:
         self.retries_sent = 0
         self.busy_rejections = 0
         self.swallowed_errors = 0
+        self.payloads_rejected = 0
 
     @property
     def failovers(self) -> int:
@@ -211,17 +208,10 @@ class XgspClient:
                 on_timeout()
 
     def _on_reply_event(self, event: NBEvent) -> None:
-        payload = event.payload
-        if not isinstance(payload, dict) or "xml" not in payload:
-            return
-        try:
-            message = xml_codec.decode(payload["xml"])
-        except Exception as exc:
-            self.swallowed_errors += 1
-            _log.debug(
-                "%s dropped undecodable reply (%s)",
-                self.participant_id, type(exc).__name__,
-            )
+        message = decode_signaling(
+            self, self.participant_id, event.payload, "reply"
+        )
+        if message is None:
             return
         if isinstance(message, SessionAnnouncement) and message.event == "invitation":
             for handler in self._announcement_handlers:
@@ -270,18 +260,9 @@ class XgspClient:
 
     def _make_announcement_dispatch(self, handler: AnnouncementCallback):
         def dispatch(event: NBEvent) -> None:
-            payload = event.payload
-            if not isinstance(payload, dict) or "xml" not in payload:
-                return
-            try:
-                message = xml_codec.decode(payload["xml"])
-            except Exception as exc:
-                self.swallowed_errors += 1
-                _log.debug(
-                    "%s dropped undecodable announcement (%s)",
-                    self.participant_id, type(exc).__name__,
-                )
-                return
+            message = decode_signaling(
+                self, self.participant_id, event.payload, "announcement"
+            )
             if isinstance(message, SessionAnnouncement):
                 handler(message)
 

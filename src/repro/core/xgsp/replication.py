@@ -1,20 +1,21 @@
 """Session-server replication: the plane a server builds only when replicated.
 
-An :class:`~repro.core.xgsp.session_server.XgspSessionServer` given
-``replica_heartbeat_interval_s`` owns one :class:`Replication`
-(DESIGN.md §5d): heartbeats and eviction, the min-id election and its
-quorum refusal, journal receive, snapshot request and serve, and
-promotion with in-flight replay.  A replica's role is one field —
-``leading``, ``following``, ``leaderless`` or ``closed`` — changed only
-by :meth:`Replication.become`, which owns each transition's side
-effects.  Session state changes only through the server's ``_apply``.
+An :class:`~repro.core.xgsp.session_server.XgspSessionServer` given a
+:class:`Replica` owns one :class:`Replication` (DESIGN.md §5d):
+heartbeats and eviction, the min-id election and its quorum refusal,
+journal receive, snapshot request and serve, and promotion with
+in-flight replay.  A replica's role is one field — ``leading``,
+``following``, ``leaderless`` or ``closed`` — changed only by
+:meth:`Replication.become`, which owns each transition's side effects.
+Session state changes only through the server's ``_apply``.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.broker.event import NBEvent
 from repro.core.xgsp.messages import (
@@ -28,6 +29,12 @@ from repro.core.xgsp.session import Session
 
 JOURNAL_TOPIC = "/xgsp/journal"
 REPLICA_TOPIC = "/xgsp/control/replicas"
+
+#: Replica heartbeat cadence (s), and the silent beats that evict a peer:
+#: the broker mesh's ``FAST_MESH`` timing, so losing the leader costs two
+#: beats (0.5 s) plus one election tick.
+REPLICA_HEARTBEAT_S = 0.25
+REPLICA_MISS_LIMIT = 2
 
 #: Bound on a standby's buffered in-flight requests.
 INFLIGHT_BUFFER_MAX = 512
@@ -49,19 +56,33 @@ def replica_topic(server_id: str) -> str:
     return f"/xgsp/control/replica/{server_id.replace('/', '-')}"
 
 
+@dataclass(frozen=True)
+class Replica:
+    """A replicated session server's posture.  ``standby`` starts
+    following (journal apply and snapshot catch-up) and promotes on
+    leader death instead of leading at once.  ``quorum_size`` is the
+    split-brain guard: a replica that can see fewer live replicas
+    (itself included) refuses promotion, so the minority side of a
+    partition keeps following; ``None`` guards nothing."""
+
+    standby: bool = False
+    quorum_size: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.quorum_size is not None and self.quorum_size < 1:
+            raise ValueError(
+                f"quorum_size must be >= 1, got {self.quorum_size!r}"
+            )
+
+
 class Replication:
     """Replica role, election and catch-up of one session server."""
 
-    def __init__(self, server, interval_s: float, miss_limit: int,
-                 standby: bool, quorum_size: Optional[int]):
+    def __init__(self, server, replica: Replica):
         self.server = server
         self.sim = server.sim
-        self.interval_s = interval_s
-        self.miss_limit = miss_limit
-        #: Split-brain guard: a replica that can see fewer than this many
-        #: live replicas (itself included) refuses promotion, so the
-        #: minority side of a partition keeps following.
-        self.quorum_size = quorum_size
+        self.quorum_size = replica.quorum_size
+        standby = replica.standby
         self.role = LEADERLESS if standby else LEADING
         #: Who this replica believes leads (itself, when leading).
         self.leader: Optional[str] = None if standby else server.server_id
@@ -74,7 +95,7 @@ class Replication:
         self.leader_last_seen = self.sim.now
         self._started_at = self.sim.now
         self.pending: List[SessionOp] = []
-        self.inflight: Deque[Tuple[float, Dict[str, Any]]] = deque(
+        self.inflight: Deque[Tuple[float, Mapping[str, Any]]] = deque(
             maxlen=INFLIGHT_BUFFER_MAX
         )
         client = server.client
@@ -83,7 +104,7 @@ class Replication:
         client.subscribe(replica_topic(server.server_id), self._on_replica_event)
         if standby:
             self._request_snapshot()
-        self._timer = self.sim.schedule(interval_s, self._tick)
+        self._timer = self.sim.schedule(REPLICA_HEARTBEAT_S, self._tick)
 
     # ------------------------------------------------------------- role
 
@@ -147,7 +168,7 @@ class Replication:
                 server.inflight_replayed += 1
                 server._handle_and_reply(message, reply_to, key)
 
-    def buffer(self, payload: Dict[str, Any]) -> None:
+    def buffer(self, payload: Mapping[str, Any]) -> None:
         """Keep a request a standby heard for replay on promotion (the
         oldest drops first past ``INFLIGHT_BUFFER_MAX``)."""
         self.inflight.append((self.sim.now, payload))
@@ -228,10 +249,10 @@ class Replication:
                 epoch=self._epoch,
             ),
         )
-        # Evict replicas silent for miss_limit intervals (same rule as
-        # the broker mesh's peer heartbeats).
+        # Evict replicas silent for REPLICA_MISS_LIMIT beats (same rule
+        # as the broker mesh's peer heartbeats).
         now = self.sim.now
-        deadline = now - self.interval_s * self.miss_limit
+        deadline = now - REPLICA_HEARTBEAT_S * REPLICA_MISS_LIMIT
         for server_id, last_seen in list(self.last_seen.items()):
             if last_seen < deadline:
                 del self.last_seen[server_id]
@@ -240,7 +261,7 @@ class Replication:
                     self.become(LEADERLESS)
         # Give a fresh standby one detection window to discover an
         # incumbent before electing over the live set.
-        grace = self.interval_s * (self.miss_limit + 1)
+        grace = REPLICA_HEARTBEAT_S * (REPLICA_MISS_LIMIT + 1)
         if self.role == LEADERLESS and (
             self.last_seen or now - self._started_at > grace
         ):
@@ -264,7 +285,7 @@ class Replication:
             # Late joiner still waiting for state: nudge the leader again
             # (the first request may have raced its subscription).
             self._request_snapshot()
-        self._timer = self.sim.schedule(self.interval_s, self._tick)
+        self._timer = self.sim.schedule(REPLICA_HEARTBEAT_S, self._tick)
 
     def _elect(self) -> str:
         """Deterministic leader election: the minimum live server id,

@@ -15,7 +15,9 @@ Signaling plane (all XGSP XML over broker topics):
 
 Requests arrive as ``{"xml": <encoded message>, "reply_to": <topic>}``
 events; the reply_to wrapper is transport addressing (the XGSP equivalent
-of a UDP source address), not protocol content.
+of a UDP source address), not protocol content.  A receiver reads the
+wrapper as any mapping (:func:`decode_signaling`): the broker freezes a
+payload fanned out to more than one receiver into a read-only view.
 
 Every session mutation has one apply path: a request handler validates
 the request and names its effect (create ships the session snapshot,
@@ -27,18 +29,19 @@ suppression on ``(reply_to, request_id)`` makes retried requests safe: a
 retried ``JoinSession`` is answered from the recorded response, never
 double-applied.
 
-Survivability (DESIGN.md §5d): with ``replica_heartbeat_interval_s`` set
-the server builds a :class:`~repro.core.xgsp.replication.Replication`
-plane — heartbeats, election, journal receive, snapshot catch-up and
-promotion.  Without it the server is standalone, always leading, and
-holds no replication state.
+Survivability (DESIGN.md §5d): given a
+:class:`~repro.core.xgsp.replication.Replica` the server builds a
+:class:`~repro.core.xgsp.replication.Replication` plane — heartbeats,
+election, journal receive, snapshot catch-up and promotion.  Without it
+the server is standalone, always leading, and holds no replication
+state.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient
@@ -69,6 +72,7 @@ from repro.core.xgsp.replication import (
     CLOSED,
     JOURNAL_TOPIC,
     LEADING,
+    Replica,
     Replication,
 )
 from repro.core.xgsp.roster import Member
@@ -114,20 +118,35 @@ COUNTERS = (
     "swallowed_errors",
     "joins_shed",
     "promotions_refused",
+    "payloads_rejected",
 )
+
+
+def decode_signaling(owner: Any, name: str, payload: Any, what: str) -> Any:
+    """The XGSP message a signaling event ``payload`` carries, or None.
+
+    The wrapper may be any mapping with an ``"xml"`` entry; anything else
+    is counted in ``owner.payloads_rejected``, and an undecodable entry
+    in ``owner.swallowed_errors`` and logged under ``name``."""
+    if not isinstance(payload, Mapping) or "xml" not in payload:
+        owner.payloads_rejected += 1
+        return None
+    try:
+        return xml_codec.decode(payload["xml"])
+    except Exception as exc:
+        owner.swallowed_errors += 1
+        _log.debug(
+            "%s dropped undecodable %s (%s)", name, what, type(exc).__name__
+        )
+        return None
 
 
 class XgspSessionServer:
     """Session management + signaling endpoint on the broker network.
 
-    Standalone by default (one server, always leader).  With
-    ``replica_heartbeat_interval_s`` set the server joins the replica
-    group: ``standby=False`` starts leading, ``standby=True`` starts
-    following (journal apply + snapshot catch-up) and promotes on leader
-    death; ``quorum_size`` refuses promotion below that many live
-    replicas.  ``standby`` and ``quorum_size`` without replication raise
-    ``ValueError``: nothing would ever promote the standby, and the
-    quorum would guard no election.
+    Standalone by default (one server, always leader).  Given a
+    :class:`~repro.core.xgsp.replication.Replica` the server joins the
+    replica group, leading or on standby as the value says.
     """
 
     def __init__(
@@ -135,26 +154,14 @@ class XgspSessionServer:
         host: Host,
         broker: Broker,
         server_id: str = "xgsp-session-server",
-        link_type: LinkType = LinkType.TCP,
-        replica_heartbeat_interval_s: Optional[float] = None,
-        replica_miss_limit: int = 3,
-        standby: bool = False,
+        replica: Optional[Replica] = None,
         max_inflight_requests: Optional[int] = None,
         retry_after_s: float = 1.0,
-        quorum_size: Optional[int] = None,
     ):
         if max_inflight_requests is not None and max_inflight_requests < 1:
             raise ValueError("max_inflight_requests must be >= 1")
         if retry_after_s <= 0:
             raise ValueError("retry_after_s must be > 0")
-        if quorum_size is not None and quorum_size < 1:
-            raise ValueError("quorum_size must be >= 1")
-        if replica_heartbeat_interval_s is None and (
-            standby or quorum_size is not None
-        ):
-            raise ValueError(
-                "standby and quorum_size need replica_heartbeat_interval_s"
-            )
         self.host = host
         self.sim = host.sim
         self.server_id = server_id
@@ -171,14 +178,11 @@ class XgspSessionServer:
         self._applied: "OrderedDict[str, str]" = OrderedDict()
         self._current_request_key: Optional[str] = None
         self.client = BrokerClient(host, client_id=server_id)
-        self.client.connect(broker, link_type=link_type)
+        self.client.connect(broker, link_type=LinkType.TCP)
         self.client.subscribe(SERVER_TOPIC, self._on_request_event)
-        self.replication: Optional[Replication] = None
-        if replica_heartbeat_interval_s is not None:
-            self.replication = Replication(
-                self, replica_heartbeat_interval_s, replica_miss_limit,
-                standby, quorum_size,
-            )
+        self.replication = (
+            Replication(self, replica) if replica is not None else None
+        )
         # Observability: request transit time over the broker plane
         # (publish at the requester -> handling here), one leg of every
         # gateway's join latency; control_outage_s records, at each
@@ -255,19 +259,7 @@ class XgspSessionServer:
     # --------------------------------------------------- request handling
 
     def _decode(self, payload: Any, what: str) -> Any:
-        """The XGSP message an inbound event payload carries, or None
-        (not a signaling payload, or undecodable: counted and logged)."""
-        if not isinstance(payload, dict) or "xml" not in payload:
-            return None
-        try:
-            return xml_codec.decode(payload["xml"])
-        except Exception as exc:
-            self.swallowed_errors += 1
-            _log.debug(
-                "%s dropped undecodable %s (%s)",
-                self.server_id, what, type(exc).__name__,
-            )
-            return None
+        return decode_signaling(self, self.server_id, payload, what)
 
     def _answer_duplicate(self, key: str, reply_to: Optional[str]) -> bool:
         """Answer a retry of an already-applied mutation from the dedup

@@ -22,7 +22,6 @@ from repro.broker.broker import Broker
 from repro.broker.client import Failover
 from repro.broker.rtp_proxy import RtpProxy
 from repro.obs.metrics import SIGNALING_BUCKETS_S, MetricsRegistry
-from repro.obs.trace import Tracer
 from repro.core.xgsp.client import SIGNALING_RETRIES, XgspClient
 from repro.core.xgsp.messages import JoinAccepted, LeaveSession
 from repro.core.xgsp.translation import (
@@ -47,8 +46,6 @@ class H323XgspGateway(H323Terminal):
         gateway_id: str = "h323-gateway",
         h225_port: int = 1740,
         failover: Optional[Failover] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ):
         super().__init__(
             host,
@@ -79,8 +76,7 @@ class H323XgspGateway(H323Terminal):
         self.failovers = 0
         # Observability: Setup -> Connect join latency and Connect ->
         # first outbound media, mirroring the SIP gateway's histograms.
-        self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.join_latency = self.metrics.histogram(
             "join_latency_s", SIGNALING_BUCKETS_S
         )
@@ -122,7 +118,7 @@ class H323XgspGateway(H323Terminal):
                 self.joins_accepted += 1
                 proxy = RtpProxy(
                     self.broker.host, self.broker, proxy_id=f"h323-{call_id}",
-                    failover=self.failover, tracer=self.tracer,
+                    failover=self.failover,
                 )
                 self._joins[call_id] = (response, proxy)
                 call.on_connected = self._on_call_connected

@@ -10,9 +10,9 @@ adapter in :mod:`repro.core.xgsp.wsdl_ci` wraps it).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.h323.pdu import MediaCapability, Setup
+from repro.h323.pdu import Setup
 from repro.h323.terminal import H323Call, H323Terminal
 from repro.rtp.packet import RtpPacket
 from repro.simnet.node import Host
@@ -28,13 +28,10 @@ class H323Mcu(H323Terminal):
         host: Host,
         alias: str,
         gatekeeper: Address,
-        capabilities: Optional[List[MediaCapability]] = None,
         max_participants: int = 64,
         h225_port: int = 1730,
     ):
-        super().__init__(
-            host, alias, gatekeeper, capabilities, h225_port=h225_port
-        )
+        super().__init__(host, alias, gatekeeper, h225_port=h225_port)
         self.max_participants = max_participants
         self._call_sockets: Dict[Tuple[str, str], UdpSocket] = {}
         self.packets_reflected = 0

@@ -59,6 +59,9 @@ CallCallback = Callable[["H323Call"], None]
 MediaCallback = Callable[["H323Call", RtpPacket], None]
 IncomingCallHook = Callable[[Setup], bool]
 
+#: Bandwidth a terminal asks its gatekeeper to admit per call.
+CALL_BANDWIDTH_BPS = 664_000.0
+
 
 class H323Call:
     """State for one call at one terminal."""
@@ -137,7 +140,6 @@ class H323Terminal:
         gatekeeper: Address,
         capabilities: Optional[List[MediaCapability]] = None,
         h225_port: int = H225_PORT,
-        call_bandwidth_bps: float = 664_000.0,
     ):
         self.host = host
         self.sim = host.sim
@@ -147,7 +149,6 @@ class H323Terminal:
             MediaCapability.default_audio(),
             MediaCapability.default_video(),
         ]
-        self.call_bandwidth_bps = call_bandwidth_bps
         self.registered = False
         self.on_incoming_call: Optional[IncomingCallHook] = None
         self.on_media: Optional[MediaCallback] = None
@@ -288,7 +289,7 @@ class H323Terminal:
             call_id=call.call_id,
             caller_alias=self.alias,
             callee_alias=callee_alias,
-            bandwidth_bps=self.call_bandwidth_bps,
+            bandwidth_bps=CALL_BANDWIDTH_BPS,
             reply_to=self._ras.local_address,
         )
         self._ras.sendto(request, request.wire_size, self.gatekeeper)

@@ -483,20 +483,11 @@ class TelemetryPlane:
         self,
         fabric,
         sample_interval_s: float = 1.0,
-        summary_interval_s: Optional[float] = None,
-        full_every: int = 8,
         stale_timeout_s: Optional[float] = None,
-        history_limit: int = DEFAULT_SUMMARY_HISTORY,
-        console_broker: Optional[Broker] = None,
         console_name: str = "fleet-console",
     ):
         self.fabric = fabric
         self.sample_interval_s = sample_interval_s
-        self.summary_interval_s = (
-            summary_interval_s
-            if summary_interval_s is not None
-            else sample_interval_s
-        )
         self.stale_timeout_s = (
             stale_timeout_s
             if stale_timeout_s is not None
@@ -516,13 +507,12 @@ class TelemetryPlane:
                 BrokerMonitor(
                     broker,
                     interval_s=sample_interval_s,
-                    full_every=full_every,
                     topic=monitor_topic(broker.broker_id, cluster_id),
                 )
             )
         spec = fabric.spec
         if spec.clusters is None:
-            scopes = {FLAT_SCOPE: [console_broker or local_brokers[0]]}
+            scopes = {FLAT_SCOPE: [local_brokers[0]]}
         else:
             scopes = {
                 cluster_id: [
@@ -536,11 +526,11 @@ class TelemetryPlane:
                     ClusterHealthAggregator(
                         gateway,
                         cluster_id,
-                        interval_s=self.summary_interval_s,
+                        interval_s=sample_interval_s,
                         stale_timeout_s=self.stale_timeout_s,
                     )
                 )
-        anchor = console_broker or self.aggregators[0].broker
+        anchor = self.aggregators[0].broker
         # The console must outlive its anchor: keepalive probes the
         # connection, the other gateways serve as failover targets
         # (the failover replays the /narada/health/# subscription).
@@ -555,11 +545,8 @@ class TelemetryPlane:
             fabric.network.create_host(console_name),
             anchor,
             client_id=console_name,
-            history_limit=history_limit,
-            stale_timeout_s=max(
-                self.stale_timeout_s, 3.0 * self.summary_interval_s
-            ),
-            failover=Failover(fallbacks, keepalive_s=self.summary_interval_s),
+            stale_timeout_s=max(self.stale_timeout_s, 3.0 * sample_interval_s),
+            failover=Failover(fallbacks, keepalive_s=sample_interval_s),
         )
 
     def start(self) -> None:

@@ -30,6 +30,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
+#: Floor of a detector's deviation band, so a perfectly flat warmup
+#: (deviation → 0) does not page on the first harmless wiggle.
+MIN_DEVIATION = 1e-9
+
 
 class Anomaly:
     """One detector firing: what, when, how far out of band."""
@@ -53,9 +57,7 @@ class EwmaBandDetector:
     """EWMA level-shift detector with a deviation band.
 
     ``observe`` returns an :class:`Anomaly` while the signal sits above
-    the band, ``None`` otherwise.  ``min_deviation`` floors the band so
-    a perfectly flat warmup (deviation → 0) does not page on the first
-    harmless wiggle.
+    the band, ``None`` otherwise; :data:`MIN_DEVIATION` floors the band.
     """
 
     __slots__ = (
@@ -63,7 +65,6 @@ class EwmaBandDetector:
         "band_k",
         "warmup",
         "min_consecutive",
-        "min_deviation",
         "_mean",
         "_deviation",
         "_seen",
@@ -76,7 +77,6 @@ class EwmaBandDetector:
         band_k: float = 4.0,
         warmup: int = 8,
         min_consecutive: int = 2,
-        min_deviation: float = 1e-9,
     ):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
@@ -86,7 +86,6 @@ class EwmaBandDetector:
         self.band_k = band_k
         self.warmup = warmup
         self.min_consecutive = min_consecutive
-        self.min_deviation = min_deviation
         self._mean = 0.0
         self._deviation = 0.0
         self._seen = 0
@@ -95,7 +94,7 @@ class EwmaBandDetector:
     @property
     def band_upper(self) -> float:
         return self._mean + self.band_k * max(
-            self._deviation, self.min_deviation
+            self._deviation, MIN_DEVIATION
         )
 
     def observe(self, at: float, value: float) -> Optional[Anomaly]:

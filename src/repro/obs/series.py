@@ -165,23 +165,15 @@ class TimeSeries:
 class SeriesStore:
     """A keyed collection of :class:`TimeSeries` (one console's memory)."""
 
-    __slots__ = ("raw_capacity", "tier_capacity", "_series")
+    __slots__ = ("_series",)
 
-    def __init__(
-        self,
-        raw_capacity: int = DEFAULT_RAW_CAPACITY,
-        tier_capacity: int = DEFAULT_TIER_CAPACITY,
-    ):
-        self.raw_capacity = raw_capacity
-        self.tier_capacity = tier_capacity
+    def __init__(self):
         self._series: Dict[str, TimeSeries] = {}
 
     def series(self, name: str) -> TimeSeries:
         series = self._series.get(name)
         if series is None:
-            series = self._series[name] = TimeSeries(
-                name, self.raw_capacity, self.tier_capacity
-            )
+            series = self._series[name] = TimeSeries(name)
         return series
 
     def record(self, name: str, at: float, value: float) -> None:

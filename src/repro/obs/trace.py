@@ -6,11 +6,10 @@ A :class:`Tracer` samples a deterministic 1-in-N of published events and
 attaches a :class:`TraceContext` to the :class:`~repro.broker.event.NBEvent`.
 Every broker the event visits appends a :class:`HopRecord` (arrival and
 departure virtual time, CPU queue wait, CPU service time, the link
-chosen); RTP proxies and gateways prepend their own ingress hops.  When
-a broker delivers the event to local subscribers it publishes a
-:class:`CompletedTrace` on ``/narada/trace/<broker-id>`` — one per
-delivering broker, not per receiver, so trace traffic scales with the
-broker path, not the fan-out.
+chosen).  When a broker delivers the event to local subscribers it
+publishes a :class:`CompletedTrace` on ``/narada/trace/<broker-id>`` —
+one per delivering broker, not per receiver, so trace traffic scales
+with the broker path, not the fan-out.
 
 Fan-out forks: when a traced event is forwarded to several next hops,
 the trace context is *forked* per branch (the shared hop history is
@@ -48,7 +47,7 @@ class HopRecord:
 
     Attributes:
         node: broker/proxy/gateway id.
-        kind: ``"broker"``, ``"proxy"`` or ``"gateway"``.
+        kind: the node's role (brokers record ``"broker"``).
         arrived_at: virtual time the event reached this node.
         departed_at: virtual time it left toward ``link`` (None while the
             hop is still in progress).
@@ -110,24 +109,13 @@ class TraceContext:
 
     __slots__ = ("trace_id", "topic", "source", "published_at", "_frozen", "_open")
 
-    def __init__(
-        self,
-        topic: str,
-        source: str,
-        published_at: float,
-        trace_id: Optional[int] = None,
-        hops: Optional[List[HopRecord]] = None,
-    ):
-        self.trace_id = trace_id if trace_id is not None else next(_trace_ids)
+    def __init__(self, topic: str, source: str, published_at: float):
+        self.trace_id = next(_trace_ids)
         self.topic = topic
         self.source = source
         self.published_at = published_at
-        if hops:
-            self._frozen: Tuple[HopRecord, ...] = tuple(hops[:-1])
-            self._open: Optional[HopRecord] = hops[-1]
-        else:
-            self._frozen = ()
-            self._open = None
+        self._frozen: Tuple[HopRecord, ...] = ()
+        self._open: Optional[HopRecord] = None
 
     @property
     def hops(self) -> List[HopRecord]:
@@ -320,8 +308,7 @@ class Tracer:
     def sample(self, event, now: float) -> Optional[TraceContext]:
         """Attach a fresh trace to ``event`` if it is selected.
 
-        Returns the context (so the caller can stamp its own ingress
-        hop), or None when the event is not sampled.
+        Returns the context, or None when the event is not sampled.
         """
         if event.trace is not None or not self.should_sample(event.topic):
             return None

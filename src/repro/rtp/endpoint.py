@@ -19,7 +19,6 @@ from typing import Callable, Dict, Optional
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient
 from repro.broker.event import NBEvent
-from repro.broker.links import LinkType
 from repro.rtp.packet import RtpPacket
 from repro.rtp.rtcp import ReceiverReport, SenderReport
 from repro.rtp.session import RtpSession
@@ -39,20 +38,15 @@ class MediaEndpoint:
         host: Host,
         broker: Broker,
         endpoint_id: str,
-        link_type: LinkType = LinkType.UDP,
         playout_delay_s: Optional[float] = None,
-        adaptive_playout: bool = False,
-        bandwidth_bps: float = 600_000.0,
     ):
         self.host = host
         self.sim = host.sim
         self.endpoint_id = endpoint_id
         self.client = BrokerClient(host, client_id=f"media/{endpoint_id}")
-        self.client.connect(broker, link_type=link_type)
+        self.client.connect(broker)
         self._sessions: Dict[str, RtpSession] = {}
         self._playout_delay_s = playout_delay_s
-        self._adaptive_playout = adaptive_playout
-        self._bandwidth_bps = bandwidth_bps
 
     # ------------------------------------------------------------- wiring
 
@@ -68,9 +62,7 @@ class MediaEndpoint:
                 send_rtcp=lambda report, size, topic=topic: self._publish_rtcp(
                     topic, report, size
                 ),
-                bandwidth_bps=self._bandwidth_bps,
                 playout_delay_s=self._playout_delay_s,
-                adaptive_playout=self._adaptive_playout,
             )
             self._sessions[topic] = session
         return session

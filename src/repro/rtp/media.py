@@ -97,8 +97,11 @@ class VideoSource(MediaSource):
     Frame sizes: with GOP length ``g`` and I/P size ratio ``r``, the
     average frame is ``bitrate / (8 * fps)`` bytes, so P-frames are
     ``avg * g / (r + g - 1)`` and I-frames ``r`` times that.  A small
-    multiplicative noise term models content-dependent variation.
+    multiplicative noise term (within ``SIZE_JITTER`` of the mean)
+    models content-dependent variation.
     """
+
+    SIZE_JITTER = 0.15
 
     def __init__(
         self,
@@ -109,12 +112,10 @@ class VideoSource(MediaSource):
         gop: int = 30,
         i_frame_ratio: float = 6.0,
         mtu_payload: int = 1250,
-        size_jitter: float = 0.15,
         rng: Optional[random.Random] = None,
         ssrc: Optional[int] = None,
-        payload_type: PayloadType = PayloadType.H261,
     ):
-        super().__init__(sim, send, payload_type, ssrc)
+        super().__init__(sim, send, PayloadType.H261, ssrc)
         if fps <= 0 or gop < 1 or bitrate_bps <= 0:
             raise ValueError("fps, gop, and bitrate must be positive")
         self.bitrate_bps = bitrate_bps
@@ -122,7 +123,6 @@ class VideoSource(MediaSource):
         self.gop = gop
         self.i_frame_ratio = i_frame_ratio
         self.mtu_payload = mtu_payload
-        self.size_jitter = size_jitter
         self.rng = rng if rng is not None else random.Random(0)
         avg_frame = bitrate_bps / (8.0 * fps)
         self.p_frame_bytes = avg_frame * gop / (i_frame_ratio + gop - 1)
@@ -135,7 +135,7 @@ class VideoSource(MediaSource):
             return
         is_iframe = self._frame_index % self.gop == 0
         base = self.i_frame_bytes if is_iframe else self.p_frame_bytes
-        noise = 1.0 + self.rng.uniform(-self.size_jitter, self.size_jitter)
+        noise = 1.0 + self.rng.uniform(-self.SIZE_JITTER, self.SIZE_JITTER)
         frame_bytes = max(64, int(base * noise))
         timestamp = int(
             self._frame_index / self.fps * self.payload_type.clock_rate
@@ -156,6 +156,10 @@ class AudioSource(MediaSource):
     """PCMU-style audio: fixed-size packets on a fixed interval, with an
     optional two-state talkspurt/silence (voice activity) model."""
 
+    #: Mean talkspurt and silence lengths (s) of the voice-activity model.
+    TALKSPURT_MEAN_S = 1.2
+    SILENCE_MEAN_S = 1.8
+
     def __init__(
         self,
         sim: Simulator,
@@ -163,8 +167,6 @@ class AudioSource(MediaSource):
         packet_interval_s: float = 0.020,
         payload_bytes: int = 160,
         vad: bool = False,
-        talkspurt_mean_s: float = 1.2,
-        silence_mean_s: float = 1.8,
         rng: Optional[random.Random] = None,
         ssrc: Optional[int] = None,
         payload_type: PayloadType = PayloadType.PCMU,
@@ -173,8 +175,6 @@ class AudioSource(MediaSource):
         self.packet_interval_s = packet_interval_s
         self.payload_bytes = payload_bytes
         self.vad = vad
-        self.talkspurt_mean_s = talkspurt_mean_s
-        self.silence_mean_s = silence_mean_s
         self.rng = rng if rng is not None else random.Random(0)
         self._talking = True
         self._state_ends_at = 0.0
@@ -186,7 +186,7 @@ class AudioSource(MediaSource):
         if self.vad and self.sim.now >= self._state_ends_at:
             self._talking = not self._talking
             mean = (
-                self.talkspurt_mean_s if self._talking else self.silence_mean_s
+                self.TALKSPURT_MEAN_S if self._talking else self.SILENCE_MEAN_S
             )
             self._state_ends_at = self.sim.now + self.rng.expovariate(1.0 / mean)
         if not self.vad or self._talking:

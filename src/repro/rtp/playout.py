@@ -17,6 +17,9 @@ from repro.simnet.kernel import Simulator
 
 PlayFn = Callable[[RtpPacket], None]
 
+#: An adaptive buffer's delay, in multiples of the measured jitter.
+ADAPTIVE_MULTIPLIER = 4.0
+
 
 class PlayoutBuffer:
     """Jitter buffer with deadline-based release."""
@@ -27,7 +30,6 @@ class PlayoutBuffer:
         play: PlayFn,
         target_delay_s: float = 0.080,
         adaptive: bool = False,
-        adaptive_multiplier: float = 4.0,
         min_delay_s: float = 0.020,
         max_delay_s: float = 0.400,
     ):
@@ -35,7 +37,6 @@ class PlayoutBuffer:
         self._play = play
         self.target_delay_s = target_delay_s
         self.adaptive = adaptive
-        self.adaptive_multiplier = adaptive_multiplier
         self.min_delay_s = min_delay_s
         self.max_delay_s = max_delay_s
         self._jitter = InterarrivalJitter()
@@ -49,7 +50,7 @@ class PlayoutBuffer:
     def current_delay_s(self) -> float:
         if not self.adaptive:
             return self.target_delay_s
-        estimated = self.adaptive_multiplier * self._jitter.jitter_s
+        estimated = ADAPTIVE_MULTIPLIER * self._jitter.jitter_s
         return min(self.max_delay_s, max(self.min_delay_s, estimated))
 
     def offer(self, packet: RtpPacket) -> None:

@@ -28,6 +28,9 @@ MediaSendFn = Callable[[RtpPacket], None]
 RtcpSendFn = Callable[[Any, int], None]
 MediaSink = Callable[[RtpPacket], None]
 
+#: Session bandwidth (bit/s) the RTCP report interval is scaled to.
+SESSION_BANDWIDTH_BPS = 600_000.0
+
 
 class RtpSession:
     """One endpoint of an RTP session."""
@@ -38,20 +41,16 @@ class RtpSession:
         name: str,
         send_media: Optional[MediaSendFn] = None,
         send_rtcp: Optional[RtcpSendFn] = None,
-        bandwidth_bps: float = 600_000.0,
         playout_delay_s: Optional[float] = None,
-        adaptive_playout: bool = False,
     ):
         self.sim = sim
         self.name = name
         self._send_media = send_media
         self._send_rtcp = send_rtcp
-        self.bandwidth_bps = bandwidth_bps
         self._sinks: List[MediaSink] = []
         self._stats: Dict[int, ReceiverStats] = {}
         self._playout: Dict[int, PlayoutBuffer] = {}
         self._playout_delay_s = playout_delay_s
-        self._adaptive_playout = adaptive_playout
         self._rtcp_timer: Optional[Timer] = None
         self._local_ssrcs: Dict[int, List[int]] = {}  # ssrc -> [pkts, octets]
         self._last_rtp_timestamp: Dict[int, int] = {}
@@ -84,14 +83,13 @@ class RtpSession:
             stats = ReceiverStats()
             self._stats[packet.ssrc] = stats
         stats.on_packet(packet, self.sim.now)
-        if self._playout_delay_s is not None or self._adaptive_playout:
+        if self._playout_delay_s is not None:
             buffer = self._playout.get(packet.ssrc)
             if buffer is None:
                 buffer = PlayoutBuffer(
                     self.sim,
                     self._deliver,
                     target_delay_s=self._playout_delay_s or 0.080,
-                    adaptive=self._adaptive_playout,
                 )
                 self._playout[packet.ssrc] = buffer
             buffer.offer(packet)
@@ -132,7 +130,7 @@ class RtpSession:
 
     def _schedule_rtcp(self) -> None:
         members = len(self._stats) + max(1, len(self._local_ssrcs))
-        interval = rtcp_interval_s(self.bandwidth_bps, members)
+        interval = rtcp_interval_s(SESSION_BANDWIDTH_BPS, members)
         self._rtcp_timer = self.sim.schedule(interval, self._rtcp_tick)
 
     def _rtcp_tick(self) -> None:

@@ -26,6 +26,10 @@ from repro.simnet.kernel import Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.link import LinkProfile
 
+#: Transmit buffer a NIC starts with (``queue_limit_bytes`` may be set
+#: afterwards to model a thinner host).
+QUEUE_LIMIT_BYTES = 2 * 1024 * 1024
+
 
 class Nic:
     """Transmit-side interface queue for one host (``Host.send`` moves
@@ -43,14 +47,9 @@ class Nic:
         "dropped_packets",
     )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        link: "LinkProfile",
-        queue_limit_bytes: int = 2 * 1024 * 1024,
-    ):
+    def __init__(self, sim: Simulator, link: "LinkProfile"):
         self.sim = sim
-        self.queue_limit_bytes = queue_limit_bytes
+        self.queue_limit_bytes = QUEUE_LIMIT_BYTES
         self._sec_per_byte = 8.0 / link.bandwidth_bps
         self._free_at = 0.0
         # (service_start_time, size) of accepted packets that have not yet

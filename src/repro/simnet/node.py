@@ -61,7 +61,6 @@ class Host:
         link: LinkProfile = LAN_100M,
         recv_cpu_cost_s: float = 5e-6,
         gc_profile: Optional[GcProfile] = None,
-        firewall: Optional["Firewall"] = None,
         multicast_enabled: bool = True,
     ):
         if recv_cpu_cost_s < 0:
@@ -75,7 +74,7 @@ class Host:
         self.nic = Nic(network.sim, link)
         self._paths = _Table()  # destination name -> path record
         self._paths.host, self._paths.miss = self, network.resolve_path
-        self.firewall = firewall
+        self.firewall: Optional["Firewall"] = None
         self.multicast_enabled = multicast_enabled
         #: port -> (handler, CPU cost charged per received datagram)
         self._handlers: Dict[int, Tuple[Handler, float]] = {}

@@ -94,8 +94,6 @@ class TcpConnection:
         peer: Address,
         conn_id: int,
         is_client: bool,
-        window: int = DEFAULT_WINDOW,
-        send_cpu_cost_s: float = 0.0,
     ):
         self.host = host
         self.sim = host.sim
@@ -103,8 +101,7 @@ class TcpConnection:
         self.peer = peer
         self.conn_id = conn_id
         self.is_client = is_client
-        self.window = window
-        self.send_cpu_cost_s = send_cpu_cost_s
+        self.window = DEFAULT_WINDOW
         self.state = TcpConnection.CLOSED
         self.on_message: Optional[Callable[[Any, int, "TcpConnection"], None]] = None
         self.on_established: Optional[Callable[["TcpConnection"], None]] = None
@@ -223,18 +220,9 @@ class TcpConnection:
         self._send_segment(segment)
 
     def _send_segment(self, segment: TcpSegment) -> None:
-        size = TCP_HEADER_BYTES + segment.data_size
-        if self.send_cpu_cost_s > 0:
-            self.host.cpu.execute(
-                self.send_cpu_cost_s,
-                self.host.send,
-                self.local_port,
-                self.peer,
-                segment,
-                size,
-            )
-        else:
-            self.host.send(self.local_port, self.peer, segment, size)
+        self.host.send(
+            self.local_port, self.peer, segment, TCP_HEADER_BYTES + segment.data_size
+        )
 
     # ---------------------------------------------------------- receiving
 
@@ -339,16 +327,13 @@ class TcpListener:
         host: Host,
         port: Optional[int] = None,
         on_connection: Optional[Callable[[TcpConnection], None]] = None,
-        recv_cpu_cost_s: Optional[float] = None,
-        send_cpu_cost_s: float = 0.0,
     ):
         self.host = host
         self.port = host.allocate_port() if port is None else port
         self.on_connection = on_connection
-        self.send_cpu_cost_s = send_cpu_cost_s
         self._connections: Dict[int, TcpConnection] = {}
         self._closed = False
-        host.bind(self.port, self._on_datagram, recv_cpu_cost_s)
+        host.bind(self.port, self._on_datagram)
 
     @property
     def local_address(self) -> Address:
@@ -379,7 +364,6 @@ class TcpListener:
                 peer=datagram.src,
                 conn_id=segment.conn_id,
                 is_client=False,
-                send_cpu_cost_s=self.send_cpu_cost_s,
             )
             connection.state = TcpConnection.SYN_RCVD
             self._connections[segment.conn_id] = connection
@@ -399,8 +383,6 @@ def tcp_connect(
     server: Address,
     on_established: Optional[Callable[[TcpConnection], None]] = None,
     on_message: Optional[Callable[[Any, int, TcpConnection], None]] = None,
-    send_cpu_cost_s: float = 0.0,
-    recv_cpu_cost_s: Optional[float] = None,
 ) -> TcpConnection:
     """Open a client connection to ``server``; returns immediately with the
     connecting :class:`TcpConnection` (watch ``on_established``)."""
@@ -411,7 +393,6 @@ def tcp_connect(
         peer=server,
         conn_id=next(_conn_ids),
         is_client=True,
-        send_cpu_cost_s=send_cpu_cost_s,
     )
     connection.on_established = on_established
     connection.on_message = on_message
@@ -419,7 +400,7 @@ def tcp_connect(
     def dispatch(datagram: Datagram) -> None:
         connection.handle_segment(datagram.payload, datagram.src)
 
-    host.bind(port, dispatch, recv_cpu_cost_s)
+    host.bind(port, dispatch)
     original_teardown = connection._teardown
 
     def teardown_and_unbind(state: str) -> None:

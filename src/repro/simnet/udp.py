@@ -18,18 +18,13 @@ ReceiveCallback = Callable[[Any, Address, Datagram], None]
 class UdpSocket:
     """A bound datagram socket on a simulated host."""
 
-    def __init__(
-        self,
-        host: Host,
-        port: Optional[int] = None,
-        recv_cpu_cost_s: Optional[float] = None,
-    ):
+    def __init__(self, host: Host, port: Optional[int] = None):
         self.host = host
         self.port = host.allocate_port() if port is None else port
         self._callback: Optional[ReceiveCallback] = None
         self.closed = False  # plain attribute: links test it per send
         self._joined_groups: set = set()
-        host.bind(self.port, self._on_datagram, recv_cpu_cost_s)
+        host.bind(self.port, self._on_datagram)
         self.sent_packets = 0
         self.received_packets = 0
 

@@ -27,7 +27,6 @@ from repro.broker.broker import Broker
 from repro.broker.client import Failover
 from repro.broker.rtp_proxy import RtpProxy
 from repro.obs.metrics import SIGNALING_BUCKETS_S, MetricsRegistry
-from repro.obs.trace import Tracer
 from repro.core.xgsp.client import SIGNALING_RETRIES, XgspClient
 from repro.core.xgsp.messages import (
     JoinAccepted,
@@ -62,9 +61,7 @@ class SipXgspGateway:
 
     def __init__(self, proxy: SipProxy, broker: Broker,
                  gateway_id: str = "sip-gateway",
-                 failover: Optional[Failover] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None):
+                 failover: Optional[Failover] = None):
         self.proxy = proxy
         self.broker = broker
         self.sim = proxy.sim
@@ -86,10 +83,8 @@ class SipXgspGateway:
         self.failovers = 0
         # Observability: the tutorial's operational metrics — join
         # latency (INVITE -> 200 OK, i.e. signaling + XGSP round trip)
-        # and join -> first outbound media.  Legs' RTP proxies share the
-        # gateway tracer so media ingress hops are stamped per proxy.
-        self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # and join -> first outbound media.
+        self.metrics = MetricsRegistry()
         self.join_latency = self.metrics.histogram(
             "join_latency_s", SIGNALING_BUCKETS_S
         )
@@ -181,7 +176,6 @@ class SipXgspGateway:
             self.broker.host, self.broker,
             proxy_id=f"sip-{call_id}",
             failover=self.failover,
-            tracer=self.tracer,
         )
         leg = _GatewayLeg(
             call_id=call_id,

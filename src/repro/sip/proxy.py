@@ -40,7 +40,6 @@ class SipProxy(SipEndpoint):
         domain: str,
         port: int = SIP_PORT,
         location: Optional[LocationService] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         super().__init__(host, port)
         self.domain = domain
@@ -50,7 +49,7 @@ class SipProxy(SipEndpoint):
         self.forwarded_requests = 0
         self.forwarded_responses = 0
         self.swallowed_errors = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.metrics.expose(
             "forwarded_requests", lambda: self.forwarded_requests
         )

@@ -63,13 +63,12 @@ class SipRegistrar(SipEndpoint):
         host: Host,
         port: int = 5070,
         location: Optional[LocationService] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         super().__init__(host, port)
         self.location = location if location is not None else LocationService()
         self.registrations = 0
         self.swallowed_errors = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.metrics.expose("registrations", lambda: self.registrations)
         self.metrics.expose("swallowed_errors", lambda: self.swallowed_errors)
 

@@ -60,7 +60,7 @@ class _ContainerLink:
 class SoapClient:
     """Issues SOAP requests and routes responses to callbacks."""
 
-    def __init__(self, host: Host, metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, host: Host):
         self.host = host
         self.sim = host.sim
         self._links: Dict[Address, _ContainerLink] = {}
@@ -70,7 +70,7 @@ class SoapClient:
         self.responses_received = 0
         self.faults_received = 0
         self.swallowed_errors = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.metrics.expose("requests_sent", lambda: self.requests_sent)
         self.metrics.expose(
             "responses_received", lambda: self.responses_received

@@ -68,8 +68,7 @@ class PendingResult:
 class SoapService:
     """A container hosting named services with WSDL-validated dispatch."""
 
-    def __init__(self, host: Host, port: int = SOAP_PORT,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, host: Host, port: int = SOAP_PORT):
         self.host = host
         self.sim = host.sim
         self._listener = TcpListener(host, port, on_connection=self._on_connection)
@@ -77,7 +76,7 @@ class SoapService:
         self.requests_served = 0
         self.faults_returned = 0
         self.swallowed_errors = 0
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.metrics.expose("requests_served", lambda: self.requests_served)
         self.metrics.expose("faults_returned", lambda: self.faults_returned)
         self.metrics.expose("swallowed_errors", lambda: self.swallowed_errors)

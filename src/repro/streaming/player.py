@@ -2,7 +2,7 @@
 
 An RTSP client: DESCRIBE → SETUP (announcing its UDP data port) → PLAY.
 Incoming chunks fill a startup buffer; playback begins once the buffer
-holds ``startup_buffer_s`` of media, and stalls (rebuffering) are counted
+holds ``STARTUP_BUFFER_S`` of media, and stalls (rebuffering) are counted
 when the buffer runs dry — the user-visible quality metric for the
 streaming benchmarks.
 """
@@ -28,19 +28,14 @@ class RealPlayer:
     """An RTSP streaming client with a startup buffer."""
 
     PLAYER_KIND = "real"
+    #: Media (s) buffered before playback starts.
+    STARTUP_BUFFER_S = 2.0
 
-    def __init__(
-        self,
-        host: Host,
-        server_rtsp: Address,
-        stream: str,
-        startup_buffer_s: float = 2.0,
-    ):
+    def __init__(self, host: Host, server_rtsp: Address, stream: str):
         self.host = host
         self.sim = host.sim
         self.server_rtsp = server_rtsp
         self.stream = stream
-        self.startup_buffer_s = startup_buffer_s
         self._data = UdpSocket(host)
         self._data.on_receive(self._on_chunk)
         self._control: Optional[TcpConnection] = None
@@ -158,7 +153,7 @@ class RealPlayer:
         if payload.kind == "video" or "video" not in self.described_media:
             self.buffered_media_s += payload.duration_s
         if self.state == "buffering" and (
-            self.buffered_media_s >= self.startup_buffer_s
+            self.buffered_media_s >= self.STARTUP_BUFFER_S
         ):
             self.state = "playing"
             self.playing_since = self.sim.now
@@ -189,7 +184,4 @@ class WindowsMediaPlayer(RealPlayer):
     is made server-side by mount format in larger deployments)."""
 
     PLAYER_KIND = "wm"
-
-    def __init__(self, host: Host, server_rtsp: Address, stream: str,
-                 startup_buffer_s: float = 3.0):
-        super().__init__(host, server_rtsp, stream, startup_buffer_s)
+    STARTUP_BUFFER_S = 3.0

@@ -126,6 +126,22 @@ def test_global_announcements(net, sim, broker, server):
     assert "created" in events
 
 
+def test_announcements_reach_every_watcher_on_one_broker(net, sim, broker, server):
+    """An announcement fanned out to two local watchers arrives as one
+    shared, read-only payload: both must still decode it."""
+    watchers = [make_xgsp_client(net, sim, broker, name) for name in ("w1", "w2")]
+    heard = {watcher.participant_id: [] for watcher in watchers}
+    for watcher in watchers:
+        watcher.watch_announcements(
+            lambda a, log=heard[watcher.participant_id]: log.append(a.event)
+        )
+    sim.run_for(1.0)
+    make_xgsp_client(net, sim, broker, "alice").create_session("s")
+    sim.run_for(2.0)
+    assert heard == {"w1": ["created"], "w2": ["created"]}
+    assert [w.payloads_rejected + w.swallowed_errors for w in watchers] == [0, 0]
+
+
 def test_floor_control_flow(net, sim, broker, server):
     alice = make_xgsp_client(net, sim, broker, "alice")
     bob = make_xgsp_client(net, sim, broker, "bob")

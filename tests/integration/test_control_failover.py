@@ -6,6 +6,8 @@ snapshot catch-up, and the two-replica split where only the elected
 leader applies ops.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.broker.network import BrokerNetwork
@@ -21,11 +23,13 @@ from repro.core.xgsp.messages import (
     MuteMember,
     TerminateSession,
 )
+from repro.core.xgsp.replication import (
+    REPLICA_HEARTBEAT_S as HB,
+    REPLICA_MISS_LIMIT as MISS,
+    Replica,
+)
 from repro.core.xgsp.session_server import XgspSessionServer
 from repro.simnet.chaos import ChaosSchedule
-
-HB = 0.25
-MISS = 2
 
 #: Worst-case leader-death detection: MISS beats + one election tick.
 DETECT_S = HB * (MISS + 1)
@@ -37,15 +41,12 @@ def build_ring(net, n=3):
     return bnet
 
 
-def make_replica(net, bnet, index, name, standby, **kwargs):
+def make_replica(net, bnet, index, name, standby, quorum_size=None):
     return XgspSessionServer(
         net.create_host(f"{name}-host"),
         bnet.broker(f"broker-{index % len(bnet)}"),
         server_id=name,
-        replica_heartbeat_interval_s=HB,
-        replica_miss_limit=MISS,
-        standby=standby,
-        **kwargs,
+        replica=Replica(standby=standby, quorum_size=quorum_size),
     )
 
 
@@ -127,6 +128,20 @@ def test_standby_maintains_hot_copy(sim, net):
     assert standby.journal_version == leader.journal_version
     assert standby.ops_applied == leader.ops_journaled
     assert standby.requests_handled == 0
+
+
+def test_replicas_on_one_broker_both_apply_a_create(sim, net):
+    """Requests and journal ops reach two replicas on one broker as a
+    shared, read-only payload: each replica must still decode it."""
+    bnet = build_ring(net)
+    leader = make_replica(net, bnet, 0, "xgsp-a", standby=False)
+    standby = make_replica(net, bnet, 0, "xgsp-b", standby=True)
+    sim.run_for(1.5)
+    session_id = create_session(sim, make_client(net, bnet, "chair", 1))
+    sim.run_for(1.0)
+    assert [len(s.sessions()) for s in (leader, standby)] == [1, 1]
+    assert standby.session(session_id) is not None
+    assert [s.payloads_rejected for s in (leader, standby)] == [0, 0]
 
 
 def test_every_op_kind_leaves_replicas_equal_to_the_leader(sim, net):
@@ -396,7 +411,7 @@ def test_session_server_kill_soak(sim, net):
 
 
 def test_standalone_server_is_unchanged(sim, net):
-    """No replication knobs -> the seed behaviour: no heartbeats, no
+    """No replica -> the seed behaviour: no heartbeats, no
     journal traffic, leader from birth."""
     bnet = build_ring(net)
     server = XgspSessionServer(
@@ -454,16 +469,26 @@ def test_minority_standby_refuses_promotion_without_quorum(sim, net):
 # ------------------------------------------------------ configuration
 
 
-@pytest.mark.parametrize(
-    "options", [{"standby": True}, {"quorum_size": 2}],
-    ids=["standby", "quorum_size"],
-)
-def test_replication_options_need_a_heartbeat(sim, net, options):
-    """A standby with no heartbeat would never subscribe to the journal
-    or promote, and a quorum with no election guards nothing: both are
-    refused at construction."""
-    bnet = build_ring(net)
-    with pytest.raises(ValueError):
-        XgspSessionServer(
-            net.create_host("solo-host"), bnet.broker("broker-0"), **options
-        )
+REPLICAS = [
+    pytest.param({}, None, id="leading"),
+    pytest.param({"standby": True}, None, id="standby"),
+    pytest.param({"quorum_size": 1}, None, id="quorum-of-one"),
+    pytest.param({"quorum_size": 0}, "got 0", id="quorum-of-zero"),
+    pytest.param(
+        {"standby": True, "quorum_size": -2}, "got -2", id="negative-quorum"
+    ),
+]
+
+
+@pytest.mark.parametrize("fields, error", REPLICAS)
+def test_a_replica_posture_is_checked_when_built(fields, error):
+    """A quorum below one is refused; every other posture is a frozen
+    value (standby without replication can no longer be written)."""
+    if error is not None:
+        with pytest.raises(ValueError, match=f"quorum_size must be >= 1, {error}"):
+            Replica(**fields)
+        return
+    replica = Replica(**fields)
+    assert replica == Replica(**fields)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        replica.standby = not replica.standby
