@@ -4,7 +4,7 @@ The claim under test (ROADMAP observability item, DESIGN.md §11): the
 cluster-aggregated telemetry plane watches a large broker fabric at a
 modeled-CPU cost that rounds to zero, shrinks console ingress from
 O(brokers) to O(clusters), and still recovers *true* fleet-wide latency
-percentiles from merged histogram sketches — while its anomaly
+percentiles from merged latency histograms — while its anomaly
 detectors see a flash-crowd ramp coming before the overload controller
 trips.
 
@@ -45,8 +45,8 @@ from repro.broker.monitor import MONITOR_TOPIC_PREFIX, BrokerMonitor
 from repro.broker.network import BrokerNetwork
 from repro.broker.overload import NORMAL, ShedWatermarks
 from repro.obs.anomaly import EwmaBandDetector, SlopeDetector
+from repro.obs.metrics import Histogram
 from repro.obs.report import build_report
-from repro.obs.series import HistogramSketch, merge_sketches
 from repro.obs.slo import AlertLog, SloWatchdog
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import LinkProfile
@@ -305,9 +305,8 @@ def run_scenario(cluster_sizes, mode):
 
     if mode == "hier":
         fleet = plane.fleet
-        direct = merge_sketches(
-            HistogramSketch.from_histogram(b.delivery_latency)
-            for b in brokers
+        direct = Histogram("delivery_latency_s").merge(
+            *(b.delivery_latency for b in brokers)
         )
         plane_sketch = fleet.fleet_sketch()
         first_alert_at = min(

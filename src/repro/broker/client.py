@@ -227,25 +227,48 @@ class BrokerClient:
         self._cancel_failover()
         if self._transport is None:
             return
+        # A Connect still awaiting its ack may yet register us: withdraw
+        # it too.  Jitter can carry this Disconnect past that Connect, so
+        # the link stays open for the Connect's ack, which is answered
+        # with a Disconnect as well (see _on_replaced_message).
+        connecting = self._connect_timer is not None
         self._cancel_control_timers()
-        if self.connected:
+        if self.connected or connecting:
             self._send_now(Disconnect(client_id=self.client_id))
         self.connected = False
         self.broker_id = None
         # Give the Disconnect message a moment on the wire before closing.
-        self.sim.schedule(0.05, self._drop_transport().close)
+        linger_s = CONTROL_RETRY_S if connecting else 0.05
+        self.sim.schedule(linger_s, self._drop_transport().close)
 
     def _drop_transport(self) -> ClientTransport:
         """Let go of the current transport.  What still reaches it is
         handled as before, except a ConnectAck: that answers a replaced
-        link and must not mark the client connected."""
+        link, so it never marks the client connected, and it is answered
+        with a Disconnect unless the client is attaching to that broker
+        again (whose new Connect supersedes the old one)."""
         transport, self._transport = self._transport, None
-        transport.on_message = self._on_replaced_message
+        transport.on_message = lambda message: self._on_replaced_message(
+            message, transport
+        )
         return transport
 
-    def _on_replaced_message(self, message: Any) -> None:
+    def _on_replaced_message(
+        self, message: Any, transport: ClientTransport
+    ) -> None:
         if message.__class__ is not ConnectAck:
             self._on_message(message)
+        elif (
+            self._transport is None
+            or message.broker_id != self._broker.broker_id
+        ):
+            withdraw = Disconnect(client_id=self.client_id)
+            self.host.cpu.execute(
+                self.publish_cpu_cost_s,
+                transport.send,
+                withdraw,
+                withdraw.wire_size(ENVELOPE_BYTES),
+            )
 
     def _cancel_control_timers(self) -> None:
         if self._connect_timer is not None:

@@ -11,7 +11,7 @@ the :class:`~repro.obs.aggregate.FleetMonitor` console reads the merged
 summaries (DESIGN.md §11).
 
 The wire format carries only the counters whose value changed since the
-previous tick, plus the cumulative delivery-latency sketch when it
+previous tick, plus the cumulative delivery-latency histogram when it
 moved.  Every ``full_every`` ticks the monitor publishes a *full*
 snapshot, which is also the resync mechanism — an aggregator that
 detects a sequence gap (gateway takeover, lossy link, restarted broker)
@@ -30,7 +30,8 @@ from typing import Dict, Optional
 
 from repro.broker.broker import Broker
 from repro.broker.client import BrokerClient, Failover
-from repro.obs.series import HistogramSketch, delta_encode
+from repro.obs.metrics import Histogram
+from repro.obs.series import delta_encode
 from repro.simnet.kernel import Timer
 
 MONITOR_TOPIC_PREFIX = "/narada/monitor"
@@ -42,13 +43,13 @@ DEFAULT_FULL_EVERY = 8
 
 
 class DeltaSample:
-    """Delta-encoded telemetry: changed counters + the latency sketch.
+    """Delta-encoded telemetry: changed counters + the latency histogram.
 
     ``counters`` maps metric name → *absolute* current value for every
     metric that changed since the previous tick (all of them when
-    ``full`` is set); ``sketch`` is the broker's cumulative
-    delivery-latency sketch, included only when it changed (always on a
-    full sample).  ``seq`` increments per monitor tick so consumers can
+    ``full`` is set); ``sketch`` is a copy of the broker's cumulative
+    delivery-latency histogram, included only when it changed (always on
+    a full sample).  ``seq`` increments per monitor tick so consumers can
     detect gaps and wait out a resync.
     """
 
@@ -61,7 +62,7 @@ class DeltaSample:
         seq: int,
         full: bool,
         counters: Dict[str, float],
-        sketch: Optional[HistogramSketch],
+        sketch: Optional[Histogram],
     ):
         self.broker_id = broker_id
         self.at = at
@@ -95,8 +96,8 @@ def sample_numbers(broker: Broker) -> Dict[str, float]:
     """The flat numeric view of one broker: host gauges + statistics().
 
     This is the dict :class:`DeltaSample` payloads are delta-encoded
-    from; the delivery-latency histogram travels separately as a
-    mergeable sketch rather than as pre-baked percentile scalars.
+    from; the delivery-latency histogram travels separately, as a
+    mergeable copy rather than as pre-baked percentile scalars.
     """
     host = broker.host
     numbers: Dict[str, float] = {
@@ -147,7 +148,7 @@ class BrokerMonitor:
         self._seq = 0
         self._ticks_since_full = 0
         self._last_numbers: Optional[Dict[str, float]] = None
-        self._last_sketch: Optional[HistogramSketch] = None
+        self._last_sketch: Optional[Histogram] = None
         self.samples_published = 0
         self.full_samples_published = 0
         self.sample_bytes_published = 0
@@ -177,14 +178,14 @@ class BrokerMonitor:
 
     def _publish(self) -> None:
         numbers = sample_numbers(self.broker)
-        sketch = HistogramSketch.from_histogram(self.broker.delivery_latency)
+        sketch = self.broker.delivery_latency.copy()
         full = (
             self._last_numbers is None
             or self._ticks_since_full + 1 >= self.full_every
         )
         if full:
             counters = dict(numbers)
-            sketch_payload: Optional[HistogramSketch] = sketch
+            sketch_payload: Optional[Histogram] = sketch
             self._ticks_since_full = 0
         else:
             counters = delta_encode(self._last_numbers, numbers)

@@ -104,18 +104,13 @@ class BrokerNetwork:
 
     def connect(self, a: str, b: str) -> None:
         """Create a peer link between brokers ``a`` and ``b``."""
-        broker_a = self.broker(a)
-        broker_b = self.broker(b)
-        intercluster = self.spec.intercluster(a, b)
-        self._add_edge(a, b)
-        broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
-        broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
+        self._repeer(a, b)
         if self.spec.mesh is not None:
             return  # LSA flood + digest exchange take it from here
         self._recompute_routes()
         # Re-advertise interest so the new edge learns existing state.
-        broker_a.sync_subscriptions_to_peers()
-        broker_b.sync_subscriptions_to_peers()
+        self.broker(a).sync_subscriptions_to_peers()
+        self.broker(b).sync_subscriptions_to_peers()
 
     def disconnect(self, a: str, b: str) -> None:
         if b in self.graph.get(a, ()):
@@ -227,8 +222,8 @@ class BrokerNetwork:
     def _repeer(self, a: str, b: str) -> None:
         broker_a = self.broker(a)
         broker_b = self.broker(b)
-        self._add_edge(a, b)
         intercluster = self.spec.intercluster(a, b)
+        self._add_edge(a, b)
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
 
@@ -416,13 +411,12 @@ class BrokerNetwork:
         leaves the mesh connected — the chaos-soak workhorse."""
         if count < 3:
             raise ValueError("a ring needs at least 3 brokers")
-        broker_network = cls._with(network, profile, **options)
-        names = [f"{name_prefix}-{i}" for i in range(count)]
-        for name in names:
-            broker_network.add_broker(name, link=link)
-        for left, right in zip(names, names[1:]):
-            broker_network.connect(left, right)
-        broker_network.connect(names[-1], names[0])
+        broker_network = cls.chain(
+            network, count, name_prefix, profile, link, **options
+        )
+        broker_network.connect(
+            f"{name_prefix}-{count - 1}", f"{name_prefix}-0"
+        )
         return broker_network
 
     @classmethod

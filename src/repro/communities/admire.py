@@ -15,7 +15,6 @@ rendezvous addresses over SOAP, and wires the two agents together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.broker.broker import Broker
@@ -62,9 +61,6 @@ class AdmireClient:
                 lambda payload, src, dgram, kind=kind: self._receive(kind, payload)
             )
             self._sockets[kind] = socket
-
-    def address_for(self, kind: str) -> Address:
-        return self._sockets[kind].local_address
 
     def send_media(self, kind: str, packet: RtpPacket) -> None:
         self.system.distribute(self.client_id, kind, packet)

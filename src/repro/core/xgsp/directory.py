@@ -90,9 +90,6 @@ class XgspDirectory:
             raise DirectoryError(f"unknown user {user_id!r}")
         return account
 
-    def has_user(self, user_id: str) -> bool:
-        return user_id in self._users
-
     def users(self) -> List[str]:
         return sorted(self._users)
 

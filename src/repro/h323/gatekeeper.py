@@ -79,9 +79,6 @@ class Gatekeeper:
 
     # ----------------------------------------------------------- queries
 
-    def registered_aliases(self):
-        return sorted(self._registrations)
-
     def is_registered(self, alias: str) -> bool:
         return alias in self._registrations
 

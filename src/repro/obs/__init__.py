@@ -18,12 +18,10 @@ from repro.obs.metrics import (
     bucket_quantile,
 )
 from repro.obs.series import (
-    HistogramSketch,
     SeriesStore,
     TimeSeries,
     delta_encode,
     merge_counter_totals,
-    merge_sketches,
 )
 from repro.obs.trace import (
     ALERT_TOPIC_PREFIX,
@@ -60,12 +58,10 @@ __all__ = [
     "Anomaly",
     "EwmaBandDetector",
     "SlopeDetector",
-    "HistogramSketch",
     "SeriesStore",
     "TimeSeries",
     "delta_encode",
     "merge_counter_totals",
-    "merge_sketches",
     "ALERT_TOPIC_PREFIX",
     "NARADA_PREFIX",
     "TRACE_TOPIC_PREFIX",

@@ -17,7 +17,7 @@ the cluster fabric (DESIGN.md §11):
 * the top-level :class:`FleetMonitor` subscribes ``/narada/health/#``
   and therefore sees O(clusters) messages per interval instead of
   O(brokers), while still recovering true fleet-wide percentiles by
-  merging the per-cluster histogram sketches once more.
+  merging the per-cluster latency histograms once more.
 
 A flat fabric is the one-cluster case: samples on
 ``/narada/monitor/<broker>``, one always-publishing aggregator, and the
@@ -44,12 +44,8 @@ from repro.broker.monitor import (
     DeltaSample,
     monitor_topic,
 )
-from repro.obs.series import (
-    HistogramSketch,
-    SeriesStore,
-    merge_counter_totals,
-    merge_sketches,
-)
+from repro.obs.metrics import Histogram
+from repro.obs.series import SeriesStore, merge_counter_totals
 from repro.simnet.kernel import Timer
 from repro.simnet.node import Host
 
@@ -131,7 +127,7 @@ class ClusterHealthSummary:
         seq: int,
         brokers: Tuple[BrokerHealth, ...],
         counters: Dict[str, float],
-        sketch: HistogramSketch,
+        sketch: Histogram,
         stale_brokers: Tuple[str, ...],
         unsynced_brokers: Tuple[str, ...],
     ):
@@ -154,7 +150,7 @@ class ClusterHealthSummary:
         return sum(row.outbox_depth for row in self.brokers)
 
     def wire_size(self) -> int:
-        """Modeled encoding: header + 24 B/row + 12 B/counter + sketch."""
+        """Modeled encoding: header + 24 B/row + 12 B/counter + histogram."""
         return (
             32
             + 24 * len(self.brokers)
@@ -176,7 +172,7 @@ class _BrokerLedger:
 
     def __init__(self) -> None:
         self.numbers: Dict[str, float] = {}
-        self.sketch = HistogramSketch()
+        self.sketch = Histogram("delivery_latency_s")
         self.last_seq = 0
         self.last_at = 0.0
         self.synced = False
@@ -302,7 +298,7 @@ class ClusterHealthAggregator:
         stale: List[str] = []
         unsynced: List[str] = []
         synced_numbers: List[Dict[str, float]] = []
-        sketches: List[HistogramSketch] = []
+        sketches: List[Histogram] = []
         for broker_id in sorted(self._ledgers):
             ledger = self._ledgers[broker_id]
             numbers = ledger.numbers
@@ -333,7 +329,7 @@ class ClusterHealthAggregator:
             seq=self._seq,
             brokers=tuple(rows),
             counters=merge_counter_totals(synced_numbers),
-            sketch=merge_sketches(sketches),
+            sketch=Histogram("delivery_latency_s").merge(*sketches),
             stale_brokers=tuple(stale),
             unsynced_brokers=tuple(unsynced),
         )
@@ -344,7 +340,7 @@ class FleetMonitor:
 
     Keeps bounded per-cluster summary history, records key per-cluster
     signals into a :class:`~repro.obs.series.SeriesStore` (raw → 1 s →
-    10 s tiers), and re-merges the per-cluster sketches on demand for
+    10 s tiers), and re-merges the per-cluster histograms on demand for
     fleet-wide percentiles.
     """
 
@@ -423,12 +419,10 @@ class FleetMonitor:
             return []
         return sorted(row.broker_id for row in summary.brokers)
 
-    def fleet_sketch(self) -> HistogramSketch:
-        """Fleet-wide delivery-latency sketch (clusters merged again)."""
-        return merge_sketches(
-            window[-1].sketch
-            for window in self.history.values()
-            if window
+    def fleet_sketch(self) -> Histogram:
+        """Fleet-wide delivery-latency histogram (clusters merged again)."""
+        return Histogram("delivery_latency_s").merge(
+            *(window[-1].sketch for window in self.history.values() if window)
         )
 
     def fleet_quantile(self, q: float) -> float:

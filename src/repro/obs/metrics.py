@@ -56,9 +56,7 @@ def bucket_quantile(
     bucket and the estimate interpolates linearly between the bucket's
     lower and upper edge (the overflow bucket interpolates up to the
     observed maximum), assuming observations spread evenly within a
-    bucket.  Shared by :class:`Histogram` and the mergeable
-    :class:`~repro.obs.series.HistogramSketch` so local and fleet-merged
-    percentiles agree bucket-for-bucket.
+    bucket.
     """
     if count == 0:
         return 0.0
@@ -103,6 +101,15 @@ class Histogram:
     interpolates within the bucket containing the requested rank (see
     :func:`bucket_quantile`), so the estimate is off by at most the
     width of that bucket rather than always sitting at its upper edge.
+
+    Histograms over the same bounds merge exactly: bucket counts, totals
+    and maxima add or compare bucket-wise, so :meth:`merge` is
+    associative and commutative with the empty histogram as identity,
+    and a merged quantile is within one bucket width of the quantile
+    over the union of the observations.  That is how a cluster gateway
+    folds its leaves' delivery-latency histograms into one and the fleet
+    console folds the clusters' again without losing the p99.  Equality
+    compares the observations, not the name.
     """
 
     __slots__ = ("name", "bounds", "counts", "count", "sum", "max")
@@ -128,6 +135,63 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         return bucket_quantile(self.bounds, self.counts, self.count, self.max, q)
+
+    def bucket_width_at(self, q: float) -> float:
+        """Width of the bucket the ``q`` rank falls in — the worst-case
+        quantile error (overflow: distance last bound → max)."""
+        if self.count == 0:
+            return 0.0
+        rank = q * self.count
+        cumulative = 0
+        for index, bucket_count in enumerate(self.counts):
+            cumulative += bucket_count
+            if bucket_count and cumulative >= rank:
+                lower = self.bounds[index - 1] if index > 0 else 0.0
+                upper = (
+                    self.bounds[index]
+                    if index < len(self.bounds)
+                    else max(self.max, lower)
+                )
+                return upper - lower
+        return 0.0
+
+    def copy(self) -> "Histogram":
+        clone = Histogram(self.name, self.bounds)
+        clone.counts = list(self.counts)
+        clone.count = self.count
+        clone.sum = self.sum
+        clone.max = self.max
+        return clone
+
+    def merge(self, *others: "Histogram") -> "Histogram":
+        """Fold ``others`` into this histogram (in place; returns self)."""
+        for other in others:
+            if other.bounds != self.bounds:
+                raise ValueError(
+                    "cannot merge histograms with different bucket bounds"
+                )
+            for index, bucket_count in enumerate(other.counts):
+                self.counts[index] += bucket_count
+            self.count += other.count
+            self.sum += other.sum
+            if other.max > self.max:
+                self.max = other.max
+        return self
+
+    def wire_size(self) -> int:
+        """Modeled encoded size: 4 B per bucket count + 16 B header."""
+        return 16 + 4 * len(self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Histogram):
+            return NotImplemented
+        return (
+            self.bounds == other.bounds
+            and self.counts == other.counts
+            and self.count == other.count
+            and self.sum == other.sum
+            and self.max == other.max
+        )
 
     def summary(self) -> Dict[str, float]:
         return {

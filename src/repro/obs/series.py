@@ -1,22 +1,16 @@
-"""Telemetry time series: ring buffers, downsampling tiers, mergeable sketches.
+"""Telemetry time series: ring buffers, downsampling tiers, counter deltas.
 
-The hierarchical telemetry plane (DESIGN.md §11) needs three primitives
-the flat :mod:`repro.obs.metrics` spine does not provide:
+The hierarchical telemetry plane (DESIGN.md §11) needs two primitives
+beside the mergeable :class:`~repro.obs.metrics.Histogram`:
 
 * :class:`TimeSeries` — a bounded per-metric history with tiered
   downsampling (raw → 1 s → 10 s), so a console can hold hours of
   virtual time per metric in a few hundred slots instead of growing
   without bound or forgetting everything past the raw window;
-* :class:`HistogramSketch` — a **mergeable** fixed-bucket histogram
-  snapshot.  :class:`~repro.obs.metrics.Histogram` lives inside one
-  broker and cannot be combined across brokers; sketches with identical
-  bounds merge by bucket-wise addition, so a cluster gateway can fold
-  seven broker sketches into one and the fleet console can recover a
-  true fleet-wide p99 within one bucket width of the exact value;
 * :func:`delta_encode` / :func:`merge_counter_totals` — the counter
-  half of the same story: leaf monitors ship only the keys that changed
-  since the previous sample, aggregators re-sum absolute values per
-  broker.
+  half of the telemetry samples: leaf monitors ship only the keys that
+  changed since the previous sample, aggregators re-sum absolute values
+  per broker.
 
 Everything here sits on telemetry hot paths (one :meth:`TimeSeries.record`
 per sample per metric), so every class declares ``__slots__`` — enforced
@@ -27,9 +21,7 @@ wall clock, no randomness; time is whatever the caller stamps.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.obs.metrics import Histogram, LATENCY_BUCKETS_S, bucket_quantile
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 #: Raw ring capacity: at the default 1 s sampling cadence this is four
 #: minutes of full-resolution history per series.
@@ -190,118 +182,6 @@ class SeriesStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SeriesStore {len(self._series)} series>"
-
-
-class HistogramSketch:
-    """A mergeable snapshot of a fixed-bucket histogram.
-
-    Two sketches over the *same* bucket bounds merge exactly: bucket
-    counts, totals and maxima add/compare bucket-wise, so merge is
-    associative and commutative with the empty sketch as identity, and
-    the quantile of a merged sketch is within one bucket width of the
-    quantile over the union of the underlying observations (the error a
-    single histogram already has).  This is what lets a cluster gateway
-    fold its leaves' delivery-latency histograms into one and the fleet
-    console fold the per-cluster sketches again without losing the p99.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "sum", "max")
-
-    def __init__(self, bounds: Sequence[float] = LATENCY_BUCKETS_S):
-        self.bounds: Tuple[float, ...] = tuple(bounds)
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-    @classmethod
-    def from_histogram(cls, histogram: Histogram) -> "HistogramSketch":
-        sketch = cls(histogram.bounds)
-        sketch.counts = list(histogram.counts)
-        sketch.count = histogram.count
-        sketch.sum = histogram.sum
-        sketch.max = histogram.max
-        return sketch
-
-    def copy(self) -> "HistogramSketch":
-        clone = HistogramSketch(self.bounds)
-        clone.counts = list(self.counts)
-        clone.count = self.count
-        clone.sum = self.sum
-        clone.max = self.max
-        return clone
-
-    def merge(self, other: "HistogramSketch") -> "HistogramSketch":
-        """Fold ``other`` into this sketch (in place; returns self)."""
-        if other.bounds != self.bounds:
-            raise ValueError(
-                "cannot merge sketches with different bucket bounds"
-            )
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.count += other.count
-        self.sum += other.sum
-        if other.max > self.max:
-            self.max = other.max
-        return self
-
-    def quantile(self, q: float) -> float:
-        return bucket_quantile(self.bounds, self.counts, self.count, self.max, q)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def bucket_width_at(self, q: float) -> float:
-        """Width of the bucket the ``q`` rank falls in — the sketch's
-        worst-case quantile error (overflow: distance last-bound → max)."""
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if bucket_count and cumulative >= rank:
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                upper = (
-                    self.bounds[index]
-                    if index < len(self.bounds)
-                    else max(self.max, lower)
-                )
-                return upper - lower
-        return 0.0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HistogramSketch):
-            return NotImplemented
-        return (
-            self.bounds == other.bounds
-            and self.counts == other.counts
-            and self.count == other.count
-            and self.sum == other.sum
-            and self.max == other.max
-        )
-
-    def __hash__(self) -> int:  # sketches are mutable; identity hash
-        return id(self)
-
-    def wire_size(self) -> int:
-        """Modeled encoded size: 4 B per bucket count + 16 B header."""
-        return 16 + 4 * len(self.counts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<HistogramSketch n={self.count} p99={self.quantile(0.99)}>"
-
-
-def merge_sketches(
-    sketches: Iterable[HistogramSketch],
-    bounds: Sequence[float] = LATENCY_BUCKETS_S,
-) -> HistogramSketch:
-    """Merge any number of same-bounds sketches into a fresh one."""
-    merged = HistogramSketch(bounds)
-    for sketch in sketches:
-        merged.merge(sketch)
-    return merged
 
 
 def delta_encode(

@@ -89,7 +89,7 @@ class RtpSession:
                 buffer = PlayoutBuffer(
                     self.sim,
                     self._deliver,
-                    target_delay_s=self._playout_delay_s or 0.080,
+                    target_delay_s=self._playout_delay_s,
                 )
                 self._playout[packet.ssrc] = buffer
             buffer.offer(packet)
@@ -113,9 +113,6 @@ class RtpSession:
 
     def heard_sources(self) -> List[int]:
         return sorted(self._stats)
-
-    def playout_for(self, ssrc: int) -> Optional[PlayoutBuffer]:
-        return self._playout.get(ssrc)
 
     # --------------------------------------------------------------- rtcp
 

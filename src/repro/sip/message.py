@@ -4,12 +4,16 @@ Requests and responses render to RFC 3261 wire text (start line, headers,
 blank line, body) and parse back; the rendered length is the size charged
 to the simulated transport.  Header storage is a case-insensitive multimap
 with canonical rendering order for determinism.
+
+:class:`TextMessage` and :func:`parse_text_message` are the part every
+text protocol of this shape shares; RTSP (:mod:`repro.streaming.rtsp`)
+builds on them with its own version string, method check and error.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Type
 
 SIP_VERSION = "SIP/2.0"
 
@@ -35,8 +39,9 @@ class SipParseError(ValueError):
     """Raised on malformed SIP text."""
 
 
-class SipMessage:
-    """Common header/body handling for requests and responses."""
+class TextMessage:
+    """Header and body handling for a text protocol's requests and
+    responses; subclasses supply the start line."""
 
     def __init__(self, headers: Optional[List[Tuple[str, str]]] = None, body: str = ""):
         self._headers: List[Tuple[str, str]] = list(headers or [])
@@ -106,7 +111,9 @@ class SipMessage:
     def wire_size(self) -> int:
         return len(self.render())
 
-    # ------------------------------------------------------- conveniences
+
+class SipMessage(TextMessage):
+    """SIP's header conveniences for requests and responses."""
 
     @property
     def call_id(self) -> Optional[str]:
@@ -198,34 +205,50 @@ def response_for(
     return response
 
 
-def parse_message(text: str):
-    """Parse wire text into a :class:`SipRequest` or :class:`SipResponse`."""
+def parse_text_message(
+    text: str,
+    version: str,
+    error: Type[ValueError],
+    request: Callable[[str, str, List[Tuple[str, str]], str], TextMessage],
+    response: Callable[[int, str, List[Tuple[str, str]], str], TextMessage],
+) -> TextMessage:
+    """Parse the wire text of a ``version`` protocol: a status line builds
+    ``response(status, reason, headers, body)``, a request line
+    ``request(method, target, headers, body)``; malformed text raises
+    ``error``."""
     head, separator, body = text.partition("\r\n\r\n")
     if not separator:
-        raise SipParseError("missing header/body separator")
+        raise error("missing header/body separator")
     lines = head.split("\r\n")
     if not lines or not lines[0]:
-        raise SipParseError("empty message")
+        raise error("empty message")
     start = lines[0]
     headers: List[Tuple[str, str]] = []
     for line in lines[1:]:
         name, colon, value = line.partition(":")
         if not colon:
-            raise SipParseError(f"malformed header line {line!r}")
+            raise error(f"malformed header line {line!r}")
         headers.append((name.strip(), value.strip()))
-    if start.startswith(SIP_VERSION):
+    if start.startswith(version):
         parts = start.split(" ", 2)
         if len(parts) < 3:
-            raise SipParseError(f"malformed status line {start!r}")
+            raise error(f"malformed status line {start!r}")
         try:
             status = int(parts[1])
         except ValueError:
-            raise SipParseError(f"bad status code in {start!r}") from None
-        return SipResponse(status, parts[2], headers, body)
+            raise error(f"bad status code in {start!r}") from None
+        return response(status, parts[2], headers, body)
     parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != SIP_VERSION:
-        raise SipParseError(f"malformed request line {start!r}")
-    return SipRequest(parts[0], parts[1], headers, body)
+    if len(parts) != 3 or parts[2] != version:
+        raise error(f"malformed request line {start!r}")
+    return request(parts[0], parts[1], headers, body)
+
+
+def parse_message(text: str):
+    """Parse wire text into a :class:`SipRequest` or :class:`SipResponse`."""
+    return parse_text_message(
+        text, SIP_VERSION, SipParseError, SipRequest, SipResponse
+    )
 
 
 def parse_name_addr(header: str) -> Tuple[str, Optional[str]]:

@@ -49,11 +49,6 @@ class LocationService:
             return None
         return binding.contact
 
-    def registered_uris(self, now: float):
-        return sorted(
-            uri for uri, b in self._bindings.items() if b.expires_at >= now
-        )
-
 
 class SipRegistrar(SipEndpoint):
     """Standalone registrar endpoint (often co-hosted with the proxy)."""

@@ -159,9 +159,6 @@ class SipEndpoint:
         transaction.start()
         return transaction
 
-    def send_response(self, response: SipResponse, destination: Address) -> None:
-        self._send_text(response.render(), destination)
-
     def _send_text(self, text: str, destination: Address) -> None:
         self.socket.sendto(text, len(text), destination)
 

@@ -299,6 +299,3 @@ class SipUserAgent(SipEndpoint):
 
     def dialogs(self):
         return list(self._dialogs.values())
-
-    def dialog_for(self, call_id: str) -> Optional[Dialog]:
-        return self._dialogs.get(call_id)

@@ -100,9 +100,6 @@ class SoapService:
     def wsdl(self, service: str) -> WsdlDocument:
         return self._lookup(service)[0]
 
-    def service_names(self):
-        return sorted(self._services)
-
     def _lookup(self, service: str) -> Tuple[WsdlDocument, Dict[str, OperationHandler]]:
         try:
             return self._services[service]

@@ -10,7 +10,7 @@ service container and the client validate calls against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
 
 class WsdlError(ValueError):
@@ -78,6 +78,3 @@ class WsdlDocument:
 
     def validate_call(self, operation: str, params: Dict[str, Any]) -> None:
         self.operation(operation).validate(params)
-
-    def operation_names(self) -> List[str]:
-        return sorted(self.operations)

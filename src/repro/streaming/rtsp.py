@@ -1,14 +1,19 @@
 """RTSP (RFC 2326) message codec, text level.
 
-Same wire discipline as the SIP codec: requests/responses render to text
-and parse back, and the rendered length is what the TCP transport
-charges.  The server and player implement DESCRIBE / SETUP / PLAY /
-PAUSE / TEARDOWN.
+The SIP codec's header list, rendering and start-line parse
+(:class:`~repro.sip.message.TextMessage`,
+:func:`~repro.sip.message.parse_text_message`) with RTSP's version
+string, method check and error: requests/responses render to text and
+parse back, and the rendered length is what the TCP transport charges.
+The server and player implement DESCRIBE / SETUP / PLAY / PAUSE /
+TEARDOWN.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
+
+from repro.sip.message import TextMessage, parse_text_message
 
 RTSP_VERSION = "RTSP/1.0"
 
@@ -19,50 +24,15 @@ class RtspParseError(ValueError):
     """Malformed RTSP text."""
 
 
-class _RtspMessage:
-    def __init__(self, headers: Optional[List[Tuple[str, str]]] = None, body: str = ""):
-        self._headers = list(headers or [])
-        self.body = body
-
-    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        wanted = name.lower()
-        for key, value in self._headers:
-            if key.lower() == wanted:
-                return value
-        return default
-
-    def set(self, name: str, value) -> None:
-        wanted = name.lower()
-        self._headers = [
-            (k, v) for k, v in self._headers if k.lower() != wanted
-        ]
-        self._headers.append((name, str(value)))
-
-    def headers(self) -> List[Tuple[str, str]]:
-        return list(self._headers)
-
-    def _start_line(self) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def render(self) -> str:
-        lines = [self._start_line()]
-        headers = list(self._headers)
-        if self.body and self.get("Content-Length") is None:
-            headers.append(("Content-Length", str(len(self.body))))
-        lines.extend(f"{key}: {value}" for key, value in headers)
-        lines.append("")
-        return "\r\n".join(lines) + "\r\n" + self.body
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.render())
+class RtspMessage(TextMessage):
+    """RTSP's header convenience for requests and responses."""
 
     @property
     def cseq(self) -> int:
         return int(self.get("Cseq", "0") or 0)
 
 
-class RtspRequest(_RtspMessage):
+class RtspRequest(RtspMessage):
     def __init__(self, method: str, url: str,
                  headers: Optional[List[Tuple[str, str]]] = None, body: str = ""):
         super().__init__(headers, body)
@@ -76,7 +46,7 @@ class RtspRequest(_RtspMessage):
         return f"<RtspRequest {self.method} {self.url}>"
 
 
-class RtspResponse(_RtspMessage):
+class RtspResponse(RtspMessage):
     def __init__(self, status: int, reason: str,
                  headers: Optional[List[Tuple[str, str]]] = None, body: str = ""):
         super().__init__(headers, body)
@@ -94,35 +64,18 @@ class RtspResponse(_RtspMessage):
         return f"<RtspResponse {self.status}>"
 
 
+def _request(method: str, url: str, headers, body: str) -> RtspRequest:
+    if method not in METHODS:
+        raise RtspParseError(f"unknown method {method!r}")
+    return RtspRequest(method, url, headers, body)
+
+
 def parse_rtsp(text: str):
-    head, separator, body = text.partition("\r\n\r\n")
-    if not separator:
-        raise RtspParseError("missing header/body separator")
-    lines = head.split("\r\n")
-    if not lines or not lines[0]:
-        raise RtspParseError("empty message")
-    start = lines[0]
-    headers: List[Tuple[str, str]] = []
-    for line in lines[1:]:
-        name, colon, value = line.partition(":")
-        if not colon:
-            raise RtspParseError(f"malformed header {line!r}")
-        headers.append((name.strip(), value.strip()))
-    if start.startswith(RTSP_VERSION):
-        parts = start.split(" ", 2)
-        if len(parts) < 3:
-            raise RtspParseError(f"malformed status line {start!r}")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise RtspParseError(f"bad status in {start!r}") from None
-        return RtspResponse(status, parts[2], headers, body)
-    parts = start.split(" ")
-    if len(parts) != 3 or parts[2] != RTSP_VERSION:
-        raise RtspParseError(f"malformed request line {start!r}")
-    if parts[0] not in METHODS:
-        raise RtspParseError(f"unknown method {parts[0]!r}")
-    return RtspRequest(parts[0], parts[1], headers, body)
+    """Parse wire text into an :class:`RtspRequest` or an
+    :class:`RtspResponse`."""
+    return parse_text_message(
+        text, RTSP_VERSION, RtspParseError, _request, RtspResponse
+    )
 
 
 def parse_rtsp_url(url: str) -> Tuple[str, str]:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.broker import BrokerClient, BrokerNetwork, Failover, LinkType
+from repro.broker import Broker, BrokerClient, BrokerNetwork, Failover, LinkType
 from repro.simnet import Firewall, HttpTunnelProxy
+from repro.simnet.link import LAN_100M, WAN_TRANSPACIFIC
 
 from tests.broker.conftest import make_client
 
@@ -121,3 +122,20 @@ def test_reconnect_after_disconnect_not_allowed_on_same_object(net, sim, single_
     client = make_client(net, sim, single_broker, "c")
     with pytest.raises(RuntimeError):
         client.connect(single_broker)
+
+
+@pytest.mark.parametrize("link", [LAN_100M, WAN_TRANSPACIFIC], ids=["lan", "wan"])
+def test_disconnect_while_connecting_withdraws_the_connect(net, sim, link):
+    """connect(A); disconnect(); connect(B): the Connect already on its
+    way to A is withdrawn, also when the Disconnect overtakes it (as it
+    does here on the LAN) or A's ack takes longer than 50 ms (the WAN),
+    so A does not keep the client."""
+    first = Broker(net.create_host("a-host", link=link), broker_id="a")
+    second = Broker(net.create_host("b-host"), broker_id="b")
+    client = BrokerClient(net.create_host("c"), client_id="c")
+    client.connect(first)
+    client.disconnect()
+    client.connect(second)
+    sim.run_for(1.0)
+    assert client.broker_id == "b"
+    assert (first.client_count(), second.client_count()) == (0, 1)

@@ -17,7 +17,7 @@ from repro.broker.monitor import (
     sample_numbers,
 )
 from repro.obs.aggregate import ClusterHealthSummary, FleetMonitor
-from repro.obs.series import HistogramSketch
+from repro.obs.metrics import Histogram
 
 from tests.broker.conftest import make_client
 
@@ -104,7 +104,7 @@ def test_history_limit_validated(net, sim):
 def summary(at):
     """A minimal summary from cluster ``c0``, stamped ``at``."""
     return ClusterHealthSummary(
-        "c0", "b0", at, int(at), (), {}, HistogramSketch(), (), ()
+        "c0", "b0", at, int(at), (), {}, Histogram("lat"), (), ()
     )
 
 

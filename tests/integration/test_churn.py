@@ -78,13 +78,13 @@ def test_sip_conference_join_leave_churn():
         assert len(dialogs) == 4
         roster = mmcs.session_server.session(session.session_id).roster
         assert len(roster) == 4
-        assert mmcs.sip_gateway.legs() == 4
+        assert len(mmcs.sip_gateway.bridge.legs) == 4
         for dialog, ua in zip(dialogs, agents):
             ua.bye(dialog)
         mmcs.run_for(4.0)
         roster = mmcs.session_server.session(session.session_id).roster
         assert len(roster) == 0, f"round {round_number} left stale members"
-        assert mmcs.sip_gateway.legs() == 0
+        assert len(mmcs.sip_gateway.bridge.legs) == 0
 
 
 def test_rejoin_after_leave_is_clean():

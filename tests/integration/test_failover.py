@@ -211,7 +211,7 @@ def test_sip_gateway_fails_over_with_its_rtp_legs():
     )
     sim.run_for(4.0)
     assert len(answers) == 1
-    assert gateway.legs() == 1
+    assert len(gateway.bridge.legs) == 1
 
     # Another participant publishes on the session's audio topic.
     audio_topic = server.session(session_id).media_for(["audio"])[0].topic
@@ -226,9 +226,9 @@ def test_sip_gateway_fails_over_with_its_rtp_legs():
     # both reconnect to the survivor.
     bnet.remove_broker("broker-1")
     sim.run_for(6.0)
-    assert gateway.failovers == 1
-    assert gateway.broker is b0
-    leg = next(iter(gateway._legs.values()))
+    assert gateway.bridge.failovers == 1
+    assert gateway.bridge.broker is b0
+    leg = next(iter(gateway.bridge.legs.values()))
     assert leg.proxy.failovers == 1
 
     speaker.publish(audio_topic, "still-here", 160)
@@ -285,10 +285,10 @@ def test_h323_gateway_fails_over_with_its_rtp_legs():
 
     bnet.remove_broker("broker-1")
     sim.run_for(6.0)
-    assert gateway.failovers == 1
-    assert gateway.broker is b0
-    _accepted, leg_proxy = next(iter(gateway._joins.values()))
-    assert leg_proxy.failovers == 1
+    assert gateway.bridge.failovers == 1
+    assert gateway.bridge.broker is b0
+    leg = next(iter(gateway.bridge.legs.values()))
+    assert leg.proxy.failovers == 1
 
     speaker.publish(audio_topic, rtp(2), rtp(2).wire_size)
     sim.run_for(1.0)

@@ -44,7 +44,7 @@ def test_h323_terminal_joins_session(mmcs):
     # Both audio and video channels negotiated via H.245.
     assert call.remote_media_address("audio") is not None
     assert call.remote_media_address("video") is not None
-    assert mmcs.h323_gateway.joins_accepted == 1
+    assert mmcs.h323_gateway.bridge.joins_accepted == 1
 
 
 def test_call_to_unknown_conference_rejected(mmcs):
@@ -55,7 +55,7 @@ def test_call_to_unknown_conference_rejected(mmcs):
     call.on_released = lambda c: released.append(c.release_reason)
     mmcs.run_for(4.0)
     assert released == ["xgsp-join-rejected"]
-    assert mmcs.h323_gateway.joins_rejected == 1
+    assert mmcs.h323_gateway.bridge.joins_rejected == 1
 
 
 def test_h323_media_bridged_to_topic(mmcs):

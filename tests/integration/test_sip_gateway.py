@@ -55,7 +55,7 @@ def test_sip_invite_joins_session(mmcs):
     # The answer points media at the broker-side RTP proxy.
     assert answer.has_media("audio") and answer.has_media("video")
     assert answer.connection_host == mmcs.broker.host.name
-    assert mmcs.sip_gateway.joins_accepted == 1
+    assert mmcs.sip_gateway.bridge.joins_accepted == 1
 
 
 def test_invite_to_unknown_session_rejected(mmcs):
@@ -70,7 +70,7 @@ def test_invite_to_unknown_session_rejected(mmcs):
     )
     mmcs.run_for(4.0)
     assert failures == [404]
-    assert mmcs.sip_gateway.joins_rejected == 1
+    assert mmcs.sip_gateway.bridge.joins_rejected == 1
 
 
 def test_sip_media_bridged_to_topic(mmcs):
@@ -139,9 +139,9 @@ def test_two_sip_endpoints_hear_each_other(mmcs):
 def test_bye_leaves_session_and_tears_down_leg(mmcs):
     session = mmcs.create_session("conf")
     ua, dialog, answer = sip_call_into_session(mmcs, session)
-    assert mmcs.sip_gateway.legs() == 1
+    assert len(mmcs.sip_gateway.bridge.legs) == 1
     ua.bye(dialog)
     mmcs.run_for(3.0)
     xgsp_session = mmcs.session_server.session(session.session_id)
     assert len(xgsp_session.roster) == 0
-    assert mmcs.sip_gateway.legs() == 0
+    assert len(mmcs.sip_gateway.bridge.legs) == 0

@@ -178,7 +178,7 @@ def test_gateway_join_latency_observed(mmcs):
     """INVITE -> XGSP-join and join -> first-media land in the gateway's
     histograms (the per-gateway join-latency SLO surface)."""
     gateway = mmcs.sip_gateway
-    assert gateway.join_latency.count == 0
+    assert gateway.bridge.join_latency.count == 0
     session = mmcs.create_session("conf")
     ua = mmcs.create_sip_user("alice")
     mmcs.run_for(2.0)
@@ -192,9 +192,9 @@ def test_gateway_join_latency_observed(mmcs):
     )
     mmcs.run_for(4.0)
     assert len(answers) == 1
-    assert gateway.join_latency.count == 1
-    assert 0.0 < gateway.join_latency.mean < 5.0
-    assert gateway.join_to_first_media.count == 0  # no media yet
+    assert gateway.bridge.join_latency.count == 1
+    assert 0.0 < gateway.bridge.join_latency.mean < 5.0
+    assert gateway.bridge.join_to_first_media.count == 0  # no media yet
 
     # First media through the proxy completes the join-to-media leg.
     publisher = mmcs.create_native_client("speaker")
@@ -202,5 +202,5 @@ def test_gateway_join_latency_observed(mmcs):
     mmcs.run_for(1.0)
     publisher.publish_media(audio_topic, b"rtp", 160)
     mmcs.run_for(2.0)
-    assert gateway.join_to_first_media.count == 1
-    assert gateway.metrics.snapshot()["joins_accepted"] == 1
+    assert gateway.bridge.join_to_first_media.count == 1
+    assert gateway.bridge.metrics.snapshot()["joins_accepted"] == 1

@@ -1,16 +1,14 @@
-"""Time-series ring buffers, mergeable sketches, delta encoding."""
+"""Time-series ring buffers, mergeable histograms, delta encoding."""
 
 import pytest
 
 from repro.obs.metrics import Histogram
 from repro.obs.series import (
     TIER_WIDTHS_S,
-    HistogramSketch,
     SeriesStore,
     TimeSeries,
     delta_encode,
     merge_counter_totals,
-    merge_sketches,
 )
 
 
@@ -84,22 +82,27 @@ def test_series_store_creates_and_reuses():
     assert store.get("missing") is None
 
 
-# ---------------------------------------------------------- HistogramSketch
+# -------------------------------------------------- mergeable histograms
 
 
 def make_sketch(values, bounds=(0.1, 0.5, 1.0)):
     histogram = Histogram("lat", bounds=bounds)
     for value in values:
         histogram.observe(value)
-    return HistogramSketch.from_histogram(histogram)
+    return histogram
+
+
+def merged(histograms, bounds):
+    return Histogram("merged", bounds).merge(*histograms)
 
 
 def test_sketch_mirrors_histogram():
+    """A copy (what a monitor ships) carries every observation."""
     values = (0.05, 0.3, 0.3, 0.9, 3.0)
-    sketch = make_sketch(values)
-    histogram = Histogram("lat", bounds=(0.1, 0.5, 1.0))
-    for value in values:
-        histogram.observe(value)
+    histogram = make_sketch(values)
+    sketch = histogram.copy()
+    assert sketch == histogram and sketch is not histogram
+    assert sketch.name == "lat"
     assert sketch.count == 5
     assert sketch.counts == histogram.counts
     assert sketch.quantile(0.99) == histogram.quantile(0.99)
@@ -123,16 +126,16 @@ def test_sketch_merge_is_associative():
     left = a.copy().merge(b).merge(c)
     right = a.copy().merge(b.copy().merge(c))
     assert left == right
-    assert left == merge_sketches([a, b, c], bounds=a.bounds)
+    assert left == merged([a, b, c], a.bounds)
 
 
 def test_sketch_empty_merge_is_identity():
     a = make_sketch((0.05, 0.3, 0.9))
-    empty = HistogramSketch(a.bounds)
+    empty = Histogram("empty", a.bounds)
     assert a.copy().merge(empty) == a
     assert empty.copy().merge(a) == a
-    assert merge_sketches([], bounds=a.bounds).count == 0
-    assert merge_sketches([], bounds=a.bounds).quantile(0.99) == 0.0
+    assert merged([], a.bounds).count == 0
+    assert merged([], a.bounds).quantile(0.99) == 0.0
 
 
 def test_sketch_merge_rejects_mismatched_bounds():
@@ -141,7 +144,7 @@ def test_sketch_merge_rejects_mismatched_bounds():
 
 
 def test_merged_quantile_within_one_bucket_of_exact():
-    """The fleet-p99 fidelity bound: the quantile of the merged sketch
+    """The fleet-p99 fidelity bound: the quantile of the merged histogram
     is within the rank's bucket width of the exact quantile over the
     union of the underlying observations."""
     per_broker = [
@@ -150,13 +153,11 @@ def test_merged_quantile_within_one_bucket_of_exact():
         [0.002, 0.9, 1.4, 0.33, 0.07] * 4,
     ]
     bounds = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0)
-    merged = merge_sketches(
-        (make_sketch(values, bounds) for values in per_broker), bounds
-    )
+    fleet = merged([make_sketch(values, bounds) for values in per_broker], bounds)
     union = sorted(value for values in per_broker for value in values)
     for q in (0.5, 0.9, 0.99):
         exact = union[min(len(union) - 1, int(q * len(union)))]
-        assert abs(merged.quantile(q) - exact) <= merged.bucket_width_at(q)
+        assert abs(fleet.quantile(q) - exact) <= fleet.bucket_width_at(q)
 
 
 def test_sketch_copy_is_independent():
@@ -166,7 +167,7 @@ def test_sketch_copy_is_independent():
     assert original.count == 1
     assert clone.count == 2
     assert original != clone
-    assert original.wire_size() == clone.wire_size() > 0
+    assert original.wire_size() == clone.wire_size() == 16 + 4 * 4
 
 
 # ------------------------------------------------------------ counter codec

@@ -112,6 +112,16 @@ class TestRtpSession:
         sim.run()
         assert got and got[0] == pytest.approx(0.05)
 
+    def test_zero_playout_delay_plays_on_arrival(self):
+        """0 s is a buffer with no delay, not the 80 ms default."""
+        sim = Simulator()
+        receiver = RtpSession(sim, "rx", playout_delay_s=0.0)
+        got = []
+        receiver.on_media(lambda p: got.append(sim.now))
+        receiver.receive_media(packet(0, 0))
+        sim.run()
+        assert got == [0.0]
+
     def test_rtcp_reports_generated(self):
         sim = Simulator()
         reports = []
