@@ -30,6 +30,13 @@ The last item completes on its own, so what queued behind the train is
 served from ``t_N`` on.  Counters, the busy clock and
 :attr:`Cpu.queue_depth` read exactly as with one event per item;
 DESIGN.md §7 states what a train item may do.
+
+Ties: a train reserves a block of kernel ``seq`` numbers when it is
+queued, and what its items post (their sends, each next item's
+completion) takes its ``seq`` from that block.  Among entries due at the
+same instant, a train's sort as they would had they been posted when it
+was queued, however many items a batch ran ahead, so ``run()`` and
+``step()`` order them alike.
 """
 
 from __future__ import annotations
@@ -40,7 +47,11 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from repro.simnet.kernel import Simulator
+from repro.simnet.kernel import SimulationError, Simulator
+
+#: Kernel ``seq`` numbers a train reserves per item: its sends' arrivals
+#: and the next item's completion (DESIGN.md §7, "Ties").
+_SEQS_PER_ITEM = 64
 
 
 @dataclass(frozen=True)
@@ -77,8 +88,10 @@ class Cpu:
     then.
 
     Queue entries are ``(cost, fn, args)``, or ``(cost, None, train)``
-    for a train: a list ``[cost, args, fn_N, ..., fn_1]`` of items that
-    share their cost and arguments, popped from the end as they run.
+    for a train: a list ``[cost, args, seq, end, fn_N, ..., fn_1]`` of
+    items that share their cost and arguments, popped from the end as
+    they run; ``seq`` is the next number of its reserved block, ``end``
+    the first past it.
     """
 
     def __init__(
@@ -145,7 +158,10 @@ class Cpu:
             fn = fns[0]
         else:
             fn = None
-            args = [cost_s, args, *reversed(fns)]  # the train, for its args
+            sim = self.sim
+            seq = sim._next_seq
+            end = sim._next_seq = seq + len(fns) * _SEQS_PER_ITEM
+            args = [cost_s, args, seq, end, *reversed(fns)]  # the train
             self._backlog += len(fns) - 1
         if self._busy:
             self._queue.append((cost_s, fn, args))
@@ -220,9 +236,10 @@ class Cpu:
         sim = self.sim
         while True:
             if fn is None and args is not None:
-                due = self._run_train(args)
-                if len(args) == 3:  # the last item completes as a job
-                    fn, args = args[2], args[1]
+                train = args
+                due = self._run_train(train)
+                if len(train) == 5:  # the last item completes as a job
+                    fn, args = train[4], train[1]
             else:
                 if fn is not None:
                     self.tasks_executed += 1
@@ -234,30 +251,37 @@ class Cpu:
                 cost_s, fn, args = queue.popleft()
                 self.busy_time += cost_s
                 due = sim.now + cost_s
+                train = None
             heap = sim._queue
             if due <= sim._until and (not heap or due < heap[0][0]):
                 sim.now = due
                 continue
-            seq = sim._next_seq
-            sim._next_seq = seq + 1
+            if train is None:
+                seq = sim._next_seq
+                sim._next_seq = seq + 1
+            else:  # the train's next item: from its block
+                seq = train[2]
+                train[2] = seq + 1
             heappush(heap, [due, seq, self._complete, (fn, args)])
             return
 
     def _run_train(self, train: list) -> float:
-        """The next item of ``train`` — ``[cost, args, fn_N, ..., fn_k]``,
-        popped from the end — completes now.  Run it and the items after
-        it that complete before the horizon, each at its own completion
-        time, short of the last item; return when the next one completes."""
+        """The next item of ``train`` — ``[cost, args, seq, end, fn_N,
+        ..., fn_k]``, popped from the end — completes now.  Run it and the
+        items after it that complete before the horizon, each at its own
+        completion time, short of the last item, posting from the train's
+        block; return when the next one completes."""
         cost_s, args = train[0], train[1]
         sim = self.sim
         start = now = sim.now
         horizon = sim.horizon()
+        next_seq, sim._next_seq = sim._next_seq, train[2]
         # What an item sends lives until it lands (a datagram, its kernel
         # entry and the entry's args): a batch that outgrows the young
         # generation has them promoted wholesale, which costs the collector
         # more than the batch saves the kernel.
         batch = max(1, gc.get_threshold()[0] // 4)
-        limit = left = min(batch, len(train) - 3)  # short of the last item
+        limit = left = min(batch, len(train) - 5)  # short of the last item
         busy_time = self.busy_time
         while True:
             # Popping the item as it runs drops the train's reference: what
@@ -275,6 +299,12 @@ class Cpu:
         self.tasks_executed += ran
         self._backlog -= ran
         sim.now = start
+        seq, sim._next_seq = sim._next_seq, next_seq
+        if seq >= train[3]:  # room must be left for the next completion
+            raise SimulationError(
+                f"train items posted over {_SEQS_PER_ITEM} entries each"
+            )
+        train[2] = seq
         return due
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

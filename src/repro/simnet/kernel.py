@@ -15,7 +15,9 @@ run, 400 receivers, executes ~830 kernel events per media packet):
   ``post()`` pushes a plain list for callers that discard the handle.
   One heap, one order and one dispatch loop serve both.
 * ``Host.send``, ``Host.deliver`` and ``Cpu._complete`` push plain
-  entries themselves, taking the next ``seq`` as ``post()`` does.
+  entries themselves, taking the next ``seq`` as ``post()`` does.  A CPU
+  train points ``_next_seq`` into a block it reserved when queued while
+  its items run (``simnet/cpu.py``, "Ties").
 * ``schedule()`` is self-contained (no delegation) and stores ``args=None``
   for the dominant zero-arg case so the dispatch loop can call ``fn()``
   directly without ``*()`` unboxing.

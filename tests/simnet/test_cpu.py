@@ -5,11 +5,11 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simnet import Address, LinkProfile, Network, SeededStreams
 from repro.simnet.cpu import Cpu, GcProfile
-from repro.simnet.kernel import Simulator
+from repro.simnet.kernel import SimulationError, Simulator
 
 
 def test_single_task_completes_after_service_time():
@@ -162,8 +162,8 @@ def traffic(scenario, drain):
     """Hosts on jittered, lossy links trade datagrams.  Every arrival and
     every CPU item draws what happens next from one seeded stream: another
     datagram, CPU work (some of it free), an allocation that may trip a GC
-    pause, a fan-out train, a timer, or a cancel.  Any change in firing
-    order changes everything after it.  Returns the log of what ran when,
+    pause, a fan-out train, a timer, or a cancel; six kick-offs each do
+    at least one.  Any change in firing order changes everything after it.  Returns the log of what ran when,
     each host's CPU tallies and stream, and the kernel's event count."""
     sim = Simulator()
     net = Network(sim, SeededStreams(scenario["seed"]))
@@ -181,9 +181,9 @@ def traffic(scenario, drain):
     timers = []
     budget = [300]
 
-    def react(host, tag):
+    def react(host, tag, least=0):
         log.append((sim.now, host.name, tag))
-        for _ in range(rng.randrange(3)):
+        for _ in range(max(least, rng.randrange(3))):
             if budget[0] == 0:
                 return
             budget[0] -= 1
@@ -211,7 +211,7 @@ def traffic(scenario, drain):
     for host in hosts:
         host.bind(1, lambda datagram, host=host: react(host, datagram.payload))
     for n in range(6):
-        sim.schedule(rng.uniform(0.0, 0.01), react, rng.choice(hosts), -n)
+        sim.schedule(rng.uniform(0.0, 0.01), react, rng.choice(hosts), -n, 1)
     for until in scenario["boundaries"]:
         drain(sim, until)
         log.append(("boundary", sim.now))
@@ -235,6 +235,12 @@ def traffic(scenario, drain):
 
 @settings(deadline=None, max_examples=60)
 @given(_traffic)
+@example({  # two trains on h0 and h4 end at one instant
+    "seed": 119576892,
+    "hosts": [(0.0, 0.2, 0.0, None)] + [(0.0, 0.0, 0.0, None)] * 2
+    + [(0.0, 0.0, 0.0, 3000), (0.0, 0.0, 0.0, None)],
+    "boundaries": [],
+})
 def test_completions_in_place_change_nothing_but_the_event_count(scenario):
     """``step()`` never runs a completion in place (nor a train ahead of
     the clock); ``run()`` does whenever the completion is provably next.
@@ -293,3 +299,18 @@ def test_a_receive_due_with_the_heap_head_waits_its_turn():
         return log
 
     assert order(drain_by_run) == order(drain_by_step) == ["timer", "receive"]
+
+
+def test_a_train_that_posts_past_its_seq_block_raises():
+    """A train reserves 64 ``seq`` numbers an item when queued; items
+    that post more would take numbers the kernel hands out after it."""
+    sim = Simulator()
+    cpu = Cpu(sim)
+
+    def flood():
+        for _ in range(200):
+            sim.post(1.0, lambda: None)
+
+    cpu.execute_train(1e-3, [flood, flood], ())
+    with pytest.raises(SimulationError):
+        sim.run()
