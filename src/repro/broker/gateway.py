@@ -245,8 +245,10 @@ class Gateway:
         """Debounced recompute of our aggregated interest summary (many
         subscription changes, one summary flood), rate-limited to one
         flood per ``SUMMARY_REFRESH_MIN_INTERVAL_S`` so churn below the
-        collapse budget cannot export one overlay flood per op."""
-        if self.summary_pending:
+        collapse budget cannot export one overlay flood per op.  Active
+        gateway only: a standby's refresh would find nothing to do, and
+        :meth:`_check_active` schedules one on promotion."""
+        if self.summary_pending or self.active != self.broker.broker_id:
             return
         self.summary_pending = True
         sim = self.broker.sim
