@@ -410,6 +410,11 @@ class H323Terminal:
     def _h245_attach(self, call: H323Call, connection: TcpConnection,
                      initiate: bool) -> None:
         call.h245 = connection
+        listener = call.h245_listener
+        if listener is not None:
+            # The listener serves this one connection: it goes with it,
+            # also when the remote's FIN is what closes it.
+            connection.on_close = lambda _connection: listener.close()
         connection.on_message = (
             lambda pdu, size, conn: self._on_h245_pdu(call, pdu)
         )
@@ -497,6 +502,14 @@ class H323Terminal:
             )
             self._ras.sendto(disengage, disengage.wire_size, self.gatekeeper)
         self._calls.pop(call.call_id, None)
+        if not send_release:
+            # The remote ended the call and sends nothing more: close our
+            # ends, whose FINs tear down the remote's.  A release we sent
+            # is answered the same way by the remote; closing first could
+            # let our FIN overtake the farewell on the wire.
+            for transport in (call.signaling, call.h245, call.h245_listener):
+                if transport is not None:
+                    transport.close()
         if call.on_released is not None:
             call.on_released(call)
 

@@ -114,6 +114,35 @@ def test_hangup_releases_both_sides(net, sim, gatekeeper):
     assert alice.calls() == [] and bob.calls() == []
 
 
+def test_hangup_closes_the_call_transport_on_both_ends(net, sim, gatekeeper):
+    """A released call leaves no connection open and no port bound on
+    either end: H.225 signaling, H.245 and the callee's H.245 listener
+    all close (only the terminals' media sockets, shared by every call,
+    stay bound)."""
+    alice = make_terminal(net, sim, gatekeeper, "alice")
+    bob = make_terminal(net, sim, gatekeeper, "bob")
+    bound = {terminal: set(terminal.host._handlers) for terminal in (alice, bob)}
+    bob.on_incoming_call = lambda setup: True
+    connected = []
+    call = alice.call("bob", on_connected=connected.append)
+    sim.run_for(2.0)
+    assert connected == [call]
+    bob_call = bob.calls()[0]
+    call.hangup()
+    sim.run_for(1.0)
+    for released in (call, bob_call):
+        assert released.state == released.RELEASED
+        for connection in (released.signaling, released.h245):
+            assert connection.state == connection.FINISHED, connection
+    assert bob_call.h245_listener._closed
+    for terminal in (alice, bob):
+        media_ports = {
+            socket.local_address.port
+            for socket in terminal._media_sockets.values()
+        }
+        assert set(terminal.host._handlers) == bound[terminal] | media_ports
+
+
 def test_mcu_reflects_between_participants(net, sim, gatekeeper):
     mcu_host = net.create_host("mcu-host")
     mcu = H323Mcu(mcu_host, "conference", gatekeeper.address)
