@@ -6,8 +6,10 @@ Responsibilities:
 * maintain the local subscription trie and deliver published events to
   matching local clients (excluding the publisher — ``noLocal`` semantics,
   which is what RTP loops through topics require);
-* exchange subscription adverts with peer brokers (flooded, deduplicated)
-  so events are only forwarded toward brokers with matching interest;
+* exchange subscription adverts with peer brokers (versioned per origin,
+  flooded once to every broker, repaired by digests —
+  :mod:`repro.broker.adverts`) so events are only forwarded toward
+  brokers with matching interest;
 * forward events across the broker graph along shortest-path next hops,
   carrying an explicit target set so no broker receives a duplicate;
 * track reliable events per datagram client until acknowledged.
@@ -32,6 +34,7 @@ from typing import (
     Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.broker.adverts import Adverts
 from repro.broker.event import NBEvent, freeze_payload
 from repro.broker.gateway import Gateway
 from repro.broker.geo import Geo
@@ -56,6 +59,8 @@ from repro.broker.links import (
     SequencerPin,
     SslClientLink,
     SubAdvert,
+    SubDigest,
+    SubSnapshot,
     Subscribe,
     SubscribeAck,
     TcpClientLink,
@@ -89,7 +94,9 @@ UDP_PORT = 3045
 TCP_PORT = 3046
 SSL_PORT = 3047
 
-#: Advert-dedup window size (floor).  Advert ids only need to be
+#: Advert-dedup window size (floor), for the floods that carry an advert
+#: id (link-state adverts, cluster summaries, sequencer pins; subscription
+#: adverts are versioned instead).  Advert ids only need to be
 #: remembered for as long as a flood can still echo them around the
 #: broker graph, so a bounded LRU window is enough — an unbounded set
 #: would grow forever on a long-running broker.  The effective cap
@@ -135,6 +142,7 @@ COUNTERS = (
     "wan_park_drops",
     "wan_replays",
     "cost_reoriginations",
+    "snapshots_installed",
 )
 
 
@@ -244,6 +252,7 @@ class Broker:
         self._routes: Dict[str, str] = {}
         self._routes_gen = 0
         self._seen_adverts = _DedupWindow(SEEN_ADVERT_WINDOW)
+        self.adverts = Adverts(self)
         # Routing fast path: memoized per-topic fan-out.
         self.route_cache = RouteCache()
         self.ordering = Ordering(self)
@@ -466,7 +475,10 @@ class Broker:
             self._intercluster_peers.discard(peer_id)
         self._peers_changed()
         if self.mesh is not None:
+            # Its digest carries our subscription versions too.
             self.mesh.link_up(peer_id, intercluster)
+        else:
+            self.adverts.link_up(peer_id)
 
     def remove_peer(self, peer_id: str) -> None:
         address = self._peers.pop(peer_id, None)
@@ -477,6 +489,9 @@ class Broker:
         self._peers_changed()
         if self.mesh is not None:
             self.mesh.link_down(peer_id, was_intercluster)
+        if not was_intercluster:
+            # Adverts this link ate may have left us or a peer behind.
+            self.adverts.announce()
 
     def has_peer(self, peer_id: str) -> bool:
         return peer_id in self._peers
@@ -514,67 +529,11 @@ class Broker:
             self.geo.routes_changed(reachable)  # retains remote interest
             return
         gateway = self.gateway
-        for origin in [
-            o for o in set(self._remote_interest.values()) if o not in reachable
-        ]:
-            member = (
-                gateway is not None and origin not in gateway.installed_foreign
-            )
+        foreign = gateway.installed_foreign if gateway is not None else ()
+        for origin in set(foreign) - reachable:
             for pattern in self._remote_interest.patterns_for(origin):
                 self._remote_interest.remove(pattern, origin)
-                if member:
-                    gateway.member_interest.remove(pattern)
-
-    def sync_subscriptions_to_peers(self) -> None:
-        """(Re)advertise all known interest — used by the central plane
-        when topology changes (a clustered fabric, and so any foreign
-        install, is mesh-driven and never calls this)."""
-        for pattern in sorted(self._local_subs.all_patterns()):
-            self._flood_advert(
-                SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
-                skip_peer=None,
-            )
-        for origin in sorted(set(self._remote_interest.values())):
-            for pattern in self._remote_interest.patterns_for(origin):
-                self._flood_advert(
-                    SubAdvert(origin_broker=origin, pattern=pattern, add=True),
-                    skip_peer=None,
-                )
-
-    def _sync_subscriptions_to_peer(self, peer_id: str) -> None:
-        """Offer all known interest over one (newly up) peer link.
-
-        The receiver re-floods anything it did not already know with
-        ``skip_peer`` set to us, which is how subscription state crosses
-        a healed partition without a full mesh-wide re-flood.
-
-        At a gateway, foreign-gateway installs are *not* offered (members
-        must route foreign-bound events through the gateway's proxy
-        adverts, not toward gateway ids they have no routes for);
-        instead the proxied pattern set is offered under our own origin.
-        """
-        gateway = self.gateway
-        foreign = gateway.installed_foreign if gateway is not None else ()
-        local_patterns = self._local_subs.all_patterns()
-        # Sorted, not hash order: loss draws follow the send order, so
-        # PYTHONHASHSEED would otherwise pick which advert the wire drops.
-        adverts = [
-            SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True)
-            for pattern in sorted(local_patterns)
-        ]
-        for origin in sorted(set(self._remote_interest.values())):
-            if origin in foreign:
-                continue
-            adverts += [
-                SubAdvert(origin_broker=origin, pattern=pattern, add=True)
-                for pattern in self._remote_interest.patterns_for(origin)
-            ]
-        if gateway is not None:
-            adverts += [
-                SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True)
-                for pattern in sorted(gateway.proxied - set(local_patterns))
-            ]
-        self._offer(peer_id, adverts)
+        self.adverts.forget(reachable, keep=foreign)
 
     def _offer(self, peer_id: str, adverts: List[Any]) -> None:
         """Send flood adverts to one peer, marking each seen so its echo
@@ -735,10 +694,7 @@ class Broker:
         if not had_interest and (
             gateway is None or pattern not in gateway.proxied
         ):
-            self._flood_advert(
-                SubAdvert(origin_broker=self.broker_id, pattern=pattern, add=True),
-                skip_peer=None,
-            )
+            self.adverts.advertise(pattern, True)
         if gateway is not None:
             if added:
                 gateway.member_interest.add(pattern)
@@ -765,12 +721,7 @@ class Broker:
             if not self._local_subs.has_pattern(pattern) and (
                 gateway is None or pattern not in gateway.proxied
             ):
-                self._flood_advert(
-                    SubAdvert(
-                        origin_broker=self.broker_id, pattern=pattern, add=False
-                    ),
-                    skip_peer=None,
-                )
+                self.adverts.advertise(pattern, False)
         if gateway is not None:
             for pattern in patterns:
                 gateway.member_interest.remove(pattern)
@@ -1169,7 +1120,11 @@ class Broker:
             event = payload.event
             self.ordering.sequence(event, None, self._begin_hop(event), payload)
         elif isinstance(payload, SubAdvert):
-            self._on_sub_advert(payload, from_peer=from_peer)
+            self.adverts.on_advert(payload, from_peer)
+        elif isinstance(payload, SubDigest):
+            self.adverts.on_digest(payload, from_peer)
+        elif isinstance(payload, SubSnapshot):
+            self.adverts.on_snapshot(payload, from_peer)
         elif isinstance(payload, SequencerPin):
             # Deduplicated and counted everywhere, honoured only in geo
             # mode (a regionless broker never re-floods a pin either).
@@ -1243,53 +1198,12 @@ class Broker:
             else:
                 self._forward_to_targets(event, targets)
 
-    def _on_sub_advert(
-        self, advert: SubAdvert, from_peer: Optional[str] = None
-    ) -> None:
-        if not self._seen_adverts.add(advert.advert_id):
-            return
-        self.control_messages += 1
-        if advert.origin_broker == self.broker_id:
-            # Echo of our own advert: our original flood already covered
-            # every reachable peer, and our local state is authoritative.
-            return
-        if advert.add:
-            changed = self._remote_interest.add(
-                advert.pattern, advert.origin_broker
-            )
-        else:
-            changed = self._remote_interest.remove(
-                advert.pattern, advert.origin_broker
-            )
-        if not changed:
-            # Already-known state: a peer-sync offer, or an echo whose id
-            # aged out of the dedup window.  Absorb it — re-flooding a
-            # no-op is what turns a window eviction into a self-sustaining
-            # advert storm (each re-flood evicts more live ids, whose
-            # echoes then also read as new).
-            return
-        # Reflood to everyone except the peer it arrived from — sending
-        # it back is pure waste (the sender already deduplicates it).
-        self._flood_advert(advert, skip_peer=from_peer)
-        gateway = self.gateway
-        if gateway is not None:
-            # SubAdverts never cross a cluster boundary, so the origin is
-            # one of our members — not a foreign install.
-            if advert.add:
-                gateway.member_interest.add(advert.pattern)
-            else:
-                gateway.member_interest.remove(advert.pattern)
-            gateway.schedule_summary_refresh()
-        if self.geo is not None and advert.add:
-            self.geo.interest_added()
-
     def _flood_advert(self, advert: Any, skip_peer: Optional[str]) -> None:
-        """Flood a dedup-windowed advert (SubAdvert or SequencerPin) to
-        every peer except the one it arrived from.
+        """Flood a dedup-windowed :class:`SequencerPin` to every peer
+        except the one it arrived from.
 
-        Clustered: the flood is scoped to intra-cluster links — member
-        subscription state never crosses a cluster boundary; the gateway
-        overlay carries aggregated summaries instead.
+        Clustered: the flood is scoped to intra-cluster links; the
+        gateway overlay carries cluster-level state instead.
         """
         self._seen_adverts.add(advert.advert_id)
         for peer_id in self._intra_sorted:

@@ -17,7 +17,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.broker.epoch_table import ECHO, NEWER, STALE, EpochTable
 from repro.broker.event import NBEvent
-from repro.broker.links import ClusterDigest, ClusterInterestAdvert, SubAdvert
+from repro.broker.links import ClusterDigest, ClusterInterestAdvert
 from repro.broker.mesh import LinkStateTier
 from repro.broker.topic import PatternSummary
 
@@ -351,22 +351,12 @@ class Gateway:
         for pattern in sorted(self.proxied - wanted):
             self.proxied.discard(pattern)
             if not broker._local_subs.has_pattern(pattern):
-                broker._flood_advert(
-                    SubAdvert(
-                        origin_broker=broker.broker_id, pattern=pattern, add=False
-                    ),
-                    skip_peer=None,
-                )
+                broker.adverts.advertise(pattern, False)
         for pattern in sorted(wanted - self.proxied):
             fresh = not broker._local_subs.has_pattern(pattern)
             self.proxied.add(pattern)
             if fresh:
-                broker._flood_advert(
-                    SubAdvert(
-                        origin_broker=broker.broker_id, pattern=pattern, add=True
-                    ),
-                    skip_peer=None,
-                )
+                broker.adverts.advertise(pattern, True)
 
     def reexport_targets(
         self, event: NBEvent, from_peer: Optional[str]

@@ -232,21 +232,73 @@ class SequenceRequest(WireMessage):
 
 
 class SubAdvert(WireMessage):
-    """Flooded notice that a broker gained/lost interest in a pattern."""
+    """Flooded notice that ``origin_broker`` gained/lost interest in a
+    pattern, as its ``seq``-th change of advertised interest.
 
-    __slots__ = ("advert_id", "origin_broker", "pattern", "add")
+    ``covered`` is every broker the flood has already been sent to (the
+    origin included): a receiver forwards the advert only to its peers
+    outside it, so a broker hears an advert about once rather than once
+    per link, and the origin never hears it back.  It goes on the wire.
+    """
+
+    __slots__ = ("origin_broker", "seq", "pattern", "add", "covered")
 
     def __init__(
         self,
-        advert_id: Optional[int] = None,
         origin_broker: str = "",
+        seq: int = 0,
         pattern: str = "",
         add: bool = True,
+        covered: FrozenSet[str] = frozenset(),
     ):
-        self.advert_id = advert_id if advert_id is not None else next(_advert_ids)
         self.origin_broker = origin_broker
+        self.seq = seq
         self.pattern = pattern
         self.add = add
+        self.covered = covered
+
+    def wire_size(self, envelope_bytes: int) -> int:
+        return CONTROL_BYTES + 8 * len(self.covered)
+
+
+class SubDigest(WireMessage):
+    """Anti-entropy summary of a broker's subscription versions: origin
+    → the newest version of that origin's interest held exactly.
+
+    The receiver answers with a :class:`SubSnapshot` of every origin it
+    holds at a strictly newer version, and with its own digest when it
+    is strictly behind — the same terminating rule as
+    :class:`LinkStateDigest`.
+    """
+
+    __slots__ = ("origin_broker", "versions")
+
+    def __init__(
+        self, origin_broker: str = "", versions: Optional[Dict[str, int]] = None
+    ):
+        self.origin_broker = origin_broker
+        self.versions = versions if versions is not None else {}
+
+    def wire_size(self, envelope_bytes: int) -> int:
+        return CONTROL_BYTES + 12 * len(self.versions)
+
+
+class SubSnapshot(WireMessage):
+    """Whole interest of the origins a peer was behind on: ``entries``
+    is ``(origin, seq, patterns)`` each, and each one replaces what the
+    receiver held for that origin, removals included."""
+
+    __slots__ = ("origin_broker", "entries")
+
+    def __init__(self, origin_broker: str = "", entries: tuple = ()):
+        self.origin_broker = origin_broker
+        self.entries = entries
+
+    def wire_size(self, envelope_bytes: int) -> int:
+        return CONTROL_BYTES + sum(
+            12 + sum(len(pattern) for pattern in patterns)
+            for _origin, _seq, patterns in self.entries
+        )
 
 
 class ClusterInterestAdvert(WireMessage):
@@ -331,7 +383,7 @@ class LinkStateAdvert(WireMessage):
 
     Brokers accept an LSA only when its epoch exceeds the one recorded for
     the origin, re-flood it to all peers except the one it arrived from
-    (dedup-windowed like :class:`SubAdvert`), and recompute next-hop
+    (deduplicated by advert id), and recompute next-hop
     tables locally from the resulting link-state database.
 
     ``costs`` is the optional WAN extension (PR 10): a mapping of
@@ -406,24 +458,31 @@ class SequencerPin(WireMessage):
 
 
 class LinkStateDigest(WireMessage):
-    """Anti-entropy summary of a broker's link-state database.
+    """Anti-entropy summary of a broker's link-state database, with its
+    subscription versions (what a :class:`SubDigest` carries) riding
+    along.
 
     Sent when a peer link comes up (partition heal) and periodically with
     heartbeats; the receiver pushes back any LSAs it holds at a strictly
-    newer epoch, which is how divergent halves of a healed partition
-    reconcile without re-flooding everything.
+    newer epoch, and a snapshot of any origin's interest it holds at a
+    strictly newer version, which is how divergent halves of a healed
+    partition reconcile without re-flooding everything.
     """
 
-    __slots__ = ("origin_broker", "epochs")
+    __slots__ = ("origin_broker", "epochs", "versions")
 
     def __init__(
-        self, origin_broker: str = "", epochs: Optional[Dict[str, int]] = None
+        self,
+        origin_broker: str = "",
+        epochs: Optional[Dict[str, int]] = None,
+        versions: Optional[Dict[str, int]] = None,
     ):
         self.origin_broker = origin_broker
         self.epochs = epochs if epochs is not None else {}
+        self.versions = versions if versions is not None else {}
 
     def wire_size(self, envelope_bytes: int) -> int:
-        return CONTROL_BYTES + 12 * len(self.epochs)
+        return CONTROL_BYTES + 12 * (len(self.epochs) + len(self.versions))
 
 
 # --------------------------------------------------------------------------

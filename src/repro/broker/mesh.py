@@ -309,17 +309,15 @@ class Mesh:
 
     def link_up(self, peer_id: str, intercluster: bool) -> None:
         """A link came up (first wiring, or a partition healed): flood
-        our new adjacency on each tier it belongs to, reconcile
-        databases via digest exchange, and re-offer known interest over
-        an intra-cluster edge so the other side routes events toward us
-        again."""
+        our new adjacency on each tier it belongs to and reconcile
+        databases via digest exchange (the member digest carries our
+        subscription versions too)."""
         broker = self.broker
         self.last_heard[peer_id] = broker.sim.now
         cpu, cost = broker.host.cpu, broker.profile.control_cost_s
         if not intercluster:
             self.member.originate()
             cpu.execute(cost, broker._send_peer, peer_id, self.digest())
-            broker._sync_subscriptions_to_peer(peer_id)
         gateway = broker.gateway
         if gateway is not None and (
             intercluster or peer_id in gateway.cluster_gateways
@@ -358,6 +356,7 @@ class Mesh:
         return LinkStateDigest(
             origin_broker=self.broker.broker_id,
             epochs=self.member.table.epochs(),
+            versions=self.broker.adverts.versions(),
         )
 
     def on_advert(self, lsa: LinkStateAdvert, from_peer: Optional[str]) -> None:
@@ -367,14 +366,16 @@ class Mesh:
             self.broker.gateway.overlay.on_advert(lsa, from_peer)
 
     def on_digest(self, digest: LinkStateDigest, from_peer: Optional[str]) -> None:
-        """Member-tier anti-entropy: push strictly-newer LSAs to the
-        peer, and ask back (with our digest) when strictly behind."""
+        """Member-tier anti-entropy: push strictly-newer LSAs and
+        subscription snapshots to the peer, and ask back (with our
+        digest) when strictly behind on either."""
         broker = self.broker
         if from_peer is None or from_peer in broker._intercluster_peers:
             return  # member LSDBs never reconcile across a cluster boundary
         broker.control_messages += 1
         broker._offer(from_peer, self.member.newer_adverts(digest.epochs))
-        if self.member.table.behind(digest.epochs):
+        behind = broker.adverts.reconcile(digest.versions, from_peer)
+        if self.member.table.behind(digest.epochs) or behind:
             broker.host.cpu.execute(
                 broker.profile.control_cost_s,
                 broker._send_peer, from_peer, self.digest(),

@@ -7,8 +7,9 @@ one of two operating modes:
 
 * **Central** (default, ``mesh=None``): this object computes every
   broker's shortest-path next-hop table (breadth-first) and pushes it with
-  ``set_routes`` whenever topology changes, and re-syncs subscription
-  adverts itself.  Deterministic and instant — right for calibration
+  ``set_routes`` whenever topology changes (brokers reconcile their
+  subscription adverts over a link that comes or goes themselves, by
+  digest).  Deterministic and instant — right for calibration
   benchmarks where failure handling is not under test.
 * **Autonomous** (``mesh=MeshTiming(...)``): brokers run peer heartbeats
   and flooded link-state adverts, detect dead peers themselves, and
@@ -105,12 +106,8 @@ class BrokerNetwork:
     def connect(self, a: str, b: str) -> None:
         """Create a peer link between brokers ``a`` and ``b``."""
         self._repeer(a, b)
-        if self.spec.mesh is not None:
-            return  # LSA flood + digest exchange take it from here
-        self._recompute_routes()
-        # Re-advertise interest so the new edge learns existing state.
-        self.broker(a).sync_subscriptions_to_peers()
-        self.broker(b).sync_subscriptions_to_peers()
+        if self.spec.mesh is None:
+            self._recompute_routes()
 
     def disconnect(self, a: str, b: str) -> None:
         if b in self.graph.get(a, ()):
@@ -120,15 +117,8 @@ class BrokerNetwork:
         broker_b = self.broker(b)
         broker_a.remove_peer(b)
         broker_b.remove_peer(a)
-        if self.spec.mesh is not None:
-            return
-        self._recompute_routes()
-        # Remote interest learned through the removed edge may now need a
-        # different next hop on brokers that never re-heard the adverts;
-        # re-sync from both former endpoints so routing state follows the
-        # new topology instead of waiting for the next natural advert.
-        broker_a.sync_subscriptions_to_peers()
-        broker_b.sync_subscriptions_to_peers()
+        if self.spec.mesh is None:
+            self._recompute_routes()
 
     def remove_broker(self, name: str) -> None:
         """A broker is administratively retired: unpeer it everywhere,

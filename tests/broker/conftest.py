@@ -32,8 +32,16 @@ def assert_maintained_state(brokers):
     included), and the outbox tally is the per-client sum.  Only a
     gateway builds the overlay that tracks member interest.  A live
     broker holds local interest only for clients it has a record of
-    (``close()`` keeps the trie of a closed one)."""
+    (``close()`` keeps the trie of a closed one).  Remote interest is
+    held only for origins the broker holds a subscription version of
+    (or, on a gateway, foreign summaries it installed), and a gapped
+    origin is one it holds a version of."""
     for broker in brokers:
+        table = broker.adverts.table
+        installed = broker.gateway.installed_foreign if broker.gateway else set()
+        unversioned = set(broker._remote_interest.values()) - set(table) - installed
+        assert not unversioned, (broker.broker_id, sorted(unversioned))
+        assert set(broker.adverts.gaps) <= set(table), broker.broker_id
         assert broker._outbox_depth() == sum(
             record.outbox.pending_count
             for record in broker._clients.values()
@@ -55,3 +63,25 @@ def assert_maintained_state(brokers):
             for pattern in broker._remote_interest.patterns_for(origin):
                 holders[pattern] = holders.get(pattern, 0) + 1
         assert gateway.member_interest._refs == holders, broker.broker_id
+
+
+def assert_interest_converged(bnet):
+    """Every live broker holds, for every other broker its subscription
+    adverts reach (its cluster, or the whole flat fabric), exactly that
+    broker's advertised patterns at its current version, with no origin
+    left gapped."""
+    brokers = bnet.brokers()
+    for holder in brokers:
+        assert not holder.adverts.gaps, (holder.broker_id, holder.adverts.gaps)
+        for origin in brokers:
+            if origin is holder or origin.cluster_id != holder.cluster_id:
+                continue
+            held = set(holder._remote_interest.patterns_for(origin.broker_id))
+            assert held == set(origin.adverts.own_patterns()), (
+                holder.broker_id, origin.broker_id,
+            )
+            if origin.adverts.table.epoch:
+                assert (
+                    holder.adverts.table.epoch_of(origin.broker_id)
+                    == origin.adverts.table.epoch
+                ), (holder.broker_id, origin.broker_id)

@@ -51,11 +51,11 @@ class TestDedupWindowLru:
 
 class TestFloodEchoSuppression:
     def test_evicted_echo_is_absorbed_not_reflooded(self, sim, net):
-        """An advert echo that re-enters after its id aged out of the
-        dedup window must die at the first broker whose state it does
-        not change.  Re-flooding a no-op is what turns cap pressure
-        into a self-sustaining storm: each re-flood evicts more live
-        ids, whose echoes then also read as new."""
+        """A copy of an advert that arrives after its version was applied
+        (a slower second path, or an echo — which used to re-enter once
+        its id aged out of the dedup window) must die at the first
+        broker without touching anything.  Re-flooding a no-op is what
+        turns late copies into a self-sustaining storm."""
         bnet = BrokerNetwork.chain(net, 3)
         sim.run_for(5.0)
         client = make_client(net, sim, bnet.broker("broker-0"), "echo-sub")
@@ -64,47 +64,61 @@ class TestFloodEchoSuppression:
         brokers = [bnet.broker(name) for name in sorted(bnet.broker_ids())]
         middle = brokers[1]
         assert middle._remote_interest.has_pattern("/gmc/echo/room")
-        # Age every id out of every window (what sustained cap pressure
-        # does), then replay the advert into the middle broker as if its
-        # echo just arrived over a slow path.
-        for broker in brokers:
-            broker._seen_adverts._seen.clear()
         before = {b.broker_id: b.control_messages for b in brokers}
-        middle._on_sub_advert(
-            SubAdvert(
-                origin_broker="broker-0", pattern="/gmc/echo/room", add=True
-            ),
-            from_peer=None,
+        late = SubAdvert(
+            origin_broker="broker-0", seq=1, pattern="/gmc/echo/room",
+            add=True, covered=frozenset({"broker-0", "broker-1"}),
         )
+        for _ in range(50):  # a burst of late copies
+            middle.adverts.on_advert(late, from_peer="broker-0")
         sim.run_for(2.0)
-        # The middle broker absorbed the no-op; its neighbours never saw
-        # a re-flood (their counters are untouched).
-        assert middle.control_messages == before[middle.broker_id] + 1
-        for broker in (brokers[0], brokers[2]):
-            assert broker.control_messages == before[broker.broker_id]
+        # Dropped by version: nobody counted, applied or re-flooded it.
+        assert {b.broker_id: b.control_messages for b in brokers} == before
+        assert middle.adverts.versions() == {"broker-0": 1}
 
     def test_own_origin_echo_is_absorbed(self, sim, net):
-        """A broker's own advert echoing back must not be re-flooded:
-        its original flood already covered every reachable peer."""
+        """A broker's own advert coming back is never re-flooded.  One
+        older than its current version is dropped outright.  A flood is
+        never sent to its origin, so one at its current version can only
+        be a past life's: the origin takes a newer version and its
+        neighbours re-learn its interest by digest — a bounded exchange
+        that ends quiet."""
         bnet = BrokerNetwork.chain(net, 3)
         sim.run_for(5.0)
         client = make_client(net, sim, bnet.broker("broker-1"), "self-sub")
         client.subscribe("/gmc/echo/self", lambda event: None)
+        client.subscribe("/gmc/echo/other", lambda event: None)
         sim.run_for(2.0)
         brokers = [bnet.broker(name) for name in sorted(bnet.broker_ids())]
         middle = brokers[1]
-        middle._seen_adverts._seen.clear()
-        before = {b.broker_id: b.control_messages for b in brokers}
-        middle._on_sub_advert(
-            SubAdvert(
-                origin_broker="broker-1", pattern="/gmc/echo/self", add=True
-            ),
-            from_peer=None,
-        )
-        sim.run_for(2.0)
-        assert middle.control_messages == before[middle.broker_id] + 1
+        assert middle.adverts.table.epoch == 2
+
+        def counters():
+            return {b.broker_id: b.control_messages for b in brokers}
+
+        def echo(seq):
+            middle.adverts.on_advert(
+                SubAdvert(
+                    origin_broker="broker-1", seq=seq, pattern="/gmc/echo/self",
+                    add=True, covered=frozenset(bnet.broker_ids()),
+                ),
+                from_peer="broker-0",
+            )
+            sim.run_for(2.0)
+
+        before = counters()
+        echo(1)
+        assert counters() == before
+        echo(2)
+        assert middle.adverts.table.epoch == 3
         for broker in (brokers[0], brokers[2]):
-            assert broker.control_messages == before[broker.broker_id]
+            assert broker.adverts.versions()["broker-1"] == 3
+            assert sorted(broker._remote_interest.patterns_for("broker-1")) == [
+                "/gmc/echo/other", "/gmc/echo/self",
+            ]
+        settled = counters()
+        sim.run_for(2.0)
+        assert counters() == settled
 
 
 class TestSummaryHysteresis:
@@ -385,8 +399,9 @@ class TestGatewayFailover:
 class TestFloodQuiescence:
     def test_large_fabric_reaches_advert_fixed_point(self, sim, net):
         """100-broker-scale clustered fabric: after convergence the
-        control plane goes quiet — no new LSA/summary originations, no
-        flood dedup churn, and zero dedup-window evictions over a long
+        control plane goes quiet — no new LSA/summary originations or
+        subscription versions, no flood dedup churn, no snapshot
+        installs, and zero dedup-window evictions over a long
         observation window."""
         bnet = BrokerNetwork.clustered(net, [7] * 16)
         subscribers = []
@@ -410,6 +425,8 @@ class TestFloodQuiescence:
                     *epochs(broker.gateway),
                     broker.adverts_aggregated,
                     broker.lsas_deduped,
+                    broker.adverts.versions(),
+                    broker.snapshots_installed,
                 )
                 for broker in bnet.brokers()
             }

@@ -25,6 +25,8 @@ from repro.broker.links import (
     SequenceRequest,
     SequencerPin,
     SubAdvert,
+    SubDigest,
+    SubSnapshot,
     Subscribe,
     SubscribeAck,
     Unsubscribe,
@@ -82,7 +84,9 @@ class TestMessageSize:
             (EventAck("c1", 7), 64),
             (PeerEvent(e, frozenset({"b1", "b2", "b3"})), 1101),
             (SequenceRequest(e, "b0"), 1093),
-            (SubAdvert(1, "b0", "/room/#", True), 64),
+            (SubAdvert("b0", 4, "/room/#", True, frozenset({"b0", "b1", "b2"})), 88),
+            (SubDigest("b0", {"b0": 1, "b1": 2}), 88),
+            (SubSnapshot("b0", (("b1", 3, ("/room/#", "/a/b")),)), 87),
             (ClusterInterestAdvert(1, "g0", "c0", 3, ("/room/#", "/a/b")), 75),
             (ClusterDigest("g0", {"g1": 1, "g2": 2}, {"g1": 4}), 100),
             (PeerHeartbeat("b0"), 64),
@@ -106,8 +110,8 @@ class TestMessageSize:
 
 
 def test_advert_ids_unique():
-    a = SubAdvert(origin_broker="b", pattern="/x")
-    b = SubAdvert(origin_broker="b", pattern="/x")
+    a = LinkStateAdvert(origin_broker="b", epoch=1)
+    b = LinkStateAdvert(origin_broker="b", epoch=1)
     assert a.advert_id != b.advert_id
 
 
