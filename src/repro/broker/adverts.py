@@ -229,14 +229,20 @@ class Adverts:
         digest carries our versions instead): offer our digest over it."""
         self._offer_digest((peer_id,))
 
-    def forget(self, reachable: Set[str], keep: Iterable[str] = ()) -> None:
+    def forget(self, reachable: Set[str]) -> None:
         """Drop the version and the interest of every origin outside
-        ``reachable`` (but those in ``keep``): a dead broker can never
-        withdraw its own adverts, and once it is back a digest exchange
-        re-learns it from scratch."""
-        remote = self.broker._remote_interest
-        origins = set(self.table).union(remote.values())
-        for origin in sorted(origins - reachable - set(keep)):
+        ``reachable``: a dead broker can never withdraw its own adverts,
+        and once it is back a digest exchange re-learns it from scratch.
+        (A gateway's foreign installs lose their interest only; the
+        gateway reconciles them.)"""
+        broker = self.broker
+        remote = broker._remote_interest
+        foreign = broker.gateway.installed_foreign if broker.gateway else ()
+        for origin in sorted(set(self.table).union(remote.values()) - reachable):
+            if origin in foreign:
+                for pattern in remote.patterns_for(origin):
+                    remote.remove(pattern, origin)
+                continue
             self.table.pop(origin, None)
             self.gaps.pop(origin, None)
             for pattern in remote.patterns_for(origin):

@@ -528,12 +528,7 @@ class Broker:
         if self.geo is not None:
             self.geo.routes_changed(reachable)  # retains remote interest
             return
-        gateway = self.gateway
-        foreign = gateway.installed_foreign if gateway is not None else ()
-        for origin in set(foreign) - reachable:
-            for pattern in self._remote_interest.patterns_for(origin):
-                self._remote_interest.remove(pattern, origin)
-        self.adverts.forget(reachable, keep=foreign)
+        self.adverts.forget(reachable)
 
     def _offer(self, peer_id: str, adverts: List[Any]) -> None:
         """Send flood adverts to one peer, marking each seen so its echo
