@@ -143,16 +143,13 @@ class Adverts:
         )
 
     def announce(self, skip: Optional[str] = None) -> None:
-        """Offer our digest to every intra peer but ``skip``."""
-        self._offer_digest(
-            [peer for peer in self.broker._intra_sorted if peer != skip]
+        """Send our digest to every intra peer but ``skip`` — even an
+        empty one: a broker that lost its only advert to a dead link
+        holds no version, and its digest is what gets it repaired."""
+        self._send(
+            [peer for peer in self.broker._intra_sorted if peer != skip],
+            self.digest(),
         )
-
-    def _offer_digest(self, peers: Iterable[str]) -> None:
-        """Send our digest to ``peers`` — unless we hold no version at
-        all, when a peer's digest is what repairs us."""
-        if self.table or self.table.epoch:
-            self._send(peers, self.digest())
 
     def on_digest(self, digest: SubDigest, from_peer: Optional[str]) -> None:
         """Reconcile with a peer's digest, and ask back (with ours) when
@@ -226,8 +223,11 @@ class Adverts:
 
     def link_up(self, peer_id: str) -> None:
         """A link came up on the central plane (a mesh's link-state
-        digest carries our versions instead): offer our digest over it."""
-        self._offer_digest((peer_id,))
+        digest carries our versions instead): offer our digest over it,
+        unless we hold no version at all — then the peer's digest, when
+        it holds any, is what repairs us."""
+        if self.table or self.table.epoch:
+            self._send((peer_id,), self.digest())
 
     def forget(self, reachable: Set[str]) -> None:
         """Drop the version and the interest of every origin outside

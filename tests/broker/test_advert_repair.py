@@ -57,6 +57,87 @@ def test_silent_cut_during_churn_is_repaired(net, sim):
     assert_interest_converged(bnet)
 
 
+def test_eviction_itself_repairs_what_the_dead_link_ate(net, sim):
+    """The digests a link-down sends repair X at once, without waiting
+    for the next anti-entropy tick."""
+    bnet, (a, _b, _c, x) = full_mesh(net, sim)
+    client = make_client(net, sim, bnet.broker(a), "client")
+    sim.run_for(0.1)  # the eviction below then lands between digest ticks
+    bnet.cut_link(a, x)
+    client.subscribe("/repair/evicted", lambda event: None)
+    holder = bnet.broker(x)
+    while holder.has_peer(a):
+        sim.run_for(0.01)
+    evicted_at = sim.now
+    sim.run_for(0.05)
+    assert holder._remote_interest.patterns_for(a) == ["/repair/evicted"]
+    assert 0.2 < evicted_at % 1.0 < 0.9  # no periodic digest did this
+    assert_maintained_state(bnet.brokers())
+    assert_interest_converged(bnet)
+
+
+def test_a_lost_last_advert_is_repaired_by_the_digest_tick(net, sim):
+    """No later advert shows a gap and no link goes down: only the
+    periodic digest (the versions in the link-state digest) repairs."""
+    bnet, (a, _b, _c, x) = full_mesh(net, sim)
+    holder = bnet.broker(x)
+    deliver = holder.adverts.on_advert
+    lost = []
+
+    def lose_one_from_a(advert, from_peer):
+        if advert.origin_broker == a and not lost:
+            lost.append(advert)
+        else:
+            deliver(advert, from_peer)
+
+    holder.adverts.on_advert = lose_one_from_a
+    make_client(net, sim, bnet.broker(a), "client").subscribe(
+        "/repair/lost", lambda event: None
+    )
+    sim.run_for(0.01)
+    assert lost and holder._remote_interest.patterns_for(a) == []
+    sim.run_for(1.5)
+    assert holder._remote_interest.patterns_for(a) == ["/repair/lost"]
+    # Converged, the ticks' digests draw no snapshot at all.
+    snapshots = []
+    for broker in bnet.brokers():
+        broker.adverts.on_snapshot = lambda snapshot, from_peer: snapshots.append(
+            snapshot
+        )
+    sim.run_for(2.0)
+    assert snapshots == []
+    assert_maintained_state(bnet.brokers())
+    assert_interest_converged(bnet)
+
+
+def test_a_dead_origin_is_forgotten_then_relearned(net, sim):
+    """Once a crashed broker is unreachable, survivors drop its interest
+    and its version (it can never withdraw them itself); restarted
+    after that, it starts again at version 1 and is learned afresh."""
+    bnet, (a, _b, _c, _x) = full_mesh(net, sim)
+    make_client(net, sim, bnet.broker(a), "old").subscribe(
+        "/life/old", lambda event: None
+    )
+    sim.run_for(1.0)
+    bnet.crash_broker(a)
+    sim.run_for(3.0)
+    for survivor in bnet.brokers():
+        assert survivor._remote_interest.patterns_for(a) == []
+        assert a not in survivor.adverts.versions()
+    restarted = bnet.restart_broker(a)
+    sim.run_for(1.0)
+    make_client(net, sim, restarted, "new").subscribe(
+        "/life/new", lambda event: None
+    )
+    sim.run_for(1.0)
+    for survivor in bnet.brokers():
+        if survivor is not restarted:
+            assert survivor._remote_interest.patterns_for(a) == ["/life/new"]
+            assert survivor.adverts.versions()[a] == 1
+    assert_maintained_state(bnet.brokers())
+    assert_interest_converged(bnet)
+
+
 def test_restarted_origin_jumps_past_its_echo(net, sim):
     """A broker restarts before its peers evict it, so they still hold
     its past life's patterns at version 2.  Its fresh adverts would be
