@@ -261,9 +261,6 @@ class ModeLadder:
             "intercluster_hops": sum(
                 b.intercluster_hops for b in self.brokers
             ),
-            "dedup_evictions": sum(
-                b.statistics()["dedup_evictions"] for b in self.brokers
-            ),
         }
         watchdog.stop()
         return rung

@@ -4,11 +4,9 @@ Every broker owns one :class:`Adverts`.  Each change to a broker's own
 advertised interest — a pattern its local clients gained or lost, or a
 gateway's proxy of foreign interest — is that origin's next *version*
 and goes out as one :class:`~repro.broker.links.SubAdvert`, flooded by
-coverage: the advert carries every broker it has already been sent to,
-and a receiver forwards it only to its own peers outside that set.  A
-broker hears an advert about once instead of once per link, and the
-origin never hears it back.  Clustered, the flood stays on intra-cluster
-links (the gateway overlay carries summaries instead).
+coverage (:func:`~repro.broker.epoch_table.flood`, the flood every
+versioned broker state uses).  Clustered, the flood stays on
+intra-cluster links (the gateway overlay carries summaries instead).
 
 Versions are held per origin under :class:`EpochTable`'s rule: a stale
 version is dropped (a copy that took a second path, or an advert older
@@ -25,7 +23,8 @@ silently dead link, so lost adverts are repaired:
   the mesh's periodic digest tick (there, and on a mesh's link up, the
   versions ride in the link-state digest); a peer strictly behind gets a
   :class:`~repro.broker.links.SubSnapshot` that replaces what it held,
-  removals included.
+  removals included (from a link-state digest, our own newest version
+  only once :meth:`EpochTable.settled` says it is not still in flight).
 
 A gapped origin is reported in our digest at the last version we hold
 exactly, and never served from, so a snapshot always comes from a broker
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.broker.epoch_table import ECHO, NEWER, EpochTable
+from repro.broker.epoch_table import ECHO, NEWER, EpochTable, flood
 from repro.broker.links import SubAdvert, SubDigest, SubSnapshot
 
 
@@ -61,15 +60,15 @@ class Adverts:
         version."""
         broker = self.broker
         own = broker.broker_id
-        scope = broker._intra_sorted
-        self._send(
-            scope,
+        flood(
+            broker,
+            broker._intra_sorted,
             SubAdvert(
                 origin_broker=own,
                 seq=self.table.bump(),
                 pattern=pattern,
                 add=add,
-                covered=frozenset(scope).union((own,)),
+                covered=frozenset((own,)),
             ),
         )
 
@@ -105,20 +104,7 @@ class Adverts:
         if verdict is not NEWER:
             return  # a copy over a second path, or older than a snapshot
         broker.control_messages += 1
-        scope = broker._intra_sorted
-        covered = advert.covered
-        onward = [peer for peer in scope if peer not in covered]
-        if onward:
-            self._send(
-                onward,
-                SubAdvert(
-                    origin_broker=origin,
-                    seq=seq,
-                    pattern=advert.pattern,
-                    add=advert.add,
-                    covered=covered.union(scope),
-                ),
-            )
+        flood(broker, broker._intra_sorted, advert)
         if self._apply(origin, advert.pattern, advert.add):
             self._interest_changed()
         if seq > max(held, 0) + 1:
@@ -162,20 +148,26 @@ class Adverts:
         if self.reconcile(digest.versions, from_peer):
             self._send((from_peer,), self.digest())
 
-    def reconcile(self, theirs: Dict[str, int], from_peer: str) -> bool:
+    def reconcile(
+        self, theirs: Dict[str, int], from_peer: str, settle: bool = False
+    ) -> bool:
         """Push a snapshot of every origin a peer's versions are strictly
         behind on; returns whether we are strictly behind the peer.  (A
-        link-state digest carries versions too: the mesh calls this.)"""
+        link-state digest carries versions too: the mesh calls this with
+        ``settle``.  A :class:`SubDigest` reports a gap, a dead link or an
+        install, and is answered in full.)"""
         broker = self.broker
         own = broker.broker_id
         remote = broker._remote_interest
+        table = self.table
+        epoch = table.epoch
+        settled = table.settled(from_peer) if settle else epoch
         entries = [
             (origin, seq, tuple(sorted(remote.patterns_for(origin))))
-            for origin, seq in self.table.newer_than(theirs)
+            for origin, seq in table.newer_than(theirs, settled)
             if origin not in self.gaps
         ]
-        epoch = self.table.epoch
-        if epoch and theirs.get(own, -1) < epoch:
+        if theirs.get(own, 0) < settled:
             entries.append((own, epoch, self.own_patterns()))
         if entries:
             self._send(

@@ -94,19 +94,6 @@ UDP_PORT = 3045
 TCP_PORT = 3046
 SSL_PORT = 3047
 
-#: Advert-dedup window size (floor), for the floods that carry an advert
-#: id (link-state adverts, cluster summaries, sequencer pins; subscription
-#: adverts are versioned instead).  Advert ids only need to be
-#: remembered for as long as a flood can still echo them around the
-#: broker graph, so a bounded LRU window is enough — an unbounded set
-#: would grow forever on a long-running broker.  The effective cap
-#: scales with mesh size (see :meth:`Broker.set_routes`): a flood's
-#: echo lifetime grows with the reachable broker set.
-SEEN_ADVERT_WINDOW = 8192
-
-#: Per-reachable-broker contribution to the dedup window cap.
-DEDUP_PER_BROKER = 128
-
 #: Every counter a broker and its planes bump (``broker.<name> += 1``),
 #: in registration order — the order of ``statistics()`` and of every
 #: monitor sample.
@@ -122,7 +109,6 @@ COUNTERS = (
     "peers_evicted",
     "lsas_originated",
     "lsas_received",
-    "lsas_deduped",
     "lsas_stale",
     "routing_epochs",
     "sequencer_changes",
@@ -144,47 +130,6 @@ COUNTERS = (
     "cost_reoriginations",
     "snapshots_installed",
 )
-
-
-class _DedupWindow:
-    """LRU dedup set with a hard size cap (least-recently-seen evicted).
-
-    A hit *refreshes* the id's recency: an advert id still echoing
-    around a large mesh stays pinned while one-shot ids age out, so cap
-    pressure can no longer evict a live flood's id and re-admit its
-    echo — which would re-flood it, an advert storm at exactly the mesh
-    sizes the cluster tier targets.  ``evictions`` counts ids dropped
-    under cap pressure (exposed as ``dedup_evictions``); a nonzero rate
-    under steady load means the cap is undersized for the topology.
-    """
-
-    __slots__ = ("_seen", "cap", "evictions")
-
-    def __init__(self, cap: int):
-        self._seen: Dict[int, None] = {}
-        self.cap = cap
-        self.evictions = 0
-
-    def __contains__(self, item: int) -> bool:
-        return item in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    def add(self, item: int) -> bool:
-        """Record ``item``; False if it was already in the window (its
-        recency is refreshed either way)."""
-        if item in self._seen:
-            # Dicts preserve insertion order: delete + reinsert moves the
-            # id to the most-recently-seen end.
-            del self._seen[item]
-            self._seen[item] = None
-            return False
-        self._seen[item] = None
-        if len(self._seen) > self.cap:
-            del self._seen[next(iter(self._seen))]
-            self.evictions += 1
-        return True
 
 
 class _ClientRecord:
@@ -251,7 +196,6 @@ class Broker:
         self._intra_sorted: Tuple[str, ...] = ()
         self._routes: Dict[str, str] = {}
         self._routes_gen = 0
-        self._seen_adverts = _DedupWindow(SEEN_ADVERT_WINDOW)
         self.adverts = Adverts(self)
         # Routing fast path: memoized per-topic fan-out.
         self.route_cache = RouteCache()
@@ -342,9 +286,6 @@ class Broker:
         )
         self.metrics.expose(
             "route_cache_entries", lambda: len(self.route_cache)
-        )
-        self.metrics.expose(
-            "dedup_evictions", lambda: self._seen_adverts.evictions
         )
         self.metrics.expose(
             "local_subscriptions", lambda: len(self._local_subs)
@@ -518,25 +459,12 @@ class Broker:
             self.last_route_change_at = self.sim.now
         self._routes = dict(routes)
         self._routes_gen += 1
-        # The dedup window must outlive a flood's echo lifetime, which
-        # grows with the reachable set: resize relative to mesh size.
-        self._seen_adverts.cap = max(
-            SEEN_ADVERT_WINDOW, DEDUP_PER_BROKER * (len(self._routes) + 1)
-        )
         reachable = set(self._routes)
         reachable.add(self.broker_id)
         if self.geo is not None:
             self.geo.routes_changed(reachable)  # retains remote interest
             return
         self.adverts.forget(reachable)
-
-    def _offer(self, peer_id: str, adverts: List[Any]) -> None:
-        """Send flood adverts to one peer, marking each seen so its echo
-        dies here."""
-        cpu, cost = self.host.cpu, self.profile.control_cost_s
-        for advert in adverts:
-            self._seen_adverts.add(advert.advert_id)
-            cpu.execute(cost, self._send_peer, peer_id, advert)
 
     # --------------------------------------------------------- client I/O
 
@@ -1121,24 +1049,20 @@ class Broker:
         elif isinstance(payload, SubSnapshot):
             self.adverts.on_snapshot(payload, from_peer)
         elif isinstance(payload, SequencerPin):
-            # Deduplicated and counted everywhere, honoured only in geo
-            # mode (a regionless broker never re-floods a pin either).
-            if self._seen_adverts.add(payload.advert_id):
-                self.control_messages += 1
-                if self.geo is not None:
-                    self.geo.on_pin(payload, from_peer)
+            if self.geo is not None:  # a regionless broker ignores pins
+                self.geo.on_pin(payload)
         elif isinstance(payload, PeerHeartbeat):
             self.peer_heartbeats_received += 1
         elif mesh is None:
             return  # the central plane runs no link-state protocol
         elif isinstance(payload, LinkStateAdvert):
-            mesh.on_advert(payload, from_peer)
+            mesh.on_advert(payload)
         elif isinstance(payload, LinkStateDigest):
             mesh.on_digest(payload, from_peer)
         elif self.gateway is None:
             return  # members are never on the gateway overlay
         elif isinstance(payload, ClusterInterestAdvert):
-            self.gateway.on_interest(payload, from_peer)
+            self.gateway.on_interest(payload)
         elif isinstance(payload, ClusterDigest):
             self.gateway.on_digest(payload, from_peer)
 
@@ -1192,21 +1116,6 @@ class Broker:
                 )
             else:
                 self._forward_to_targets(event, targets)
-
-    def _flood_advert(self, advert: Any, skip_peer: Optional[str]) -> None:
-        """Flood a dedup-windowed :class:`SequencerPin` to every peer
-        except the one it arrived from.
-
-        Clustered: the flood is scoped to intra-cluster links; the
-        gateway overlay carries cluster-level state instead.
-        """
-        self._seen_adverts.add(advert.advert_id)
-        for peer_id in self._intra_sorted:
-            if peer_id == skip_peer:
-                continue
-            self.host.cpu.execute(
-                self.profile.control_cost_s, self._send_peer, peer_id, advert
-            )
 
     # ------------------------------------------------------------- admin
 

@@ -1,20 +1,25 @@
-"""The epoch rule shared by every flooded, digest-repaired broker table.
+"""The flood and the epoch rule shared by every flooded broker state.
 
-Member link state, gateway link state and cluster interest summaries
-all travel the same way: each origin floods its value under an epoch
-only it advances, receivers keep the newest epoch per origin, and
-digests (origin → epoch held) repair lost floods.  This is that rule,
-once; :class:`~repro.broker.mesh.LinkStateTier` and
-:class:`~repro.broker.gateway.Gateway` own the wire messages, the flood
+Member and gateway link state, cluster interest summaries, sequencer
+pins and subscription adverts all travel the same way: each origin
+floods its value under a version only it advances, by coverage
+(:func:`flood`); receivers keep the newest version per origin and
+forward only what they applied; and digests (origin → version held)
+repair lost floods by pushing what a peer lacks (:func:`push_newer`).
+This is that flood and that rule, once;
+:class:`~repro.broker.mesh.LinkStateTier`,
+:class:`~repro.broker.gateway.Gateway`, :class:`~repro.broker.geo.Geo`
+(pin versions are ``(epoch, broker)`` under its tie rule) and
+:class:`~repro.broker.adverts.Adverts` own the wire messages, the flood
 scope and what a change triggers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: :meth:`EpochTable.offer` verdicts.
-NEWER = "newer"  # stored: re-flood it and act on the change
+NEWER = "newer"  # stored: forward it and act on the change
 STALE = "stale"  # at or below the epoch already held: drop
 ECHO = "echo"    # our own origin from a past life: re-originate
 
@@ -25,12 +30,14 @@ class EpochTable(dict):
     :meth:`bump`/:meth:`originate` and an :data:`ECHO`; only
     :meth:`originate` puts the holder's own entry in the table."""
 
-    __slots__ = ("own", "epoch")
+    __slots__ = ("own", "epoch", "heard")
 
     def __init__(self, own: str):
         super().__init__()
         self.own = own
         self.epoch = 0
+        #: peer → our epoch when its last digest arrived (:meth:`settled`).
+        self.heard: Dict[str, int] = {}
 
     def bump(self) -> int:
         """Advance our epoch without storing an entry — for a holder that
@@ -76,13 +83,28 @@ class EpochTable(dict):
             held[self.own] = self.epoch
         return held
 
-    def newer_than(self, theirs: Mapping[str, int]) -> List[Tuple]:
+    def settled(self, peer: str) -> int:
+        """Our newest epoch to push in answer to ``peer``'s digest: the
+        one we held at its previous digest (at this one, the first time),
+        as brokers built together send digests at the same instants and
+        one can cross a flood of ours still in flight to the peer.  A lost
+        epoch goes out on its next digest, or on the one it asks back
+        with once ours shows it behind."""
+        settled = min(self.epoch, self.heard.get(peer, self.epoch))
+        self.heard[peer] = self.epoch
+        return settled
+
+    def newer_than(
+        self, theirs: Mapping[str, int], settled: Optional[int] = None
+    ) -> List[Tuple]:
         """``(origin, epoch, *fields)`` of every entry strictly newer than
-        a peer's digest, in origin order — what to push to that peer."""
+        a peer's digest, in origin order — what to push to that peer (our
+        own entry only when the peer is behind ``settled`` too)."""
+        own, epoch = self.own, self.epoch if settled is None else settled
         return [
             (origin, *self[origin])
             for origin in sorted(self)
-            if theirs.get(origin, -1) < self[origin][0]
+            if theirs.get(origin, -1) < (epoch if origin == own else self[origin][0])
         ]
 
     def behind(self, theirs: Mapping[str, int]) -> bool:
@@ -92,3 +114,37 @@ class EpochTable(dict):
         return any(
             self.epoch_of(origin) < epoch for origin, epoch in theirs.items()
         )
+
+
+def flood(broker, scope: Sequence[str], message: Any) -> None:
+    """Send ``message`` to every peer in ``scope`` outside its
+    ``covered`` set, as one copy that also covers all of ``scope``.
+
+    The one flood of every versioned state: an origin floods a message
+    covering itself, a receiver forwards what it applied as newer, and
+    a digest reply pushes to one peer (``scope``), which forwards it on.
+    A broker hears each version about once, not once per link; every
+    covered broker was sent it by someone, so only a lost copy leaves a
+    broker out, and digests repair that."""
+    covered = message.covered
+    onward = [peer for peer in scope if peer not in covered]
+    if not onward:
+        return
+    message = message.replace(covered=covered.union(scope))
+    cpu, cost = broker.host.cpu, broker.profile.control_cost_s
+    for peer_id in onward:
+        cpu.execute(cost, broker._send_peer, peer_id, message)
+
+
+def push_newer(
+    broker, peer: str, table: EpochTable, theirs: Mapping[str, int], message
+) -> int:
+    """Repair a peer from its digest ``theirs``: flood it every entry of
+    ``table`` strictly newer, as ``message(origin, epoch, *fields)`` (an
+    entry is its origin's whole value, so it is the snapshot).  Returns
+    :meth:`EpochTable.settled`, for an own value kept outside the table."""
+    settled = table.settled(peer)
+    covered = frozenset((broker.broker_id,))
+    for entry in table.newer_than(theirs, settled):
+        flood(broker, (peer,), message(*entry, covered=covered))
+    return settled

@@ -5,19 +5,22 @@ A clustered broker listed among its cluster's gateways owns one
 overlay above the member mesh: a gateway-tier
 :class:`~repro.broker.mesh.LinkStateTier` over inter-cluster links and
 co-gateway links, :class:`~repro.broker.links.ClusterInterestAdvert`
-(prefix-collapsed interest summaries) and
-:class:`~repro.broker.links.ClusterDigest` (anti-entropy for both).
+(prefix-collapsed interest summaries, flooded by coverage like every
+versioned state) and :class:`~repro.broker.links.ClusterDigest`
+(anti-entropy for both).
 Only the *active* gateway (lowest live gateway id) imports foreign
 interest and exports events; standbys keep shadow state for takeover.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.broker.epoch_table import ECHO, NEWER, STALE, EpochTable
+from repro.broker.epoch_table import (
+    ECHO, NEWER, STALE, EpochTable, flood, push_newer,
+)
 from repro.broker.event import NBEvent
-from repro.broker.links import ClusterDigest, ClusterInterestAdvert
+from repro.broker.links import ClusterDigest, ClusterInterestAdvert, LinkStateAdvert
 from repro.broker.mesh import LinkStateTier
 from repro.broker.topic import PatternSummary
 
@@ -140,14 +143,10 @@ class Gateway:
             interest_epochs=self.interest.epochs(),
         )
 
-    def on_interest(
-        self, advert: ClusterInterestAdvert, from_peer: Optional[str]
-    ) -> None:
+    def on_interest(self, advert: ClusterInterestAdvert) -> None:
+        """Apply a newer cluster summary and forward it outside its
+        coverage; the active gateway installs a foreign one."""
         broker = self.broker
-        if not broker._seen_adverts.add(advert.advert_id):
-            broker.lsas_deduped += 1
-            return
-        broker.control_messages += 1
         verdict = self.interest.offer(
             advert.origin_gateway,
             advert.epoch,
@@ -162,7 +161,8 @@ class Gateway:
         elif verdict is STALE:
             broker.lsas_stale += 1
         elif verdict is NEWER:
-            self.overlay.flood(advert, skip_peer=from_peer)
+            broker.control_messages += 1
+            self.overlay.flood(advert)
             if (
                 advert.cluster_id != self.cluster_id
                 and self.active == broker.broker_id
@@ -171,7 +171,8 @@ class Gateway:
 
     def on_digest(self, digest: ClusterDigest, from_peer: Optional[str]) -> None:
         """Gateway-tier anti-entropy: push strictly-newer entries to the
-        peer, and ask back (with our digest) when strictly behind.
+        peer (LSAs and summaries are full state, so they are the repair
+        snapshot), and ask back (with our digest) when strictly behind.
         Terminates for the same reason the member tier does — replies
         are only sent when strictly behind and epochs only advance."""
         if from_peer is None:
@@ -180,22 +181,16 @@ class Gateway:
         broker.control_messages += 1
         their_lsas = digest.lsa_epochs
         their_interest = digest.interest_epochs
-        adverts: List[Any] = self.overlay.newer_adverts(their_lsas)
-        adverts += [
-            ClusterInterestAdvert(
-                origin_gateway=origin,
-                cluster_id=cluster,
-                epoch=epoch,
-                patterns=patterns,
-            )
-            for origin, epoch, patterns, cluster
-            in self.interest.newer_than(their_interest)
-        ]
-        own_epoch = self.interest.epoch
-        if own_epoch and their_interest.get(broker.broker_id, -1) < own_epoch:
+        push_newer(
+            broker, from_peer, self.overlay.table, their_lsas, LinkStateAdvert
+        )
+        settled = push_newer(
+            broker, from_peer, self.interest, their_interest,
+            ClusterInterestAdvert,
+        )
+        if their_interest.get(broker.broker_id, 0) < settled:
             # Our own summary is not in the table; it goes out last.
-            adverts.append(self._summary_advert())
-        broker._offer(from_peer, adverts)
+            flood(broker, (from_peer,), self._summary_advert())
         if self.overlay.table.behind(their_lsas) or self.interest.behind(
             their_interest
         ):
@@ -290,14 +285,16 @@ class Gateway:
         """Flood ``summary`` as our cluster's interest under a new epoch."""
         self.interest.bump()
         self.last_summary = summary
-        self.overlay.flood(self._summary_advert(), skip_peer=None)
+        self.overlay.flood(self._summary_advert())
 
     def _summary_advert(self) -> ClusterInterestAdvert:
+        own = self.broker.broker_id
         return ClusterInterestAdvert(
-            origin_gateway=self.broker.broker_id,
-            cluster_id=self.cluster_id,
+            origin_gateway=own,
             epoch=self.interest.epoch,
             patterns=self.last_summary or (),
+            cluster_id=self.cluster_id,
+            covered=frozenset((own,)),
         )
 
     # ------------------------------------------------- foreign interest

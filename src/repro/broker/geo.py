@@ -1,9 +1,13 @@
 """Geo partition survival: the plane a broker builds only with a region.
 
 A broker its :class:`~repro.broker.spec.FabricSpec` places in a region
-(such a spec also runs the link-state mesh) owns one :class:`Geo`: the stable broker set and its election, locality
-pins, both park queues and their drain, and the WAN recent-send replay
-window (DESIGN.md §12).  A regionless broker holds no geo state at all.
+(such a spec also runs the link-state mesh) owns one :class:`Geo`: the
+stable broker set and its election, locality pins, both park queues and
+their drain, and the WAN recent-send replay window (DESIGN.md §12).  A
+regionless broker holds no geo state at all.  Pins are flooded by
+coverage (:func:`~repro.broker.epoch_table.flood`) and repaired by the
+member :class:`~repro.broker.links.LinkStateDigest`, which carries each
+broker's pin versions.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, FrozenSet, Optional, Set, Tuple
 
+from repro.broker.epoch_table import flood
 from repro.broker.event import NBEvent
 from repro.broker.links import SequencerPin
 from repro.broker.ordering import SEQUENCER_CACHE_MAX
@@ -33,6 +38,12 @@ SEQUENCER_PIN_MAJORITY = 0.6
 PARK_QUEUE_MAX = 2048
 
 
+def outranks(version: Tuple[int, str], held: Optional[Tuple[int, str]]) -> bool:
+    """The pin rule on ``(epoch, broker)`` versions: a higher epoch wins,
+    then the smaller broker, so every replica converges on one pin."""
+    return held is None or (-version[0], version[1]) < (-held[0], held[1])
+
+
 class Geo:
     """Partition survival state and protocol of one regional broker."""
 
@@ -48,8 +59,8 @@ class Geo:
         self.stable_brokers: Set[str] = set()
         self._stable_sequencers: Dict[str, str] = {}
         self._stable_seq_gen = -1  # validated against len(stable_brokers)
-        #: topic -> (pin epoch, pinned broker)
-        self.pins: Dict[str, Tuple[int, str]] = {}
+        #: topic -> the pin applied for it (epoch, broker, handoff).
+        self.pins: Dict[str, SequencerPin] = {}
         #: topic -> origin broker -> sequenced count (current window)
         self._pin_counts: Dict[str, Dict[str, int]] = {}
         self.parked_ordered: Deque[Tuple[NBEvent, Optional[str]]] = deque()
@@ -105,9 +116,9 @@ class Geo:
         """The topic's pinned sequencer, while it is us or reachable."""
         pin = self.pins.get(topic)
         if pin is not None and (
-            pin[1] == self.broker.broker_id or pin[1] in self.broker._routes
+            pin.broker == self.broker.broker_id or pin.broker in self.broker._routes
         ):
-            return pin[1]
+            return pin.broker
         return None
 
     def parks_ordered(
@@ -146,7 +157,7 @@ class Geo:
         what the unreachable majority is presumed to still be using."""
         pin = self.pins.get(topic)
         if pin is not None:
-            return pin[1]
+            return pin.broker
         if self._stable_seq_gen != len(self.stable_brokers):
             self._stable_sequencers.clear()
             self._stable_seq_gen = len(self.stable_brokers)
@@ -188,32 +199,50 @@ class Geo:
         ):
             return
         current = self.pins.get(topic)
+        own = broker.broker_id
         pin = SequencerPin(
             topic=topic,
             broker=leader,
-            epoch=(current[0] if current is not None else 0) + 1,
+            epoch=(current.epoch if current is not None else 0) + 1,
             next_sequence=broker.ordering.sequences.get(topic, 0),
-            origin_broker=broker.broker_id,
+            origin_broker=own,
+            covered=frozenset((own,)),
         )
         self._apply_pin(pin)
-        broker._flood_advert(pin, skip_peer=None)
 
-    def on_pin(self, pin: SequencerPin, from_peer: Optional[str]) -> None:
-        """Honour and re-flood a newer pin (the broker deduplicated and
-        counted it)."""
-        current = self.pins.get(pin.topic)
-        if current is not None:
-            if pin.epoch < current[0]:
-                return
-            if pin.epoch == current[0] and pin.broker >= current[1]:
-                return  # tie: lexicographically smaller broker wins
-        self._apply_pin(pin)
-        self.broker._flood_advert(pin, skip_peer=from_peer)
+    def on_pin(self, pin: SequencerPin) -> None:
+        """Apply (and forward) a pin outranking the one held for its
+        topic."""
+        held = self.pins.get(pin.topic)
+        if held is None or outranks(
+            (pin.epoch, pin.broker), (held.epoch, held.broker)
+        ):
+            self.broker.control_messages += 1
+            self._apply_pin(pin)
+
+    def pin_versions(self) -> Dict[str, Tuple[int, str]]:
+        """Our pin digest: topic → (epoch, broker) of every pin held."""
+        return {topic: (pin.epoch, pin.broker) for topic, pin in self.pins.items()}
+
+    def reconcile(self, theirs: Dict[str, Tuple[int, str]], from_peer: str) -> bool:
+        """Push every pin that outranks a peer's digest entry (a pin is
+        its topic's whole state, so it is the repair snapshot); returns
+        whether the peer holds a pin that outranks ours."""
+        mine = self.pin_versions()
+        covered = frozenset((self.broker.broker_id,))
+        for topic in sorted(mine):
+            if outranks(mine[topic], theirs.get(topic)):
+                pin = self.pins[topic].replace(covered=covered)
+                flood(self.broker, (from_peer,), pin)
+        return any(
+            outranks(version, mine.get(topic)) for topic, version in theirs.items()
+        )
 
     def _apply_pin(self, pin: SequencerPin) -> None:
+        """Hold ``pin`` for its topic and flood it on."""
         broker = self.broker
         ordering = broker.ordering
-        self.pins[pin.topic] = (pin.epoch, pin.broker)
+        self.pins[pin.topic] = pin
         broker.sequencer_pins_set += 1
         ordering.elections.pop(pin.topic, None)
         self._stable_sequencers.pop(pin.topic, None)
@@ -222,6 +251,7 @@ class Geo:
             # previous sequencer left off instead of restarting at 0.
             if pin.next_sequence > ordering.sequences.get(pin.topic, 0):
                 ordering.sequences[pin.topic] = pin.next_sequence
+        flood(broker, broker._intra_sorted, pin)
 
     # --------------------------------------------------------- parking
 

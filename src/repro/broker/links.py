@@ -17,9 +17,8 @@ rides :class:`repro.simnet.firewall.TunnelClient` through a proxy.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.broker.event import NBEvent
 from repro.simnet.firewall import TunnelClient
@@ -49,8 +48,6 @@ SSL_RECORD_OVERHEAD = 29
 #: CPU cost per byte of SSL encryption/decryption.
 SSL_CRYPTO_COST_PER_BYTE = 6e-9
 
-_advert_ids = itertools.count(1)
-
 
 # --------------------------------------------------------------------------
 # Wire messages
@@ -72,6 +69,14 @@ class WireMessage:
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def replace(self, **changes: Any) -> "WireMessage":
+        """A copy with ``changes`` applied (``dataclasses.replace``
+        style): a flood forwards a copy, never the message it got."""
+        copy = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(copy, name, changes.get(name, getattr(self, name)))
+        return copy
 
     def __eq__(self, other: object):
         if type(other) is not type(self):
@@ -235,10 +240,9 @@ class SubAdvert(WireMessage):
     """Flooded notice that ``origin_broker`` gained/lost interest in a
     pattern, as its ``seq``-th change of advertised interest.
 
-    ``covered`` is every broker the flood has already been sent to (the
-    origin included): a receiver forwards the advert only to its peers
-    outside it, so a broker hears an advert about once rather than once
-    per link, and the origin never hears it back.  It goes on the wire.
+    Like every flooded message it carries ``covered``: every broker the
+    flood has already been sent to, the origin included (see
+    :func:`repro.broker.epoch_table.flood`).  It goes on the wire.
     """
 
     __slots__ = ("origin_broker", "seq", "pattern", "add", "covered")
@@ -310,27 +314,28 @@ class ClusterInterestAdvert(WireMessage):
     are interested in (see :func:`repro.broker.topic.summarize_patterns`).
     Epoch-versioned per origin gateway so a newer summary fully replaces
     an older one; a replaced summary's stale patterns are withdrawn by
-    diffing, not re-flooding.
+    diffing, not re-flooding.  Flooded by coverage (``covered``).
     """
 
-    __slots__ = ("advert_id", "origin_gateway", "cluster_id", "epoch", "patterns")
+    __slots__ = ("origin_gateway", "epoch", "patterns", "cluster_id", "covered")
 
     def __init__(
         self,
-        advert_id: Optional[int] = None,
         origin_gateway: str = "",
-        cluster_id: str = "",
         epoch: int = 0,
         patterns: tuple = (),
+        cluster_id: str = "",
+        covered: FrozenSet[str] = frozenset(),
     ):
-        self.advert_id = advert_id if advert_id is not None else next(_advert_ids)
         self.origin_gateway = origin_gateway
-        self.cluster_id = cluster_id
         self.epoch = epoch
         self.patterns = patterns
+        self.cluster_id = cluster_id
+        self.covered = covered
 
     def wire_size(self, envelope_bytes: int) -> int:
-        return CONTROL_BYTES + sum(len(pattern) for pattern in self.patterns)
+        patterns = sum(len(pattern) for pattern in self.patterns)
+        return CONTROL_BYTES + patterns + 8 * len(self.covered)
 
 
 class ClusterDigest(WireMessage):
@@ -382,9 +387,9 @@ class LinkStateAdvert(WireMessage):
     """Flooded link-state advert: one broker's current adjacency + epoch.
 
     Brokers accept an LSA only when its epoch exceeds the one recorded for
-    the origin, re-flood it to all peers except the one it arrived from
-    (deduplicated by advert id), and recompute next-hop
-    tables locally from the resulting link-state database.
+    the origin, forward it by coverage (to their peers outside
+    ``covered``), and recompute next-hop tables locally from the
+    resulting link-state database.
 
     ``costs`` is the optional WAN extension (PR 10): a mapping of
     neighbor → integer cost class.  ``None`` — the default, and the only
@@ -397,28 +402,30 @@ class LinkStateAdvert(WireMessage):
     plus co-gateway links — so gateways learn cluster-level reachability).
     """
 
-    __slots__ = ("advert_id", "origin_broker", "epoch", "neighbors", "costs",
-                 "cluster_id")
+    __slots__ = ("origin_broker", "epoch", "neighbors", "costs", "cluster_id",
+                 "covered")
 
     def __init__(
         self,
-        advert_id: Optional[int] = None,
         origin_broker: str = "",
         epoch: int = 0,
         neighbors: FrozenSet[str] = frozenset(),
         costs: Optional[Dict[str, int]] = None,
         cluster_id: Optional[str] = None,
+        covered: FrozenSet[str] = frozenset(),
     ):
-        self.advert_id = advert_id if advert_id is not None else next(_advert_ids)
         self.origin_broker = origin_broker
         self.epoch = epoch
         self.neighbors = neighbors
         self.costs = costs
         self.cluster_id = cluster_id
+        self.covered = covered
 
     def wire_size(self, envelope_bytes: int) -> int:
         costs = 2 * len(self.costs) if self.costs else 0
-        return CONTROL_BYTES + 8 * len(self.neighbors) + costs
+        return (
+            CONTROL_BYTES + 8 * (len(self.neighbors) + len(self.covered)) + costs
+        )
 
 
 class SequencerPin(WireMessage):
@@ -426,63 +433,72 @@ class SequencerPin(WireMessage):
     ``broker``.
 
     Emitted by the *current* sequencer when it observes a sustained
-    publisher majority nearer another broker (PR 10 locality election).
+    publisher majority nearer another broker (locality election).
     Epoch-versioned per topic — a higher epoch fully replaces a lower
     one, ties break toward the lexicographically smaller broker so every
     replica converges on the same pin.  ``next_sequence`` hands the
     stream's sequence counter to the new sequencer, keeping numbering
-    continuous across the handoff.
+    continuous across the handoff.  Flooded by coverage (``covered``)
+    and repaired through the :class:`LinkStateDigest`'s ``pins``.
     """
 
-    __slots__ = ("advert_id", "topic", "broker", "epoch", "next_sequence",
-                 "origin_broker")
+    __slots__ = ("topic", "broker", "epoch", "next_sequence", "origin_broker",
+                 "covered")
 
     def __init__(
         self,
-        advert_id: Optional[int] = None,
         topic: str = "",
         broker: str = "",
         epoch: int = 0,
         next_sequence: int = 0,
         origin_broker: str = "",
+        covered: FrozenSet[str] = frozenset(),
     ):
-        self.advert_id = advert_id if advert_id is not None else next(_advert_ids)
         self.topic = topic
         self.broker = broker
         self.epoch = epoch
         self.next_sequence = next_sequence
         self.origin_broker = origin_broker
+        self.covered = covered
 
     def wire_size(self, envelope_bytes: int) -> int:
-        return CONTROL_BYTES + len(self.topic) + len(self.broker) + 16
+        names = len(self.topic) + len(self.broker)
+        return CONTROL_BYTES + names + 16 + 8 * len(self.covered)
 
 
 class LinkStateDigest(WireMessage):
     """Anti-entropy summary of a broker's link-state database, with its
-    subscription versions (what a :class:`SubDigest` carries) riding
+    subscription versions (what a :class:`SubDigest` carries) and, on a
+    geo broker, its sequencer pins (topic → (epoch, broker)) riding
     along.
 
     Sent when a peer link comes up (partition heal) and periodically with
-    heartbeats; the receiver pushes back any LSAs it holds at a strictly
-    newer epoch, and a snapshot of any origin's interest it holds at a
-    strictly newer version, which is how divergent halves of a healed
-    partition reconcile without re-flooding everything.
+    heartbeats; the receiver pushes back any LSA or pin it holds at a
+    strictly newer version, and a snapshot of any origin's interest it
+    holds at a strictly newer version, which is how divergent halves of
+    a healed partition reconcile without re-flooding everything.
     """
 
-    __slots__ = ("origin_broker", "epochs", "versions")
+    __slots__ = ("origin_broker", "epochs", "versions", "pins")
 
     def __init__(
         self,
         origin_broker: str = "",
         epochs: Optional[Dict[str, int]] = None,
         versions: Optional[Dict[str, int]] = None,
+        pins: Optional[Dict[str, Tuple[int, str]]] = None,
     ):
         self.origin_broker = origin_broker
         self.epochs = epochs if epochs is not None else {}
         self.versions = versions if versions is not None else {}
+        self.pins = pins  # None without the geo plane: never pushed any
 
     def wire_size(self, envelope_bytes: int) -> int:
-        return CONTROL_BYTES + 12 * (len(self.epochs) + len(self.versions))
+        pins = sum(
+            8 + len(topic) + len(broker)
+            for topic, (_, broker) in (self.pins or {}).items()
+        )
+        return CONTROL_BYTES + 12 * (len(self.epochs) + len(self.versions)) + pins
 
 
 # --------------------------------------------------------------------------

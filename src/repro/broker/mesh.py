@@ -10,8 +10,9 @@ table.  A central-plane broker (routes pushed by
 The advert protocol is written once, as :class:`LinkStateTier`: every
 broker runs a member tier over its intra-cluster peers, and a cluster
 gateway runs a second tier over the gateway overlay
-(:class:`~repro.broker.gateway.Gateway`).  Both tiers share the
-broker's dedup window, its ``lsas_*`` counters and the mesh's one
+(:class:`~repro.broker.gateway.Gateway`).  Both tiers flood by
+coverage (:func:`~repro.broker.epoch_table.flood`), are repaired by
+digests, and share the broker's ``lsas_*`` counters and the mesh's one
 debounced route recompute.
 """
 
@@ -20,7 +21,9 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.broker.epoch_table import ECHO, NEWER, STALE, EpochTable
+from repro.broker.epoch_table import (
+    ECHO, NEWER, STALE, EpochTable, flood, push_newer,
+)
 from repro.broker.links import LinkStateAdvert, LinkStateDigest, PeerHeartbeat
 from repro.broker.spec import MeshTiming
 
@@ -156,8 +159,8 @@ class LinkStateTier:
                 neighbors=neighbors,
                 costs=costs or None,
                 cluster_id=self.cluster_id,
-            ),
-            skip_peer=None,
+                covered=frozenset((broker.broker_id,)),
+            )
         )
         self.mesh.schedule_recompute()
 
@@ -171,25 +174,18 @@ class LinkStateTier:
             self.broker.cost_reoriginations += 1
             self.originate()
 
-    def flood(self, advert, skip_peer: Optional[str]) -> None:
-        """Send a dedup-windowed advert to every peer in scope except
-        the one it arrived from."""
+    def flood(self, message) -> None:
+        """Flood one of this tier's messages (an LSA, or on the gateway
+        tier a cluster summary) by coverage over the tier's peers."""
         broker = self.broker
-        broker._seen_adverts.add(advert.advert_id)
         if self.cluster_id is None and broker._intercluster_peers:
             # A member LSA kept off this gateway's inter-cluster links.
             broker.cluster_lsas_scoped += 1
-        cpu, cost = broker.host.cpu, broker.profile.control_cost_s
-        for peer_id in self.scope():
-            if peer_id != skip_peer:
-                cpu.execute(cost, broker._send_peer, peer_id, advert)
+        flood(broker, self.scope(), message)
 
-    def on_advert(self, lsa: LinkStateAdvert, from_peer: Optional[str]) -> None:
+    def on_advert(self, lsa: LinkStateAdvert) -> None:
+        """Apply a newer LSA and forward it outside its coverage."""
         broker = self.broker
-        if not broker._seen_adverts.add(lsa.advert_id):
-            broker.lsas_deduped += 1
-            return
-        broker.control_messages += 1
         broker.lsas_received += 1
         verdict = self.table.offer(
             lsa.origin_broker, lsa.epoch, lsa.neighbors, lsa.costs or None,
@@ -200,22 +196,9 @@ class LinkStateTier:
         elif verdict is STALE:
             broker.lsas_stale += 1
         elif verdict is NEWER:
-            self.flood(lsa, skip_peer=from_peer)
+            broker.control_messages += 1
+            self.flood(lsa)
             self.mesh.schedule_recompute()
-
-    def newer_adverts(self, theirs: Dict[str, int]) -> List[LinkStateAdvert]:
-        """Adverts for every entry strictly newer than a peer's digest."""
-        return [
-            LinkStateAdvert(
-                origin_broker=origin,
-                epoch=epoch,
-                neighbors=neighbors,
-                costs=costs,
-                cluster_id=cluster_id,
-            )
-            for origin, epoch, neighbors, costs, cluster_id
-            in self.table.newer_than(theirs)
-        ]
 
     def shortest_paths(self) -> Tuple[Dict[str, str], Dict[str, int]]:
         """Dijkstra over the table, with our live adjacency for us —
@@ -353,28 +336,37 @@ class Mesh:
         return costs
 
     def digest(self) -> LinkStateDigest:
+        broker = self.broker
         return LinkStateDigest(
-            origin_broker=self.broker.broker_id,
+            origin_broker=broker.broker_id,
             epochs=self.member.table.epochs(),
-            versions=self.broker.adverts.versions(),
+            versions=broker.adverts.versions(),
+            pins=broker.geo.pin_versions() if broker.geo is not None else None,
         )
 
-    def on_advert(self, lsa: LinkStateAdvert, from_peer: Optional[str]) -> None:
+    def on_advert(self, lsa: LinkStateAdvert) -> None:
         if lsa.cluster_id is None:
-            self.member.on_advert(lsa, from_peer)
+            self.member.on_advert(lsa)
         elif self.broker.gateway is not None:
-            self.broker.gateway.overlay.on_advert(lsa, from_peer)
+            self.broker.gateway.overlay.on_advert(lsa)
 
     def on_digest(self, digest: LinkStateDigest, from_peer: Optional[str]) -> None:
-        """Member-tier anti-entropy: push strictly-newer LSAs and
+        """Member-tier anti-entropy: push strictly-newer LSAs, pins and
         subscription snapshots to the peer, and ask back (with our
-        digest) when strictly behind on either."""
+        digest) when strictly behind on any."""
         broker = self.broker
         if from_peer is None or from_peer in broker._intercluster_peers:
             return  # member LSDBs never reconcile across a cluster boundary
         broker.control_messages += 1
-        broker._offer(from_peer, self.member.newer_adverts(digest.epochs))
-        behind = broker.adverts.reconcile(digest.versions, from_peer)
+        push_newer(
+            broker, from_peer, self.member.table, digest.epochs, LinkStateAdvert
+        )
+        behind = broker.adverts.reconcile(
+            digest.versions, from_peer, settle=True
+        )
+        geo = broker.geo
+        if geo is not None and digest.pins is not None:
+            behind |= geo.reconcile(digest.pins, from_peer)
         if self.member.table.behind(digest.epochs) or behind:
             broker.host.cpu.execute(
                 broker.profile.control_cost_s,

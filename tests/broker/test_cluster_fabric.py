@@ -5,76 +5,118 @@ inside their cluster, gateways exchange aggregated interest summaries
 and cluster-level LSAs, events route leaf → gateway → remote gateway →
 leaf, and the fabric survives gateway death (both the clustered control
 plane and the flat :meth:`BrokerNetwork.hierarchical` redundant-uplink
-topology).  Also pins the `_DedupWindow` LRU semantics the flood plane
-depends on.
+topology).  Also pins that a late copy of any flooded message dies at
+the first broker it reaches.
 """
 
 import pytest
 
 from repro.broker import FAST_MESH, BrokerNetwork
-from repro.broker.broker import _DedupWindow
-from repro.broker.links import SubAdvert
+from repro.broker.links import (
+    ClusterInterestAdvert,
+    LinkStateAdvert,
+    SequencerPin,
+    SubAdvert,
+)
 
 from .conftest import assert_maintained_state, make_client
 
-class TestDedupWindowLru:
-    def test_reseen_id_survives_cap_pressure(self):
-        """LRU regression: a hit refreshes recency, so an id that keeps
-        echoing is never evicted by one-shot ids — under the old FIFO it
-        was dropped at position order and its next echo re-flooded."""
-        window = _DedupWindow(cap=4)
-        for advert_id in (1, 2, 3, 4):
-            assert window.add(advert_id) is True
-        # Refresh 1: it becomes the most recently seen.
-        assert window.add(1) is False
-        # Two fresh ids push the window over cap twice: the *stale* ids
-        # (2, then 3) age out, not the refreshed 1.
-        assert window.add(5) is True
-        assert window.add(6) is True
-        assert window.evictions == 2
-        assert window.add(1) is False, "refreshed id was evicted (FIFO bug)"
-        assert 2 not in window and 3 not in window
-        assert len(window) == 4
-
-    def test_fifo_counterexample_is_now_safe(self):
-        """The exact storm scenario: cap-sized burst of one-shot ids
-        arrives between two echoes of a live flood's id."""
-        window = _DedupWindow(cap=8)
-        live = 1000
-        window.add(live)
-        for burst in range(8):  # a full cap of unrelated ids...
-            window.add(2000 + burst)
-            window.add(live)  # ...interleaved with echoes of the live id
-        assert window.add(live) is False
-        assert window.evictions > 0
-
-
 class TestFloodEchoSuppression:
     def test_evicted_echo_is_absorbed_not_reflooded(self, sim, net):
-        """A copy of an advert that arrives after its version was applied
-        (a slower second path, or an echo — which used to re-enter once
-        its id aged out of the dedup window) must die at the first
+        """A copy of a flooded message that arrives after its version was
+        applied (a slower second path, or an echo) must die at the first
         broker without touching anything.  Re-flooding a no-op is what
-        turns late copies into a self-sustaining storm."""
-        bnet = BrokerNetwork.chain(net, 3)
-        sim.run_for(5.0)
-        client = make_client(net, sim, bnet.broker("broker-0"), "echo-sub")
-        client.subscribe("/gmc/echo/room", lambda event: None)
-        sim.run_for(2.0)
-        brokers = [bnet.broker(name) for name in sorted(bnet.broker_ids())]
-        middle = brokers[1]
-        assert middle._remote_interest.has_pattern("/gmc/echo/room")
-        before = {b.broker_id: b.control_messages for b in brokers}
-        late = SubAdvert(
-            origin_broker="broker-0", seq=1, pattern="/gmc/echo/room",
-            add=True, covered=frozenset({"broker-0", "broker-1"}),
+        turns late copies into a self-sustaining storm.  One burst of
+        late copies per flooded kind: a subscription advert, a member
+        and a gateway LSA, a cluster summary and a sequencer pin."""
+        bnet = BrokerNetwork.clustered(
+            net, [3, 3], regions=["us", "eu"], mesh=FAST_MESH
         )
-        for _ in range(50):  # a burst of late copies
-            middle.adverts.on_advert(late, from_peer="broker-0")
+        sim.run_for(5.0)
+        member = bnet.broker("broker-c0-2")
+        gateway = bnet.broker("broker-c0-0")
+        remote = bnet.broker("broker-c1-0")
+        client = make_client(net, sim, member, "echo-sub")
+        client.subscribe("/gmc/echo/room", lambda event: None)
+        member.geo.on_pin(
+            SequencerPin(
+                "/gmc/echo/ordered", "broker-c0-1", 1, 0, "broker-c0-2",
+                frozenset({"broker-c0-2"}),
+            )
+        )
         sim.run_for(2.0)
-        # Dropped by version: nobody counted, applied or re-flooded it.
-        assert {b.broker_id: b.control_messages for b in brokers} == before
-        assert middle.adverts.versions() == {"broker-0": 1}
+        assert gateway._remote_interest.has_pattern("/gmc/echo/room")
+        assert gateway.geo.pinned_sequencer("/gmc/echo/ordered") == "broker-c0-1"
+
+        def lsa(holder, tier, origin):
+            epoch, neighbors, costs, cluster_id = tier.table[origin]
+            return LinkStateAdvert(
+                origin, epoch, neighbors, costs, cluster_id,
+                frozenset({origin, holder.broker_id}),
+            )
+
+        def summary(holder, origin):
+            epoch, patterns, cluster_id = holder.gateway.interest[origin]
+            return ClusterInterestAdvert(
+                origin, epoch, patterns, cluster_id,
+                frozenset({origin, holder.broker_id}),
+            )
+
+        late = [
+            (
+                gateway.adverts.on_advert,
+                SubAdvert(
+                    origin_broker="broker-c0-2", seq=1, pattern="/gmc/echo/room",
+                    add=True, covered=frozenset({"broker-c0-2", "broker-c0-0"}),
+                ),
+                ("broker-c0-2",),
+            ),
+            (
+                gateway.mesh.on_advert,
+                lsa(gateway, gateway.mesh.member, "broker-c0-2"),
+                (),
+            ),
+            (
+                remote.mesh.on_advert,
+                lsa(remote, remote.gateway.overlay, "broker-c0-0"),
+                (),
+            ),
+            (remote.gateway.on_interest, summary(remote, "broker-c0-0"), ()),
+            (gateway.geo.on_pin, member.geo.pins["/gmc/echo/ordered"], ()),
+        ]
+        brokers = bnet.brokers()
+        flooded = []
+        for broker in brokers:
+            send = broker._send_peer
+
+            def spy(peer_id, message, send=send):
+                if hasattr(message, "covered"):
+                    flooded.append(message)
+                send(peer_id, message)
+
+            broker._send_peer = spy
+
+        def state():
+            return {
+                broker.broker_id: (
+                    broker.control_messages,
+                    broker.lsas_originated,
+                    broker.adverts.versions(),
+                    broker.mesh.member.table.epochs(),
+                    broker.geo.pin_versions(),
+                    broker.gateway and broker.gateway.digest(),
+                )
+                for broker in brokers
+            }
+
+        before = state()
+        for handler, message, args in late:
+            for _ in range(50):  # a burst of late copies
+                handler(message, *args)
+            # Dropped by version: nobody counted, applied or re-flooded it.
+            assert state() == before, type(message).__name__
+        sim.run_for(2.0)
+        assert flooded == []
 
     def test_own_origin_echo_is_absorbed(self, sim, net):
         """A broker's own advert coming back is never re-flooded.  One
@@ -329,7 +371,7 @@ class TestClusteredFabric:
             "cluster_lsas_scoped",
             "intercluster_hops",
             "gateway_takeovers",
-            "dedup_evictions",
+            "lsas_stale",
         ):
             assert key in stats
 
@@ -400,9 +442,8 @@ class TestFloodQuiescence:
     def test_large_fabric_reaches_advert_fixed_point(self, sim, net):
         """100-broker-scale clustered fabric: after convergence the
         control plane goes quiet — no new LSA/summary originations or
-        subscription versions, no flood dedup churn, no snapshot
-        installs, and zero dedup-window evictions over a long
-        observation window."""
+        subscription versions, no LSA on the wire and no snapshot
+        installs over a long observation window."""
         bnet = BrokerNetwork.clustered(net, [7] * 16)
         subscribers = []
         for c in range(0, 16, 4):
@@ -424,7 +465,7 @@ class TestFloodQuiescence:
                     broker.lsas_originated,
                     *epochs(broker.gateway),
                     broker.adverts_aggregated,
-                    broker.lsas_deduped,
+                    broker.lsas_received,
                     broker.adverts.versions(),
                     broker.snapshots_installed,
                 )
@@ -435,10 +476,3 @@ class TestFloodQuiescence:
         sim.run_for(20.0)  # long quiet soak
         after = control_snapshot()
         assert after == before, "control plane kept churning after convergence"
-        for broker in bnet.brokers():
-            assert broker._seen_adverts.evictions == 0, (
-                f"{broker.broker_id} evicted live dedup state "
-                f"({broker._seen_adverts.evictions} evictions)"
-            )
-            # The relative cap sizing actually engaged.
-            assert broker._seen_adverts.cap >= len(broker._routes) * 128

@@ -50,6 +50,23 @@ def test_newer_than_pushes_strictly_newer_entries_in_origin_order():
     ]
 
 
+def test_an_own_epoch_is_pushed_from_the_peers_next_digest_on():
+    """A digest can cross a flood of ours still in flight to its sender:
+    an own epoch taken since that peer's previous digest is not pushed
+    yet, and is from its next digest on."""
+    table = EpochTable("me")
+    table.originate("v1")
+    assert table.settled("p") == 1  # first digest from p: nothing in flight
+    assert table.newer_than({}, table.settled("p")) == [("me", 1, "v1")]
+    table.originate("v2")
+    settled = table.settled("p")  # p's digest may have crossed epoch 2
+    assert settled == 1
+    assert table.newer_than({"me": 1}, settled) == []
+    assert table.newer_than({"me": 0}, settled) == [("me", 2, "v2")]
+    assert table.settled("p") == table.settled("q") == 2
+    assert table.newer_than({"me": 1}, 2) == [("me", 2, "v2")]
+
+
 def test_behind_only_when_the_peer_holds_something_strictly_newer():
     table = EpochTable("me")
     table.originate("v")

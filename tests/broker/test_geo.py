@@ -283,6 +283,37 @@ def test_majority_side_keeps_sequencing_during_partition(sim, net):
     assert e0.ordered_parked == 0
 
 
+def test_pin_set_during_a_partition_is_repaired_across_the_heal(sim, net):
+    """The eu majority pins a topic while the us region is cut off.  No
+    flood can carry that pin across the cut, so after the heal the
+    link-state digest must: every broker then holds the same pin and
+    elects the same sequencer."""
+    bnet = town_hall(sim, net)
+    e2 = bnet.broker("e2")
+    topic = topic_with_sequencer(e2, "e1", prefix="/town/p")
+    publisher = make_client(net, e2, "pub")
+    sim.run_for(1.0)
+
+    bnet.partition_regions("us")
+    sim.run_for(2.0)
+    for index in range(SEQUENCER_PIN_WINDOW + 8):
+        publisher.publish(topic, index, 200, ordered=True)
+        sim.run_for(0.01)
+    sim.run_for(1.0)
+    assert e2.geo.pinned_sequencer(topic) == "e2"
+    assert bnet.broker("u0").geo.pinned_sequencer(topic) is None
+
+    bnet.heal()
+    sim.run_for(10.0)
+    assert {
+        name: (
+            bnet.broker(name).geo.pinned_sequencer(topic),
+            bnet.broker(name).ordering.sequencer_for(topic),
+        )
+        for name in bnet.broker_ids()
+    } == {name: ("e2", "e2") for name in bnet.broker_ids()}
+
+
 # -------------------------------------------- sequencer cache regression
 
 

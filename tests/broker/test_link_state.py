@@ -132,7 +132,7 @@ class TestLinkStateProtocol:
         stale = LinkStateAdvert(
             origin_broker="broker-1", epoch=0, neighbors=frozenset()
         )
-        b0.mesh.on_advert(stale, from_peer="broker-1")
+        b0.mesh.on_advert(stale)
         assert b0.mesh.member.table["broker-1"][0] == current_epoch
 
     def test_own_echo_triggers_epoch_jump(self, sim, net):
@@ -145,7 +145,7 @@ class TestLinkStateProtocol:
         ghost = LinkStateAdvert(
             origin_broker="broker-0", epoch=old + 10, neighbors=frozenset()
         )
-        b0.mesh.on_advert(ghost, from_peer="broker-1")
+        b0.mesh.on_advert(ghost)
         assert b0.mesh.member.table.epoch == old + 11
 
     def test_digest_pushes_missing_lsas(self, sim, net):

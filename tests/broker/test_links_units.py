@@ -87,17 +87,17 @@ class TestMessageSize:
             (SubAdvert("b0", 4, "/room/#", True, frozenset({"b0", "b1", "b2"})), 88),
             (SubDigest("b0", {"b0": 1, "b1": 2}), 88),
             (SubSnapshot("b0", (("b1", 3, ("/room/#", "/a/b")),)), 87),
-            (ClusterInterestAdvert(1, "g0", "c0", 3, ("/room/#", "/a/b")), 75),
+            (ClusterInterestAdvert("g0", 3, ("/room/#", "/a/b"), "c0"), 75),
             (ClusterDigest("g0", {"g1": 1, "g2": 2}, {"g1": 4}), 100),
             (PeerHeartbeat("b0"), 64),
-            (LinkStateAdvert(1, "b0", 2, frozenset({"b1", "b2"})), 80),
+            (LinkStateAdvert("b0", 2, frozenset({"b1", "b2"})), 80),
             (
                 LinkStateAdvert(
-                    1, "b0", 2, frozenset({"b1", "b2"}), {"b1": 1, "b2": 3}
+                    "b0", 2, frozenset({"b1", "b2"}), {"b1": 1, "b2": 3}
                 ),
                 84,
             ),
-            (SequencerPin(1, "/room/video", "b2", 4, 10, "b0"), 93),
+            (SequencerPin("/room/video", "b2", 4, 10, "b0"), 93),
             (LinkStateDigest("b0", {"b0": 1, "b1": 2, "b2": 3}), 100),
         ]
         for message, size in sized:
@@ -109,10 +109,27 @@ class TestMessageSize:
         assert {type(message) for message, _ in sized} == every_class
 
 
-def test_advert_ids_unique():
-    a = LinkStateAdvert(origin_broker="b", epoch=1)
-    b = LinkStateAdvert(origin_broker="b", epoch=1)
-    assert a.advert_id != b.advert_id
+def test_flooded_messages_carry_their_covered_set():
+    """Every flooded message names the brokers it was already sent to:
+    8 bytes per covered broker on top of its own size, as a SubAdvert.
+    A link-state digest carries a geo broker's pins, topic and broker
+    name plus 8 bytes each."""
+    covered = frozenset({"b0", "b1", "b2"})
+    flooded = [
+        LinkStateAdvert("b0", 2, frozenset({"b1", "b2"})),
+        ClusterInterestAdvert("g0", 3, ("/room/#", "/a/b"), "c0"),
+        SequencerPin("/room/video", "b2", 4, 10, "b0"),
+        SubAdvert("b0", 4, "/room/#", True),
+    ]
+    for message in flooded:
+        wider = message.replace(covered=covered)
+        assert wider.wire_size(66) == message.wire_size(66) + 24, message
+        assert wider.covered == covered and message.covered == frozenset()
+        assert wider == message.replace(covered=covered) != message
+    pins = LinkStateDigest("b0", {"b0": 1}, pins={"/room/video": (4, "b2")})
+    assert pins.wire_size(66) == LinkStateDigest("b0", {"b0": 1}).wire_size(
+        66
+    ) + 8 + len("/room/video") + len("b2")
 
 
 def test_link_type_values():

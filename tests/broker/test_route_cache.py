@@ -2,8 +2,8 @@
 
 Covers the cache's generation-based invalidation on every control-plane
 mutation (subscribe, unsubscribe, disconnect, remote advert, route-table
-change), the cached sequencer election, the bounded advert-dedup window,
-and the statistics counters the cache exposes.
+change), the cached sequencer election, and the statistics counters the
+cache exposes.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.broker import (
     FAST_MESH, BrokerClient, BrokerNetwork, RouteCache, RouteEntry,
 )
-from repro.broker.broker import SEEN_ADVERT_WINDOW, _DedupWindow
 from repro.broker.profile import NARADA_PROFILE
 
 from tests.broker.conftest import make_client
@@ -265,16 +264,3 @@ class TestSequencerCache:
         assert [e.sequence for e in got] == [0, 1, 2, 3]
 
 
-class TestAdvertWindow:
-    def test_dedup_and_cap(self):
-        window = _DedupWindow(cap=4)
-        assert window.add(1) is True
-        assert window.add(1) is False
-        for i in range(2, 10):
-            window.add(i)
-        assert len(window) == 4
-        assert 1 not in window  # oldest evicted
-        assert 9 in window
-
-    def test_broker_window_is_bounded(self, net, sim, single_broker):
-        assert single_broker._seen_adverts.cap == SEEN_ADVERT_WINDOW

@@ -72,7 +72,7 @@ def test_every_mutated_broker_counter_is_registered(net):
     # ones (guards against a silent no-op lint if the AST shape ever
     # changes).
     assert {
-        "events_routed", "events_delivered", "lsas_deduped",
+        "events_routed", "events_delivered", "lsas_stale",
         "peers_evicted", "gateway_takeovers",
         "wan_parked", "sequencer_pins_set",
     } <= names
