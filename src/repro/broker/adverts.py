@@ -94,7 +94,7 @@ class Adverts:
         coverage; a version that skips one leaves the origin gapped."""
         broker = self.broker
         origin, seq = advert.origin_broker, advert.seq
-        held = self.table.epoch_of(origin)
+        held = self.table.held(origin) or 0
         verdict = self.table.offer(origin, seq)
         if verdict is ECHO:
             # Never sent to its origin: only a past life's copy (over a
@@ -107,10 +107,10 @@ class Adverts:
         flood(broker, broker._intra_sorted, advert)
         if self._apply(origin, advert.pattern, advert.add):
             self._interest_changed()
-        if seq > max(held, 0) + 1:
+        if seq > held + 1:
             # We missed a version: what we hold for the origin is no
             # longer exact.  Ask the peer the advert came from.
-            self.gaps.setdefault(origin, max(held, 0))
+            self.gaps.setdefault(origin, held)
             if from_peer is not None:
                 self._send((from_peer,), self.digest())
 
@@ -193,8 +193,10 @@ class Adverts:
                     self.table.offer(own, seq)
                     self._reoriginate(skip=None)
                 continue
-            held = self.table.epoch_of(origin)
-            if seq < held or (seq == held and origin not in self.gaps):
+            held = self.table.held(origin)
+            if held is not None and (
+                seq < held or (seq == held and origin not in self.gaps)
+            ):
                 continue
             self.table[origin] = (seq,)
             self.gaps.pop(origin, None)

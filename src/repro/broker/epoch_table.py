@@ -25,19 +25,26 @@ ECHO = "echo"    # our own origin from a past life: re-originate
 
 
 class EpochTable(dict):
-    """``origin → (epoch, *fields)``.  ``own`` is the holder's origin id
-    and ``epoch`` the last epoch it originated at, advanced only by
+    """``origin → (version, *fields)``.  ``own`` is the holder's origin
+    id and ``epoch`` the last epoch it originated at, advanced only by
     :meth:`bump`/:meth:`originate` and an :data:`ECHO`; only
-    :meth:`originate` puts the holder's own entry in the table."""
+    :meth:`originate` puts the holder's own entry in the table.
+    Versions are epochs; a subclass whose versions order otherwise
+    overrides :meth:`outranks`."""
 
     __slots__ = ("own", "epoch", "heard")
 
-    def __init__(self, own: str):
+    def __init__(self, own: Optional[str]):
         super().__init__()
         self.own = own
         self.epoch = 0
         #: peer → our epoch when its last digest arrived (:meth:`settled`).
         self.heard: Dict[str, int] = {}
+
+    @staticmethod
+    def outranks(version: Any, held: Any) -> bool:
+        """Whether ``version`` supersedes ``held`` (``None``: none held)."""
+        return held is None or version > held
 
     def bump(self) -> int:
         """Advance our epoch without storing an entry — for a holder that
@@ -51,7 +58,7 @@ class EpochTable(dict):
         self[self.own] = (self.bump(), *fields)
         return self.epoch
 
-    def offer(self, origin: str, epoch: int, *fields: Any) -> Optional[str]:
+    def offer(self, origin: str, epoch: Any, *fields: Any) -> Optional[str]:
         """Apply a received advert; returns the verdict.
 
         An advert naming *us* at an epoch we have not passed means we
@@ -64,19 +71,19 @@ class EpochTable(dict):
                 return None
             self.epoch = epoch
             return ECHO
-        if epoch <= self.epoch_of(origin):
+        if not self.outranks(epoch, self.held(origin)):
             return STALE
         self[origin] = (epoch, *fields)
         return NEWER
 
-    def epoch_of(self, origin: str) -> int:
-        """The epoch held for ``origin`` (-1 when unknown)."""
+    def held(self, origin: str) -> Any:
+        """The version held for ``origin`` (``None`` when unknown)."""
         if origin == self.own:
             return self.epoch
         entry = self.get(origin)
-        return entry[0] if entry is not None else -1
+        return entry[0] if entry is not None else None
 
-    def epochs(self) -> Dict[str, int]:
+    def epochs(self) -> Dict[str, Any]:
         """Our digest: every origin held, and us once we have originated."""
         held = {origin: entry[0] for origin, entry in self.items()}
         if self.epoch:
@@ -95,24 +102,28 @@ class EpochTable(dict):
         return settled
 
     def newer_than(
-        self, theirs: Mapping[str, int], settled: Optional[int] = None
+        self, theirs: Mapping[str, Any], settled: Optional[int] = None
     ) -> List[Tuple]:
-        """``(origin, epoch, *fields)`` of every entry strictly newer than
-        a peer's digest, in origin order — what to push to that peer (our
+        """``(origin, version, *fields)`` of every entry that outranks a
+        peer's digest, in origin order — what to push to that peer (our
         own entry only when the peer is behind ``settled`` too)."""
-        own, epoch = self.own, self.epoch if settled is None else settled
+        outranks, own = self.outranks, self.own
+        epoch = self.epoch if settled is None else settled
         return [
             (origin, *self[origin])
             for origin in sorted(self)
-            if theirs.get(origin, -1) < (epoch if origin == own else self[origin][0])
+            if outranks(epoch if origin == own else self[origin][0],
+                        theirs.get(origin))
         ]
 
-    def behind(self, theirs: Mapping[str, int]) -> bool:
-        """Whether a peer's digest holds anything strictly newer than we
-        do.  Replying with our own digest only then terminates the
-        exchange: epochs only ever advance."""
+    def behind(self, theirs: Mapping[str, Any]) -> bool:
+        """Whether a peer's digest holds anything that outranks ours.
+        Replying with our own digest only then terminates the exchange:
+        versions only ever advance."""
+        outranks = self.outranks
         return any(
-            self.epoch_of(origin) < epoch for origin, epoch in theirs.items()
+            outranks(version, self.held(origin))
+            for origin, version in theirs.items()
         )
 
 
@@ -137,12 +148,13 @@ def flood(broker, scope: Sequence[str], message: Any) -> None:
 
 
 def push_newer(
-    broker, peer: str, table: EpochTable, theirs: Mapping[str, int], message
+    broker, peer: str, table: EpochTable, theirs: Mapping[str, Any], message
 ) -> int:
     """Repair a peer from its digest ``theirs``: flood it every entry of
-    ``table`` strictly newer, as ``message(origin, epoch, *fields)`` (an
-    entry is its origin's whole value, so it is the snapshot).  Returns
-    :meth:`EpochTable.settled`, for an own value kept outside the table."""
+    ``table`` that outranks it, as ``message(origin, version, *fields,
+    covered=...)`` (an entry is its origin's whole value, so it is the
+    snapshot).  Returns :meth:`EpochTable.settled`, for an own value kept
+    outside the table."""
     settled = table.settled(peer)
     covered = frozenset((broker.broker_id,))
     for entry in table.newer_than(theirs, settled):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, FrozenSet, Optional, Set, Tuple
 
-from repro.broker.epoch_table import flood
+from repro.broker.epoch_table import NEWER, EpochTable, flood
 from repro.broker.event import NBEvent
 from repro.broker.links import SequencerPin
 from repro.broker.ordering import SEQUENCER_CACHE_MAX
@@ -38,10 +38,32 @@ SEQUENCER_PIN_MAJORITY = 0.6
 PARK_QUEUE_MAX = 2048
 
 
-def outranks(version: Tuple[int, str], held: Optional[Tuple[int, str]]) -> bool:
-    """The pin rule on ``(epoch, broker)`` versions: a higher epoch wins,
-    then the smaller broker, so every replica converges on one pin."""
-    return held is None or (-version[0], version[1]) < (-held[0], held[1])
+class PinTable(EpochTable):
+    """``topic → ((epoch, broker), pin)``: the pin held per topic, under
+    the pin rule — a higher epoch wins, then the smaller broker, so
+    every replica converges on one pin.  No topic is ours to originate."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(None)
+
+    @staticmethod
+    def outranks(
+        version: Tuple[int, str], held: Optional[Tuple[int, str]]
+    ) -> bool:
+        return held is None or (-version[0], version[1]) < (-held[0], held[1])
+
+    def pinned(self, topic: str) -> Optional[str]:
+        """The broker ``topic`` is pinned to, if any."""
+        held = self.held(topic)
+        return held[1] if held is not None else None
+
+    @staticmethod
+    def message(topic, version, pin: SequencerPin, covered) -> SequencerPin:
+        """An entry as the pin that carries it (:func:`push_newer`'s
+        ``message``)."""
+        return pin.replace(covered=covered)
 
 
 class Geo:
@@ -59,8 +81,7 @@ class Geo:
         self.stable_brokers: Set[str] = set()
         self._stable_sequencers: Dict[str, str] = {}
         self._stable_seq_gen = -1  # validated against len(stable_brokers)
-        #: topic -> the pin applied for it (epoch, broker, handoff).
-        self.pins: Dict[str, SequencerPin] = {}
+        self.pins = PinTable()
         #: topic -> origin broker -> sequenced count (current window)
         self._pin_counts: Dict[str, Dict[str, int]] = {}
         self.parked_ordered: Deque[Tuple[NBEvent, Optional[str]]] = deque()
@@ -114,11 +135,9 @@ class Geo:
 
     def pinned_sequencer(self, topic: str) -> Optional[str]:
         """The topic's pinned sequencer, while it is us or reachable."""
-        pin = self.pins.get(topic)
-        if pin is not None and (
-            pin.broker == self.broker.broker_id or pin.broker in self.broker._routes
-        ):
-            return pin.broker
+        pinned = self.pins.pinned(topic)
+        if pinned == self.broker.broker_id or pinned in self.broker._routes:
+            return pinned
         return None
 
     def parks_ordered(
@@ -155,9 +174,9 @@ class Geo:
     def _stable_sequencer_for(self, topic: str) -> str:
         """The sequencer the *full* (high-watermark) broker set elects —
         what the unreachable majority is presumed to still be using."""
-        pin = self.pins.get(topic)
-        if pin is not None:
-            return pin.broker
+        pinned = self.pins.pinned(topic)
+        if pinned is not None:
+            return pinned
         if self._stable_seq_gen != len(self.stable_brokers):
             self._stable_sequencers.clear()
             self._stable_seq_gen = len(self.stable_brokers)
@@ -198,12 +217,12 @@ class Geo:
             or leader not in broker._routes
         ):
             return
-        current = self.pins.get(topic)
+        held = self.pins.held(topic)
         own = broker.broker_id
         pin = SequencerPin(
             topic=topic,
             broker=leader,
-            epoch=(current.epoch if current is not None else 0) + 1,
+            epoch=(held[0] if held is not None else 0) + 1,
             next_sequence=broker.ordering.sequences.get(topic, 0),
             origin_broker=own,
             covered=frozenset((own,)),
@@ -213,36 +232,16 @@ class Geo:
     def on_pin(self, pin: SequencerPin) -> None:
         """Apply (and forward) a pin outranking the one held for its
         topic."""
-        held = self.pins.get(pin.topic)
-        if held is None or outranks(
-            (pin.epoch, pin.broker), (held.epoch, held.broker)
-        ):
+        if self._apply_pin(pin):
             self.broker.control_messages += 1
-            self._apply_pin(pin)
 
-    def pin_versions(self) -> Dict[str, Tuple[int, str]]:
-        """Our pin digest: topic → (epoch, broker) of every pin held."""
-        return {topic: (pin.epoch, pin.broker) for topic, pin in self.pins.items()}
-
-    def reconcile(self, theirs: Dict[str, Tuple[int, str]], from_peer: str) -> bool:
-        """Push every pin that outranks a peer's digest entry (a pin is
-        its topic's whole state, so it is the repair snapshot); returns
-        whether the peer holds a pin that outranks ours."""
-        mine = self.pin_versions()
-        covered = frozenset((self.broker.broker_id,))
-        for topic in sorted(mine):
-            if outranks(mine[topic], theirs.get(topic)):
-                pin = self.pins[topic].replace(covered=covered)
-                flood(self.broker, (from_peer,), pin)
-        return any(
-            outranks(version, mine.get(topic)) for topic, version in theirs.items()
-        )
-
-    def _apply_pin(self, pin: SequencerPin) -> None:
-        """Hold ``pin`` for its topic and flood it on."""
+    def _apply_pin(self, pin: SequencerPin) -> bool:
+        """Hold ``pin`` for its topic and flood it on, if it outranks the
+        pin held; returns whether it did."""
+        if self.pins.offer(pin.topic, (pin.epoch, pin.broker), pin) is not NEWER:
+            return False
         broker = self.broker
         ordering = broker.ordering
-        self.pins[pin.topic] = pin
         broker.sequencer_pins_set += 1
         ordering.elections.pop(pin.topic, None)
         self._stable_sequencers.pop(pin.topic, None)
@@ -252,6 +251,7 @@ class Geo:
             if pin.next_sequence > ordering.sequences.get(pin.topic, 0):
                 ordering.sequences[pin.topic] = pin.next_sequence
         flood(broker, broker._intra_sorted, pin)
+        return True
 
     # --------------------------------------------------------- parking
 

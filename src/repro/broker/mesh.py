@@ -341,7 +341,7 @@ class Mesh:
             origin_broker=broker.broker_id,
             epochs=self.member.table.epochs(),
             versions=broker.adverts.versions(),
-            pins=broker.geo.pin_versions() if broker.geo is not None else None,
+            pins=broker.geo.pins.epochs() if broker.geo is not None else None,
         )
 
     def on_advert(self, lsa: LinkStateAdvert) -> None:
@@ -364,9 +364,10 @@ class Mesh:
         behind = broker.adverts.reconcile(
             digest.versions, from_peer, settle=True
         )
-        geo = broker.geo
-        if geo is not None and digest.pins is not None:
-            behind |= geo.reconcile(digest.pins, from_peer)
+        pins = broker.geo.pins if broker.geo is not None else None
+        if pins is not None and digest.pins is not None:
+            push_newer(broker, from_peer, pins, digest.pins, pins.message)
+            behind |= pins.behind(digest.pins)
         if self.member.table.behind(digest.epochs) or behind:
             broker.host.cpu.execute(
                 broker.profile.control_cost_s,

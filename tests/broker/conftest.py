@@ -82,6 +82,6 @@ def assert_interest_converged(bnet):
             )
             if origin.adverts.table.epoch:
                 assert (
-                    holder.adverts.table.epoch_of(origin.broker_id)
+                    holder.adverts.table.held(origin.broker_id)
                     == origin.adverts.table.epoch
                 ), (holder.broker_id, origin.broker_id)

@@ -82,7 +82,7 @@ class TestFloodEchoSuppression:
                 (),
             ),
             (remote.gateway.on_interest, summary(remote, "broker-c0-0"), ()),
-            (gateway.geo.on_pin, member.geo.pins["/gmc/echo/ordered"], ()),
+            (gateway.geo.on_pin, member.geo.pins["/gmc/echo/ordered"][1], ()),
         ]
         brokers = bnet.brokers()
         flooded = []
@@ -103,7 +103,7 @@ class TestFloodEchoSuppression:
                     broker.lsas_originated,
                     broker.adverts.versions(),
                     broker.mesh.member.table.epochs(),
-                    broker.geo.pin_versions(),
+                    broker.geo.pins.epochs(),
                     broker.gateway and broker.gateway.digest(),
                 )
                 for broker in brokers

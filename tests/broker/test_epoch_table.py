@@ -1,6 +1,7 @@
 """The flooded-table epoch rule, on its own (no broker, no network)."""
 
 from repro.broker.epoch_table import ECHO, NEWER, STALE, EpochTable
+from repro.broker.geo import PinTable
 
 
 def test_offer_keeps_only_strictly_newer_epochs():
@@ -65,6 +66,21 @@ def test_an_own_epoch_is_pushed_from_the_peers_next_digest_on():
     assert table.newer_than({"me": 0}, settled) == [("me", 2, "v2")]
     assert table.settled("p") == table.settled("q") == 2
     assert table.newer_than({"me": 1}, 2) == [("me", 2, "v2")]
+
+
+def test_a_pin_table_applies_and_repairs_under_the_pin_rule():
+    """Pins use the same table under their own version order: a higher
+    epoch wins, then the smaller broker."""
+    pins = PinTable()
+    assert pins.offer("/t", (1, "b"), "pin-b") is NEWER
+    assert pins.offer("/t", (1, "c"), "pin-c") is STALE  # tie: larger broker
+    assert pins.offer("/t", (1, "a"), "pin-a") is NEWER
+    assert pins.offer("/t", (2, "z"), "pin-z") is NEWER
+    assert pins.pinned("/t") == "z" and pins.pinned("/u") is None
+    assert pins.newer_than({"/t": (1, "a")}) == [("/t", (2, "z"), "pin-z")]
+    assert pins.newer_than({"/t": (2, "z")}) == []
+    assert pins.behind({"/t": (2, "y"), "/u": (0, "q")})
+    assert not pins.behind(pins.epochs())
 
 
 def test_behind_only_when_the_peer_holds_something_strictly_newer():
