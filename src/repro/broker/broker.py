@@ -126,7 +126,6 @@ COUNTERS = (
     "wan_parked",
     "wan_park_drained",
     "wan_park_drops",
-    "wan_replays",
     "cost_reoriginations",
     "snapshots_installed",
 )
@@ -239,7 +238,9 @@ class Broker:
         # near their publishers, and a partition parks ordered topics
         # and cross-region reliable traffic until it heals.
         self.region = spec.region_of(self.broker_id)
-        self.geo: Optional[Geo] = Geo(self) if self.region is not None else None
+        self.geo: Optional[Geo] = (
+            Geo(self, spec) if self.region is not None else None
+        )
 
         # Overload protection (opt-out).  The controller is a pure
         # observer below its watermarks: pressure is read inline at the
@@ -428,6 +429,8 @@ class Broker:
         was_intercluster = peer_id in self._intercluster_peers
         self._intercluster_peers.discard(peer_id)
         self._peers_changed()
+        if self.geo is not None:
+            self.geo.link_down(peer_id)
         if self.mesh is not None:
             self.mesh.link_down(peer_id, was_intercluster)
         if not was_intercluster:
@@ -806,7 +809,7 @@ class Broker:
         self.events_routed += 1
         entry = self.resolve_route(event.topic)
         if self.geo is not None and event.reliable:
-            self.geo.track_reliable(
+            self.geo.park_unrouted(
                 event, entry.remote_targets, entry.next_hop_groups
             )
         self._deliver_local(event, exclude, entry)
@@ -966,17 +969,19 @@ class Broker:
                 key, self._routes_gen, self._compute_groups(key)
             )
         if self.geo is not None and event.reliable:
-            self.geo.track_reliable(event, key, groups)
+            self.geo.park_unrouted(event, key, groups)
         self._forward_groups(event, groups)
 
     def _forward_groups(self, event: NBEvent, groups: NextHopGroups) -> None:
+        send = self._send_peer
+        if event.reliable and self.geo is not None:
+            send = self.geo.send_reliable
         if event.trace is None:
             for next_hop, group_targets in groups:
                 peer_event = PeerEvent(event=event, targets=group_targets)
                 self.events_forwarded += 1
                 self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer, next_hop, peer_event,
+                    self.profile.forward_cost_s, send, next_hop, peer_event
                 )
             return
         # Traced fan-out: clone the event per branch (same event_id, so
@@ -991,13 +996,12 @@ class Broker:
                 hop.link = next_hop
                 self.host.cpu.execute_traced(
                     self.profile.forward_cost_s,
-                    self._send_stamped, hop, self._send_peer, next_hop,
+                    self._send_stamped, hop, send, next_hop,
                     peer_event, hop=hop,
                 )
             else:
                 self.host.cpu.execute(
-                    self.profile.forward_cost_s,
-                    self._send_peer, next_hop, peer_event,
+                    self.profile.forward_cost_s, send, next_hop, peer_event
                 )
 
     # --------------------------------------------------------- peer plane
@@ -1059,6 +1063,9 @@ class Broker:
             mesh.on_advert(payload)
         elif isinstance(payload, LinkStateDigest):
             mesh.on_digest(payload, from_peer)
+        elif isinstance(payload, EventAck):
+            if self.geo is not None:
+                self.geo.on_ack(payload, from_peer)
         elif self.gateway is None:
             return  # members are never on the gateway overlay
         elif isinstance(payload, ClusterInterestAdvert):
@@ -1070,6 +1077,8 @@ class Broker:
         self, peer_event: PeerEvent, from_peer: Optional[str] = None
     ) -> None:
         event = peer_event.event
+        if event.reliable and self.geo is not None:
+            self.geo.ack_reliable(event, from_peer)
         if self.overload is not None and self.overload.should_shed(
             event.priority, self.sim.now
         ):
@@ -1128,6 +1137,8 @@ class Broker:
             self._reap_timer = None
         if self.mesh is not None:
             self.mesh.close()
+        if self.geo is not None:
+            self.geo.close()
         for record in list(self._clients.values()):
             if record.outbox is not None:
                 record.outbox.close()

@@ -13,12 +13,14 @@ broker's pin versions.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.broker.epoch_table import NEWER, EpochTable, flood
 from repro.broker.event import NBEvent
-from repro.broker.links import SequencerPin
+from repro.broker.links import EventAck, PeerEvent, SequencerPin
 from repro.broker.ordering import SEQUENCER_CACHE_MAX
+from repro.broker.reliable import ReliableOutbox
 from repro.broker.route_cache import NextHopGroups
 from repro.obs.trace import internal_topic
 
@@ -69,13 +71,9 @@ class PinTable(EpochTable):
 class Geo:
     """Partition survival state and protocol of one regional broker."""
 
-    def __init__(self, broker):
+    def __init__(self, broker, spec):
         self.broker = broker
-        #: How long a sent event stays replayable: the worst-case lag
-        #: between a physical cut and heartbeat eviction of the dead
-        #: peer, plus slack for the route recompute that follows.
-        mesh = broker.mesh
-        self.wan_recent_window = (mesh.miss_limit + 2) * mesh.interval_s
+        self._region_of = spec.region_of
         #: High-watermark of every broker ever seen reachable — the
         #: "stable set" a partition minority measures itself against.
         self.stable_brokers: Set[str] = set()
@@ -86,26 +84,19 @@ class Geo:
         self._pin_counts: Dict[str, Dict[str, int]] = {}
         self.parked_ordered: Deque[Tuple[NBEvent, Optional[str]]] = deque()
         self.wan_parked: Deque[Tuple[NBEvent, FrozenSet[str]]] = deque()
-        #: Reliable events recently *sent* toward remote targets, kept
-        #: for one peer-eviction window: a regional cut blackholes the
-        #: wire silently, so anything forwarded between the physical cut
-        #: and the heartbeat eviction would otherwise be lost.  When a
-        #: route disappears, the overlapping tail of this buffer is
-        #: re-parked (receiver-side event-id dedup absorbs the replays
-        #: for events that did arrive).
-        self._wan_recent: Deque[Tuple[NBEvent, FrozenSet[str], float]] = deque()
+        #: WAN peer → reliable events sent to it and not yet acked.
+        self.wan_outboxes: Dict[str, ReliableOutbox] = {}
         self._drain_pending = False
 
     # ------------------------------------------------------------ hooks
 
     def routes_changed(self, reachable: Set[str]) -> None:
-        """A new route table: grow the stable set, re-park what the cut
-        swallowed, and drain what the new routes may unblock.  The broker
-        retains interest advertised by now-unreachable brokers: a cut-off
-        region is expected back, and the WAN park needs to know exactly
-        which interested brokers are owed a reliable event."""
+        """A new route table: grow the stable set and drain what the new
+        routes may unblock.  The broker retains interest advertised by
+        now-unreachable brokers: a cut-off region is expected back, and
+        the WAN park needs to know exactly which interested brokers are
+        owed a reliable event."""
         self.stable_brokers |= reachable
-        self._replay_wan_recent(reachable)
         if self.parked_ordered or self.wan_parked:
             self._schedule_drain()
 
@@ -114,12 +105,12 @@ class Geo:
         if self.wan_parked:
             self._schedule_drain()
 
-    def track_reliable(
+    def park_unrouted(
         self, event: NBEvent, targets: FrozenSet[str], groups: NextHopGroups
     ) -> None:
         """A reliable event is about to leave toward ``targets`` along
         ``groups``: park it for the interested brokers beyond a
-        partition cut, and remember the send for the replay window."""
+        partition cut."""
         if internal_topic(event.topic):
             return
         routed: Set[str] = set()
@@ -128,8 +119,69 @@ class Geo:
         missing = targets - routed
         if missing:
             self._park_wan(event, missing)
-        if routed:
-            self._note_wan_sent(event, frozenset(routed))
+
+    # ------------------------------------------------------------- WAN
+
+    def _across_wan(self, peer_id: Optional[str], event: NBEvent) -> bool:
+        """Whether a reliable ``event`` on the link to ``peer_id`` is
+        held until acked: the peer is in another region (a WAN link,
+        which drops datagrams) and the topic is not internal."""
+        region = self._region_of(peer_id) if peer_id is not None else None
+        return (
+            region is not None
+            and region != self.broker.region
+            and not internal_topic(event.topic)
+        )
+
+    def send_reliable(self, peer_id: str, message: PeerEvent) -> None:
+        """Send a reliable event to a peer.  Over a WAN link it stays in
+        that peer's outbox, resent on the outbox's timer until the peer
+        acks it: one lost copy would otherwise lose the event for every
+        subscriber behind the peer.  A WAN link already gone (the routes
+        not yet recomputed) parks it for the drain instead."""
+        broker = self.broker
+        if not self._across_wan(peer_id, message.event):
+            broker._send_peer(peer_id, message)
+            return
+        if not broker.has_peer(peer_id):
+            self._park_wan(message.event, message.targets)
+            return
+        outbox = self.wan_outboxes.get(peer_id)
+        if outbox is None:
+            outbox = self.wan_outboxes[peer_id] = ReliableOutbox(
+                broker.sim, partial(broker._send_peer, peer_id)
+            )
+        outbox.send(message)
+
+    def ack_reliable(self, event: NBEvent, from_peer: Optional[str]) -> None:
+        """Ack a reliable event that came over a WAN link — a resent
+        copy too, whose first ack was lost."""
+        if self._across_wan(from_peer, event):
+            broker = self.broker
+            broker.host.cpu.execute(
+                broker.profile.control_cost_s, broker._send_peer, from_peer,
+                EventAck(broker.broker_id, event.event_id),
+            )
+
+    def on_ack(self, ack: EventAck, from_peer: Optional[str]) -> None:
+        outbox = self.wan_outboxes.get(from_peer)
+        if outbox is not None:
+            outbox.ack(ack.event_id)
+
+    def link_down(self, peer_id: str) -> None:
+        """Stop resending to a peer whose link went down, and park what it
+        did not ack for its targets: a cut blackholes the wire silently
+        until heartbeat eviction, so those copies may all be lost.  The
+        drain after the route change forwards them by the new routes, or
+        at the heal (subscribers drop a copy that did arrive, by id)."""
+        outbox = self.wan_outboxes.pop(peer_id, None)
+        if outbox is not None:
+            for message in outbox.close():
+                self._park_wan(message.event, message.targets)
+
+    def close(self) -> None:
+        for outbox in self.wan_outboxes.values():
+            outbox.close()
 
     # ------------------------------------------------------- sequencing
 
@@ -270,35 +322,6 @@ class Geo:
         if len(self.wan_parked) > PARK_QUEUE_MAX:
             self.wan_parked.popleft()
             broker.wan_park_drops += 1
-
-    def _note_wan_sent(self, event: NBEvent, targets: FrozenSet[str]) -> None:
-        now = self.broker.sim.now
-        horizon = now - self.wan_recent_window
-        while self._wan_recent and self._wan_recent[0][2] < horizon:
-            self._wan_recent.popleft()
-        self._wan_recent.append((event, targets, now))
-        if len(self._wan_recent) > PARK_QUEUE_MAX:
-            self._wan_recent.popleft()
-
-    def _replay_wan_recent(self, reachable: Set[str]) -> None:
-        """Re-park recently forwarded reliable events whose targets just
-        fell out of the route table — they were sent into the window
-        between the physical cut and heartbeat eviction, so the wire
-        silently ate them.  Receiver-side event-id dedup absorbs the
-        replays for copies that did arrive before the cut."""
-        horizon = self.broker.sim.now - self.wan_recent_window
-        kept: Deque[Tuple[NBEvent, FrozenSet[str], float]] = deque()
-        for event, targets, at in self._wan_recent:
-            if at < horizon:
-                continue
-            lost = targets - reachable
-            if lost:
-                self.broker.wan_replays += 1
-                self._park_wan(event, frozenset(lost))
-            remaining = targets & reachable
-            if remaining:
-                kept.append((event, remaining, at))
-        self._wan_recent = kept
 
     def _schedule_drain(self) -> None:
         if self._drain_pending:

@@ -215,6 +215,11 @@ class PeerEvent(WireMessage):
         self.event = event
         self.targets = targets
 
+    @property
+    def event_id(self) -> int:
+        """The carried event's id: what a peer acks it by."""
+        return self.event.event_id
+
     def wire_size(self, envelope_bytes: int) -> int:
         event = self.event
         return (

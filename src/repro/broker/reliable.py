@@ -4,9 +4,9 @@ The paper's messaging middleware "helps to ensure QoS requirements of
 various collaboration applications" (Section 2).  Two services:
 
 * **Reliability** (:class:`ReliableOutbox`): for datagram-style client
-  links, the broker keeps a copy of each reliable event until the client
-  acknowledges it, retransmitting on a timer.  Receivers deduplicate by
-  event id (:class:`ReliableInbox`).
+  links (and a geo broker's WAN peer links), the sender keeps a copy of
+  each reliable event until the receiver acknowledges it, retransmitting
+  on a timer.  Clients deduplicate by event id (:class:`ReliableInbox`).
 * **Ordering** (:class:`OrderedInbox`): ordered topics are sequenced by a
   single sequencer broker; receivers release events in sequence order,
   buffering gaps briefly before flushing (late events are dropped as
@@ -16,7 +16,7 @@ various collaboration applications" (Section 2).  Two services:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.broker.event import NBEvent
 from repro.simnet.kernel import Simulator, Timer
@@ -42,7 +42,8 @@ class OutboxTally:
 
 
 class ReliableOutbox:
-    """Broker-side per-client store of unacknowledged reliable events.
+    """Broker-side per-client (or per-WAN-peer) store of unacknowledged
+    reliable events.
 
     ``on_abandon`` fires when an event exhausts its retry budget — the
     link is presumed dead, and the owner (the broker) can tear down the
@@ -151,14 +152,18 @@ class ReliableOutbox:
         )
         self._pending[event_id] = (event, timer, retries + 1)
 
-    def close(self) -> None:
-        for _event, timer, _retries in self._pending.values():
+    def close(self) -> List[NBEvent]:
+        """Stop resending; returns the events still unacknowledged."""
+        unacked = []
+        for event, timer, _retries in self._pending.values():
             timer.cancel()
+            unacked.append(event)
         self._tally.pending -= len(self._pending)
         self._pending.clear()
         # A send already queued on the broker's CPU when the client was
         # dropped still runs; it must not count against the owner.
         self._tally = OutboxTally()
+        return unacked
 
 
 class ReliableInbox:

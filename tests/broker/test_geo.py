@@ -258,6 +258,67 @@ def test_reliable_cross_region_traffic_queues_and_drains_exactly_once(
     assert us_seen == list(range(15)), "no duplicates from the drain"
 
 
+def test_a_reliable_event_lost_on_a_wan_link_is_resent_until_acked(
+    sim, net
+):
+    """WAN paths drop datagrams.  The first copy of one reliable event
+    over the u0–e0 link is lost: u0 resends it until e0 acks, so the
+    subscriber behind e0 still gets every event exactly once."""
+    bnet = town_hall(sim, net)
+    u0, e0 = bnet.broker("u0"), bnet.broker("e0")
+    topic = "/town/wan"
+    eu_seen = []
+    eu_sub = make_client(net, bnet.broker("e2"), "eu-sub")
+    eu_sub.subscribe(topic, lambda event: eu_seen.append(event.payload))
+    publisher = make_client(net, u0, "pub")
+    sim.run_for(2.0)
+
+    lost = []
+
+    def lossy(payload, src, datagram):
+        event = getattr(payload, "event", None)
+        if event is not None and event.payload == 2 and not lost:
+            lost.append(event)
+            return
+        e0._on_peer_message(payload, src, datagram)
+
+    e0._peer_socket.on_receive(lossy)
+    for index in range(5):
+        publisher.publish(topic, index, 200, reliable=True)
+        sim.run_for(0.05)
+    sim.run_for(2.0)
+    assert lost, "the WAN link never carried event 2"
+    assert sorted(eu_seen) == list(range(5)), "exactly once"
+    outbox = u0.geo.wan_outboxes["e0"]
+    assert outbox.retransmissions >= 1 and outbox.pending_count == 0
+
+
+def test_reliable_events_sent_into_a_silent_cut_drain_at_the_heal(sim, net):
+    """Events forwarded over a WAN link after the cable is cut but
+    before heartbeats evict the peer are never acked: the link-down
+    parks them, and the heal delivers each exactly once."""
+    bnet = town_hall(sim, net)
+    u0 = bnet.broker("u0")
+    topic = "/town/cut"
+    eu_seen = []
+    eu_sub = make_client(net, bnet.broker("e2"), "eu-sub")
+    eu_sub.subscribe(topic, lambda event: eu_seen.append(event.payload))
+    publisher = make_client(net, u0, "pub")
+    sim.run_for(2.0)
+
+    bnet.partition_regions("us")
+    for index in range(5):  # inside the eviction window
+        publisher.publish(topic, index, 200, reliable=True)
+        sim.run_for(0.02)
+    sim.run_for(2.0)
+    assert eu_seen == [] and u0.wan_parked >= 5
+    assert u0.geo.wan_outboxes == {}
+
+    bnet.heal()
+    sim.run_for(6.0)
+    assert sorted(eu_seen) == list(range(5)), "exactly once after heal"
+
+
 def test_majority_side_keeps_sequencing_during_partition(sim, net):
     """The eu side still reaches 3 of 5 stable brokers — it is not in
     the minority and ordered topics sequenced there keep flowing."""
