@@ -273,7 +273,5 @@ class Adverts:
             gateway.schedule_summary_refresh()
 
     def _send(self, peers: Iterable[str], message) -> None:
-        broker = self.broker
-        cpu, cost = broker.host.cpu, broker.profile.control_cost_s
         for peer_id in peers:
-            cpu.execute(cost, broker._send_peer, peer_id, message)
+            self.broker.send_control(peer_id, message)

@@ -1015,6 +1015,12 @@ class Broker:
         size = message.wire_size(self.profile.envelope_bytes)
         self._peer_socket.sendto(message, size, address)
 
+    def send_control(self, peer_id: str, message: Any) -> None:
+        """Send a control-plane message to a peer, after its CPU cost."""
+        self.host.cpu.execute(
+            self.profile.control_cost_s, self._send_peer, peer_id, message
+        )
+
     def _send_peer_toward(self, destination: str, message: Any) -> None:
         """Send toward a (possibly multi-hop) destination broker."""
         if destination == self.broker_id:

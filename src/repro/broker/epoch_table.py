@@ -142,9 +142,8 @@ def flood(broker, scope: Sequence[str], message: Any) -> None:
     if not onward:
         return
     message = message.replace(covered=covered.union(scope))
-    cpu, cost = broker.host.cpu, broker.profile.control_cost_s
     for peer_id in onward:
-        cpu.execute(cost, broker._send_peer, peer_id, message)
+        broker.send_control(peer_id, message)
 
 
 def push_newer(

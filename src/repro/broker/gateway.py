@@ -194,10 +194,7 @@ class Gateway:
         if self.overlay.table.behind(their_lsas) or self.interest.behind(
             their_interest
         ):
-            broker.host.cpu.execute(
-                broker.profile.control_cost_s,
-                broker._send_peer, from_peer, self.digest(),
-            )
+            broker.send_control(from_peer, self.digest())
 
     # --------------------------------------------------- active election
 

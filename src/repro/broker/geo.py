@@ -158,10 +158,8 @@ class Geo:
         copy too, whose first ack was lost."""
         if self._across_wan(from_peer, event):
             broker = self.broker
-            broker.host.cpu.execute(
-                broker.profile.control_cost_s, broker._send_peer, from_peer,
-                EventAck(broker.broker_id, event.event_id),
-            )
+            ack = EventAck(broker.broker_id, event.event_id)
+            broker.send_control(from_peer, ack)
 
     def on_ack(self, ack: EventAck, from_peer: Optional[str]) -> None:
         outbox = self.wan_outboxes.get(from_peer)

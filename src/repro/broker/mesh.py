@@ -269,18 +269,18 @@ class Mesh:
             self.member.recost()
             if gateway is not None:
                 gateway.overlay.recost()
-        cpu, cost = broker.host.cpu, broker.profile.control_cost_s
+        send = broker.send_control
         for peer_id in broker._sorted_peers:
-            cpu.execute(cost, broker._send_peer, peer_id, beat)
+            send(peer_id, beat)
             if not send_digest:
                 continue
             # Inter-cluster links repair gateway-tier state only;
             # co-gateways reconcile both tiers, so a standby's shadow
             # state survives lost overlay floods.
             if peer_id not in broker._intercluster_peers:
-                cpu.execute(cost, broker._send_peer, peer_id, self.digest())
+                send(peer_id, self.digest())
             if gateway is not None and gateway.on_overlay(peer_id):
-                cpu.execute(cost, broker._send_peer, peer_id, gateway.digest())
+                send(peer_id, gateway.digest())
         self._arm()
 
     def close(self) -> None:
@@ -297,16 +297,15 @@ class Mesh:
         subscription versions too)."""
         broker = self.broker
         self.last_heard[peer_id] = broker.sim.now
-        cpu, cost = broker.host.cpu, broker.profile.control_cost_s
         if not intercluster:
             self.member.originate()
-            cpu.execute(cost, broker._send_peer, peer_id, self.digest())
+            broker.send_control(peer_id, self.digest())
         gateway = broker.gateway
         if gateway is not None and (
             intercluster or peer_id in gateway.cluster_gateways
         ):
             gateway.overlay.originate()
-            cpu.execute(cost, broker._send_peer, peer_id, gateway.digest())
+            broker.send_control(peer_id, gateway.digest())
 
     def link_down(self, peer_id: str, intercluster: bool) -> None:
         self.last_heard.pop(peer_id, None)
@@ -369,10 +368,7 @@ class Mesh:
             push_newer(broker, from_peer, pins, digest.pins, pins.message)
             behind |= pins.behind(digest.pins)
         if self.member.table.behind(digest.epochs) or behind:
-            broker.host.cpu.execute(
-                broker.profile.control_cost_s,
-                broker._send_peer, from_peer, self.digest(),
-            )
+            broker.send_control(from_peer, self.digest())
 
     def schedule_recompute(self) -> None:
         """Debounced local route recompute (many LSAs from either tier,
