@@ -7,10 +7,12 @@ one of two operating modes:
 
 * **Central** (default, ``mesh=None``): this object computes every
   broker's shortest-path next-hop table (breadth-first) and pushes it with
-  ``set_routes`` whenever topology changes (brokers reconcile their
-  subscription adverts over a link that comes or goes themselves, by
-  digest).  Deterministic and instant — right for calibration
-  benchmarks where failure handling is not under test.
+  ``set_routes`` once per build (a builder wires every link first),
+  once per restart and once per later ``connect``, ``disconnect`` or
+  ``remove_broker`` (brokers reconcile their subscription adverts over a
+  link that comes or goes themselves, by digest).  Deterministic and
+  instant — right for calibration benchmarks where failure handling is
+  not under test.
 * **Autonomous** (``mesh=MeshTiming(...)``): brokers run peer heartbeats
   and flooded link-state adverts, detect dead peers themselves, and
   compute their own routes; this object shrinks to a topology builder
@@ -27,11 +29,12 @@ super-cluster layout NaradaBrokering favours.  Their keyword options are
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
-from repro.broker.spec import FabricSpec, MeshTiming
+from repro.broker.spec import GATEWAYS_PER_CLUSTER, FabricSpec, MeshTiming
 from repro.obs.trace import Tracer
 from repro.simnet.link import LAN_1G, LinkProfile
 from repro.simnet.network import Network
@@ -105,7 +108,14 @@ class BrokerNetwork:
 
     def connect(self, a: str, b: str) -> None:
         """Create a peer link between brokers ``a`` and ``b``."""
-        self._repeer(a, b)
+        self._wire([(a, b)])
+
+    def _wire(self, edges: Iterable[Tuple[str, str]]) -> None:
+        """Re-peer every edge in order, then (central plane) push every
+        broker's routes once — a build or a restart costs one route
+        computation, not one per link."""
+        for a, b in edges:
+            self._repeer(a, b)
         if self.spec.mesh is None:
             self._recompute_routes()
 
@@ -113,8 +123,7 @@ class BrokerNetwork:
         if b in self.graph.get(a, ()):
             del self.graph[a][b]
             del self.graph[b][a]
-        broker_a = self.broker(a)
-        broker_b = self.broker(b)
+        broker_a, broker_b = self.broker(a), self.broker(b)
         broker_a.remove_peer(b)
         broker_b.remove_peer(a)
         if self.spec.mesh is None:
@@ -133,10 +142,6 @@ class BrokerNetwork:
         if self.spec.mesh is None:
             self._recompute_routes()
         broker.close()
-
-    def _add_edge(self, a: str, b: str) -> None:
-        self.graph[a][b] = None
-        self.graph[b][a] = None
 
     def _remove_node(self, name: str) -> None:
         for peer in self.graph.pop(name):
@@ -199,21 +204,20 @@ class BrokerNetwork:
         broker = self._make_broker(name, host)
         self._brokers[name] = broker
         self.graph[name] = {}
-        for peer in sorted(former_neighbors):
-            if (
-                peer in self._brokers
-                and self._edge_key(name, peer) not in self._cut
-            ):
-                self._repeer(name, peer)
+        self._wire(
+            (name, peer)
+            for peer in sorted(former_neighbors)
+            if peer in self._brokers
+            and self._edge_key(name, peer) not in self._cut
+        )
         if self._telemetry is not None:
             self._telemetry.rebind(broker)
         return broker
 
     def _repeer(self, a: str, b: str) -> None:
-        broker_a = self.broker(a)
-        broker_b = self.broker(b)
+        broker_a, broker_b = self.broker(a), self.broker(b)
         intercluster = self.spec.intercluster(a, b)
-        self._add_edge(a, b)
+        self.graph[a][b] = self.graph[b][a] = None
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
         broker_b.add_peer(a, broker_a.peer_address, intercluster=intercluster)
 
@@ -351,12 +355,18 @@ class BrokerNetwork:
 
     @classmethod
     def _with(
-        cls, network: Network, profile: BrokerProfile,
+        cls, network: Network, profile: BrokerProfile, link: LinkProfile,
+        names: Iterable[str], edges: Iterable[Tuple[str, str]],
         tracer: Optional[Tracer] = None, **spec_fields,
     ) -> "BrokerNetwork":
-        """An empty collection from a builder's keyword options: ``tracer``
-        and :class:`~repro.broker.spec.FabricSpec` fields."""
-        return cls(network, FabricSpec(**spec_fields), profile, tracer)
+        """A collection from a builder's keyword options (``tracer`` and
+        :class:`~repro.broker.spec.FabricSpec` fields): ``names``, each
+        on its own host, wired by ``edges``."""
+        broker_network = cls(network, FabricSpec(**spec_fields), profile, tracer)
+        for name in names:
+            broker_network.add_broker(name, link=link)
+        broker_network._wire(edges)
+        return broker_network
 
     @classmethod
     def single(
@@ -364,9 +374,15 @@ class BrokerNetwork:
         link: LinkProfile = LAN_1G,
     ) -> "BrokerNetwork":
         """One broker — the paper's Figure 3 configuration."""
-        broker_network = cls(network, profile=profile)
-        broker_network.add_broker(name, link=link)
-        return broker_network
+        return cls._with(network, profile, link, [name], ())
+
+    @staticmethod
+    def _cycle(nodes: Sequence[str]) -> List[Tuple[str, str]]:
+        """Consecutive pairs, closed into a ring past two nodes."""
+        pairs = list(zip(nodes, nodes[1:]))
+        if len(nodes) > 2:
+            pairs.append((nodes[-1], nodes[0]))
+        return pairs
 
     @classmethod
     def chain(
@@ -378,13 +394,10 @@ class BrokerNetwork:
         link: LinkProfile = LAN_1G,
         **options,
     ) -> "BrokerNetwork":
-        broker_network = cls._with(network, profile, **options)
         names = [f"{name_prefix}-{i}" for i in range(count)]
-        for name in names:
-            broker_network.add_broker(name, link=link)
-        for left, right in zip(names, names[1:]):
-            broker_network.connect(left, right)
-        return broker_network
+        return cls._with(
+            network, profile, link, names, zip(names, names[1:]), **options
+        )
 
     @classmethod
     def ring(
@@ -401,13 +414,10 @@ class BrokerNetwork:
         leaves the mesh connected — the chaos-soak workhorse."""
         if count < 3:
             raise ValueError("a ring needs at least 3 brokers")
-        broker_network = cls.chain(
-            network, count, name_prefix, profile, link, **options
+        names = [f"{name_prefix}-{i}" for i in range(count)]
+        return cls._with(
+            network, profile, link, names, cls._cycle(names), **options
         )
-        broker_network.connect(
-            f"{name_prefix}-{count - 1}", f"{name_prefix}-0"
-        )
-        return broker_network
 
     @classmethod
     def star(
@@ -419,14 +429,12 @@ class BrokerNetwork:
         link: LinkProfile = LAN_1G,
         **options,
     ) -> "BrokerNetwork":
-        broker_network = cls._with(network, profile, **options)
         hub = f"{name_prefix}-hub"
-        broker_network.add_broker(hub, link=link)
-        for i in range(leaves):
-            leaf = f"{name_prefix}-{i}"
-            broker_network.add_broker(leaf, link=link)
-            broker_network.connect(hub, leaf)
-        return broker_network
+        names = [f"{name_prefix}-{i}" for i in range(leaves)]
+        return cls._with(
+            network, profile, link, [hub, *names],
+            [(hub, leaf) for leaf in names], **options,
+        )
 
     @classmethod
     def hierarchical(
@@ -446,35 +454,27 @@ class BrokerNetwork:
         also get a *redundant* second uplink from their second member, so
         crashing the primary gateway no longer isolates the cluster.
         """
-        broker_network = cls._with(network, profile, **options)
-        cluster_members: List[List[str]] = []
-        for c, size in enumerate(cluster_sizes):
-            members = [f"{name_prefix}-c{c}-{i}" for i in range(size)]
-            for name in members:
-                broker_network.add_broker(name, link=link)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    broker_network.connect(a, b)
-            if members:
-                cluster_members.append(members)
-        gateways = [members[0] for members in cluster_members]
-        primary: List[Tuple[str, str]] = list(zip(gateways, gateways[1:]))
-        if len(gateways) > 2:
-            primary.append((gateways[-1], gateways[0]))
-        for left, right in primary:
-            broker_network.connect(left, right)
-        secondaries = [
-            members[1] if len(members) > 1 else members[0]
-            for members in cluster_members
+        clusters = [
+            [f"{name_prefix}-c{c}-{i}" for i in range(size)]
+            for c, size in enumerate(cluster_sizes)
+            if size > 0
         ]
-        secondary: List[Tuple[str, str]] = list(zip(secondaries, secondaries[1:]))
-        if len(secondaries) > 2:
-            secondary.append((secondaries[-1], secondaries[0]))
+        primary = cls._cycle([members[0] for members in clusters])
         primary_edges = {frozenset(edge) for edge in primary}
-        for left, right in secondary:
-            if left != right and frozenset((left, right)) not in primary_edges:
-                broker_network.connect(left, right)
-        return broker_network
+        secondary = cls._cycle(
+            [members[min(1, len(members) - 1)] for members in clusters]
+        )
+        edges = [edge for members in clusters for edge in combinations(members, 2)]
+        edges += primary + [
+            (left, right)
+            for left, right in secondary
+            if left != right and frozenset((left, right)) not in primary_edges
+        ]
+        return cls._with(
+            network, profile, link,
+            [name for members in clusters for name in members], edges,
+            **options,
+        )
 
     @classmethod
     def clustered(
@@ -512,19 +512,18 @@ class BrokerNetwork:
                 region = regions[c % len(regions)]
                 options["regions"].setdefault(region, []).extend(members)
         options.setdefault("mesh", MeshTiming())
-        broker_network = cls._with(network, profile, clusters=clusters, **options)
-        for members in clusters.values():
-            for name in members:
-                broker_network.add_broker(name, link=link)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    broker_network.connect(a, b)
-        cluster_ids = list(clusters)
-        pairs: List[Tuple[str, str]] = list(zip(cluster_ids, cluster_ids[1:]))
-        if len(cluster_ids) > 2:
-            pairs.append((cluster_ids[-1], cluster_ids[0]))
-        for left, right in pairs:
-            for gateway_a in broker_network.spec.gateways(left):
-                for gateway_b in broker_network.spec.gateways(right):
-                    broker_network.connect(gateway_a, gateway_b)
-        return broker_network
+        edges = [
+            edge for members in clusters.values()
+            for edge in combinations(members, 2)
+        ]
+        edges += [
+            (gateway_a, gateway_b)
+            for left, right in cls._cycle(list(clusters.values()))
+            for gateway_a in left[:GATEWAYS_PER_CLUSTER]
+            for gateway_b in right[:GATEWAYS_PER_CLUSTER]
+        ]
+        return cls._with(
+            network, profile, link,
+            [name for members in clusters.values() for name in members],
+            edges, clusters=clusters, **options,
+        )

@@ -178,6 +178,24 @@ def test_disconnect_edge_recomputes_routes(net, sim):
     assert bnet.broker("b").events_forwarded >= 1
 
 
+def test_restarted_central_broker_gets_routes(net, sim):
+    """A broker restarted on the central plane is re-peered and handed a
+    route table, so a publisher on it reaches a subscriber elsewhere."""
+    bnet = BrokerNetwork.chain(net, 3)
+    subscriber = connected_client(net, sim, bnet.broker("broker-0"), "sub")
+    got = []
+    subscriber.subscribe("/t", got.append)
+    sim.run_for(1.0)
+    bnet.crash_broker("broker-1")
+    restarted = bnet.restart_broker("broker-1")
+    assert restarted._routes == {"broker-0": "broker-0", "broker-2": "broker-2"}
+    publisher = connected_client(net, sim, restarted, "pub")
+    for index in range(5):
+        publisher.publish("/t", index, 100)
+    sim.run_for(1.0)
+    assert sorted(event.payload for event in got) == [0, 1, 2, 3, 4]
+
+
 def test_crash_keeps_outbox_overflows_monotone(net, sim):
     """``outbox_overflows`` counts evictions from live *and* closed
     outboxes; closing the broker itself must fold the live ones in
