@@ -13,7 +13,13 @@ gateway runs a second tier over the gateway overlay
 (:class:`~repro.broker.gateway.Gateway`).  Both tiers flood by
 coverage (:func:`~repro.broker.epoch_table.flood`), are repaired by
 digests, and share the broker's ``lsas_*`` counters and the mesh's one
-debounced route recompute.
+route recompute.
+
+A burst of topology changes costs one origination per tier per instant
+(a broker's link-ups in one builder loop send one LSA) and a few route
+computations: the recompute is held back by RFC 8405's SPF back-off
+(https://www.rfc-editor.org/rfc/rfc8405), immediate after a quiet spell
+and later while the burst lasts.
 """
 
 from __future__ import annotations
@@ -47,6 +53,28 @@ COST_CLASSES = (
 )
 COST_CLASS_MAX = 32
 
+#: RFC 8405 SPF back-off.  The first topology event after
+#: ``HOLDDOWN_S`` without one (QUIET) recomputes after
+#: ``INITIAL_SPF_DELAY_S``; later events of the burst wait
+#: ``SHORT_SPF_DELAY_S`` (SHORT_WAIT), and once the burst has lasted
+#: ``TIME_TO_LEARN_S``, ``LONG_SPF_DELAY_S`` (LONG_WAIT).  An isolated
+#: fault recomputes at once; a build's thousands of LSA arrivals cost a
+#: few Dijkstras per broker.
+INITIAL_SPF_DELAY_S = 0.0
+SHORT_SPF_DELAY_S = 0.010
+LONG_SPF_DELAY_S = 0.050
+TIME_TO_LEARN_S = 0.100
+HOLDDOWN_S = 0.500
+
+QUIET = "quiet"
+SHORT_WAIT = "short_wait"
+LONG_WAIT = "long_wait"
+SPF_DELAY_S = {
+    QUIET: INITIAL_SPF_DELAY_S,
+    SHORT_WAIT: SHORT_SPF_DELAY_S,
+    LONG_WAIT: LONG_SPF_DELAY_S,
+}
+
 
 def cost_class(latency_s: float) -> int:
     """Quantize a configured one-way latency into a routing cost class.
@@ -59,6 +87,20 @@ def cost_class(latency_s: float) -> int:
         if latency_s < ceiling:
             return cls
     return COST_CLASS_MAX
+
+
+def spf_state(now: float, burst_start: float, last_event: float) -> str:
+    """The RFC 8405 state at ``now`` of a back-off whose current burst
+    began at ``burst_start`` and last saw an event at ``last_event``.
+
+    The RFC's hold-down timer (re-armed by every event) and learn timer
+    (armed when the burst begins) are read off these two timestamps
+    instead of being armed, so the back-off costs no kernel events."""
+    if now - last_event >= HOLDDOWN_S:
+        return QUIET
+    if now - burst_start >= TIME_TO_LEARN_S:
+        return LONG_WAIT
+    return SHORT_WAIT
 
 
 def dijkstra(
@@ -141,9 +183,23 @@ class LinkStateTier:
         self.table = EpochTable(self.broker.broker_id)
         #: Cost classes in our last originated advert (geo mode).
         self.advertised_costs: Dict[str, int] = {}
+        #: Whether an origination is scheduled for this instant.
+        self.dirty = False
 
     def originate(self) -> None:
-        """Flood a fresh advert for our current adjacency."""
+        """Our adjacency changed: advertise it once for every change of
+        this instant, at a zero-delay flush."""
+        if not self.dirty:
+            self.dirty = True
+            self.broker.sim.schedule(0.0, self._flush)
+
+    def _flush(self) -> None:
+        if self.dirty and not self.broker._closed:
+            self.advertise()
+
+    def advertise(self) -> None:
+        """Flood a fresh advert for our current adjacency, now."""
+        self.dirty = False
         broker = self.broker
         broker.lsas_originated += 1
         neighbors = frozenset(self.scope())
@@ -168,7 +224,10 @@ class LinkStateTier:
         """Re-originate only when an adjacency's *cost class* moved —
         classes derive from configured latencies, not samples, so this
         fires on real reconfiguration (a path override, a region
-        change), never on jitter.  No flap storms."""
+        change), never on jitter.  No flap storms.  An advert already
+        due this instant will carry the current classes."""
+        if self.dirty:
+            return
         current = self.mesh.cost_classes(frozenset(self.scope()))
         if current != self.advertised_costs:
             self.broker.cost_reoriginations += 1
@@ -192,7 +251,9 @@ class LinkStateTier:
             lsa.cluster_id,
         )
         if verdict is ECHO:
-            self.originate()
+            # Now, not at the flush: the jump past our past life's
+            # epoch is visible at once.
+            self.advertise()
         elif verdict is STALE:
             broker.lsas_stale += 1
         elif verdict is NEWER:
@@ -236,6 +297,9 @@ class Mesh:
         self._timer = None
         self._ticks = 0
         self._recompute_pending = False
+        #: SPF back-off (:func:`spf_state`): when the current burst of
+        #: topology events began, and when its last event was.
+        self._burst_start = self._last_event = float("-inf")
         self.member = LinkStateTier(self, lambda: broker._intra_sorted)
         self._arm()
 
@@ -371,12 +435,18 @@ class Mesh:
             broker.send_control(from_peer, self.digest())
 
     def schedule_recompute(self) -> None:
-        """Debounced local route recompute (many LSAs from either tier,
-        one Dijkstra)."""
+        """A topology event on either tier: recompute our routes after
+        the RFC 8405 delay of the state it finds, unless a recompute is
+        already due (many LSAs, one Dijkstra)."""
+        now = self.broker.sim.now
+        state = spf_state(now, self._burst_start, self._last_event)
+        if state is QUIET:
+            self._burst_start = now
+        self._last_event = now
         if self._recompute_pending:
             return
         self._recompute_pending = True
-        self.broker.sim.schedule(0.0, self._recompute)
+        self.broker.sim.schedule(SPF_DELAY_S[state], self._recompute)
 
     def _recompute(self) -> None:
         """Compute our next-hop table from the link-state databases."""

@@ -39,7 +39,7 @@ class Ordering:
         (topic, routing generation).  Validating against ``_routes_gen``
         rather than only route-table installs closes the heal window:
         the generation bumps the instant a peer link comes back
-        (``add_peer`` → ``_peers_changed``), before the debounced route
+        (``add_peer`` → ``_peers_changed``), before the held-back route
         recompute runs, so a cached pre-partition election can never be
         served after the topology visibly changed.
         """

@@ -2,12 +2,16 @@
 
 A builder lists its links and wires them all before routing.  On the
 central plane that is one breadth-first search per broker for the whole
-build, not one per broker per link.  Counts, not timings.
+build, not one per broker per link; on the link-state plane each broker
+originates one member LSA for all its link-ups, and SPF back-off
+(RFC 8405) folds the burst of arrivals into a few Dijkstras.  Counts,
+not timings.
 """
 
 import collections
 
-from repro.broker import BrokerNetwork
+from repro.broker import BrokerNetwork, MeshTiming
+from repro.broker import mesh as mesh_module
 
 SIZES = [8] * 8
 BROKERS = sum(SIZES)
@@ -68,3 +72,33 @@ def test_central_build_routes_equal_per_link_connects(sim, net, monkeypatch):
         for name, routes in routes_of(built).items()
     }
     assert routes_of(by_link) == renamed
+
+
+def count_dijkstras(monkeypatch):
+    """Count :func:`repro.broker.mesh.dijkstra` calls, by computing broker."""
+    calls = collections.Counter()
+    dijkstra = mesh_module.dijkstra
+
+    def spy(me, claimed, costs):
+        calls[me] += 1
+        return dijkstra(me, claimed, costs)
+
+    monkeypatch.setattr(mesh_module, "dijkstra", spy)
+    return calls
+
+
+def test_link_state_build_originates_one_lsa_per_broker(sim, net):
+    bnet = BrokerNetwork.hierarchical(net, SIZES, mesh=MeshTiming())
+    sim.run_for(0.5)  # before the first heartbeat tick
+    assert [b.lsas_originated for b in bnet.brokers()] == [1] * BROKERS
+
+
+def test_link_state_build_converges_in_few_dijkstras(sim, net, monkeypatch):
+    calls = count_dijkstras(monkeypatch)
+    bnet = BrokerNetwork.hierarchical(net, SIZES, mesh=MeshTiming())
+    sim.run_for(0.1)
+    for broker in bnet.brokers():
+        assert len(broker._routes) == BROKERS - 1, broker.broker_id
+    sim.run_for(0.9)
+    assert set(calls) == set(bnet.broker_ids())
+    assert max(calls.values()) <= 10, calls.most_common(3)

@@ -100,6 +100,23 @@ def test_cost_class_change_reoriginates_but_jitter_never_does(sim, net):
     assert b0.mesh.member.advertised_costs["b1"] == 8
 
 
+def test_new_link_is_no_cost_change(sim, net):
+    """A link that comes up in the instant of an anti-entropy check is
+    advertised by the origination it already scheduled, with its cost
+    class: the check finds nothing to re-originate."""
+    net.set_path_latency("b0", "b2", 0.100)
+    bnet = geo_mesh(net, {"us": ["b0", "b1", "b2"]}, [("b0", "b1"), ("b1", "b2")])
+    sim.run_for(3.0)
+    b0 = bnet.broker("b0")
+    originated = b0.lsas_originated
+    bnet.connect("b0", "b2")
+    b0.mesh.member.recost()
+    sim.run_for(0.1)
+    assert b0.cost_reoriginations == 0
+    assert b0.lsas_originated == originated + 1
+    assert b0.mesh.member.advertised_costs == {"b1": 1, "b2": 16}
+
+
 def test_gateway_tier_reoriginates_when_cost_classes_change(sim, net):
     """Region latencies configured after a clustered geo fabric came up
     move only overlay adjacencies.  The anti-entropy check must refresh

@@ -5,10 +5,16 @@ peer death via heartbeat silence, flooding LinkStateAdverts, computing
 next-hop tables locally, and reconciling databases via digests.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.broker import FAST_MESH, BrokerNetwork, FabricSpec
 from repro.broker.links import LinkStateAdvert, LinkStateDigest, PeerHeartbeat
+from repro.broker.mesh import (
+    HOLDDOWN_S, INITIAL_SPF_DELAY_S, LONG_SPF_DELAY_S, LONG_WAIT, QUIET,
+    SHORT_SPF_DELAY_S, SHORT_WAIT, TIME_TO_LEARN_S, Mesh, spf_state,
+)
 
 def ring(net, count=5):
     return BrokerNetwork.ring(net, count, mesh=FAST_MESH)
@@ -234,4 +240,114 @@ class TestTopologyOps:
         sim.run_for(0.1)
         bnet.restart_broker("broker-2")
         sim.run_for(3.0)
+        assert_full_mesh_routes(bnet)
+
+
+class ScriptedClock:
+    """A simulator stand-in whose clock the test sets; it records what
+    is scheduled instead of running it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.scheduled = []
+
+    def schedule(self, delay, callback, *args):
+        self.scheduled.append((self.now + delay, callback))
+
+
+class TestSpfBackoff:
+    """RFC 8405's QUIET → SHORT_WAIT → LONG_WAIT → QUIET machine, read
+    off the burst's first and last event times."""
+
+    def backoff(self):
+        clock = ScriptedClock()
+        # A closed broker: a due recompute only clears the pending flag.
+        broker = SimpleNamespace(
+            sim=clock, broker_id="b", _intra_sorted=(), _closed=True
+        )
+        mesh = Mesh(broker, FAST_MESH)
+        clock.scheduled.clear()  # the heartbeat tick
+
+        def event_at(now):
+            """One topology event at ``now``; returns the recompute's
+            delay, or None when one was already due."""
+            clock.now = now
+            before = len(clock.scheduled)
+            mesh.schedule_recompute()
+            if len(clock.scheduled) == before:
+                return None
+            return round(clock.scheduled[-1][0] - now, 9)
+
+        def recompute():
+            """Run the recompute that is due."""
+            due, callback = clock.scheduled.pop()
+            clock.now = due
+            callback()
+
+        return event_at, recompute
+
+    def test_states_from_timestamps(self):
+        never = float("-inf")
+        assert spf_state(0.0, never, never) == QUIET
+        assert spf_state(0.05, 0.0, 0.04) == SHORT_WAIT
+        assert spf_state(TIME_TO_LEARN_S, 0.0, 0.09) == LONG_WAIT
+        assert spf_state(0.09 + HOLDDOWN_S, 0.0, 0.09) == QUIET
+        # Hold-down expiring in SHORT_WAIT returns to QUIET directly.
+        assert spf_state(0.01 + HOLDDOWN_S, 0.0, 0.01) == QUIET
+
+    def test_burst_backs_off_then_quiet_recomputes_at_once(self):
+        event_at, recompute = self.backoff()
+        assert INITIAL_SPF_DELAY_S == 0.0
+        # QUIET → SHORT_WAIT: the first event recomputes at once.
+        assert event_at(1.0) == INITIAL_SPF_DELAY_S
+        assert event_at(1.0) is None  # same instant: already due
+        recompute()
+        # SHORT_WAIT: later events of the burst wait the short delay.
+        assert event_at(1.005) == SHORT_SPF_DELAY_S
+        assert event_at(1.008) is None
+        recompute()
+        assert event_at(1.05) == SHORT_SPF_DELAY_S
+        recompute()
+        # SHORT_WAIT → LONG_WAIT once the burst has lasted TIME_TO_LEARN.
+        assert event_at(1.1) == LONG_SPF_DELAY_S
+        recompute()
+        assert event_at(1.55) == LONG_SPF_DELAY_S  # hold-down re-armed at 1.1
+        recompute()
+        # LONG_WAIT → QUIET after HOLDDOWN without an event.
+        assert event_at(2.1) == INITIAL_SPF_DELAY_S
+        recompute()
+        # SHORT_WAIT → QUIET directly when the hold-down expires first.
+        assert event_at(2.11) == SHORT_SPF_DELAY_S
+        recompute()
+        assert event_at(2.62) == INITIAL_SPF_DELAY_S
+
+    @pytest.mark.parametrize("size", [4, 5, 6])
+    def test_isolated_fault_recomputes_at_once(self, sim, net, size):
+        """After a quiet spell, one ``disconnect`` on a ring recomputes
+        when a zero-delay debounce did: both ends at the fault's
+        instant, every other broker whose routes move at the arrival of
+        its first LSA of the fault."""
+        bnet = ring(net, count=size)
+        sim.run_for(3.0)
+        first_lsa = {}
+        for broker in bnet.brokers():
+            handler = broker.mesh.on_advert
+
+            def spy(lsa, handler=handler, me=broker.broker_id):
+                first_lsa.setdefault(me, sim.now)
+                handler(lsa)
+
+            broker.mesh.on_advert = spy
+        before = {b.broker_id: b.routing_epochs for b in bnet.brokers()}
+        fault_at = sim.now
+        bnet.disconnect("broker-0", "broker-1")
+        sim.run_for(1.0)
+        moved = [b for b in bnet.brokers() if b.routing_epochs > before[b.broker_id]]
+        assert {"broker-0", "broker-1"} <= {b.broker_id for b in moved}
+        for broker in moved:
+            expected = (
+                fault_at if broker.broker_id in ("broker-0", "broker-1")
+                else first_lsa[broker.broker_id]
+            )
+            assert broker.last_route_change_at == expected, broker.broker_id
         assert_full_mesh_routes(bnet)
