@@ -123,7 +123,8 @@ class BrokerNetwork:
         if b in self.graph.get(a, ()):
             del self.graph[a][b]
             del self.graph[b][a]
-        broker_a, broker_b = self.broker(a), self.broker(b)
+        broker_a = self.broker(a)
+        broker_b = self.broker(b)
         broker_a.remove_peer(b)
         broker_b.remove_peer(a)
         if self.spec.mesh is None:
@@ -215,7 +216,8 @@ class BrokerNetwork:
         return broker
 
     def _repeer(self, a: str, b: str) -> None:
-        broker_a, broker_b = self.broker(a), self.broker(b)
+        broker_a = self.broker(a)
+        broker_b = self.broker(b)
         intercluster = self.spec.intercluster(a, b)
         self.graph[a][b] = self.graph[b][a] = None
         broker_a.add_peer(b, broker_b.peer_address, intercluster=intercluster)
@@ -230,17 +232,22 @@ class BrokerNetwork:
         self.network.set_path_blocked(a, b, True)
 
     def restore_link(self, a: str, b: str) -> None:
-        """Un-blackhole a path; if either side evicted the other during
-        the outage, re-peer them (the administrative act of plugging the
-        cable back in — LSAs and digests then reconverge the mesh)."""
+        """Un-blackhole a path and plug its link back in (:meth:`_replug`)."""
         self._cut.discard(self._edge_key(a, b))
         self.network.set_path_blocked(a, b, False)
-        broker_a = self._brokers.get(a)
-        broker_b = self._brokers.get(b)
-        if broker_a is None or broker_b is None:
-            return  # an endpoint is crashed; restart_broker will re-peer
-        if not (broker_a.has_peer(b) and broker_b.has_peer(a)):
-            self._repeer(a, b)
+        self._replug([(a, b)])
+
+    def _replug(self, edges: Iterable[Tuple[str, str]]) -> None:
+        """Re-peer each edge whose live endpoints evicted each other
+        during an outage (the administrative act of plugging the cable
+        back in — LSAs and digests then reconverge the mesh); a crashed
+        endpoint is re-peered by :meth:`restart_broker`."""
+        live = self._brokers
+        for a, b in edges:
+            if a in live and b in live and not (
+                live[a].has_peer(b) and live[b].has_peer(a)
+            ):
+                self._repeer(a, b)
 
     def partition(self, groups: Sequence[Iterable[str]]) -> None:
         """Split the mesh: cut every live edge crossing group boundaries."""
@@ -294,25 +301,13 @@ class BrokerNetwork:
         self._region_cut.clear()
         for a, b in healed:
             self.network.set_region_blocked(a, b, False)
-        # Re-peer straddling broker links whose endpoints evicted each
-        # other during the outage — the administrative act of plugging
-        # the cable back in; LSAs and digests reconverge from there.
         healed_pairs = {frozenset(pair) for pair in healed}
-        for a, b in sorted(self._edges()):
-            region_a = self.spec.region_of(a)
-            region_b = self.spec.region_of(b)
-            if (
-                region_a is None
-                or region_b is None
-                or frozenset((region_a, region_b)) not in healed_pairs
-            ):
-                continue
-            broker_a = self._brokers.get(a)
-            broker_b = self._brokers.get(b)
-            if broker_a is None or broker_b is None:
-                continue
-            if not (broker_a.has_peer(b) and broker_b.has_peer(a)):
-                self._repeer(a, b)
+        region_of = self.spec.region_of
+        self._replug(
+            (a, b)
+            for a, b in sorted(self._edges())
+            if frozenset((region_of(a), region_of(b))) in healed_pairs
+        )
 
     def attach_telemetry(self, **options) -> "TelemetryPlane":
         """Build the telemetry plane for this fabric (DESIGN.md §11).
