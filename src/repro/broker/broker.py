@@ -31,7 +31,8 @@ the knobs the Figure 3 calibration turns.
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    AbstractSet, Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.broker.adverts import Adverts
@@ -74,7 +75,7 @@ from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.broker.reliable import OutboxTally, ReliableOutbox
 from repro.broker.route_cache import NextHopGroups, RouteCache, RouteEntry
 from repro.broker.spec import FabricSpec
-from repro.broker.topic import TopicTrie, validate_pattern
+from repro.broker.topic import PatternSummary, TopicTrie, validate_pattern
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.obs.trace import (
     TRACE_TOPIC_PREFIX,
@@ -755,32 +756,38 @@ class Broker:
     def resolve_route(self, topic: str) -> RouteEntry:
         """Resolve the full fan-out for ``topic`` (cached when fresh)."""
         generation = self.routing_generation()
-        entry = self.route_cache.lookup(topic, generation)
+        cache = self.route_cache
+        entry = cache.lookup(topic, generation)
         if entry is not None:
             return entry
         local = tuple(sorted(self._local_subs.match(topic)))
         remote = self._remote_interest.match(topic)
         remote.discard(self.broker_id)
+        # One fan-out per distinct target set, shared by its topics.
+        fanout = cache.fanout(
+            frozenset(remote), self._routes_gen, self._compute_groups
+        )
         if self.gateway is not None:
             # Tier partition for gateway re-export: foreign-gateway
             # targets (installed aggregated interest) vs own-cluster
             # members.  Standbys install nothing, so inter is empty and
             # intra degenerates to the full remote set.
             foreign = self.gateway.installed_foreign
-            inter = frozenset(origin for origin in remote if origin in foreign)
-            intra: Optional[FrozenSet[str]] = frozenset(remote) - inter
+            inter: Optional[FrozenSet[str]] = cache.intern(
+                frozenset(origin for origin in remote if origin in foreign)
+            ).targets
+            intra = cache.intern(fanout.targets - inter).targets
         else:
             inter = intra = None
         entry = RouteEntry(
-            generation, local, frozenset(remote),
-            self._compute_groups(remote),
+            generation, local, fanout.targets, fanout.groups,
             intra_targets=intra,
             inter_targets=inter,
         )
-        self.route_cache.store(topic, entry)
+        cache.store(topic, entry)
         return entry
 
-    def _compute_groups(self, targets: Set[str]) -> NextHopGroups:
+    def _compute_groups(self, targets: AbstractSet[str]) -> NextHopGroups:
         """Group target brokers by next hop, in deterministic send order."""
         grouped: Dict[str, Set[str]] = {}
         for target in targets:
@@ -1150,6 +1157,13 @@ class Broker:
                 record.outbox.close()
         self._clients.clear()
         self._clients_generation += 1
+        # A closed broker routes nothing: let its routing state go (the
+        # gateway's member interest is the union of the two tries).
+        self._local_subs.clear()
+        self._remote_interest.clear()
+        self.route_cache.clear()
+        if self.gateway is not None:
+            self.gateway.member_interest = PatternSummary()
         self._udp.close()
         self._tcp.close()
         self._ssl.close()

@@ -136,10 +136,15 @@ class BrokerClient:
         self._memo = _DispatchMemo(self._handlers)
         self._pending: List[Tuple[Any, int]] = []
         self._on_connected: Optional[Callable[["BrokerClient"], None]] = None
-        self._reliable_inbox = ReliableInbox()
-        self._ordered_inbox = OrderedInbox(self.sim, self._dispatch)
+        # Made on the first reliable / ordered event: most clients get none.
+        self._reliable_inbox: Optional[ReliableInbox] = None
+        self._ordered_inbox: Optional[OrderedInbox] = None
         self._connect_timer = None
         self._subscribe_timers = {}  # pattern -> (timer, retries)
+        #: Patterns given up while their Subscribe was unacknowledged:
+        #: each one's Unsubscribe goes out with its SubscribeAck, so it
+        #: cannot overtake the Subscribe on the way to the broker.
+        self._unsubscribe_on_ack = set()
         self._keepalive_timer = None
         self._missed_heartbeats = 0
         self._failover_backoff = ExponentialBackoff(
@@ -277,6 +282,7 @@ class BrokerClient:
         for timer in self._subscribe_timers.values():
             timer.cancel()
         self._subscribe_timers.clear()
+        self._unsubscribe_on_ack.clear()
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
             self._keepalive_timer = None
@@ -325,7 +331,7 @@ class BrokerClient:
         self.broker_id = None
         self._drop_transport().close()
         # Sequence expectations belong to the dead broker's sequencers.
-        self._ordered_inbox.reset()
+        self._reset_ordering()
         if self.on_disconnected is not None:
             self.on_disconnected(self)
         self._failover_backoff.reset()
@@ -386,7 +392,7 @@ class BrokerClient:
         self.broker_id = None
         if self._transport is not None:
             self._drop_transport().close()
-        self._ordered_inbox.reset()
+        self._reset_ordering()
         self._reconnecting = True
         self.connect(broker, self._link_type, self._proxy_address)
 
@@ -415,6 +421,7 @@ class BrokerClient:
         compiled = compile_pattern(pattern)
         self._handlers.append((pattern, compiled, handler))
         self._memo = _DispatchMemo(self._handlers)
+        self._unsubscribe_on_ack.discard(pattern)
         already_pending = pattern in self._subscribe_timers
         self._send(Subscribe(client_id=self.client_id, pattern=pattern))
         if not already_pending:
@@ -445,7 +452,8 @@ class BrokerClient:
         """Remove ``handler`` (or every handler when ``None``) from
         ``pattern``.  The broker-side Unsubscribe is only sent once the
         last handler registered under the pattern is gone, so bridges
-        sharing a topic do not tear each other down."""
+        sharing a topic do not tear each other down, and not before the
+        broker acknowledged the pattern's Subscribe."""
         if handler is None:
             self._handlers = [
                 (p, c, h) for (p, c, h) in self._handlers if p != pattern
@@ -465,6 +473,8 @@ class BrokerClient:
         timer = self._subscribe_timers.pop(pattern, None)
         if timer is not None:
             timer.cancel()
+            self._unsubscribe_on_ack.add(pattern)
+            return
         self._send(Unsubscribe(client_id=self.client_id, pattern=pattern))
 
     def publish(
@@ -513,9 +523,13 @@ class BrokerClient:
             self._on_connect_ack(message)
         elif isinstance(message, SubscribeAck):
             self.subscribe_acks += 1
-            timer = self._subscribe_timers.pop(message.pattern, None)
+            pattern = message.pattern
+            timer = self._subscribe_timers.pop(pattern, None)
             if timer is not None:
                 timer.cancel()
+            if pattern in self._unsubscribe_on_ack:
+                self._unsubscribe_on_ack.discard(pattern)
+                self._send(Unsubscribe(client_id=self.client_id, pattern=pattern))
         elif isinstance(message, HeartbeatAck):
             self._missed_heartbeats = 0
             self.heartbeats_acked += 1
@@ -588,12 +602,20 @@ class BrokerClient:
             self._send_now(
                 EventAck(client_id=self.client_id, event_id=event.event_id)
             )
+            if self._reliable_inbox is None:
+                self._reliable_inbox = ReliableInbox()
             if not self._reliable_inbox.accept(event):
                 return
         if event.sequence is not None:
+            if self._ordered_inbox is None:
+                self._ordered_inbox = OrderedInbox(self.sim, self._dispatch)
             self._ordered_inbox.accept(event)
         else:
             self._dispatch(event)
+
+    def _reset_ordering(self) -> None:
+        if self._ordered_inbox is not None:
+            self._ordered_inbox.reset()
 
     def _dispatch(self, event: NBEvent) -> None:
         self.events_received += 1

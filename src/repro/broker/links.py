@@ -696,7 +696,9 @@ class UdpClientTransport(ClientTransport):
         return self._socket.local_address
 
     def send(self, message: Any, size: int) -> None:
-        if self.killed:
+        # A send queued on the CPU before the client closed this
+        # transport (a kill, a reconnect) finds its socket gone: drop it.
+        if self.killed or self._socket.closed:
             return
         self._socket.sendto(message, size, self._broker)
 

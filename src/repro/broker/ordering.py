@@ -6,12 +6,12 @@ for a local ordered publish and a relayed ``SequenceRequest`` alike.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional
 
 from repro.broker.event import NBEvent
 from repro.broker.links import SequenceRequest
 from repro.obs.trace import HopRecord
+from repro.simnet.rng import sha256
 
 #: Bound on cached (topic → sequencer) elections.
 SEQUENCER_CACHE_MAX = 4096
@@ -77,7 +77,7 @@ class Ordering:
             candidates = [b for b in candidates if b not in foreign]
         return min(
             candidates,
-            key=lambda broker: hashlib.sha256(
+            key=lambda broker: sha256(
                 f"{topic}|{broker}".encode()
             ).hexdigest(),
         )

@@ -28,6 +28,19 @@ on ``set_routes``/peer changes, so a stale entry simply fails its
 generation check on the next lookup and is recomputed — no eager flush,
 and no possibility of serving a stale fan-out.
 
+The remote half of an entry is **shared**: many topics resolve to the
+same remote-target set (every topic under one wildcard, or a fabric
+where every broker wants everything), so the cache keeps one
+:class:`Fanout` per distinct set, and every entry that resolves to it
+holds the same frozen set and the same next-hop groups.  A shared object
+is either interned by value (the target set, and a gateway's
+intra/inter split of it) or validated against every input it was
+computed from (the groups: the target set they are keyed by, and the
+route generation that covers the route table and the peer order), so
+sharing serves nothing stale that a per-topic copy would not.  What
+belongs to one topic stays on its entry: the local targets, the local
+plan and its generation, and the send-cost memo.
+
 None of this changes simulated time: the cache only removes *Python*
 work from the reproduction itself.  The CPU costs charged through
 :class:`~repro.broker.profile.BrokerProfile` are byte-for-byte the same
@@ -36,7 +49,9 @@ numbers the slow path charges, so Figure 3 calibration is untouched.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Callable, Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.broker.profile import BrokerProfile
@@ -47,9 +62,23 @@ Generation = Tuple[int, int, int]
 #: Next-hop groups: ((peer_id, frozenset(target brokers)), ...) in send order.
 NextHopGroups = Tuple[Tuple[str, FrozenSet[str]], ...]
 
-#: Default bound on cached topics / grouped target sets (LRU-ish: oldest
-#: insertion evicted first — media workloads reuse a small working set).
+#: Default bound on cached topics / grouped target sets / fan-outs
+#: (LRU-ish: oldest insertion evicted first — media workloads reuse a
+#: small working set).
 DEFAULT_MAX_ENTRIES = 4096
+
+
+class Fanout:
+    """One distinct remote-target set and its next-hop groups, shared by
+    every entry that resolves to it; ``groups`` hold at route
+    generation ``generation`` (-1: not grouped yet)."""
+
+    __slots__ = ("targets", "generation", "groups")
+
+    def __init__(self, targets: FrozenSet[str]):
+        self.targets = targets
+        self.generation = -1
+        self.groups: NextHopGroups = ()
 
 
 class RouteEntry:
@@ -121,6 +150,11 @@ class RouteCache:
     topic's full remote fan-out), keyed on the frozen target set and the
     route-table generation alone.
 
+    And holds the :class:`Fanout` table: one per distinct remote-target
+    set, the interned set itself and its next-hop groups, shared by the
+    entries of every topic that resolves to it.  Fan-outs are not
+    counted below.
+
     Counters (exposed on the broker's statistics block):
 
     * ``hits`` — lookups served from a fresh cached entry;
@@ -129,12 +163,13 @@ class RouteCache:
       was stale (the entry is dropped and recomputed).
     """
 
-    __slots__ = ("_entries", "_groups", "max_entries", "hits", "misses",
-                 "invalidations")
+    __slots__ = ("_entries", "_groups", "_fanouts", "max_entries", "hits",
+                 "misses", "invalidations")
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         self._entries: Dict[str, RouteEntry] = {}
         self._groups: Dict[FrozenSet[str], Tuple[int, NextHopGroups]] = {}
+        self._fanouts: Dict[FrozenSet[str], Fanout] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -189,11 +224,37 @@ class RouteCache:
             self._groups.pop(next(iter(self._groups)))
         return groups
 
+    # ------------------------------------------------------------ fan-outs
+
+    def intern(self, targets: FrozenSet[str]) -> Fanout:
+        """The one :class:`Fanout` of the target set equal to ``targets``."""
+        fanout = self._fanouts.get(targets)
+        if fanout is None:
+            fanout = self._fanouts[targets] = Fanout(targets)
+            if len(self._fanouts) > self.max_entries:
+                self._fanouts.pop(next(iter(self._fanouts)))
+        return fanout
+
+    def fanout(
+        self,
+        targets: FrozenSet[str],
+        route_generation: int,
+        group: Callable[[FrozenSet[str]], NextHopGroups],
+    ) -> Fanout:
+        """The interned fan-out of ``targets``, its groups (re)computed by
+        ``group`` unless they were computed at ``route_generation``."""
+        fanout = self.intern(targets)
+        if fanout.generation != route_generation:
+            fanout.groups = group(fanout.targets)
+            fanout.generation = route_generation
+        return fanout
+
     # -------------------------------------------------------------- admin
 
     def clear(self) -> None:
         self._entries.clear()
         self._groups.clear()
+        self._fanouts.clear()
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -13,7 +13,9 @@ broker's per-event routing cost model assumes.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Set, Tuple, TypeVar
+from typing import (
+    AbstractSet, Dict, FrozenSet, Generic, Iterator, List, Set, Tuple, TypeVar,
+)
 
 T = TypeVar("T")
 
@@ -194,13 +196,21 @@ def summarize_patterns(patterns, budget: int = 64) -> Tuple[str, ...]:
     return held.summary(budget)
 
 
+#: The value set of a node that holds none: shared, so a node pays for a
+#: set only while it holds a value.
+_NONE: FrozenSet = frozenset()
+
+
 class _TrieNode(Generic[T]):
+    """One segment of the trie.  ``here`` and ``multi`` are each either
+    the shared empty ``_NONE`` or a non-empty set of the node's own."""
+
     __slots__ = ("children", "here", "multi")
 
     def __init__(self) -> None:
         self.children: Dict[str, _TrieNode[T]] = {}
-        self.here: Set[T] = set()  # subscribers whose pattern ends here
-        self.multi: Set[T] = set()  # subscribers with '#' at this point
+        self.here: AbstractSet[T] = _NONE  # subscribers whose pattern ends here
+        self.multi: AbstractSet[T] = _NONE  # subscribers with '#' at this point
 
 
 class TopicTrie(Generic[T]):
@@ -243,13 +253,18 @@ class TopicTrie(Generic[T]):
         self._count += 1
         self.generation += 1
         node = self._root
-        segments = split_topic(pattern)
-        for i, segment in enumerate(segments):
+        for segment in split_topic(pattern):
             if segment == MULTI:
-                node.multi.add(value)
+                if node.multi:
+                    node.multi.add(value)
+                else:
+                    node.multi = {value}
                 return True
             node = node.children.setdefault(segment, _TrieNode())
-        node.here.add(value)
+        if node.here:
+            node.here.add(value)
+        else:
+            node.here = {value}
         return True
 
     def remove(self, pattern: str, value: T) -> bool:
@@ -274,16 +289,29 @@ class TopicTrie(Generic[T]):
     def _remove(
         self, node: _TrieNode[T], segments: List[str], i: int, value: T
     ) -> bool:
-        """Recursive removal; returns True when ``node`` became empty."""
+        """Recursive removal of a registered value; returns True when
+        ``node`` became empty."""
         if i == len(segments):
-            node.here.discard(value)
+            node.here.remove(value)
+            if not node.here:
+                node.here = _NONE
         elif segments[i] == MULTI:
-            node.multi.discard(value)
+            node.multi.remove(value)
+            if not node.multi:
+                node.multi = _NONE
         else:
             child = node.children.get(segments[i])
             if child is not None and self._remove(child, segments, i + 1, value):
                 del node.children[segments[i]]
         return not node.children and not node.here and not node.multi
+
+    def clear(self) -> None:
+        """Drop every registration (a new generation, like any change)."""
+        self._root = _TrieNode()
+        self._by_value.clear()
+        self._pattern_refs.clear()
+        self._count = 0
+        self.generation += 1
 
     def remove_value(self, value: T) -> int:
         """Remove every pattern registered for ``value``; returns count."""

@@ -5,13 +5,26 @@ stable string name, so adding a new randomized component never perturbs the
 draws seen by existing ones.  Stability matters: experiment results must be
 bit-identical across runs and Python processes (``hash()`` is salted, so we
 use SHA-256 instead).
+
+The digest comes from CPython's builtin SHA-256 module, the way
+``random`` itself takes its ``_sha512``: ``hashlib`` would map OpenSSL's
+``libcrypto`` into every run (about 3.6 MB of resident memory) for a
+handful of digests per run.  The bytes are the same either way, so every
+draw is too.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+try:  # Python 3.12+
+    from _sha2 import sha256
+except ImportError:
+    try:  # Python 3.10 and 3.11
+        from _sha256 import sha256
+    except ImportError:  # an interpreter without the builtin module
+        from hashlib import sha256
 
 
 class SeededStreams:
@@ -26,7 +39,7 @@ class SeededStreams:
         existing = self._streams.get(name)
         if existing is not None:
             return existing
-        digest = hashlib.sha256(
+        digest = sha256(
             f"{self.master_seed}:{name}".encode("utf-8")
         ).digest()
         stream = random.Random(int.from_bytes(digest[:8], "big"))
@@ -35,7 +48,7 @@ class SeededStreams:
 
     def fork(self, name: str) -> "SeededStreams":
         """Derive a child factory, useful for per-subsystem namespaces."""
-        digest = hashlib.sha256(
+        digest = sha256(
             f"{self.master_seed}:fork:{name}".encode("utf-8")
         ).digest()
         return SeededStreams(int.from_bytes(digest[:8], "big"))

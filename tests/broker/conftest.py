@@ -30,9 +30,9 @@ def assert_maintained_state(brokers):
     from-scratch definition: the gateway's tracked member interest is
     ``_local_subs ∪ non-foreign _remote_interest`` (holder counts
     included), and the outbox tally is the per-client sum.  Only a
-    gateway builds the overlay that tracks member interest.  A live
-    broker holds local interest only for clients it has a record of
-    (``close()`` keeps the trie of a closed one).  Remote interest is
+    gateway builds the overlay that tracks member interest.  A broker
+    holds local interest only for clients it has a record of (a closed
+    one holds neither).  Remote interest is
     held only for origins the broker holds a subscription version of
     (or, on a gateway, foreign summaries it installed), and a gapped
     origin is one it holds a version of."""
@@ -47,9 +47,8 @@ def assert_maintained_state(brokers):
             for record in broker._clients.values()
             if record.outbox is not None
         ), broker.broker_id
-        if not broker._closed:
-            leaked = set(broker._local_subs.values()) - set(broker._clients)
-            assert not leaked, (broker.broker_id, sorted(leaked))
+        leaked = set(broker._local_subs.values()) - set(broker._clients)
+        assert not leaked, (broker.broker_id, sorted(leaked))
         gateway = broker.gateway
         if not broker.is_gateway:
             assert gateway is None, broker.broker_id

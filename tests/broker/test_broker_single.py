@@ -264,6 +264,43 @@ def test_subscribe_retries_survive_lossy_control_path(net, sim):
     assert broker.has_local_subscription("/t", "sub")
 
 
+def test_an_unsubscribe_never_overtakes_its_subscribe():
+    """On a jittery link the Unsubscribe of a just-made subscription
+    could arrive first, be dropped as unknown, and leave the late
+    Subscribe holding a pattern the client gave up.  It goes out with
+    the SubscribeAck instead, so no seed leaves the pattern held."""
+    from repro.simnet import Network, SeededStreams, Simulator
+
+    jittery = LinkProfile(latency_s=0.001, jitter_s=0.002)  # 2 ms ± 1 ms
+    held = 0
+    for seed in range(40):
+        sim = Simulator()
+        net = Network(sim, SeededStreams(seed))
+        broker = Broker(net.create_host("bh", link=jittery), broker_id="b0")
+        client = make_client(
+            net, sim, broker, "sub", host=net.create_host("sub", link=jittery)
+        )
+        client.subscribe("/t", lambda event: None)
+        client.unsubscribe("/t")
+        sim.run_for(2.0)
+        held += broker.has_local_subscription("/t", "sub")
+    assert held == 0
+
+
+def test_a_resubscribe_before_the_ack_keeps_the_subscription(net, sim, single_broker):
+    publisher = make_client(net, sim, single_broker, "pub")
+    subscriber = make_client(net, sim, single_broker, "sub")
+    got = []
+    subscriber.subscribe("/t", lambda event: None)
+    subscriber.unsubscribe("/t")  # waits for the SubscribeAck
+    subscriber.subscribe("/t", got.append)  # and is called off
+    sim.run_for(1.0)
+    assert single_broker.has_local_subscription("/t", "sub")
+    publisher.publish("/t", 1, 10)
+    sim.run_for(1.0)
+    assert [event.payload for event in got] == [1]
+
+
 def test_non_positive_reap_timeout_is_rejected(net):
     """``reap_timeout_s=0.0`` used to arm the reaper with a ``None``
     delay and die inside the kernel; now the argument is named."""

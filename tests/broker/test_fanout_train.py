@@ -16,7 +16,7 @@ boundaries too.
 import dataclasses
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.broker import Broker, BrokerClient, Failover
 from repro.broker.links import LinkType
@@ -337,6 +337,18 @@ def plan_run(seed, receivers, churn, walk, loss_rate=0.0):
 @given(
     st.integers(min_value=0, max_value=2**32), _receivers, _churn,
     st.sampled_from((0.0, 0.0, 0.1)),
+)
+# A subscribe queued on the CPU reaches the transport that a kill and a
+# reconnect closed under it: the write is dropped, not raised.
+@example(
+    seed=626035,
+    receivers=[(LinkType.UDP, "own")],
+    churn=[
+        ("pub", True, ("connect", LinkType.UDP), 0),
+        ("pub", False, ("kill",), 1),
+        ("pub", False, ("reconnect",), 0),
+    ],
+    loss_rate=0.1,
 )
 def test_a_plan_is_the_walk_it_stands_for(seed, receivers, churn, loss_rate):
     planned, plan_walks = plan_run(seed, receivers, churn, False, loss_rate)
