@@ -73,7 +73,9 @@ from repro.broker.ordering import Ordering
 from repro.broker.overload import NORMAL, OverloadController
 from repro.broker.profile import BrokerProfile, NARADA_PROFILE
 from repro.broker.reliable import OutboxTally, ReliableOutbox
-from repro.broker.route_cache import NextHopGroups, RouteCache, RouteEntry
+from repro.broker.route_cache import (
+    NextHopGroups, RouteCache, RouteEntry, SendCosts,
+)
 from repro.broker.spec import FabricSpec
 from repro.broker.topic import PatternSummary, TopicTrie, validate_pattern
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
@@ -133,7 +135,9 @@ COUNTERS = (
 
 
 class _ClientRecord:
-    """Broker-side state for one connected client."""
+    """Broker-side state for one connected client.  A datagram client's
+    :class:`ReliableOutbox` is made on its first reliable event
+    (``Broker._outbox``); a stream link needs none."""
 
     __slots__ = ("client_id", "link", "outbox", "last_seen")
 
@@ -141,12 +145,11 @@ class _ClientRecord:
         self,
         client_id: str,
         link: ClientLink,
-        outbox: Optional[ReliableOutbox],
         last_seen: float = 0.0,
     ):
         self.client_id = client_id
         self.link = link
-        self.outbox = outbox
+        self.outbox: Optional[ReliableOutbox] = None
         self.last_seen = last_seen
 
 
@@ -197,8 +200,11 @@ class Broker:
         self._routes: Dict[str, str] = {}
         self._routes_gen = 0
         self.adverts = Adverts(self)
-        # Routing fast path: memoized per-topic fan-out.
+        # Routing fast path: memoized per-topic fan-out, the generation
+        # triple its entries share, and the per-size send costs.
         self.route_cache = RouteCache()
+        self._generation: Tuple[int, int, int] = (-1, -1, -1)
+        self.send_costs = SendCosts(profile)
         self.ordering = Ordering(self)
 
         # Stale-client reaping: a client whose link has gone dark past
@@ -547,21 +553,11 @@ class Broker:
                 return
         if link is None:
             return
-        outbox = None  # TCP/SSL links are already reliable
-        if connection is None:
-            outbox = ReliableOutbox(
-                self.sim,
-                lambda event, l=link: l.send(EventDelivery(event)),
-                on_abandon=lambda event, cid=client_id: self._on_outbox_abandon(
-                    cid
-                ),
-                tally=self._outboxes,
-            )
         previous = self._clients.get(client_id)
         if previous is not None and previous.outbox is not None:
             previous.outbox.close()
         self._clients[client_id] = _ClientRecord(
-            client_id, link, outbox, last_seen=self.sim.now
+            client_id, link, last_seen=self.sim.now
         )
         self._clients_generation += 1
         self.host.cpu.execute(
@@ -665,6 +661,20 @@ class Broker:
             HeartbeatAck(client_id=message.client_id, broker_id=self.broker_id),
         )
 
+    def _outbox(self, record: _ClientRecord) -> ReliableOutbox:
+        """The outbox of a datagram client, made on its first reliable
+        event (TCP/SSL links are already reliable)."""
+        outbox = record.outbox
+        if outbox is None:
+            link, client_id = record.link, record.client_id
+            outbox = record.outbox = ReliableOutbox(
+                self.sim,
+                lambda event: link.send(EventDelivery(event)),
+                on_abandon=lambda event: self._on_outbox_abandon(client_id),
+                tally=self._outboxes,
+            )
+        return outbox
+
     def _on_outbox_abandon(self, client_id: str) -> None:
         """A reliable delivery exhausted its retries: the client's link is
         dead.  Drop the client so its interest is released instead of
@@ -747,11 +757,15 @@ class Broker:
         """The generation triple cached route entries are validated
         against: any subscription, advert, or route-table change bumps
         one component and lazily invalidates stale entries."""
-        return (
+        generation = (
             self._local_subs.generation,
             self._remote_interest.generation,
             self._routes_gen,
         )
+        if generation != self._generation:
+            self._generation = generation
+        # One tuple per generation, held by every entry resolved at it.
+        return self._generation
 
     def resolve_route(self, topic: str) -> RouteEntry:
         """Resolve the full fan-out for ``topic`` (cached when fresh)."""
@@ -833,7 +847,7 @@ class Broker:
             entry = self.resolve_route(event.topic)
         if not entry.local_targets:
             return
-        send_cost = entry.send_cost_s(self.profile, event.size)
+        send_cost = self.send_costs[event.size]
         alloc = self.profile.alloc_bytes_per_send
         if len(entry.local_targets) > 1:
             # The payload is about to be shared across receivers: freeze
@@ -906,9 +920,7 @@ class Broker:
                 continue
             delivered.append(client_id)
             link = record.link
-            if train is not None and link.datagram and not (
-                event.reliable and record.outbox is not None
-            ):
+            if train is not None and link.datagram and not event.reliable:
                 sends.append(link.send_sized)
                 continue
             plain = False
@@ -917,8 +929,8 @@ class Broker:
                 sends = []
             if charge_gc:
                 cpu.allocate(alloc)
-            if event.reliable and record.outbox is not None:
-                execute(send_cost, record.outbox.send, event)
+            if event.reliable and link.datagram:
+                execute(send_cost, self._outbox(record).send, event)
             else:
                 execute(send_cost, link.send_sized, *sized)
         if sends:

@@ -20,7 +20,7 @@ their bridges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broker.broker import Broker
 from repro.broker.event import NBEvent
@@ -46,6 +46,7 @@ from repro.broker.links import (
 )
 from repro.broker.reliable import OrderedInbox, ReliableInbox
 from repro.broker.topic import compile_pattern, match_segments, validate_topic
+from repro.simnet.kernel import Timer
 from repro.simnet.node import Host
 from repro.simnet.packet import Address
 from repro.util.backoff import ExponentialBackoff
@@ -107,7 +108,55 @@ class _DispatchMemo(dict):
 
 
 class BrokerClient:
-    """One collaboration endpoint attached to the broker network."""
+    """One collaboration endpoint attached to the broker network.
+
+    What only some clients use is made on first use: the failover
+    backoff, the subscribe-retry table, the unsubscribe-on-ack set, the
+    queue of messages sent before the connect completes, and the inboxes.
+    """
+
+    # ``__dict__`` only for tests that wrap a method on one client;
+    # CPython makes it when something is stored there.
+    __slots__ = (
+        "host",
+        "sim",
+        "client_id",
+        "publish_cpu_cost_s",
+        "connected",
+        "broker_id",
+        "failover",
+        "on_disconnected",
+        "on_failover",
+        "_transport",
+        "_handlers",
+        "_memo",
+        "_pending",
+        "_on_connected",
+        "_reliable_inbox",
+        "_ordered_inbox",
+        "_connect_timer",
+        "_subscribe_timers",
+        "_unsubscribe_on_ack",
+        "_keepalive_timer",
+        "_missed_heartbeats",
+        "_failover_backoff",
+        "_failover_timer",
+        "_reconnecting",
+        "_busy_hint_source",
+        "_broker",
+        "_link_type",
+        "_proxy_address",
+        "events_published",
+        "events_received",
+        "subscribe_acks",
+        "heartbeats_sent",
+        "heartbeats_acked",
+        "link_losses",
+        "failovers",
+        "subscriptions_replayed",
+        "busy_rejections",
+        "__dict__",
+    )
 
     def __init__(
         self,
@@ -134,22 +183,24 @@ class BrokerClient:
         self._transport: Optional[ClientTransport] = None
         self._handlers: List[Tuple[str, Tuple[str, ...], EventHandler]] = []
         self._memo = _DispatchMemo(self._handlers)
-        self._pending: List[Tuple[Any, int]] = []
+        #: Messages sent before the connect completed (None: none yet).
+        self._pending: Optional[List[Any]] = None
         self._on_connected: Optional[Callable[["BrokerClient"], None]] = None
         # Made on the first reliable / ordered event: most clients get none.
         self._reliable_inbox: Optional[ReliableInbox] = None
         self._ordered_inbox: Optional[OrderedInbox] = None
         self._connect_timer = None
-        self._subscribe_timers = {}  # pattern -> (timer, retries)
+        #: pattern -> its armed Subscribe retry (None while there is none).
+        self._subscribe_timers: Optional[Dict[str, Timer]] = None
         #: Patterns given up while their Subscribe was unacknowledged:
         #: each one's Unsubscribe goes out with its SubscribeAck, so it
-        #: cannot overtake the Subscribe on the way to the broker.
-        self._unsubscribe_on_ack = set()
+        #: cannot overtake the Subscribe on the way to the broker (None
+        #: while there is none).
+        self._unsubscribe_on_ack: Optional[Set[str]] = None
         self._keepalive_timer = None
         self._missed_heartbeats = 0
-        self._failover_backoff = ExponentialBackoff(
-            CONTROL_RETRY_S, FAILOVER_MAX_BACKOFF_S, first_immediate=True
-        )
+        #: Made by the first failover (None: never failed over).
+        self._failover_backoff: Optional[ExponentialBackoff] = None
         self._failover_timer = None
         self._reconnecting = False
         self._busy_hint_source: Optional[Broker] = None
@@ -279,10 +330,11 @@ class BrokerClient:
         if self._connect_timer is not None:
             self._connect_timer.cancel()
             self._connect_timer = None
-        for timer in self._subscribe_timers.values():
-            timer.cancel()
-        self._subscribe_timers.clear()
-        self._unsubscribe_on_ack.clear()
+        if self._subscribe_timers is not None:
+            for timer in self._subscribe_timers.values():
+                timer.cancel()
+            self._subscribe_timers = None
+        self._unsubscribe_on_ack = None
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
             self._keepalive_timer = None
@@ -290,7 +342,7 @@ class BrokerClient:
     def _cancel_failover(self) -> None:
         self._reconnecting = False
         self._busy_hint_source = None
-        self._failover_backoff.reset()
+        self._failover_backoff = None  # a reset backoff is a new one
         if self._failover_timer is not None:
             self._failover_timer.cancel()
             self._failover_timer = None
@@ -334,7 +386,7 @@ class BrokerClient:
         self._reset_ordering()
         if self.on_disconnected is not None:
             self.on_disconnected(self)
-        self._failover_backoff.reset()
+        self._failover_backoff = None
         self._schedule_failover_attempt()
 
     def _schedule_failover_attempt(self) -> None:
@@ -346,7 +398,8 @@ class BrokerClient:
         candidates = [
             broker for broker in brokers if broker is not self._broker
         ] or brokers
-        attempt = self._failover_backoff.attempts
+        backoff = self._backoff()
+        attempt = backoff.attempts
         broker = candidates[attempt % len(candidates)]
         if (
             self._busy_hint_source is not None
@@ -356,12 +409,20 @@ class BrokerClient:
             # dead) broker's capacity; it must not floor the delay of
             # an attempt toward a different candidate — possibly in a
             # different region entirely.
-            self._failover_backoff.clear_hint()
+            backoff.clear_hint()
         self._busy_hint_source = None
-        delay = self._failover_backoff.next_delay()
+        delay = backoff.next_delay()
         self._failover_timer = self.sim.schedule(
             delay, self._attempt_reconnect, broker
         )
+
+    def _backoff(self) -> ExponentialBackoff:
+        """The failover backoff, made by the first failover."""
+        if self._failover_backoff is None:
+            self._failover_backoff = ExponentialBackoff(
+                CONTROL_RETRY_S, FAILOVER_MAX_BACKOFF_S, first_immediate=True
+            )
+        return self._failover_backoff
 
     def _attempt_reconnect(self, broker: Broker) -> None:
         self._failover_timer = None
@@ -378,7 +439,7 @@ class BrokerClient:
         self._cancel_control_timers()
         self.connected = False
         self.broker_id = None
-        self._pending.clear()
+        self._pending = None
         if self._transport is not None:
             self._drop_transport().kill()
 
@@ -404,7 +465,7 @@ class BrokerClient:
                 continue
             replayed.add(pattern)
             self._send_now(Subscribe(client_id=self.client_id, pattern=pattern))
-            if pattern not in self._subscribe_timers:
+            if pattern not in (self._subscribe_timers or ()):
                 self._arm_subscribe_retry(pattern, 0)
         self.subscriptions_replayed += len(replayed)
 
@@ -421,8 +482,9 @@ class BrokerClient:
         compiled = compile_pattern(pattern)
         self._handlers.append((pattern, compiled, handler))
         self._memo = _DispatchMemo(self._handlers)
-        self._unsubscribe_on_ack.discard(pattern)
-        already_pending = pattern in self._subscribe_timers
+        if self._unsubscribe_on_ack is not None:
+            self._unsubscribe_on_ack.discard(pattern)
+        already_pending = pattern in (self._subscribe_timers or ())
         self._send(Subscribe(client_id=self.client_id, pattern=pattern))
         if not already_pending:
             self._arm_subscribe_retry(pattern, 0)
@@ -433,15 +495,28 @@ class BrokerClient:
         timer = self.sim.schedule(
             delay_s, self._retry_subscribe, pattern, retries
         )
+        if self._subscribe_timers is None:
+            self._subscribe_timers = {}
         self._subscribe_timers[pattern] = timer
 
+    def _take_subscribe_timer(self, pattern: str) -> Optional[Timer]:
+        """Remove the pattern's armed Subscribe retry and return it; the
+        table goes once it is empty."""
+        timers = self._subscribe_timers
+        if timers is None:
+            return None
+        timer = timers.pop(pattern, None)
+        if not timers:
+            self._subscribe_timers = None
+        return timer
+
     def _retry_subscribe(self, pattern: str, retries: int) -> None:
-        if pattern not in self._subscribe_timers:
+        if pattern not in (self._subscribe_timers or ()):
             return
         if retries >= MAX_CONTROL_RETRIES or not any(
             p == pattern for (p, _c, _h) in self._handlers
         ):
-            del self._subscribe_timers[pattern]
+            self._take_subscribe_timer(pattern)
             return
         self._send(Subscribe(client_id=self.client_id, pattern=pattern))
         self._arm_subscribe_retry(pattern, retries + 1)
@@ -470,9 +545,11 @@ class BrokerClient:
         self._memo = _DispatchMemo(self._handlers)
         if any(p == pattern for (p, _c, _h) in self._handlers):
             return  # other handlers still rely on the subscription
-        timer = self._subscribe_timers.pop(pattern, None)
+        timer = self._take_subscribe_timer(pattern)
         if timer is not None:
             timer.cancel()
+            if self._unsubscribe_on_ack is None:
+                self._unsubscribe_on_ack = set()
             self._unsubscribe_on_ack.add(pattern)
             return
         self._send(Unsubscribe(client_id=self.client_id, pattern=pattern))
@@ -504,7 +581,9 @@ class BrokerClient:
 
     def _send(self, message: Any) -> None:
         if not self.connected:
-            self._pending.append((message, 0))
+            if self._pending is None:
+                self._pending = []
+            self._pending.append(message)
             return
         self._send_now(message)
 
@@ -524,10 +603,10 @@ class BrokerClient:
         elif isinstance(message, SubscribeAck):
             self.subscribe_acks += 1
             pattern = message.pattern
-            timer = self._subscribe_timers.pop(pattern, None)
+            timer = self._take_subscribe_timer(pattern)
             if timer is not None:
                 timer.cancel()
-            if pattern in self._unsubscribe_on_ack:
+            if pattern in (self._unsubscribe_on_ack or ()):
                 self._unsubscribe_on_ack.discard(pattern)
                 self._send(Unsubscribe(client_id=self.client_id, pattern=pattern))
         elif isinstance(message, HeartbeatAck):
@@ -551,7 +630,7 @@ class BrokerClient:
                 # (floored by the hint) pick the next candidate.
                 if self._transport is not None:
                     self._drop_transport().close()
-                self._failover_backoff.note_retry_after(message.retry_after_s)
+                self._backoff().note_retry_after(message.retry_after_s)
                 self._busy_hint_source = self._broker
                 self._schedule_failover_attempt()
             else:
@@ -565,7 +644,7 @@ class BrokerClient:
             # The refusal is broker-wide, not per-pattern: push every
             # pending subscribe retry out past the hint.
             delay = max(message.retry_after_s, CONTROL_RETRY_S)
-            for pattern, timer in list(self._subscribe_timers.items()):
+            for pattern, timer in list((self._subscribe_timers or {}).items()):
                 timer.cancel()
                 self._arm_subscribe_retry(pattern, 0, delay_s=delay)
 
@@ -578,14 +657,14 @@ class BrokerClient:
             self._connect_timer.cancel()
             self._connect_timer = None
         reconnecting, self._reconnecting = self._reconnecting, False
-        self._failover_backoff.reset()
+        self._failover_backoff = None
         self._missed_heartbeats = 0
         if reconnecting:
             # Replay before flushing queued publishes, so events queued
             # during the outage see the re-established subscriptions.
             self._replay_subscriptions()
-        pending, self._pending = self._pending, []
-        for queued, _ in pending:
+        pending, self._pending = self._pending, None
+        for queued in pending or ():
             self._send_now(queued)
         if self.failover is not None and self._keepalive_timer is None:
             self._arm_keepalive()

@@ -514,6 +514,8 @@ class LinkStateDigest(WireMessage):
 class ClientLink:
     """Broker-side handle used to push messages to one connected client."""
 
+    __slots__ = ("client_id", "envelope_bytes", "events_sent", "bytes_sent")
+
     kind: LinkType = LinkType.UDP
     #: ``send_sized`` only hands one datagram to the host (no CPU work, no
     #: timer), so fan-out may queue it with ``Cpu.execute_train``.
@@ -555,6 +557,8 @@ class UdpClientLink(ClientLink):
     """Datagram link: also used for clients reached through HTTP tunnels,
     whose datagrams arrive via the proxy relay's address."""
 
+    __slots__ = ("kind", "_socket", "client_address", "send_sized")
+
     datagram = True
 
     def __init__(
@@ -570,7 +574,7 @@ class UdpClientLink(ClientLink):
         self._socket = socket
         self.client_address = client_address
         # One bound method, shared by every fan-out plan that sends here.
-        self.send_sized = self.send_sized
+        self.send_sized = self._send_datagram
 
     def _transmit(self, message: Any, size: int) -> None:
         socket = self._socket
@@ -582,8 +586,9 @@ class UdpClientLink(ClientLink):
             socket.port, self.client_address, message, size + UDP_HEADER_BYTES
         )
 
-    def send_sized(self, delivery: "EventDelivery", size: int) -> None:
-        # Fan-out path: _transmit folded in, one frame from CPU to Host.send.
+    def _send_datagram(self, delivery: "EventDelivery", size: int) -> None:
+        """``send_sized`` with ``_transmit`` folded in: one frame from
+        CPU to ``Host.send`` on the fan-out path."""
         self.events_sent += 1
         self.bytes_sent += size
         socket = self._socket
@@ -596,6 +601,8 @@ class UdpClientLink(ClientLink):
 
 
 class TcpClientLink(ClientLink):
+    __slots__ = ("connection",)
+
     kind = LinkType.TCP
 
     def __init__(self, client_id: str, envelope_bytes: int, connection: TcpConnection):
@@ -614,6 +621,8 @@ class TcpClientLink(ClientLink):
 
 class SslClientLink(TcpClientLink):
     """TCP link plus record overhead and per-byte crypto CPU cost."""
+
+    __slots__ = ("_host",)
 
     kind = LinkType.SSL
 
@@ -642,6 +651,8 @@ class SslClientLink(TcpClientLink):
 
 class ClientTransport:
     """Client-side counterpart of a :class:`ClientLink`."""
+
+    __slots__ = ("on_message", "on_event", "on_ready", "on_lost", "killed")
 
     kind: LinkType = LinkType.UDP
 
@@ -679,6 +690,8 @@ class ClientTransport:
 
 
 class UdpClientTransport(ClientTransport):
+    __slots__ = ("_socket", "_broker")
+
     kind = LinkType.UDP
 
     def __init__(self, host: Host, broker_udp: Address):
@@ -721,6 +734,8 @@ class UdpClientTransport(ClientTransport):
 
 
 class TcpClientTransport(ClientTransport):
+    __slots__ = ("_host", "_broker", "_connection")
+
     kind = LinkType.TCP
 
     def __init__(self, host: Host, broker_tcp: Address):
@@ -760,6 +775,8 @@ class TcpClientTransport(ClientTransport):
 
 class SslClientTransport(TcpClientTransport):
     """TCP transport plus simulated TLS handshake and record costs."""
+
+    __slots__ = ()
 
     kind = LinkType.SSL
 
@@ -805,6 +822,10 @@ class TunnelClientTransport(ClientTransport):
     the return path never expires — the datagram-model equivalent of the
     persistent HTTP connection a real tunnel holds open.
     """
+
+    __slots__ = (
+        "_host", "_tunnel", "_proxy", "_broker", "_closed", "_keepalive_timer",
+    )
 
     kind = LinkType.HTTP_TUNNEL
 

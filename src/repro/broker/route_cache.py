@@ -15,18 +15,18 @@ topic as a :class:`RouteEntry`:
   broker's deterministic behaviour);
 * the remote broker target set with interest in the topic;
 * the next-hop groups ``(peer, frozenset(targets))`` in flood order;
-* a per-payload-size memo of the profile send cost;
 * the local fan-out's plan: the datagram sends the broker's walk over
   the local subscribers queued last time, kept while the client table's
   generation holds, so a plain publish skips the walk.
 
 Invalidation is **generation-based and lazy**: every entry records the
 ``(local_subs, remote_interest, routes)`` generation triple it was
-computed under.  :class:`~repro.broker.topic.TopicTrie` bumps its
-generation on every mutation and the broker bumps its route generation
-on ``set_routes``/peer changes, so a stale entry simply fails its
-generation check on the next lookup and is recomputed — no eager flush,
-and no possibility of serving a stale fan-out.
+computed under (the broker's one current triple, shared by every entry
+resolved at that generation).  :class:`~repro.broker.topic.TopicTrie`
+bumps its generation on every mutation and the broker bumps its route
+generation on ``set_routes``/peer changes, so a stale entry simply fails
+its generation check on the next lookup and is recomputed — no eager
+flush, and no possibility of serving a stale fan-out.
 
 The remote half of an entry is **shared**: many topics resolve to the
 same remote-target set (every topic under one wildcard, or a fabric
@@ -39,7 +39,9 @@ computed from (the groups: the target set they are keyed by, and the
 route generation that covers the route table and the peer order), so
 sharing serves nothing stale that a per-topic copy would not.  What
 belongs to one topic stays on its entry: the local targets, the local
-plan and its generation, and the send-cost memo.
+plan and its generation.  The send cost of a payload depends on the
+broker's profile and the payload size alone, so each broker keeps one
+:class:`SendCosts` memo for all its topics.
 
 None of this changes simulated time: the cache only removes *Python*
 work from the reproduction itself.  The CPU costs charged through
@@ -81,6 +83,21 @@ class Fanout:
         self.groups: NextHopGroups = ()
 
 
+class SendCosts(dict):
+    """payload bytes -> ``profile.send_cost_s(payload bytes)``, memoized
+    on first read: same formula, same floats.  One per broker."""
+
+    __slots__ = ("profile",)
+
+    def __init__(self, profile: "BrokerProfile"):
+        super().__init__()
+        self.profile = profile
+
+    def __missing__(self, payload_bytes: int) -> float:
+        cost = self[payload_bytes] = self.profile.send_cost_s(payload_bytes)
+        return cost
+
+
 class RouteEntry:
     """The resolved fan-out for one concrete topic at one generation.
 
@@ -102,7 +119,6 @@ class RouteEntry:
         "inter_targets",
         "plan_generation",
         "local_plan",
-        "_send_costs",
     )
 
     def __init__(
@@ -125,15 +141,6 @@ class RouteEntry:
         #: broker's client table is at ``plan_generation``.
         self.local_plan: Optional[List] = None
         self.plan_generation = -1
-        self._send_costs: Dict[int, float] = {}
-
-    def send_cost_s(self, profile: "BrokerProfile", payload_bytes: int) -> float:
-        """Memoized ``profile.send_cost_s`` — same formula, same floats."""
-        cost = self._send_costs.get(payload_bytes)
-        if cost is None:
-            cost = profile.send_cost_s(payload_bytes)
-            self._send_costs[payload_bytes] = cost
-        return cost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

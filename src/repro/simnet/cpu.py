@@ -91,8 +91,26 @@ class Cpu:
     for a train: a list ``[cost, args, seq, end, fn_N, ..., fn_1]`` of
     items that share their cost and arguments, popped from the end as
     they run; ``seq`` is the next number of its reserved block, ``end``
-    the first past it.
+    the first past it.  The queue is made on the first item that waits
+    (``None`` until then): most hosts' CPUs never queue.
     """
+
+    # ``__dict__`` only for tests that wrap a method on one CPU; CPython
+    # makes it when something is stored there.
+    __slots__ = (
+        "sim",
+        "name",
+        "gc_profile",
+        "_queue",
+        "_backlog",
+        "_busy",
+        "_allocated_since_gc",
+        "busy_time",
+        "gc_pauses",
+        "gc_pause_time",
+        "tasks_executed",
+        "__dict__",
+    )
 
     def __init__(
         self,
@@ -103,7 +121,9 @@ class Cpu:
         self.sim = sim
         self.name = name
         self.gc_profile = gc_profile
-        self._queue: Deque[Tuple[float, Optional[Callable[..., Any]], Any]] = deque()
+        self._queue: Optional[
+            Deque[Tuple[float, Optional[Callable[..., Any]], Any]]
+        ] = None
         #: Queued train items beyond the one queue entry each train takes.
         self._backlog = 0
         self._busy = False
@@ -116,7 +136,8 @@ class Cpu:
     @property
     def queue_depth(self) -> int:
         """Work items waiting for the server, train items counted singly."""
-        return len(self._queue) + self._backlog
+        queue = self._queue
+        return (len(queue) if queue is not None else 0) + self._backlog
 
     def execute(self, cost_s: float, fn: Callable[..., Any], *args: Any) -> None:
         """Queue a work item needing ``cost_s`` seconds of CPU; run
@@ -124,7 +145,10 @@ class Cpu:
         if cost_s < 0:
             raise ValueError(f"negative CPU cost {cost_s}")
         if self._busy:
-            self._queue.append((cost_s, fn, args))
+            queue = self._queue
+            if queue is None:
+                queue = self._queue = deque()
+            queue.append((cost_s, fn, args))
         else:
             # Idle fast path: enter service immediately without touching
             # the deque — the dominant case in steady-state fan-out.
@@ -164,7 +188,10 @@ class Cpu:
             args = [cost_s, args, seq, end, *reversed(fns)]  # the train
             self._backlog += len(fns) - 1
         if self._busy:
-            self._queue.append((cost_s, fn, args))
+            queue = self._queue
+            if queue is None:
+                queue = self._queue = deque()
+            queue.append((cost_s, fn, args))
         else:
             self._busy = True
             self.busy_time += cost_s

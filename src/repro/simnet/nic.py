@@ -18,8 +18,7 @@ the state, the counters and the getters the overload controller reads.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Tuple
+from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from repro.simnet.kernel import Simulator
 
@@ -55,7 +54,8 @@ class Nic:
         # (service_start_time, size) of accepted packets that have not yet
         # begun serialization; the in-service packet is *not* queued, which
         # matches the event-driven queue (it popped on service start).
-        self._pending: Deque[Tuple[float, int]] = deque()
+        # Made by the first packet that waits: most NICs never queue.
+        self._pending: Optional[Deque[Tuple[float, int]]] = None
         self._queued_bytes = 0
         self.sent_packets = 0
         self.sent_bytes = 0
@@ -74,7 +74,8 @@ class Nic:
     @property
     def queue_depth(self) -> int:
         self._purge(self.sim.now)
-        return len(self._pending)
+        pending = self._pending
+        return len(pending) if pending is not None else 0
 
     @property
     def queued_bytes(self) -> int:

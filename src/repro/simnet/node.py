@@ -11,6 +11,7 @@ handler (:meth:`Host.deliver`; DESIGN.md §7).
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -53,6 +54,29 @@ def _source_address(host: "Host", port: int) -> Address:
 
 class Host:
     """A machine attached to the simulated network."""
+
+    # ``__dict__`` only for tests that wrap a method on one host; CPython
+    # makes it when something is stored there.
+    __slots__ = (
+        "network",
+        "sim",
+        "name",
+        "_link",
+        "recv_cpu_cost_s",
+        "cpu",
+        "nic",
+        "_paths",
+        "firewall",
+        "multicast_enabled",
+        "_handlers",
+        "_src_addrs",
+        "_next_ephemeral",
+        "received_packets",
+        "received_bytes",
+        "discarded_packets",
+        "firewall_blocked_packets",
+        "__dict__",
+    )
 
     def __init__(
         self,
@@ -180,6 +204,8 @@ class Host:
                     nic._queued_bytes = queued
                     nic.dropped_packets += 1
                     return False
+                if pending is None:  # the first packet this NIC queues
+                    pending = nic._pending = deque()
                 pending.append((free_at, size))
                 nic._queued_bytes = queued + size
                 tx_done = free_at + size * nic._sec_per_byte
@@ -245,7 +271,10 @@ class Host:
         self.received_bytes += datagram.size
         cpu = self.cpu
         if cpu._busy:
-            cpu._queue.append((cost, handler, (datagram,)))
+            queue = cpu._queue
+            if queue is None:  # the first item this CPU queues
+                queue = cpu._queue = deque()
+            queue.append((cost, handler, (datagram,)))
             return
         cpu._busy = True
         cpu.busy_time += cost

@@ -18,12 +18,22 @@ ReceiveCallback = Callable[[Any, Address, Datagram], None]
 class UdpSocket:
     """A bound datagram socket on a simulated host."""
 
+    __slots__ = (
+        "host",
+        "port",
+        "_callback",
+        "closed",
+        "_joined_groups",
+        "sent_packets",
+        "received_packets",
+    )
+
     def __init__(self, host: Host, port: Optional[int] = None):
         self.host = host
         self.port = host.allocate_port() if port is None else port
         self._callback: Optional[ReceiveCallback] = None
         self.closed = False  # plain attribute: links test it per send
-        self._joined_groups: set = set()
+        self._joined_groups: Optional[set] = None  # made by join_group
         host.bind(self.port, self._on_datagram)
         self.sent_packets = 0
         self.received_packets = 0
@@ -46,17 +56,20 @@ class UdpSocket:
     def join_group(self, group: str) -> None:
         """Subscribe this socket to a multicast group."""
         self.host.network.join_group(group, self.local_address)
+        if self._joined_groups is None:
+            self._joined_groups = set()
         self._joined_groups.add(group)
 
     def leave_group(self, group: str) -> None:
         self.host.network.leave_group(group, self.local_address)
-        self._joined_groups.discard(group)
+        if self._joined_groups is not None:
+            self._joined_groups.discard(group)
 
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
-        for group in list(self._joined_groups):
+        for group in list(self._joined_groups or ()):
             self.leave_group(group)
         self.host.unbind(self.port)
 

@@ -128,6 +128,14 @@ class SipProxy(SipEndpoint):
         next_via = response.get("Via")
         if next_via is None:
             return
+        if response.is_final:
+            # The relayed request's server transaction ends with it.  The
+            # raw CSeq, as a malformed one must not raise out of here.
+            method = (response.get("CSeq") or "").partition(" ")[2]
+            key = (response.top_via_branch() or "", method)
+            transaction = self._server_transactions.get(key)
+            if transaction is not None:
+                self._server_done(transaction)
         self.forwarded_responses += 1
         hop = next_via.split(" ", 1)[1].split(";")[0]
         host, _, port = hop.partition(":")

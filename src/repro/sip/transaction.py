@@ -2,14 +2,16 @@
 
 Client transactions retransmit the request on the RFC 3261 timer ladder
 (T1 doubling) until a response arrives; server transactions remember the
-last response and replay it when a retransmitted request comes in.  The
-shared :class:`SipEndpoint` owns the socket, parses wire text, and routes
+last response and replay it when a retransmitted request comes in, for
+:data:`SERVER_LINGER_S` after their final response.  The shared
+:class:`SipEndpoint` owns the socket, parses wire text, and routes
 messages to the right transaction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.simnet.kernel import Timer
 from repro.simnet.node import Host
@@ -29,6 +31,11 @@ SIP_PORT = 5060
 #: allows ~10 retransmissions on the doubling ladder capped at 4 s).
 T1_S = 0.5
 MAX_RETRANSMITS = 10
+#: How long a server transaction outlives its final response, replaying
+#: it to retransmitted requests: RFC 3261 §17.2.2 Timer J, and RFC 6026
+#: Timer L for an INVITE.  A client retransmits for at most Timer F
+#: (64*T1) after its first send, so every retransmission lands inside.
+SERVER_LINGER_S = 64 * T1_S
 
 ResponseCallback = Callable[[SipResponse], None]
 
@@ -116,6 +123,8 @@ class ServerTransaction:
 
     def respond(self, response: SipResponse) -> None:
         self.last_response = response
+        if response.is_final:
+            self.endpoint._server_done(self)
         self.endpoint._send_text(response.render(), self.source)
 
     def replay(self) -> None:
@@ -133,6 +142,11 @@ class SipEndpoint:
         self.socket.on_receive(self._on_datagram)
         self._client_transactions: Dict[str, ClientTransaction] = {}
         self._server_transactions: Dict[Tuple[str, str], ServerTransaction] = {}
+        #: (reap time, transaction) in final-response order, made by the
+        #: first final response; reaped lazily as later requests arrive.
+        self._lingering: Optional[
+            Deque[Tuple[float, ServerTransaction]]
+        ] = None
         self.requests_received = 0
         self.responses_received = 0
         self.parse_errors = 0
@@ -165,6 +179,23 @@ class SipEndpoint:
     def _client_done(self, transaction: ClientTransaction) -> None:
         self._client_transactions.pop(transaction.branch, None)
 
+    def _server_done(self, transaction: ServerTransaction) -> None:
+        """A final response went out: the transaction answers
+        retransmissions for :data:`SERVER_LINGER_S` more."""
+        if self._lingering is None:
+            self._lingering = deque()
+        self._lingering.append((self.sim.now + SERVER_LINGER_S, transaction))
+
+    def _reap(self, now: float) -> None:
+        """Forget the server transactions whose linger ran out by ``now``
+        (no timer: a request arriving is what looks)."""
+        lingering = self._lingering
+        transactions = self._server_transactions
+        while lingering and lingering[0][0] <= now:
+            transaction = lingering.popleft()[1]
+            if transactions.get(transaction.key) is transaction:
+                del transactions[transaction.key]
+
     # ---------------------------------------------------------- receiving
 
     def _on_datagram(self, payload, src: Address, datagram) -> None:
@@ -185,6 +216,7 @@ class SipEndpoint:
                 self.on_unmatched_response(message, src)
             return
         self.requests_received += 1
+        self._reap(self.sim.now)
         request: SipRequest = message
         if request.method == "ACK":
             # ACK never creates a transaction.

@@ -27,6 +27,16 @@ class ExponentialBackoff:
     away" behaviour — without consuming an exponent step.
     """
 
+    __slots__ = (
+        "base_s",
+        "cap_s",
+        "jitter_frac",
+        "_rng",
+        "first_immediate",
+        "attempts",
+        "retry_after_s",
+    )
+
     def __init__(
         self,
         base_s: float,

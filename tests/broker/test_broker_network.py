@@ -209,7 +209,8 @@ def test_crash_keeps_outbox_overflows_monotone(net, sim):
     # A subscriber that stops acking, behind a 3-deep outbox: 8 reliable
     # events evict the 5 oldest.
     net.set_path_blocked("b0", "sub", True)
-    broker._clients["sub"].outbox.max_pending = 3
+    # Made here, before the client's first reliable event would make it.
+    broker._outbox(broker._clients["sub"]).max_pending = 3
     for index in range(8):
         publisher.publish("/t", index, 100, reliable=True)
     sim.run_for(0.2)

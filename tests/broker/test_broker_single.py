@@ -236,7 +236,7 @@ def test_duplicate_subscribe_shares_one_retry_timer(net, sim, single_broker):
     subscriber.subscribe("/t", second.append)  # ack still in flight
     assert len(subscriber._subscribe_timers) == 1
     sim.run_for(2.0)  # ack lands, retry timer cancelled
-    assert subscriber._subscribe_timers == {}
+    assert subscriber._subscribe_timers is None  # and the table let go
     publisher.publish("/t", "x", 10)
     sim.run_for(1.0)
     assert len(first) == 1 and len(second) == 1
@@ -260,7 +260,7 @@ def test_subscribe_retries_survive_lossy_control_path(net, sim):
     subscriber.subscribe("/t", second.append)
     sim.run_for(20.0)  # retries push the Subscribe through the loss
     assert subscriber.subscribe_acks >= 1
-    assert subscriber._subscribe_timers == {}
+    assert subscriber._subscribe_timers is None
     assert broker.has_local_subscription("/t", "sub")
 
 

@@ -483,7 +483,7 @@ def test_busy_hint_does_not_floor_failover_to_another_region(sim, net):
 
     # White-box: mid-reconnect, u0 just answered Busy(retry_after=5).
     client._reconnecting = True
-    client._failover_backoff.note_retry_after(5.0)
+    client._backoff().note_retry_after(5.0)
     client._busy_hint_source = client._broker
     client._schedule_failover_attempt()
     # The rotation excludes the current broker, so the candidate is e0 —
@@ -500,7 +500,7 @@ def test_busy_hint_still_floors_retry_toward_the_same_broker(sim, net):
     sim.run_for(1.0)
 
     client._reconnecting = True
-    client._failover_backoff.note_retry_after(5.0)
+    client._backoff().note_retry_after(5.0)
     client._busy_hint_source = client._broker
     client._schedule_failover_attempt()
     # Only candidate is the busy broker itself: honor its estimate.

@@ -1,13 +1,17 @@
-"""Memory budget: a broker's routing state grows with what is distinct.
+"""Memory budget: a broker's routing state grows with what is distinct,
+and an idle endpoint holds only what it uses.
 
 Counts and identities, not bytes, so every Python version agrees: one
-shared fan-out per distinct remote-target set, trie nodes that hold no
+shared fan-out per distinct remote-target set, one send-cost memo per
+broker, one generation tuple per generation, trie nodes that hold no
 empty set of their own, cached entries that still equal a from-scratch
-resolve once they share, inboxes made only for the clients that use
-them, a closed broker that keeps no routing state, and no OpenSSL
-mapped for the simulator's two SHA-256 uses.
+resolve once they share, inboxes, outboxes, CPU queues and NIC ledgers
+made only where they are used, per-endpoint objects without an
+instance dict, a closed broker that keeps no routing state, and no
+OpenSSL mapped for the simulator's two SHA-256 uses.
 """
 
+import gc
 import hashlib
 import os
 import random
@@ -15,8 +19,9 @@ import subprocess
 import sys
 
 import repro
-from repro.broker import FAST_MESH, BrokerNetwork
+from repro.broker import FAST_MESH, BrokerNetwork, LinkType
 from repro.simnet import SeededStreams
+from repro.util.backoff import ExponentialBackoff
 
 from tests.broker.conftest import assert_maintained_state, make_client
 
@@ -60,8 +65,12 @@ def test_topics_with_one_target_set_share_one_fanout(net, sim):
         fanout = broker.route_cache._fanouts[others]
         assert entries[0].remote_targets is fanout.targets
         assert entries[0].next_hop_groups is fanout.groups
-        # Per-topic state stays per topic.
-        assert len({id(entry._send_costs) for entry in entries}) == len(topics)
+        # Resolved at one generation: one tuple, the broker's own.
+        assert len({id(entry.generation) for entry in entries}) == 1
+        assert entries[0].generation is broker.routing_generation()
+        # Send costs: one memo per broker, none per topic.
+        assert not any(hasattr(entry, "_send_costs") for entry in entries)
+        assert broker.send_costs == {100: broker.profile.send_cost_s(100)}
 
 
 def churn(bnet, net, sim, seed, steps=60):
@@ -153,6 +162,86 @@ def test_inboxes_are_made_for_the_clients_that_use_them(net, sim, single_broker)
     assert reliable._ordered_inbox is None
     assert ordered._reliable_inbox is None
     assert ordered._ordered_inbox is not None
+
+
+def test_a_host_that_never_queued_holds_no_queue(net, sim, single_broker):
+    """A CPU queue and a NIC ledger are made by the first item that
+    waits: a burst makes both on the publisher's host, and a subscriber
+    that takes one datagram at a time holds neither."""
+    publisher = make_client(net, sim, single_broker, "pub")
+    quiet = make_client(net, sim, single_broker, "quiet")
+    quiet.subscribe("/t", lambda event: None)
+    sim.run_for(1.0)
+    for index in range(5):  # one burst: the items wait behind each other
+        publisher.publish("/t", index, 1000)
+    sim.run_for(1.0)
+    assert quiet.events_received == 5
+    assert quiet.host.cpu._queue is None and quiet.host.nic._pending is None
+    busy = publisher.host
+    assert busy.cpu._queue is not None and busy.nic._pending is not None
+    for host in (quiet.host, busy):
+        assert host.cpu.queue_depth == host.nic.queue_depth == 0
+
+
+def stray_values(obj):
+    """What ``obj`` holds outside its slots: the values of an instance
+    dict, read off the collector's referents so no dict is made."""
+    held = [
+        getattr(obj, name)
+        for cls in type(obj).__mro__
+        for name in vars(cls).get("__slots__", ())
+        if name != "__dict__" and hasattr(obj, name)
+    ]
+    return [
+        value
+        for value in gc.get_referents(obj)
+        if value is not type(obj) and not any(value is h for h in held)
+    ]
+
+
+def test_endpoints_carry_no_instance_dict(net, sim, single_broker):
+    """Hosts, CPUs, sockets, clients, their transports and the broker's
+    client links hold their state in slots; a client's retry table,
+    unsubscribe set, pending list and failover backoff, and the broker's
+    outbox for it, are made on first use."""
+    publisher = make_client(net, sim, single_broker, "pub")
+    udp = make_client(net, sim, single_broker, "udp")
+    tcp = make_client(net, sim, single_broker, "tcp", link_type=LinkType.TCP)
+    ssl = make_client(net, sim, single_broker, "ssl", link_type=LinkType.SSL)
+    for client in (udp, tcp):
+        client.subscribe("/t", lambda event: None)
+    sim.run_for(1.0)
+    publisher.publish("/t", None, 100)
+    sim.run_for(1.0)
+    assert udp.events_received == tcp.events_received == 1
+    clients = (publisher, udp, tcp, ssl)
+    objects = [ExponentialBackoff(0.5, 8.0)]
+    for client in clients:
+        assert client._failover_backoff is None
+        assert client._subscribe_timers is None
+        assert client._unsubscribe_on_ack is None
+        assert client._pending is None
+        host = client.host
+        objects += [client, client._transport, host, host.cpu]
+    objects += [record.link for record in single_broker._clients.values()]
+    objects += [single_broker._udp, udp._transport._socket]
+    assert {type(obj).__name__ for obj in objects} >= {
+        "BrokerClient", "UdpClientTransport", "TcpClientTransport",
+        "SslClientTransport", "UdpClientLink", "TcpClientLink",
+        "SslClientLink", "Host", "Cpu", "UdpSocket", "ExponentialBackoff",
+    }
+    for obj in objects:
+        assert stray_values(obj) == [], type(obj).__name__
+        if "__dict__" not in type(obj).__slots__:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+    # A plain event made no outbox; the broker keeps none for TCP.
+    assert all(
+        record.outbox is None for record in single_broker._clients.values()
+    )
+    publisher.publish("/t", None, 100, reliable=True)
+    sim.run_for(1.0)
+    assert single_broker._clients["udp"].outbox is not None
+    assert single_broker._clients["tcp"].outbox is None
 
 
 def test_a_closed_broker_lets_its_routing_state_go(net, sim):

@@ -12,6 +12,7 @@ from repro.broker import (
     FAST_MESH, BrokerClient, BrokerNetwork, RouteCache, RouteEntry,
 )
 from repro.broker.profile import NARADA_PROFILE
+from repro.broker.route_cache import SendCosts
 
 from tests.broker.conftest import make_client
 
@@ -55,11 +56,10 @@ class TestRouteCacheUnit:
         assert cache.invalidations == 1
 
     def test_send_cost_memo_matches_profile(self):
-        entry = self.entry((0, 0, 0))
+        costs = SendCosts(NARADA_PROFILE)  # a broker's one memo
         for size in (100, 800, 100):
-            assert entry.send_cost_s(NARADA_PROFILE, size) == (
-                NARADA_PROFILE.send_cost_s(size)
-            )
+            assert costs[size] == NARADA_PROFILE.send_cost_s(size)
+        assert sorted(costs) == [100, 800]
 
     def test_clear_and_stats(self):
         cache = RouteCache()

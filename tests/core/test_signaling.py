@@ -347,14 +347,28 @@ def test_busy_without_retries_counts_and_times_out(net, sim, broker):
     assert timeouts == [True]
 
 
+def _attributes(obj):
+    """The attribute values of ``obj``, in slots or in its dict."""
+    if obj is None:
+        return []
+    names = [
+        name
+        for cls in type(obj).__mro__
+        for name in vars(cls).get("__slots__", ())
+        if name != "__dict__" and hasattr(obj, name)
+    ]
+    values = [getattr(obj, name) for name in names]
+    return values + list(getattr(obj, "__dict__", {}).values())
+
+
 def _randoms_held(client):
     """``random.Random`` objects reachable from a client's own state and
-    from its broker client's retry policy."""
+    from its broker client's retry policy (made by its first failover)."""
     import random
 
-    held = list(vars(client).values())
-    held += list(vars(client.broker_client).values())
-    held += list(vars(client.broker_client._failover_backoff).values())
+    held = _attributes(client)
+    held += _attributes(client.broker_client)
+    held += _attributes(client.broker_client._failover_backoff)
     return [value for value in held if isinstance(value, random.Random)]
 
 

@@ -15,9 +15,11 @@ Two tiers:
   exempt: enums/exceptions are never allocated per event, and named
   tuples have no instance dict to begin with).
 * **Hot classes** — modules that legitimately mix connection-scoped
-  (dict) classes with per-packet ones; only the named classes must be
-  slotted.  This also covers every ``WireMessage`` subclass in
-  ``broker.links`` so new wire messages cannot regress.
+  (dict) classes with per-packet ones, and the classes every simulated
+  endpoint holds one of (host, CPU, socket, broker client, transport,
+  client link, backoff); only the named classes must be slotted.  This
+  also covers every ``WireMessage`` subclass in ``broker.links`` so new
+  wire messages cannot regress.
 """
 
 import ast
@@ -38,10 +40,26 @@ FULLY_SLOTTED_MODULES = (
 )
 
 #: (module, class) pairs in modules that also contain connection-scoped
-#: classes where a dict is fine; only the listed classes are hot.
+#: classes where a dict is fine; only the listed classes are hot.  The
+#: per-endpoint classes are here too: one instance per simulated host or
+#: client, so a dict creeping back costs every endpoint of a run.
 HOT_CLASSES = (
     ("repro.simnet.tcp", "TcpSegment"),
     ("repro.rtp.packet", "RtpPacket"),
+    ("repro.simnet.node", "Host"),
+    ("repro.simnet.cpu", "Cpu"),
+    ("repro.simnet.udp", "UdpSocket"),
+    ("repro.broker.client", "BrokerClient"),
+    ("repro.broker.links", "ClientLink"),
+    ("repro.broker.links", "UdpClientLink"),
+    ("repro.broker.links", "TcpClientLink"),
+    ("repro.broker.links", "SslClientLink"),
+    ("repro.broker.links", "ClientTransport"),
+    ("repro.broker.links", "UdpClientTransport"),
+    ("repro.broker.links", "TcpClientTransport"),
+    ("repro.broker.links", "SslClientTransport"),
+    ("repro.broker.links", "TunnelClientTransport"),
+    ("repro.util.backoff", "ExponentialBackoff"),
 )
 
 #: Base-class names that exempt a class from the requirement.

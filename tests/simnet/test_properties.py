@@ -1,5 +1,7 @@
 """Property-based tests on the simulation substrate."""
 
+from collections import deque
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -348,7 +350,8 @@ def staged_send(host, taps, src_port, dst, payload, size):
 
 
 def staged_enqueue(host, datagram, taps):
-    """``Nic.enqueue``: purge the ledger, tail-drop, serialize."""
+    """``Nic.enqueue``: purge the ledger, tail-drop, serialize.  A NIC
+    that never queued has no ledger yet: it reads as empty."""
     nic, now, size = host.nic, host.sim.now, datagram.size
     pending, queued = nic._pending, nic._queued_bytes
     while pending and pending[0][0] <= now:
@@ -362,6 +365,8 @@ def staged_enqueue(host, datagram, taps):
     done = start + size * nic._sec_per_byte
     nic._free_at = done
     if start > now:
+        if pending is None:
+            pending = nic._pending = deque()
         pending.append((start, size))
         queued += size
     nic._queued_bytes = queued
