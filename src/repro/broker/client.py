@@ -280,8 +280,22 @@ class BrokerClient:
         )
 
     def disconnect(self) -> None:
+        """Leave the broker; the client may connect again."""
+        self._leave(final=False)
+
+    def close(self) -> None:
+        """Leave the broker for good.  The handlers and inboxes go with
+        the link when the Disconnect's linger ends (an event still on its
+        way over the link reaches them), so an owner that subscribed its
+        own methods is freed by reference counting once it drops this
+        client."""
+        self._leave(final=True)
+
+    def _leave(self, final: bool) -> None:
         self._cancel_failover()
         if self._transport is None:
+            if final:
+                self._forget_handlers()
             return
         # A Connect still awaiting its ack may yet register us: withdraw
         # it too.  Jitter can carry this Disconnect past that Connect, so
@@ -295,7 +309,19 @@ class BrokerClient:
         self.broker_id = None
         # Give the Disconnect message a moment on the wire before closing.
         linger_s = CONTROL_RETRY_S if connecting else 0.05
-        self.sim.schedule(linger_s, self._drop_transport().close)
+        self.sim.schedule(
+            linger_s, self._end_linger, self._drop_transport(), final
+        )
+
+    def _end_linger(self, transport: ClientTransport, final: bool) -> None:
+        transport.close()
+        if final:
+            self._forget_handlers()
+
+    def _forget_handlers(self) -> None:
+        self._handlers = []
+        self._memo = _DispatchMemo(self._handlers)
+        self._reliable_inbox = self._ordered_inbox = None
 
     def _drop_transport(self) -> ClientTransport:
         """Let go of the current transport.  What still reaches it is

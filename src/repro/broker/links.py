@@ -731,6 +731,11 @@ class UdpClientTransport(ClientTransport):
 
     def close(self) -> None:
         self._socket.close()
+        # A closed socket hands nothing over: the owner's callbacks go, so
+        # the owner and this transport do not hold each other.  (A stream
+        # transport keeps them: a message already reassembled or queued
+        # for decryption may still reach them.)
+        self.on_message = self.on_event = self.on_ready = self.on_lost = None
 
 
 class TcpClientTransport(ClientTransport):

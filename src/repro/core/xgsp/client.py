@@ -365,4 +365,6 @@ class XgspClient:
         self.broker_client.subscribe(topic, handler)
 
     def disconnect(self) -> None:
-        self.broker_client.disconnect()
+        """Depart: the broker client closes for good, and with it the
+        subscriptions that hold this client's methods."""
+        self.broker_client.close()

@@ -91,8 +91,9 @@ class Cpu:
     for a train: a list ``[cost, args, seq, end, fn_N, ..., fn_1]`` of
     items that share their cost and arguments, popped from the end as
     they run; ``seq`` is the next number of its reserved block, ``end``
-    the first past it.  The queue is made on the first item that waits
-    (``None`` until then): most hosts' CPUs never queue.
+    the first past it.  The queue exists only while an item waits: the
+    first item that waits makes it and the end of the busy period drops
+    it (``None`` otherwise), so most hosts' CPUs never hold one.
     """
 
     # ``__dict__`` only for tests that wrap a method on one CPU; CPython
@@ -272,7 +273,8 @@ class Cpu:
                     self.tasks_executed += 1
                     fn(*args)
                 queue = self._queue
-                if not queue:
+                if not queue:  # drained: the busy period ends, the queue goes
+                    self._queue = None
                     self._busy = False
                     return
                 cost_s, fn, args = queue.popleft()

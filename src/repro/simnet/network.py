@@ -45,6 +45,11 @@ class Network:
         self._region_blocked: Set[FrozenSet[str]] = set()
         self._groups: Dict[str, Set[Address]] = {}
         self._taps: List[Callable[[Datagram], None]] = []
+        #: What path records share: one bound ``deliver`` per destination
+        #: host, and one bound draw per sending host, of its
+        #: ``network:<name>`` generator (``SeededStreams.generator``).
+        self._delivers: Dict[str, Callable[[Datagram], None]] = {}
+        self._draws: Dict[str, Callable[[], float]] = {}
         self.delivered_packets = 0
         self.lost_packets = 0
         self.blackholed_packets = 0
@@ -213,6 +218,18 @@ class Network:
         self._taps.append(tap)
         self.forget_paths()  # records say whether there are taps to call
 
+    def draws(self, name: str):
+        """Host ``name``'s loss and jitter generator: every draw of a
+        packet it sends comes from here."""
+        return self._draw(name).__self__
+
+    def _draw(self, name: str) -> Callable[[], float]:
+        draw = self._draws.get(name)
+        if draw is None:
+            generator = self.streams.generator(f"network:{name}")
+            draw = self._draws[name] = generator.random
+        return draw
+
     def resolve_path(self, host: Host, dst_name: str) -> tuple:
         """Build and keep ``host``'s path record to ``dst_name``: what
         :meth:`Host.send` would otherwise re-derive per packet (DESIGN.md
@@ -222,8 +239,9 @@ class Network:
         blocked, region_loss, src_loss, dst_loss)``.  ``latency`` pre-sums
         only ``fabric + src``: float addition must keep the order
         ``(((fabric + src) + src_jitter·r1) + dst) + dst_jitter·r2``.  The
-        draws come from the sender's ``network:<name>`` stream, so one
-        host's traffic never shifts another's."""
+        draws come from the sender's generator (:meth:`draws`), so one
+        host's traffic never shifts another's; records share its bound
+        draw and the destination's bound ``deliver``."""
         src_name = host.name
         dst_host = self._hosts.get(dst_name)
         if dst_host is None:
@@ -249,12 +267,14 @@ class Network:
                     self._taps, blocked, region_loss,
                     src_link.loss_rate, dst_link.loss_rate,
                 )
+            deliver = self._delivers.get(dst_name)
+            if deliver is None:
+                deliver = self._delivers[dst_name] = dst_host.deliver
             path = (
                 hazard,
                 self.fabric_latency(src_name, dst_name) + src_link.latency_s,
                 src_link.jitter_s, dst_link.latency_s, dst_link.jitter_s,
-                dst_host.deliver,
-                self.streams.stream(f"network:{src_name}").random,
+                deliver, self._draw(src_name),
             )
         if self._hosts.get(src_name) is host:  # forget_paths reaches it
             host._paths[dst_name] = path

@@ -54,7 +54,9 @@ class Nic:
         # (service_start_time, size) of accepted packets that have not yet
         # begun serialization; the in-service packet is *not* queued, which
         # matches the event-driven queue (it popped on service start).
-        # Made by the first packet that waits: most NICs never queue.
+        # Made by the first packet that waits, dropped by the first look
+        # (a send, a depth read) that finds every entry started: most
+        # NICs never queue.
         self._pending: Optional[Deque[Tuple[float, int]]] = None
         self._queued_bytes = 0
         self.sent_packets = 0
@@ -68,6 +70,8 @@ class Nic:
         queued = self._queued_bytes
         while pending and pending[0][0] <= now:
             queued -= pending.popleft()[1]
+        if not pending:
+            self._pending = None
         self._queued_bytes = queued
         return queued
 

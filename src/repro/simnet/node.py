@@ -188,8 +188,8 @@ class Host:
             nic = self.nic
             free_at = nic._free_at
             if free_at <= now:  # idle: every ledger entry has started
-                if nic._queued_bytes:
-                    nic._pending.clear()
+                if nic._pending is not None:  # the ledger drained: it goes
+                    nic._pending = None
                     nic._queued_bytes = 0
                 if size > nic.queue_limit_bytes:
                     nic.dropped_packets += 1

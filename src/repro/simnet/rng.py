@@ -16,6 +16,7 @@ draw is too.
 from __future__ import annotations
 
 import random
+from _random import Random as _Generator
 from typing import Dict
 
 try:  # Python 3.12+
@@ -39,12 +40,23 @@ class SeededStreams:
         existing = self._streams.get(name)
         if existing is not None:
             return existing
+        stream = random.Random(self._seed(name))
+        self._streams[name] = stream
+        return stream
+
+    def generator(self, name: str) -> _Generator:
+        """A fresh C-level generator seeded exactly as :meth:`stream`
+        seeds ``name``'s, so its ``random()`` draws are the same; not
+        memoized (the caller keeps it).  It has no instance dict and
+        none of ``random.Random``'s Python methods, so it suits a hot
+        loop that only calls ``random()``."""
+        return _Generator(self._seed(name))
+
+    def _seed(self, name: str) -> int:
         digest = sha256(
             f"{self.master_seed}:{name}".encode("utf-8")
         ).digest()
-        stream = random.Random(int.from_bytes(digest[:8], "big"))
-        self._streams[name] = stream
-        return stream
+        return int.from_bytes(digest[:8], "big")
 
     def fork(self, name: str) -> "SeededStreams":
         """Derive a child factory, useful for per-subsystem namespaces."""

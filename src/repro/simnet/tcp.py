@@ -111,6 +111,11 @@ class TcpConnection:
         self._internal_on_close: Optional[Callable[["TcpConnection"], None]] = None
         self._handshake_timer: Optional[Timer] = None
         self._handshake_retries = 0
+        #: Set by tcp_connect: the port is this connection's own and is
+        #: unbound at teardown.
+        self._own_port = False
+        #: True while _handle_data hands reassembled messages over.
+        self._delivering = False
         # Send side.
         self._next_seq = 0
         self._send_base = 0
@@ -285,12 +290,16 @@ class TcpConnection:
     def _handle_data(self, segment: TcpSegment) -> None:
         if segment.seq >= self._rcv_next:
             self._ooo.setdefault(segment.seq, segment)
+            self._delivering = True
             while self._rcv_next in self._ooo:
                 ready = self._ooo.pop(self._rcv_next)
                 self._rcv_next += 1
                 self._assembling.append(ready)
                 if ready.frag == ready.nfrags - 1:
                     self._deliver_message(ready)
+            self._delivering = False
+            if self.state in (TcpConnection.FINISHED, TcpConnection.FAILED):
+                self.on_message = None  # a teardown under the loop left it
         # Always (re)ack cumulatively — covers lost-ack retransmits.
         self._transmit_control(ACK, ack=self._rcv_next)
 
@@ -314,6 +323,14 @@ class TcpConnection:
         if self.on_close is not None:
             callback, self.on_close = self.on_close, None
             callback(self)
+        # The owner's hooks go with the connection, so neither keeps the
+        # other alive past it; what the loop in _handle_data already
+        # reassembled still reaches on_message, which goes after it.
+        self.on_established = None
+        if not self._delivering:
+            self.on_message = None
+        if self._own_port:
+            self.host.unbind(self.local_port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TcpConnection #{self.conn_id} {self.state} -> {self.peer}>"
@@ -349,6 +366,7 @@ class TcpListener:
         for connection in list(self._connections.values()):
             connection.close()
         self.host.unbind(self.port)
+        self.on_connection = None  # nothing reaches it once closed
 
     def _on_datagram(self, datagram: Datagram) -> None:
         if self._closed:
@@ -396,17 +414,11 @@ def tcp_connect(
     )
     connection.on_established = on_established
     connection.on_message = on_message
+    connection._own_port = True
 
     def dispatch(datagram: Datagram) -> None:
         connection.handle_segment(datagram.payload, datagram.src)
 
     host.bind(port, dispatch)
-    original_teardown = connection._teardown
-
-    def teardown_and_unbind(state: str) -> None:
-        original_teardown(state)
-        host.unbind(port)
-
-    connection._teardown = teardown_and_unbind  # type: ignore[method-assign]
     connection.open()
     return connection

@@ -1,10 +1,13 @@
 """Stateful SIP proxy.
 
 Routes requests for its domain to registered contacts (via the shared
-:class:`~repro.sip.registrar.LocationService`), stacks/pops Via headers so
-responses retrace the path, and hands designated URIs (conference bridges,
-chat rooms) to registered application handlers — that is how the SIP
-gateway and the chat-room service attach to the proxy.
+:class:`~repro.sip.registrar.LocationService`), and hands designated URIs
+(conference bridges, chat rooms) to registered application handlers —
+that is how the SIP gateway and the chat-room service attach to the
+proxy.  A routed request goes on through a client transaction of the
+proxy's own, which retransmits it, under the proxy's Via; its responses
+pop that Via and come back through the request's server transaction,
+which answers the upstream's retransmissions.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.simnet.packet import Address
 from repro.sip.message import (
     SipRequest,
     SipResponse,
+    new_branch,
     parse_uri,
     response_for,
 )
@@ -106,36 +110,52 @@ class SipProxy(SipEndpoint):
             if transaction is not None:
                 transaction.respond(response_for(request, 404, "Not Found"))
             return
-        self._forward_request(request, contact)
+        self._forward_request(request, contact, transaction)
 
-    def _forward_request(self, request: SipRequest, contact: Address) -> None:
-        """Stack our Via and relay; responses retrace the Via path."""
+    def _forward_request(
+        self,
+        request: SipRequest,
+        contact: Address,
+        transaction: Optional[ServerTransaction],
+    ) -> None:
+        """Relay toward ``contact`` through a client transaction of our
+        own, so a lost copy is retransmitted on its Timer A/E (RFC 3261
+        §16.6 step 10, §17.1); its responses go upstream through the
+        request's server transaction, which answers the upstream's
+        retransmissions with the last of them.  An ACK has no
+        transaction: it is relayed once, under our Via."""
         self.forwarded_requests += 1
         forwarded = SipRequest(
             request.method, request.uri, request.headers(), request.body
         )
-        forwarded.prepend(
-            "Via", f"SIP/2.0/UDP {self.address.host}:{self.address.port};proxy"
+        if transaction is None:
+            forwarded.prepend("Via", f"{self._via};branch={new_branch()}")
+            self._send_text(forwarded.render(), contact)
+            return
+        self.send_request(
+            forwarded, contact,
+            lambda response: self._relay(response, transaction),
         )
-        self._send_text(forwarded.render(), contact)
+
+    def _relay(self, response: SipResponse, transaction: ServerTransaction) -> None:
+        """Pop our Via and answer upstream (a timeout's 408 included)."""
+        response.remove_first("Via")
+        if response.get("Via") is None:
+            return
+        self.forwarded_responses += 1
+        transaction.respond(response)
 
     def on_unmatched_response(self, response: SipResponse, source: Address) -> None:
-        """Pop our Via and relay toward the previous hop."""
+        """A response under our Via that no client transaction takes (a
+        retransmitted 2xx after the transaction ended): pop our Via and
+        relay it toward the previous hop, statelessly (RFC 3261 §16.7)."""
         top = response.get("Via")
-        if top is None or ";proxy" not in top:
+        if top is None or not top.startswith(self._via + ";"):
             return
         response.remove_first("Via")
         next_via = response.get("Via")
         if next_via is None:
             return
-        if response.is_final:
-            # The relayed request's server transaction ends with it.  The
-            # raw CSeq, as a malformed one must not raise out of here.
-            method = (response.get("CSeq") or "").partition(" ")[2]
-            key = (response.top_via_branch() or "", method)
-            transaction = self._server_transactions.get(key)
-            if transaction is not None:
-                self._server_done(transaction)
         self.forwarded_responses += 1
         hop = next_via.split(" ", 1)[1].split(";")[0]
         host, _, port = hop.partition(":")

@@ -1,11 +1,18 @@
 """SIP transactions over UDP: retransmission and absorption.
 
 Client transactions retransmit the request on the RFC 3261 timer ladder
-(T1 doubling) until a response arrives; server transactions remember the
-last response and replay it when a retransmitted request comes in, for
+(T1 doubling) until a response arrives; server transactions replay the
+last response when a retransmitted request comes in, for
 :data:`SERVER_LINGER_S` after their final response.  The shared
 :class:`SipEndpoint` owns the socket, parses wire text, and routes
 messages to the right transaction.
+
+A server transaction keeps its key (top Via branch, method), the
+address the request came from, and the rendered wire text of its last
+response: nothing parsed.  RFC 3261 §17.2.1 and §17.2.2 answer a
+retransmitted request with the last response and need nothing else, so
+the request and the response objects are the handler's alone and go
+with it; a replay resends the text as it went out.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from repro.sip.message import (
 SIP_PORT = 5060
 
 #: RFC 3261 T1 and retransmission budget (Timer F is 64*T1 = 32 s, which
-#: allows ~10 retransmissions on the doubling ladder capped at 4 s).
+#: allows ~10 retransmissions on the doubling ladder capped at T2).
 T1_S = 0.5
+T2_S = 4.0
 MAX_RETRANSMITS = 10
 #: How long a server transaction outlives its final response, replaying
 #: it to retransmitted requests: RFC 3261 §17.2.2 Timer J, and RFC 6026
@@ -87,7 +95,7 @@ class ClientTransaction:
             return
         self.retransmits += 1
         self._transmit()
-        self._arm(min(interval * 2.0, 4.0))
+        self._arm(min(interval * 2.0, T2_S))
 
     def handle_response(self, response: SipResponse) -> None:
         if self.completed:
@@ -107,29 +115,31 @@ class ClientTransaction:
 
 
 class ServerTransaction:
-    """One incoming request; absorbs retransmissions."""
+    """One incoming request; absorbs retransmissions by resending the
+    wire text of its last response (None before the first)."""
+
+    __slots__ = ("endpoint", "key", "source", "last_response")
 
     def __init__(
         self,
         endpoint: "SipEndpoint",
-        request: SipRequest,
+        key: Tuple[str, str],
         source: Address,
     ):
         self.endpoint = endpoint
-        self.request = request
+        self.key = key
         self.source = source
-        self.key = (request.top_via_branch() or "", request.method)
-        self.last_response: Optional[SipResponse] = None
+        self.last_response: Optional[str] = None
 
     def respond(self, response: SipResponse) -> None:
-        self.last_response = response
+        text = self.last_response = response.render()
         if response.is_final:
             self.endpoint._server_done(self)
-        self.endpoint._send_text(response.render(), self.source)
+        self.endpoint._send_text(text, self.source)
 
     def replay(self) -> None:
         if self.last_response is not None:
-            self.endpoint._send_text(self.last_response.render(), self.source)
+            self.endpoint._send_text(self.last_response, self.source)
 
 
 class SipEndpoint:
@@ -155,6 +165,11 @@ class SipEndpoint:
     def address(self) -> Address:
         return self.socket.local_address
 
+    @property
+    def _via(self) -> str:
+        """Our Via header value, short of its parameters."""
+        return f"SIP/2.0/UDP {self.address.host}:{self.address.port}"
+
     # ------------------------------------------------------------ sending
 
     def send_request(
@@ -165,9 +180,7 @@ class SipEndpoint:
     ) -> ClientTransaction:
         """Stamp a Via branch, start a client transaction, transmit."""
         branch = new_branch()
-        request.prepend(
-            "Via", f"SIP/2.0/UDP {self.address.host}:{self.address.port};branch={branch}"
-        )
+        request.prepend("Via", f"{self._via};branch={branch}")
         transaction = ClientTransaction(self, request, destination, on_response)
         self._client_transactions[branch] = transaction
         transaction.start()
@@ -227,7 +240,7 @@ class SipEndpoint:
         if existing is not None:
             existing.replay()
             return
-        transaction = ServerTransaction(self, request, src)
+        transaction = ServerTransaction(self, key, src)
         self._server_transactions[key] = transaction
         self.on_request(request, src, transaction)
 

@@ -24,7 +24,14 @@ from repro.sip.message import (
     response_for,
 )
 from repro.sip.sdp import SessionDescription, parse_sdp
-from repro.sip.transaction import SIP_PORT, ServerTransaction, SipEndpoint
+from repro.sip.transaction import (
+    SERVER_LINGER_S,
+    SIP_PORT,
+    T1_S,
+    T2_S,
+    ServerTransaction,
+    SipEndpoint,
+)
 
 AnswerHook = Callable[[SipRequest, Optional[SessionDescription]], Optional[SessionDescription]]
 DialogCallback = Callable[["Dialog"], None]
@@ -273,6 +280,39 @@ class SipUserAgent(SipEndpoint):
         ok.set("Contact", f"<{self.address.host}:{self.address.port}>")
         ok.set("Content-Type", "application/sdp")
         transaction.respond(ok)
+        self.sim.schedule(
+            T1_S, self._resend_ok, dialog, transaction, T1_S,
+            self.sim.now + SERVER_LINGER_S,
+        )
+
+    def _resend_ok(
+        self,
+        dialog: Dialog,
+        transaction: ServerTransaction,
+        interval: float,
+        deadline: float,
+    ) -> None:
+        """RFC 3261 §13.3.1.4: the UAS resends its 2xx, the interval
+        doubling up to T2, until the ACK confirms the dialog, for at
+        most 64*T1 (a lost 200 would otherwise leave the call ringing)."""
+        if dialog.state != Dialog.EARLY or self.sim.now >= deadline:
+            return
+        transaction.replay()
+        interval = min(interval * 2.0, T2_S)
+        self.sim.schedule(
+            interval, self._resend_ok, dialog, transaction, interval, deadline
+        )
+
+    def on_unmatched_response(self, response: SipResponse, source: Address) -> None:
+        """A resent 2xx for a call already answered: its ACK was lost, so
+        ACK again (RFC 3261 §13.2.2.4)."""
+        method = (response.get("Cseq") or "").partition(" ")[2]
+        if not response.is_success or method != "INVITE":
+            return
+        dialog = self._dialogs.get(response.call_id or "")
+        if dialog is not None and dialog.is_caller and \
+                dialog.state == Dialog.CONFIRMED:
+            self._send_ack(dialog)
 
     def _handle_bye(
         self, request: SipRequest, transaction: Optional[ServerTransaction]

@@ -140,7 +140,7 @@ def run(scenario, reference):
                 host.cpu.queue_depth, host.nic.sent_packets,
                 host.nic.sent_bytes, host.nic.dropped_packets,
                 host.received_packets, host.discarded_packets,
-                net.streams.stream(f"network:{host.name}").getstate(),
+                net.draws(host.name).getstate(),
             )
             for host in hosts
         ],

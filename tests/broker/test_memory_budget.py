@@ -7,8 +7,9 @@ broker, one generation tuple per generation, trie nodes that hold no
 empty set of their own, cached entries that still equal a from-scratch
 resolve once they share, inboxes, outboxes, CPU queues and NIC ledgers
 made only where they are used, per-endpoint objects without an
-instance dict, a closed broker that keeps no routing state, and no
-OpenSSL mapped for the simulator's two SHA-256 uses.
+instance dict, a closed broker that keeps no routing state, no
+OpenSSL mapped for the simulator's two SHA-256 uses, and conference
+members that leave nothing behind but what reference counting frees.
 """
 
 import gc
@@ -19,8 +20,17 @@ import subprocess
 import sys
 
 import repro
-from repro.broker import FAST_MESH, BrokerNetwork, LinkType
+from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork, LinkType
+from repro.broker.rtp_proxy import RtpProxy
+from repro.core.mmcs import GlobalMMCS, MMCSConfig
+from repro.core.xgsp.messages import JoinAccepted
+from repro.core.xgsp.translation import conference_alias, conference_sip_uri
+from repro.h323.terminal import H323Call
 from repro.simnet import SeededStreams
+from repro.simnet.tcp import TcpConnection
+from repro.simnet.udp import UdpSocket
+from repro.sip import SessionDescription
+from repro.sip.message import SipRequest, SipResponse
 from repro.util.backoff import ExponentialBackoff
 
 from tests.broker.conftest import assert_maintained_state, make_client
@@ -165,22 +175,32 @@ def test_inboxes_are_made_for_the_clients_that_use_them(net, sim, single_broker)
 
 
 def test_a_host_that_never_queued_holds_no_queue(net, sim, single_broker):
-    """A CPU queue and a NIC ledger are made by the first item that
-    waits: a burst makes both on the publisher's host, and a subscriber
-    that takes one datagram at a time holds neither."""
+    """A CPU queue and a NIC ledger exist only while something waits: a
+    burst makes both on the publisher's host, the end of the CPU's busy
+    period drops the queue, the first look at a drained NIC (a send, a
+    depth read) drops the ledger, and a subscriber that takes one
+    datagram at a time never makes either."""
     publisher = make_client(net, sim, single_broker, "pub")
     quiet = make_client(net, sim, single_broker, "quiet")
     quiet.subscribe("/t", lambda event: None)
     sim.run_for(1.0)
+    busy = publisher.host
+    assert busy.cpu._queue is None and busy.nic._pending is None
     for index in range(5):  # one burst: the items wait behind each other
         publisher.publish("/t", index, 1000)
+    assert busy.cpu.queue_depth == 4
+    sim.run_for(0.0001)  # all five sent, the NIC still serializing
+    assert busy.cpu._queue is None
+    assert busy.nic._pending is not None and busy.nic.queue_depth
     sim.run_for(1.0)
-    assert quiet.events_received == 5
+    publisher.publish("/t", 5, 1000)  # a send on the idle NIC looks first
+    sim.run_for(1.0)
+    assert busy.nic._pending is None
+    assert quiet.events_received == 6
     assert quiet.host.cpu._queue is None and quiet.host.nic._pending is None
-    busy = publisher.host
-    assert busy.cpu._queue is not None and busy.nic._pending is not None
     for host in (quiet.host, busy):
         assert host.cpu.queue_depth == host.nic.queue_depth == 0
+        assert host.cpu._queue is None and host.nic._pending is None
 
 
 def stray_values(obj):
@@ -280,3 +300,95 @@ def test_the_simulator_maps_no_openssl():
         env=env, capture_output=True, text=True, check=True,
     )
     assert completed.stdout.strip() == "False"
+
+
+#: What a member's join makes and its leave must let go of.
+MEMBER_STATE = (BrokerClient, UdpSocket, TcpConnection, RtpProxy, H323Call)
+
+
+def made_since(before):
+    """The live ``MEMBER_STATE`` objects that are not in ``before`` (a
+    ``gc.get_objects()`` list, which keeps its objects and so their ids
+    from being reused)."""
+    known = {id(obj) for obj in before}
+    return [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, MEMBER_STATE) and id(obj) not in known
+    ]
+
+
+def test_members_that_leave_are_freed_without_the_collector():
+    """With the cyclic collector off, a native, a SIP and an H.323
+    member join one session and leave it (the native client departs
+    for good): no broker client, socket, TCP connection, RTP proxy or
+    H.323 call made for them outlives the leave, because every teardown
+    breaks its callback cycles.  The SIP server transactions that
+    answered them keep only the wire text of their last response, and a
+    drained CPU or NIC holds no deque."""
+    mmcs = GlobalMMCS(MMCSConfig(
+        seed=3, broker_topology="star", broker_count=2,
+        enable_streaming=False, enable_accessgrid=False,
+    ))
+    mmcs.start()
+    session = mmcs.create_session("leak audit")
+    audio = next(m.topic for m in session.media if m.kind == "audio")
+    sip = mmcs.create_sip_user("alice")
+    h323 = mmcs.create_h323_terminal("bob")
+    mmcs.run_for(1.0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_objects()
+        native = mmcs.create_native_client("carol")
+        joined = {}
+        native.join(
+            session.session_id,
+            on_result=lambda reply: joined.update(native=reply),
+        )
+        sip.invite(
+            conference_sip_uri(session.session_id, mmcs.config.sip_domain),
+            SessionDescription("alice", sip.host.name).add_media(
+                "audio", 41000, [0]
+            ),
+            on_answer=lambda dialog, sdp: joined.update(sip=dialog),
+        )
+        h323.call(
+            conference_alias(session.session_id),
+            on_connected=lambda call: joined.update(h323=call),
+        )
+        mmcs.run_for(2.0)
+        assert isinstance(joined.pop("native"), JoinAccepted)
+        assert set(joined) == {"sip", "h323"}
+        native.subscribe_media(audio, lambda event: None)
+        assert {type(obj).__name__ for obj in made_since(before)} == {
+            "BrokerClient", "UdpSocket", "TcpConnection", "RtpProxy",
+            "H323Call",
+        }
+        native.leave(session.session_id)
+        sip.bye(joined.pop("sip"))
+        joined.pop("h323").hangup()
+        mmcs.run_for(1.0)
+        native.disconnect()
+        del native
+        mmcs.run_for(1.0)
+        transactions = list(mmcs.sip_proxy._server_transactions.values())
+        assert transactions  # still lingering for retransmissions
+        for transaction in transactions:
+            held = gc.get_referents(transaction)
+            assert [type(obj) for obj in held].count(str) == 1
+            assert not any(
+                isinstance(obj, (SipRequest, SipResponse)) for obj in held
+            )
+        # A fired timer leaves the kernel's timer heap at the next look
+        # at it (a schedule, a horizon read); the last one, the client's
+        # linger, holds the closed transport until then.
+        mmcs.sim.horizon()
+        assert made_since(before) == []
+        for host in mmcs.net.hosts():
+            if not host.cpu._busy:
+                assert host.cpu._queue is None, host.name
+            if host.nic.queue_depth == 0:
+                assert host.nic._pending is None, host.name
+    finally:
+        if enabled:
+            gc.enable()

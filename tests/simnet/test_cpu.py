@@ -225,7 +225,7 @@ def traffic(scenario, drain):
                 host.name, host.cpu.tasks_executed, host.cpu.busy_time,
                 host.cpu.gc_pauses, host.cpu.gc_pause_time,
                 host.received_packets,
-                net.streams.stream(f"network:{host.name}").getstate(),
+                net.draws(host.name).getstate(),
             )
             for host in hosts
         ],

@@ -182,7 +182,7 @@ def _traffic(extra_sender=False, burst=False):
         chaos.loss_burst(0.02, "b", duration=0.04, loss_rate=0.5)
     sim.run()
     streams = {
-        name: net.streams.stream(f"network:{name}").getstate()
+        name: net.draws(name).getstate()
         for name in "abcde"
     }
     return arrivals, streams

@@ -186,7 +186,7 @@ def _second_send(prepare, mutate, src, warm, rng_state=None):
     net.host("b").bind(
         1, lambda d: arrivals.append(sim.now), recv_cpu_cost_s=0.0
     )
-    rng = net.streams.stream(f"network:{src}")
+    rng = net.draws(src)
 
     def send():
         net.host(src).send(1, Address("b", 1), "x", 100)

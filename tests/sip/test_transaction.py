@@ -1,4 +1,5 @@
-"""Server transactions: replay inside the linger window, then let go."""
+"""Server transactions: replay inside the linger window, then let go;
+a proxy retransmits what it forwards."""
 
 from repro.sip import (
     SessionDescription,
@@ -7,9 +8,10 @@ from repro.sip import (
     SipRequest,
     SipUserAgent,
 )
-from repro.sip.message import response_for
+from repro.sip.message import parse_message, response_for
 from repro.sip.registrar import LocationService
 from repro.sip.transaction import SERVER_LINGER_S, T1_S, SipEndpoint
+from repro.simnet import LinkProfile, Network, SeededStreams, Simulator
 
 CALL_EVERY_S = 4.0
 DOMAIN = "mmcs.org"
@@ -67,8 +69,10 @@ def test_server_transactions_linger_one_timer_j_then_go(net, sim):
     assert [a.status for a in answers] == [200] * calls
     assert server.seen == [f"call-{n}" for n in range(calls)]
     assert server.requests_received == calls + 1
+    # A transaction keeps its last response's wire text, which echoes
+    # the request's Call-Id.
     held = sorted(
-        int(t.request.call_id.split("-")[1])
+        int(parse_message(t.last_response).call_id.split("-")[1])
         for t in server._server_transactions.values()
     )
     # What answered one linger before the retransmission is gone; the
@@ -112,3 +116,45 @@ def test_a_proxy_lets_a_relayed_transaction_go(net, sim):
     assert len(answers) == 2
     assert not first & set(proxy._server_transactions)
     assert proxy._server_transactions  # the new call's, still lingering
+
+
+def lossy_call(seed):
+    """alice -> proxy -> bob with half of everything on bob's link lost:
+    what alice heard back, and bob's dialog."""
+    sim = Simulator()
+    net = Network(sim, SeededStreams(seed))
+    location = LocationService()
+    proxy_host = net.create_host("proxy-host")
+    proxy = SipProxy(proxy_host, DOMAIN, location=location)
+    registrar = SipRegistrar(proxy_host, port=5070, location=location)
+    alice, bob = (
+        SipUserAgent(net.create_host(user), f"sip:{user}@{DOMAIN}", proxy.address)
+        for user in ("alice", "bob")
+    )
+    for ua in (alice, bob):
+        ua.register(registrar.address, expires_s=3600.0)
+    sim.run_for(1.0)
+    net.host("bob").link = LinkProfile(loss_rate=0.5)
+    bob.on_invite = lambda request, offer: SessionDescription(
+        "bob", "bob"
+    ).add_media("audio", 4200, [0])
+    heard = []
+    alice.invite(
+        bob.uri,
+        SessionDescription("alice", "alice").add_media("audio", 4100, [0]),
+        on_answer=lambda dialog, sdp: heard.append(200),
+        on_failure=lambda response: heard.append(response.status),
+    )
+    sim.run_for(SERVER_LINGER_S + 8.0)
+    return heard, bob.dialogs()
+
+
+def test_a_proxy_retransmits_what_it_forwards():
+    """A copy the proxy forwards and the lossy link drops is sent again
+    on the proxy's own Timer A, its answer reaches alice through the
+    proxy's server transaction, and bob resends his 200 until the ACK
+    comes: every call is answered and confirmed at both ends."""
+    for seed in range(20):
+        heard, dialogs = lossy_call(seed)
+        assert heard == [200], seed
+        assert [dialog.state for dialog in dialogs] == ["confirmed"], seed
