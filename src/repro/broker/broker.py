@@ -137,9 +137,11 @@ COUNTERS = (
 class _ClientRecord:
     """Broker-side state for one connected client.  A datagram client's
     :class:`ReliableOutbox` is made on its first reliable event
-    (``Broker._outbox``); a stream link needs none."""
+    (``Broker._outbox``); a stream link needs none.  A datagram link's
+    ``send_sized``, bound once, is the send every fan-out plan to it
+    shares."""
 
-    __slots__ = ("client_id", "link", "outbox", "last_seen")
+    __slots__ = ("client_id", "link", "send_sized", "outbox", "last_seen")
 
     def __init__(
         self,
@@ -149,6 +151,7 @@ class _ClientRecord:
     ):
         self.client_id = client_id
         self.link = link
+        self.send_sized = link.send_sized if link.datagram else None
         self.outbox: Optional[ReliableOutbox] = None
         self.last_seen = last_seen
 
@@ -921,7 +924,7 @@ class Broker:
             delivered.append(client_id)
             link = record.link
             if train is not None and link.datagram and not event.reliable:
-                sends.append(link.send_sized)
+                sends.append(record.send_sized)
                 continue
             plain = False
             if sends:  # FIFO: the sends before this item go first

@@ -557,7 +557,7 @@ class UdpClientLink(ClientLink):
     """Datagram link: also used for clients reached through HTTP tunnels,
     whose datagrams arrive via the proxy relay's address."""
 
-    __slots__ = ("kind", "_socket", "client_address", "send_sized")
+    __slots__ = ("kind", "_socket", "client_address")
 
     datagram = True
 
@@ -573,8 +573,6 @@ class UdpClientLink(ClientLink):
         self.kind = kind
         self._socket = socket
         self.client_address = client_address
-        # One bound method, shared by every fan-out plan that sends here.
-        self.send_sized = self._send_datagram
 
     def _transmit(self, message: Any, size: int) -> None:
         socket = self._socket
@@ -586,9 +584,12 @@ class UdpClientLink(ClientLink):
             socket.port, self.client_address, message, size + UDP_HEADER_BYTES
         )
 
-    def _send_datagram(self, delivery: "EventDelivery", size: int) -> None:
+    def send_sized(self, delivery: "EventDelivery", size: int) -> None:
         """``send_sized`` with ``_transmit`` folded in: one frame from
-        CPU to ``Host.send`` on the fan-out path."""
+        CPU to ``Host.send`` on the fan-out path.  The broker's client
+        record holds the one bound method every fan-out plan shares (a
+        link holding its own would be a cycle, freed only by the
+        collector)."""
         self.events_sent += 1
         self.bytes_sent += size
         socket = self._socket

@@ -67,8 +67,8 @@ class Timer(list):
 
     A fired or cancelled timer has ``self[2] is None``; the distinction
     does not matter to callers (``cancel()`` is idempotent and a no-op
-    after firing).  Cancelling also drops the arguments; firing leaves
-    them to the handle.
+    after firing).  Firing and cancelling both drop the arguments, so a
+    timer still sitting in the kernel's horizon heap keeps nothing alive.
     """
 
     __slots__ = ("sim",)
@@ -171,6 +171,25 @@ class Simulator:
         self._note_timer(timer)
         return timer
 
+    def schedule_reserved(
+        self, time: float, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> Timer:
+        """Schedule ``fn(*args)`` at ``time`` in the place ``seq`` holds
+        among the events of that instant.  ``seq`` was reserved earlier
+        (``seq = sim._next_seq; sim._next_seq = seq + 1``), so the callback
+        runs exactly where a timer scheduled at that moment would have:
+        a protocol keeping many deadlines behind one timer arms it for
+        the earliest with that deadline's own reservation."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time}; current time is {self.now}"
+            )
+        timer = Timer((time, seq, fn, args if args else None))
+        timer.sim = self
+        heapq.heappush(self._queue, timer)
+        self._note_timer(timer)
+        return timer
+
     def post(
         self, delay: float, fn: Callable[..., Any], args: Optional[tuple] = None
     ) -> None:
@@ -221,7 +240,7 @@ class Simulator:
             if time > until:
                 heapq.heappush(queue, entry)  # its own seq: order unchanged
                 return False
-            entry[2] = None  # a fired Timer reads as fired
+            entry[2] = entry[3] = None  # a fired Timer reads as fired
             self.now = time
             self._events_processed += 1
             outer_until, self._until = self._until, -math.inf
@@ -266,7 +285,7 @@ class Simulator:
                     if time > end:
                         heapq.heappush(queue, entry)  # its own seq: same order
                         break
-                    entry[2] = None  # a fired Timer reads as fired
+                    entry[2] = entry[3] = None  # a fired Timer reads as fired
                     self.now = time
                     executed += 1
                     if args is None:

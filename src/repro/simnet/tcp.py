@@ -9,12 +9,23 @@ matches how NaradaBrokering frames events over its TCP transport.
 Demultiplexing: a listener owns one port; every segment carries a connection
 id assigned by the client side, so both directions flow through the two
 endpoints' single ports.
+
+Retransmission (RFC 6298 §5): each in-flight segment keeps its own
+deadline and backoff, but a connection holds one kernel timer, armed for
+the earliest deadline.  An ACK does not touch it; when it fires for a
+segment already acknowledged it re-arms for the earliest one left, or
+stays down.  Every deadline also keeps the kernel tie-break number a
+per-segment timer would have drawn when it was sent, and the connection
+timer is armed with it (``Simulator.schedule_reserved``), so a
+retransmission happens at the same instant and in the same place among
+that instant's events as it did with one timer per segment.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.simnet.kernel import Timer
 from repro.simnet.node import Host
@@ -119,8 +130,14 @@ class TcpConnection:
         # Send side.
         self._next_seq = 0
         self._send_base = 0
-        self._pending: List[TcpSegment] = []  # not yet transmitted
-        self._inflight: Dict[int, Tuple[TcpSegment, Timer, int, float]] = {}
+        self._pending: Deque[TcpSegment] = deque()  # not yet transmitted
+        #: seq -> [segment, deadline, order, retries, rto, timer], in send
+        #: order; ``order`` is the kernel tie-break number reserved at the
+        #: send, ``timer`` the one armed for this deadline, if any was.
+        self._inflight: Dict[int, list] = {}
+        #: The retransmission timer: armed no later than the earliest
+        #: in-flight deadline (perhaps for one acknowledged since), or None.
+        self._rto_timer: Optional[Timer] = None
         self._next_msg_id = 0
         # Receive side.
         self._rcv_next = 0
@@ -171,28 +188,35 @@ class TcpConnection:
 
     def send(self, payload: Any, size: int) -> int:
         """Queue one framed message of ``size`` bytes; returns its msg id."""
-        if self.state in (TcpConnection.FINISHED, TcpConnection.FAILED):
-            raise TransportError(f"connection is {self.state}")
+        state = self.state
+        if state == TcpConnection.FINISHED or state == TcpConnection.FAILED:
+            raise TransportError(f"connection is {state}")
         msg_id = self._next_msg_id
-        self._next_msg_id += 1
-        nfrags = max(1, -(-size // TCP_MSS_BYTES))
-        remaining = size
-        for frag in range(nfrags):
-            chunk = min(TCP_MSS_BYTES, remaining)
-            remaining -= chunk
-            segment = TcpSegment(
-                conn_id=self.conn_id,
-                kind=DATA,
-                seq=self._next_seq,
-                msg=payload if frag == nfrags - 1 else None,
-                msg_id=msg_id,
-                frag=frag,
-                nfrags=nfrags,
-                data_size=chunk,
-            )
-            self._next_seq += 1
-            self._pending.append(segment)
+        self._next_msg_id = msg_id + 1
         self.messages_sent += 1
+        seq = self._next_seq
+        if size <= TCP_MSS_BYTES:  # one segment: straight out when it may go
+            self._next_seq = seq + 1
+            segment = TcpSegment(self.conn_id, DATA, seq, 0, payload, msg_id, 0, 1, size)
+            if (
+                state == TcpConnection.ESTABLISHED
+                and not self._pending
+                and len(self._inflight) < self.window
+            ):
+                self._transmit_data(segment, 0, INITIAL_RTO_S)
+            else:
+                self._pending.append(segment)
+            return msg_id
+        nfrags = -(-size // TCP_MSS_BYTES)
+        last = nfrags - 1
+        pending = self._pending
+        for frag in range(nfrags):
+            pending.append(TcpSegment(
+                self.conn_id, DATA, seq + frag, 0,
+                payload if frag == last else None, msg_id, frag, nfrags,
+                TCP_MSS_BYTES if frag < last else size - last * TCP_MSS_BYTES,
+            ))
+        self._next_seq = seq + nfrags
         self._pump()
         return msg_id
 
@@ -200,20 +224,56 @@ class TcpConnection:
         """Transmit pending segments while window space remains."""
         if self.state != TcpConnection.ESTABLISHED:
             return
-        while self._pending and len(self._inflight) < self.window:
-            segment = self._pending.pop(0)
-            self._transmit_data(segment, retries=0, rto=INITIAL_RTO_S)
+        pending = self._pending
+        while pending and len(self._inflight) < self.window:
+            self._transmit_data(pending.popleft(), 0, INITIAL_RTO_S)
 
     def _transmit_data(self, segment: TcpSegment, retries: int, rto: float) -> None:
-        timer = self.sim.schedule(rto, self._on_rto, segment.seq)
-        self._inflight[segment.seq] = (segment, timer, retries, rto)
-        self._send_segment(segment)
+        sim = self.sim
+        order = sim._next_seq  # the tie-break a timer made here would take
+        sim._next_seq = order + 1
+        deadline = sim.now + rto
+        timer = self._rto_timer
+        if timer is None or deadline < timer[0]:
+            # None armed, or (after a backoff) only one due later: this
+            # deadline gets its own timer, and the later one still fires.
+            timer = self._rto_timer = sim.schedule_reserved(
+                deadline, order, self._on_rto, order
+            )
+        else:
+            timer = None
+        self._inflight[segment.seq] = [segment, deadline, order, retries, rto, timer]
+        self.host.send(
+            self.local_port, self.peer, segment, TCP_HEADER_BYTES + segment.data_size
+        )
 
-    def _on_rto(self, seq: int) -> None:
-        entry = self._inflight.pop(seq, None)
-        if entry is None:
-            return
-        segment, _timer, retries, rto = entry
+    def _on_rto(self, order: int) -> None:
+        """The timer armed for the deadline reserved as ``order`` fired:
+        retransmit that segment if it is still unacknowledged, and keep a
+        timer armed no later than the earliest deadline left."""
+        timer = self._rto_timer
+        if timer is not None and timer[1] == order:
+            timer = self._rto_timer = None
+        due = first = None
+        for entry in self._inflight.values():
+            if entry[2] == order:
+                due = entry
+            elif first is None or entry[1] < first[1] or (
+                entry[1] == first[1] and entry[2] < first[2]
+            ):
+                first = entry
+        if timer is None and first is not None:
+            # A deadline armed once keeps its timer (it is never
+            # cancelled), so its place in the heap is never taken twice.
+            if first[5] is None:
+                first[5] = self.sim.schedule_reserved(
+                    first[1], first[2], self._on_rto, first[2]
+                )
+            self._rto_timer = first[5]
+        if due is None:
+            return  # acknowledged since the timer was armed for it
+        segment, _deadline, _order, retries, rto, _timer = due
+        del self._inflight[segment.seq]
         if retries >= MAX_RETRIES:
             self._teardown(TcpConnection.FAILED)
             return
@@ -221,21 +281,26 @@ class TcpConnection:
         self._transmit_data(segment, retries + 1, min(rto * 2.0, MAX_RTO_S))
 
     def _transmit_control(self, kind: str, ack: int = 0) -> None:
-        segment = TcpSegment(conn_id=self.conn_id, kind=kind, ack=ack)
-        self._send_segment(segment)
-
-    def _send_segment(self, segment: TcpSegment) -> None:
         self.host.send(
-            self.local_port, self.peer, segment, TCP_HEADER_BYTES + segment.data_size
+            self.local_port, self.peer, TcpSegment(self.conn_id, kind, 0, ack),
+            TCP_HEADER_BYTES,
         )
 
     # ---------------------------------------------------------- receiving
 
     def handle_segment(self, segment: TcpSegment, src: Address) -> None:
         """Process one inbound segment (called by the listener/connector)."""
-        if self.state in (TcpConnection.FINISHED, TcpConnection.FAILED):
-            return
+        state = self.state
         kind = segment.kind
+        if state == TcpConnection.ESTABLISHED:  # the steady state, first
+            if kind == ACK:
+                self._handle_ack(segment.ack)
+                return
+            if kind == DATA:
+                self._handle_data(segment)
+                return
+        elif state == TcpConnection.FINISHED or state == TcpConnection.FAILED:
+            return
         if kind == SYN:
             # Duplicate SYN: our SYN-ACK was lost; retransmit it.
             if not self.is_client:
@@ -262,6 +327,10 @@ class TcpConnection:
         elif kind == FIN:
             self._teardown(TcpConnection.FINISHED)
 
+    def _on_datagram(self, datagram: Datagram) -> None:
+        """The handler of a ``tcp_connect`` port: every segment is ours."""
+        self.handle_segment(datagram.payload, datagram.src)
+
     def _note_peer_established(self) -> None:
         if self.state == TcpConnection.SYN_RCVD:
             self.state = TcpConnection.ESTABLISHED
@@ -276,19 +345,34 @@ class TcpConnection:
             self._handshake_timer = None
 
     def _handle_ack(self, ack: int) -> None:
-        """Cumulative ack: everything below ``ack`` is delivered."""
-        advanced = False
-        for seq in list(self._inflight):
-            if seq < ack:
-                _segment, timer, _retries, _rto = self._inflight.pop(seq)
-                timer.cancel()
-                advanced = True
-        if advanced:
-            self._send_base = max(self._send_base, ack)
+        """Cumulative ack: everything below ``ack`` is delivered.  The
+        in-flight segments are exactly ``_send_base`` up to the last one
+        sent, so the acknowledged ones are a range; the timer stays."""
+        base = self._send_base
+        if ack <= base:
+            return
+        inflight = self._inflight
+        for seq in range(base, ack):
+            del inflight[seq]
+        self._send_base = ack
+        if self._pending:
             self._pump()
 
     def _handle_data(self, segment: TcpSegment) -> None:
-        if segment.seq >= self._rcv_next:
+        rcv_next = self._rcv_next
+        if segment.seq == rcv_next and segment.nfrags == 1 and not self._ooo:
+            # In order and whole: nothing to buffer or reassemble.
+            self._rcv_next = rcv_next + 1
+            self.messages_received += 1
+            on_message = self.on_message
+            if on_message is not None:
+                self._delivering = True
+                on_message(segment.msg, segment.data_size, self)
+                self._delivering = False
+                state = self.state
+                if state == TcpConnection.FINISHED or state == TcpConnection.FAILED:
+                    self.on_message = None  # a teardown under it left it
+        elif segment.seq >= rcv_next:
             self._ooo.setdefault(segment.seq, segment)
             self._delivering = True
             while self._rcv_next in self._ooo:
@@ -301,7 +385,10 @@ class TcpConnection:
             if self.state in (TcpConnection.FINISHED, TcpConnection.FAILED):
                 self.on_message = None  # a teardown under the loop left it
         # Always (re)ack cumulatively — covers lost-ack retransmits.
-        self._transmit_control(ACK, ack=self._rcv_next)
+        self.host.send(
+            self.local_port, self.peer,
+            TcpSegment(self.conn_id, ACK, 0, self._rcv_next), TCP_HEADER_BYTES,
+        )
 
     def _deliver_message(self, last_fragment: TcpSegment) -> None:
         size = sum(fragment.data_size for fragment in self._assembling)
@@ -313,8 +400,12 @@ class TcpConnection:
     def _teardown(self, state: str) -> None:
         self.state = state
         self._cancel_handshake_timer()
-        for _segment, timer, _retries, _rto in self._inflight.values():
-            timer.cancel()
+        if self._rto_timer is not None:
+            self._rto_timer.cancel()
+            self._rto_timer = None
+        for entry in self._inflight.values():
+            if entry[5] is not None:
+                entry[5].cancel()
         self._inflight.clear()
         self._pending.clear()
         if self._internal_on_close is not None:
@@ -416,9 +507,6 @@ def tcp_connect(
     connection.on_message = on_message
     connection._own_port = True
 
-    def dispatch(datagram: Datagram) -> None:
-        connection.handle_segment(datagram.payload, datagram.src)
-
-    host.bind(port, dispatch)
+    host.bind(port, connection._on_datagram)
     connection.open()
     return connection

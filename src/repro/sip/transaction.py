@@ -1,7 +1,8 @@
 """SIP transactions over UDP: retransmission and absorption.
 
 Client transactions retransmit the request on the RFC 3261 timer ladder
-(T1 doubling) until a response arrives; server transactions replay the
+(T1 doubling) until a response arrives (a provisional one stops an INVITE's
+retransmissions and puts a non-INVITE request on a T2 period); server transactions replay the
 last response when a retransmitted request comes in, for
 :data:`SERVER_LINGER_S` after their final response.  The shared
 :class:`SipEndpoint` owns the socket, parses wire text, and routes
@@ -65,6 +66,8 @@ class ClientTransaction:
         self.branch = request.top_via_branch() or ""
         self.completed = False
         self.timed_out = False
+        #: A non-INVITE transaction that heard a provisional response.
+        self.proceeding = False
         self.retransmits = 0
         self._timer: Optional[Timer] = None
 
@@ -95,7 +98,8 @@ class ClientTransaction:
             return
         self.retransmits += 1
         self._transmit()
-        self._arm(min(interval * 2.0, T2_S))
+        # RFC 3261 §17.1.2.2: in Proceeding, Timer E is reset to T2.
+        self._arm(T2_S if self.proceeding else min(interval * 2.0, T2_S))
 
     def handle_response(self, response: SipResponse) -> None:
         if self.completed:
@@ -105,11 +109,17 @@ class ClientTransaction:
             if self._timer is not None:
                 self._timer.cancel()
             self.endpoint._client_done(self)
-        else:
-            # Provisional response: stop retransmitting, keep waiting.
+        elif self.request.method == "INVITE":
+            # RFC 3261 §17.1.1.2: a provisional response stops Timer A
+            # (and Timer B): the INVITE waits for its final response.
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
+        else:
+            # §17.1.2.2: a non-INVITE request in Proceeding is still
+            # retransmitted, every T2, until a final response or Timer F
+            # (the same retransmission budget) ends the transaction.
+            self.proceeding = True
         if self.on_response is not None:
             self.on_response(response)
 

@@ -5,7 +5,8 @@ JSON-like Python subset (str, int, float, bool, None, list, dict with
 string keys) to XML text and back, losslessly.  The ``type`` attribute
 disambiguates scalars; dict keys become child element names when they are
 valid XML names, otherwise an ``entry key=...`` form is used.  Encoding
-writes the text directly (:func:`to_xml_text`); decoding parses it with
+writes the text directly (:func:`to_xml_text`; :func:`render_xml` also
+returns what reading the text back gives); decoding parses it with
 ElementTree (:func:`string_to_element`, :func:`from_xml_value`).
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
@@ -73,6 +74,20 @@ def xml_element(tag: str, attrs: str, content: str) -> str:
     return "".join(("<", tag, attrs, " />"))
 
 
+class _Unreadable(Exception):
+    """A value's text does not read back as the value (raised only on a
+    walk that keeps the read-back value)."""
+
+
+class _TextOnly(list):
+    """The output of a walk whose read-back value nobody keeps."""
+
+
+#: ``render_xml``'s read-back value for text that would not read back as
+#: what was rendered (an int subclass whose ``str()`` is not its digits).
+UNREADABLE = object()
+
+
 def to_xml_text(
     tag: str,
     value: Any,
@@ -92,52 +107,157 @@ def to_xml_text(
     """
     if not _NAME_RE.match(tag):
         raise XmlCodecError(f"invalid element name {tag!r}")
-    return _render(tag, value, attrs, {} if fields is None else fields)
+    out = _TextOnly()
+    _render(out, tag, value, attrs, {} if fields is None else fields)
+    return "".join(out)
+
+
+def render_xml(
+    tag: str,
+    value: Any,
+    attrs: str = "",
+    fields: Optional[Mapping[type, Sequence[str]]] = None,
+) -> Tuple[str, Any]:
+    """:func:`to_xml_text` and, from the same walk, the value that
+    :func:`from_xml_value` reads back from the text: plain ``str``,
+    ``int``, ``float``, ``bool`` and ``None``, lists for lists and tuples,
+    dicts for dicts and dataclasses.  :data:`UNREADABLE` instead when
+    the text would not read back (parsing it fails)."""
+    if not _NAME_RE.match(tag):
+        raise XmlCodecError(f"invalid element name {tag!r}")
+    if fields is None:
+        fields = {}
+    out: List[str] = []
+    try:
+        body = _render(out, tag, value, attrs, fields)
+    except _Unreadable:
+        out = _TextOnly()
+        _render(out, tag, value, attrs, fields)
+        body = UNREADABLE
+    return "".join(out), body
 
 
 def _render(
-    tag: str, value: Any, attrs: str, fields: Mapping[type, Sequence[str]]
-) -> str:
-    if isinstance(value, str):
-        kind = "str"
-        if _INVALID_XML_RE.search(value):
-            attrs = ' esc="1"' + attrs
-            value = _escape(value)
-        text = escape_text(value)
-    elif value is None:
-        kind, text = "null", ""
-    elif isinstance(value, bool):  # before int: bool is an int subclass
-        kind, text = "bool", "true" if value else "false"
-    elif isinstance(value, int):
-        kind, text = "int", str(value)
-    elif isinstance(value, float):
-        kind, text = "float", repr(value)
-    elif isinstance(value, (list, tuple)):
-        kind = "list"
-        text = "".join([_render("item", item, "", fields) for item in value])
-    else:
-        if isinstance(value, dict):
-            items: Iterable[Tuple[Any, Any]] = value.items()
+    out: List[str],
+    tag: str,
+    value: Any,
+    attrs: str,
+    fields: Mapping[type, Sequence[str]],
+) -> Any:
+    """Append the text of ``value`` as element ``tag`` to ``out``; return
+    what :func:`from_xml_value` reads back from it.  Dispatches on the
+    exact type, commonest first; a subclass of a written type goes
+    through :func:`_render_subclass`."""
+    kind = type(value)
+    if kind is str:
+        if not (value.isascii() and value.isprintable()) and _INVALID_XML_RE.search(
+            value
+        ):
+            out += ("<", tag, ' type="str" esc="1"', attrs, ">",
+                    escape_text(_escape(value)), "</", tag, ">")
+        elif not value:
+            out += ("<", tag, ' type="str"', attrs, " />")
+        elif "&" in value or "<" in value or ">" in value:
+            out += ("<", tag, ' type="str"', attrs, ">", escape_text(value),
+                    "</", tag, ">")
         else:
-            names = fields.get(type(value))
-            if names is None:
-                raise XmlCodecError(f"cannot encode {type(value).__name__}")
-            items = [(name, getattr(value, name)) for name in names]
-        kind = "dict"
-        children = []
-        for key, item in items:
+            out += ("<", tag, ' type="str"', attrs, ">", value, "</", tag, ">")
+        return value
+    if kind is int:
+        out += ("<", tag, ' type="int"', attrs, ">", str(value), "</", tag, ">")
+        return value
+    if kind is list or kind is tuple:
+        return _render_list(out, tag, value, attrs, fields)
+    if kind is dict:
+        return _render_dict(out, tag, value.items(), attrs, fields)
+    if value is None:
+        out += ("<", tag, ' type="null"', attrs, " />")
+        return None
+    if kind is bool:
+        out += ("<", tag, ' type="bool"', attrs, ">", "true" if value else "false",
+                "</", tag, ">")
+        return value
+    if kind is float:
+        out += ("<", tag, ' type="float"', attrs, ">", repr(value), "</", tag, ">")
+        return value
+    names = fields.get(kind)
+    if names is None:
+        return _render_subclass(out, tag, value, attrs, fields)
+    return _render_dict(
+        out, tag, [(name, getattr(value, name)) for name in names], attrs, fields
+    )
+
+
+def _render_list(out, tag, value, attrs, fields):
+    if not value:
+        out += ("<", tag, ' type="list"', attrs, " />")
+        return []
+    out += ("<", tag, ' type="list"', attrs, ">")
+    body = [_render(out, "item", item, "", fields) for item in value]
+    out += ("</", tag, ">")
+    return body
+
+
+def _render_dict(out, tag, items, attrs, fields):
+    """A dict's ``items()``, or a dataclass's ``(field, value)`` pairs."""
+    if not items:
+        out += ("<", tag, ' type="dict"', attrs, " />")
+        return {}
+    out += ("<", tag, ' type="dict"', attrs, ">")
+    body = {}
+    names = _names
+    for key, item in items:
+        if type(key) is not str:
             if not isinstance(key, str):
                 raise XmlCodecError(f"dict keys must be str, got {key!r}")
-            if _NAME_RE.match(key):
-                children.append(_render(key, item, "", fields))
-                continue
-            if _INVALID_XML_RE.search(key):
-                entry = ' key-esc="1" key="' + escape_attrib(_escape(key)) + '"'
-            else:
-                entry = ' key="' + escape_attrib(key) + '"'
-            children.append(_render("entry", item, entry, fields))
-        text = "".join(children)
-    return xml_element(tag, ' type="' + kind + '"' + attrs, text)
+            key = str.__str__(key)  # its characters, as a plain str
+        valid = names.get(key)
+        if valid is None:
+            valid = _NAME_RE.match(key) is not None
+            if len(names) < _NAMES_KEPT:
+                names[key] = valid
+        if valid:
+            body[key] = _render(out, key, item, "", fields)
+            continue
+        if _INVALID_XML_RE.search(key):
+            entry = ' key-esc="1" key="' + escape_attrib(_escape(key)) + '"'
+        else:
+            entry = ' key="' + escape_attrib(key) + '"'
+        body[key] = _render(out, "entry", item, entry, fields)
+    out += ("</", tag, ">")
+    return body
+
+
+#: Whether a dict key is an XML name (so it is written as the tag), for
+#: the first _NAMES_KEPT keys seen: field names and the like recur.
+_names: Dict[str, bool] = {}
+_NAMES_KEPT = 1024
+
+
+def _render_subclass(out, tag, value, attrs, fields):
+    """A subclass of a type the codec writes: written as its base type
+    wrote it through ElementTree (a str-mixin enum member contributes its
+    characters, an int-mixin one its ``str()``), read back as the base
+    type's plain value."""
+    if isinstance(value, str):
+        plain = str.__str__(value)  # the same characters
+        _render(out, tag, plain, attrs, fields)
+        return plain
+    if isinstance(value, (int, float)):  # bool cannot be subclassed
+        kind, base = ("int", int) if isinstance(value, int) else ("float", float)
+        text = str(value) if base is int else repr(value)
+        out += ("<", tag, ' type="', kind, '"', attrs, ">", text, "</", tag, ">")
+        try:
+            return base(text)
+        except ValueError:
+            if type(out) is _TextOnly:
+                return None
+            raise _Unreadable from None
+    if isinstance(value, (list, tuple)):
+        return _render_list(out, tag, value, attrs, fields)
+    if isinstance(value, dict):
+        return _render_dict(out, tag, value.items(), attrs, fields)
+    raise XmlCodecError(f"cannot encode {type(value).__name__}")
 
 
 def from_xml_value(element: ET.Element) -> Any:

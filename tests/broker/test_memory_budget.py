@@ -21,9 +21,11 @@ import sys
 
 import repro
 from repro.broker import FAST_MESH, BrokerClient, BrokerNetwork, LinkType
+from repro.broker.links import UdpClientLink
 from repro.broker.rtp_proxy import RtpProxy
 from repro.core.mmcs import GlobalMMCS, MMCSConfig
 from repro.core.xgsp.messages import JoinAccepted
+from repro.core.xgsp.session_server import client_topic
 from repro.core.xgsp.translation import conference_alias, conference_sip_uri
 from repro.h323.terminal import H323Call
 from repro.simnet import SeededStreams
@@ -303,7 +305,9 @@ def test_the_simulator_maps_no_openssl():
 
 
 #: What a member's join makes and its leave must let go of.
-MEMBER_STATE = (BrokerClient, UdpSocket, TcpConnection, RtpProxy, H323Call)
+MEMBER_STATE = (
+    BrokerClient, UdpSocket, TcpConnection, RtpProxy, H323Call, UdpClientLink,
+)
 
 
 def made_since(before):
@@ -323,8 +327,9 @@ def test_members_that_leave_are_freed_without_the_collector():
     for good): no broker client, socket, TCP connection, RTP proxy or
     H.323 call made for them outlives the leave, because every teardown
     breaks its callback cycles.  The SIP server transactions that
-    answered them keep only the wire text of their last response, and a
-    drained CPU or NIC holds no deque."""
+    answered them keep only the wire text of their last response, a
+    broker's link to a client that left goes with its client record and
+    route plans, and a drained CPU or NIC holds no deque."""
     mmcs = GlobalMMCS(MMCSConfig(
         seed=3, broker_topology="star", broker_count=2,
         enable_streaming=False, enable_accessgrid=False,
@@ -362,7 +367,7 @@ def test_members_that_leave_are_freed_without_the_collector():
         native.subscribe_media(audio, lambda event: None)
         assert {type(obj).__name__ for obj in made_since(before)} == {
             "BrokerClient", "UdpSocket", "TcpConnection", "RtpProxy",
-            "H323Call",
+            "H323Call", "UdpClientLink",
         }
         native.leave(session.session_id)
         sip.bye(joined.pop("sip"))
@@ -370,6 +375,12 @@ def test_members_that_leave_are_freed_without_the_collector():
         mmcs.run_for(1.0)
         native.disconnect()
         del native
+        mmcs.run_for(1.0)
+        # A route entry keeps its last fan-out plan, a leaver's send among
+        # them, until its topic's next event is routed: the session's
+        # audio and the native member's reply topic here.
+        for topic in (audio, client_topic("carol")):
+            mmcs.session_server.client.publish(topic, b"after", 100)
         mmcs.run_for(1.0)
         transactions = list(mmcs.sip_proxy._server_transactions.values())
         assert transactions  # still lingering for retransmissions
@@ -379,10 +390,8 @@ def test_members_that_leave_are_freed_without_the_collector():
             assert not any(
                 isinstance(obj, (SipRequest, SipResponse)) for obj in held
             )
-        # A fired timer leaves the kernel's timer heap at the next look
-        # at it (a schedule, a horizon read); the last one, the client's
-        # linger, holds the closed transport until then.
-        mmcs.sim.horizon()
+        # No horizon read first: a fired timer still in the kernel's
+        # timer heap (the client's linger, the last one) holds nothing.
         assert made_since(before) == []
         for host in mmcs.net.hosts():
             if not host.cpu._busy:

@@ -9,7 +9,9 @@ announcement once for both topics it goes to, and its answer once — by
 ``_journal``, whose text is also the reply and what a retry is answered
 with — and decoded once by the server and once by the requester: 3 and 2.
 It used to be 5 and 2 (the announcement once per topic, the answer once
-for the journal and once for the reply).
+for the journal and once for the reply).  No decode parses: each text was
+encoded in this process, and ``xml_codec`` rebuilds the message from what
+the encoder kept (it used to be one ElementTree parse per decode).
 """
 
 import collections
@@ -35,6 +37,7 @@ from tests.soap.test_xmlutil import reference_xgsp
 
 ENCODES_PER_REQUEST = 3
 DECODES_PER_REQUEST = 2
+PARSES_PER_REQUEST = 0
 
 
 @pytest.fixture
@@ -76,8 +79,22 @@ def codec_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """ElementTree parses of XGSP text, counted."""
+    calls = collections.Counter()
+    parse = xml_codec.string_to_element
+
+    def counting_parse(text):
+        calls["parse"] += 1
+        return parse(text)
+
+    monkeypatch.setattr(xml_codec, "string_to_element", counting_parse)
+    return calls
+
+
 def test_join_retry_and_leave_stay_within_the_codec_budget(
-    sim, conference, codec_calls
+    sim, conference, codec_calls, parses
 ):
     server, bob, created, published = conference
     sid, control = created.session_id, created.control_topic
@@ -126,6 +143,8 @@ def test_join_retry_and_leave_stay_within_the_codec_budget(
     assert published[control] == [announced, left_announced]
     leave_reply = published[reply_topic][-1]
     assert server._applied[f"{reply_topic}#{leave_id}"] == leave_reply
+    # Join, retry and leave: not one decode parsed.
+    assert parses["parse"] == 3 * PARSES_PER_REQUEST
     expectations += [
         (leave_text, LeaveSession(
             request_id=leave_id, session_id=sid, participant="bob")),

@@ -1,7 +1,10 @@
 """XGSP message/XML codec tests (unit + property round-trip)."""
 
+import dataclasses
+import enum
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.xgsp import messages as m
@@ -202,3 +205,139 @@ def test_pinned_response_text_is_itself_a_message():
         m.SessionAnnouncement(request_id=17, session_id="session-7",
                               event="left", participant="h323:bob")
     ) == _LEFT
+
+
+# ------------------------------------------- decoding without a parse
+#
+# ``decode`` rebuilds a message whose text ``encode`` wrote in this
+# process from what the encoder kept, and parses everything else.  The
+# two must be indistinguishable: equal messages, the same types in every
+# field, and containers the receiver owns.
+
+
+def parsed(text):
+    """``decode(text)`` through the ElementTree parse, memo bypassed."""
+    kept = xml_codec._memo.pop(text, None)
+    try:
+        return xml_codec.decode(text)
+    finally:
+        if kept is not None:
+            xml_codec._memo[text] = kept
+
+
+def shape(value):
+    """``value`` with the exact type of every part spelled out."""
+    if dataclasses.is_dataclass(value):
+        return (type(value), tuple(
+            (field.name, shape(getattr(value, field.name)))
+            for field in dataclasses.fields(value)
+        ))
+    if isinstance(value, dict):
+        return (dict, tuple((shape(k), shape(v)) for k, v in value.items()))
+    if isinstance(value, list):
+        return (list, tuple(shape(item) for item in value))
+    return (type(value), value)
+
+
+def containers(value):
+    """Every list and dict inside a decoded message."""
+    found = []
+    parts = (
+        [getattr(value, f.name) for f in dataclasses.fields(value)]
+        if dataclasses.is_dataclass(value) else
+        list(value.values()) if isinstance(value, dict) else
+        list(value) if isinstance(value, list) else []
+    )
+    if isinstance(value, (list, dict)):
+        found.append(value)
+    for part in parts:
+        found.extend(containers(part))
+    return found
+
+
+def assert_memo_decode_is_parse_decode(message):
+    text = xml_codec.encode(message)
+    assert text in xml_codec._memo
+    from_memo = xml_codec.decode(text)
+    from_parse = parsed(text)
+    assert from_memo == from_parse
+    assert shape(from_memo) == shape(from_parse)
+    # Each decode hands out containers of its own: a receiver that edits
+    # what it decoded changes nothing another receiver decodes.
+    again = xml_codec.decode(text)
+    owned = {id(c) for c in containers(from_memo)}
+    assert not owned & {id(c) for c in containers(again)}
+
+
+@pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+def test_memo_decode_is_parse_decode(message):
+    assert_memo_decode_is_parse_decode(message)
+
+
+def test_memo_decode_reads_subclasses_back_as_their_base_types():
+    class Event(str, enum.Enum):
+        JOINED = "joined"
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    message = m.SessionOp(
+        kind=Event.JOINED, version=Level.HIGH,
+        data={"tuple": (1, "two"), Event.JOINED: [Level.HIGH]},
+    )
+    assert_memo_decode_is_parse_decode(message)
+    decoded = xml_codec.decode(xml_codec.encode(message))
+    assert type(decoded.kind) is str and decoded.data["tuple"] == [1, "two"]
+
+
+def test_text_the_memo_let_go_of_is_parsed():
+    message = m.LeaveSession(session_id="s", participant="p")
+    text = xml_codec.encode(message)
+    for n in range(xml_codec.MEMO_ENTRIES):
+        xml_codec.encode(m.LeaveSession(session_id=f"s{n}", participant="p"))
+    assert text not in xml_codec._memo
+    assert len(xml_codec._memo) == xml_codec.MEMO_ENTRIES
+    assert xml_codec.decode(text) == message
+
+
+_text = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), max_codepoint=0x2FFF),
+    max_size=30,
+)
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | _text,
+    lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_text, children, max_size=3),
+    max_leaves=12,
+)
+_media = st.builds(
+    m.MediaDescription, kind=_text, codec=_text, topic=_text,
+    bandwidth_bps=st.floats(allow_nan=False),
+)
+_messages = st.one_of(
+    st.builds(m.SessionOp, version=st.integers(), kind=_text,
+              session_id=_text, data=st.dictionaries(_text, _values, max_size=4),
+              request_key=_text, response_xml=_text, leader=_text,
+              request_id=st.integers()),
+    st.builds(m.JoinAccepted, session_id=_text, participant=_text,
+              media=st.lists(_media, max_size=3), control_topic=_text),
+    st.builds(m.SnapshotResponse, version=st.integers(), leader=_text,
+              sessions=st.lists(st.dictionaries(_text, _values, max_size=3),
+                                max_size=2),
+              applied=st.lists(st.dictionaries(_text, _text, max_size=2),
+                               max_size=2)),
+    st.builds(m.CreateSession, title=_text, creator=_text,
+              media_kinds=st.lists(_text, max_size=3), mode=_text),
+    st.builds(m.SessionBusy, session_id=_text, participant=_text,
+              retry_after_s=st.floats(allow_nan=False)),
+    st.builds(m.MuteMember, session_id=_text, requester=_text,
+              target=_text, muted=st.booleans()),
+)
+
+
+@settings(max_examples=200)
+@given(_messages)
+def test_memo_decode_is_parse_decode_on_generated_messages(message):
+    assert_memo_decode_is_parse_decode(message)

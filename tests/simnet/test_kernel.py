@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simnet.kernel import SimulationError, Simulator
@@ -35,6 +38,51 @@ def test_schedule_with_args():
     sim.schedule(0.5, lambda a, b: out.append(a + b), 2, 3)
     sim.run()
     assert out == [5]
+
+
+class _Payload:
+    """A timer argument that takes weak references."""
+
+
+@pytest.mark.parametrize("drain", ["run", "step"])
+def test_a_fired_timer_lets_go_of_its_arguments(drain):
+    # With the collector off, only reference counts free the argument: the
+    # fired timer still sits in the kernel's horizon heap (nothing has
+    # scheduled or read the horizon since), and must hold nothing.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator()
+        payload = _Payload()
+        gone = weakref.ref(payload)
+        timer = sim.schedule(0.5, lambda arg: None, payload)
+        del payload
+        if drain == "run":
+            sim.run_for(1.0)
+        else:
+            assert sim.step()
+        assert timer in sim._timers  # not popped yet: the case at issue
+        assert gone() is None
+        assert timer[2] is None  # and it reads as fired
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_schedule_reserved_takes_the_place_of_its_reservation():
+    # A callback armed later with a number reserved earlier runs where a
+    # timer scheduled at the reservation would have: before what was
+    # scheduled for the same instant after it.
+    sim = Simulator()
+    fired = []
+    reserved = sim._next_seq
+    sim._next_seq = reserved + 1
+    sim.schedule(1.0, fired.append, "after")
+    sim.schedule_reserved(1.0, reserved, fired.append, "reserved")
+    sim.run()
+    assert fired == ["reserved", "after"]
+    with pytest.raises(SimulationError):
+        sim.schedule_reserved(0.5, sim._next_seq, fired.append, "past")
 
 
 def test_negative_delay_rejected():

@@ -1,5 +1,6 @@
 """Server transactions: replay inside the linger window, then let go;
-a proxy retransmits what it forwards."""
+a proxy retransmits what it forwards; a non-INVITE request that heard a
+provisional response is still retransmitted until it times out."""
 
 from repro.sip import (
     SessionDescription,
@@ -10,7 +11,13 @@ from repro.sip import (
 )
 from repro.sip.message import parse_message, response_for
 from repro.sip.registrar import LocationService
-from repro.sip.transaction import SERVER_LINGER_S, T1_S, SipEndpoint
+from repro.sip.transaction import (
+    MAX_RETRANSMITS,
+    SERVER_LINGER_S,
+    T1_S,
+    T2_S,
+    SipEndpoint,
+)
 from repro.simnet import LinkProfile, Network, SeededStreams, Simulator
 
 CALL_EVERY_S = 4.0
@@ -158,3 +165,78 @@ def test_a_proxy_retransmits_what_it_forwards():
         heard, dialogs = lossy_call(seed)
         assert heard == [200], seed
         assert [dialog.state for dialog in dialogs] == ["confirmed"], seed
+
+
+class TryingServer(SipEndpoint):
+    """Answers every request 100 Trying at once and 200 OK later, and
+    every 200 it sends is lost on the way (a replay of it too)."""
+
+    def __init__(self, host):
+        super().__init__(host)
+        self.arrivals = []
+
+    def on_request(self, request, source, transaction):
+        transaction.respond(response_for(request, 100, "Trying"))
+        self.sim.schedule(
+            0.2, transaction.respond, response_for(request, 200, "OK")
+        )
+
+    def _on_datagram(self, payload, src, datagram):
+        self.arrivals.append(self.sim.now)
+        super()._on_datagram(payload, src, datagram)
+
+    def _send_text(self, text, destination):
+        if not text.startswith("SIP/2.0 200"):
+            super()._send_text(text, destination)
+
+
+def test_a_non_invite_request_in_proceeding_is_resent_until_408(net, sim):
+    """RFC 3261 §17.1.2.2: a MESSAGE answered 100 keeps Timer E (now at
+    T2) and Timer F; its lost 200 leaves it retransmitting until 408."""
+    server = TryingServer(net.create_host("server"))
+    client = SipEndpoint(net.create_host("client"))
+    answers = []
+    message = SipRequest(
+        "MESSAGE",
+        "sip:bob@mmcs.org",
+        [
+            ("From", "<sip:alice@mmcs.org>;tag=a"),
+            ("To", "<sip:bob@mmcs.org>"),
+            ("Call-Id", "message-1"),
+            ("CSeq", "1 MESSAGE"),
+        ],
+    )
+    transaction = client.send_request(message, server.address, answers.append)
+    sim.run_for(1.0)
+    assert [a.status for a in answers] == [100]
+    sim.run_for(T1_S + MAX_RETRANSMITS * T2_S)
+    # (Past its Timer J the server takes a resend for a new request and
+    # answers 100 again.)
+    assert [a.status for a in answers if a.status >= 200] == [408]
+    assert answers[-1].status == 408
+    assert transaction.timed_out and transaction.retransmits == MAX_RETRANSMITS
+    assert transaction.proceeding
+    # First send, Timer E's T1 firing, then one resend every T2.
+    sent = [at - server.arrivals[0] for at in server.arrivals]
+    assert len(sent) == 1 + MAX_RETRANSMITS
+    assert abs(sent[1] - T1_S) < 0.01
+    assert all(
+        abs(later - earlier - T2_S) < 0.01
+        for earlier, later in zip(sent[1:], sent[2:])
+    )
+    assert server.requests_received == 1 + MAX_RETRANSMITS
+
+
+def test_an_invite_in_proceeding_is_not_resent(net, sim):
+    """§17.1.1.2: a provisional response ends an INVITE's
+    retransmissions; it waits for its final response."""
+    server = TryingServer(net.create_host("server"))
+    client = SipEndpoint(net.create_host("client"))
+    answers = []
+    transaction = client.send_request(
+        invite("invite-1"), server.address, answers.append
+    )
+    sim.run_for(T1_S + MAX_RETRANSMITS * T2_S)
+    assert [a.status for a in answers] == [100]
+    assert transaction.retransmits == 0 and not transaction.completed
+    assert server.requests_received == 1
