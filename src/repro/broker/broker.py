@@ -242,6 +242,14 @@ class Broker:
                 self.gateway = Gateway(
                     self, self.cluster_id, tuple(sorted(gateways))
                 )
+        if self.gateway is None:
+            # A route entry is its topic's matches in the two tries (and
+            # the route generation), so it outlives changes its topic
+            # cannot see; a gateway's tier split also reads the set of
+            # installed foreign origins, which no trie logs.
+            self.route_cache.tries = (self._local_subs, self._remote_interest)
+            self._local_subs.track_changes()
+            self._remote_interest.track_changes()
 
         # Geo partition survival, built only with a region (DESIGN.md
         # §12): link-state adverts carry cost classes, sequencers pin

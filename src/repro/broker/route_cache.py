@@ -57,6 +57,7 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.broker.profile import BrokerProfile
+    from repro.broker.topic import TopicTrie
 
 #: Generation triple: (local-subscription gen, remote-interest gen, route gen).
 Generation = Tuple[int, int, int]
@@ -171,9 +172,13 @@ class RouteCache:
     """
 
     __slots__ = ("_entries", "_groups", "_fanouts", "max_entries", "hits",
-                 "misses", "invalidations")
+                 "misses", "invalidations", "tries")
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
+        #: The (local, remote) tries an entry's targets were matched in,
+        #: when those matches are all it depends on besides the route
+        #: generation; None when every generation change invalidates.
+        self.tries: Optional[Tuple["TopicTrie", "TopicTrie"]] = None
         self._entries: Dict[str, RouteEntry] = {}
         self._groups: Dict[FrozenSet[str], Tuple[int, NextHopGroups]] = {}
         self._fanouts: Dict[FrozenSet[str], Fanout] = {}
@@ -188,10 +193,25 @@ class RouteCache:
     # ------------------------------------------------------- topic entries
 
     def lookup(self, topic: str, generation: Generation):
-        """Return the fresh entry for ``topic`` or None (miss/stale)."""
+        """Return the fresh entry for ``topic`` or None (miss/stale).  An
+        entry from an older generation is still fresh when the route
+        generation is the same and neither trie changed a pattern that
+        matches ``topic`` since (``TopicTrie.unchanged_for``); it moves
+        up to ``generation``."""
         entry = self._entries.get(topic)
         if entry is not None:
-            if entry.generation == generation:
+            held = entry.generation
+            if held == generation:
+                self.hits += 1
+                return entry
+            tries = self.tries
+            if (
+                tries is not None
+                and held[2] == generation[2]
+                and tries[0].unchanged_for(topic, held[0])
+                and tries[1].unchanged_for(topic, held[1])
+            ):
+                entry.generation = generation
                 self.hits += 1
                 return entry
             del self._entries[topic]

@@ -14,7 +14,8 @@ broker's per-event routing cost model assumes.
 from __future__ import annotations
 
 from typing import (
-    AbstractSet, Dict, FrozenSet, Generic, Iterator, List, Set, Tuple, TypeVar,
+    AbstractSet, Dict, FrozenSet, Generic, Iterator, List, Optional, Set, Tuple,
+    TypeVar,
 )
 
 T = TypeVar("T")
@@ -225,8 +226,17 @@ class TopicTrie(Generic[T]):
     * per-pattern refcounts (number of distinct values registered under
       each pattern), so :meth:`has_pattern` is O(1);
     * a :attr:`generation` counter bumped on every successful mutation,
-      which route caches use for lazy invalidation.
+      which route caches use for lazy invalidation;
+    * a bounded log of the patterns those mutations touched, newest last,
+      so :meth:`unchanged_for` can tell a route cache that a topic's
+      matches are what they were at an older generation.
     """
+
+    #: The change log keeps at most this many patterns, and at most this
+    #: many characters of them; a generation it no longer reaches back
+    #: to counts as changed for every topic.
+    CHANGE_LOG_ENTRIES = 32
+    CHANGE_LOG_CHARS = 2048
 
     def __init__(self) -> None:
         self._root: _TrieNode[T] = _TrieNode()
@@ -238,6 +248,11 @@ class TopicTrie(Generic[T]):
         self._count = 0
         #: Bumped on every successful add/remove; consumed by RouteCache.
         self.generation = 0
+        #: The pattern each of the last ``len(_changes)`` generations
+        #: touched, oldest first, and their total length; None until
+        #: :meth:`track_changes` (a trie nobody asks keeps no log).
+        self._changes: Optional[List[str]] = None
+        self._change_chars = 0
 
     def __len__(self) -> int:
         return self._count
@@ -252,6 +267,8 @@ class TopicTrie(Generic[T]):
         self._pattern_refs[pattern] = self._pattern_refs.get(pattern, 0) + 1
         self._count += 1
         self.generation += 1
+        if self._changes is not None:
+            self._log_change(pattern)
         node = self._root
         for segment in split_topic(pattern):
             if segment == MULTI:
@@ -282,6 +299,8 @@ class TopicTrie(Generic[T]):
             del self._pattern_refs[pattern]
         self._count -= 1
         self.generation += 1
+        if self._changes is not None:
+            self._log_change(pattern)
         segments = split_topic(pattern)
         self._remove(self._root, segments, 0, value)
         return True
@@ -312,6 +331,44 @@ class TopicTrie(Generic[T]):
         self._pattern_refs.clear()
         self._count = 0
         self.generation += 1
+        if self._changes is not None:
+            self._log_change("/" + MULTI)  # every topic's matches changed
+
+    def track_changes(self) -> None:
+        """Keep the change log :meth:`unchanged_for` reads, from the
+        current generation on."""
+        if self._changes is None:
+            self._changes = []
+
+    def _log_change(self, pattern: str) -> None:
+        changes = self._changes
+        changes.append(pattern)
+        chars = self._change_chars + len(pattern)
+        while len(changes) > self.CHANGE_LOG_ENTRIES or chars > self.CHANGE_LOG_CHARS:
+            chars -= len(changes.pop(0))
+        self._change_chars = chars
+
+    def unchanged_for(self, topic: str, generation: int) -> bool:
+        """True when :meth:`match` of the concrete ``topic`` gives what it
+        gave at ``generation``: no pattern changed since then matches it.
+        False when the log no longer reaches back that far (or there is
+        none)."""
+        behind = self.generation - generation
+        if not behind:
+            return True
+        changes = self._changes
+        if changes is None or behind > len(changes):
+            return False
+        segments = None
+        for pattern in changes[-behind:]:
+            if pattern == topic:
+                return False
+            if SINGLE in pattern or MULTI in pattern:
+                if segments is None:
+                    segments = topic[1:].split("/")
+                if match_segments(tuple(split_topic(pattern)), segments):
+                    return False
+        return True
 
     def remove_value(self, value: T) -> int:
         """Remove every pattern registered for ``value``; returns count."""

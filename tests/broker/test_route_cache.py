@@ -264,3 +264,55 @@ class TestSequencerCache:
         assert [e.sequence for e in got] == [0, 1, 2, 3]
 
 
+
+
+class TestSelectiveInvalidation:
+    """A flat broker's entry outlives subscription changes its topic
+    cannot see (``TopicTrie.unchanged_for``); a gateway's does not."""
+
+    def test_unrelated_subscriptions_leave_the_entry_fresh(
+        self, net, sim, single_broker
+    ):
+        publisher = make_client(net, sim, single_broker, "pub")
+        subscriber = make_client(net, sim, single_broker, "sub")
+        got = []
+        subscriber.subscribe("/t", got.append)
+        sim.run_for(1.0)
+        TestBrokerWiring().publish_and_run(sim, publisher)
+        entry = single_broker.resolve_route("/t")
+        others = [make_client(net, sim, single_broker, f"o{n}") for n in range(5)]
+        for n, other in enumerate(others):
+            other.subscribe(f"/other/{n}", lambda e: None)
+        sim.run_for(1.0)
+        invalidations = single_broker.route_cache.invalidations
+        assert single_broker.resolve_route("/t") is entry
+        assert entry.generation == single_broker.routing_generation()
+        assert single_broker.route_cache.invalidations == invalidations
+        # A change that does match invalidates, and the entry follows it.
+        others[0].subscribe("/#", lambda e: None)
+        sim.run_for(1.0)
+        fresh = single_broker.resolve_route("/t")
+        assert fresh is not entry
+        assert fresh.local_targets == ("o0", "sub")
+        assert single_broker.route_cache.invalidations == invalidations + 1
+
+    def test_a_route_change_still_invalidates(self, net, sim):
+        bnet = BrokerNetwork.chain(net, 2)
+        b0 = bnet.broker("broker-0")
+        entry = b0.resolve_route("/t")
+        b0.set_routes(dict(b0._routes))
+        assert b0.resolve_route("/t") is not entry
+
+    def test_a_gateway_keeps_strict_generations(self, net, sim):
+        bnet = BrokerNetwork.clustered(net, [3, 3], mesh=FAST_MESH)
+        sim.run_for(5.0)
+        gateway = bnet.broker("broker-c0-0")
+        member = bnet.broker("broker-c0-2")
+        assert gateway.route_cache.tries is None
+        assert gateway._local_subs._changes is None
+        assert member.route_cache.tries is not None
+        entry = gateway.resolve_route("/conf/a/video")
+        client = make_client(net, sim, gateway, "unrelated")
+        client.subscribe("/elsewhere", lambda e: None)
+        sim.run_for(1.0)
+        assert gateway.resolve_route("/conf/a/video") is not entry

@@ -1,7 +1,7 @@
 """Tests for topic validation and wildcard matching."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -369,3 +369,82 @@ PatternSummaryMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
 TestPatternSummaryMachine = PatternSummaryMachine.TestCase
+
+
+# ------------------------------------------------- the change log
+#
+# A route cache asks a trie whether a topic's matches are still what they
+# were at an older generation (``unchanged_for``).  A yes must always be
+# true; a no may be conservative (a change that did not affect the topic
+# but fell out of the bounded log).
+
+_CHURN_PATTERNS = (
+    "/a/b", "/a/c", "/a/*", "/a/#", "/b/c/d", "/b/*/d", "/#", "/c",
+)
+_CHURN_TOPICS = ("/a/b", "/a/c", "/a/b/c", "/b/c/d", "/b/x/d", "/c", "/d")
+
+
+@settings(max_examples=200)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "clear", "look"]),
+            st.sampled_from(_CHURN_PATTERNS),
+            st.sampled_from(["v1", "v2", "v3"]),
+        ),
+        max_size=80,
+    )
+)
+def test_unchanged_for_never_says_yes_to_a_changed_match(steps):
+    trie = TopicTrie()
+    trie.track_changes()
+    seen = []  # (generation, topic, match then)
+    for action, pattern, value in steps:
+        if action == "add":
+            trie.add(pattern, value)
+        elif action == "remove":
+            trie.remove(pattern, value)
+        elif action == "clear":
+            trie.clear()
+        else:
+            for topic in _CHURN_TOPICS:
+                seen.append((trie.generation, topic, trie.match(topic)))
+        for generation, topic, then in seen:
+            if trie.unchanged_for(topic, generation):
+                assert trie.match(topic) == then, (topic, generation)
+        assert len(trie._changes) <= TopicTrie.CHANGE_LOG_ENTRIES
+        assert trie._change_chars == sum(len(p) for p in trie._changes)
+        assert trie._change_chars <= TopicTrie.CHANGE_LOG_CHARS
+
+
+def test_unchanged_for_sees_past_changes_to_other_topics_only():
+    trie = TopicTrie()
+    trie.track_changes()
+    trie.add("/conf/a/video", "c1")
+    generation = trie.generation
+    trie.add("/conf/b/video", "c2")  # another topic
+    trie.remove("/conf/b/video", "c2")
+    assert trie.unchanged_for("/conf/a/video", generation)
+    trie.add("/conf/*/video", "c3")  # a wildcard over it
+    assert not trie.unchanged_for("/conf/a/video", generation)
+    assert trie.unchanged_for("/conf/a/audio", generation)
+
+
+def test_the_change_log_is_bounded_and_kept_only_on_request():
+    untracked = TopicTrie()
+    untracked.add("/a", "v")
+    assert untracked._changes is None
+    assert not untracked.unchanged_for("/b", 0)  # no log: always changed
+    trie = TopicTrie()
+    trie.track_changes()
+    for n in range(3 * TopicTrie.CHANGE_LOG_ENTRIES):
+        trie.add(f"/topic/{n}", "v")
+    assert len(trie._changes) == TopicTrie.CHANGE_LOG_ENTRIES
+    generation = trie.generation
+    assert trie.unchanged_for("/elsewhere", generation - len(trie._changes))
+    assert not trie.unchanged_for("/elsewhere", generation - len(trie._changes) - 1)
+    long_pattern = "/" + "x" * (TopicTrie.CHANGE_LOG_CHARS // 2)
+    trie.add(long_pattern, "v")
+    trie.add(long_pattern + "y", "v")
+    assert trie._change_chars <= TopicTrie.CHANGE_LOG_CHARS
+    assert trie._changes[-1] == long_pattern + "y"
